@@ -1,6 +1,6 @@
 //! Shard-scaling — the record-sharded parallel engine at `--jobs
 //! {1, 2, 4, 8}` against the plain sequential loop, for both engines
-//! (interpreted `records_par`, generated `parse_records_par`) on the
+//! (interpreted `records_par_stream`, generated `parse_records_par`) on the
 //! same 10 000-record CLF/Sirius corpora as `ablation_codegen`. The
 //! jobs=1 rows measure pure sharding overhead (should be ~the
 //! sequential time); jobs≥2 should scale near-linearly until the
@@ -8,12 +8,33 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pads::generated::{clf, sirius};
-use pads::{descriptions, BaseMask, Cursor, Mask, PadsParser, Registry};
+use pads::{
+    descriptions, BaseMask, Cursor, Mask, PadsParser, Registry, ResumePoint, DEFAULT_MAX_INFLIGHT,
+};
+use pads_runtime::{genrt, WorkerObs};
 
 const JOBS: [usize; 4] = [1, 2, 4, 8];
 
 fn fresh(d: &[u8]) -> Cursor<'_> {
     Cursor::new(d)
+}
+
+/// The interpreted sharded rows: every merged `entry_t` record
+/// materialised in a `Vec`, like the generated entry returns them.
+fn interpreted_par(parser: &PadsParser<'_>, data: &[u8], mask: &Mask, jobs: usize) -> usize {
+    type NoObs = fn() -> (WorkerObs, Box<dyn FnMut()>);
+    let mut items = Vec::new();
+    parser.records_par_stream(
+        data,
+        "entry_t",
+        mask,
+        jobs,
+        DEFAULT_MAX_INFLIGHT,
+        ResumePoint::default(),
+        None::<&NoObs>,
+        |value, pd, _extra, _progress| items.push((value, pd)),
+    );
+    items.len()
 }
 
 fn bench(c: &mut Criterion) {
@@ -45,7 +66,7 @@ fn bench(c: &mut Criterion) {
             g.bench_with_input(
                 BenchmarkId::from_parameter(format!("sirius_interpreted_jobs{jobs}")),
                 &body[..],
-                |b, body| b.iter(|| parser.records_par(body, "entry_t", &mask, jobs).0.len()),
+                |b, body| b.iter(|| interpreted_par(&parser, body, &mask, jobs)),
             );
         }
         g.bench_with_input(
@@ -65,14 +86,14 @@ fn bench(c: &mut Criterion) {
         );
         // Sirius's source is a header struct, not a plain record array, so
         // it has no `parse_records_par` wrapper — drive the record reader
-        // through the generic prelude engine directly.
+        // through the runtime's generic `genrt::parse_records` directly.
         for jobs in JOBS {
             g.bench_with_input(
                 BenchmarkId::from_parameter(format!("sirius_generated_jobs{jobs}")),
                 &body[..],
                 |b, body| {
                     b.iter(|| {
-                        sirius::pc_parse_records_par(body, jobs, fresh, |cur| {
+                        genrt::parse_records(body, ResumePoint::default(), jobs, fresh, |cur| {
                             sirius::EntryT::read(cur, &mask)
                         })
                         .0
@@ -102,7 +123,7 @@ fn bench(c: &mut Criterion) {
             g.bench_with_input(
                 BenchmarkId::from_parameter(format!("clf_interpreted_jobs{jobs}")),
                 &data[..],
-                |b, data| b.iter(|| parser.records_par(data, "entry_t", &mask, jobs).0.len()),
+                |b, data| b.iter(|| interpreted_par(&parser, data, &mask, jobs)),
             );
         }
         g.bench_with_input(
@@ -124,7 +145,13 @@ fn bench(c: &mut Criterion) {
             g.bench_with_input(
                 BenchmarkId::from_parameter(format!("clf_generated_jobs{jobs}")),
                 &data[..],
-                |b, data| b.iter(|| clf::parse_records_par(data, &mask, jobs, fresh).0.len()),
+                |b, data| {
+                    b.iter(|| {
+                        clf::parse_records_par(data, &mask, ResumePoint::default(), jobs, fresh)
+                            .0
+                            .len()
+                    })
+                },
             );
         }
     }

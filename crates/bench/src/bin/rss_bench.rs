@@ -3,8 +3,8 @@
 //! from /proc/self/status) for one of three retention profiles:
 //!
 //! - `seq` — sequential `records()` iterator, counting consumer
-//! - `collect` — `records_par`, which materialises every record before
-//!   returning — the retention profile of the pre-streaming merge (and
+//! - `collect` — `records_par_stream` with a consumer that materialises
+//!   every record — the retention profile of the pre-streaming merge (and
 //!   of any caller that wants a `Vec` back)
 //! - `stream` — `records_par_stream` with a counting consumer: workers
 //!   are bounded to `--max-inflight-records` ahead of the in-order
@@ -58,27 +58,31 @@ fn main() {
         .with_options(ParseOptions::default());
     let mask = Mask::all(BaseMask::CheckAndSet);
 
+    let stream = |consume: &mut dyn FnMut(pads::Value, pads::ParseDesc)| {
+        parser.records_par_stream(
+            &data,
+            "entry_t",
+            &mask,
+            jobs,
+            inflight,
+            ResumePoint::default(),
+            None::<&NoObs>,
+            |value, pd, _extra, _progress| consume(value, pd),
+        )
+    };
     let parsed = match mode {
         "seq" => {
             let mut it = parser.records(&data, "entry_t", &mask);
             it.by_ref().count()
         }
         "collect" => {
-            let (items, _budget) = parser.records_par(&data, "entry_t", &mask, jobs);
+            let mut items = Vec::new();
+            let _budget = stream(&mut |value, pd| items.push((value, pd)));
             items.len()
         }
         "stream" => {
             let mut n = 0usize;
-            let _budget = parser.records_par_stream(
-                &data,
-                "entry_t",
-                &mask,
-                jobs,
-                inflight,
-                ResumePoint::default(),
-                None::<&NoObs>,
-                |_value, _pd, _extra, _progress| n += 1,
-            );
+            let _budget = stream(&mut |_value, _pd| n += 1);
             n
         }
         other => {

@@ -4,11 +4,12 @@
 //! pairs implementing parsers, printers, verifiers, accumulators and more
 //! (§4, §6 of the paper). This crate is its analogue for Rust:
 //!
-//! * [`generate_rust`] — emits a self-contained Rust module with native
-//!   representation types and `read`/`write`/`verify` functions per
-//!   described type, preserving the interpreter's mask and error-handling
-//!   semantics (the "compile rather than interpret" performance decision
-//!   of §1);
+//! * [`generate_rust`] — emits a Rust module with native representation
+//!   types and `read`/`write`/`verify` functions per described type,
+//!   preserving the interpreter's mask and error-handling semantics (the
+//!   "compile rather than interpret" performance decision of §1). Like
+//!   the paper's generated C, the module links a fixed runtime library —
+//!   `pads_runtime::genrt` — rather than carrying its helpers;
 //! * [`expansion`] — measures the description-to-generated-code leverage
 //!   ratio the paper reports for the Sirius description (68 lines → 1432 +
 //!   6471 generated lines, §4).
@@ -17,10 +18,8 @@
 //! committed under `pads::generated`, compiled as part of the `pads` crate,
 //! and kept in sync by a golden test plus the `regen` binary.
 
-mod prelude;
 mod rust_gen;
 
-pub use prelude::PRELUDE;
 pub use rust_gen::{generate_rust, CodegenError};
 
 /// Source-expansion measurement (the §4 leverage metric).

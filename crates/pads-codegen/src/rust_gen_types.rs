@@ -223,55 +223,19 @@ impl<'s> Gen<'s> {
         };
         let arg_prims = self.arg_prims(name, args, ctx)?;
         Ok(match name {
-            _ if name.starts_with("Pb_") => {
-                let bits = bits_of(name);
-                if matches!(repr, Repr::UInt(_)) {
-                    cast(format!("rd_u64_dyn(cur, \"{name}\", &[{arg_prims}])"), &Repr::UInt(bits))
-                } else {
-                    cast(format!("rd_i64_dyn(cur, \"{name}\", &[{arg_prims}])"), &Repr::Int(bits))
-                }
-            }
-            _ if name.contains("uint") && !name.ends_with("_FW") => {
-                let bits = bits_of(name);
-                cast(format!("rd_uint(cur, {bits}, {forced})"), &Repr::UInt(bits))
+            // Binary and fixed-width integers go through the registry under
+            // the type's own (static) name.
+            _ if name.starts_with("Pb_") || (name.contains("int") && name.ends_with("_FW")) => {
+                let rd = if matches!(repr, Repr::UInt(_)) { "rd_u64_dyn" } else { "rd_i64_dyn" };
+                cast(format!("{rd}(cur, \"{name}\", &[{arg_prims}])"), &repr)
             }
             _ if name.contains("uint") => {
                 let bits = bits_of(name);
-                let w = self.compile_num(&args[0], ctx)?;
-                if name.starts_with("Pa_") || name.starts_with("Pe_") {
-                    cast(
-                        format!(
-                            "rd_u64_dyn(cur, \"{name}\", &[Prim::Uint(({w}) as u64)])"
-                        ),
-                        &Repr::UInt(bits),
-                    )
-                } else {
-                    cast(
-                        format!("rd_uint_fw(cur, {bits}, ({w}) as u64, {forced})"),
-                        &Repr::UInt(bits),
-                    )
-                }
-            }
-            _ if name.contains("int") && !name.ends_with("_FW") => {
-                let bits = bits_of(name);
-                cast(format!("rd_int(cur, {bits}, {forced})"), &Repr::Int(bits))
+                cast(format!("rd_uint(cur, {bits}, {forced})"), &Repr::UInt(bits))
             }
             _ if name.contains("int") => {
                 let bits = bits_of(name);
-                let w = self.compile_num(&args[0], ctx)?;
-                if name.starts_with("Pa_") || name.starts_with("Pe_") {
-                    cast(
-                        format!(
-                            "rd_i64_dyn(cur, \"{name}\", &[Prim::Uint(({w}) as u64)])"
-                        ),
-                        &Repr::Int(bits),
-                    )
-                } else {
-                    cast(
-                        format!("rd_int_fw(cur, {bits}, ({w}) as u64, {forced})"),
-                        &Repr::Int(bits),
-                    )
-                }
+                cast(format!("rd_int(cur, {bits}, {forced})"), &Repr::Int(bits))
             }
             "Pstring" => {
                 let term = self.compile_num(&args[0], ctx)?;
@@ -586,11 +550,11 @@ impl<'s> Gen<'s> {
         }
         if def.is_record {
             out.push_str(
-                "        let (pc_opened, pc_rec_err, pc_eof, pc_skipped) = pc_open_record(cur);\n         \
-                 if let Some(pd) = pc_skipped {\n            return (Default::default(), pd);\n        }\n        \
-                 if pc_eof {\n            let mut pd = ParseDesc::error(ErrorCode::UnexpectedEof, Loc::at(cur.position()));\n            \
-                 pd.state = ParseState::Partial;\n            return (Default::default(), pd);\n        }\n        \
-                 if let Some((code, loc)) = pc_rec_err { pd.add_error(code, loc); }\n",
+                "        let pc_opened = match cur.open_record() {\n            \
+                 RecordOpen::Nested => false,\n            \
+                 RecordOpen::Opened(None) => true,\n            \
+                 RecordOpen::Opened(Some((code, loc))) => {\n                pd.add_error(code, loc);\n                true\n            }\n            \
+                 RecordOpen::Done(pd) => return (Default::default(), pd),\n        };\n",
             );
         }
         // Fact-driven elision: when the description proves the leading
@@ -644,9 +608,7 @@ impl<'s> Gen<'s> {
         // close may flatten it (per-record cap / best-effort degradation).
         let _ = writeln!(out, "        pd.kind = PdKind::Struct {{ fields: pds }};");
         if def.is_record {
-            out.push_str(
-                "        if pc_opened { let syn = pc_syntax_failed(&pd); pc_close_record(cur, &mut pd, syn); }\n",
-            );
+            out.push_str("        if pc_opened { cur.close_record(&mut pd); }\n");
         }
         let fields: Vec<String> = members
             .iter()
@@ -719,7 +681,7 @@ impl<'s> Gen<'s> {
                     "                let (v, mut fpd) = {ty_name}::read(cur, &m{args_code});"
                 );
                 let _ = writeln!(out, "                f_{fname} = v;");
-                let _ = writeln!(out, "                let syn = pc_syntax_failed(&fpd);");
+                let _ = writeln!(out, "                let syn = fpd.has_syntax_error();");
                 ctx.bind(&f.name, Operand::Place(format!("f_{fname}"), repr.clone()));
                 if let Some(c) = &f.constraint {
                     let cond = self.compile_bool(c, ctx)?;
@@ -1116,7 +1078,7 @@ impl<'s> Gen<'s> {
         }
         let _ = writeln!(
             out,
-            "            let bad = !epd.is_ok();\n            let syn = pc_syntax_failed(&epd);\n            if bad {{\n                neerr += 1;\n                if first_error.is_none() {{ first_error = Some(elts.len()); }}\n            }}\n            pd.absorb(&epd);\n            elts.push(v);\n            elt_pds.push(epd);"
+            "            let bad = !epd.is_ok();\n            let syn = epd.has_syntax_error();\n            if bad {{\n                neerr += 1;\n                if first_error.is_none() {{ first_error = Some(elts.len()); }}\n            }}\n            pd.absorb(&epd);\n            elts.push(v);\n            elt_pds.push(epd);"
         );
         let _ = writeln!(
             out,
@@ -1877,29 +1839,13 @@ impl<'s> Gen<'s> {
         let elt_lt = self.lt_args(*id);
         let _ = writeln!(
             out,
-            "\n/// Parses the source's records on up to `jobs` worker threads\n\
-             /// (record-sharded; byte-identical to the sequential record loop —\n\
-             /// see `pc_parse_records_par`), returning them in source order with\n\
-             /// the final error budget. `make` builds the cursor for a byte slice\n\
-             /// exactly the way the caller would for [`parse_source`].\n\
+            "\n/// Parses the source's records from `resume` (default: the start) on up\n\
+             /// to `jobs` worker threads — record-sharded, byte-identical to the\n\
+             /// sequential record loop (see `pads_runtime::genrt::parse_records`) —\n\
+             /// returning them in source order with the final error budget. `make`\n\
+             /// builds the cursor for a byte slice exactly the way the caller would\n\
+             /// for [`parse_source`].\n\
              pub fn parse_records_par<'d, M>(\n    \
-                 data: &'d [u8],\n    \
-                 mask: &Mask,\n    \
-                 jobs: usize,\n    \
-                 make: M,\n\
-             ) -> (Vec<({elt}{elt_lt}, ParseDesc)>, ErrorBudget)\n\
-             where\n    \
-                 M: Fn(&'d [u8]) -> Cursor<'d> + Sync,\n\
-             {{\n    \
-                 let elem_mask = mask.child(\"elt\");\n    \
-                 pc_parse_records_par(data, jobs, make, |cur| {elt}::read(cur, &elem_mask))\n\
-             }}\n\
-             \n\
-             /// Like [`parse_records_par`], but continuing from a committed\n\
-             /// `ResumePoint` (global source coordinates — see\n\
-             /// `pc_parse_records_resumed`): parses only the records from the\n\
-             /// checkpoint on, with the error budget restored.\n\
-             pub fn parse_records_resumed<'d, M>(\n    \
                  data: &'d [u8],\n    \
                  mask: &Mask,\n    \
                  resume: ResumePoint,\n    \
@@ -1910,9 +1856,7 @@ impl<'s> Gen<'s> {
                  M: Fn(&'d [u8]) -> Cursor<'d> + Sync,\n\
              {{\n    \
                  let elem_mask = mask.child(\"elt\");\n    \
-                 pc_parse_records_resumed(data, resume, jobs, make, |cur| {{\n        \
-                     {elt}::read(cur, &elem_mask)\n    \
-                 }})\n\
+                 parse_records(data, resume, jobs, make, |cur| {elt}::read(cur, &elem_mask))\n\
              }}"
         );
     }

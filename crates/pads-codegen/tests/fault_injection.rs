@@ -127,6 +127,44 @@ fn mixed_survives_one_thousand_fault_plans() {
     });
 }
 
+/// `ParseDesc::has_syntax_error` walks error codes without allocating; it
+/// must answer exactly what the definition it replaced answered — "state
+/// not Ok, or some `errors()` entry is not semantic" — at every node of
+/// every descriptor the fault harness produces, for all three corpora.
+#[test]
+fn has_syntax_error_agrees_with_errors_walk_on_every_fault_descriptor() {
+    fn check(pd: &ParseDesc, at: &str) {
+        let old = pd.state != ParseState::Ok
+            || (pd.nerr > 0 && pd.errors().iter().any(|(_, code, _)| !code.is_semantic()));
+        assert_eq!(pd.has_syntax_error(), old, "{at}: {pd}");
+        match &pd.kind {
+            PdKind::Base => {}
+            PdKind::Struct { fields } => fields.iter().for_each(|(_, child)| check(child, at)),
+            PdKind::Array { elts, .. } => elts.iter().for_each(|child| check(child, at)),
+            PdKind::Union { pd: inner, .. }
+            | PdKind::Opt { inner }
+            | PdKind::Typedef { inner } => inner.iter().for_each(|child| check(child, at)),
+        }
+    }
+    let registry = pads_runtime::Registry::standard();
+    let m = mask();
+    let mut syntactic = 0u32;
+    for (name, schema, clean) in [
+        ("clf", descriptions::clf(), clean_clf()),
+        ("sirius", descriptions::sirius(), clean_sirius(12, 0)),
+        ("mixed", descriptions::mixed(), clean_mixed()),
+    ] {
+        let parser = PadsParser::new(&schema, &registry);
+        for seed in 0..SEEDS {
+            let data = FaultPlan::for_seed(seed).apply(&clean);
+            let (_, pd) = parser.parse_source(&data, &m);
+            check(&pd, &format!("{name} seed {seed}"));
+            syntactic += u32::from(pd.has_syntax_error());
+        }
+    }
+    assert!(syntactic > 0, "no mutation produced a syntax error");
+}
+
 /// Record-at-a-time byte accounting: every byte of the mutated source is
 /// either consumed by a record parse or skipped by panic recovery, and the
 /// descriptor of each panicked record reports the skipped span inside the

@@ -1,10 +1,10 @@
-//! Parallel record-sharded parsing for the interpreter.
+//! Parallel record-sharded parsing for the interpreter and the VM.
 //!
-//! This is the interpreter front-end to [`pads_runtime::par`]: the source is
-//! split into record-aligned shards, each shard is parsed on its own worker
-//! thread by a thread-local [`PadsParser`], and the per-record results are
-//! *streamed* through bounded channels into an in-order merge. The output —
-//! values, parse descriptors (with positions rebased to global
+//! This is the runtime engines' front-end to [`pads_runtime::par::drive`]:
+//! the source is split into record-aligned shards, each shard is parsed on
+//! its own worker thread by a thread-local [`PadsParser`], and the
+//! per-record results are *streamed* through bounded channels into an
+//! in-order merge. The output — values, parse descriptors (in whole-source
 //! coordinates), and the [`ErrorBudget`] — is byte-identical to
 //! [`PadsParser::records`] run sequentially, under every recovery policy;
 //! see the determinism notes on [`pads_runtime::par`].
@@ -14,84 +14,35 @@
 //! [`PadsParser::records_par_stream`] hands every record to the consumer
 //! with a [`Progress`] cursor (committed offset, record index, budget) the
 //! moment its turn comes, so a checkpoint journal can commit during the
-//! run instead of after it. [`PadsParser::records_par_resumed`] continues
-//! from such a checkpoint.
+//! run instead of after it, and a later run can continue from such a
+//! checkpoint by passing it as the [`ResumePoint`].
 //!
-//! Observers are per-worker: [`PadsParser::records_par_observed`] takes a
-//! *factory* that builds one [`WorkerObs`] attachment per worker thread —
-//! a dense [`MetricsCore`](pads_runtime::MetricsCore) (the `Send`-able
-//! counter slabs; the usual choice), a legacy event-stream observer, or
-//! both; the handles themselves never cross threads — plus a harvest
-//! closure drained once per record, and returns the per-record sink
-//! deltas in merge order for the caller to fold together. Positions in
-//! worker-side observer events are shard-local; aggregate counters
-//! (record counts, error codes, type hits) are unaffected and merge
-//! exactly.
+//! Observers are per-worker: `records_par_stream` takes a *factory* that
+//! builds one [`WorkerObs`] attachment per worker thread — a dense
+//! [`MetricsCore`](pads_runtime::MetricsCore) (the `Send`-able counter
+//! slabs; the usual choice), a legacy event-stream observer, or both; the
+//! handles themselves never cross threads — plus a harvest closure drained
+//! once per record, whose deltas reach the consumer in merge order for the
+//! caller to fold together.
 
-use pads_runtime::par::{self, Progress, RecordMsg, Shard, ShardSender};
-use pads_runtime::{
-    ErrorBudget, Mask, ParseDesc, RecoveryPolicy, ResumePoint, WorkerObs, DEFAULT_MAX_INFLIGHT,
-};
+use pads_runtime::par::{self, Job, Progress};
+use pads_runtime::{ErrorBudget, Mask, ParseDesc, ResumePoint, WorkerObs, DEFAULT_MAX_INFLIGHT};
 
 use crate::parse::{PadsParser, ParseOptions};
 use crate::value::Value;
 
-type RecordItems = Vec<(Value, ParseDesc)>;
-
 impl<'s> PadsParser<'s> {
     /// Parses `data` record-at-a-time with the named record type on up to
-    /// `jobs` worker threads, returning the records in source order plus the
-    /// final error-budget tally.
+    /// `jobs` worker threads, folding the merged stream straight into a
+    /// columnar [`RecordBatch`](crate::batch::RecordBatch): the close path
+    /// (report, accumulators, writers) reads contiguous columns, and row
+    /// `i` reconstructs exactly what [`PadsParser::records`] yields at
+    /// index `i`. Returns the batch and the final error-budget tally.
     ///
-    /// Equivalent to draining [`PadsParser::records`] and reading its
-    /// budget, for any `jobs`; `jobs <= 1` *is* the sequential path. The
-    /// parser's own observer is not carried into workers (observer handles
-    /// are not `Send`) — use [`records_par_observed`](Self::records_par_observed)
-    /// to observe a parallel parse.
-    pub fn records_par(
-        &self,
-        data: &[u8],
-        name: &str,
-        mask: &Mask,
-        jobs: usize,
-    ) -> (RecordItems, ErrorBudget) {
-        self.records_par_resumed(data, name, mask, jobs, ResumePoint::default())
-    }
-
-    /// Like [`records_par`](Self::records_par), but continuing from a
-    /// committed [`ResumePoint`] (global source coordinates): only records
-    /// from `resume.offset` / `resume.record` on are parsed, with the
-    /// budget tally restored. Descriptors carry global coordinates, so a
-    /// resumed run's output is the uninterrupted run's output minus the
-    /// already-committed prefix.
-    pub fn records_par_resumed(
-        &self,
-        data: &[u8],
-        name: &str,
-        mask: &Mask,
-        jobs: usize,
-        resume: ResumePoint,
-    ) -> (RecordItems, ErrorBudget) {
-        let mut items = Vec::new();
-        let budget = self.records_par_stream(
-            data,
-            name,
-            mask,
-            jobs,
-            DEFAULT_MAX_INFLIGHT,
-            resume,
-            None::<&ObserverlessFactory>,
-            |value, pd, _extra, _progress| items.push((value, pd)),
-        );
-        (items, budget)
-    }
-
-    /// Like [`records_par`](Self::records_par), but folding the merged
-    /// stream straight into a columnar
-    /// [`RecordBatch`](crate::batch::RecordBatch) instead of a vector of
-    /// per-record trees: the close path (report, accumulators, writers)
-    /// reads contiguous columns, and row `i` reconstructs exactly what
-    /// `records_par` would have returned at index `i`.
+    /// `jobs <= 1` *is* the sequential path. The parser's own observer is
+    /// not carried into workers (observer handles are not `Send`) — use
+    /// [`records_par_stream`](Self::records_par_stream) to observe a
+    /// parallel parse.
     pub fn records_par_batched(
         &self,
         data: &[u8],
@@ -113,55 +64,23 @@ impl<'s> PadsParser<'s> {
         (batch, budget)
     }
 
-    /// Like [`records_par`](Self::records_par), but each worker thread (and
-    /// the sequential-replay path, if taken) gets its own observer from
-    /// `observer`, and the harvested per-record sink deltas are returned in
-    /// merge order for the caller to fold together.
+    /// The streaming sharded engine: parses `data` from `resume` (global
+    /// source coordinates; [`ResumePoint::default`] for the start) on up
+    /// to `jobs` workers, bounding each worker's lead over the in-order
+    /// merge to `max_inflight` records, and hands every merged record to
+    /// `consume` exactly once, in record order, together with its observer
+    /// harvest (when `observer` is given) and a [`Progress`] cursor in
+    /// **global** coordinates — the committed byte offset, record index,
+    /// and budget tally after that record, i.e. exactly what a checkpoint
+    /// journal commits.
     ///
-    /// The factory returns the observation to attach plus a closure that
-    /// drains the sink's accumulation since its previous call (sinks and
-    /// cores are plain data and cross threads; handles do not). It is
-    /// called once per record, so the extras fold in *record* order —
-    /// which is what keeps merged counters exact even when the merge
-    /// diverts to sequential replay mid-shard.
-    pub fn records_par_observed<E, F>(
-        &self,
-        data: &[u8],
-        name: &str,
-        mask: &Mask,
-        jobs: usize,
-        observer: F,
-    ) -> (RecordItems, ErrorBudget, Vec<E>)
-    where
-        E: Send,
-        F: Fn() -> (WorkerObs, Box<dyn FnMut() -> E>) + Sync,
-    {
-        let mut items = Vec::new();
-        let mut extras = Vec::new();
-        let budget = self.records_par_stream(
-            data,
-            name,
-            mask,
-            jobs,
-            DEFAULT_MAX_INFLIGHT,
-            ResumePoint::default(),
-            Some(&observer),
-            |value, pd, extra, _progress| {
-                items.push((value, pd));
-                extras.extend(extra);
-            },
-        );
-        (items, budget, extras)
-    }
-
-    /// The streaming engine under all the `records_par*` entry points:
-    /// parses `data` from `resume` on up to `jobs` workers, bounding each
-    /// worker's lead over the in-order merge to `max_inflight` records, and
-    /// hands every merged record to `consume` exactly once, in record
-    /// order, together with its observer harvest (when `observer` is given)
-    /// and a [`Progress`] cursor in **global** coordinates — the committed
-    /// byte offset, record index, and budget tally after that record, i.e.
-    /// exactly what a checkpoint journal commits.
+    /// Each worker thread (and the sequential-replay path, if taken) gets
+    /// its own observation from the `observer` factory: the attachment
+    /// plus a closure that drains the sink's accumulation since its
+    /// previous call (sinks and cores are plain data and cross threads;
+    /// handles do not). It is called once per record, so the harvests fold
+    /// in *record* order — which is what keeps merged counters exact even
+    /// when the merge diverts to sequential replay mid-shard.
     ///
     /// Returns the final budget tally.
     #[allow(clippy::too_many_arguments)]
@@ -174,7 +93,7 @@ impl<'s> PadsParser<'s> {
         max_inflight: usize,
         resume: ResumePoint,
         observer: Option<&F>,
-        mut consume: C,
+        consume: C,
     ) -> ErrorBudget
     where
         E: Send,
@@ -184,112 +103,39 @@ impl<'s> PadsParser<'s> {
         let schema = self.schema();
         let registry = self.registry();
         let options = self.options();
-        if resume.budget.stopped() {
-            return resume.budget;
-        }
-        let base = resume.offset.min(data.len());
-        let tail = &data[base..];
-        // Unknown names poison the iterator with a single error item, which
-        // has no per-shard meaning: let one sequential "shard" handle it.
-        let jobs = if schema.type_id(name).is_some() { jobs.max(1) } else { 1 };
-        let plan = par::plan_shards(tail, options.discipline, options.charset, jobs);
-
-        // Workers cannot know how many errors earlier shards produced, so
-        // they parse with source-level limits stripped; the merge (and the
-        // replay path) applies the real policy. Per-record limits are
-        // positional and stay.
-        let stripped = ParseOptions {
-            policy: RecoveryPolicy {
-                max_errs: None,
-                max_panic_skip: None,
-                ..options.policy
-            },
-            ..options
-        };
-
-        let build = |opts: ParseOptions| -> (PadsParser<'s>, Option<Box<dyn FnMut() -> E>>) {
-            let parser = PadsParser::new(schema, registry).with_options(opts);
-            match observer {
-                Some(factory) => {
-                    let (att, harvest) = factory();
-                    let mut parser = parser;
-                    if let Some(obs) = att.handle {
-                        parser = parser.with_observer(obs);
-                    }
-                    if let Some(core) = att.metrics {
-                        parser = parser.with_metrics(core);
-                    }
-                    (parser, Some(harvest))
-                }
-                None => (parser, None),
-            }
-        };
-
-        // Harvest closures are not `Send`, so each worker drains its own
-        // observer after every record and ships the delta with it.
-        let worker = |shard: &Shard, tx: ShardSender<(Value, ParseDesc), E>| {
-            let (parser, mut harvest) = build(stripped);
-            let mut it = parser.records(&tail[shard.start..shard.end], name, mask);
-            let mut prev = it.budget();
-            while let Some((value, mut pd)) = it.next() {
-                pd.rebase(base + shard.start, resume.record + shard.first_record);
-                let after = it.budget();
-                let msg = RecordMsg {
-                    nerr: after.errs.saturating_sub(prev.errs) as u32,
-                    panic_skipped: after.panic_skipped.saturating_sub(prev.panic_skipped),
-                    end_offset: shard.start + it.offset(),
-                    extra: harvest.as_mut().map(|h| h()),
-                    item: (value, pd),
-                };
-                prev = after;
-                if !tx.send(msg) {
-                    break;
-                }
-            }
-        };
-
-        // Sequential replay (plan-local resume point → global coordinates):
-        // `records_resumed` positions the cursor globally, so descriptors
-        // need no rebase and the budget carries straight through.
-        let replay = |from: par::ResumePoint,
-                      emit: &mut dyn FnMut((Value, ParseDesc), usize, ErrorBudget, Option<E>)| {
-            let (parser, mut harvest) = build(options);
-            let mut it = parser.records_resumed(
-                data,
-                name,
-                mask,
-                ResumePoint {
-                    offset: base + from.offset,
-                    record: resume.record + from.record,
-                    budget: from.budget,
-                },
-            );
-            while let Some(item) = it.next() {
-                let budget = it.budget();
-                let end = it.offset() - base;
-                emit(item, end, budget, harvest.as_mut().map(|h| h()));
-            }
-            it.budget()
-        };
-
-        par::run_sharded(
-            &plan,
-            &options.policy,
-            resume.budget,
+        let job = Job {
+            data,
+            discipline: options.discipline,
+            charset: options.charset,
+            policy: options.policy,
+            // Unknown names poison the iterator with a single error item,
+            // which has no per-shard meaning: let one sequential "shard"
+            // handle it.
+            jobs: if schema.type_id(name).is_some() { jobs } else { 1 },
             max_inflight,
-            worker,
-            replay,
-            |(value, pd), extra, p: &Progress| {
-                let global = Progress {
-                    record: resume.record + p.record,
-                    end_offset: base + p.end_offset,
-                    budget: p.budget,
-                };
-                consume(value, pd, extra, &global);
-            },
-        )
+            resume,
+        };
+        // Harvest closures are not `Send`, so each reader's thread builds
+        // its own parser and observation, and drains it after every record.
+        let open = |slice, policy, start| {
+            let mut parser =
+                PadsParser::new(schema, registry).with_options(ParseOptions { policy, ..options });
+            let mut harvest = None;
+            if let Some(factory) = observer {
+                let (att, h) = factory();
+                if let Some(obs) = att.handle {
+                    parser = parser.with_observer(obs);
+                }
+                if let Some(core) = att.metrics {
+                    parser = parser.with_metrics(core);
+                }
+                harvest = Some(h);
+            }
+            (parser.into_records(slice, name, mask, start), move || harvest.as_mut().map(|h| h()))
+        };
+        par::drive(&job, open, consume)
     }
 }
 
-/// Type-anchoring alias for the observer-less `records_par` calls.
+/// Type-anchoring alias for observer-less `records_par_stream` calls.
 type ObserverlessFactory = fn() -> (WorkerObs, Box<dyn FnMut()>);

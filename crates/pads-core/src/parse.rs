@@ -19,7 +19,7 @@ use pads_runtime::pd::PdKind;
 use pads_runtime::{
     BaseMask, Charset, Cursor, Endian, ErrorBudget, ErrorCode, Loc, Mask, MetricsCore,
     MetricsHandle, Name, ObsHandle, ParseDesc, ParseState, Pos, Prim, RecordDiscipline,
-    RecoveryPolicy, Registry,
+    RecordReader, RecoveryPolicy, Registry, ResumePoint,
 };
 use pads_syntax::ast::{CaseLabel, Expr, Literal};
 
@@ -271,11 +271,7 @@ impl<'s> PadsParser<'s> {
         name: &str,
         mask: &'p Mask,
     ) -> Records<'p, 's, 'd> {
-        let (id, poison) = match self.schema.type_id(name) {
-            Some(id) => (id, None),
-            None => (self.schema.source(), Some(ErrorCode::InternalError)),
-        };
-        Records { parser: self, cur: self.cursor(data), id, mask, done: false, poison }
+        self.records_resumed(data, name, mask, ResumePoint::default())
     }
 
     /// Like [`PadsParser::records`], but continuing from a committed
@@ -289,12 +285,21 @@ impl<'s> PadsParser<'s> {
         data: &'d [u8],
         name: &str,
         mask: &'p Mask,
-        resume: pads_runtime::ResumePoint,
+        resume: ResumePoint,
     ) -> Records<'p, 's, 'd> {
-        let mut it = self.records(data, name, mask);
-        it.cur = it.cur.clone().with_start(resume.offset, resume.record);
-        it.cur.set_budget(resume.budget);
-        it
+        Records::open(ParserRef::Borrowed(self), data, name, mask, resume)
+    }
+
+    /// [`records_resumed`](Self::records_resumed) for a parser the iterator
+    /// owns: what a shard worker opens over its own thread-local parser.
+    pub fn into_records<'p, 'd>(
+        self,
+        data: &'d [u8],
+        name: &str,
+        mask: &'p Mask,
+        resume: ResumePoint,
+    ) -> Records<'p, 's, 'd> {
+        Records::open(ParserRef::Owned(Box::new(self)), data, name, mask, resume)
     }
 
     /// Drains [`PadsParser::records`] into a columnar
@@ -1212,21 +1217,34 @@ fn const_prim(e: &Expr) -> Option<Prim> {
 }
 
 /// Whether a descriptor records any *syntactic* problem (as opposed to
-/// constraint violations, which leave the physical parse intact).
+/// constraint violations, which leave the physical parse intact): the
+/// free-function spelling of [`ParseDesc::has_syntax_error`].
 pub fn has_syntax_error(pd: &ParseDesc) -> bool {
-    if pd.state != ParseState::Ok {
-        return true;
+    pd.has_syntax_error()
+}
+
+/// The parser a [`Records`] iterator runs: the caller's, or its own.
+enum ParserRef<'p, 's> {
+    Borrowed(&'p PadsParser<'s>),
+    Owned(Box<PadsParser<'s>>),
+}
+
+impl<'s> std::ops::Deref for ParserRef<'_, 's> {
+    type Target = PadsParser<'s>;
+
+    fn deref(&self) -> &PadsParser<'s> {
+        match self {
+            ParserRef::Borrowed(p) => p,
+            ParserRef::Owned(p) => p,
+        }
     }
-    if pd.nerr == 0 {
-        return false;
-    }
-    pd.errors().iter().any(|(_, code, _)| !code.is_semantic())
 }
 
 /// Iterator over records parsed one at a time (see
-/// [`PadsParser::records`]).
+/// [`PadsParser::records`]). Also the interpreter's and the VM's
+/// [`RecordReader`] under the sharded driver.
 pub struct Records<'p, 's, 'd> {
-    parser: &'p PadsParser<'s>,
+    parser: ParserRef<'p, 's>,
     cur: Cursor<'d>,
     id: TypeId,
     mask: &'p Mask,
@@ -1235,6 +1253,22 @@ pub struct Records<'p, 's, 'd> {
 }
 
 impl<'p, 's, 'd> Records<'p, 's, 'd> {
+    fn open(
+        parser: ParserRef<'p, 's>,
+        data: &'d [u8],
+        name: &str,
+        mask: &'p Mask,
+        start: ResumePoint,
+    ) -> Records<'p, 's, 'd> {
+        let (id, poison) = match parser.schema.type_id(name) {
+            Some(id) => (id, None),
+            None => (parser.schema.source(), Some(ErrorCode::InternalError)),
+        };
+        let mut cur = parser.cursor(data).with_start(start.offset, start.record);
+        cur.set_budget(start.budget);
+        Records { parser, cur, id, mask, done: false, poison }
+    }
+
     /// The cursor's current absolute offset (for progress reporting).
     pub fn offset(&self) -> usize {
         self.cur.offset()
@@ -1244,11 +1278,21 @@ impl<'p, 's, 'd> Records<'p, 's, 'd> {
     pub fn budget(&self) -> ErrorBudget {
         self.cur.budget()
     }
+}
 
-    /// Replaces the budget tally, carrying a source-level tally into this
-    /// iterator (the sharded engine's sequential-replay path).
-    pub fn set_budget(&mut self, budget: ErrorBudget) {
-        self.cur.set_budget(budget);
+impl RecordReader for Records<'_, '_, '_> {
+    type Item = Value;
+
+    fn next_record(&mut self) -> Option<(Value, ParseDesc)> {
+        self.next()
+    }
+
+    fn offset(&self) -> usize {
+        self.cur.offset()
+    }
+
+    fn budget(&self) -> ErrorBudget {
+        self.cur.budget()
     }
 }
 

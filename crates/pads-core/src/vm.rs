@@ -32,7 +32,7 @@
 //!
 //! Programs are `Send + Sync` and cached process-wide in a bounded
 //! [`KeyedCache`] keyed by (schema structure, charset, registry
-//! identity), so many parsers — including the sharded `records_par`
+//! identity), so many parsers — including the sharded `records_par_stream`
 //! workers — share one compilation. See `docs/VM.md`.
 
 use std::sync::{Arc, Mutex, OnceLock};
@@ -41,14 +41,13 @@ use pads_check::ir::{Schema, TypeId, TypeKind, TyUse};
 use pads_check::lint;
 use pads_runtime::cache::KeyedCache;
 use pads_runtime::{
-    BaseType, Charset, Cursor, ErrorCode, Loc, Mask, Name, ParseDesc, ParseState, Pos, Prim,
-    Registry, SparseElts,
+    BaseType, Charset, Cursor, ErrorCode, Loc, Mask, Name, ParseDesc, ParseState, Prim,
+    RecordOpen, Registry, SparseElts,
 };
 use pads_runtime::pd::PdKind;
 use pads_syntax::ast::{BinOp, CaseLabel, Expr, Literal, Stmt, UnOp};
 
 use crate::eval::{self, Env, Ev};
-use crate::parse::has_syntax_error;
 use crate::value::Value;
 
 /// Capacity of the process-wide compiled-program cache. Each entry is one
@@ -1016,19 +1015,19 @@ impl<'p> Exec<'p> {
         args: &[Prim],
         mask: &Mask,
     ) -> (Value, ParseDesc) {
-        // Budget exhausted in skip mode: frame and skip the record
-        // wholesale (graceful degradation).
-        if def.is_record && !cur.in_record() && cur.skip_records() && !cur.at_eof() {
-            let start = Pos { byte: 0, ..cur.position() };
-            if cur.begin_record().is_ok() {
-                let _ = cur.end_record();
+        // Record framing and recovery policy live in the runtime, shared
+        // with generated parsers (`Cursor::open_record`/`close_record`).
+        let mut opened = false;
+        let mut record_err = None;
+        if def.is_record {
+            match cur.open_record() {
+                RecordOpen::Nested => {}
+                RecordOpen::Opened(err) => {
+                    opened = true;
+                    record_err = err;
+                }
+                RecordOpen::Done(pd) => return (def.default.clone(), pd),
             }
-            let mut pd =
-                ParseDesc::error(ErrorCode::BudgetExhausted, Loc::new(start, cur.position()));
-            pd.state = ParseState::Panic;
-            cur.note_skipped_record();
-            cur.observe_record_close(&pd);
-            return (def.default.clone(), pd);
         }
 
         let params: Vec<(Name, Value)> = def
@@ -1038,59 +1037,13 @@ impl<'p> Exec<'p> {
             .map(|(n, a)| (n.clone(), Value::Prim(a.clone())))
             .collect();
 
-        // Record framing.
-        let opened = def.is_record && !cur.in_record();
-        let mut record_err = None;
-        if opened {
-            if let Err(code) = cur.begin_record() {
-                if code == ErrorCode::UnexpectedEof {
-                    let mut pd = ParseDesc::error(code, Loc::at(cur.position()));
-                    pd.state = ParseState::Partial;
-                    return (def.default.clone(), pd);
-                }
-                record_err = Some((code, Loc::at(cur.position())));
-            }
-        }
-
         let (value, mut pd) = self.exec_kind(cur, id, def, &params, mask);
 
         if let Some((code, loc)) = record_err {
             pd.add_error(code, loc);
         }
-
         if opened {
-            let mut panic_skipped = 0u64;
-            if has_syntax_error(&pd) {
-                let at = cur.position();
-                let close = cur.end_record();
-                if close.skipped > 0 {
-                    pd.note_panic_skip(Loc::new(
-                        at,
-                        Pos {
-                            offset: at.offset + close.skipped,
-                            record: at.record,
-                            byte: at.byte + close.skipped,
-                        },
-                    ));
-                    panic_skipped = close.skipped as u64;
-                }
-            } else {
-                if !cur.at_eor() {
-                    pd.add_error(ErrorCode::ExtraDataBeforeEor, Loc::at(cur.position()));
-                }
-                let close = cur.end_record();
-                panic_skipped = close.skipped as u64;
-            }
-            if let Some(cap) = cur.policy().max_record_errs {
-                if pd.nerr > cap {
-                    pd.truncate_detail();
-                }
-            }
-            cur.note_record_errors(pd.nerr, panic_skipped);
-            if cur.best_effort() {
-                pd.truncate_detail();
-            }
-            cur.observe_record_close(&pd);
+            cur.close_record(&mut pd);
         }
         (value, pd)
     }
@@ -1170,7 +1123,7 @@ impl<'p> Exec<'p> {
                     let start = cur.position();
                     let (value, mut child_pd) =
                         self.exec_ty(cur, &f.ty, params, &fields, &child_mask);
-                    let syntax_fail = has_syntax_error(&child_pd);
+                    let syntax_fail = child_pd.has_syntax_error();
                     fields.push((f.name.clone(), value));
                     if !syntax_fail && child_mask.base().checks() {
                         if let Some(c) = &f.constraint {
@@ -1537,7 +1490,7 @@ impl<'p> Exec<'p> {
             let before = cur.offset();
             let (value, elt_pd) = self.exec_ty(cur, &arr.elem, params, &[], &elem_mask);
             let bad = !elt_pd.is_ok();
-            let syntax_fail = has_syntax_error(&elt_pd);
+            let syntax_fail = elt_pd.has_syntax_error();
             if bad {
                 neerr += 1;
                 if first_error.is_none() {

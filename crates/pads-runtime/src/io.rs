@@ -19,7 +19,7 @@ use pads_regex::Regex;
 
 use crate::cache::KeyedCache;
 use crate::encoding::{Charset, Endian};
-use crate::error::{ErrorCode, Loc, Pos};
+use crate::error::{ErrorCode, Loc, ParseState, Pos};
 use crate::metrics::MetricsHandle;
 use crate::observe::{ObsHandle, RecoveryEvent};
 use crate::pd::ParseDesc;
@@ -78,6 +78,23 @@ pub struct RecordClose {
     /// Bytes that were skipped because the parser had not consumed the
     /// whole record.
     pub skipped: usize,
+}
+
+/// Outcome of [`Cursor::open_record`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum RecordOpen {
+    /// A record was already open: nested `Precord` types share the outer
+    /// record, and the outer type closes it.
+    Nested,
+    /// This call opened the record, so the caller closes it with
+    /// [`Cursor::close_record`] after parsing the body. A framing error
+    /// (short fixed-width record, bad length header) rides along for the
+    /// caller to add to the record's descriptor.
+    Opened(Option<(ErrorCode, Loc)>),
+    /// Nothing to parse: the source is exhausted, or the budget is spent
+    /// in skip mode and the record was framed and skipped wholesale. The
+    /// descriptor is final; the value is the type's default.
+    Done(ParseDesc),
 }
 
 /// A read-only parsing cursor over a byte source.
@@ -633,6 +650,81 @@ impl<'a> Cursor<'a> {
         self.rec_end = None;
         self.rec_index += 1;
         RecordClose { skipped }
+    }
+
+    /// Opens the record a `Precord` type starts at, applying the recovery
+    /// policy: the one record-open rule shared by the bytecode VM and the
+    /// generated parsers (the interpreter keeps its own inline copy as the
+    /// oracle the equivalence suites compare against).
+    pub fn open_record(&mut self) -> RecordOpen {
+        if self.in_record() {
+            return RecordOpen::Nested;
+        }
+        if self.skip_records() && !self.at_eof() {
+            // Budget exhausted in skip mode: frame the record and skip it
+            // wholesale instead of parsing it (graceful degradation,
+            // mirroring the C runtime's `Pmax_errs` behaviour). The
+            // record-relative byte of a record's own start is 0; the
+            // cursor's tracking still points at the previous record here
+            // (and a resumed cursor has no previous record at all).
+            let start = Pos { byte: 0, ..self.position() };
+            if self.begin_record().is_ok() {
+                let _ = self.end_record();
+            }
+            let mut pd =
+                ParseDesc::error(ErrorCode::BudgetExhausted, Loc::new(start, self.position()));
+            pd.state = ParseState::Panic;
+            self.note_skipped_record();
+            self.observe_record_close(&pd);
+            return RecordOpen::Done(pd);
+        }
+        match self.begin_record() {
+            Ok(()) => RecordOpen::Opened(None),
+            Err(ErrorCode::UnexpectedEof) => {
+                let mut pd = ParseDesc::error(ErrorCode::UnexpectedEof, Loc::at(self.position()));
+                pd.state = ParseState::Partial;
+                RecordOpen::Done(pd)
+            }
+            Err(code) => RecordOpen::Opened(Some((code, Loc::at(self.position())))),
+        }
+    }
+
+    /// Closes a record [`open_record`](Cursor::open_record) reported as
+    /// [`RecordOpen::Opened`], with `pd` the record's finished descriptor:
+    /// panic-mode resynchronisation after a syntax error (the skipped span
+    /// is recorded so consumed + skipped = record length), trailing-data
+    /// detection otherwise, the per-record detail cap, the budget charge,
+    /// best-effort flattening, and the record-close observation.
+    pub fn close_record(&mut self, pd: &mut ParseDesc) {
+        let mut panic_skipped = 0u64;
+        if pd.has_syntax_error() {
+            let at = self.position();
+            let close = self.end_record();
+            if close.skipped > 0 {
+                let end = Pos {
+                    offset: at.offset + close.skipped,
+                    record: at.record,
+                    byte: at.byte + close.skipped,
+                };
+                pd.note_panic_skip(Loc::new(at, end));
+                panic_skipped = close.skipped as u64;
+            }
+        } else {
+            if !self.at_eor() {
+                pd.add_error(ErrorCode::ExtraDataBeforeEor, Loc::at(self.position()));
+            }
+            panic_skipped = self.end_record().skipped as u64;
+        }
+        // Per-record error cap: keep the aggregate counts truthful but
+        // drop the per-node detail once a record exceeds the cap.
+        if self.policy.max_record_errs.is_some_and(|cap| pd.nerr > cap) {
+            pd.truncate_detail();
+        }
+        self.note_record_errors(pd.nerr, panic_skipped);
+        if self.best_effort() {
+            pd.truncate_detail();
+        }
+        self.observe_record_close(pd);
     }
 
     /// Saves the cursor state for later [`restore`](Cursor::restore).

@@ -18,6 +18,10 @@
 //! * [`recovery`] — error budgets and graceful-degradation policies
 //!   (the `Pmax_errs` / `Perror_rep` discipline);
 //! * [`fault`] — deterministic fault injection for adversarial testing;
+//! * [`par`] — record-aligned shard planning and the one sharded record
+//!   driver every engine plugs into;
+//! * [`genrt`] — the library generated parsers link against (`PStr`,
+//!   `rd_*`/`wr_*` helpers, the generated-code prelude);
 //! * [`observe`] — the [`observe::Observer`] hook both engines emit
 //!   parse events to (sinks live in the `pads-observe` crate);
 //! * [`metrics`] — the dense-ID, `Send`-able [`metrics::MetricsCore`]
@@ -56,6 +60,7 @@ pub mod date;
 pub mod encoding;
 pub mod error;
 pub mod fault;
+pub mod genrt;
 pub mod io;
 pub mod mask;
 pub mod metrics;
@@ -74,14 +79,13 @@ pub use cache::KeyedCache;
 pub use encoding::{Charset, Endian};
 pub use error::{ErrorCode, Loc, ParseState, Pos};
 pub use fault::{FaultPlan, FaultReader, KillPlan};
-pub use io::{Cursor, RecordDiscipline};
+pub use io::{Cursor, RecordDiscipline, RecordOpen};
 pub use mask::{BaseMask, Mask};
 pub use metrics::{MetricsCore, MetricsHandle, ObsSchema, TypeStat, WorkerObs};
 pub use name::Name;
 pub use observe::{ObsHandle, Observer, RecoveryEvent};
 pub use par::{
-    plan_shards, run_sharded, Progress, RecordMsg, ResumePoint, Shard, ShardPlan, ShardSender,
-    DEFAULT_MAX_INFLIGHT,
+    plan_shards, Progress, RecordReader, ResumePoint, Shard, ShardPlan, DEFAULT_MAX_INFLIGHT,
 };
 pub use pd::{ParseDesc, PdKind, SparseElts};
 pub use prim::{Prim, PrimKind};

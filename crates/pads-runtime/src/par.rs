@@ -7,12 +7,19 @@
 //! halves parsed independently, because every record-bounded read is
 //! position-independent. This module exploits that: [`plan_shards`] splits a
 //! source into contiguous shards at record boundaries found by the
-//! [`scan`](crate::scan) kernels, and [`run_sharded`] parses the shards on
+//! [`scan`](crate::scan) kernels, and [`drive`] parses the shards on
 //! worker threads that *stream* records through bounded channels into an
 //! in-order merge, so at most `max_inflight` records per shard are ever
 //! retained — the merge consumes each record the moment its turn comes,
 //! which is what lets a checkpoint journal commit progressively during a
 //! parallel run.
+//!
+//! Every engine plugs into that one driver the same way: it implements
+//! [`RecordReader`] (next record, cursor offset, budget) and hands
+//! [`drive`] a factory that opens a reader over a byte slice under a given
+//! policy from a given start. The interpreter and the VM do so through
+//! `pads::Records`, generated parsers through
+//! [`genrt::parse_records`](crate::genrt::parse_records).
 //!
 //! # Determinism contract
 //!
@@ -46,6 +53,7 @@ use std::thread;
 
 use crate::encoding::Charset;
 use crate::io::RecordDiscipline;
+use crate::pd::ParseDesc;
 use crate::recovery::{ErrorBudget, RecoveryPolicy};
 use crate::scan;
 
@@ -238,25 +246,27 @@ pub fn plan_shards(
 pub const DEFAULT_MAX_INFLIGHT: usize = 1024;
 
 /// One parsed record streamed from a worker to the in-order merge.
-#[derive(Debug)]
-pub struct RecordMsg<T, E> {
+struct RecordMsg<T, E> {
     /// The parsed item (value + descriptor in the real engines).
-    pub item: T,
+    item: T,
     /// Errors this record added to the budget (the `note_record` delta).
-    pub nerr: u32,
+    nerr: u32,
     /// Panic-skip bytes this record added to the budget.
-    pub panic_skipped: u64,
+    panic_skipped: u64,
     /// One past the record's last byte, in the plan's coordinates.
-    pub end_offset: usize,
+    end_offset: usize,
     /// Engine-specific per-record side data (e.g. a metrics harvest),
     /// merged in record order.
-    pub extra: Option<E>,
+    extra: Option<E>,
 }
+
+/// What a sequential replay reports each record through:
+/// `(item, end_offset, budget_after_record, extra)`.
+type Emit<'a, T, E> = dyn FnMut(T, usize, ErrorBudget, Option<E>) + 'a;
 
 /// The sending half a worker streams its shard's records through. Bounded:
 /// `send` blocks once `max_inflight` records are queued ahead of the merge.
-#[derive(Debug)]
-pub struct ShardSender<T, E> {
+struct ShardSender<T, E> {
     tx: mpsc::SyncSender<RecordMsg<T, E>>,
 }
 
@@ -265,18 +275,19 @@ impl<T, E> ShardSender<T, E> {
     /// capacity. Returns `false` when the merge has hung up (it diverted to
     /// sequential replay or consumed the shard's planned record count) —
     /// the worker should stop parsing.
-    pub fn send(&self, msg: RecordMsg<T, E>) -> bool {
+    fn send(&self, msg: RecordMsg<T, E>) -> bool {
         self.tx.send(msg).is_ok()
     }
 }
 
 /// Where the in-order merge is, reported to the consumer with every record
-/// so it can checkpoint progressively.
+/// so it can checkpoint progressively. [`drive`] reports whole-source
+/// coordinates — exactly what a checkpoint journal commits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Progress {
-    /// Index of the record just consumed, in the plan's coordinates.
+    /// Index of the record just consumed.
     pub record: usize,
-    /// One past the record's last byte, in the plan's coordinates.
+    /// One past the record's last byte.
     pub end_offset: usize,
     /// The cumulative budget *after* folding this record.
     pub budget: ErrorBudget,
@@ -284,9 +295,8 @@ pub struct Progress {
 
 /// A committed position to resume from: everything before byte `offset` /
 /// record `record` has been consumed, and `budget` is the tally as of that
-/// boundary. Offsets and record indices are in the coordinates of whatever
-/// the shard plan covers (callers resuming mid-source plan over the tail
-/// slice and rebase).
+/// boundary. [`drive`] and every public entry point take it in whole-source
+/// coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResumePoint {
     /// First unconsumed byte.
@@ -295,6 +305,135 @@ pub struct ResumePoint {
     pub record: usize,
     /// The budget tally at the boundary.
     pub budget: ErrorBudget,
+}
+
+/// One engine's record-at-a-time reader: what [`drive`] needs from the
+/// interpreter, the VM, or a generated module to shard a source.
+pub trait RecordReader {
+    /// The parsed representation of one record.
+    type Item;
+
+    /// Parses the next record, or returns `None` once the source is
+    /// exhausted (or the budget stopped the parse). A reader that makes no
+    /// progress on a record must end after yielding it.
+    fn next_record(&mut self) -> Option<(Self::Item, ParseDesc)>;
+
+    /// The cursor's absolute byte offset within the slice it was opened on.
+    fn offset(&self) -> usize;
+
+    /// The cursor's running error-budget tally.
+    fn budget(&self) -> ErrorBudget;
+}
+
+/// What to parse and how to shard it: the input of [`drive`].
+#[derive(Debug, Clone, Copy)]
+pub struct Job<'d> {
+    /// The whole source.
+    pub data: &'d [u8],
+    /// Record framing of the source.
+    pub discipline: RecordDiscipline,
+    /// Ambient charset (locates newline boundaries).
+    pub charset: Charset,
+    /// The recovery policy the merged result must obey.
+    pub policy: RecoveryPolicy,
+    /// Upper bound on worker threads; `<= 1` parses sequentially.
+    pub jobs: usize,
+    /// Bound on each worker's lead over the merge, in records.
+    pub max_inflight: usize,
+    /// Where to start: `offset` must be a record boundary (e.g. the byte
+    /// offset a checkpoint journal committed); record indices continue
+    /// from `record` and the budget tally is restored.
+    pub resume: ResumePoint,
+}
+
+/// The one sharded record driver under every engine.
+///
+/// `open(slice, policy, start)` builds a reader over `slice` — always a
+/// prefix of `job.data`, so positions come out in whole-source coordinates
+/// — under `policy`, positioned at `start` with its budget restored, plus
+/// a harvest closure drained once per record (per-worker observer deltas;
+/// return `None` when unobserved). It is called on the thread that reads:
+/// once per shard with source-level limits stripped, and once more for the
+/// sequential replay under the full policy if the merge diverts.
+///
+/// `consume` receives every record exactly once, in source order, with its
+/// harvest and a [`Progress`] cursor. The result is byte-identical to
+/// draining one reader sequentially — see the module docs for the
+/// argument — and a completed run equals a killed run resumed from any
+/// checkpoint. Returns the final budget tally.
+pub fn drive<'d, R, H, E, O, C>(job: &Job<'d>, open: O, mut consume: C) -> ErrorBudget
+where
+    R: RecordReader,
+    R::Item: Send,
+    E: Send,
+    H: FnMut() -> Option<E>,
+    O: Fn(&'d [u8], RecoveryPolicy, ResumePoint) -> (R, H) + Sync,
+    C: FnMut(R::Item, ParseDesc, Option<E>, &Progress),
+{
+    let Job { data, policy, resume, .. } = *job;
+    let base = resume.offset.min(data.len());
+    let plan = plan_shards(&data[base..], job.discipline, job.charset, job.jobs.max(1));
+    // Workers cannot know how many errors earlier shards produced, so they
+    // parse with source-level limits stripped; the merge (and the replay
+    // path) applies the real policy. Per-record limits are positional and
+    // stay.
+    let stripped = RecoveryPolicy { max_errs: None, max_panic_skip: None, ..policy };
+
+    let worker = |shard: &Shard, tx: ShardSender<(R::Item, ParseDesc), E>| {
+        let start = ResumePoint {
+            offset: base + shard.start,
+            record: resume.record + shard.first_record,
+            budget: ErrorBudget::new(),
+        };
+        let (mut reader, mut harvest) = open(&data[..base + shard.end], stripped, start);
+        let mut prev = reader.budget();
+        while let Some(item) = reader.next_record() {
+            let after = reader.budget();
+            let msg = RecordMsg {
+                nerr: after.errs.saturating_sub(prev.errs) as u32,
+                panic_skipped: after.panic_skipped.saturating_sub(prev.panic_skipped),
+                end_offset: reader.offset() - base,
+                extra: harvest(),
+                item,
+            };
+            prev = after;
+            if !tx.send(msg) {
+                break;
+            }
+        }
+    };
+
+    // Sequential replay from the divergence boundary, carrying the merged
+    // budget, under the full policy.
+    let replay = |from: ResumePoint, emit: &mut Emit<'_, (R::Item, ParseDesc), E>| {
+        let start = ResumePoint {
+            offset: base + from.offset,
+            record: resume.record + from.record,
+            budget: from.budget,
+        };
+        let (mut reader, mut harvest) = open(data, policy, start);
+        while let Some(item) = reader.next_record() {
+            emit(item, reader.offset() - base, reader.budget(), harvest());
+        }
+        reader.budget()
+    };
+
+    run_sharded(
+        &plan,
+        &policy,
+        resume.budget,
+        job.max_inflight,
+        worker,
+        replay,
+        |(item, pd), extra, p: &Progress| {
+            let global = Progress {
+                record: resume.record + p.record,
+                end_offset: base + p.end_offset,
+                budget: p.budget,
+            };
+            consume(item, pd, extra, &global);
+        },
+    )
 }
 
 /// Parses a planned source on one thread per shard, streaming records
@@ -316,7 +455,7 @@ pub struct ResumePoint {
 /// which streams with O(1) retention by construction.
 ///
 /// Returns the final cumulative budget.
-pub fn run_sharded<T, E, W, R, C>(
+fn run_sharded<T, E, W, R, C>(
     plan: &ShardPlan,
     policy: &RecoveryPolicy,
     carried: ErrorBudget,
@@ -329,7 +468,7 @@ where
     T: Send,
     E: Send,
     W: Fn(&Shard, ShardSender<T, E>) + Sync,
-    R: FnOnce(ResumePoint, &mut dyn FnMut(T, usize, ErrorBudget, Option<E>)) -> ErrorBudget,
+    R: FnOnce(ResumePoint, &mut Emit<'_, T, E>) -> ErrorBudget,
     C: FnMut(T, Option<E>, &Progress),
 {
     let shards = &plan.shards;
@@ -532,7 +671,7 @@ mod tests {
     fn toy_replay(
         data: &[u8],
         policy: RecoveryPolicy,
-    ) -> impl FnOnce(ResumePoint, &mut dyn FnMut(String, usize, ErrorBudget, Option<u64>)) -> ErrorBudget + '_
+    ) -> impl FnOnce(ResumePoint, &mut Emit<'_, String, u64>) -> ErrorBudget + '_
     {
         move |from, emit| {
             let mut budget = from.budget;

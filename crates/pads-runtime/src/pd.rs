@@ -352,6 +352,26 @@ impl ParseDesc {
         }
     }
 
+    /// Whether this descriptor records any *syntactic* problem (as opposed
+    /// to constraint violations, which leave the physical parse intact).
+    /// Engines test this after every nested read, so the clean and
+    /// state-only answers inline at the call site and the code walk
+    /// ([`visit_error_codes`](ParseDesc::visit_error_codes): no path
+    /// strings, no collecting) runs only for descriptors that carry errors.
+    #[inline]
+    pub fn has_syntax_error(&self) -> bool {
+        if self.state != ParseState::Ok {
+            return true;
+        }
+        self.nerr != 0 && self.any_syntax_code()
+    }
+
+    fn any_syntax_code(&self) -> bool {
+        let mut found = false;
+        self.visit_error_codes(&mut |code| found |= !code.is_semantic());
+        found
+    }
+
     /// Drops per-node error detail, flattening this descriptor to a leaf
     /// carrying only the aggregates (`state`, `nerr`, first error, its
     /// location). Used when a [`RecoveryPolicy`](crate::recovery::RecoveryPolicy)
@@ -369,51 +389,6 @@ impl ParseDesc {
             }
         }
         self.kind = PdKind::Base;
-    }
-
-    /// Shifts every location in the subtree by `offset_delta` bytes and
-    /// `record_delta` records. Used by the parallel engine to translate
-    /// shard-local coordinates (each worker parses its shard as if it
-    /// started at offset 0, record 0) back into whole-source coordinates
-    /// during the deterministic merge. Record-relative byte offsets are
-    /// unchanged: a shard boundary is always a record boundary.
-    pub fn rebase(&mut self, offset_delta: usize, record_delta: usize) {
-        let shift = |pos: &mut crate::error::Pos| {
-            pos.offset += offset_delta;
-            pos.record += record_delta;
-        };
-        if let Some(loc) = &mut self.loc {
-            shift(&mut loc.begin);
-            shift(&mut loc.end);
-        }
-        match &mut self.kind {
-            PdKind::Base => {}
-            PdKind::Struct { fields } => {
-                for (_, child) in fields {
-                    child.rebase(offset_delta, record_delta);
-                }
-            }
-            PdKind::Union { pd, .. } => {
-                if let Some(pd) = pd {
-                    pd.rebase(offset_delta, record_delta);
-                }
-            }
-            PdKind::Array { elts, .. } => {
-                for child in elts {
-                    child.rebase(offset_delta, record_delta);
-                }
-            }
-            PdKind::Opt { inner } => {
-                if let Some(inner) = inner {
-                    inner.rebase(offset_delta, record_delta);
-                }
-            }
-            PdKind::Typedef { inner } => {
-                if let Some(inner) = inner {
-                    inner.rebase(offset_delta, record_delta);
-                }
-            }
-        }
     }
 
     /// Looks up the descriptor of a named struct field.

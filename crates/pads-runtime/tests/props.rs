@@ -4,8 +4,46 @@
 use pads_runtime::base::Registry;
 use pads_runtime::date::{civil_from_epoch, days_from_civil, epoch_from_civil, DateStyle, PDate};
 use pads_runtime::io::{Cursor, RecordDiscipline};
-use pads_runtime::{Charset, Endian, Prim};
+use pads_runtime::{genrt, Charset, Endian, ErrorCode, Prim};
 use proptest::prelude::*;
+
+/// The generated parsers' inline decimal readers against the registry's
+/// `Puint*`/`Pint*` (reached through `genrt::rd_prim`, the dynamic path
+/// they stand in for): same value or same `ErrorCode`, same cursor offset
+/// afterwards, at every width, both outside and inside an open record.
+fn assert_inline_ints_match_registry(bytes: &[u8]) -> Result<(), TestCaseError> {
+    for in_record in [false, true] {
+        let open = || {
+            let mut cur = Cursor::new(bytes);
+            if in_record {
+                let _ = cur.begin_record();
+            } else {
+                cur = cur.with_discipline(RecordDiscipline::None);
+            }
+            cur
+        };
+        for bits in [8u32, 16, 32, 64] {
+            let (mut fast, mut slow) = (open(), open());
+            let got = genrt::rd_uint(&mut fast, bits, None);
+            let want = genrt::rd_prim(&mut slow, &format!("Puint{bits}"), &[]).map(|p| match p {
+                Prim::Uint(v) => v,
+                other => panic!("Puint{bits} produced {other:?}"),
+            });
+            prop_assert_eq!(got, want, "Puint{} on {:?} (in_record={})", bits, bytes, in_record);
+            prop_assert_eq!(fast.offset(), slow.offset(), "Puint{} offset on {:?}", bits, bytes);
+
+            let (mut fast, mut slow) = (open(), open());
+            let got = genrt::rd_int(&mut fast, bits, None);
+            let want = genrt::rd_prim(&mut slow, &format!("Pint{bits}"), &[]).map(|p| match p {
+                Prim::Int(v) => v,
+                other => panic!("Pint{bits} produced {other:?}"),
+            });
+            prop_assert_eq!(got, want, "Pint{} on {:?} (in_record={})", bits, bytes, in_record);
+            prop_assert_eq!(fast.offset(), slow.offset(), "Pint{} offset on {:?}", bits, bytes);
+        }
+    }
+    Ok(())
+}
 
 proptest! {
     #[test]
@@ -122,4 +160,37 @@ proptest! {
         let mut cur = Cursor::new(&out).with_discipline(RecordDiscipline::None).with_charset(cs);
         prop_assert_eq!(ty.parse(&mut cur, &args).unwrap(), Prim::String(s));
     }
+
+    #[test]
+    fn inline_int_readers_match_registry_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..32),
+    ) {
+        assert_inline_ints_match_registry(&bytes)?;
+    }
+
+    // Digit-heavy strings reach what random bytes almost never do: width
+    // limits, the 20-digit u64 overflow, signs, embedded record ends.
+    #[test]
+    fn inline_int_readers_match_registry_on_numeric_text(
+        bytes in proptest::collection::vec(
+            proptest::sample::select(b"00112233445566778899-+ \n".to_vec()), 0..26),
+    ) {
+        assert_inline_ints_match_registry(&bytes)?;
+    }
+}
+
+#[test]
+fn inline_int_readers_match_registry_at_the_width_limits() {
+    for text in [
+        "255", "256", "65535", "65536", "4294967295", "4294967296",
+        "18446744073709551615", "18446744073709551616", "127", "128", "-128", "-129",
+        "32767", "-32768", "-32769", "2147483647", "-2147483648", "-2147483649",
+        "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+        "-9223372036854775809", "+7", "-", "+", "", "-x", "007",
+    ] {
+        assert_inline_ints_match_registry(text.as_bytes()).unwrap_or_else(|e| panic!("{e:?}"));
+    }
+    // The error the inline path reports for "no digits" is the registry's.
+    let mut cur = Cursor::new(b"x");
+    assert_eq!(genrt::rd_uint(&mut cur, 32, None), Err(ErrorCode::InvalidDigit));
 }

@@ -14,10 +14,10 @@ use std::rc::Rc;
 use pads::generated::clf as gen_clf;
 use pads::{
     descriptions, BaseMask, ErrorBudget, Mask, OnExhausted, PadsParser, ParseDesc, ParseOptions,
-    RecoveryPolicy, Registry, ResumePoint, Schema, Value,
+    RecoveryPolicy, Registry, ResumePoint, Schema, Value, DEFAULT_MAX_INFLIGHT,
 };
 use pads_observe::MetricsSink;
-use pads_runtime::{Cursor, FaultPlan, KillPlan, ObsHandle};
+use pads_runtime::{Cursor, FaultPlan, KillPlan, ObsHandle, WorkerObs};
 
 fn mask() -> Mask {
     Mask::all(BaseMask::CheckAndSet)
@@ -34,6 +34,28 @@ fn policies() -> Vec<RecoveryPolicy> {
         RecoveryPolicy::unlimited().with_max_record_errs(0),
         RecoveryPolicy::unlimited().with_max_panic_skip(0).with_on_exhausted(OnExhausted::SkipRecord),
     ]
+}
+
+/// Collects a record-sharded parse (`records_par_stream`) from `resume`.
+fn sharded(
+    parser: &PadsParser<'_>,
+    data: &[u8],
+    jobs: usize,
+    resume: ResumePoint,
+) -> (Vec<(Value, ParseDesc)>, ErrorBudget) {
+    type NoObs = fn() -> (WorkerObs, Box<dyn FnMut()>);
+    let mut items = Vec::new();
+    let budget = parser.records_par_stream(
+        data,
+        "entry_t",
+        &mask(),
+        jobs,
+        DEFAULT_MAX_INFLIGHT,
+        resume,
+        None::<&NoObs>,
+        |value, pd, _harvest, _progress| items.push((value, pd)),
+    );
+    (items, budget)
 }
 
 fn parser_for<'s>(
@@ -138,8 +160,7 @@ fn kill_resume_matches_uninterrupted_run() {
         // Record-sharded resume.
         for jobs in [1, 4] {
             let parser = parser_for(&schema, &registry, policy);
-            let (par, par_budget) =
-                parser.records_par_resumed(&data, "entry_t", &mask(), jobs, cp);
+            let (par, par_budget) = sharded(&parser, &data, jobs, cp);
             assert_eq!(
                 par.as_slice(),
                 &full[cp.record..],
@@ -155,7 +176,7 @@ fn kill_resume_matches_uninterrupted_run() {
 
 /// The generated engine honours the same contract: `Cursor::with_start`
 /// plus a restored budget continues a killed generated parse exactly, and
-/// `parse_records_resumed` does the same record-sharded.
+/// `parse_records_par` from that `ResumePoint` does the same record-sharded.
 #[test]
 fn generated_kill_resume_matches_uninterrupted_run() {
     const SEEDS: u64 = 1000;
@@ -232,7 +253,7 @@ fn generated_kill_resume_matches_uninterrupted_run() {
         // Record-sharded generated resume.
         for jobs in [1, 4] {
             let (par, par_budget) =
-                gen_clf::parse_records_resumed(&data, &mask(), cp, jobs, factory(policy));
+                gen_clf::parse_records_par(&data, &mask(), cp, jobs, factory(policy));
             assert_eq!(
                 par.as_slice(),
                 &full[cp.record..],

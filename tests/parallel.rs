@@ -9,14 +9,18 @@
 //! exactly as its single checkpoint saw them.
 
 use std::cell::RefCell;
+use std::fmt::Debug;
 use std::rc::Rc;
 
 use pads::generated::clf as gen_clf;
 use pads::{
-    compile, descriptions, BaseMask, ErrorBudget, Mask, OnExhausted, PadsParser, ParseDesc,
-    ParseOptions, RecoveryPolicy, Registry, Schema, Value,
+    compile, descriptions, BaseMask, Charset, Engine, ErrorBudget, Mask, OnExhausted, PadsParser,
+    ParseDesc, ParseOptions, RecordDiscipline, RecoveryPolicy, Registry, ResumePoint, Schema,
+    Value, DEFAULT_MAX_INFLIGHT,
 };
 use pads_observe::MetricsSink;
+use pads_runtime::genrt::CursorRecords;
+use pads_runtime::par::{self, Job, RecordReader};
 use pads_runtime::{Cursor, FaultPlan, MetricsCore, ObsHandle, WorkerObs};
 
 const CLF: &[u8] = include_bytes!("data/torture_clf.log");
@@ -41,30 +45,74 @@ fn policies() -> Vec<RecoveryPolicy> {
     ]
 }
 
-/// Sequential ground truth: drain `records()` and read back the budget.
-fn sequential(
-    schema: &Schema,
-    registry: &Registry,
+type Items<T> = Vec<(T, ParseDesc)>;
+
+/// Sequential ground truth: drain one reader over the whole source and
+/// read back the budget.
+fn sequential<'d, R: RecordReader>(
+    data: &'d [u8],
     policy: RecoveryPolicy,
-    data: &[u8],
-    record: &str,
-) -> (Vec<(Value, ParseDesc)>, ErrorBudget) {
-    let parser = PadsParser::new(schema, registry)
-        .with_options(ParseOptions { policy, ..Default::default() });
-    let mask = mask();
-    let mut it = parser.records(data, record, &mask);
-    let items: Vec<_> = it.by_ref().collect();
-    (items, it.budget())
+    open: &impl Fn(&'d [u8], RecoveryPolicy, ResumePoint) -> R,
+) -> (Items<R::Item>, ErrorBudget) {
+    let mut reader = open(data, policy, ResumePoint::default());
+    let mut items = Vec::new();
+    while let Some(item) = reader.next_record() {
+        items.push(item);
+    }
+    (items, reader.budget())
 }
 
-fn assert_equivalent(label: &str, schema: &Schema, data: &[u8], record: &str) {
-    let registry = Registry::standard();
+/// The same reader under the sharded driver. Every corpus here is
+/// newline-framed ASCII.
+fn sharded<'d, R>(
+    data: &'d [u8],
+    policy: RecoveryPolicy,
+    jobs: usize,
+    open: &(impl Fn(&'d [u8], RecoveryPolicy, ResumePoint) -> R + Sync),
+) -> (Items<R::Item>, ErrorBudget)
+where
+    R: RecordReader,
+    R::Item: Send,
+{
+    let job = Job {
+        data,
+        discipline: RecordDiscipline::Newline,
+        charset: Charset::Ascii,
+        policy,
+        jobs,
+        max_inflight: DEFAULT_MAX_INFLIGHT,
+        resume: ResumePoint::default(),
+    };
+    let mut items = Vec::new();
+    let mut next = 0;
+    let budget = par::drive(
+        &job,
+        |slice, policy, start| (open(slice, policy, start), || None::<()>),
+        |item, pd, _harvest, progress| {
+            assert_eq!(progress.record, next, "progress is dense and in record order");
+            next += 1;
+            items.push((item, pd));
+        },
+    );
+    (items, budget)
+}
+
+/// The one engine-neutral check: whatever engine `open` builds readers
+/// for, the sharded driver at jobs {1, 2, 4} yields the values, parse
+/// descriptors (whole-source coordinates) and budget of one reader drained
+/// sequentially, under every recovery policy.
+fn assert_sharded_matches_sequential<'d, R>(
+    label: &str,
+    data: &'d [u8],
+    open: impl Fn(&'d [u8], RecoveryPolicy, ResumePoint) -> R + Sync,
+) where
+    R: RecordReader,
+    R::Item: PartialEq + Debug + Send,
+{
     for policy in policies() {
-        let (seq_items, seq_budget) = sequential(schema, &registry, policy, data, record);
+        let (seq_items, seq_budget) = sequential(data, policy, &open);
         for jobs in [1, 2, 4] {
-            let parser = PadsParser::new(schema, &registry)
-                .with_options(ParseOptions { policy, ..Default::default() });
-            let (par_items, par_budget) = parser.records_par(data, record, &mask(), jobs);
+            let (par_items, par_budget) = sharded(data, policy, jobs, &open);
             assert_eq!(
                 par_items.len(),
                 seq_items.len(),
@@ -82,6 +130,40 @@ fn assert_equivalent(label: &str, schema: &Schema, data: &[u8], record: &str) {
                 "{label} jobs={jobs} policy={policy:?}: budget"
             );
         }
+    }
+}
+
+/// A reader factory for a runtime engine: each reader owns a thread-local
+/// parser, exactly what `records_par_stream` opens per shard.
+fn runtime_reader<'a>(
+    schema: &'a Schema,
+    registry: &'a Registry,
+    engine: Engine,
+    record: &'a str,
+    mask: &'a Mask,
+) -> impl for<'d> Fn(&'d [u8], RecoveryPolicy, ResumePoint) -> pads::Records<'a, 'a, 'd> + Sync {
+    move |slice, policy, start| {
+        PadsParser::new(schema, registry)
+            .with_options(ParseOptions { policy, engine, ..Default::default() })
+            .into_records(slice, record, mask, start)
+    }
+}
+
+/// The interpreter and VM rows of the matrix, plus the columnar close
+/// path of the public batched entry point.
+fn assert_equivalent(label: &str, schema: &Schema, data: &[u8], record: &str) {
+    let registry = Registry::standard();
+    let m = mask();
+    for engine in [Engine::Interp, Engine::Vm] {
+        assert_sharded_matches_sequential(
+            &format!("{label}/{engine:?}"),
+            data,
+            runtime_reader(schema, &registry, engine, record, &m),
+        );
+    }
+    let open = runtime_reader(schema, &registry, Engine::Interp, record, &m);
+    for policy in policies() {
+        let (seq_items, seq_budget) = sequential(data, policy, &open);
         // The columnar close path: folding the sharded stream into a
         // RecordBatch must reconstruct every record byte-identically,
         // error records included. Clean rows share one canonical OK
@@ -150,14 +232,14 @@ fn fault_harness_parallel_matches_sequential() {
     let clean =
         pads_gen::clf::generate(&pads_gen::ClfConfig { records: 12, ..Default::default() }).0;
     let policies = policies();
+    let m = mask();
+    let open = runtime_reader(&schema, &registry, Engine::Interp, "entry_t", &m);
     for seed in 0..SEEDS {
         let data = FaultPlan::for_seed(seed).apply(&clean);
         let policy = policies[(seed as usize) % policies.len()];
-        let (seq_items, seq_budget) = sequential(&schema, &registry, policy, &data, "entry_t");
+        let (seq_items, seq_budget) = sequential(&data, policy, &open);
         for jobs in [2, 4] {
-            let parser = PadsParser::new(&schema, &registry)
-                .with_options(ParseOptions { policy, ..Default::default() });
-            let (par_items, par_budget) = parser.records_par(&data, "entry_t", &mask(), jobs);
+            let (par_items, par_budget) = sharded(&data, policy, jobs, &open);
             assert_eq!(
                 par_items, seq_items,
                 "seed {seed} jobs={jobs} policy={policy:?}: items diverge"
@@ -188,6 +270,29 @@ fn fault_harness_parallel_matches_sequential() {
     }
 }
 
+/// A sharded parse observed per worker: the per-record harvests in merge
+/// order, for the caller to fold together.
+fn observed<E: Send>(
+    parser: &PadsParser<'_>,
+    data: &[u8],
+    record: &str,
+    jobs: usize,
+    observer: impl Fn() -> (WorkerObs, Box<dyn FnMut() -> E>) + Sync,
+) -> Vec<E> {
+    let mut harvests = Vec::new();
+    parser.records_par_stream(
+        data,
+        record,
+        &mask(),
+        jobs,
+        DEFAULT_MAX_INFLIGHT,
+        ResumePoint::default(),
+        Some(&observer),
+        |_value, _pd, harvest, _progress| harvests.extend(harvest),
+    );
+    harvests
+}
+
 /// Observer equivalence: per-worker `MetricsSink`s merged in shard order
 /// produce the same deterministic counter snapshot as one sink fed by the
 /// sequential record loop.
@@ -204,7 +309,7 @@ fn parallel_metrics_merge_matches_sequential_snapshot() {
 
     for jobs in [1, 2, 4] {
         let parser = PadsParser::new(&schema, &registry);
-        let (_, _, sinks) = parser.records_par_observed(CLF, "entry_t", &mask(), jobs, || {
+        let sinks = observed(&parser, CLF, "entry_t", jobs, || {
             let m = Rc::new(RefCell::new(MetricsSink::new()));
             let handle = ObsHandle::from_rc(m.clone());
             // Per-record harvest: drain the sink's accumulation since the
@@ -251,7 +356,7 @@ fn parallel_dense_cores_merge_matches_sequential_snapshot() {
 
     for jobs in [1, 2, 4] {
         let parser = PadsParser::new(&schema, &registry);
-        let (_, _, cores) = parser.records_par_observed(CLF, "entry_t", &mask(), jobs, || {
+        let cores = observed(&parser, CLF, "entry_t", jobs, || {
             let core = PadsParser::new(&schema, &registry).metrics_core().into_handle();
             let att = WorkerObs::metrics(core.clone());
             // drain() keeps the interning table with the live core, so the
@@ -272,41 +377,27 @@ fn parallel_dense_cores_merge_matches_sequential_snapshot() {
     }
 }
 
-/// The generated engine's `parse_records_par` agrees with a sequential
-/// loop of the generated record reader, values, descriptors, and budget,
-/// on the torture corpus and under a tripping budget.
+/// The generated row of the matrix: the generated record reader under the
+/// sharded driver agrees with the same reader looped sequentially, and the
+/// module's `parse_records_par` entry is that driver.
 #[test]
 fn generated_parallel_matches_sequential_loop() {
-    fn factory(policy: RecoveryPolicy) -> impl for<'a> Fn(&'a [u8]) -> Cursor<'a> + Sync {
-        move |d| Cursor::new(d).with_policy(policy)
-    }
+    let m = mask();
+    let read = |cur: &mut Cursor<'static>| gen_clf::EntryT::read(cur, &m);
+    let open = |slice, policy, start: ResumePoint| {
+        let mut cur = Cursor::new(slice).with_policy(policy).with_start(start.offset, start.record);
+        cur.set_budget(start.budget);
+        CursorRecords::new(cur, &read)
+    };
+    assert_sharded_matches_sequential("clf/generated", CLF, open);
     for policy in policies() {
-        // Sequential ground truth over the same reader.
-        let mut cur = factory(policy)(CLF);
-        let mut seq = Vec::new();
-        loop {
-            if cur.at_eof() {
-                break;
-            }
-            let before = cur.offset();
-            let item = gen_clf::EntryT::read(&mut cur, &mask());
-            seq.push(item);
-            if cur.offset() == before {
-                break;
-            }
-        }
-        let seq_budget = cur.budget();
+        let (seq, seq_budget) = sequential(CLF, policy, &open);
         for jobs in [1, 2, 4] {
             let (par, par_budget) =
-                gen_clf::parse_records_par(CLF, &mask(), jobs, factory(policy));
-            assert_eq!(par.len(), seq.len(), "jobs={jobs} policy={policy:?}: record count");
-            for (i, ((pv, ppd), (sv, spd))) in par.iter().zip(&seq).enumerate() {
-                assert_eq!(pv, sv, "jobs={jobs} policy={policy:?}: value [{i}]");
-                // Sequential descriptors carry cursor-local coordinates that
-                // are already global (the cursor starts at 0), so they must
-                // match the rebased parallel ones exactly.
-                assert_eq!(ppd, spd, "jobs={jobs} policy={policy:?}: descriptor [{i}]");
-            }
+                gen_clf::parse_records_par(CLF, &m, ResumePoint::default(), jobs, |d| {
+                    Cursor::new(d).with_policy(policy)
+                });
+            assert_eq!(par, seq, "jobs={jobs} policy={policy:?}: parse_records_par items");
             assert_eq!(par_budget, seq_budget, "jobs={jobs} policy={policy:?}: budget");
         }
     }

@@ -16,10 +16,10 @@ use std::sync::Arc;
 use pads::generated::clf as gen_clf;
 use pads::{
     descriptions, BaseMask, Engine, ErrorBudget, Mask, OnExhausted, PadsParser, ParseDesc,
-    ParseOptions, RecoveryPolicy, Registry, ResumePoint, Schema, Value,
+    ParseOptions, RecoveryPolicy, Registry, ResumePoint, Schema, Value, DEFAULT_MAX_INFLIGHT,
 };
 use pads_observe::MetricsSink;
-use pads_runtime::{Charset, Cursor, FaultPlan, KillPlan, ObsHandle};
+use pads_runtime::{Charset, Cursor, FaultPlan, KillPlan, ObsHandle, WorkerObs};
 
 const CLF: &[u8] = include_bytes!("data/torture_clf.log");
 const SIRIUS: &[u8] = include_bytes!("data/torture_sirius.txt");
@@ -45,6 +45,29 @@ fn policies() -> Vec<RecoveryPolicy> {
 
 fn opts(policy: RecoveryPolicy, engine: Engine) -> ParseOptions {
     ParseOptions { policy, engine, ..Default::default() }
+}
+
+/// Collects a record-sharded parse (`records_par_stream`) from `resume`.
+fn sharded(
+    parser: &PadsParser<'_>,
+    data: &[u8],
+    record: &str,
+    jobs: usize,
+    resume: ResumePoint,
+) -> (Vec<(Value, ParseDesc)>, ErrorBudget) {
+    type NoObs = fn() -> (WorkerObs, Box<dyn FnMut()>);
+    let mut items = Vec::new();
+    let budget = parser.records_par_stream(
+        data,
+        record,
+        &mask(),
+        jobs,
+        DEFAULT_MAX_INFLIGHT,
+        resume,
+        None::<&NoObs>,
+        |value, pd, _harvest, _progress| items.push((value, pd)),
+    );
+    (items, budget)
 }
 
 /// Drains `records()` under the given options and reads back the budget.
@@ -80,7 +103,7 @@ fn assert_engines_agree(label: &str, schema: &Schema, data: &[u8], record: &str)
         for jobs in [1, 4] {
             let parser =
                 PadsParser::new(schema, &registry).with_options(opts(policy, Engine::Vm));
-            let (par, par_budget) = parser.records_par(data, record, &mask(), jobs);
+            let (par, par_budget) = sharded(&parser, data, record, jobs, ResumePoint::default());
             assert_eq!(
                 par, iv,
                 "{label} jobs={jobs} policy={policy:?}: sharded VM items diverge"
@@ -165,7 +188,8 @@ fn fault_harness_vm_matches_interpreter() {
         for jobs in [1, 4] {
             let parser =
                 PadsParser::new(&schema, &registry).with_options(opts(policy, Engine::Vm));
-            let (par, par_budget) = parser.records_par(&data, "entry_t", &mask(), jobs);
+            let (par, par_budget) =
+                sharded(&parser, &data, "entry_t", jobs, ResumePoint::default());
             assert_eq!(par, iv, "seed {seed} jobs={jobs} policy={policy:?}: items diverge");
             assert_eq!(
                 par_budget, ib,
@@ -207,14 +231,24 @@ fn vm_observer_stream_matches_interpreter() {
         for jobs in [1, 4] {
             let parser = PadsParser::new(&schema, &registry)
                 .with_options(opts(RecoveryPolicy::unlimited(), Engine::Vm));
-            let (_, _, sinks) =
-                parser.records_par_observed(data, record, &mask(), jobs, || {
-                    let m = Rc::new(RefCell::new(MetricsSink::new()));
-                    let handle = ObsHandle::from_rc(m.clone());
-                    let harvest: Box<dyn FnMut() -> MetricsSink> =
-                        Box::new(move || std::mem::take(&mut *m.borrow_mut()));
-                    (pads_runtime::WorkerObs::observer(handle), harvest)
-                });
+            let observer = || {
+                let m = Rc::new(RefCell::new(MetricsSink::new()));
+                let handle = ObsHandle::from_rc(m.clone());
+                let harvest: Box<dyn FnMut() -> MetricsSink> =
+                    Box::new(move || std::mem::take(&mut *m.borrow_mut()));
+                (WorkerObs::observer(handle), harvest)
+            };
+            let mut sinks = Vec::new();
+            parser.records_par_stream(
+                data,
+                record,
+                &mask(),
+                jobs,
+                DEFAULT_MAX_INFLIGHT,
+                ResumePoint::default(),
+                Some(&observer),
+                |_value, _pd, sink, _progress| sinks.extend(sink),
+            );
             let mut merged = MetricsSink::new();
             for sink in &sinks {
                 merged.merge(sink);
