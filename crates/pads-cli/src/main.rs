@@ -27,9 +27,19 @@
 //! pads codegen <descr.pads>                     Rust parser source
 //! ```
 //!
+//! `pads parse` streams: when the source type is a plain array of records,
+//! or a struct of exactly a header and such an array, the header is parsed
+//! with the source cursor and each record is handed to the `--format` sink
+//! (report fold, XML writer, nothing) and dropped, so memory is the file
+//! plus one record — with output byte-identical to the whole-tree parse.
+//! Any other source shape, `--trace`, and a sequential `--metrics` or
+//! `--profile` run (which observe the source type itself) parse the whole
+//! source into one value first. See docs/PERFORMANCE.md, "Memory".
+//!
 //! Common options: `--ebcdic`, `--fixed <N>`, `--lenpfx <N>` select the
 //! ambient coding / record discipline; `--record <T>` and `--header <T>`
-//! pick the §5.2 source shape (default: inferred from the source type).
+//! pick the §5.2 source shape (default: inferred from the source type when
+//! it is such a header + records source).
 //! Error budgets (the C runtime's `Pmax_errs` discipline): `--max-errs <N>`,
 //! `--max-record-errs <N>`, `--max-panic-skip <N>`, and
 //! `--on-overflow <stop|skip|best-effort>`.
@@ -54,10 +64,10 @@ use std::process::ExitCode;
 use std::rc::Rc;
 
 use pads::{
-    BaseMask, Charset, Endian, Engine, ErrorCode, Loc, Mask, OnExhausted, PadsParser, ParseDesc,
-    ParseOptions, PdKind, RecordDiscipline, RecoveryPolicy, Registry, Schema, Value,
+    BaseMask, Charset, Endian, Engine, ErrorCode, Mask, OnExhausted, PadsParser, ParseDesc,
+    ParseOptions, Progress, RecordDiscipline, RecordSink, RecoveryPolicy, Registry, Schema,
+    SourceFold, SourceJob, SourceShape, SourceSummary, Value,
 };
-use pads_check::ir::{TypeKind, TyUse};
 use pads_check::lint;
 use pads_observe::{MetricsCore, MetricsHandle, MetricsSink, ObsHandle, TraceSink, WorkerObs};
 
@@ -388,26 +398,16 @@ fn load_schema(path: &str, registry: &Registry) -> Result<Schema, String> {
     })
 }
 
-/// Prints the error-summary line — a count per distinct `ErrorCode` — to
-/// stderr, so scripts can separate the data diagnosis from stdout output.
-fn error_summary(pd: &ParseDesc, source: &str) {
-    let mut counts: Vec<(String, u64)> = Vec::new();
-    for (_, code, _) in pd.errors() {
-        let key = code.to_string();
-        match counts.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((key, 1)),
-        }
+/// Ends a parse whose data diagnosis is `summary`: clean data is status 0;
+/// otherwise the error-summary line — a count per distinct `ErrorCode` —
+/// goes to stderr, so scripts can separate the diagnosis from stdout
+/// output, and the status is the distinct "data errors" one.
+fn data_status(summary: &SourceSummary, source: &str) -> ExitCode {
+    if summary.is_ok() {
+        return ExitCode::SUCCESS;
     }
-    counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    let detail: Vec<String> =
-        counts.into_iter().map(|(k, n)| format!("{k}: {n}")).collect();
-    eprintln!(
-        "pads: {} error(s) in {source} [{}] ({})",
-        pd.nerr,
-        pd.state,
-        if detail.is_empty() { "no detail retained".to_owned() } else { detail.join(", ") }
-    );
+    eprintln!("pads: {}", summary.error_line(source));
+    ExitCode::from(EXIT_DATA_ERRORS)
 }
 
 /// Rejects `--record`/`--header` names that are not declared in the schema
@@ -419,41 +419,19 @@ fn validate_type(schema: &Schema, name: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Infers the record type of a header+records source: an array-of-records
-/// source type, or a struct whose last field is such an array.
-fn infer_shape(schema: &Schema) -> (Option<String>, Option<String>) {
-    fn array_elem_record(schema: &Schema, id: usize) -> Option<String> {
-        if let TypeKind::Array { elem: TyUse::Named { id: eid, .. }, .. } = &schema.def(id).kind {
-            let e = schema.def(*eid);
-            if e.is_record {
-                return Some(e.name.clone());
-            }
-        }
-        None
+/// The §5.2 source shape of `accum`/`fmt`: `--record`/`--header` where
+/// given, otherwise what [`SourceShape::infer`] reads off the source type.
+fn source_shape<'a>(schema: &'a Schema, o: &'a Opts) -> Result<SourceShape<'a>, String> {
+    let inferred = SourceShape::infer(schema);
+    let record = (o.record.as_deref())
+        .or(inferred.map(|s| s.record))
+        .ok_or("cannot infer the record type; pass --record <T>")?;
+    validate_type(schema, record)?;
+    let header = o.header.as_deref().or(inferred.and_then(|s| s.header));
+    if let Some(h) = header {
+        validate_type(schema, h)?;
     }
-    let src = schema.source();
-    if let Some(rec) = array_elem_record(schema, src) {
-        return (None, Some(rec));
-    }
-    if let TypeKind::Struct { members } = &schema.source_def().kind {
-        let fields: Vec<_> = members
-            .iter()
-            .filter_map(|m| match m {
-                pads_check::ir::MemberIr::Field(f) => Some(f),
-                _ => None,
-            })
-            .collect();
-        if let [header, body] = fields.as_slice() {
-            if let (TyUse::Named { id: hid, .. }, TyUse::Named { id: bid, .. }) =
-                (&header.ty, &body.ty)
-            {
-                if let Some(rec) = array_elem_record(schema, *bid) {
-                    return (Some(schema.def(*hid).name.clone()), Some(rec));
-                }
-            }
-        }
-    }
-    (None, None)
+    Ok(SourceShape { header, record })
 }
 
 /// A dense metrics core pre-interned with the schema's type names in
@@ -499,6 +477,16 @@ fn metrics_summary_line(sink: &MetricsSink) -> String {
     line
 }
 
+/// `--metrics`: the exposition on stdout, the summary line on stderr.
+fn print_metrics(core: MetricsCore, fmt: MetricsFormat) {
+    let sink = MetricsSink::from_core(core);
+    match fmt {
+        MetricsFormat::Prom => print!("{}", sink.prometheus()),
+        MetricsFormat::Json => println!("{}", sink.counts_json()),
+    }
+    eprintln!("{}", metrics_summary_line(&sink));
+}
+
 /// Per-worker observation factory for parallel metrics: each worker gets
 /// its own dense [`MetricsCore`] (pre-interned, trusted ids), and the
 /// harvest closure drains the counters accumulated since its previous
@@ -517,104 +505,66 @@ fn metrics_factory(
     }
 }
 
-/// Reassembles the aggregate source-array descriptor from a batch's
-/// per-record descriptors, the way the sequential array loop builds it.
-fn batch_aggregate_pd(batch: &pads::RecordBatch, budget: pads::ErrorBudget) -> ParseDesc {
-    let mut pd = ParseDesc::ok();
-    let mut elt_pds = Vec::with_capacity(batch.len());
-    let mut neerr: u32 = 0;
-    let mut first_error: Option<usize> = None;
-    for i in 0..batch.len() {
-        let epd = batch.pd(i);
-        if !epd.is_ok() {
-            neerr += 1;
-            if first_error.is_none() {
-                first_error = Some(i);
-            }
-        }
-        pd.absorb(&epd);
-        elt_pds.push(epd);
-    }
-    pd.kind = PdKind::Array { elts: elt_pds, neerr, first_error };
-    if budget.stopped() {
-        pd.add_root_error(ErrorCode::BudgetExhausted, Loc::default());
-    }
-    pd
+/// A sink of a sharded, observed run: the inner sink takes the records,
+/// and the per-worker metrics deltas that arrive with them fold into one
+/// core, in record order.
+struct Observed<S> {
+    sink: S,
+    merged: MetricsCore,
 }
 
-/// The plain-text record report (stdout).
-fn print_report(pd: &ParseDesc) {
-    println!("parse state: {} errors: {}", pd.state, pd.nerr);
-    for (path, code, loc) in pd.errors().into_iter().take(25) {
-        match loc {
-            Some(l) => println!("  {path}: {code} at record {}", l.begin.record),
-            None => println!("  {path}: {code}"),
-        }
+impl<S: RecordSink<MetricsCore>> RecordSink<MetricsCore> for Observed<S> {
+    fn header(&mut self, value: Value, pd: ParseDesc) -> bool {
+        self.sink.header(value, pd)
     }
-    if pd.nerr > 25 {
-        println!("  … ({} more)", pd.nerr - 25);
+
+    fn record(&mut self, index: usize, value: Value, pd: ParseDesc, progress: &Progress) {
+        self.sink.record(index, value, pd, progress);
+    }
+
+    fn observed(&mut self, delta: MetricsCore) {
+        self.merged.merge(&delta);
     }
 }
 
-/// `pads parse --jobs N` over a plain record-array source: parses the
-/// records on worker threads, folding the merged stream straight into a
-/// columnar [`pads::RecordBatch`] (no per-record `Value` trees retained),
-/// and prints the same report as the sequential path. The full value
-/// array is materialised from the batch only when `--format xml` asks
-/// for it. Metrics come from one dense [`MetricsCore`] per worker, merged.
-fn parse_parallel(
+/// `pads parse` over a `[header] + records` source: one pass of the source
+/// driver, a record live at a time, into the sink `--format` names — the
+/// report fold (`report`, `none`) or the XML writer over it. `--jobs N`
+/// shards a headerless source across workers feeding the same sink; its
+/// `--metrics` come from one dense [`MetricsCore`] per worker, merged.
+/// Output is byte-identical to the whole-tree path.
+fn parse_streamed(
     schema: &Schema,
     registry: &Registry,
     options: ParseOptions,
     o: &Opts,
     data: &[u8],
-    record: &str,
+    shape: SourceShape<'_>,
 ) -> Result<ExitCode, String> {
     let parser = PadsParser::new(schema, registry).with_options(options);
     let mask = Mask::all(BaseMask::CheckAndSet);
-    let mut merged = o.metrics.map(|_| schema_core(schema));
-    let mut batch = pads::RecordBatch::new();
+    let job =
+        SourceJob { jobs: o.jobs, max_inflight: o.max_inflight, ..SourceJob::new(shape, &mask) };
     let factory = metrics_factory(schema);
-    let observer = merged.is_some().then_some(&factory);
-    let budget = parser.records_par_stream(
-        data,
-        record,
-        &mask,
-        o.jobs,
-        o.max_inflight,
-        pads::ResumePoint::default(),
-        observer,
-        |value, pd, extra, _progress| {
-            if let (Some(m), Some(delta)) = (merged.as_mut(), extra) {
-                m.merge(&delta);
-            }
-            batch.push(&value, &pd);
-        },
-    );
-    let pd = batch_aggregate_pd(&batch, budget);
-
-    match o.format {
-        OutputFormat::Xml => {
-            let v = Value::Array((0..batch.len()).map(|i| batch.row(i)).collect());
-            print!("{}", pads_tools::value_to_xml(&v, Some(&pd), &schema.source_def().name, 0));
-        }
-        OutputFormat::Report if o.metrics.is_none() => print_report(&pd),
-        OutputFormat::Report | OutputFormat::None => {}
-    }
-    if let (Some(merged), Some(fmt)) = (merged, o.metrics) {
-        let sink = MetricsSink::from_core(merged);
-        match fmt {
-            MetricsFormat::Prom => print!("{}", sink.prometheus()),
-            MetricsFormat::Json => println!("{}", sink.counts_json()),
-        }
-        eprintln!("{}", metrics_summary_line(&sink));
-    }
-    if pd.is_ok() {
-        Ok(ExitCode::SUCCESS)
+    let observer = o.metrics.map(|_| &factory);
+    let merged = schema_core(schema);
+    let (summary, merged) = if o.format == OutputFormat::Xml {
+        let out = std::io::BufWriter::new(std::io::stdout().lock());
+        let mut sink = Observed { sink: pads_tools::XmlSourceSink::new(schema, out), merged };
+        let end = parser.stream_source_observed(data, &job, observer, &mut sink);
+        (sink.sink.finish(&end).map_err(|e| format!("stdout: {e}"))?, sink.merged)
     } else {
-        error_summary(&pd, &o.positional[1]);
-        Ok(ExitCode::from(EXIT_DATA_ERRORS))
+        let mut sink = Observed { sink: SourceFold::new(schema), merged };
+        let end = parser.stream_source_observed(data, &job, observer, &mut sink);
+        (sink.sink.finish(&end), sink.merged)
+    };
+    if o.format == OutputFormat::Report && o.metrics.is_none() {
+        print!("{}", summary.report());
     }
+    if let Some(fmt) = o.metrics {
+        print_metrics(merged, fmt);
+    }
+    Ok(data_status(&summary, &o.positional[1]))
 }
 
 /// FNV-1a fingerprint over (length, first 64 bytes, last 64 bytes) of the
@@ -710,7 +660,7 @@ fn parse_journaled(
     options: ParseOptions,
     o: &Opts,
     data: &[u8],
-    record: &str,
+    shape: SourceShape<'_>,
     journal_path: &str,
 ) -> Result<ExitCode, String> {
     let source_id = source_fingerprint(data);
@@ -767,7 +717,7 @@ fn parse_journaled(
             Err(e) => return fail(&e),
         }
     };
-    let mut com = Committer {
+    let com = Committer {
         journal: journal.with_fsync_every(o.fsync_every),
         source_id,
         every_records: o.checkpoint_records,
@@ -777,84 +727,40 @@ fn parse_journaled(
         last_offset: resume.offset as u64,
     };
 
+    // One metrics core, pre-interned for the schema and seeded from the
+    // restored snapshot, is snapshotted at every commit. A sequential run
+    // counts straight into it; a sharded run folds the per-worker deltas
+    // that stream through the in-order merge.
+    let mut seeded = schema_core(schema);
+    seeded.merge(&restored);
+    let mut parser = PadsParser::new(schema, registry).with_options(options);
+    let live = (o.jobs <= 1).then(|| std::mem::take(&mut seeded).into_handle());
+    if let Some(core) = &live {
+        parser = parser.with_metrics(core.clone());
+    }
     let mask = Mask::all(BaseMask::CheckAndSet);
-    // Values are only needed for the end-of-run report, so they fold into
-    // a columnar batch instead of a per-record tree vector.
-    let mut batch = pads::RecordBatch::new();
-    let mut killed = false;
-    let mut consumed: u64 = 0;
-    // Position of the first unconsumed (byte, record) — the final commit.
-    let mut last_pos = (resume.offset as u64, resume.record as u64);
-    let mut commit_err: Option<pads_journal::JournalError> = None;
-
-    let (budget, final_core) = if o.jobs <= 1 {
-        // Sequential: one dense metrics core (pre-interned for the schema,
-        // seeded from the restored snapshot) observes the whole run and is
-        // snapshotted at every commit.
-        let mut seeded = schema_core(schema);
-        seeded.merge(&restored);
-        let core = seeded.into_handle();
-        let parser = PadsParser::new(schema, registry)
-            .with_options(options)
-            .with_metrics(core.clone());
-        let mut it = parser.records_resumed(data, record, &mask, resume);
-        while let Some((value, epd)) = it.next() {
-            batch.push(&value, &epd);
-            consumed += 1;
-            last_pos = (it.offset() as u64, resume.record as u64 + consumed);
-            if let Err(e) =
-                com.on_record(last_pos.0, last_pos.1, it.budget(), &core.borrow())
-            {
-                commit_err = Some(e);
-                break;
-            }
-            if o.kill_after.is_some_and(|n| consumed >= n) {
-                killed = true;
-                break;
-            }
-        }
-        let budget = it.budget();
-        drop(it);
-        let out = core.borrow().clone();
-        (budget, out)
-    } else {
-        // Parallel: per-worker cores stream per-record deltas through the
-        // in-order merge; the fold (seeded from the restored snapshot) is
-        // snapshotted at every commit.
-        let mut merged = schema_core(schema);
-        merged.merge(&restored);
-        let parser = PadsParser::new(schema, registry).with_options(options);
-        let budget = parser.records_par_stream(
-            data,
-            record,
-            &mask,
-            o.jobs,
-            o.max_inflight,
-            resume,
-            Some(&metrics_factory(schema)),
-            |value, pd, extra, progress| {
-                if killed || commit_err.is_some() {
-                    return;
-                }
-                if let Some(delta) = extra {
-                    merged.merge(&delta);
-                }
-                batch.push(&value, &pd);
-                consumed += 1;
-                last_pos = (progress.end_offset as u64, progress.record as u64 + 1);
-                if let Err(e) =
-                    com.on_record(last_pos.0, last_pos.1, progress.budget, &merged)
-                {
-                    commit_err = Some(e);
-                    return;
-                }
-                if o.kill_after.is_some_and(|n| consumed >= n) {
-                    killed = true;
-                }
-            },
-        );
-        (budget, merged)
+    let job = SourceJob {
+        start: resume,
+        jobs: o.jobs,
+        max_inflight: o.max_inflight,
+        ..SourceJob::new(shape, &mask)
     };
+    let mut sink = JournalSink {
+        fold: SourceFold::new(schema),
+        com,
+        live,
+        merged: seeded,
+        kill_after: o.kill_after,
+        consumed: 0,
+        killed: false,
+        // Position of the first unconsumed (byte, record) — the final commit.
+        last_pos: (resume.offset as u64, resume.record as u64),
+        commit_err: None,
+    };
+    let end = parser.stream_source_observed(data, &job, Some(&metrics_factory(schema)), &mut sink);
+    let JournalSink {
+        mut fold, mut com, live, merged, consumed, killed, last_pos, commit_err, ..
+    } = sink;
     if let Some(e) = commit_err {
         return fail(&e);
     }
@@ -864,6 +770,8 @@ fn parse_journaled(
         eprintln!("pads: --kill-after: stopped after {consumed} record(s); rerun with --resume");
         return Ok(ExitCode::SUCCESS);
     }
+    let budget = end.budget;
+    let final_core = live.map_or(merged, |core| core.borrow().clone());
     if let Err(e) = com.commit(last_pos.0, last_pos.1, budget, &final_core) {
         return fail(&e);
     }
@@ -871,36 +779,66 @@ fn parse_journaled(
         return fail(&e);
     }
 
-    // Report: assemble the aggregate descriptor over this run's records;
-    // the exit code comes from the *budget*, which carries the whole
-    // run's tally across kills and resumes.
-    let pd = batch_aggregate_pd(&batch, budget);
+    // Report: the fold covers this run's records; the exit code comes from
+    // the *budget*, which carries the whole run's tally across kills and
+    // resumes.
+    let summary = fold.finish(&end);
     if o.metrics.is_none() && o.format == OutputFormat::Report {
-        print_report(&pd);
+        print!("{}", summary.report());
     }
     if let Some(fmt) = o.metrics {
-        let sink = MetricsSink::from_core(final_core);
-        match fmt {
-            MetricsFormat::Prom => print!("{}", sink.prometheus()),
-            MetricsFormat::Json => println!("{}", sink.counts_json()),
-        }
-        eprintln!("{}", metrics_summary_line(&sink));
+        print_metrics(final_core, fmt);
     }
-    let data_errors = budget.errs > 0 || budget.skipped_records > 0 || budget.stopped();
-    if data_errors {
-        if pd.is_ok() {
-            // All the errors predate the resume point; the budget is the
-            // only witness this run sees.
-            eprintln!(
-                "pads: {} error(s) in {} (all before the resume point)",
-                budget.errs, o.positional[1]
-            );
-        } else {
-            error_summary(&pd, &o.positional[1]);
+    if summary.is_ok() && (budget.errs > 0 || budget.skipped_records > 0) {
+        // All the errors predate the resume point; the budget is the only
+        // witness this run sees.
+        eprintln!(
+            "pads: {} error(s) in {} (all before the resume point)",
+            budget.errs, o.positional[1]
+        );
+        return Ok(ExitCode::from(EXIT_DATA_ERRORS));
+    }
+    Ok(data_status(&summary, &o.positional[1]))
+}
+
+/// The durable-ingest sink: every record folds into the report and
+/// advances the commit cadence, until `--kill-after` or a failed commit
+/// ends the run (later records are dropped, as a real kill would).
+struct JournalSink {
+    fold: SourceFold,
+    com: Committer,
+    /// Sequential runs: the core the parser counts into.
+    live: Option<MetricsHandle>,
+    /// Sharded runs: the fold of the per-worker deltas.
+    merged: MetricsCore,
+    kill_after: Option<u64>,
+    consumed: u64,
+    killed: bool,
+    last_pos: (u64, u64),
+    commit_err: Option<pads_journal::JournalError>,
+}
+
+impl RecordSink<MetricsCore> for JournalSink {
+    fn observed(&mut self, delta: MetricsCore) {
+        if !self.killed && self.commit_err.is_none() {
+            self.merged.merge(&delta);
         }
-        Ok(ExitCode::from(EXIT_DATA_ERRORS))
-    } else {
-        Ok(ExitCode::SUCCESS)
+    }
+
+    fn record(&mut self, index: usize, value: Value, pd: ParseDesc, progress: &Progress) {
+        if self.killed || self.commit_err.is_some() {
+            return;
+        }
+        RecordSink::<MetricsCore>::record(&mut self.fold, index, value, pd, progress);
+        self.consumed += 1;
+        self.last_pos = (progress.end.offset as u64, progress.record as u64 + 1);
+        let (offset, record) = self.last_pos;
+        let committed = match &self.live {
+            Some(core) => self.com.on_record(offset, record, progress.budget, &core.borrow()),
+            None => self.com.on_record(offset, record, progress.budget, &self.merged),
+        };
+        self.commit_err = committed.err();
+        self.killed = self.kill_after.is_some_and(|n| self.consumed >= n);
     }
 }
 
@@ -1016,6 +954,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let schema = load_schema(&o.positional[0], &registry)?;
             let data =
                 std::fs::read(&o.positional[1]).map_err(|e| format!("{}: {e}", o.positional[1]))?;
+            let shape = SourceShape::infer(&schema);
             if let Some(journal_path) = &o.journal {
                 // Durable ingest: the journal records progress per record,
                 // which only makes sense for a plain record-array source
@@ -1026,7 +965,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 if o.format == OutputFormat::Xml {
                     return Err("--journal cannot be combined with --format xml".into());
                 }
-                let (None, Some(record)) = infer_shape(&schema) else {
+                let Some(shape @ SourceShape { header: None, .. }) = shape else {
                     return Err("--journal requires a plain record-array source".into());
                 };
                 return parse_journaled(
@@ -1035,23 +974,27 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     options,
                     &o,
                     &data,
-                    &record,
+                    shape,
                     journal_path,
                 );
             }
-            if o.jobs > 1 {
-                // Record-sharded parallel parse. Tracing needs one ordered
-                // event stream, and header sources have a non-record prefix:
-                // both fall back to the sequential engine below.
-                if o.trace.is_some() {
-                    eprintln!("pads: --trace forces a sequential parse; ignoring --jobs");
-                } else if let (None, Some(record)) = infer_shape(&schema) {
-                    return parse_parallel(&schema, &registry, options, &o, &data, &record);
-                } else {
-                    eprintln!(
-                        "pads: source is not a plain record array; ignoring --jobs"
-                    );
-                }
+            // Record-sharded parallel parse. Tracing needs one ordered event
+            // stream, and header sources have a non-record prefix: both stay
+            // on one thread.
+            let sharded =
+                o.jobs > 1 && o.trace.is_none() && shape.is_some_and(|s| s.header.is_none());
+            if o.jobs > 1 && o.trace.is_some() {
+                eprintln!("pads: --trace forces a sequential parse; ignoring --jobs");
+            } else if o.jobs > 1 && !sharded {
+                eprintln!("pads: source is not a plain record array; ignoring --jobs");
+            }
+            // A `[header] + records` source streams through the source
+            // driver. The span trace, and one metrics core or profiler
+            // observing a sequential run from the source type down, need
+            // the whole-tree parse, as does any other source shape.
+            let observed = o.trace.is_some() || o.metrics.is_some() || o.profile;
+            if let Some(shape) = shape.filter(|_| sharded || !observed) {
+                return parse_streamed(&schema, &registry, options, &o, &data, shape);
             }
             let mut parser = PadsParser::new(&schema, &registry).with_options(options);
             // The metrics core and trace sink stay behind `Rc` so the CLI
@@ -1075,13 +1018,14 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
             let mask = Mask::all(BaseMask::CheckAndSet);
             let (v, pd) = parser.parse_source(&data, &mask);
+            let summary = SourceSummary::of(&pd);
             match o.format {
                 OutputFormat::Xml => print!(
                     "{}",
                     pads_tools::value_to_xml(&v, Some(&pd), &schema.source_def().name, 0)
                 ),
                 OutputFormat::Report if o.trace.is_none() && o.metrics.is_none() => {
-                    print_report(&pd);
+                    print!("{}", summary.report());
                 }
                 OutputFormat::Report | OutputFormat::None => {}
             }
@@ -1093,13 +1037,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 }
             }
             if let Some(core) = &metrics {
-                let sink = MetricsSink::from_core(core.borrow().clone());
                 if let Some(fmt) = o.metrics {
-                    match fmt {
-                        MetricsFormat::Prom => print!("{}", sink.prometheus()),
-                        MetricsFormat::Json => println!("{}", sink.counts_json()),
-                    }
-                    eprintln!("{}", metrics_summary_line(&sink));
+                    print_metrics(core.borrow().clone(), fmt);
                 }
                 if o.profile {
                     if let Some(table) = core.borrow().profile_table(o.times) {
@@ -1107,14 +1046,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     }
                 }
             }
-            if pd.is_ok() {
-                Ok(ExitCode::SUCCESS)
-            } else {
-                // The run itself completed; the *data* has errors. Summarise
-                // on stderr and use the distinct "data errors" status.
-                error_summary(&pd, &o.positional[1]);
-                Ok(ExitCode::from(EXIT_DATA_ERRORS))
-            }
+            // The run itself completed; if the *data* has errors, summarise
+            // on stderr and use the distinct "data errors" status.
+            Ok(data_status(&summary, &o.positional[1]))
         }
         "profile" => {
             // Per-schema-node cost profile: parse the source sequentially
@@ -1158,66 +1092,29 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let schema = load_schema(&o.positional[0], &registry)?;
             let data =
                 std::fs::read(&o.positional[1]).map_err(|e| format!("{}: {e}", o.positional[1]))?;
-            let (inferred_header, inferred_record) = infer_shape(&schema);
-            let record = o
-                .record
-                .or(inferred_record)
-                .ok_or("cannot infer the record type; pass --record <T>")?;
-            validate_type(&schema, &record)?;
-            let header = o.header.or(inferred_header);
-            if let Some(h) = &header {
-                validate_type(&schema, h)?;
-            }
-            let shape = match &header {
-                Some(h) => pads_tools::SourceShape::with_header(h, &record),
-                None => pads_tools::SourceShape::records(&record),
+            let shape = source_shape(&schema, &o)?;
+            let parser = PadsParser::new(&schema, &registry).with_options(options);
+            let mask = Mask::all(BaseMask::CheckAndSet);
+            let cfg = pads_tools::AccConfig {
+                tracked: o.tracked,
+                top_k: o.top,
+                // §9 histogram/quantile summaries.
+                summaries: o.summaries.then_some((16, 1024)),
             };
-            let (bad_records, report) = if o.jobs > 1 && header.is_none() && !o.summaries {
+            let mut acc = pads_tools::Accumulator::with_config(&schema, shape.record, cfg);
+            if o.jobs > 1 && shape.header.is_none() && !o.summaries {
                 // Record-sharded parse folded into a columnar batch, then
-                // accumulated row by row — the same statistics the
+                // accumulated column by column — the same statistics the
                 // sequential path produces, parsing on all workers.
-                let parser = PadsParser::new(&schema, &registry).with_options(options);
-                let mask = Mask::all(BaseMask::CheckAndSet);
-                let (batch, _budget) = parser.records_par_batched(&data, &record, &mask, o.jobs);
-                let cfg = pads_tools::AccConfig {
-                    tracked: o.tracked,
-                    top_k: o.top,
-                    summaries: None,
-                };
-                let mut acc = pads_tools::Accumulator::with_config(&schema, &record, cfg);
+                let (batch, _budget) =
+                    parser.records_par_batched(&data, shape.record, &mask, o.jobs);
                 acc.add_batch(&batch);
-                (acc.bad_records, acc.report("<top>"))
-            } else if o.summaries {
-                // Accumulate with §9 histogram/quantile summaries enabled.
-                let parser = PadsParser::new(&schema, &registry).with_options(options);
-                let mask = Mask::all(BaseMask::CheckAndSet);
-                let cfg = pads_tools::AccConfig {
-                    tracked: o.tracked,
-                    top_k: o.top,
-                    summaries: Some((16, 1024)),
-                };
-                let mut acc = pads_tools::Accumulator::with_config(&schema, &record, cfg);
-                let start = match &header {
-                    Some(h) => {
-                        let mut cur = parser.open(&data);
-                        let _ = parser.parse_named(&mut cur, h, &[], &mask);
-                        cur.offset()
-                    }
-                    None => 0,
-                };
-                for (v, pd) in parser.records(&data[start..], &record, &mask) {
-                    acc.add(&v, &pd);
-                }
-                (acc.bad_records, acc.report("<top>"))
             } else {
-                let (acc, report) = pads_tools::accumulator_program(
-                    &schema, &registry, options, &shape, &data, o.tracked, o.top,
-                );
-                (acc.bad_records, report)
-            };
-            print!("{report}");
-            if bad_records > 0 {
-                eprintln!("pads: {bad_records} bad record(s) in {}", o.positional[1]);
+                parser.stream_source(&data, &SourceJob::new(shape, &mask), &mut acc);
+            }
+            print!("{}", acc.report("<top>"));
+            if acc.bad_records > 0 {
+                eprintln!("pads: {} bad record(s) in {}", acc.bad_records, o.positional[1]);
                 Ok(ExitCode::from(EXIT_DATA_ERRORS))
             } else {
                 Ok(ExitCode::SUCCESS)
@@ -1228,20 +1125,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let schema = load_schema(&o.positional[0], &registry)?;
             let data =
                 std::fs::read(&o.positional[1]).map_err(|e| format!("{}: {e}", o.positional[1]))?;
-            let (inferred_header, inferred_record) = infer_shape(&schema);
-            let record = o
-                .record
-                .or(inferred_record)
-                .ok_or("cannot infer the record type; pass --record <T>")?;
-            validate_type(&schema, &record)?;
-            let header = o.header.or(inferred_header);
-            if let Some(h) = &header {
-                validate_type(&schema, h)?;
-            }
-            let shape = match &header {
-                Some(h) => pads_tools::SourceShape::with_header(h, &record),
-                None => pads_tools::SourceShape::records(&record),
-            };
+            let shape = source_shape(&schema, &o)?;
             let mut fmt = pads_tools::Formatter::new(&[o.delim.as_str()]);
             if let Some(df) = &o.date_fmt {
                 fmt = fmt.with_date_format(df);
@@ -1274,15 +1158,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "gen" => {
             need(1)?;
             let schema = load_schema(&o.positional[0], &registry)?;
-            let (_, inferred_record) = infer_shape(&schema);
-            let record = o
-                .record
-                .or(inferred_record)
-                .ok_or("cannot infer the record type; pass --record <T>")?;
-            validate_type(&schema, &record)?;
+            let record = source_shape(&schema, &o)?.record;
             let config = pads_gen::GenConfig { seed: o.seed, ..Default::default() };
             let mut g = pads_gen::Generator::new(&schema, config);
-            let out = g.generate_records(&record, o.records);
+            let out = g.generate_records(record, o.records);
             use std::io::Write;
             std::io::stdout().write_all(&out).map_err(|e| e.to_string())?;
             Ok(ExitCode::SUCCESS)

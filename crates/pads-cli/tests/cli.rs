@@ -254,3 +254,30 @@ fn diff_classifies_and_exits_three_on_breaks() {
     assert!(stdout.contains("PD301 breaks"), "{stdout}");
     assert!(stdout.contains("verdict: breaks"), "{stdout}");
 }
+
+/// A literal between the header and the records is not something the
+/// header+records driver can frame: `accum` and `fmt` refuse to guess the
+/// shape (they used to drop the literal and mis-frame every record), and
+/// `parse` falls back to the whole-tree parse, which handles it.
+#[test]
+fn a_source_the_driver_cannot_frame_is_not_inferred() {
+    let descr = write_temp(
+        "separated.pads",
+        br#"
+        Precord Pstruct hdr_t { Puint32 n; };
+        Precord Pstruct rec_t { Puint32 a; };
+        Parray recs_t { rec_t[]; };
+        Psource Pstruct src_t { hdr_t h; "----\n"; recs_t rs; };
+        "#,
+    );
+    let data = write_temp("separated.txt", b"2\n----\n7\n8\n");
+    for cmd in ["accum", "fmt"] {
+        let out = pads().arg(cmd).arg(&descr).arg(&data).output().expect("run");
+        assert_eq!(out.status.code(), Some(1), "{cmd}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("cannot infer the record type"), "{cmd}: {stderr}");
+    }
+    let out = pads().arg("parse").arg(&descr).arg(&data).output().expect("run");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "parse state: ok errors: 0\n");
+}

@@ -1,9 +1,9 @@
-//! `--format {report,xml,none}` equivalence: every writer must produce
-//! byte-identical output whether the records came from the sequential
-//! engine (owned `Value` trees) or the record-sharded engine (columnar
-//! `RecordBatch` rows) — including error records that went through the
-//! panic-mode recovery policy — and `--format none` must parse (and set
-//! the exit status) without writing anything to stdout.
+//! `--format {report,xml,none}` equivalence: every sink must produce
+//! byte-identical output whether the records reached it from the
+//! sequential engine or through the record-sharded merge — including
+//! error records that went through the panic-mode recovery policy — and
+//! `--format none` must parse (and set the exit status) without writing
+//! anything to stdout.
 
 use std::io::Write;
 use std::process::Command;
@@ -69,7 +69,7 @@ fn xml_is_byte_identical_between_sequential_and_sharded_engines() {
     let par = parse(&["--format=xml", "--jobs", "4"]);
     assert_eq!(seq.code, Some(2));
     assert_eq!(seq.stdout, par.stdout);
-    // Error records survive the columnar round trip with their values.
+    // Error records reach the XML sink with their values.
     let text = String::from_utf8_lossy(&seq.stdout);
     assert!(text.contains("<orders_t>"), "{text}");
     assert!(text.contains("OPEN"), "{text}");

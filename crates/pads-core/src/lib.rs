@@ -61,6 +61,7 @@ pub mod generated;
 pub mod eval;
 pub mod parallel;
 pub mod parse;
+pub mod source;
 pub mod stream;
 pub mod value;
 pub mod verify;
@@ -80,6 +81,7 @@ pub use arena::{push_value, to_value};
 pub use batch::{Bitmap, ColTree, ColumnView, PrimColView, RecordBatch};
 pub use eval::{Env, Ev};
 pub use parse::{has_syntax_error, Elements, Engine, PadsParser, ParseOptions, Records};
+pub use source::{RecordSink, SourceEnd, SourceFold, SourceJob, SourceShape, SourceSummary};
 pub use vm::VmProgram;
 pub use stream::StreamRecords;
 pub use value::Value;

@@ -58,7 +58,7 @@ impl<'s> PadsParser<'s> {
             jobs,
             DEFAULT_MAX_INFLIGHT,
             ResumePoint::default(),
-            None::<&ObserverlessFactory>,
+            None::<&Unobserved>,
             |value, pd, _extra, _progress| batch.push(&value, &pd),
         );
         (batch, budget)
@@ -137,5 +137,5 @@ impl<'s> PadsParser<'s> {
     }
 }
 
-/// Type-anchoring alias for observer-less `records_par_stream` calls.
-type ObserverlessFactory = fn() -> (WorkerObs, Box<dyn FnMut()>);
+/// Type-anchoring alias for calls that pass no observer factory.
+pub(crate) type Unobserved = fn() -> (WorkerObs, Box<dyn FnMut()>);

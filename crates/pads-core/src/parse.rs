@@ -1274,6 +1274,12 @@ impl<'p, 's, 'd> Records<'p, 's, 'd> {
         self.cur.offset()
     }
 
+    /// The cursor's full position — where a source-level error raised
+    /// after the record just yielded is located.
+    pub fn position(&self) -> Pos {
+        self.cur.position()
+    }
+
     /// The running error-budget tally of the underlying cursor.
     pub fn budget(&self) -> ErrorBudget {
         self.cur.budget()
@@ -1287,8 +1293,8 @@ impl RecordReader for Records<'_, '_, '_> {
         self.next()
     }
 
-    fn offset(&self) -> usize {
-        self.cur.offset()
+    fn position(&self) -> Pos {
+        self.cur.position()
     }
 
     fn budget(&self) -> ErrorBudget {

@@ -1,0 +1,628 @@
+//! The record-at-a-time source driver.
+//!
+//! §4 of the paper gives a generated library several entry points so that
+//! sources too big to hold (Sirius: 2.2 GB a week) are read "a record at a
+//! time", and §5.2 observes that ad hoc sources are "often simply a
+//! sequence of records, perhaps prefixed by a header". This module is that
+//! pattern as one driver: [`PadsParser::stream_source`] parses the optional
+//! header with the source cursor, then hands every record — value,
+//! descriptor, whole-source [`Progress`] — to a [`RecordSink`] and drops
+//! it. Sequential and sharded runs feed the same sink in the same order.
+//!
+//! [`SourceFold`] is the sink that stands in for the whole-source
+//! descriptor: it folds the per-record descriptors by the struct and array
+//! rules [`PadsParser::parse_source`] applies, so a report (or the
+//! aggregate `<pd>` of an XML rendering) comes out identical to the
+//! whole-tree parse while only one record is ever live.
+//! [`SourceShape::infer`] says which sources that holds for.
+
+use pads_check::ir::{MemberIr, Schema, TyUse, TypeId, TypeKind};
+use pads_runtime::par::Progress;
+use pads_runtime::{
+    ErrorBudget, ErrorCode, Loc, Mask, ParseDesc, ParseState, PdKind, Pos, ResumePoint, WorkerObs,
+    DEFAULT_MAX_INFLIGHT,
+};
+
+use crate::parse::PadsParser;
+use crate::value::Value;
+
+/// The minimal extra information the paper asks for (§5.2): an optional
+/// header type and the record type repeated to the end of the input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SourceShape<'a> {
+    /// Name of the header type parsed once at the start, if any.
+    pub header: Option<&'a str>,
+    /// Name of the record type repeated to end of input.
+    pub record: &'a str,
+}
+
+/// The element record type of a plain record array: no separator,
+/// terminator, size, `Pended` or `Pwhere`, elements of an argument-free
+/// `Precord` type.
+fn plain_record_array(schema: &Schema, id: TypeId) -> Option<&str> {
+    let def = schema.def(id);
+    let TypeKind::Array {
+        elem: TyUse::Named { id: elem, args },
+        sep: None,
+        term: None,
+        ended: None,
+        size: None,
+    } = &def.kind
+    else {
+        return None;
+    };
+    let elem = schema.def(*elem);
+    let plain = !def.is_record
+        && def.params.is_empty()
+        && def.where_clause.is_none()
+        && args.is_empty()
+        && elem.is_record;
+    plain.then_some(elem.name.as_str())
+}
+
+/// The `(header, records)` fields of a source struct that is exactly a
+/// header followed by a plain record array.
+fn header_and_array(
+    schema: &Schema,
+) -> Option<(&pads_check::ir::FieldIr, &pads_check::ir::FieldIr)> {
+    let src = schema.source_def();
+    let TypeKind::Struct { members } = &src.kind else {
+        return None;
+    };
+    let [MemberIr::Field(header), MemberIr::Field(body)] = members.as_slice() else {
+        return None;
+    };
+    let plain = !src.is_record
+        && src.params.is_empty()
+        && src.where_clause.is_none()
+        && header.constraint.is_none()
+        && body.constraint.is_none();
+    plain.then_some((header, body))
+}
+
+impl<'a> SourceShape<'a> {
+    /// A headerless source of repeated records.
+    pub fn records(record: &'a str) -> SourceShape<'a> {
+        SourceShape { header: None, record }
+    }
+
+    /// A header followed by repeated records.
+    pub fn with_header(header: &'a str, record: &'a str) -> SourceShape<'a> {
+        SourceShape { header: Some(header), record }
+    }
+
+    /// The shape of the schema's source type, when streaming it record by
+    /// record is *faithful* — same values, descriptors and positions as
+    /// [`PadsParser::parse_source`]: a plain array of records, or a struct
+    /// of exactly a header field and such an array. Everything else is
+    /// refused: literal members or a third field in the source struct (the
+    /// driver would mis-frame them), field constraints and `Pwhere`
+    /// clauses (they need the whole value), arrays with `Psep`, `Pterm`,
+    /// a size, `Pended` or `Pwhere`, and parameterised types.
+    pub fn infer(schema: &'a Schema) -> Option<SourceShape<'a>> {
+        if let Some(record) = plain_record_array(schema, schema.source()) {
+            return Some(SourceShape::records(record));
+        }
+        let (header, body) = header_and_array(schema)?;
+        let (TyUse::Named { id: hid, args: hargs }, TyUse::Named { id: bid, args: bargs }) =
+            (&header.ty, &body.ty)
+        else {
+            return None;
+        };
+        if !hargs.is_empty() || !bargs.is_empty() {
+            return None;
+        }
+        let record = plain_record_array(schema, *bid)?;
+        Some(SourceShape::with_header(&schema.def(*hid).name, record))
+    }
+}
+
+/// Where a [`PadsParser::stream_source`] run delivers what it parses.
+///
+/// `E` is the per-record observer harvest of a sharded observed run (a
+/// `MetricsCore` delta, say); unobserved sinks leave it at `()`.
+pub trait RecordSink<E = ()> {
+    /// The header's value and descriptor, once, before any record.
+    /// Returning `false` ends the run there — the source-struct rule, under
+    /// which a header with a syntax error aborts the struct and the record
+    /// array is never parsed. Sinks that only want the records (the §5.2
+    /// programs) keep the default and carry on: the header is itself a
+    /// record, so panic-mode recovery has already resynchronised.
+    fn header(&mut self, _value: Value, _pd: ParseDesc) -> bool {
+        true
+    }
+
+    /// One record, in source order. `index` counts from this run's first
+    /// record (the element index in the record array); `progress` is in
+    /// whole-source coordinates.
+    fn record(&mut self, index: usize, value: Value, pd: ParseDesc, progress: &Progress);
+
+    /// The observer harvest belonging to the record delivered next.
+    fn observed(&mut self, _delta: E) {}
+}
+
+/// What to stream and how: the input of [`PadsParser::stream_source`].
+#[derive(Debug, Clone, Copy)]
+pub struct SourceJob<'a> {
+    /// Header and record types.
+    pub shape: SourceShape<'a>,
+    /// Applied to the header and to every record.
+    pub mask: &'a Mask,
+    /// Where the source starts: a committed checkpoint, or the beginning.
+    pub start: ResumePoint,
+    /// Upper bound on worker threads. A source with a header stays on one
+    /// thread whatever this says.
+    pub jobs: usize,
+    /// Bound on each worker's lead over the merge, in records.
+    pub max_inflight: usize,
+}
+
+impl<'a> SourceJob<'a> {
+    /// The whole source, sequentially.
+    pub fn new(shape: SourceShape<'a>, mask: &'a Mask) -> SourceJob<'a> {
+        SourceJob {
+            shape,
+            mask,
+            start: ResumePoint::default(),
+            jobs: 1,
+            max_inflight: DEFAULT_MAX_INFLIGHT,
+        }
+    }
+}
+
+/// How a [`PadsParser::stream_source`] run ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SourceEnd {
+    /// The final error-budget tally.
+    pub budget: ErrorBudget,
+    /// Where the cursor stood after the last thing parsed.
+    pub pos: Pos,
+    /// Whether the last record consumed nothing, which ends the run short
+    /// of the end of the input (the array loop's zero-width guard).
+    pub stalled: bool,
+    /// Whether `pos` is the end of the input.
+    pub at_eof: bool,
+}
+
+impl<'s> PadsParser<'s> {
+    /// [`stream_source_observed`](Self::stream_source_observed) without a
+    /// per-worker observer. The parser's own observer and metrics core
+    /// still see a sequential run.
+    pub fn stream_source<S: RecordSink>(
+        &self,
+        data: &[u8],
+        job: &SourceJob<'_>,
+        sink: &mut S,
+    ) -> SourceEnd {
+        self.stream_source_observed(data, job, None::<&crate::parallel::Unobserved>, sink)
+    }
+
+    /// The one source driver: parses `job.shape`'s header (if any) at
+    /// `job.start`, then every record to the end of `data`, handing each to
+    /// `sink` and keeping none.
+    ///
+    /// The records continue the header cursor — same record numbers, byte
+    /// offsets and budget tally as one cursor reading the whole source —
+    /// sequentially through [`records_resumed`](Self::records_resumed), or,
+    /// for a headerless source with `job.jobs > 1`, sharded through
+    /// [`records_par_stream`](Self::records_par_stream), which feeds the
+    /// same sink in merge order and is byte-identical under every recovery
+    /// policy. `observer` is that engine's per-worker observation factory;
+    /// its harvests reach [`RecordSink::observed`].
+    pub fn stream_source_observed<E, F, S>(
+        &self,
+        data: &[u8],
+        job: &SourceJob<'_>,
+        observer: Option<&F>,
+        sink: &mut S,
+    ) -> SourceEnd
+    where
+        E: Send,
+        F: Fn() -> (WorkerObs, Box<dyn FnMut() -> E>) + Sync,
+        S: RecordSink<E>,
+    {
+        let SourceJob { shape, mask, start, jobs, max_inflight } = *job;
+        let mut resume = start;
+        let mut pos = Pos { offset: start.offset.min(data.len()), record: start.record, byte: 0 };
+        let end = |budget, pos: Pos, stalled| SourceEnd {
+            budget,
+            pos,
+            stalled,
+            at_eof: pos.offset >= data.len(),
+        };
+        if let Some(header) = shape.header {
+            let mut cur = self.open(data).with_start(start.offset, start.record);
+            cur.set_budget(start.budget);
+            let (value, pd) = self.parse_named(&mut cur, header, &[], mask);
+            pos = cur.position();
+            resume = ResumePoint { offset: pos.offset, record: pos.record, budget: cur.budget() };
+            if !sink.header(value, pd) {
+                return end(resume.budget, pos, false);
+            }
+        }
+        let mut index = 0;
+        let mut stalled = false;
+        let mut deliver = |value, pd, delta: Option<E>, progress: &Progress| {
+            if let Some(delta) = delta {
+                sink.observed(delta);
+            }
+            stalled = progress.end.offset == pos.offset;
+            pos = progress.end;
+            sink.record(index, value, pd, progress);
+            index += 1;
+        };
+        let budget = if jobs <= 1 || shape.header.is_some() {
+            let mut records = self.records_resumed(data, shape.record, mask, resume);
+            let mut record = resume.record;
+            while let Some((value, pd)) = records.next() {
+                let progress =
+                    Progress { record, end: records.position(), budget: records.budget() };
+                deliver(value, pd, None, &progress);
+                record += 1;
+            }
+            records.budget()
+        } else {
+            self.records_par_stream(
+                data,
+                shape.record,
+                mask,
+                jobs,
+                max_inflight,
+                resume,
+                observer,
+                deliver,
+            )
+        };
+        end(budget, pos, stalled)
+    }
+}
+
+/// How many errors a report lists before it summarises the rest.
+const REPORT_ERRORS: usize = 25;
+
+const NCODES: usize = ErrorCode::ALL.len();
+
+/// A located error: the descriptor path, the code, where.
+pub type PathError = (String, ErrorCode, Option<Loc>);
+
+/// A node's own error, the way [`ParseDesc::errors`] reports it: set, and
+/// not the synthetic `NestedError`.
+fn own_error(pd: &ParseDesc) -> Option<ErrorCode> {
+    (pd.err_code.is_error() && pd.err_code != ErrorCode::NestedError).then_some(pd.err_code)
+}
+
+fn join(prefix: &str, path: &str) -> String {
+    match (prefix.is_empty(), path.is_empty()) {
+        (true, _) => path.to_owned(),
+        (_, true) => prefix.to_owned(),
+        _ => format!("{prefix}.{path}"),
+    }
+}
+
+/// What `pads parse` says about a source: the root state and error count,
+/// the first few located errors, and a count per error code.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SourceSummary {
+    /// The source descriptor's own node — state, `nerr`, first error — with
+    /// the children left out.
+    pub root: ParseDesc,
+    /// The first errors in [`ParseDesc::errors`] order (at most 25).
+    pub errors: Vec<PathError>,
+    counts: [u64; NCODES],
+}
+
+impl SourceSummary {
+    /// The summary of a whole-source descriptor: what [`SourceFold`] must
+    /// reproduce without ever holding one.
+    pub fn of(pd: &ParseDesc) -> SourceSummary {
+        let mut counts = [0; NCODES];
+        pd.visit_error_codes(&mut |code| count(&mut counts, code));
+        let mut errors = pd.errors();
+        errors.truncate(REPORT_ERRORS);
+        let kind = match pd.kind {
+            PdKind::Array { neerr, first_error, .. } => {
+                PdKind::Array { elts: Vec::new(), neerr, first_error }
+            }
+            _ => PdKind::Base,
+        };
+        SourceSummary { root: ParseDesc { kind, ..*pd }, errors, counts }
+    }
+
+    /// Whether the source parsed without error.
+    pub fn is_ok(&self) -> bool {
+        self.root.is_ok()
+    }
+
+    /// The plain-text record report.
+    pub fn report(&self) -> String {
+        use std::fmt::Write as _;
+        let nerr = self.root.nerr as usize;
+        let mut out = format!("parse state: {} errors: {nerr}\n", self.root.state);
+        for (path, code, loc) in &self.errors {
+            let _ = match loc {
+                Some(l) => writeln!(out, "  {path}: {code} at record {}", l.begin.record),
+                None => writeln!(out, "  {path}: {code}"),
+            };
+        }
+        if nerr > REPORT_ERRORS {
+            let _ = writeln!(out, "  … ({} more)", nerr - REPORT_ERRORS);
+        }
+        out
+    }
+
+    /// The one-line diagnosis — a count per distinct error code, most
+    /// frequent first — that goes to stderr, apart from any stdout output.
+    pub fn error_line(&self, source: &str) -> String {
+        let mut counts: Vec<(String, u64)> = ErrorCode::ALL
+            .iter()
+            .zip(&self.counts)
+            .filter(|(_, &n)| n > 0)
+            .map(|(code, &n)| (code.to_string(), n))
+            .collect();
+        counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let detail: Vec<String> = counts.into_iter().map(|(k, n)| format!("{k}: {n}")).collect();
+        format!(
+            "{} error(s) in {source} [{}] ({})",
+            self.root.nerr,
+            self.root.state,
+            if detail.is_empty() { "no detail retained".to_owned() } else { detail.join(", ") }
+        )
+    }
+}
+
+fn count(counts: &mut [u64; NCODES], code: ErrorCode) {
+    if let Some(n) = counts.get_mut(code as usize) {
+        *n += 1;
+    }
+}
+
+/// Counts `pd`'s codes and, while the report has room, keeps its located
+/// errors under `prefix()`.
+fn note(
+    counts: &mut [u64; NCODES],
+    errors: &mut Vec<PathError>,
+    pd: &ParseDesc,
+    prefix: impl FnOnce() -> String,
+) {
+    if pd.is_ok() {
+        return;
+    }
+    pd.visit_error_codes(&mut |code| count(counts, code));
+    if errors.len() < REPORT_ERRORS {
+        let room = REPORT_ERRORS - errors.len();
+        let prefix = prefix();
+        let located = pd.errors().into_iter().take(room);
+        errors.extend(located.map(|(path, code, loc)| (join(&prefix, &path), code, loc)));
+    }
+}
+
+/// The report sink: folds a streamed source into the [`SourceSummary`] of
+/// the descriptor [`PadsParser::parse_source`] would have built, for the
+/// sources [`SourceShape::infer`] accepts.
+///
+/// The source's own node and the record array's are kept as real
+/// [`ParseDesc`]s and updated with the very operations the parser applies
+/// (`absorb` per element and per field, `add_error` / `add_root_error` for
+/// the conditions raised at the end), minus the children.
+#[derive(Debug)]
+pub struct SourceFold {
+    /// `(header field, array field)` when the source is a struct around
+    /// the record array; `None` when it is the array itself.
+    fields: Option<(String, String)>,
+    /// The header's descriptor.
+    header: Option<ParseDesc>,
+    /// A header with a syntax error aborted the source struct.
+    aborted: bool,
+    /// The record array's node.
+    array: ParseDesc,
+    /// Some element had a syntax error (`has_syntax_error` of the array).
+    syntax: bool,
+    len: usize,
+    neerr: u32,
+    first_error: Option<usize>,
+    /// The first located errors of the header, then of the records.
+    errors: Vec<PathError>,
+    /// How many of `errors` are the header's.
+    header_errors: usize,
+    counts: [u64; NCODES],
+}
+
+impl SourceFold {
+    /// A fold for `schema`'s source type.
+    pub fn new(schema: &Schema) -> SourceFold {
+        SourceFold {
+            fields: header_and_array(schema).map(|(h, b)| (h.name.clone(), b.name.clone())),
+            header: None,
+            aborted: false,
+            array: ParseDesc::ok(),
+            syntax: false,
+            len: 0,
+            neerr: 0,
+            first_error: None,
+            errors: Vec::new(),
+            header_errors: 0,
+            counts: [0; NCODES],
+        }
+    }
+
+    /// The `(header field, array field)` names of a struct source.
+    pub fn fields(&self) -> Option<(&str, &str)> {
+        self.fields.as_ref().map(|(h, b)| (h.as_str(), b.as_str()))
+    }
+
+    /// Records delivered so far.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no record has been delivered.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The record array's node of a struct source, final once
+    /// [`finish`](Self::finish) has run. (A source that *is* the array has
+    /// it as [`SourceSummary::root`].)
+    pub fn array(&self) -> &ParseDesc {
+        &self.array
+    }
+
+    /// Closes the fold over a run that ended at `end`: raises what the
+    /// array loop and `parse_source` raise after the last record (the
+    /// zero-width guard, budget exhaustion, trailing data) and returns the
+    /// summary.
+    pub fn finish(&mut self, end: &SourceEnd) -> SourceSummary {
+        let at = Loc::at(end.pos);
+        if end.stalled {
+            self.array.add_error(ErrorCode::ArrayTermMismatch, at);
+        }
+        self.array.kind =
+            PdKind::Array { elts: Vec::new(), neerr: self.neerr, first_error: self.first_error };
+        let mut root = match &self.fields {
+            None => self.array.clone(),
+            Some(_) => {
+                let mut root = ParseDesc::ok();
+                if let Some(header) = &self.header {
+                    root.absorb(header);
+                }
+                // A field with a syntax error leaves the struct partial;
+                // after the header that also skips the array.
+                let mut partial = self.aborted;
+                if !self.aborted {
+                    root.absorb(&self.array);
+                    let own = own_error(&self.array).is_some_and(|code| !code.is_semantic());
+                    partial = self.array.state != ParseState::Ok || self.syntax || own;
+                }
+                if partial {
+                    root.state = ParseState::Partial;
+                }
+                root
+            }
+        };
+        if end.budget.stopped() {
+            root.add_root_error(ErrorCode::BudgetExhausted, at);
+        } else if !end.at_eof {
+            root.add_error(ErrorCode::ExtraDataAtEof, at);
+        }
+
+        // `errors()` order: the root's own error, the header's, the
+        // array's own, the elements'.
+        let (header_errors, record_errors) = self.errors.split_at(self.header_errors);
+        let mut errors = Vec::with_capacity(REPORT_ERRORS);
+        let mut counts = self.counts;
+        if let Some(code) = own_error(&root) {
+            errors.push((String::new(), code, root.loc));
+            count(&mut counts, code);
+        }
+        errors.extend_from_slice(header_errors);
+        if let (Some((_, field)), Some(code)) = (&self.fields, own_error(&self.array)) {
+            // An array the aborted struct never reached has no errors.
+            errors.push((field.clone(), code, self.array.loc));
+            count(&mut counts, code);
+        }
+        errors.extend_from_slice(record_errors);
+        errors.truncate(REPORT_ERRORS);
+        SourceSummary { root, errors, counts }
+    }
+}
+
+impl<E> RecordSink<E> for SourceFold {
+    fn header(&mut self, _value: Value, pd: ParseDesc) -> bool {
+        let fields = &self.fields;
+        note(&mut self.counts, &mut self.errors, &pd, || {
+            fields.as_ref().map(|(header, _)| header.clone()).unwrap_or_default()
+        });
+        self.header_errors = self.errors.len();
+        self.aborted = pd.has_syntax_error();
+        self.header = Some(pd);
+        !self.aborted
+    }
+
+    fn record(&mut self, index: usize, _value: Value, pd: ParseDesc, _progress: &Progress) {
+        self.len = index + 1;
+        if !pd.is_ok() {
+            self.neerr += 1;
+            self.first_error.get_or_insert(index);
+            let fields = &self.fields;
+            note(&mut self.counts, &mut self.errors, &pd, || match fields {
+                Some((_, array)) => format!("{array}.[{index}]"),
+                None => format!("[{index}]"),
+            });
+        }
+        self.syntax = self.syntax || pd.has_syntax_error();
+        self.array.absorb(&pd);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{compile, descriptions};
+    use pads_runtime::Registry;
+
+    fn infer(src: &str) -> Option<(Option<String>, String)> {
+        let schema = compile(src, &Registry::standard()).expect("test description compiles");
+        SourceShape::infer(&schema).map(|s| (s.header.map(str::to_owned), s.record.to_owned()))
+    }
+
+    const TYPES: &str = "Precord Pstruct hdr_t { Puint32 n; };
+        Precord Pstruct rec_t { Puint32 a; };
+        Parray recs_t { rec_t[]; };";
+
+    #[test]
+    fn infers_the_bundled_shapes() {
+        let sirius = descriptions::sirius();
+        assert_eq!(
+            SourceShape::infer(&sirius),
+            Some(SourceShape::with_header("summary_header_t", "entry_t"))
+        );
+        let clf = descriptions::clf();
+        assert_eq!(SourceShape::infer(&clf), Some(SourceShape::records("entry_t")));
+        let both = format!("{TYPES} Psource Pstruct src_t {{ hdr_t h; recs_t rs; }};");
+        assert_eq!(infer(&both), Some((Some("hdr_t".into()), "rec_t".into())));
+    }
+
+    #[test]
+    fn refuses_a_literal_between_header_and_records() {
+        let lit = format!("{TYPES} Psource Pstruct src_t {{ hdr_t h; \"----\"; recs_t rs; }};");
+        assert_eq!(infer(&lit), None);
+    }
+
+    #[test]
+    fn refuses_extra_fields_constraints_and_where_clauses() {
+        let three = format!("{TYPES} Psource Pstruct src_t {{ hdr_t h; hdr_t g; recs_t rs; }};");
+        assert_eq!(infer(&three), None);
+        let computed =
+            format!("{TYPES} Psource Pstruct src_t {{ hdr_t h : h.n > 0; recs_t rs; }};");
+        assert_eq!(infer(&computed), None);
+        let wher = format!(
+            "{TYPES} Psource Pstruct src_t {{ hdr_t h; recs_t rs; }} Pwhere {{ h.n > 0 }};"
+        );
+        assert_eq!(infer(&wher), None);
+        let base_header = format!("{TYPES} Psource Pstruct src_t {{ Puint32 h; recs_t rs; }};");
+        assert_eq!(infer(&base_header), None);
+    }
+
+    #[test]
+    fn refuses_arrays_that_are_not_plain() {
+        let rec = "Precord Pstruct rec_t { Puint32 a; };";
+        for array in [
+            "Psource Parray recs_t { rec_t[] : Psep(','); };",
+            "Psource Parray recs_t { rec_t[] : Pterm(';'); };",
+            "Psource Parray recs_t { rec_t[3]; };",
+            "Psource Parray recs_t { rec_t[] : Pended(length == 2); };",
+            "Psource Parray recs_t { rec_t[]; } Pwhere { length > 0 };",
+        ] {
+            assert_eq!(infer(&format!("{rec} {array}")), None, "{array}");
+        }
+        // Elements that are not records cannot be read a record at a time.
+        assert_eq!(
+            infer("Pstruct rec_t { Puint32 a; ','; }; Psource Parray recs_t { rec_t[]; };"),
+            None
+        );
+        assert_eq!(
+            infer(&format!("{rec} Psource Parray recs_t {{ rec_t[]; }};")),
+            Some((None, "rec_t".into()))
+        );
+    }
+}

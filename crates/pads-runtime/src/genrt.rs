@@ -33,6 +33,7 @@ pub use crate::prim::Prim;
 pub use crate::recovery::ErrorBudget;
 
 use crate::base::{PrimView, Registry};
+use crate::error::Pos;
 use crate::par::{self, Job, RecordReader};
 use crate::scan::{skip_class, ClassBitmap};
 
@@ -543,8 +544,8 @@ where
         Some(item)
     }
 
-    fn offset(&self) -> usize {
-        self.cur.offset()
+    fn position(&self) -> Pos {
+        self.cur.position()
     }
 
     fn budget(&self) -> ErrorBudget {

@@ -52,6 +52,7 @@ use std::sync::mpsc;
 use std::thread;
 
 use crate::encoding::Charset;
+use crate::error::Pos;
 use crate::io::RecordDiscipline;
 use crate::pd::ParseDesc;
 use crate::recovery::{ErrorBudget, RecoveryPolicy};
@@ -253,16 +254,16 @@ struct RecordMsg<T, E> {
     nerr: u32,
     /// Panic-skip bytes this record added to the budget.
     panic_skipped: u64,
-    /// One past the record's last byte, in the plan's coordinates.
-    end_offset: usize,
+    /// Where the reader's cursor stood once the record closed.
+    end: Pos,
     /// Engine-specific per-record side data (e.g. a metrics harvest),
     /// merged in record order.
     extra: Option<E>,
 }
 
 /// What a sequential replay reports each record through:
-/// `(item, end_offset, budget_after_record, extra)`.
-type Emit<'a, T, E> = dyn FnMut(T, usize, ErrorBudget, Option<E>) + 'a;
+/// `(item, cursor_after_record, budget_after_record, extra)`.
+type Emit<'a, T, E> = dyn FnMut(T, Pos, ErrorBudget, Option<E>) + 'a;
 
 /// The sending half a worker streams its shard's records through. Bounded:
 /// `send` blocks once `max_inflight` records are queued ahead of the merge.
@@ -287,8 +288,11 @@ impl<T, E> ShardSender<T, E> {
 pub struct Progress {
     /// Index of the record just consumed.
     pub record: usize,
-    /// One past the record's last byte.
-    pub end_offset: usize,
+    /// Where the cursor stood once the record closed: `end.offset` is one
+    /// past the record's last byte (the offset a journal commits), and the
+    /// whole position is what a source-level error raised right after this
+    /// record (budget stop, trailing data) is located at.
+    pub end: Pos,
     /// The cumulative budget *after* folding this record.
     pub budget: ErrorBudget,
 }
@@ -318,8 +322,8 @@ pub trait RecordReader {
     /// progress on a record must end after yielding it.
     fn next_record(&mut self) -> Option<(Self::Item, ParseDesc)>;
 
-    /// The cursor's absolute byte offset within the slice it was opened on.
-    fn offset(&self) -> usize;
+    /// The cursor's position within the slice it was opened on.
+    fn position(&self) -> Pos;
 
     /// The cursor's running error-budget tally.
     fn budget(&self) -> ErrorBudget;
@@ -392,7 +396,7 @@ where
             let msg = RecordMsg {
                 nerr: after.errs.saturating_sub(prev.errs) as u32,
                 panic_skipped: after.panic_skipped.saturating_sub(prev.panic_skipped),
-                end_offset: reader.offset() - base,
+                end: reader.position(),
                 extra: harvest(),
                 item,
             };
@@ -406,34 +410,17 @@ where
     // Sequential replay from the divergence boundary, carrying the merged
     // budget, under the full policy.
     let replay = |from: ResumePoint, emit: &mut Emit<'_, (R::Item, ParseDesc), E>| {
-        let start = ResumePoint {
-            offset: base + from.offset,
-            record: resume.record + from.record,
-            budget: from.budget,
-        };
-        let (mut reader, mut harvest) = open(data, policy, start);
+        let (mut reader, mut harvest) = open(data, policy, from);
         while let Some(item) = reader.next_record() {
-            emit(item, reader.offset() - base, reader.budget(), harvest());
+            emit(item, reader.position(), reader.budget(), harvest());
         }
         reader.budget()
     };
 
-    run_sharded(
-        &plan,
-        &policy,
-        resume.budget,
-        job.max_inflight,
-        worker,
-        replay,
-        |(item, pd), extra, p: &Progress| {
-            let global = Progress {
-                record: resume.record + p.record,
-                end_offset: base + p.end_offset,
-                budget: p.budget,
-            };
-            consume(item, pd, extra, &global);
-        },
-    )
+    let start = ResumePoint { offset: base, ..resume };
+    run_sharded(&plan, &policy, start, job.max_inflight, worker, replay, |(item, pd), extra, p| {
+        consume(item, pd, extra, p)
+    })
 }
 
 /// Parses a planned source on one thread per shard, streaming records
@@ -445,20 +432,23 @@ where
 /// see the module docs — and stop when `send` returns `false`). `replay`
 /// parses sequentially from a [`ResumePoint`] **to the end of the plan**
 /// under the full `policy`, calling its emit callback with
-/// `(item, end_offset, budget_after_record, extra)` per record and
+/// `(item, cursor_after_record, budget_after_record, extra)` per record and
 /// returning the final budget. `consume` receives every merged record, in
 /// record order, exactly once.
 ///
-/// `carried` is the budget tally at the plan's start (non-default when
-/// resuming from a checkpoint). With a single shard — or a carried budget
-/// already exhausted or stopped — the whole plan goes through `replay`,
-/// which streams with O(1) retention by construction.
+/// `start` is where the plan begins in the coordinates the workers report
+/// positions in — byte offset and index of the plan's first record, and
+/// the budget tally there (non-default when resuming from a checkpoint);
+/// [`Progress`] and the replay's [`ResumePoint`] come out in the same
+/// coordinates. With a single shard — or a carried budget already
+/// exhausted or stopped — the whole plan goes through `replay`, which
+/// streams with O(1) retention by construction.
 ///
 /// Returns the final cumulative budget.
 fn run_sharded<T, E, W, R, C>(
     plan: &ShardPlan,
     policy: &RecoveryPolicy,
-    carried: ErrorBudget,
+    start: ResumePoint,
     max_inflight: usize,
     worker: W,
     replay: R,
@@ -472,18 +462,18 @@ where
     C: FnMut(T, Option<E>, &Progress),
 {
     let shards = &plan.shards;
-    if carried.stopped() {
+    if start.budget.stopped() {
         // A stopped budget ends the parse before any record; nothing to do.
-        return carried;
+        return start.budget;
     }
-    let mut cum = carried;
-    let mut next_record = 0usize;
+    let mut cum = start.budget;
+    let mut next_record = start.record;
     let mut divert: Option<ResumePoint> = None;
-    if shards.len() <= 1 || carried.exhausted() {
+    if shards.len() <= 1 || cum.exhausted() {
         // One shard gains nothing from a worker thread, and an exhausted
         // carried budget degrades from the very first record: both stream
         // through the sequential engine directly.
-        divert = Some(ResumePoint { offset: 0, record: 0, budget: carried });
+        divert = Some(start);
     } else {
         thread::scope(|scope| {
             let worker = &worker;
@@ -495,7 +485,7 @@ where
                 handles.push(scope.spawn(move || worker(sh, sender)));
                 rxs.push(rx);
             }
-            let mut prev_end = 0usize;
+            let mut prev_end = start.offset;
             'merge: for (i, rx) in rxs.iter().enumerate() {
                 for _ in 0..shards[i].records {
                     let Ok(msg) = rx.recv() else {
@@ -525,10 +515,10 @@ where
                     consume(
                         msg.item,
                         msg.extra,
-                        &Progress { record: next_record, end_offset: msg.end_offset, budget: cum },
+                        &Progress { record: next_record, end: msg.end, budget: cum },
                     );
                     next_record += 1;
-                    prev_end = msg.end_offset;
+                    prev_end = msg.end.offset;
                 }
             }
             // Dropping the receivers unblocks any worker parked on a full
@@ -541,8 +531,8 @@ where
         });
     }
     if let Some(from) = divert {
-        let mut emit = |item: T, end_offset: usize, budget: ErrorBudget, extra: Option<E>| {
-            consume(item, extra, &Progress { record: next_record, end_offset, budget });
+        let mut emit = |item: T, end: Pos, budget: ErrorBudget, extra: Option<E>| {
+            consume(item, extra, &Progress { record: next_record, end, budget });
             next_record += 1;
         };
         cum = replay(from, &mut emit);
@@ -656,7 +646,7 @@ mod tests {
                     item: String::from_utf8_lossy(line).into_owned(),
                     nerr,
                     panic_skipped: 0,
-                    end_offset: end,
+                    end: at(end),
                     extra: Some(1),
                 };
                 if !tx.send(msg) {
@@ -681,15 +671,19 @@ mod tests {
                 }
                 if budget.exhausted() && policy.on_exhausted == OnExhausted::SkipRecord {
                     budget.note_skipped_record();
-                    emit("<skipped>".to_owned(), end, budget, None);
+                    emit("<skipped>".to_owned(), at(end), budget, None);
                     continue;
                 }
                 let nerr = u32::from(line.contains(&b'X'));
                 budget.note_record(&policy, nerr, 0);
-                emit(String::from_utf8_lossy(line).into_owned(), end, budget, None);
+                emit(String::from_utf8_lossy(line).into_owned(), at(end), budget, None);
             }
             budget
         }
+    }
+
+    fn at(offset: usize) -> Pos {
+        Pos { offset, ..Pos::default() }
     }
 
     // Newline-framed records of `data[start..end]` with their absolute end
@@ -731,7 +725,7 @@ mod tests {
         let budget = run_sharded(
             &plan,
             &policy,
-            carried,
+            ResumePoint { budget: carried, ..ResumePoint::default() },
             4,
             toy_worker(data),
             toy_replay(data, policy),
@@ -769,10 +763,10 @@ mod tests {
         let mut prev_errs = 0;
         for p in &par.progress {
             assert_eq!(p.record, prev_record.map_or(0, |r: usize| r + 1), "dense record index");
-            assert!(p.end_offset > prev_end, "offsets advance");
+            assert!(p.end.offset > prev_end, "offsets advance");
             assert!(p.budget.errs >= prev_errs, "budget is monotone");
             prev_record = Some(p.record);
-            prev_end = p.end_offset;
+            prev_end = p.end.offset;
             prev_errs = p.budget.errs;
         }
         assert_eq!(prev_end, data.len());
@@ -867,7 +861,7 @@ mod tests {
         let budget = run_sharded(
             &plan,
             &policy,
-            ErrorBudget::new(),
+            ResumePoint::default(),
             1, // max_inflight: every worker blocks after one queued record
             toy_worker(data),
             toy_replay(data, policy),
@@ -889,7 +883,7 @@ mod tests {
         let budget = run_sharded(
             &plan,
             &policy,
-            ErrorBudget::new(),
+            ResumePoint::default(),
             4,
             |shard: &Shard, tx: ShardSender<String, u64>| {
                 assert!(shard.start != panic_in.start, "worker panic safety net");

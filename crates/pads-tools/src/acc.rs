@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use pads::{ColTree, PdKind, Prim, PrimColView, Schema, Value};
+use pads::{ColTree, PdKind, Prim, PrimColView, Progress, RecordSink, Schema, Value};
 use pads_check::ir::{MemberIr, TypeId, TypeKind, TyUse};
 use pads_runtime::ParseDesc;
 
@@ -766,6 +766,14 @@ fn report_node(node: &Node, path: &str, top_k: usize, out: &mut String) {
             report_node(inner, path, top_k, out);
         }
         Node::Typedef(inner) => report_node(inner, path, top_k, out),
+    }
+}
+
+/// An accumulator is a sink of the source driver: every record is folded
+/// into the profile and dropped (the header, if any, is not profiled).
+impl<E> RecordSink<E> for Accumulator<'_> {
+    fn record(&mut self, _index: usize, value: Value, pd: ParseDesc, _progress: &Progress) {
+        self.add(&value, &pd);
     }
 }
 

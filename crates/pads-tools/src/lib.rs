@@ -35,7 +35,7 @@ pub use acc::{AccConfig, Accumulator};
 pub use summary::{Histogram, Quantiles};
 pub use programs::{accumulator_program, formatting_program, xml_program, SourceShape};
 pub use fmt::Formatter;
-pub use xml::{schema_to_xsd, value_to_xml};
+pub use xml::{schema_to_xsd, value_to_xml, write_xml, XmlSourceSink};
 
 #[cfg(test)]
 mod tests {

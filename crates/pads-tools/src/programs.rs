@@ -7,48 +7,40 @@
 //! pattern powers the generated formatting (§5.3.1) and XML-conversion
 //! (§5.3.2) programs. These functions are those programs as library calls.
 
-use pads::{BaseMask, Mask, PadsParser, ParseOptions, Registry, Schema};
+use pads::{
+    BaseMask, Mask, PadsParser, ParseDesc, ParseOptions, Progress, RecordSink, Registry, Schema,
+    SourceJob, Value,
+};
 
 use crate::acc::Accumulator;
 use crate::fmt::Formatter;
-use crate::xml::value_to_xml;
+use crate::xml::write_xml;
 
-/// The minimal extra information the paper asks for: an optional header
-/// type and the record type.
-#[derive(Debug, Clone)]
-pub struct SourceShape<'a> {
-    /// Name of the header type parsed once at the start, if any.
-    pub header: Option<&'a str>,
-    /// Name of the record type repeated to end of input.
-    pub record: &'a str,
-}
+pub use pads::SourceShape;
 
-impl<'a> SourceShape<'a> {
-    /// A headerless source of repeated records.
-    pub fn records(record: &'a str) -> SourceShape<'a> {
-        SourceShape { header: None, record }
-    }
+/// A sink that only wants the records: `f(value, descriptor)` for each.
+struct Records<F>(F);
 
-    /// A header followed by repeated records.
-    pub fn with_header(header: &'a str, record: &'a str) -> SourceShape<'a> {
-        SourceShape { header: Some(header), record }
+impl<F: FnMut(Value, ParseDesc)> RecordSink for Records<F> {
+    fn record(&mut self, _index: usize, value: Value, pd: ParseDesc, _progress: &Progress) {
+        (self.0)(value, pd);
     }
 }
 
-fn skip_header(
-    parser: &PadsParser<'_>,
+/// Runs the source driver over `data`: the header is parsed with the source
+/// cursor and the records continue it, so every location a descriptor
+/// carries is in whole-source coordinates.
+fn each_record(
+    schema: &Schema,
+    registry: &Registry,
+    options: ParseOptions,
     shape: &SourceShape<'_>,
     data: &[u8],
-    mask: &Mask,
-) -> usize {
-    match shape.header {
-        None => 0,
-        Some(h) => {
-            let mut cur = parser.open(data);
-            let _ = parser.parse_named(&mut cur, h, &[], mask);
-            cur.offset()
-        }
-    }
+    f: impl FnMut(Value, ParseDesc),
+) {
+    let parser = PadsParser::new(schema, registry).with_options(options);
+    let mask = Mask::all(BaseMask::CheckAndSet);
+    parser.stream_source(data, &SourceJob::new(*shape, &mask), &mut Records(f));
 }
 
 /// The generated accumulator program: parse the whole source record by
@@ -68,11 +60,8 @@ pub fn accumulator_program<'s>(
 ) -> (Accumulator<'s>, String) {
     let parser = PadsParser::new(schema, registry).with_options(options);
     let mask = Mask::all(BaseMask::CheckAndSet);
-    let start = skip_header(&parser, shape, data, &mask);
     let mut acc = Accumulator::with_limits(schema, shape.record, tracked, top_k);
-    for (v, pd) in parser.records(&data[start..], shape.record, &mask) {
-        acc.add(&v, &pd);
-    }
+    parser.stream_source(data, &SourceJob::new(*shape, &mask), &mut acc);
     let report = acc.report("<top>");
     (acc, report)
 }
@@ -92,14 +81,11 @@ pub fn formatting_program(
     data: &[u8],
     formatter: &Formatter,
 ) -> String {
-    let parser = PadsParser::new(schema, registry).with_options(options);
-    let mask = Mask::all(BaseMask::CheckAndSet);
-    let start = skip_header(&parser, shape, data, &mask);
     let mut out = String::new();
-    for (v, _) in parser.records(&data[start..], shape.record, &mask) {
+    each_record(schema, registry, options, shape, data, |v, _| {
         out.push_str(&formatter.format(&v));
         out.push('\n');
-    }
+    });
     out
 }
 
@@ -118,13 +104,11 @@ pub fn xml_program(
     data: &[u8],
     root_tag: &str,
 ) -> String {
-    let parser = PadsParser::new(schema, registry).with_options(options);
-    let mask = Mask::all(BaseMask::CheckAndSet);
-    let start = skip_header(&parser, shape, data, &mask);
     let mut out = format!("<{root_tag}>\n");
-    for (v, pd) in parser.records(&data[start..], shape.record, &mask) {
-        out.push_str(&value_to_xml(&v, Some(&pd), shape.record, 2));
-    }
+    each_record(schema, registry, options, shape, data, |v, pd| {
+        // Writing into a `String` cannot fail.
+        let _ = write_xml(&mut out, &v, Some(&pd), shape.record, 2);
+    });
     out.push_str(&format!("</{root_tag}>\n"));
     out
 }

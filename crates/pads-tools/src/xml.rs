@@ -7,149 +7,278 @@
 //! elements), so the error portions of a source can be explored like any
 //! other data.
 
-use pads::{ParseDesc, Schema, Value};
+use std::fmt::{self, Write};
+use std::io;
+
+use pads::{ParseDesc, Progress, RecordSink, Schema, SourceEnd, SourceFold, SourceSummary, Value};
 use pads_check::ir::{MemberIr, TypeKind, TyUse};
 use pads_runtime::PdKind;
 
-/// Escapes text for XML content.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            _ => out.push(c),
+/// Escapes everything written through it for XML content.
+struct Escaped<'a, W>(&'a mut W);
+
+impl<W: Write> Write for Escaped<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let mut from = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let entity = match b {
+                b'&' => "&amp;",
+                b'<' => "&lt;",
+                b'>' => "&gt;",
+                b'"' => "&quot;",
+                b'\'' => "&apos;",
+                _ => continue,
+            };
+            self.0.write_str(&s[from..i])?;
+            self.0.write_str(entity)?;
+            from = i + 1;
         }
+        self.0.write_str(&s[from..])
     }
-    out
 }
 
 /// Renders a parsed value as XML under `tag`, embedding parse descriptors
 /// wherever the data was buggy (the paper's `write_xml_2io`).
 pub fn value_to_xml(value: &Value, pd: Option<&ParseDesc>, tag: &str, indent: usize) -> String {
     let mut out = String::new();
-    emit(value, pd, tag, indent, &mut out);
+    // Writing into a `String` cannot fail.
+    let _ = write_xml(&mut out, value, pd, tag, indent);
     out
 }
 
-fn pad(n: usize, out: &mut String) {
-    for _ in 0..n {
-        out.push(' ');
+fn pad<W: Write>(n: usize, out: &mut W) -> fmt::Result {
+    const SPACES: &str = "                                ";
+    let mut left = n;
+    while left > 0 {
+        let step = left.min(SPACES.len());
+        out.write_str(&SPACES[..step])?;
+        left -= step;
     }
+    Ok(())
 }
 
-fn emit(value: &Value, pd: Option<&ParseDesc>, tag: &str, indent: usize, out: &mut String) {
+fn open<W: Write>(tag: &str, indent: usize, out: &mut W) -> fmt::Result {
+    pad(indent, out)?;
+    writeln!(out, "<{tag}>")
+}
+
+fn close<W: Write>(tag: &str, indent: usize, out: &mut W) -> fmt::Result {
+    pad(indent, out)?;
+    writeln!(out, "</{tag}>")
+}
+
+/// `<tag>text</tag>` on one line, `text` escaped.
+fn leaf<W: Write>(tag: &str, text: impl fmt::Display, indent: usize, out: &mut W) -> fmt::Result {
+    pad(indent, out)?;
+    write!(out, "<{tag}>")?;
+    write!(Escaped(out), "{text}")?;
+    writeln!(out, "</{tag}>")
+}
+
+/// [`value_to_xml`] straight into `out`: tags, padding and escaped text are
+/// written as they are produced, with no intermediate strings.
+pub fn write_xml<W: Write>(
+    out: &mut W,
+    value: &Value,
+    pd: Option<&ParseDesc>,
+    tag: &str,
+    indent: usize,
+) -> fmt::Result {
     // The descriptor rides along only when it records an error.
     let bad_pd = pd.filter(|p| !p.is_ok());
     match value {
-        Value::Prim(p) => {
-            pad(indent, out);
-            if let Some(d) = bad_pd {
-                out.push_str(&format!("<{tag}>"));
-                out.push('\n');
-                pad(indent + 2, out);
-                out.push_str(&format!("<val>{}</val>\n", escape(&p.to_string())));
-                emit_pd(d, indent + 2, out);
-                pad(indent, out);
-                out.push_str(&format!("</{tag}>\n"));
-            } else {
-                out.push_str(&format!("<{tag}>{}</{tag}>\n", escape(&p.to_string())));
+        Value::Prim(p) => match bad_pd {
+            Some(d) => {
+                open(tag, indent, out)?;
+                leaf("val", p, indent + 2, out)?;
+                write_pd(d, indent + 2, out)?;
+                close(tag, indent, out)
             }
-        }
-        Value::Enum { variant, .. } => {
-            pad(indent, out);
-            out.push_str(&format!("<{tag}>{}</{tag}>\n", escape(variant)));
-        }
+            None => leaf(tag, p, indent, out),
+        },
+        Value::Enum { variant, .. } => leaf(tag, variant, indent, out),
         Value::Opt(None) => {
-            pad(indent, out);
-            out.push_str(&format!("<{tag}/>\n"));
+            pad(indent, out)?;
+            writeln!(out, "<{tag}/>")
         }
         Value::Opt(Some(inner)) => {
             let ipd = pd.and_then(|p| match &p.kind {
                 PdKind::Opt { inner: Some(i) } => Some(i.as_ref()),
                 _ => None,
             });
-            emit(inner, ipd, tag, indent, out);
+            write_xml(out, inner, ipd, tag, indent)
         }
         Value::Struct { fields } => {
-            pad(indent, out);
-            out.push_str(&format!("<{tag}>\n"));
+            open(tag, indent, out)?;
             for (name, v) in fields {
-                let fpd = pd.and_then(|p| match &p.kind {
-                    PdKind::Struct { fields } => {
-                        fields.iter().find(|(n, _)| n == name).map(|(_, p)| p)
-                    }
-                    _ => None,
-                });
-                emit(v, fpd, name, indent + 2, out);
+                write_xml(out, v, pd.and_then(|p| p.field(name)), name, indent + 2)?;
             }
             if let Some(d) = bad_pd {
-                emit_pd(d, indent + 2, out);
+                write_pd(d, indent + 2, out)?;
             }
-            pad(indent, out);
-            out.push_str(&format!("</{tag}>\n"));
+            close(tag, indent, out)
         }
         Value::Union { branch, value, .. } => {
-            pad(indent, out);
-            out.push_str(&format!("<{tag}>\n"));
+            open(tag, indent, out)?;
             let bpd = pd.and_then(|p| match &p.kind {
                 PdKind::Union { pd, .. } => pd.as_deref(),
                 _ => None,
             });
-            emit(value, bpd, branch, indent + 2, out);
+            write_xml(out, value, bpd, branch, indent + 2)?;
             if let Some(d) = bad_pd {
-                emit_pd(d, indent + 2, out);
+                write_pd(d, indent + 2, out)?;
             }
-            pad(indent, out);
-            out.push_str(&format!("</{tag}>\n"));
+            close(tag, indent, out)
         }
         Value::Array(elts) => {
-            pad(indent, out);
-            out.push_str(&format!("<{tag}>\n"));
+            open(tag, indent, out)?;
             for (i, v) in elts.iter().enumerate() {
                 let epd = pd.and_then(|p| match &p.kind {
                     PdKind::Array { elts, .. } => elts.get(i),
                     _ => None,
                 });
-                emit(v, epd, "elt", indent + 2, out);
+                write_xml(out, v, epd, "elt", indent + 2)?;
             }
-            pad(indent + 2, out);
-            out.push_str(&format!("<length>{}</length>\n", elts.len()));
-            if let Some(d) = bad_pd {
-                emit_pd(d, indent + 2, out);
-            }
-            pad(indent, out);
-            out.push_str(&format!("</{tag}>\n"));
+            array_tail(elts.len(), bad_pd, indent + 2, out)?;
+            close(tag, indent, out)
         }
     }
 }
 
-fn emit_pd(pd: &ParseDesc, indent: usize, out: &mut String) {
-    pad(indent, out);
-    out.push_str("<pd>\n");
-    pad(indent + 2, out);
-    out.push_str(&format!("<pstate>{}</pstate>\n", pd.state));
-    pad(indent + 2, out);
-    out.push_str(&format!("<nerr>{}</nerr>\n", pd.nerr));
-    pad(indent + 2, out);
-    out.push_str(&format!("<errCode>{:?}</errCode>\n", pd.err_code));
+/// What follows an array's elements: its length, then its descriptor when
+/// that records an error. Every aggregate comes after the elements, which
+/// is what lets [`XmlSourceSink`] write a source without holding it.
+fn array_tail<W: Write>(
+    len: usize,
+    bad_pd: Option<&ParseDesc>,
+    indent: usize,
+    out: &mut W,
+) -> fmt::Result {
+    leaf("length", len, indent, out)?;
+    match bad_pd {
+        Some(d) => write_pd(d, indent, out),
+        None => Ok(()),
+    }
+}
+
+fn write_pd<W: Write>(pd: &ParseDesc, indent: usize, out: &mut W) -> fmt::Result {
+    open("pd", indent, out)?;
+    leaf("pstate", pd.state, indent + 2, out)?;
+    leaf("nerr", pd.nerr, indent + 2, out)?;
+    leaf("errCode", format_args!("{:?}", pd.err_code), indent + 2, out)?;
     if let Some(loc) = pd.loc {
-        pad(indent + 2, out);
-        out.push_str(&format!("<loc>{loc}</loc>\n"));
+        leaf("loc", loc, indent + 2, out)?;
     }
     if let PdKind::Array { neerr, first_error, .. } = &pd.kind {
-        pad(indent + 2, out);
-        out.push_str(&format!("<neerr>{neerr}</neerr>\n"));
+        leaf("neerr", neerr, indent + 2, out)?;
         if let Some(fe) = first_error {
-            pad(indent + 2, out);
-            out.push_str(&format!("<firstError>{fe}</firstError>\n"));
+            leaf("firstError", fe, indent + 2, out)?;
         }
     }
-    pad(indent, out);
-    out.push_str("</pd>\n");
+    close("pd", indent, out)
+}
+
+/// The XML sink of the source driver: writes the document
+/// [`value_to_xml`] renders for the whole-source value — root tag, header,
+/// one `<elt>` per record, then `<length>` and the aggregate `<pd>`s — as
+/// the records arrive, byte for byte, keeping a [`SourceFold`] for the
+/// aggregates instead of the tree.
+pub struct XmlSourceSink<W: io::Write> {
+    fold: SourceFold,
+    /// Root tag: the source type's name.
+    root: String,
+    out: W,
+    /// One record's rendering, reused.
+    buf: String,
+    /// The first write error; nothing is written after it.
+    failed: Option<io::Error>,
+}
+
+impl<W: io::Write> XmlSourceSink<W> {
+    /// A sink for `schema`'s source type (one [`pads::SourceShape::infer`]
+    /// accepts) writing to `out`.
+    pub fn new(schema: &Schema, out: W) -> XmlSourceSink<W> {
+        let mut sink = XmlSourceSink {
+            fold: SourceFold::new(schema),
+            root: schema.source_def().name.clone(),
+            out,
+            buf: String::new(),
+            failed: None,
+        };
+        let _ = open(&sink.root, 0, &mut sink.buf);
+        sink.flush_buf();
+        sink
+    }
+
+    /// Indentation of the record array's children.
+    fn elt_indent(&self) -> usize {
+        if self.fold.fields().is_some() {
+            4
+        } else {
+            2
+        }
+    }
+
+    fn flush_buf(&mut self) {
+        if self.failed.is_none() {
+            self.failed = self.out.write_all(self.buf.as_bytes()).err();
+        }
+        self.buf.clear();
+    }
+
+    /// What follows the last record: the array's length and descriptor,
+    /// the source struct's descriptor, the closing tags.
+    fn write_tail(&mut self, summary: &SourceSummary) -> fmt::Result {
+        let indent = self.elt_indent();
+        let root_pd = Some(&summary.root).filter(|pd| !pd.is_ok());
+        let buf = &mut self.buf;
+        match self.fold.fields() {
+            Some((_, field)) => {
+                let array_pd = Some(self.fold.array()).filter(|pd| !pd.is_ok());
+                array_tail(self.fold.len(), array_pd, indent, buf)?;
+                close(field, 2, buf)?;
+                if let Some(pd) = root_pd {
+                    write_pd(pd, 2, buf)?;
+                }
+            }
+            None => array_tail(self.fold.len(), root_pd, indent, buf)?,
+        }
+        close(&self.root, 0, buf)
+    }
+
+    /// Closes the document over a run that ended at `end` and flushes it.
+    ///
+    /// # Errors
+    ///
+    /// The first error writing to the output, if any.
+    pub fn finish(mut self, end: &SourceEnd) -> io::Result<SourceSummary> {
+        let summary = self.fold.finish(end);
+        // Writing into a `String` cannot fail.
+        let _ = self.write_tail(&summary);
+        self.flush_buf();
+        match self.failed {
+            Some(e) => Err(e),
+            None => self.out.flush().map(|()| summary),
+        }
+    }
+}
+
+impl<E, W: io::Write> RecordSink<E> for XmlSourceSink<W> {
+    fn header(&mut self, value: Value, pd: ParseDesc) -> bool {
+        if let Some((header, array)) = self.fold.fields() {
+            let _ = write_xml(&mut self.buf, &value, Some(&pd), header, 2)
+                .and_then(|()| open(array, 2, &mut self.buf));
+            self.flush_buf();
+        }
+        RecordSink::<E>::header(&mut self.fold, value, pd)
+    }
+
+    fn record(&mut self, index: usize, value: Value, pd: ParseDesc, progress: &Progress) {
+        let indent = self.elt_indent();
+        let _ = write_xml(&mut self.buf, &value, Some(&pd), "elt", indent);
+        self.flush_buf();
+        RecordSink::<E>::record(&mut self.fold, index, value, pd, progress);
+    }
 }
 
 /// Generates an XML Schema describing the canonical embedding of every

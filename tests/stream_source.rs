@@ -1,0 +1,145 @@
+//! The source driver against the whole-tree parse, in process.
+//!
+//! `PadsParser::stream_source` parses a header with the source cursor and
+//! continues it through the records, so everything a sink sees — values,
+//! descriptors, every `Loc` — is what `parse_source` puts in the tree, and
+//! `SourceFold` rebuilds the tree's own nodes from the stream. The CLI
+//! matrix (`pads-cli/tests/stream_matrix.rs`) pins the printed bytes; this
+//! file pins the data underneath, and the §5.2 programs that ride the
+//! driver.
+
+use pads::{
+    descriptions, BaseMask, Engine, Mask, OnExhausted, PadsParser, ParseDesc, ParseOptions, PdKind,
+    Progress, RecordSink, RecoveryPolicy, Registry, Schema, SourceFold, SourceJob, SourceShape,
+    SourceSummary, Value,
+};
+use pads_tools::{accumulator_program, value_to_xml, xml_program};
+
+const CLF: &[u8] = include_bytes!("data/torture_clf.log");
+const SIRIUS: &[u8] = include_bytes!("data/torture_sirius.txt");
+const MIXED: &[u8] = include_bytes!("data/torture_mixed.txt");
+
+fn mask() -> Mask {
+    Mask::all(BaseMask::CheckAndSet)
+}
+
+/// A Sirius file of `records` clean records with record `k` (0-based,
+/// after the header) cut short, which is a syntax error inside it.
+fn sirius_with_damaged_record(records: usize, k: usize) -> Vec<u8> {
+    let cfg = pads_gen::SiriusConfig {
+        records,
+        syntax_errors: 0,
+        sort_violations: 0,
+        ..Default::default()
+    };
+    let data = pads_gen::sirius::generate(&cfg).0;
+    let mut out = Vec::new();
+    for (i, line) in data.split_inclusive(|&b| b == b'\n').enumerate() {
+        if i == k + 1 {
+            out.extend_from_slice(&line[..line.len() / 2]);
+            out.push(b'\n');
+        } else {
+            out.extend_from_slice(line);
+        }
+    }
+    out
+}
+
+/// Keeps every record's descriptor, clean ones in the canonical form an
+/// array descriptor stores them in.
+#[derive(Default)]
+struct Descriptors(Vec<ParseDesc>);
+
+impl RecordSink for Descriptors {
+    fn record(&mut self, _index: usize, _value: Value, pd: ParseDesc, _progress: &Progress) {
+        self.0.push(if pd.is_clean() { ParseDesc::CLEAN } else { pd });
+    }
+}
+
+/// The element descriptors of the whole-tree parse's `es` array, dense.
+fn tree_descriptors(pd: &ParseDesc, len: usize) -> Vec<ParseDesc> {
+    let Some(PdKind::Array { elts, .. }) = pd.field("es").map(|es| &es.kind) else {
+        return vec![ParseDesc::CLEAN; len];
+    };
+    (0..len).map(|i| elts.get(i).cloned().unwrap_or(ParseDesc::CLEAN)).collect()
+}
+
+/// Regression: the §5.2 programs used to restart the cursor at offset 0 /
+/// record 0 after the header, so every location in a Sirius descriptor
+/// was relative to the first record and one record short.
+#[test]
+fn records_after_a_header_keep_whole_source_coordinates() {
+    let registry = Registry::standard();
+    let schema = descriptions::sirius();
+    let (records, k) = (40, 17);
+    let data = sirius_with_damaged_record(records, k);
+    let shape = SourceShape::with_header("summary_header_t", "entry_t");
+    let options = ParseOptions::default();
+    let parser = PadsParser::new(&schema, &registry);
+    let (v, pd) = parser.parse_source(&data, &mask());
+    let want = tree_descriptors(&pd, records);
+    let bad = &want[k];
+    let loc = bad.loc.expect("the damaged record has a located error");
+    assert_eq!(loc.begin.record, k + 1, "record numbers count the header");
+    assert!(loc.begin.offset > data.len() / 3, "offsets are whole-source");
+
+    // The driver, as `accumulator_program` runs it.
+    let mut seen = Descriptors::default();
+    parser.stream_source(&data, &SourceJob::new(shape, &mask()), &mut seen);
+    assert_eq!(seen.0, want);
+    let (acc, _) = accumulator_program(&schema, &registry, options, &shape, &data, 1000, 10);
+    assert_eq!((acc.records, acc.bad_records), (records as u64, 1));
+
+    // The XML program prints the locations it was given.
+    let locs = |xml: &str| -> Vec<String> {
+        xml.lines().filter(|l| l.contains("<loc>")).map(|l| l.trim().to_owned()).collect()
+    };
+    let program = xml_program(&schema, &registry, options, &shape, &data, "sirius");
+    let es = v.at_path("es").expect("es");
+    let tree = value_to_xml(es, pd.field("es"), "es", 0);
+    let elt_locs: Vec<String> = locs(&tree).into_iter().rev().skip(1).rev().collect();
+    assert!(!elt_locs.is_empty());
+    assert_eq!(locs(&program), elt_locs, "all but the array's own <loc>");
+}
+
+fn policies() -> Vec<RecoveryPolicy> {
+    vec![
+        RecoveryPolicy::unlimited(),
+        RecoveryPolicy::unlimited().with_max_errs(2).with_on_exhausted(OnExhausted::Stop),
+        RecoveryPolicy::unlimited().with_max_errs(2).with_on_exhausted(OnExhausted::SkipRecord),
+        RecoveryPolicy::unlimited().with_max_errs(3).with_on_exhausted(OnExhausted::BestEffort),
+        RecoveryPolicy::unlimited().with_max_record_errs(0),
+    ]
+}
+
+/// The fold's summary — the root node with its first error and location,
+/// the first located errors, the per-code counts — equals the summary of
+/// the descriptor `parse_source` builds, node for node.
+#[test]
+fn the_fold_rebuilds_the_source_descriptor_summary() {
+    let registry = Registry::standard();
+    let sources: [(&str, Schema, &[u8]); 3] = [
+        ("clf", descriptions::clf(), CLF),
+        ("sirius", descriptions::sirius(), SIRIUS),
+        ("mixed", descriptions::mixed(), MIXED),
+    ];
+    for (name, schema, data) in &sources {
+        let shape = SourceShape::infer(schema).expect("bundled sources stream");
+        for policy in policies() {
+            for engine in [Engine::Interp, Engine::Vm] {
+                let options = ParseOptions { policy, engine, ..Default::default() };
+                let parser = PadsParser::new(schema, &registry).with_options(options);
+                let (_, pd) = parser.parse_source(data, &mask());
+                let want = SourceSummary::of(&pd);
+                for jobs in [1, 3] {
+                    let mut fold = SourceFold::new(schema);
+                    let mask = mask();
+                    let job = SourceJob { jobs, ..SourceJob::new(shape, &mask) };
+                    let end = parser.stream_source(data, &job, &mut fold);
+                    let got = fold.finish(&end);
+                    assert_eq!(got, want, "{name} {policy:?} {engine:?} jobs={jobs}");
+                }
+            }
+        }
+    }
+}
