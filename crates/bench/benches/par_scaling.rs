@@ -32,7 +32,7 @@ fn interpreted_par(parser: &PadsParser<'_>, data: &[u8], mask: &Mask, jobs: usiz
         DEFAULT_MAX_INFLIGHT,
         ResumePoint::default(),
         None::<&NoObs>,
-        |value, pd, _extra, _progress| items.push((value, pd)),
+        |chunk, _harvest| items.extend(chunk.drain(..).map(|parsed| (parsed.item, parsed.pd))),
     );
     items.len()
 }

@@ -58,7 +58,7 @@ fn main() {
         .with_options(ParseOptions::default());
     let mask = Mask::all(BaseMask::CheckAndSet);
 
-    let stream = |consume: &mut dyn FnMut(pads::Value, pads::ParseDesc)| {
+    let stream = |consume: &mut dyn FnMut(&mut Vec<pads::Parsed<pads::Value>>)| {
         parser.records_par_stream(
             &data,
             "entry_t",
@@ -67,7 +67,7 @@ fn main() {
             inflight,
             ResumePoint::default(),
             None::<&NoObs>,
-            |value, pd, _extra, _progress| consume(value, pd),
+            |chunk, _harvest| consume(chunk),
         )
     };
     let parsed = match mode {
@@ -77,12 +77,12 @@ fn main() {
         }
         "collect" => {
             let mut items = Vec::new();
-            let _budget = stream(&mut |value, pd| items.push((value, pd)));
+            let _budget = stream(&mut |chunk| items.append(chunk));
             items.len()
         }
         "stream" => {
             let mut n = 0usize;
-            let _budget = stream(&mut |_value, _pd| n += 1);
+            let _budget = stream(&mut |chunk| n += chunk.len());
             n
         }
         other => {

@@ -12,13 +12,14 @@
 //!             [--trace[=json]]                  dump the parse-span tree
 //!             [--metrics[=prom|json]]           emit runtime metrics
 //!             [--profile]                       per-node cost table on stderr
-//!             [--jobs N]                        record-sharded parallel parse
+//!             [--jobs N]                        parse chunks of records on N worker threads
 //!             [--engine {interp,vm}]            execution engine (see docs/VM.md)
 //!             [--journal <path> [--resume]]     durable ingest (see docs/DURABILITY.md)
 //! pads profile <descr.pads> <data>              per-schema-node cost profile
 //!             [--folded]                        folded stacks (flamegraph input)
 //!             [--times]                         add sampled self-time column
 //! pads accum  <descr.pads> <data> [--summaries]  §5.2 accumulator report
+//!             [--jobs N]                        … from N worker threads, same report
 //! pads fmt    <descr.pads> <data> [opts]        §5.3.1 delimited output
 //! pads xsd    <descr.pads>                      §5.3.2 XML Schema
 //! pads query  <descr.pads> <data> <query>       §5.4 path query (counts matches)
@@ -49,8 +50,15 @@
 //! `--checkpoint-records <N>` records or `--checkpoint-bytes <N>` bytes,
 //! fsyncing every `--fsync-every <N>` commits; `--resume` continues a
 //! killed run from the last valid checkpoint with identical results.
-//! `--max-inflight-records <N>` bounds each parallel worker's lead over
-//! the in-order merge; `--kill-after <N>` is the crash-test hook.
+//! `--kill-after <N>` is the crash-test hook.
+//!
+//! `--jobs <N>` (`parse`, `accum`) cuts a headerless record source into
+//! small chunks of consecutive records that N worker threads parse side by
+//! side; the chunks reach the same sink in source order, so every output is
+//! byte-identical to `--jobs 1`. `--max-inflight-records <N>` (default
+//! 1024) bounds the records a worker may hold ahead of that sink — a
+//! quarter of it is the chunk size, and under `--journal` the distance
+//! between two checkpoints of a `--jobs` run.
 //!
 //! Exit status: 0 on success, 2 when parsing completed but recorded errors
 //! in the data, 3 when `pads check --lint` found findings at or above the
@@ -131,8 +139,9 @@ struct Opts {
     /// `--times` (profile): append the sampled self-time column to the
     /// table (approximate wall-clock — not deterministic).
     times: bool,
-    /// `--jobs N`: parse the source's records on up to N worker threads
-    /// (record-sharded; byte-identical results to a sequential parse).
+    /// `--jobs N`: parse the source's records on up to N worker threads, a
+    /// chunk of consecutive records at a time (byte-identical results to a
+    /// sequential parse).
     jobs: usize,
     /// `--engine {interp,vm}`: which execution engine runs the schema —
     /// the IR interpreter (default) or the cached bytecode tier
@@ -149,8 +158,8 @@ struct Opts {
     checkpoint_bytes: Option<u64>,
     /// `--fsync-every N`: fsync the journal every N commits.
     fsync_every: usize,
-    /// `--max-inflight-records N`: per-worker bound on records buffered
-    /// ahead of the in-order merge.
+    /// `--max-inflight-records N`: per-worker bound on records parsed
+    /// ahead of the in-order merge; a quarter of it is the chunk size.
     max_inflight: usize,
     /// `--kill-after N` (test hook): stop abruptly — no final checkpoint —
     /// after N records have been consumed this run.
@@ -434,6 +443,11 @@ fn source_shape<'a>(schema: &'a Schema, o: &'a Opts) -> Result<SourceShape<'a>, 
     Ok(SourceShape { header, record })
 }
 
+/// The whole source under `--jobs` and `--max-inflight-records`.
+fn source_job<'a>(o: &Opts, shape: SourceShape<'a>, mask: &'a Mask) -> SourceJob<'a> {
+    SourceJob { jobs: o.jobs, max_inflight: o.max_inflight, ..SourceJob::new(shape, mask) }
+}
+
 /// A dense metrics core pre-interned with the schema's type names in
 /// `TypeId` order — the ids the interpreter emits — so the hot path
 /// trusts ids and never does a name lookup.
@@ -491,7 +505,7 @@ fn print_metrics(core: MetricsCore, fmt: MetricsFormat) {
 /// its own dense [`MetricsCore`] (pre-interned, trusted ids), and the
 /// harvest closure drains the counters accumulated since its previous
 /// call — `drain` keeps the interning table with the live core, so the
-/// worker's dense ids stay valid — yielding per-record deltas that fold
+/// worker's dense ids stay valid — yielding per-chunk deltas that fold
 /// exactly in merge order.
 fn metrics_factory(
     schema: &Schema,
@@ -506,8 +520,8 @@ fn metrics_factory(
 }
 
 /// A sink of a sharded, observed run: the inner sink takes the records,
-/// and the per-worker metrics deltas that arrive with them fold into one
-/// core, in record order.
+/// and the per-worker metrics deltas that arrive after each chunk of them
+/// fold into one core, in record order.
 struct Observed<S> {
     sink: S,
     merged: MetricsCore,
@@ -518,7 +532,7 @@ impl<S: RecordSink<MetricsCore>> RecordSink<MetricsCore> for Observed<S> {
         self.sink.header(value, pd)
     }
 
-    fn record(&mut self, index: usize, value: Value, pd: ParseDesc, progress: &Progress) {
+    fn record(&mut self, index: usize, value: &Value, pd: &ParseDesc, progress: &Progress) {
         self.sink.record(index, value, pd, progress);
     }
 
@@ -543,8 +557,7 @@ fn parse_streamed(
 ) -> Result<ExitCode, String> {
     let parser = PadsParser::new(schema, registry).with_options(options);
     let mask = Mask::all(BaseMask::CheckAndSet);
-    let job =
-        SourceJob { jobs: o.jobs, max_inflight: o.max_inflight, ..SourceJob::new(shape, &mask) };
+    let job = source_job(o, shape, &mask);
     let factory = metrics_factory(schema);
     let observer = o.metrics.map(|_| &factory);
     let merged = schema_core(schema);
@@ -587,7 +600,7 @@ fn source_fingerprint(data: &[u8]) -> u64 {
 }
 
 /// Commit cadence over a journal: counts records and source bytes since
-/// the last checkpoint and commits when either interval is reached.
+/// the last checkpoint; one falls due when either interval is reached.
 struct Committer {
     journal: pads_journal::Journal,
     source_id: u64,
@@ -599,25 +612,17 @@ struct Committer {
 }
 
 impl Committer {
-    /// Accounts one consumed record ending at `offset` and commits if a
-    /// checkpoint interval elapsed. `record` is the index of the first
-    /// *unconsumed* record.
-    fn on_record(
-        &mut self,
-        offset: u64,
-        record: u64,
-        budget: pads::ErrorBudget,
-        metrics: &MetricsCore,
-    ) -> Result<(), pads_journal::JournalError> {
+    /// Accounts one consumed record ending at `offset`.
+    fn on_record(&mut self, offset: u64) {
         self.records_since += 1;
         self.bytes_since += offset.saturating_sub(self.last_offset);
         self.last_offset = offset;
-        let due = self.records_since >= self.every_records
-            || self.every_bytes.is_some_and(|b| self.bytes_since >= b);
-        if due {
-            self.commit(offset, record, budget, metrics)?;
-        }
-        Ok(())
+    }
+
+    /// Whether a checkpoint interval has elapsed since the last commit.
+    fn due(&self) -> bool {
+        self.records_since >= self.every_records
+            || self.every_bytes.is_some_and(|b| self.bytes_since >= b)
     }
 
     /// Commits unconditionally — unless the position does not advance past
@@ -739,12 +744,7 @@ fn parse_journaled(
         parser = parser.with_metrics(core.clone());
     }
     let mask = Mask::all(BaseMask::CheckAndSet);
-    let job = SourceJob {
-        start: resume,
-        jobs: o.jobs,
-        max_inflight: o.max_inflight,
-        ..SourceJob::new(shape, &mask)
-    };
+    let job = SourceJob { start: resume, ..source_job(o, shape, &mask) };
     let mut sink = JournalSink {
         fold: SourceFold::new(schema),
         com,
@@ -755,6 +755,7 @@ fn parse_journaled(
         killed: false,
         // Position of the first unconsumed (byte, record) — the final commit.
         last_pos: (resume.offset as u64, resume.record as u64),
+        last_budget: resume.budget,
         commit_err: None,
     };
     let end = parser.stream_source_observed(data, &job, Some(&metrics_factory(schema)), &mut sink);
@@ -804,6 +805,11 @@ fn parse_journaled(
 /// The durable-ingest sink: every record folds into the report and
 /// advances the commit cadence, until `--kill-after` or a failed commit
 /// ends the run (later records are dropped, as a real kill would).
+///
+/// A checkpoint carries a metrics snapshot, so it is committed only where
+/// the counters are exact: after any record of a sequential run, and at
+/// the first chunk boundary at or after the point it fell due in a sharded
+/// one (the deltas arrive a chunk at a time).
 struct JournalSink {
     fold: SourceFold,
     com: Committer,
@@ -815,29 +821,44 @@ struct JournalSink {
     consumed: u64,
     killed: bool,
     last_pos: (u64, u64),
+    last_budget: pads::ErrorBudget,
     commit_err: Option<pads_journal::JournalError>,
+}
+
+impl JournalSink {
+    fn checkpoint(&mut self) {
+        if !self.com.due() {
+            return;
+        }
+        let (offset, record) = self.last_pos;
+        let committed = match &self.live {
+            Some(core) => self.com.commit(offset, record, self.last_budget, &core.borrow()),
+            None => self.com.commit(offset, record, self.last_budget, &self.merged),
+        };
+        self.commit_err = committed.err();
+    }
 }
 
 impl RecordSink<MetricsCore> for JournalSink {
     fn observed(&mut self, delta: MetricsCore) {
         if !self.killed && self.commit_err.is_none() {
             self.merged.merge(&delta);
+            self.checkpoint();
         }
     }
 
-    fn record(&mut self, index: usize, value: Value, pd: ParseDesc, progress: &Progress) {
+    fn record(&mut self, index: usize, value: &Value, pd: &ParseDesc, progress: &Progress) {
         if self.killed || self.commit_err.is_some() {
             return;
         }
         RecordSink::<MetricsCore>::record(&mut self.fold, index, value, pd, progress);
         self.consumed += 1;
         self.last_pos = (progress.end.offset as u64, progress.record as u64 + 1);
-        let (offset, record) = self.last_pos;
-        let committed = match &self.live {
-            Some(core) => self.com.on_record(offset, record, progress.budget, &core.borrow()),
-            None => self.com.on_record(offset, record, progress.budget, &self.merged),
-        };
-        self.commit_err = committed.err();
+        self.last_budget = progress.budget;
+        self.com.on_record(self.last_pos.0);
+        if self.live.is_some() {
+            self.checkpoint();
+        }
         self.killed = self.kill_after.is_some_and(|n| self.consumed >= n);
     }
 }
@@ -1102,16 +1123,12 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 summaries: o.summaries.then_some((16, 1024)),
             };
             let mut acc = pads_tools::Accumulator::with_config(&schema, shape.record, cfg);
-            if o.jobs > 1 && shape.header.is_none() && !o.summaries {
-                // Record-sharded parse folded into a columnar batch, then
-                // accumulated column by column — the same statistics the
-                // sequential path produces, parsing on all workers.
-                let (batch, _budget) =
-                    parser.records_par_batched(&data, shape.record, &mask, o.jobs);
-                acc.add_batch(&batch);
-            } else {
-                parser.stream_source(&data, &SourceJob::new(shape, &mask), &mut acc);
+            if o.jobs > 1 && shape.header.is_some() {
+                eprintln!("pads: source is not a plain record array; ignoring --jobs");
             }
+            // `--jobs N` shards a headerless source across workers feeding
+            // this same sink in record order.
+            parser.stream_source(&data, &source_job(&o, shape, &mask), &mut acc);
             print!("{}", acc.report("<top>"));
             if acc.bad_records > 0 {
                 eprintln!("pads: {} bad record(s) in {}", acc.bad_records, o.positional[1]);

@@ -40,10 +40,14 @@ struct Run {
     stderr: String,
 }
 
+/// Chunks of one record: `--jobs N` really shards the six-record source.
+const CHUNKED: [&str; 2] = ["--max-inflight-records", "2"];
+
 fn parse(extra: &[&str]) -> Run {
     let descr = write_temp("d.pads", DESCR.as_bytes());
     let data = write_temp("data.txt", DATA);
-    let out = pads().arg("parse").arg(&descr).arg(&data).args(extra).output().expect("run");
+    let out =
+        pads().arg("parse").arg(&descr).arg(&data).args(extra).args(CHUNKED).output().expect("run");
     Run {
         code: out.status.code(),
         stdout: out.stdout,
@@ -114,6 +118,7 @@ fn journaled_report_matches_the_plain_sequential_report() {
             .arg(&descr)
             .arg(&data)
             .args(["--journal", wal.to_str().unwrap(), "--jobs", jobs])
+            .args(CHUNKED)
             .output()
             .expect("run");
         assert_eq!(plain.stdout, journaled.stdout, "jobs={jobs}");
@@ -131,6 +136,7 @@ fn accumulator_report_is_identical_through_the_batched_parallel_engine() {
         .arg(&descr)
         .arg(&data)
         .args(["--jobs", "3"])
+        .args(CHUNKED)
         .output()
         .expect("run");
     assert_eq!(seq.status.code(), par.status.code());

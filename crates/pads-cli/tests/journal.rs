@@ -48,6 +48,9 @@ fn parse_journaled(descr: &std::path::Path, data: &std::path::Path, extra: &[&st
         .arg(descr)
         .arg(data)
         .args(extra)
+        // Chunks of one record, so that `--jobs 4` really shards the
+        // seven-record source and checkpoints after every record.
+        .args(["--max-inflight-records", "2"])
         .output()
         .expect("run pads");
     Run {

@@ -1,0 +1,100 @@
+//! `--jobs N` is the same program, a chunk at a time: `pads accum` prints
+//! the report of the sequential run at every job count, holds the file and
+//! a bounded number of chunks (not the file's records), and — like `pads
+//! parse` — synchronises once per chunk, not once per record.
+//!
+//! The last is read off the children's voluntary context switches
+//! (`ru_nvcsw`): a thread that blocks on a channel per record makes at
+//! least 0.3 of them per record, one that blocks per chunk fewer than 0.01,
+//! so the count tells the two apart on any machine without timing anything.
+//!
+//! The corpora are written a piece at a time and no test holds one: this
+//! process must stay smaller than the children it measures (see `common`).
+#![cfg(all(target_os = "linux", target_pointer_width = "64"))]
+
+mod common;
+
+use std::path::PathBuf;
+use std::process::Command;
+
+use common::{description, pads_usage, write_corpus, PIECE};
+
+/// The `i`-th 1 000 records of a CLF file (one in fifteen has a `-` length).
+fn clf_piece(i: usize) -> Vec<u8> {
+    let cfg = pads_gen::ClfConfig { records: PIECE, seed: 0xC1F + i as u64, ..Default::default() };
+    pads_gen::clf::generate(&cfg).0
+}
+
+/// A CLF corpus of `pieces` × 1 000 records in a directory of this test's
+/// own, and its length.
+fn clf_corpus(test: &str, pieces: usize) -> (PathBuf, u64) {
+    let dir = std::env::temp_dir().join(format!("pads-sharding-{test}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join(format!("clf-{pieces}k.log"));
+    let len = write_corpus(&path, pieces, clf_piece);
+    (path, len)
+}
+
+fn path_str(path: &std::path::Path) -> &str {
+    path.to_str().expect("utf-8 temp path")
+}
+
+#[test]
+fn accum_prints_the_sequential_report_at_every_job_count() {
+    let (corpus, _) = clf_corpus("report", 3);
+    let accum = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_pads"))
+            .args(["accum", &description("clf"), path_str(&corpus)])
+            .args(extra)
+            .output()
+            .expect("run pads");
+        assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).expect("utf-8 report")
+    };
+    for summaries in [&[][..], &["--summaries"]] {
+        let sequential = accum(summaries);
+        assert!(sequential.contains("good"), "{sequential}");
+        for jobs in ["1", "2", "4"] {
+            // The default chunk (256 records) and one-record chunks.
+            for inflight in ["1024", "4"] {
+                let flags = [summaries, &["--jobs", jobs, "--max-inflight-records", inflight]];
+                assert_eq!(accum(&flags.concat()), sequential, "{flags:?}");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(corpus.parent().expect("corpus directory"));
+}
+
+#[test]
+fn accum_jobs_4_peak_rss_grows_with_the_file_not_with_its_records() {
+    const SLACK_KIB: u64 = 6 * 1024;
+    let ((small, small_len), (large, large_len)) = (clf_corpus("rss", 10), clf_corpus("rss", 40));
+    let peak = |corpus: &std::path::Path| {
+        pads_usage(&["accum", &description("clf"), path_str(corpus), "--jobs", "4"]).peak_rss_kib
+    };
+    let (at_n, at_4n) = (peak(&small), peak(&large));
+    let file_growth_kib = (large_len - small_len).div_ceil(1024);
+    assert!(
+        at_4n <= at_n + file_growth_kib + SLACK_KIB,
+        "peak RSS {at_n} KiB at N, {at_4n} KiB at 4 N: grew by more than the {file_growth_kib} KiB \
+         the file grew by plus {SLACK_KIB} KiB"
+    );
+    let _ = std::fs::remove_dir_all(small.parent().expect("corpus directory"));
+}
+
+#[test]
+fn sharded_runs_block_once_per_chunk_not_once_per_record() {
+    const RECORDS: u64 = 100 * PIECE as u64;
+    let (corpus, _) = clf_corpus("switches", 100);
+    let clf = description("clf");
+    for command in [&["accum"][..], &["parse", "--format", "none"]] {
+        let args = [&command[..1], &[&clf, path_str(&corpus)], &command[1..], &["--jobs", "4"]];
+        let switches = pads_usage(&args.concat()).voluntary_switches;
+        assert!(
+            switches <= RECORDS / 50,
+            "pads {command:?} --jobs 4 made {switches} voluntary context switches over {RECORDS} \
+             records: more than one per 50 records means a thread blocks per record, not per chunk"
+        );
+    }
+    let _ = std::fs::remove_dir_all(corpus.parent().expect("corpus directory"));
+}

@@ -111,6 +111,8 @@ fn corpora(name: &str, schema: &Schema) -> Vec<(String, Vec<u8>)> {
     vec![("clean".into(), clean), ("damaged".into(), damaged), ("torture".into(), torture)]
 }
 
+const INFLIGHT: &str = "--max-inflight-records";
+
 #[test]
 fn streamed_parse_matches_the_whole_tree_parse() {
     let dir = temp_dir();
@@ -130,7 +132,10 @@ fn streamed_parse_matches_the_whole_tree_parse() {
                     let want = oracle(&schema, options, &data, &source);
                     for jobs in ["1", "2", "4"] {
                         let mut flags = policy_flags.clone();
-                        flags.extend(["--engine", engine_flag, "--jobs", jobs].map(str::to_owned));
+                        // Chunks of two records, so that `--jobs 2|4` really
+                        // shard these small corpora.
+                        let run = ["--engine", engine_flag, "--jobs", jobs, INFLIGHT, "8"];
+                        flags.extend(run.map(str::to_owned));
                         check(&descr, &path, &flags, "report", &want);
                         check(&descr, &path, &flags, "xml", &want);
                     }
@@ -193,7 +198,7 @@ fn trailing_garbage_after_a_stalled_record_is_extra_data_at_eof() {
     assert!(want.xml.contains("<length>1</length>"), "the first record stalls the array");
     let descr = repo_root().join("descriptions/clf.pads");
     for jobs in ["1", "4"] {
-        let flags = ["--fixed", "0", "--jobs", jobs].map(str::to_owned);
+        let flags = ["--fixed", "0", "--jobs", jobs, INFLIGHT, "8"].map(str::to_owned);
         check(&descr, &path, &flags, "report", &want);
         check(&descr, &path, &flags, "xml", &want);
     }

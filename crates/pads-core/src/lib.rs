@@ -72,8 +72,8 @@ pub use pads_check::ir::{Schema, TypeId};
 pub use pads_check::{check, compile, CheckError, CompileError};
 pub use pads_runtime::{
     BaseMask, Charset, Cursor, Endian, ErrorBudget, ErrorCode, Loc, Mask, OnExhausted, ParseDesc,
-    ParseState, PdKind, Pos, Prim, PrimKind, Progress, RecordDiscipline, RecoveryPolicy, Registry,
-    ResumePoint, DEFAULT_MAX_INFLIGHT,
+    ParseState, Parsed, PdKind, Pos, Prim, PrimKind, Progress, RecordDiscipline, RecoveryPolicy,
+    Registry, ResumePoint, DEFAULT_MAX_INFLIGHT,
 };
 pub use pads_syntax::{parse as parse_description, Program, SyntaxError};
 

@@ -1,32 +1,34 @@
 //! Parallel record-sharded parsing for the interpreter and the VM.
 //!
 //! This is the runtime engines' front-end to [`pads_runtime::par::drive`]:
-//! the source is split into record-aligned shards, each shard is parsed on
-//! its own worker thread by a thread-local [`PadsParser`], and the
-//! per-record results are *streamed* through bounded channels into an
-//! in-order merge. The output — values, parse descriptors (in whole-source
-//! coordinates), and the [`ErrorBudget`] — is byte-identical to
-//! [`PadsParser::records`] run sequentially, under every recovery policy;
-//! see the determinism notes on [`pads_runtime::par`].
+//! the source is cut into small record-aligned chunks, worker threads —
+//! each with a thread-local [`PadsParser`] — take neighbouring chunks and
+//! parse them into buffers they own, and every filled chunk crosses to the
+//! in-order merge as one message. The output — values, parse descriptors
+//! (in whole-source coordinates), and the [`ErrorBudget`] — is
+//! byte-identical to [`PadsParser::records`] run sequentially, under every
+//! recovery policy; see the determinism notes on [`pads_runtime::par`].
 //!
-//! Streaming is what bounds memory and enables durability: at most
-//! `max_inflight` records per shard are retained ahead of the merge, and
-//! [`PadsParser::records_par_stream`] hands every record to the consumer
-//! with a [`Progress`] cursor (committed offset, record index, budget) the
-//! moment its turn comes, so a checkpoint journal can commit during the
-//! run instead of after it, and a later run can continue from such a
-//! checkpoint by passing it as the [`ResumePoint`].
+//! The chunk is what bounds memory and enables durability: a worker holds
+//! at most `max_inflight` records ahead of the merge, and
+//! [`PadsParser::records_par_stream`] lends every chunk to the consumer the
+//! moment its turn comes, each record with a [`Progress`](par::Progress)
+//! cursor (committed offset, record index, budget), so a checkpoint journal
+//! can commit during the run instead of after it, and a later run can
+//! continue from such a checkpoint by passing it as the [`ResumePoint`].
+//! What the consumer leaves in the chunk goes back to the worker that
+//! parsed it and is dropped there.
 //!
 //! Observers are per-worker: `records_par_stream` takes a *factory* that
 //! builds one [`WorkerObs`] attachment per worker thread — a dense
 //! [`MetricsCore`](pads_runtime::MetricsCore) (the `Send`-able counter
 //! slabs; the usual choice), a legacy event-stream observer, or both; the
 //! handles themselves never cross threads — plus a harvest closure drained
-//! once per record, whose deltas reach the consumer in merge order for the
-//! caller to fold together.
+//! once per chunk, whose deltas reach the consumer in merge order, each
+//! with the chunk it covers, for the caller to fold together.
 
-use pads_runtime::par::{self, Job, Progress};
-use pads_runtime::{ErrorBudget, Mask, ParseDesc, ResumePoint, WorkerObs, DEFAULT_MAX_INFLIGHT};
+use pads_runtime::par::{self, Job};
+use pads_runtime::{ErrorBudget, Mask, Parsed, ResumePoint, WorkerObs, DEFAULT_MAX_INFLIGHT};
 
 use crate::parse::{PadsParser, ParseOptions};
 use crate::value::Value;
@@ -59,7 +61,7 @@ impl<'s> PadsParser<'s> {
             DEFAULT_MAX_INFLIGHT,
             ResumePoint::default(),
             None::<&Unobserved>,
-            |value, pd, _extra, _progress| batch.push(&value, &pd),
+            |chunk, _harvest| chunk.iter().for_each(|parsed| batch.push(&parsed.item, &parsed.pd)),
         );
         (batch, budget)
     }
@@ -67,20 +69,22 @@ impl<'s> PadsParser<'s> {
     /// The streaming sharded engine: parses `data` from `resume` (global
     /// source coordinates; [`ResumePoint::default`] for the start) on up
     /// to `jobs` workers, bounding each worker's lead over the in-order
-    /// merge to `max_inflight` records, and hands every merged record to
-    /// `consume` exactly once, in record order, together with its observer
-    /// harvest (when `observer` is given) and a [`Progress`] cursor in
-    /// **global** coordinates — the committed byte offset, record index,
-    /// and budget tally after that record, i.e. exactly what a checkpoint
-    /// journal commits.
+    /// merge to `max_inflight` records, and lends every merged chunk to
+    /// `consume` exactly once, in record order: the chunk's records, each
+    /// with its [`Progress`](par::Progress) cursor in **global**
+    /// coordinates — the committed byte offset, record index, and budget
+    /// tally after that record, i.e. exactly what a checkpoint journal
+    /// commits — and the observer harvest over exactly those records (when
+    /// `observer` is given). `consume` reads the records in place, or
+    /// drains the ones it keeps.
     ///
     /// Each worker thread (and the sequential-replay path, if taken) gets
     /// its own observation from the `observer` factory: the attachment
     /// plus a closure that drains the sink's accumulation since its
     /// previous call (sinks and cores are plain data and cross threads;
-    /// handles do not). It is called once per record, so the harvests fold
-    /// in *record* order — which is what keeps merged counters exact even
-    /// when the merge diverts to sequential replay mid-shard.
+    /// handles do not). It is called once per chunk, and a chunk is merged
+    /// whole or replayed whole, so the harvests fold exactly in record
+    /// order even when the merge diverts to sequential replay.
     ///
     /// Returns the final budget tally.
     #[allow(clippy::too_many_arguments)]
@@ -98,7 +102,7 @@ impl<'s> PadsParser<'s> {
     where
         E: Send,
         F: Fn() -> (WorkerObs, Box<dyn FnMut() -> E>) + Sync,
-        C: FnMut(Value, ParseDesc, Option<E>, &Progress),
+        C: FnMut(&mut Vec<Parsed<Value>>, Option<E>),
     {
         let schema = self.schema();
         let registry = self.registry();
@@ -116,7 +120,7 @@ impl<'s> PadsParser<'s> {
             resume,
         };
         // Harvest closures are not `Send`, so each reader's thread builds
-        // its own parser and observation, and drains it after every record.
+        // its own parser and observation, and drains it after every chunk.
         let open = |slice, policy, start| {
             let mut parser =
                 PadsParser::new(schema, registry).with_options(ParseOptions { policy, ..options });

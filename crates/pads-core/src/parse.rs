@@ -1300,6 +1300,11 @@ impl RecordReader for Records<'_, '_, '_> {
     fn budget(&self) -> ErrorBudget {
         self.cur.budget()
     }
+
+    fn seek(&mut self, offset: usize, record: usize) {
+        self.cur.seek(offset, record);
+        self.done = false;
+    }
 }
 
 impl<'p, 's, 'd> Iterator for Records<'p, 's, 'd> {

@@ -119,7 +119,7 @@ impl<'a> SourceShape<'a> {
 
 /// Where a [`PadsParser::stream_source`] run delivers what it parses.
 ///
-/// `E` is the per-record observer harvest of a sharded observed run (a
+/// `E` is the per-chunk observer harvest of a sharded observed run (a
 /// `MetricsCore` delta, say); unobserved sinks leave it at `()`.
 pub trait RecordSink<E = ()> {
     /// The header's value and descriptor, once, before any record.
@@ -132,12 +132,15 @@ pub trait RecordSink<E = ()> {
         true
     }
 
-    /// One record, in source order. `index` counts from this run's first
-    /// record (the element index in the record array); `progress` is in
-    /// whole-source coordinates.
-    fn record(&mut self, index: usize, value: Value, pd: ParseDesc, progress: &Progress);
+    /// One record, in source order, lent for the call: a sharded run hands
+    /// it back to the worker that parsed it. `index` counts from this run's
+    /// first record (the element index in the record array); `progress` is
+    /// in whole-source coordinates.
+    fn record(&mut self, index: usize, value: &Value, pd: &ParseDesc, progress: &Progress);
 
-    /// The observer harvest belonging to the record delivered next.
+    /// The observer harvest over every record delivered since the previous
+    /// harvest (a chunk of a sharded run): once it has arrived, the folded
+    /// deltas are exact as of the last record delivered.
     fn observed(&mut self, _delta: E) {}
 }
 
@@ -153,7 +156,8 @@ pub struct SourceJob<'a> {
     /// Upper bound on worker threads. A source with a header stays on one
     /// thread whatever this says.
     pub jobs: usize,
-    /// Bound on each worker's lead over the merge, in records.
+    /// Bound on each worker's lead over the merge, in records (a quarter
+    /// of it is the chunk workers parse and hand over at a time).
     pub max_inflight: usize,
 }
 
@@ -242,10 +246,7 @@ impl<'s> PadsParser<'s> {
         }
         let mut index = 0;
         let mut stalled = false;
-        let mut deliver = |value, pd, delta: Option<E>, progress: &Progress| {
-            if let Some(delta) = delta {
-                sink.observed(delta);
-            }
+        let mut deliver = |sink: &mut S, value: &Value, pd: &ParseDesc, progress: &Progress| {
             stalled = progress.end.offset == pos.offset;
             pos = progress.end;
             sink.record(index, value, pd, progress);
@@ -257,7 +258,7 @@ impl<'s> PadsParser<'s> {
             while let Some((value, pd)) = records.next() {
                 let progress =
                     Progress { record, end: records.position(), budget: records.budget() };
-                deliver(value, pd, None, &progress);
+                deliver(sink, &value, &pd, &progress);
                 record += 1;
             }
             records.budget()
@@ -270,7 +271,14 @@ impl<'s> PadsParser<'s> {
                 max_inflight,
                 resume,
                 observer,
-                deliver,
+                |chunk, delta| {
+                    for parsed in chunk.iter() {
+                        deliver(sink, &parsed.item, &parsed.pd, &parsed.progress);
+                    }
+                    if let Some(delta) = delta {
+                        sink.observed(delta);
+                    }
+                },
             )
         };
         end(budget, pos, stalled)
@@ -538,19 +546,19 @@ impl<E> RecordSink<E> for SourceFold {
         !self.aborted
     }
 
-    fn record(&mut self, index: usize, _value: Value, pd: ParseDesc, _progress: &Progress) {
+    fn record(&mut self, index: usize, _value: &Value, pd: &ParseDesc, _progress: &Progress) {
         self.len = index + 1;
         if !pd.is_ok() {
             self.neerr += 1;
             self.first_error.get_or_insert(index);
             let fields = &self.fields;
-            note(&mut self.counts, &mut self.errors, &pd, || match fields {
+            note(&mut self.counts, &mut self.errors, pd, || match fields {
                 Some((_, array)) => format!("{array}.[{index}]"),
                 None => format!("[{index}]"),
             });
         }
         self.syntax = self.syntax || pd.has_syntax_error();
-        self.array.absorb(&pd);
+        self.array.absorb(pd);
     }
 }
 

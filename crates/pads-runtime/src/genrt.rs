@@ -551,6 +551,11 @@ where
     fn budget(&self) -> ErrorBudget {
         self.cur.budget()
     }
+
+    fn seek(&mut self, offset: usize, record: usize) {
+        self.cur.seek(offset, record);
+        self.done = false;
+    }
 }
 
 /// Record-sharded parallel engine behind the generated `parse_records_par`
@@ -595,7 +600,8 @@ where
             cur.set_budget(start.budget);
             (CursorRecords::new(cur, &read), || None::<()>)
         },
-        |item, pd, _harvest, _progress| items.push((item, pd)),
+        // The caller keeps the records: take them out of the chunk.
+        |chunk, _harvest| items.extend(chunk.drain(..).map(|parsed| (parsed.item, parsed.pd))),
     );
     (items, budget)
 }

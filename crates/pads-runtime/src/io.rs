@@ -153,13 +153,19 @@ impl<'a> Cursor<'a> {
     /// resume paths that re-open a source at a checkpoint; `offset` is
     /// clamped to the source length.
     pub fn with_start(mut self, offset: usize, record: usize) -> Cursor<'a> {
+        self.seek(offset, record);
+        self
+    }
+
+    /// Moves the cursor to byte `offset`, a record boundary where record
+    /// number `record` starts. The budget tally is left as it is.
+    pub fn seek(&mut self, offset: usize, record: usize) {
         let offset = offset.min(self.data.len());
         self.pos = offset;
         self.bit_off = 0;
         self.rec_start = offset;
         self.rec_end = None;
         self.rec_index = record;
-        self
     }
 
     /// Sets the record discipline (builder style).

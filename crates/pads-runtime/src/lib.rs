@@ -85,7 +85,8 @@ pub use metrics::{MetricsCore, MetricsHandle, ObsSchema, TypeStat, WorkerObs};
 pub use name::Name;
 pub use observe::{ObsHandle, Observer, RecoveryEvent};
 pub use par::{
-    plan_shards, Progress, RecordReader, ResumePoint, Shard, ShardPlan, DEFAULT_MAX_INFLIGHT,
+    plan_shards, Parsed, Progress, RecordReader, ResumePoint, Shard, ShardPlan,
+    DEFAULT_MAX_INFLIGHT,
 };
 pub use pd::{ParseDesc, PdKind, SparseElts};
 pub use prim::{Prim, PrimKind};

@@ -3,23 +3,43 @@
 //! The paper's deployments (§1) parse multi-gigabyte daily feeds — Sirius
 //! call detail, web logs — whose record disciplines make the data
 //! *embarrassingly splittable*: a newline-delimited source can be cut at any
-//! newline, a fixed-width source at any multiple of the width, and both
-//! halves parsed independently, because every record-bounded read is
-//! position-independent. This module exploits that: [`plan_shards`] splits a
-//! source into contiguous shards at record boundaries found by the
-//! [`scan`](crate::scan) kernels, and [`drive`] parses the shards on
-//! worker threads that *stream* records through bounded channels into an
-//! in-order merge, so at most `max_inflight` records per shard are ever
-//! retained — the merge consumes each record the moment its turn comes,
-//! which is what lets a checkpoint journal commit progressively during a
-//! parallel run.
+//! newline, a fixed-width source at any multiple of the width, and the
+//! pieces parsed independently, because every record-bounded read is
+//! position-independent. [`drive`] exploits that with one unit of work, of
+//! synchronisation and of memory ownership — the **chunk**, a few hundred
+//! consecutive records:
+//!
+//! - A shared cutter walks the record boundaries (the [`scan`](crate::scan)
+//!   kernels) and hands out chunks in source order, one per request, so a
+//!   chunk's first record index is known when it is cut and nobody counts
+//!   the source's records up front.
+//! - Each worker thread owns a few chunk buffers. It takes the next chunk,
+//!   parses its records into a buffer, and sends the buffer to the merge as
+//!   **one** message carrying the records, their per-record budget deltas
+//!   and end positions, and the worker's observer harvest over exactly
+//!   those records. Neighbouring chunks are on different workers, so all of
+//!   them are busy at the merge front.
+//! - The in-order merge folds the chunk's deltas into the cumulative budget
+//!   and hands the chunk to the consumer, which reads the records in place
+//!   (or drains the ones it keeps). The buffer then goes **back to the
+//!   worker that filled it**: what the consumer left is dropped by the
+//!   thread that allocated it, and the buffer is refilled.
+//!
+//! A worker without a free buffer waits for one to come back, so at most
+//! `max_inflight` records per worker are ever retained, and the consumer
+//! sees every record's [`Progress`] the moment its chunk's turn comes —
+//! which is what lets a checkpoint journal commit during a parallel run.
 //!
 //! Every engine plugs into that one driver the same way: it implements
-//! [`RecordReader`] (next record, cursor offset, budget) and hands
-//! [`drive`] a factory that opens a reader over a byte slice under a given
+//! [`RecordReader`] (next record, position, budget, seek) and hands
+//! [`drive`] a factory that opens a reader over the source under a given
 //! policy from a given start. The interpreter and the VM do so through
 //! `pads::Records`, generated parsers through
 //! [`genrt::parse_records`](crate::genrt::parse_records).
+//!
+//! [`plan_shards`] is the older, static partition — at most `jobs`
+//! contiguous byte-balanced shards with their record counts. The driver no
+//! longer uses it; it stays for callers that want such a plan.
 //!
 //! # Determinism contract
 //!
@@ -28,27 +48,32 @@
 //! every [`OnExhausted`](crate::recovery::OnExhausted) mode. Two mechanisms
 //! guarantee it:
 //!
-//! 1. **Workers parse with source-level limits stripped.** A shard cannot
-//!    know how many errors earlier shards produced, so workers run with
+//! 1. **Workers parse with source-level limits stripped.** A chunk cannot
+//!    know how many errors earlier chunks produced, so workers run with
 //!    `max_errs`/`max_panic_skip` removed (the per-record
 //!    `max_record_errs` cap is positional and stays). The merge folds each
 //!    record's error delta into the cumulative budget in record order; as
 //!    long as that fold never crosses a limit, the sequential engine would
-//!    not have degraded either, and the streamed records are exactly its
+//!    not have degraded either, and the merged records are exactly its
 //!    output.
-//! 2. **Sequential replay from the first divergence.** The first record
-//!    whose fold crosses a source limit — or the first shard that produces
-//!    fewer records than planned (a panicked worker surfaces this way) —
-//!    is the first point where sequential behaviour could differ. The
-//!    merge stops *before consuming that record* and re-parses from its
-//!    byte offset sequentially under the full policy with the
-//!    budget-as-of-the-previous-record carried in. Re-parsing the tripping
-//!    record itself under the real policy reproduces the budget-exhaustion
-//!    transition (and its observer event) at exactly the record where the
-//!    sequential engine fires it; `Stop` then ends after that record,
-//!    `SkipRecord` and `BestEffort` continue under their degraded modes.
+//! 2. **Sequential replay from the first divergence.** The first chunk
+//!    holding a record whose fold crosses a source limit — or the first
+//!    chunk whose worker fell short of the cut (a panicked worker surfaces
+//!    this way) — is the first place where sequential behaviour could
+//!    differ. The merge consumes **none of that chunk** and re-parses from
+//!    its first byte sequentially under the full policy with the
+//!    budget-as-of-the-previous-chunk carried in. Before the tripping
+//!    record the full policy behaves as the stripped one did; re-parsing
+//!    the tripping record itself under the real policy reproduces the
+//!    budget-exhaustion transition (and its observer event) at exactly the
+//!    record where the sequential engine fires it; `Stop` then ends after
+//!    that record, `SkipRecord` and `BestEffort` continue under their
+//!    degraded modes. A chunk is consumed whole or replayed whole, which
+//!    is also what makes one observer harvest per chunk exact.
 
-use std::sync::mpsc;
+use std::collections::BTreeMap;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Mutex};
 use std::thread;
 
 use crate::encoding::Charset;
@@ -80,48 +105,15 @@ pub struct ShardPlan {
     pub shards: Vec<Shard>,
 }
 
-impl ShardPlan {
-    /// A single shard covering `0..len` with `records` records.
-    fn single(len: usize, records: usize) -> ShardPlan {
-        ShardPlan {
-            shards: vec![Shard { index: 0, start: 0, end: len, first_record: 0, records }],
-        }
-    }
-
-    /// Builds a plan from record-aligned byte boundaries. `bounds` must be
-    /// strictly increasing interior cut points; `records_in` counts the
-    /// records of a byte range.
-    fn from_bounds(
-        len: usize,
-        bounds: Vec<usize>,
-        records_in: impl Fn(usize, usize) -> usize,
-    ) -> ShardPlan {
-        let mut shards = Vec::with_capacity(bounds.len() + 1);
-        let mut start = 0;
-        let mut first_record = 0;
-        for end in bounds.into_iter().chain(std::iter::once(len)) {
-            let records = records_in(start, end);
-            shards.push(Shard { index: shards.len(), start, end, first_record, records });
-            first_record += records;
-            start = end;
-        }
-        ShardPlan { shards }
-    }
-
-    /// Total records across all shards.
-    pub fn total_records(&self) -> usize {
-        self.shards.iter().map(|s| s.records).sum()
-    }
-}
-
 /// Splits `data` into at most `jobs` contiguous shards at record boundaries
 /// of `disc`. With `jobs <= 1`, an empty source, or the
 /// [`RecordDiscipline::None`] discipline (the whole source is one record),
 /// the plan is a single shard.
 ///
 /// Shards are byte-balanced: each interior boundary is the first record
-/// boundary at or after an even byte split. Sources with fewer boundaries
-/// than jobs simply produce fewer shards.
+/// boundary at or after an even byte split (an even split of the record
+/// count, for fixed-width records). Sources with fewer boundaries than jobs
+/// simply produce fewer shards.
 pub fn plan_shards(
     data: &[u8],
     disc: RecordDiscipline,
@@ -129,157 +121,98 @@ pub fn plan_shards(
     jobs: usize,
 ) -> ShardPlan {
     let len = data.len();
-    match disc {
-        RecordDiscipline::None => ShardPlan::single(len, usize::from(len > 0)),
+    let nl = charset.encode(b'\n');
+    let jobs = jobs.max(1);
+    // Length-prefixed record starts are only discoverable by walking the
+    // headers.
+    let mut starts = Vec::new();
+    if let RecordDiscipline::LengthPrefixed { .. } = disc {
+        let mut pos = 0;
+        while pos < len {
+            starts.push(pos);
+            pos = record_end(data, disc, nl, pos);
+        }
+    }
+    let records_in = |s: usize, e: usize| match disc {
+        RecordDiscipline::None => usize::from(e > s),
+        // A final record without a trailing newline still counts.
         RecordDiscipline::Newline => {
-            let nl = charset.encode(b'\n');
-            let records_in = |s: usize, e: usize| {
-                let mut n = scan::count_byte(&data[s..e], nl);
-                // A final record without a trailing newline still counts.
-                if e == len && e > s && data[e - 1] != nl {
-                    n += 1;
-                }
-                n
-            };
-            if jobs <= 1 || len == 0 {
-                return ShardPlan::single(len, records_in(0, len));
-            }
-            let mut bounds = Vec::with_capacity(jobs - 1);
-            let mut prev = 0usize;
-            for i in 1..jobs {
-                let target = len * i / jobs;
-                let from = target.max(prev);
-                if from >= len {
-                    break;
-                }
-                if let Some(off) = scan::find_byte(&data[from..], nl) {
-                    let b = from + off + 1;
-                    if b > prev && b < len {
-                        bounds.push(b);
-                        prev = b;
-                    }
-                }
-            }
-            ShardPlan::from_bounds(len, bounds, records_in)
+            scan::count_byte(&data[s..e], nl) + usize::from(e == len && e > s && data[e - 1] != nl)
         }
-        RecordDiscipline::FixedWidth(w) => {
-            if w == 0 {
-                return ShardPlan::single(len, 0);
-            }
-            let total = len.div_ceil(w);
-            let records_in = |s: usize, e: usize| (e - s).div_ceil(w);
-            if jobs <= 1 || len == 0 {
-                return ShardPlan::single(len, total);
-            }
-            let mut bounds = Vec::with_capacity(jobs - 1);
-            let mut prev = 0usize;
-            for i in 1..jobs {
-                let b = (total * i / jobs) * w;
-                if b > prev && b < len {
-                    bounds.push(b);
-                    prev = b;
-                }
-            }
-            ShardPlan::from_bounds(len, bounds, records_in)
+        RecordDiscipline::FixedWidth(0) => 0,
+        RecordDiscipline::FixedWidth(w) => (e - s).div_ceil(w),
+        RecordDiscipline::LengthPrefixed { .. } => {
+            starts.iter().filter(|&&p| s <= p && p < e).count()
         }
+    };
+    // The boundary for the `i`-th of `jobs` even splits, given the previous.
+    let boundary = |i: usize, prev: usize| match disc {
+        RecordDiscipline::None | RecordDiscipline::FixedWidth(0) => None,
+        RecordDiscipline::Newline => {
+            let from = (len * i / jobs).max(prev);
+            scan::find_byte(data.get(from..)?, nl).map(|off| from + off + 1)
+        }
+        RecordDiscipline::FixedWidth(w) => Some((len.div_ceil(w) * i / jobs) * w),
+        RecordDiscipline::LengthPrefixed { .. } => {
+            starts.iter().copied().find(|&p| p >= len * i / jobs)
+        }
+    };
+    let mut shards = Vec::with_capacity(jobs);
+    let (mut start, mut first_record) = (0, 0);
+    for i in 1..=jobs {
+        let end = if i == jobs { Some(len) } else { boundary(i, start) };
+        if let Some(end) = end.filter(|&end| i == jobs || (end > start && end < len)) {
+            let records = records_in(start, end);
+            shards.push(Shard { index: shards.len(), start, end, first_record, records });
+            (start, first_record) = (end, first_record + records);
+        }
+    }
+    ShardPlan { shards }
+}
+
+/// One past the last byte of the record that starts at `pos < data.len()`,
+/// terminator included: `Cursor::begin_record`'s framing, malformed-header
+/// recovery too (the rest of the source becomes one record). Always past
+/// `pos`.
+fn record_end(data: &[u8], disc: RecordDiscipline, newline: u8, pos: usize) -> usize {
+    let len = data.len();
+    match disc {
+        RecordDiscipline::None | RecordDiscipline::FixedWidth(0) => len,
+        RecordDiscipline::Newline => {
+            scan::find_byte(&data[pos..], newline).map_or(len, |i| pos + i + 1)
+        }
+        RecordDiscipline::FixedWidth(w) => pos.saturating_add(w).min(len),
         RecordDiscipline::LengthPrefixed { header_bytes, endian } => {
-            // Record starts are only discoverable by walking the headers,
-            // mirroring `Cursor::begin_record`'s framing (including its
-            // malformed-header recovery: the rest of the source becomes
-            // one record).
-            let mut starts = Vec::new();
-            let mut pos = 0usize;
-            while pos < len {
-                starts.push(pos);
-                if header_bytes == 0 || header_bytes > len - pos {
-                    break;
-                }
-                let hdr = &data[pos..pos + header_bytes];
-                let mut rec_len: usize = 0;
-                let fold = |l: usize, b: u8| {
-                    l.checked_mul(256).map_or(usize::MAX, |l| l | b as usize)
-                };
-                match endian {
-                    crate::encoding::Endian::Big => {
-                        for &b in hdr {
-                            rec_len = fold(rec_len, b);
-                        }
-                    }
-                    crate::encoding::Endian::Little => {
-                        for &b in hdr.iter().rev() {
-                            rec_len = fold(rec_len, b);
-                        }
-                    }
-                }
-                let body = pos + header_bytes;
-                if rec_len > len - body {
-                    break;
-                }
-                pos = body + rec_len;
+            if header_bytes == 0 || header_bytes > len - pos {
+                return len;
             }
-            let total = starts.len();
-            let records_in = |s: usize, e: usize| {
-                starts.iter().filter(|&&p| s <= p && p < e).count()
+            let body = pos + header_bytes;
+            // An oversized length saturates; it can never fit the source.
+            let fold =
+                |l: usize, &b: &u8| l.checked_mul(256).map_or(usize::MAX, |l| l | b as usize);
+            let header = data[pos..body].iter();
+            let rec_len = match endian {
+                crate::encoding::Endian::Big => header.fold(0, fold),
+                crate::encoding::Endian::Little => header.rev().fold(0, fold),
             };
-            if jobs <= 1 || total <= 1 {
-                return ShardPlan::single(len, total);
+            if rec_len > len - body {
+                len
+            } else {
+                body + rec_len
             }
-            let mut bounds = Vec::with_capacity(jobs - 1);
-            let mut prev = 0usize;
-            for i in 1..jobs {
-                let target = len * i / jobs;
-                // First record start at or after the even byte split.
-                if let Some(&b) = starts.iter().find(|&&p| p >= target) {
-                    if b > prev && b < len {
-                        bounds.push(b);
-                        prev = b;
-                    }
-                }
-            }
-            ShardPlan::from_bounds(len, bounds, records_in)
         }
     }
 }
 
-/// Default bound on in-flight records per shard channel: deep enough to
-/// decouple workers from merge stalls, shallow enough to keep retained
-/// memory O(jobs · max_inflight) instead of O(all records).
+/// Default bound on the records a worker may hold ahead of the in-order
+/// merge: deep enough to decouple workers from merge stalls, shallow enough
+/// to keep retained memory O(jobs · max_inflight) instead of O(all records).
+/// Each worker splits it into up to four chunks.
 pub const DEFAULT_MAX_INFLIGHT: usize = 1024;
 
-/// One parsed record streamed from a worker to the in-order merge.
-struct RecordMsg<T, E> {
-    /// The parsed item (value + descriptor in the real engines).
-    item: T,
-    /// Errors this record added to the budget (the `note_record` delta).
-    nerr: u32,
-    /// Panic-skip bytes this record added to the budget.
-    panic_skipped: u64,
-    /// Where the reader's cursor stood once the record closed.
-    end: Pos,
-    /// Engine-specific per-record side data (e.g. a metrics harvest),
-    /// merged in record order.
-    extra: Option<E>,
-}
-
-/// What a sequential replay reports each record through:
-/// `(item, cursor_after_record, budget_after_record, extra)`.
-type Emit<'a, T, E> = dyn FnMut(T, Pos, ErrorBudget, Option<E>) + 'a;
-
-/// The sending half a worker streams its shard's records through. Bounded:
-/// `send` blocks once `max_inflight` records are queued ahead of the merge.
-struct ShardSender<T, E> {
-    tx: mpsc::SyncSender<RecordMsg<T, E>>,
-}
-
-impl<T, E> ShardSender<T, E> {
-    /// Queues one record for the merge, blocking while the channel is at
-    /// capacity. Returns `false` when the merge has hung up (it diverted to
-    /// sequential replay or consumed the shard's planned record count) —
-    /// the worker should stop parsing.
-    fn send(&self, msg: RecordMsg<T, E>) -> bool {
-        self.tx.send(msg).is_ok()
-    }
-}
+/// Chunk buffers a worker owns: one being filled, the rest queued at (or on
+/// their way back from) the merge.
+const BUFFERS: usize = 4;
 
 /// Where the in-order merge is, reported to the consumer with every record
 /// so it can checkpoint progressively. [`drive`] reports whole-source
@@ -327,6 +260,10 @@ pub trait RecordReader {
 
     /// The cursor's running error-budget tally.
     fn budget(&self) -> ErrorBudget;
+
+    /// Moves the cursor to byte `offset` — a record boundary — where record
+    /// number `record` starts. The budget tally carries on.
+    fn seek(&mut self, offset: usize, record: usize);
 }
 
 /// What to parse and how to shard it: the input of [`drive`].
@@ -342,7 +279,8 @@ pub struct Job<'d> {
     pub policy: RecoveryPolicy,
     /// Upper bound on worker threads; `<= 1` parses sequentially.
     pub jobs: usize,
-    /// Bound on each worker's lead over the merge, in records.
+    /// Bound on each worker's lead over the merge, in records; a quarter
+    /// of it (at least one record) is the chunk size.
     pub max_inflight: usize,
     /// Where to start: `offset` must be a record boundary (e.g. the byte
     /// offset a checkpoint journal committed); record indices continue
@@ -350,21 +288,97 @@ pub struct Job<'d> {
     pub resume: ResumePoint,
 }
 
+/// One record of a chunk, as the consumer of [`drive`] sees it.
+#[derive(Debug)]
+pub struct Parsed<T> {
+    /// The parsed representation.
+    pub item: T,
+    /// Its parse descriptor, in whole-source coordinates.
+    pub pd: ParseDesc,
+    /// Where the merge stands once this record is consumed.
+    pub progress: Progress,
+    /// Errors and panic-skip bytes this record added to its worker's
+    /// budget: what the merge folds into `progress.budget`.
+    nerr: u32,
+    panic_skipped: u64,
+}
+
+/// Cuts what is left of the source into consecutive chunks of whole
+/// records, one per call, so a chunk's first record index is known the
+/// moment it is cut and nobody counts the source's records up front.
+#[derive(Clone, Copy)]
+struct Cutter<'d> {
+    data: &'d [u8],
+    discipline: RecordDiscipline,
+    newline: u8,
+    /// Records per chunk.
+    size: usize,
+    /// The next chunk: its index, first byte and first record.
+    index: usize,
+    offset: usize,
+    record: usize,
+}
+
+/// One chunk as cut: bytes `start..end` hold `records` records, the first
+/// of them number `first_record`.
+struct Cut {
+    index: usize,
+    start: usize,
+    end: usize,
+    first_record: usize,
+    records: usize,
+}
+
+impl Cutter<'_> {
+    fn next(&mut self) -> Option<Cut> {
+        let start = self.offset;
+        let mut records = 0;
+        while records < self.size && self.offset < self.data.len() {
+            self.offset = record_end(self.data, self.discipline, self.newline, self.offset);
+            records += 1;
+        }
+        if records == 0 {
+            return None;
+        }
+        let cut =
+            Cut { index: self.index, start, end: self.offset, first_record: self.record, records };
+        self.index += 1;
+        self.record += records;
+        Some(cut)
+    }
+}
+
+/// A parsed chunk on its way to the merge.
+struct Filled<T, E> {
+    index: usize,
+    /// The worker that cut and filled it, and gets the buffer back.
+    worker: usize,
+    records: Vec<Parsed<T>>,
+    /// The worker's observer harvest over exactly these records.
+    extra: Option<E>,
+    /// Whether the reader yielded the records the cutter counted and
+    /// stopped where the cutter cut.
+    complete: bool,
+}
+
 /// The one sharded record driver under every engine.
 ///
-/// `open(slice, policy, start)` builds a reader over `slice` — always a
-/// prefix of `job.data`, so positions come out in whole-source coordinates
-/// — under `policy`, positioned at `start` with its budget restored, plus
-/// a harvest closure drained once per record (per-worker observer deltas;
-/// return `None` when unobserved). It is called on the thread that reads:
-/// once per shard with source-level limits stripped, and once more for the
-/// sequential replay under the full policy if the merge diverts.
+/// `open(slice, policy, start)` builds a reader over `slice` — `job.data`,
+/// so positions come out in whole-source coordinates — under `policy`,
+/// positioned at `start` with its budget restored, plus a harvest closure
+/// drained once per chunk (per-worker observer deltas; return `None` when
+/// unobserved). It is called on the thread that reads: once per worker with
+/// source-level limits stripped, and once more for the sequential replay
+/// under the full policy if the merge diverts.
 ///
-/// `consume` receives every record exactly once, in source order, with its
-/// harvest and a [`Progress`] cursor. The result is byte-identical to
-/// draining one reader sequentially — see the module docs for the
-/// argument — and a completed run equals a killed run resumed from any
-/// checkpoint. Returns the final budget tally.
+/// `consume` receives every record exactly once, in source order, a chunk
+/// at a time: the chunk's records, each with its [`Progress`] cursor, and
+/// the harvest covering exactly those records. It may read the records in
+/// place or drain them; what it leaves is dropped by the thread that
+/// parsed it. The result is byte-identical to draining one reader
+/// sequentially — see the module docs for the argument — and a completed
+/// run equals a killed run resumed from any checkpoint. Returns the final
+/// budget tally.
 pub fn drive<'d, R, H, E, O, C>(job: &Job<'d>, open: O, mut consume: C) -> ErrorBudget
 where
     R: RecordReader,
@@ -372,172 +386,189 @@ where
     E: Send,
     H: FnMut() -> Option<E>,
     O: Fn(&'d [u8], RecoveryPolicy, ResumePoint) -> (R, H) + Sync,
-    C: FnMut(R::Item, ParseDesc, Option<E>, &Progress),
+    C: FnMut(&mut Vec<Parsed<R::Item>>, Option<E>),
 {
     let Job { data, policy, resume, .. } = *job;
-    let base = resume.offset.min(data.len());
-    let plan = plan_shards(&data[base..], job.discipline, job.charset, job.jobs.max(1));
-    // Workers cannot know how many errors earlier shards produced, so they
-    // parse with source-level limits stripped; the merge (and the replay
-    // path) applies the real policy. Per-record limits are positional and
-    // stay.
-    let stripped = RecoveryPolicy { max_errs: None, max_panic_skip: None, ..policy };
-
-    let worker = |shard: &Shard, tx: ShardSender<(R::Item, ParseDesc), E>| {
-        let start = ResumePoint {
-            offset: base + shard.start,
-            record: resume.record + shard.first_record,
-            budget: ErrorBudget::new(),
-        };
-        let (mut reader, mut harvest) = open(&data[..base + shard.end], stripped, start);
-        let mut prev = reader.budget();
-        while let Some(item) = reader.next_record() {
-            let after = reader.budget();
-            let msg = RecordMsg {
-                nerr: after.errs.saturating_sub(prev.errs) as u32,
-                panic_skipped: after.panic_skipped.saturating_sub(prev.panic_skipped),
-                end: reader.position(),
-                extra: harvest(),
-                item,
-            };
-            prev = after;
-            if !tx.send(msg) {
-                break;
-            }
-        }
+    let start = ResumePoint { offset: resume.offset.min(data.len()), ..resume };
+    if start.budget.stopped() {
+        // A stopped budget ends the parse before any record.
+        return start.budget;
+    }
+    let buffers = job.max_inflight.clamp(1, BUFFERS);
+    let size = (job.max_inflight / buffers).max(1);
+    let cutter = Cutter {
+        data,
+        discipline: job.discipline,
+        newline: job.charset.encode(b'\n'),
+        size,
+        index: 0,
+        offset: start.offset,
+        record: start.record,
     };
 
-    // Sequential replay from the divergence boundary, carrying the merged
-    // budget, under the full policy.
-    let replay = |from: ResumePoint, emit: &mut Emit<'_, (R::Item, ParseDesc), E>| {
+    // Sequential replay from a boundary to the end of the source, carrying
+    // the merged budget, under the full policy — a chunk's worth of records
+    // at a time, so retention and harvests are what the sharded path's are.
+    let replay = |from: ResumePoint, consume: &mut C| {
         let (mut reader, mut harvest) = open(data, policy, from);
-        while let Some(item) = reader.next_record() {
-            emit(item, reader.position(), reader.budget(), harvest());
+        let mut batch = Vec::new();
+        let mut record = from.record;
+        while let Some((item, pd)) = reader.next_record() {
+            let progress = Progress { record, end: reader.position(), budget: reader.budget() };
+            batch.push(Parsed { item, pd, progress, nerr: 0, panic_skipped: 0 });
+            record += 1;
+            if batch.len() == size {
+                consume(&mut batch, harvest());
+                batch.clear();
+            }
+        }
+        if !batch.is_empty() {
+            consume(&mut batch, harvest());
         }
         reader.budget()
     };
 
-    let start = ResumePoint { offset: base, ..resume };
-    run_sharded(&plan, &policy, start, job.max_inflight, worker, replay, |(item, pd), extra, p| {
-        consume(item, pd, extra, p)
-    })
-}
+    // One chunk gains nothing from a worker thread, and an exhausted carried
+    // budget degrades from the very first record: both stream through the
+    // sequential engine directly.
+    let sharded = job.jobs > 1 && !start.budget.exhausted();
+    let mut probe = cutter;
+    if !probe.next().is_some_and(|cut| sharded && cut.end < data.len()) {
+        return replay(start, &mut consume);
+    }
 
-/// Parses a planned source on one thread per shard, streaming records
-/// through bounded channels into an in-order merge that hands each record
-/// to `consume` the moment its turn comes.
-///
-/// `worker` parses one shard, sending a [`RecordMsg`] per record through
-/// its [`ShardSender`] (it must strip source-level limits from its policy —
-/// see the module docs — and stop when `send` returns `false`). `replay`
-/// parses sequentially from a [`ResumePoint`] **to the end of the plan**
-/// under the full `policy`, calling its emit callback with
-/// `(item, cursor_after_record, budget_after_record, extra)` per record and
-/// returning the final budget. `consume` receives every merged record, in
-/// record order, exactly once.
-///
-/// `start` is where the plan begins in the coordinates the workers report
-/// positions in — byte offset and index of the plan's first record, and
-/// the budget tally there (non-default when resuming from a checkpoint);
-/// [`Progress`] and the replay's [`ResumePoint`] come out in the same
-/// coordinates. With a single shard — or a carried budget already
-/// exhausted or stopped — the whole plan goes through `replay`, which
-/// streams with O(1) retention by construction.
-///
-/// Returns the final cumulative budget.
-fn run_sharded<T, E, W, R, C>(
-    plan: &ShardPlan,
-    policy: &RecoveryPolicy,
-    start: ResumePoint,
-    max_inflight: usize,
-    worker: W,
-    replay: R,
-    mut consume: C,
-) -> ErrorBudget
-where
-    T: Send,
-    E: Send,
-    W: Fn(&Shard, ShardSender<T, E>) + Sync,
-    R: FnOnce(ResumePoint, &mut Emit<'_, T, E>) -> ErrorBudget,
-    C: FnMut(T, Option<E>, &Progress),
-{
-    let shards = &plan.shards;
-    if start.budget.stopped() {
-        // A stopped budget ends the parse before any record; nothing to do.
-        return start.budget;
-    }
-    let mut cum = start.budget;
-    let mut next_record = start.record;
-    let mut divert: Option<ResumePoint> = None;
-    if shards.len() <= 1 || cum.exhausted() {
-        // One shard gains nothing from a worker thread, and an exhausted
-        // carried budget degrades from the very first record: both stream
-        // through the sequential engine directly.
-        divert = Some(start);
-    } else {
-        thread::scope(|scope| {
-            let worker = &worker;
-            let mut handles = Vec::with_capacity(shards.len());
-            let mut rxs = Vec::with_capacity(shards.len());
-            for sh in shards {
-                let (tx, rx) = mpsc::sync_channel(max_inflight.max(1));
-                let sender = ShardSender { tx };
-                handles.push(scope.spawn(move || worker(sh, sender)));
-                rxs.push(rx);
-            }
-            let mut prev_end = start.offset;
-            'merge: for (i, rx) in rxs.iter().enumerate() {
-                for _ in 0..shards[i].records {
-                    let Ok(msg) = rx.recv() else {
-                        // The worker hung up short of its planned record
-                        // count (panic safety net, or framing disagreement):
-                        // sequential replay takes over from the last
-                        // consumed boundary.
-                        divert =
-                            Some(ResumePoint { offset: prev_end, record: next_record, budget: cum });
-                        break 'merge;
-                    };
-                    let before = cum;
-                    cum.note_record(policy, msg.nerr, msg.panic_skipped);
-                    if cum.exhausted() && !before.exhausted() {
-                        // This record trips a source limit. Do not consume
-                        // it: replay re-parses it under the full policy so
-                        // the degradation (and its observer transition)
-                        // lands exactly where the sequential engine puts it.
-                        cum = before;
-                        divert = Some(ResumePoint {
-                            offset: prev_end,
-                            record: next_record,
-                            budget: before,
-                        });
-                        break 'merge;
-                    }
-                    consume(
-                        msg.item,
-                        msg.extra,
-                        &Progress { record: next_record, end: msg.end, budget: cum },
-                    );
-                    next_record += 1;
-                    prev_end = msg.end.offset;
+    // Workers cannot know how many errors earlier chunks produced, so they
+    // parse with source-level limits stripped; the merge (and the replay
+    // path) applies the real policy. Per-record limits are positional and
+    // stay.
+    let stripped = RecoveryPolicy { max_errs: None, max_panic_skip: None, ..policy };
+    let cutter = Mutex::new(cutter);
+    let worker = |id: usize,
+                  tx: mpsc::Sender<Filled<R::Item, E>>,
+                  back: mpsc::Receiver<Vec<Parsed<R::Item>>>| {
+        let (mut reader, mut harvest) =
+            open(data, stripped, ResumePoint { budget: ErrorBudget::new(), ..start });
+        // A buffer first, a chunk second: whoever holds the oldest unmerged
+        // chunk is then always parsing it, never waiting for the merge, so
+        // the merge cannot wait for it in vain. Records the merge left in a
+        // returned buffer are dropped here, by the thread that allocated
+        // them.
+        while let Ok(mut records) = back.recv() {
+            records.clear();
+            let Some(cut) = cutter.lock().ok().and_then(|mut cutter| cutter.next()) else {
+                return;
+            };
+            // A panic must not strand the merge waiting for this index: the
+            // chunk goes out whatever happened, incomplete if cut short.
+            let parsed = panic::catch_unwind(AssertUnwindSafe(|| {
+                reader.seek(cut.start, cut.first_record);
+                let mut prev = reader.budget();
+                for record in cut.first_record..cut.first_record + cut.records {
+                    let Some((item, pd)) = reader.next_record() else { break };
+                    let after = reader.budget();
+                    records.push(Parsed {
+                        item,
+                        pd,
+                        // The merge replaces the budget with the cumulative one.
+                        progress: Progress { record, end: reader.position(), budget: after },
+                        nerr: after.errs.saturating_sub(prev.errs) as u32,
+                        panic_skipped: after.panic_skipped.saturating_sub(prev.panic_skipped),
+                    });
+                    prev = after;
                 }
+                let complete = records.len() == cut.records && reader.position().offset == cut.end;
+                (harvest(), complete)
+            }));
+            let (extra, complete) = parsed.unwrap_or((None, false));
+            let filled = Filled { index: cut.index, worker: id, records, extra, complete };
+            // A closed channel means the merge diverted; so does a chunk cut
+            // short, and this reader may then be anywhere.
+            if tx.send(filled).is_err() || !complete {
+                return;
             }
-            // Dropping the receivers unblocks any worker parked on a full
-            // channel (its next send returns false); join to absorb worker
-            // panics — a panicked shard already diverted to replay above.
-            drop(rxs);
-            for h in handles {
-                let _ = h.join();
+        }
+    };
+
+    // The in-order merge, on this thread: fold each chunk's budget deltas,
+    // consume the chunk whole and hand its buffer back, or stop at the first
+    // chunk the sequential engine could have parsed differently.
+    let mut boundary = start;
+    let mut divert = None;
+    thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel();
+        let (handles, backs): (Vec<_>, Vec<_>) = (0..job.jobs)
+            .map(|id| {
+                // A worker's buffers start out in its return queue.
+                let (back_tx, back_rx) = mpsc::channel();
+                for _ in 0..buffers {
+                    let _ = back_tx.send(Vec::new());
+                }
+                let (tx, worker) = (tx.clone(), &worker);
+                (scope.spawn(move || worker(id, tx, back_rx)), back_tx)
+            })
+            .unzip();
+        drop(tx);
+        let mut early = BTreeMap::new();
+        for index in 0.. {
+            let next = loop {
+                if let Some(chunk) = early.remove(&index) {
+                    break Some(chunk);
+                }
+                match rx.recv() {
+                    Ok(chunk) => early.insert(chunk.index, chunk),
+                    Err(mpsc::RecvError) => break None,
+                };
+            };
+            // Every worker is gone: the source is consumed, or a worker
+            // died between chunks and replay takes the rest.
+            let Some(mut chunk) = next else {
+                divert = (boundary.offset < data.len()).then_some(boundary);
+                break;
+            };
+            let mut cum = boundary.budget;
+            let whole = chunk.complete
+                && chunk.records.iter_mut().all(|parsed| {
+                    cum.note_record(&policy, parsed.nerr, parsed.panic_skipped);
+                    parsed.progress.budget = cum;
+                    !cum.exhausted()
+                });
+            let Some(last) = chunk.records.last().filter(|_| whole) else {
+                // A record of this chunk trips a source limit, or its
+                // worker fell short of the cut (panic, framing
+                // disagreement). Consume none of it: replay re-parses the
+                // chunk under the full policy, so the degradation (and its
+                // observer transition) lands exactly where the sequential
+                // engine puts it.
+                divert = Some(boundary);
+                break;
+            };
+            boundary = ResumePoint {
+                offset: last.progress.end.offset,
+                record: last.progress.record + 1,
+                budget: cum,
+            };
+            consume(&mut chunk.records, chunk.extra);
+            if let Some(back) = backs.get(chunk.worker) {
+                // A worker that has left drops its receiver; the buffer is
+                // then freed here.
+                let _ = back.send(chunk.records);
             }
-        });
+        }
+        // Stop the cutting and close the channels, so that a worker parked
+        // on its buffer queue wakes up and leaves; join to absorb a worker's
+        // panic — its chunk already diverted to replay above.
+        if let Ok(mut cutter) = cutter.lock() {
+            cutter.offset = data.len();
+        }
+        drop((rx, backs));
+        for handle in handles {
+            let _ = handle.join();
+        }
+    });
+    match divert {
+        Some(from) => replay(from, &mut consume),
+        None => boundary.budget,
     }
-    if let Some(from) = divert {
-        let mut emit = |item: T, end: Pos, budget: ErrorBudget, extra: Option<E>| {
-            consume(item, extra, &Progress { record: next_record, end, budget });
-            next_record += 1;
-        };
-        cum = replay(from, &mut emit);
-    }
-    cum
 }
 
 #[cfg(test)]
@@ -545,6 +576,8 @@ mod tests {
     use super::*;
     use crate::encoding::Endian;
     use crate::recovery::OnExhausted;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn newline_plan(data: &[u8], jobs: usize) -> ShardPlan {
         plan_shards(data, RecordDiscipline::Newline, Charset::Ascii, jobs)
@@ -563,7 +596,7 @@ mod tests {
             prev_end = s.end;
             first_record += s.records;
         }
-        assert_eq!(plan.total_records(), expected_records);
+        assert_eq!(first_record, expected_records);
     }
 
     #[test]
@@ -593,7 +626,7 @@ mod tests {
         assert_eq!(newline_plan(b"no newline", 4).shards.len(), 1);
         let plan = plan_shards(b"abc", RecordDiscipline::None, Charset::Ascii, 4);
         assert_eq!(plan.shards.len(), 1);
-        assert_eq!(plan.total_records(), 1);
+        assert_eq!(plan.shards[0].records, 1);
         let plan = plan_shards(b"abc", RecordDiscipline::FixedWidth(0), Charset::Ascii, 4);
         assert_eq!(plan.shards.len(), 1);
     }
@@ -634,74 +667,54 @@ mod tests {
         assert_plan_invariants(&data, &plan, 2);
     }
 
-    // A toy "parser" for run_sharded tests: each record is one newline-line;
-    // lines containing 'X' count one error each. Workers stream each line
-    // with its error delta and end offset; `extra` marks worker-parsed
-    // records so tests can tell streamed output from replayed output.
-    fn toy_worker(data: &[u8]) -> impl Fn(&Shard, ShardSender<String, u64>) + Sync + '_ {
-        move |shard, tx| {
-            for (line, end) in split_records(data, shard.start, shard.end) {
-                let nerr = u32::from(line.contains(&b'X'));
-                let msg = RecordMsg {
-                    item: String::from_utf8_lossy(line).into_owned(),
-                    nerr,
-                    panic_skipped: 0,
-                    end: at(end),
-                    extra: Some(1),
-                };
-                if !tx.send(msg) {
-                    break;
-                }
-            }
-        }
-    }
-
-    // The sequential "engine": parses from the resume point to the source
-    // end with the full policy, stopping/degrading as the policy dictates.
-    fn toy_replay(
-        data: &[u8],
+    // A toy engine for `drive` tests: each record is one newline-line;
+    // lines containing 'X' count one error each, `P` panics a worker. The
+    // reader applies its policy the way the cursor does — it stops, or
+    // skips records wholesale, once the budget says so.
+    struct Toy<'d> {
+        data: &'d [u8],
         policy: RecoveryPolicy,
-    ) -> impl FnOnce(ResumePoint, &mut Emit<'_, String, u64>) -> ErrorBudget + '_
-    {
-        move |from, emit| {
-            let mut budget = from.budget;
-            for (line, end) in split_records(data, from.offset, data.len()) {
-                if budget.stopped() {
-                    break;
-                }
-                if budget.exhausted() && policy.on_exhausted == OnExhausted::SkipRecord {
-                    budget.note_skipped_record();
-                    emit("<skipped>".to_owned(), at(end), budget, None);
-                    continue;
-                }
-                let nerr = u32::from(line.contains(&b'X'));
-                budget.note_record(&policy, nerr, 0);
-                emit(String::from_utf8_lossy(line).into_owned(), at(end), budget, None);
-            }
-            budget
-        }
+        offset: usize,
+        record: usize,
+        budget: ErrorBudget,
+        /// Records parsed since the last harvest, when on a worker thread.
+        streamed: Rc<Cell<u64>>,
+        on_worker: bool,
     }
 
-    fn at(offset: usize) -> Pos {
-        Pos { offset, ..Pos::default() }
-    }
+    impl RecordReader for Toy<'_> {
+        type Item = String;
 
-    // Newline-framed records of `data[start..end]` with their absolute end
-    // offsets (one past the terminator, or the slice end for a partial
-    // final record).
-    fn split_records(data: &[u8], start: usize, end: usize) -> Vec<(&[u8], usize)> {
-        let mut out = Vec::new();
-        let mut rec_start = start;
-        for i in start..end {
-            if data[i] == b'\n' {
-                out.push((&data[rec_start..i], i + 1));
-                rec_start = i + 1;
+        fn next_record(&mut self) -> Option<(String, ParseDesc)> {
+            if self.budget.stopped() || self.offset >= self.data.len() {
+                return None;
             }
+            let end = record_end(self.data, RecordDiscipline::Newline, b'\n', self.offset);
+            let line = &self.data[self.offset..end];
+            let line = line.strip_suffix(b"\n").unwrap_or(line);
+            assert!(!(self.on_worker && line.contains(&b'P')), "worker panic safety net");
+            self.offset = end;
+            self.record += 1;
+            self.streamed.set(self.streamed.get() + u64::from(self.on_worker));
+            if self.budget.exhausted() && self.policy.on_exhausted == OnExhausted::SkipRecord {
+                self.budget.note_skipped_record();
+                return Some(("<skipped>".to_owned(), ParseDesc::ok()));
+            }
+            self.budget.note_record(&self.policy, u32::from(line.contains(&b'X')), 0);
+            Some((String::from_utf8_lossy(line).into_owned(), ParseDesc::ok()))
         }
-        if rec_start < end {
-            out.push((&data[rec_start..end], end));
+
+        fn position(&self) -> Pos {
+            Pos { offset: self.offset, record: self.record, byte: 0 }
         }
-        out
+
+        fn budget(&self) -> ErrorBudget {
+            self.budget
+        }
+
+        fn seek(&mut self, offset: usize, record: usize) {
+            (self.offset, self.record) = (offset, record);
+        }
     }
 
     struct ToyRun {
@@ -710,6 +723,64 @@ mod tests {
         /// Records consumed from workers (vs. replayed).
         streamed: u64,
         progress: Vec<Progress>,
+        /// Records per `consume` call.
+        chunks: Vec<usize>,
+    }
+
+    fn run_toy_from(
+        data: &[u8],
+        policy: RecoveryPolicy,
+        jobs: usize,
+        max_inflight: usize,
+        resume: ResumePoint,
+    ) -> ToyRun {
+        let job = Job {
+            data,
+            discipline: RecordDiscipline::Newline,
+            charset: Charset::Ascii,
+            policy,
+            jobs,
+            max_inflight,
+            resume,
+        };
+        let main = thread::current().id();
+        let mut run = ToyRun {
+            items: Vec::new(),
+            budget: ErrorBudget::new(),
+            streamed: 0,
+            progress: Vec::new(),
+            chunks: Vec::new(),
+        };
+        run.budget = drive(
+            &job,
+            |data, policy, start: ResumePoint| {
+                let streamed = Rc::new(Cell::new(0));
+                let reader = Toy {
+                    data,
+                    policy,
+                    offset: start.offset,
+                    record: start.record,
+                    budget: start.budget,
+                    streamed: streamed.clone(),
+                    on_worker: thread::current().id() != main,
+                };
+                (reader, move || Some(streamed.take()))
+            },
+            |chunk, streamed| {
+                run.chunks.push(chunk.len());
+                run.streamed += streamed.unwrap_or(0);
+                for parsed in chunk.drain(..) {
+                    run.items.push(parsed.item);
+                    run.progress.push(parsed.progress);
+                }
+            },
+        );
+        run
+    }
+
+    /// Four-record lead per worker: one-record chunks.
+    fn run_toy(data: &[u8], policy: RecoveryPolicy, jobs: usize) -> ToyRun {
+        run_toy_from(data, policy, jobs, 4, ResumePoint::default())
     }
 
     fn run_toy_resumed(
@@ -718,28 +789,13 @@ mod tests {
         jobs: usize,
         carried: ErrorBudget,
     ) -> ToyRun {
-        let plan = newline_plan(data, jobs);
-        let mut items = Vec::new();
-        let mut streamed = 0;
-        let mut progress = Vec::new();
-        let budget = run_sharded(
-            &plan,
-            &policy,
-            ResumePoint { budget: carried, ..ResumePoint::default() },
-            4,
-            toy_worker(data),
-            toy_replay(data, policy),
-            |item, extra, p: &Progress| {
-                items.push(item);
-                streamed += extra.unwrap_or(0);
-                progress.push(*p);
-            },
-        );
-        ToyRun { items, budget, streamed, progress }
+        run_toy_from(data, policy, jobs, 4, ResumePoint { budget: carried, ..Default::default() })
     }
 
-    fn run_toy(data: &[u8], policy: RecoveryPolicy, jobs: usize) -> ToyRun {
-        run_toy_resumed(data, policy, jobs, ErrorBudget::new())
+    fn assert_same(par: &ToyRun, seq: &ToyRun, label: &str) {
+        assert_eq!(par.items, seq.items, "{label}: items");
+        assert_eq!(par.budget, seq.budget, "{label}: budget");
+        assert_eq!(par.progress, seq.progress, "{label}: progress");
     }
 
     #[test]
@@ -748,8 +804,7 @@ mod tests {
         let seq = run_toy(data, RecoveryPolicy::unlimited(), 1);
         for jobs in 2..=5 {
             let par = run_toy(data, RecoveryPolicy::unlimited(), jobs);
-            assert_eq!(par.items, seq.items, "jobs={jobs}");
-            assert_eq!(par.budget, seq.budget, "jobs={jobs}");
+            assert_same(&par, &seq, &format!("jobs={jobs}"));
             assert_eq!(par.streamed, par.items.len() as u64, "jobs={jobs}: all streamed");
         }
     }
@@ -784,9 +839,7 @@ mod tests {
         assert!(seq.budget.stopped());
         assert_eq!(seq.items.last().map(String::as_str), Some("X2"));
         for jobs in 2..=4 {
-            let par = run_toy(data, policy, jobs);
-            assert_eq!(par.items, seq.items, "jobs={jobs}");
-            assert_eq!(par.budget, seq.budget, "jobs={jobs}");
+            assert_same(&run_toy(data, policy, jobs), &seq, &format!("jobs={jobs}"));
         }
     }
 
@@ -800,24 +853,20 @@ mod tests {
         assert!(seq.budget.exhausted() && !seq.budget.stopped());
         assert!(seq.items.iter().any(|s| s == "<skipped>"));
         for jobs in 2..=4 {
-            let par = run_toy(data, policy, jobs);
-            assert_eq!(par.items, seq.items, "jobs={jobs}");
-            assert_eq!(par.budget, seq.budget, "jobs={jobs}");
+            assert_same(&run_toy(data, policy, jobs), &seq, &format!("jobs={jobs}"));
         }
     }
 
     #[test]
     fn clean_prefix_records_stream_before_a_trip() {
-        // The trip is in the last shard: every record before it must have
-        // been consumed straight off the worker channels, not replayed.
+        // The trip is in the last chunk: every record before it must have
+        // been consumed straight off the workers, not replayed.
         let policy = RecoveryPolicy::unlimited().with_max_errs(0);
         let data = b"a\nb\nc\nd\ne\nf\ng\nXlast\n";
         let par = run_toy(data, policy, 4);
         let seq = run_toy(data, policy, 1);
-        assert_eq!(par.items, seq.items);
-        assert_eq!(par.budget, seq.budget);
-        assert!(par.streamed >= 2, "clean prefix records should stream without replay");
-        assert!(par.streamed < par.items.len() as u64, "the tripping record replays");
+        assert_same(&par, &seq, "trip in the last chunk");
+        assert_eq!(par.streamed, 7, "the clean prefix streams, the tripping record replays");
     }
 
     #[test]
@@ -825,7 +874,12 @@ mod tests {
         let policy = RecoveryPolicy::unlimited();
         let run = run_toy(b"only\n", policy, 1);
         assert_eq!(run.items, vec!["only".to_owned()]);
-        assert_eq!(run.streamed, 0, "single-shard plans stream through replay");
+        assert_eq!(run.streamed, 0, "jobs = 1 streams through replay");
+        // A chunk larger than the source: nothing to hand a worker.
+        let data = b"a\nb\nc\n";
+        let run = run_toy_from(data, policy, 4, 64, ResumePoint::default());
+        assert_eq!(run.items, ["a", "b", "c"]);
+        assert_eq!((run.streamed, run.chunks.as_slice()), (0, &[3][..]));
     }
 
     #[test]
@@ -854,46 +908,77 @@ mod tests {
 
     #[test]
     fn tight_channel_bound_still_merges_everything() {
+        // max_inflight = 1: one one-record buffer per worker, so every
+        // worker waits for the merge after each record.
         let data = b"a\nb\nc\nd\ne\nf\ng\nh\ni\nj\nk\nl\n";
-        let plan = newline_plan(data, 3);
-        let mut items = Vec::new();
         let policy = RecoveryPolicy::unlimited();
-        let budget = run_sharded(
-            &plan,
-            &policy,
-            ResumePoint::default(),
-            1, // max_inflight: every worker blocks after one queued record
-            toy_worker(data),
-            toy_replay(data, policy),
-            |item: String, _extra, _p: &Progress| items.push(item),
-        );
-        let seq = run_toy(data, policy, 1);
-        assert_eq!(items, seq.items);
-        assert_eq!(budget, seq.budget);
+        let par = run_toy_from(data, policy, 3, 1, ResumePoint::default());
+        assert_same(&par, &run_toy(data, policy, 1), "max_inflight=1");
+        assert_eq!(par.streamed, 12);
+        assert!(par.chunks.iter().all(|&n| n == 1), "{:?}", par.chunks);
     }
 
     #[test]
     fn panicked_worker_diverts_to_replay() {
-        let data = b"a\nb\nc\nd\ne\nf\ng\nh\n";
-        let plan = newline_plan(data, 4);
-        assert!(plan.shards.len() > 1);
-        let panic_in = plan.shards[1].start..plan.shards[1].end;
+        // Mid-chunk (chunks of two): the chunk's first record is lost with
+        // the worker and comes back through replay.
+        let data = b"a\nb\nc\nd\ne\nPf\ng\nh\n";
         let policy = RecoveryPolicy::unlimited();
-        let mut items = Vec::new();
-        let budget = run_sharded(
-            &plan,
-            &policy,
-            ResumePoint::default(),
-            4,
-            |shard: &Shard, tx: ShardSender<String, u64>| {
-                assert!(shard.start != panic_in.start, "worker panic safety net");
-                toy_worker(data)(shard, tx);
-            },
-            toy_replay(data, policy),
-            |item: String, _extra, _p: &Progress| items.push(item),
-        );
+        let par = run_toy_from(data, policy, 4, 8, ResumePoint::default());
+        assert_same(&par, &run_toy(data, policy, 1), "worker panic");
+        assert_eq!(par.streamed, 4, "the chunks before the lost one stream");
+    }
+
+    #[test]
+    fn chunks_follow_max_inflight_and_the_source_end() {
+        // 11 records, no trailing newline, chunks of 3: the last chunk is
+        // short and its last record ends at the end of the source.
+        let data = b"a\nb\nc\nd\ne\nf\ng\nh\ni\nj\nk";
+        let policy = RecoveryPolicy::unlimited();
         let seq = run_toy(data, policy, 1);
-        assert_eq!(items, seq.items);
-        assert_eq!(budget, seq.budget);
+        assert_eq!(seq.items.len(), 11);
+        // More workers than chunks, too.
+        for jobs in [2, 8] {
+            let par = run_toy_from(data, policy, jobs, 12, ResumePoint::default());
+            assert_same(&par, &seq, &format!("jobs={jobs}"));
+            assert_eq!(par.chunks, [3, 3, 3, 2], "jobs={jobs}");
+            assert_eq!(par.streamed, 11, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn a_trip_anywhere_in_a_chunk_replays_that_chunk_whole() {
+        // Chunks of three; the budget trips on the first, a middle and the
+        // last record of the second chunk, under every degraded mode.
+        for (trip, data) in [
+            (3, &b"a\nb\nc\nX\ne\nf\ng\nh\nX\nj\n"[..]),
+            (4, &b"a\nb\nc\nd\nX\nf\ng\nh\nX\nj\n"[..]),
+            (5, &b"a\nb\nc\nd\ne\nX\ng\nh\nX\nj\n"[..]),
+        ] {
+            for mode in [OnExhausted::Stop, OnExhausted::SkipRecord, OnExhausted::BestEffort] {
+                let policy = RecoveryPolicy::unlimited().with_max_errs(0).with_on_exhausted(mode);
+                let seq = run_toy(data, policy, 1);
+                let par = run_toy_from(data, policy, 2, 12, ResumePoint::default());
+                assert_same(&par, &seq, &format!("trip at {trip} under {mode:?}"));
+                assert_eq!(par.streamed, 3, "trip at {trip} under {mode:?}: only chunk 0 streams");
+            }
+        }
+    }
+
+    #[test]
+    fn a_resume_point_inside_a_chunk_restarts_the_cutting_there() {
+        // Resume after the fourth record: chunks of three are cut from
+        // there, not from the start of the source.
+        let data = b"a\nXb\nc\nd\ne\nf\nXg\nh\ni\n";
+        let policy = RecoveryPolicy::unlimited().with_max_errs(5);
+        let mut carried = ErrorBudget::new();
+        carried.note_record(&policy, 1, 0);
+        let resume = ResumePoint { offset: 9, record: 4, budget: carried };
+        let seq = run_toy_from(data, policy, 1, 12, resume);
+        assert_eq!(seq.items, ["e", "f", "Xg", "h", "i"]);
+        assert_eq!(seq.progress[0].record, 4);
+        let par = run_toy_from(data, policy, 2, 12, resume);
+        assert_same(&par, &seq, "resumed");
+        assert_eq!((par.chunks.as_slice(), par.budget.errs), (&[3, 2][..], 2));
     }
 }

@@ -21,8 +21,8 @@ pub use pads::SourceShape;
 /// A sink that only wants the records: `f(value, descriptor)` for each.
 struct Records<F>(F);
 
-impl<F: FnMut(Value, ParseDesc)> RecordSink for Records<F> {
-    fn record(&mut self, _index: usize, value: Value, pd: ParseDesc, _progress: &Progress) {
+impl<F: FnMut(&Value, &ParseDesc)> RecordSink for Records<F> {
+    fn record(&mut self, _index: usize, value: &Value, pd: &ParseDesc, _progress: &Progress) {
         (self.0)(value, pd);
     }
 }
@@ -36,7 +36,7 @@ fn each_record(
     options: ParseOptions,
     shape: &SourceShape<'_>,
     data: &[u8],
-    f: impl FnMut(Value, ParseDesc),
+    f: impl FnMut(&Value, &ParseDesc),
 ) {
     let parser = PadsParser::new(schema, registry).with_options(options);
     let mask = Mask::all(BaseMask::CheckAndSet);
@@ -83,7 +83,7 @@ pub fn formatting_program(
 ) -> String {
     let mut out = String::new();
     each_record(schema, registry, options, shape, data, |v, _| {
-        out.push_str(&formatter.format(&v));
+        out.push_str(&formatter.format(v));
         out.push('\n');
     });
     out
@@ -107,7 +107,7 @@ pub fn xml_program(
     let mut out = format!("<{root_tag}>\n");
     each_record(schema, registry, options, shape, data, |v, pd| {
         // Writing into a `String` cannot fail.
-        let _ = write_xml(&mut out, &v, Some(&pd), shape.record, 2);
+        let _ = write_xml(&mut out, v, Some(pd), shape.record, 2);
     });
     out.push_str(&format!("</{root_tag}>\n"));
     out

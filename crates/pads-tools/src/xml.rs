@@ -273,9 +273,9 @@ impl<E, W: io::Write> RecordSink<E> for XmlSourceSink<W> {
         RecordSink::<E>::header(&mut self.fold, value, pd)
     }
 
-    fn record(&mut self, index: usize, value: Value, pd: ParseDesc, progress: &Progress) {
+    fn record(&mut self, index: usize, value: &Value, pd: &ParseDesc, progress: &Progress) {
         let indent = self.elt_indent();
-        let _ = write_xml(&mut self.buf, &value, Some(&pd), "elt", indent);
+        let _ = write_xml(&mut self.buf, value, Some(pd), "elt", indent);
         self.flush_buf();
         RecordSink::<E>::record(&mut self.fold, index, value, pd, progress);
     }

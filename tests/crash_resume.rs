@@ -14,10 +14,15 @@ use std::rc::Rc;
 use pads::generated::clf as gen_clf;
 use pads::{
     descriptions, BaseMask, ErrorBudget, Mask, OnExhausted, PadsParser, ParseDesc, ParseOptions,
-    RecoveryPolicy, Registry, ResumePoint, Schema, Value, DEFAULT_MAX_INFLIGHT,
+    RecoveryPolicy, Registry, ResumePoint, Schema, Value,
 };
 use pads_observe::MetricsSink;
 use pads_runtime::{Cursor, FaultPlan, KillPlan, ObsHandle, WorkerObs};
+
+/// The in-flight bound of every sharded run here: the corpora are a dozen
+/// records, so this cuts them into chunks of two (the default bound would
+/// make each a single chunk, parsed sequentially).
+const CHUNKS_OF_TWO: usize = 8;
 
 fn mask() -> Mask {
     Mask::all(BaseMask::CheckAndSet)
@@ -50,10 +55,10 @@ fn sharded(
         "entry_t",
         &mask(),
         jobs,
-        DEFAULT_MAX_INFLIGHT,
+        CHUNKS_OF_TWO,
         resume,
         None::<&NoObs>,
-        |value, pd, _harvest, _progress| items.push((value, pd)),
+        |chunk, _harvest| items.extend(chunk.drain(..).map(|parsed| (parsed.item, parsed.pd))),
     );
     (items, budget)
 }

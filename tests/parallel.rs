@@ -54,20 +54,59 @@ fn sequential<'d, R: RecordReader>(
     policy: RecoveryPolicy,
     open: &impl Fn(&'d [u8], RecoveryPolicy, ResumePoint) -> R,
 ) -> (Items<R::Item>, ErrorBudget) {
-    let mut reader = open(data, policy, ResumePoint::default());
-    let mut items = Vec::new();
-    while let Some(item) = reader.next_record() {
-        items.push(item);
-    }
-    (items, reader.budget())
+    let (items, boundaries) = sequential_with_boundaries(data, policy, open);
+    (items, boundaries.last().map_or_else(ErrorBudget::new, |b| b.budget))
 }
 
-/// The same reader under the sharded driver. Every corpus here is
-/// newline-framed ASCII.
+/// The sequential ground truth plus every record boundary: element `k` is
+/// the resume point after `k` records (the last one is the end of the run).
+fn sequential_with_boundaries<'d, R: RecordReader>(
+    data: &'d [u8],
+    policy: RecoveryPolicy,
+    open: &impl Fn(&'d [u8], RecoveryPolicy, ResumePoint) -> R,
+) -> (Items<R::Item>, Vec<ResumePoint>) {
+    let mut reader = open(data, policy, ResumePoint::default());
+    let mut items = Vec::new();
+    let mut boundaries = vec![ResumePoint::default()];
+    while let Some(item) = reader.next_record() {
+        items.push(item);
+        boundaries.push(ResumePoint {
+            offset: reader.position().offset,
+            record: items.len(),
+            budget: reader.budget(),
+        });
+    }
+    (items, boundaries)
+}
+
+/// How the sharded driver is run: `(jobs, max_inflight)`. The corpora here
+/// are a dozen records, so the in-flight bound sets the chunk geometry:
+/// sequential; one-record chunks; chunks of two; more workers than chunks;
+/// one chunk larger than the source.
+const GEOMETRIES: [(usize, usize); 6] =
+    [(1, DEFAULT_MAX_INFLIGHT), (2, 1), (4, 1), (2, 8), (16, 8), (4, DEFAULT_MAX_INFLIGHT)];
+
+/// The same reader under the sharded driver from the start of the source.
 fn sharded<'d, R>(
     data: &'d [u8],
     policy: RecoveryPolicy,
-    jobs: usize,
+    (jobs, max_inflight): (usize, usize),
+    open: &(impl Fn(&'d [u8], RecoveryPolicy, ResumePoint) -> R + Sync),
+) -> (Items<R::Item>, ErrorBudget)
+where
+    R: RecordReader,
+    R::Item: Send,
+{
+    sharded_from(data, policy, (jobs, max_inflight), ResumePoint::default(), open)
+}
+
+/// The same reader under the sharded driver from `resume`. Every corpus
+/// here is newline-framed ASCII.
+fn sharded_from<'d, R>(
+    data: &'d [u8],
+    policy: RecoveryPolicy,
+    (jobs, max_inflight): (usize, usize),
+    resume: ResumePoint,
     open: &(impl Fn(&'d [u8], RecoveryPolicy, ResumePoint) -> R + Sync),
 ) -> (Items<R::Item>, ErrorBudget)
 where
@@ -80,27 +119,30 @@ where
         charset: Charset::Ascii,
         policy,
         jobs,
-        max_inflight: DEFAULT_MAX_INFLIGHT,
-        resume: ResumePoint::default(),
+        max_inflight,
+        resume,
     };
     let mut items = Vec::new();
-    let mut next = 0;
+    let mut next = resume.record;
     let budget = par::drive(
         &job,
         |slice, policy, start| (open(slice, policy, start), || None::<()>),
-        |item, pd, _harvest, progress| {
-            assert_eq!(progress.record, next, "progress is dense and in record order");
-            next += 1;
-            items.push((item, pd));
+        |chunk, _harvest| {
+            for parsed in chunk.drain(..) {
+                assert_eq!(parsed.progress.record, next, "progress is dense and in record order");
+                next += 1;
+                items.push((parsed.item, parsed.pd));
+            }
         },
     );
     (items, budget)
 }
 
 /// The one engine-neutral check: whatever engine `open` builds readers
-/// for, the sharded driver at jobs {1, 2, 4} yields the values, parse
+/// for, the sharded driver in every geometry yields the values, parse
 /// descriptors (whole-source coordinates) and budget of one reader drained
-/// sequentially, under every recovery policy.
+/// sequentially, under every recovery policy — with and without a newline
+/// after the final record, and resumed from a boundary inside a chunk.
 fn assert_sharded_matches_sequential<'d, R>(
     label: &str,
     data: &'d [u8],
@@ -109,28 +151,118 @@ fn assert_sharded_matches_sequential<'d, R>(
     R: RecordReader,
     R::Item: PartialEq + Debug + Send,
 {
-    for policy in policies() {
-        let (seq_items, seq_budget) = sequential(data, policy, &open);
-        for jobs in [1, 2, 4] {
-            let (par_items, par_budget) = sharded(data, policy, jobs, &open);
-            assert_eq!(
-                par_items.len(),
-                seq_items.len(),
-                "{label} jobs={jobs} policy={policy:?}: record count"
-            );
-            for (i, (par, seq)) in par_items.iter().zip(&seq_items).enumerate() {
-                assert_eq!(par.0, seq.0, "{label} jobs={jobs} policy={policy:?}: value [{i}]");
-                assert_eq!(
-                    par.1, seq.1,
-                    "{label} jobs={jobs} policy={policy:?}: descriptor [{i}]"
-                );
+    let unterminated = data.strip_suffix(b"\n").unwrap_or(data);
+    for (label, data) in [(label.to_owned(), data), (format!("{label}/no final newline"), unterminated)]
+    {
+        for policy in policies() {
+            let (seq_items, boundaries) = sequential_with_boundaries(data, policy, &open);
+            let seq_budget = boundaries.last().map_or_else(ErrorBudget::new, |b| b.budget);
+            for geometry in GEOMETRIES {
+                let (par_items, par_budget) = sharded(data, policy, geometry, &open);
+                let at = format!("{label} jobs,inflight={geometry:?} policy={policy:?}");
+                assert_eq!(par_items.len(), seq_items.len(), "{at}: record count");
+                for (i, (par, seq)) in par_items.iter().zip(&seq_items).enumerate() {
+                    assert_eq!(par.0, seq.0, "{at}: value [{i}]");
+                    assert_eq!(par.1, seq.1, "{at}: descriptor [{i}]");
+                }
+                assert_eq!(par_budget, seq_budget, "{at}: budget");
             }
-            assert_eq!(
-                par_budget, seq_budget,
-                "{label} jobs={jobs} policy={policy:?}: budget"
-            );
+            // Resumed after 1 and after 5 records, in chunks of two: the
+            // boundary falls inside what was a chunk of the full run.
+            for from in boundaries.iter().skip(1).step_by(4).take(2) {
+                let (par_items, par_budget) = sharded_from(data, policy, (4, 8), *from, &open);
+                let at = format!("{label} resumed at {} policy={policy:?}", from.record);
+                assert_eq!(par_items[..], seq_items[from.record..], "{at}: items");
+                assert_eq!(par_budget, seq_budget, "{at}: budget");
+            }
         }
     }
+}
+
+/// A reader that panics on a worker thread when asked for record
+/// `panic_at`: the sharded driver's safety net must hand the rest of the
+/// source to sequential replay.
+struct PanicsOnWorker<R> {
+    reader: R,
+    next: usize,
+    panic_at: Option<usize>,
+}
+
+impl<R: RecordReader> RecordReader for PanicsOnWorker<R> {
+    type Item = R::Item;
+
+    fn next_record(&mut self) -> Option<(R::Item, ParseDesc)> {
+        assert_ne!(Some(self.next), self.panic_at, "worker panic safety net");
+        self.next += 1;
+        self.reader.next_record()
+    }
+
+    fn position(&self) -> pads::Pos {
+        self.reader.position()
+    }
+
+    fn budget(&self) -> ErrorBudget {
+        self.reader.budget()
+    }
+
+    fn seek(&mut self, offset: usize, record: usize) {
+        self.next = record;
+        self.reader.seek(offset, record);
+    }
+}
+
+/// A clean twelve-record CLF corpus, and that corpus with record `bad`
+/// (and record 10) replaced by garbage, for `bad` the first, a middle and
+/// the last record of the second chunk of three. Leaked: readers borrow
+/// their source for `'static`.
+fn divergence_corpora() -> (&'static [u8], Vec<(usize, &'static [u8])>) {
+    let clean: &[u8] = Vec::leak(
+        pads_gen::clf::generate(&pads_gen::ClfConfig { records: 12, ..Default::default() }).0,
+    );
+    let damaged = [3, 4, 5].map(|bad| {
+        let mut data = Vec::new();
+        for (i, line) in clean.split_inclusive(|&b| b == b'\n').enumerate() {
+            data.extend_from_slice(if i == bad || i == 10 { b"not a log line\n" } else { line });
+        }
+        (bad, &*Vec::leak(data))
+    });
+    (clean, damaged.to_vec())
+}
+
+/// Chunk-level divergence, for whatever engine `open` builds readers for,
+/// on [`divergence_corpora`] cut into chunks of three: a budget trip on
+/// the first, a middle and the last record of a chunk under each degraded
+/// mode, and a worker that panics in the middle of a chunk.
+fn assert_chunk_divergence_matches_sequential<R>(
+    label: &str,
+    open: impl Fn(&'static [u8], RecoveryPolicy, ResumePoint) -> R + Sync,
+) where
+    R: RecordReader,
+    R::Item: PartialEq + Debug + Send,
+{
+    let (clean, damaged) = divergence_corpora();
+    let chunks_of_three = (2, 12);
+    for (bad, data) in damaged {
+        for mode in [OnExhausted::Stop, OnExhausted::SkipRecord, OnExhausted::BestEffort] {
+            let policy = RecoveryPolicy::unlimited().with_max_errs(0).with_on_exhausted(mode);
+            let seq = sequential(data, policy, &open);
+            assert!(seq.1.exhausted(), "{label}: record {bad} must trip the budget");
+            let par = sharded(data, policy, chunks_of_three, &open);
+            assert_eq!(par, seq, "{label}: trip at record {bad} under {mode:?}");
+        }
+    }
+    let main = std::thread::current().id();
+    let panicking = |slice, policy, start: ResumePoint| PanicsOnWorker {
+        reader: open(slice, policy, start),
+        next: start.record,
+        panic_at: (std::thread::current().id() != main).then_some(7),
+    };
+    let policy = RecoveryPolicy::unlimited();
+    assert_eq!(
+        sharded(clean, policy, chunks_of_three, &panicking),
+        sequential(clean, policy, &open),
+        "{label}: worker panic at record 7"
+    );
 }
 
 /// A reader factory for a runtime engine: each reader owns a thread-local
@@ -239,7 +371,9 @@ fn fault_harness_parallel_matches_sequential() {
         let policy = policies[(seed as usize) % policies.len()];
         let (seq_items, seq_budget) = sequential(&data, policy, &open);
         for jobs in [2, 4] {
-            let (par_items, par_budget) = sharded(&data, policy, jobs, &open);
+            // One-record chunks and chunks of two, by turns.
+            let (par_items, par_budget) =
+                sharded(&data, policy, (jobs, 1 + 7 * (seed as usize % 2)), &open);
             assert_eq!(
                 par_items, seq_items,
                 "seed {seed} jobs={jobs} policy={policy:?}: items diverge"
@@ -270,7 +404,7 @@ fn fault_harness_parallel_matches_sequential() {
     }
 }
 
-/// A sharded parse observed per worker: the per-record harvests in merge
+/// A sharded parse observed per worker: the per-chunk harvests in merge
 /// order, for the caller to fold together.
 fn observed<E: Send>(
     parser: &PadsParser<'_>,
@@ -285,10 +419,10 @@ fn observed<E: Send>(
         record,
         &mask(),
         jobs,
-        DEFAULT_MAX_INFLIGHT,
+        8, // chunks of two: several harvests per worker
         ResumePoint::default(),
         Some(&observer),
-        |_value, _pd, harvest, _progress| harvests.extend(harvest),
+        |_chunk, harvest| harvests.extend(harvest),
     );
     harvests
 }
@@ -312,8 +446,8 @@ fn parallel_metrics_merge_matches_sequential_snapshot() {
         let sinks = observed(&parser, CLF, "entry_t", jobs, || {
             let m = Rc::new(RefCell::new(MetricsSink::new()));
             let handle = ObsHandle::from_rc(m.clone());
-            // Per-record harvest: drain the sink's accumulation since the
-            // previous call, leaving it fresh for the next record.
+            // Per-chunk harvest: drain the sink's accumulation since the
+            // previous call, leaving it fresh for the next chunk.
             let harvest: Box<dyn FnMut() -> MetricsSink> =
                 Box::new(move || std::mem::take(&mut *m.borrow_mut()));
             (WorkerObs::observer(handle), harvest)
@@ -331,7 +465,7 @@ fn parallel_metrics_merge_matches_sequential_snapshot() {
 }
 
 /// Dense-core equivalence: per-worker `MetricsCore` shards (the `Send`-able
-/// counter slabs, attached without any `Observer`) drained per record and
+/// counter slabs, attached without any `Observer`) drained per chunk and
 /// merged in record order produce the same snapshot as both a sequential
 /// dense-core run and the legacy observer feed above.
 #[test]
@@ -401,6 +535,28 @@ fn generated_parallel_matches_sequential_loop() {
             assert_eq!(par_budget, seq_budget, "jobs={jobs} policy={policy:?}: budget");
         }
     }
+}
+
+/// A chunk is merged whole or replayed whole, whichever engine filled it:
+/// the interpreter, the VM and the generated reader under budget trips at
+/// every position of a chunk and under a worker panic.
+#[test]
+fn chunk_divergence_replays_the_chunk_for_every_reader() {
+    let schema = descriptions::clf();
+    let registry = Registry::standard();
+    let m = mask();
+    for engine in [Engine::Interp, Engine::Vm] {
+        assert_chunk_divergence_matches_sequential(
+            &format!("clf/{engine:?}"),
+            runtime_reader(&schema, &registry, engine, "entry_t", &m),
+        );
+    }
+    let read = |cur: &mut Cursor<'static>| gen_clf::EntryT::read(cur, &m);
+    assert_chunk_divergence_matches_sequential("clf/generated", |slice, policy, start| {
+        let mut cur = Cursor::new(slice).with_policy(policy).with_start(start.offset, start.record);
+        cur.set_budget(start.budget);
+        CursorRecords::new(cur, &read)
+    });
 }
 
 /// Regression (satellite): a failed `Popt` must restore from its single

@@ -51,8 +51,8 @@ fn sirius_with_damaged_record(records: usize, k: usize) -> Vec<u8> {
 struct Descriptors(Vec<ParseDesc>);
 
 impl RecordSink for Descriptors {
-    fn record(&mut self, _index: usize, _value: Value, pd: ParseDesc, _progress: &Progress) {
-        self.0.push(if pd.is_clean() { ParseDesc::CLEAN } else { pd });
+    fn record(&mut self, _index: usize, _value: &Value, pd: &ParseDesc, _progress: &Progress) {
+        self.0.push(if pd.is_clean() { ParseDesc::CLEAN } else { pd.clone() });
     }
 }
 

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use pads::generated::clf as gen_clf;
 use pads::{
     descriptions, BaseMask, Engine, ErrorBudget, Mask, OnExhausted, PadsParser, ParseDesc,
-    ParseOptions, RecoveryPolicy, Registry, ResumePoint, Schema, Value, DEFAULT_MAX_INFLIGHT,
+    ParseOptions, RecoveryPolicy, Registry, ResumePoint, Schema, Value,
 };
 use pads_observe::MetricsSink;
 use pads_runtime::{Charset, Cursor, FaultPlan, KillPlan, ObsHandle, WorkerObs};
@@ -24,6 +24,11 @@ use pads_runtime::{Charset, Cursor, FaultPlan, KillPlan, ObsHandle, WorkerObs};
 const CLF: &[u8] = include_bytes!("data/torture_clf.log");
 const SIRIUS: &[u8] = include_bytes!("data/torture_sirius.txt");
 const MIXED: &[u8] = include_bytes!("data/torture_mixed.txt");
+
+/// The in-flight bound of every sharded run here: the corpora are a dozen
+/// records, so this cuts them into chunks of two (the default bound would
+/// make each a single chunk, parsed sequentially).
+const CHUNKS_OF_TWO: usize = 8;
 
 fn mask() -> Mask {
     Mask::all(BaseMask::CheckAndSet)
@@ -62,10 +67,10 @@ fn sharded(
         record,
         &mask(),
         jobs,
-        DEFAULT_MAX_INFLIGHT,
+        CHUNKS_OF_TWO,
         resume,
         None::<&NoObs>,
-        |value, pd, _harvest, _progress| items.push((value, pd)),
+        |chunk, _harvest| items.extend(chunk.drain(..).map(|parsed| (parsed.item, parsed.pd))),
     );
     (items, budget)
 }
@@ -244,10 +249,10 @@ fn vm_observer_stream_matches_interpreter() {
                 record,
                 &mask(),
                 jobs,
-                DEFAULT_MAX_INFLIGHT,
+                CHUNKS_OF_TWO,
                 ResumePoint::default(),
                 Some(&observer),
-                |_value, _pd, sink, _progress| sinks.extend(sink),
+                |_chunk, sink| sinks.extend(sink),
             );
             let mut merged = MetricsSink::new();
             for sink in &sinks {
