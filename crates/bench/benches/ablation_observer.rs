@@ -4,15 +4,11 @@
 //! numbers within noise; with a dense `MetricsCore` attached (`*_metrics`)
 //! the overhead stays under ~10% — counters are flat `Vec` slabs indexed
 //! by trusted node ids, and generated fixed-prefix fast paths stay on,
-//! feeding statically-known per-type bumps instead of events. The
-//! `*_metrics_legacy` rows keep the string-keyed `Observer` attachment
-//! (BTreeMap lookups through `Rc<RefCell<dyn Observer>>`) as the
-//! before-picture the dense core is measured against.
+//! feeding statically-known per-type bumps instead of events.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pads::generated::{clf, sirius};
 use pads::{descriptions, BaseMask, Cursor, Mask, PadsParser, Registry};
-use pads_observe::{MetricsSink, ObsHandle};
 
 fn bench(c: &mut Criterion) {
     let registry = Registry::standard();
@@ -38,8 +34,6 @@ fn bench(c: &mut Criterion) {
             let h = p.metrics_core().into_handle();
             p.with_metrics(h)
         };
-        let observed = PadsParser::new(&schema, &registry)
-            .with_observer(ObsHandle::new(MetricsSink::new()));
         g.throughput(Throughput::Bytes(body.len() as u64));
         g.bench_with_input(
             BenchmarkId::from_parameter("sirius_interpreted_off"),
@@ -50,11 +44,6 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::from_parameter("sirius_interpreted_metrics"),
             &body[..],
             |b, body| b.iter(|| with_core.records(body, "entry_t", &mask).count()),
-        );
-        g.bench_with_input(
-            BenchmarkId::from_parameter("sirius_interpreted_metrics_legacy"),
-            &body[..],
-            |b, body| b.iter(|| observed.records(body, "entry_t", &mask).count()),
         );
         g.bench_with_input(
             BenchmarkId::from_parameter("sirius_generated_off"),
@@ -87,22 +76,6 @@ fn bench(c: &mut Criterion) {
                 })
             },
         );
-        g.bench_with_input(
-            BenchmarkId::from_parameter("sirius_generated_metrics_legacy"),
-            &body[..],
-            |b, body| {
-                b.iter(|| {
-                    let mut cur = Cursor::new(body)
-                        .with_observer(ObsHandle::new(MetricsSink::new()));
-                    let mut n = 0usize;
-                    while !cur.at_eof() {
-                        let _ = sirius::EntryT::read(&mut cur, &mask);
-                        n += 1;
-                    }
-                    n
-                })
-            },
-        );
     }
 
     // CLF.
@@ -119,8 +92,6 @@ fn bench(c: &mut Criterion) {
             let h = p.metrics_core().into_handle();
             p.with_metrics(h)
         };
-        let observed = PadsParser::new(&schema, &registry)
-            .with_observer(ObsHandle::new(MetricsSink::new()));
         g.throughput(Throughput::Bytes(data.len() as u64));
         g.bench_with_input(
             BenchmarkId::from_parameter("clf_interpreted_off"),
@@ -131,11 +102,6 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::from_parameter("clf_interpreted_metrics"),
             &data[..],
             |b, data| b.iter(|| with_core.records(data, "entry_t", &mask).count()),
-        );
-        g.bench_with_input(
-            BenchmarkId::from_parameter("clf_interpreted_metrics_legacy"),
-            &data[..],
-            |b, data| b.iter(|| observed.records(data, "entry_t", &mask).count()),
         );
         g.bench_with_input(
             BenchmarkId::from_parameter("clf_generated_off"),
@@ -159,22 +125,6 @@ fn bench(c: &mut Criterion) {
             |b, data| {
                 b.iter(|| {
                     let mut cur = Cursor::new(data).with_metrics(gen_core.clone());
-                    let mut n = 0usize;
-                    while !cur.at_eof() {
-                        let _ = clf::EntryT::read(&mut cur, &mask);
-                        n += 1;
-                    }
-                    n
-                })
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::from_parameter("clf_generated_metrics_legacy"),
-            &data[..],
-            |b, data| {
-                b.iter(|| {
-                    let mut cur = Cursor::new(data)
-                        .with_observer(ObsHandle::new(MetricsSink::new()));
                     let mut n = 0usize;
                     while !cur.at_eof() {
                         let _ = clf::EntryT::read(&mut cur, &mask);

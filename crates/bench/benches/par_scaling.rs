@@ -11,7 +11,7 @@ use pads::generated::{clf, sirius};
 use pads::{
     descriptions, BaseMask, Cursor, Mask, PadsParser, Registry, ResumePoint, DEFAULT_MAX_INFLIGHT,
 };
-use pads_runtime::{genrt, WorkerObs};
+use pads_runtime::{genrt, MetricsHandle};
 
 const JOBS: [usize; 4] = [1, 2, 4, 8];
 
@@ -22,7 +22,7 @@ fn fresh(d: &[u8]) -> Cursor<'_> {
 /// The interpreted sharded rows: every merged `entry_t` record
 /// materialised in a `Vec`, like the generated entry returns them.
 fn interpreted_par(parser: &PadsParser<'_>, data: &[u8], mask: &Mask, jobs: usize) -> usize {
-    type NoObs = fn() -> (WorkerObs, Box<dyn FnMut()>);
+    type NoObs = fn() -> (MetricsHandle, Box<dyn FnMut()>);
     let mut items = Vec::new();
     parser.records_par_stream(
         data,

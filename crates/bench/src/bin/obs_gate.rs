@@ -8,8 +8,8 @@
 //! estimate of the true cost, and the ratio of minima cancels most
 //! machine-speed variation. The default threshold (1.25) sits well above
 //! the ~10% overhead the dense core is designed to hold
-//! (`docs/OBSERVABILITY.md`) but below the ~40% the legacy string-keyed
-//! observer used to cost, so a regression back to map lookups on the hot
+//! (`docs/OBSERVABILITY.md`) but below the ~40% a string-keyed event
+//! stream used to cost, so a regression back to map lookups on the hot
 //! path trips the gate even on a noisy runner. Override with
 //! `OBS_GATE_MAX_RATIO` when a runner class needs a different band.
 

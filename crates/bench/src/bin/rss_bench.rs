@@ -18,10 +18,10 @@ use pads::{
     descriptions, BaseMask, Mask, PadsParser, ParseOptions, Registry, ResumePoint,
     DEFAULT_MAX_INFLIGHT,
 };
-use pads_runtime::WorkerObs;
+use pads_runtime::MetricsHandle;
 
 /// No-observer marker for `records_par_stream`'s factory parameter.
-type NoObs = fn() -> (WorkerObs, Box<dyn FnMut()>);
+type NoObs = fn() -> (MetricsHandle, Box<dyn FnMut()>);
 
 fn vm_hwm_kb() -> u64 {
     let status = std::fs::read_to_string("/proc/self/status").expect("read status");

@@ -32,10 +32,10 @@
 //! or a struct of exactly a header and such an array, the header is parsed
 //! with the source cursor and each record is handed to the `--format` sink
 //! (report fold, XML writer, nothing) and dropped, so memory is the file
-//! plus one record — with output byte-identical to the whole-tree parse.
-//! Any other source shape, `--trace`, and a sequential `--metrics` or
-//! `--profile` run (which observe the source type itself) parse the whole
-//! source into one value first. See docs/PERFORMANCE.md, "Memory".
+//! plus one record — with output byte-identical to the whole-tree parse,
+//! observed (`--trace`, `--metrics`, `--profile`, `pads profile`) or not.
+//! Only a source of any other shape is parsed into one value first. See
+//! docs/PERFORMANCE.md, "Memory".
 //!
 //! Common options: `--ebcdic`, `--fixed <N>`, `--lenpfx <N>` select the
 //! ambient coding / record discipline; `--record <T>` and `--header <T>`
@@ -77,7 +77,7 @@ use pads::{
     SourceFold, SourceJob, SourceShape, SourceSummary, Value,
 };
 use pads_check::lint;
-use pads_observe::{MetricsCore, MetricsHandle, MetricsSink, ObsHandle, TraceSink, WorkerObs};
+use pads_observe::{trace, MetricsCore, MetricsHandle, MetricsSink};
 
 /// Exit status for "the data had errors but the run completed".
 const EXIT_DATA_ERRORS: u8 = 2;
@@ -509,27 +509,25 @@ fn print_metrics(core: MetricsCore, fmt: MetricsFormat) {
 /// exactly in merge order.
 fn metrics_factory(
     schema: &Schema,
-) -> impl Fn() -> (WorkerObs, Box<dyn FnMut() -> MetricsCore>) + Sync + '_ {
+) -> impl Fn() -> (MetricsHandle, Box<dyn FnMut() -> MetricsCore>) + Sync + '_ {
     move || {
         let core = schema_core(schema).into_handle();
-        let att = WorkerObs::metrics(core.clone());
-        let harvest: Box<dyn FnMut() -> MetricsCore> =
-            Box::new(move || core.borrow_mut().drain());
-        (att, harvest)
+        let live = core.clone();
+        (core, Box::new(move || live.borrow_mut().drain()))
     }
 }
 
-/// A sink of a sharded, observed run: the inner sink takes the records,
-/// and the per-worker metrics deltas that arrive after each chunk of them
-/// fold into one core, in record order.
+/// A sink of a possibly sharded, observed run: the inner sink takes the
+/// records, and the per-worker metrics deltas that arrive after each chunk
+/// of them fold into the run's one core, in record order.
 struct Observed<S> {
     sink: S,
-    merged: MetricsCore,
+    merged: MetricsHandle,
 }
 
 impl<S: RecordSink<MetricsCore>> RecordSink<MetricsCore> for Observed<S> {
-    fn header(&mut self, value: Value, pd: ParseDesc) -> bool {
-        self.sink.header(value, pd)
+    fn header(&mut self, value: Value, pd: ParseDesc, progress: &Progress) -> bool {
+        self.sink.header(value, pd, progress)
     }
 
     fn record(&mut self, index: usize, value: &Value, pd: &ParseDesc, progress: &Progress) {
@@ -537,47 +535,94 @@ impl<S: RecordSink<MetricsCore>> RecordSink<MetricsCore> for Observed<S> {
     }
 
     fn observed(&mut self, delta: MetricsCore) {
-        self.merged.merge(&delta);
+        self.merged.borrow_mut().merge(&delta);
     }
 }
 
-/// `pads parse` over a `[header] + records` source: one pass of the source
-/// driver, a record live at a time, into the sink `--format` names — the
-/// report fold (`report`, `none`) or the XML writer over it. `--jobs N`
-/// shards a headerless source across workers feeding the same sink; its
-/// `--metrics` come from one dense [`MetricsCore`] per worker, merged.
-/// Output is byte-identical to the whole-tree path.
-fn parse_streamed(
+/// `pads parse` and `pads profile` over the whole source, heard by one
+/// core — returned with the summary — that has the profiler and the trace
+/// `o` asks for switched on.
+///
+/// A `[header] + records` source goes through the source driver, a record
+/// live at a time, into the sink `--format` names — the report fold
+/// (`report`, `none`) or the XML writer over it — which also emits the
+/// source type's own events, so the core hears what a whole-tree parse
+/// would tell it. A sequential run counts straight into the core; `--jobs
+/// N` shards a headerless source across workers, each with a core of its
+/// own, whose deltas merge into it. Output is byte-identical to the
+/// whole-tree parse, which only a source of any other shape still takes.
+fn parse_whole(
     schema: &Schema,
     registry: &Registry,
     options: ParseOptions,
     o: &Opts,
     data: &[u8],
-    shape: SourceShape<'_>,
-) -> Result<ExitCode, String> {
-    let parser = PadsParser::new(schema, registry).with_options(options);
+) -> Result<(SourceSummary, MetricsHandle), String> {
+    let mut core = schema_core(schema);
+    if o.profile {
+        core = core.with_profile();
+    }
+    if o.trace.is_some() {
+        core = core.with_trace(trace::DEFAULT_DEPTH, trace::DEFAULT_SPANS);
+    }
+    let core = core.into_handle();
+    let observed = o.metrics.is_some() || o.profile || o.trace.is_some();
+    let mut parser = PadsParser::new(schema, registry).with_options(options);
     let mask = Mask::all(BaseMask::CheckAndSet);
-    let job = source_job(o, shape, &mask);
-    let factory = metrics_factory(schema);
-    let observer = o.metrics.map(|_| &factory);
-    let merged = schema_core(schema);
-    let (summary, merged) = if o.format == OutputFormat::Xml {
-        let out = std::io::BufWriter::new(std::io::stdout().lock());
-        let mut sink = Observed { sink: pads_tools::XmlSourceSink::new(schema, out), merged };
-        let end = parser.stream_source_observed(data, &job, observer, &mut sink);
-        (sink.sink.finish(&end).map_err(|e| format!("stdout: {e}"))?, sink.merged)
-    } else {
-        let mut sink = Observed { sink: SourceFold::new(schema), merged };
-        let end = parser.stream_source_observed(data, &job, observer, &mut sink);
-        (sink.sink.finish(&end), sink.merged)
+    let xml = o.format == OutputFormat::Xml;
+    let Some(shape) = SourceShape::infer(schema) else {
+        if observed {
+            parser = parser.with_metrics(core.clone());
+        }
+        let (v, pd) = parser.parse_source(data, &mask);
+        if xml {
+            print!("{}", pads_tools::value_to_xml(&v, Some(&pd), &schema.source_def().name, 0));
+        }
+        return Ok((SourceSummary::of(&pd), core));
     };
-    if o.format == OutputFormat::Report && o.metrics.is_none() {
-        print!("{}", summary.report());
+    let job = source_job(o, shape, &mask);
+    let sharded = job.jobs > 1 && shape.header.is_none();
+    if observed && !sharded {
+        parser = parser.with_metrics(core.clone());
     }
+    let factory = metrics_factory(schema);
+    let workers = (observed && sharded).then_some(&factory);
+    let summary = if xml {
+        let out = std::io::BufWriter::new(std::io::stdout().lock());
+        let sink = pads_tools::XmlSourceSink::new(schema, out).observe(core.clone(), 0);
+        let mut sink = Observed { sink, merged: core.clone() };
+        let end = parser.stream_source_observed(data, &job, workers, &mut sink);
+        sink.sink.finish(&end).map_err(|e| format!("stdout: {e}"))?
+    } else {
+        let sink = SourceFold::new(schema).observe(core.clone(), 0);
+        let mut sink = Observed { sink, merged: core.clone() };
+        let end = parser.stream_source_observed(data, &job, workers, &mut sink);
+        sink.sink.finish(&end)
+    };
+    Ok((summary, core))
+}
+
+/// What an observed `pads parse` prints once the run is over: the trace,
+/// then the `--metrics` exposition, on stdout; the `--profile` table on
+/// stderr.
+fn print_observed(core: MetricsHandle, o: &Opts) {
+    // The run's parser and sinks are gone, so this is the last handle and
+    // the core (with its trace tree) moves out rather than being copied.
+    let core = Rc::try_unwrap(core).map_or_else(|rc| rc.borrow().clone(), RefCell::into_inner);
+    let traced = o.trace.and_then(|fmt| match fmt {
+        TraceFormat::Json => trace::jsonl(&core),
+        TraceFormat::Tree => trace::render(&core),
+    });
+    if let Some(text) = traced {
+        print!("{text}");
+    }
+    let table = if o.profile { core.profile_table(o.times) } else { None };
     if let Some(fmt) = o.metrics {
-        print_metrics(merged, fmt);
+        print_metrics(core, fmt);
     }
-    Ok(data_status(&summary, &o.positional[1]))
+    if let Some(table) = table {
+        eprint!("{table}");
+    }
 }
 
 /// FNV-1a fingerprint over (length, first 64 bytes, last 64 bytes) of the
@@ -870,7 +915,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 .into(),
         );
     };
-    let o = parse_opts(rest)?;
+    let mut o = parse_opts(rest)?;
     let registry = Registry::standard();
     let options = ParseOptions {
         charset: o.charset,
@@ -983,6 +1028,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 if o.trace.is_some() {
                     return Err("--journal cannot be combined with --trace".into());
                 }
+                if o.profile {
+                    return Err("--journal cannot be combined with --profile".into());
+                }
                 if o.format == OutputFormat::Xml {
                     return Err("--journal cannot be combined with --format xml".into());
                 }
@@ -999,74 +1047,25 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     journal_path,
                 );
             }
-            // Record-sharded parallel parse. Tracing needs one ordered event
-            // stream, and header sources have a non-record prefix: both stay
-            // on one thread.
-            let sharded =
-                o.jobs > 1 && o.trace.is_none() && shape.is_some_and(|s| s.header.is_none());
-            if o.jobs > 1 && o.trace.is_some() {
-                eprintln!("pads: --trace forces a sequential parse; ignoring --jobs");
-            } else if o.jobs > 1 && !sharded {
-                eprintln!("pads: source is not a plain record array; ignoring --jobs");
-            }
-            // A `[header] + records` source streams through the source
-            // driver. The span trace, and one metrics core or profiler
-            // observing a sequential run from the source type down, need
-            // the whole-tree parse, as does any other source shape.
-            let observed = o.trace.is_some() || o.metrics.is_some() || o.profile;
-            if let Some(shape) = shape.filter(|_| sharded || !observed) {
-                return parse_streamed(&schema, &registry, options, &o, &data, shape);
-            }
-            let mut parser = PadsParser::new(&schema, &registry).with_options(options);
-            // The metrics core and trace sink stay behind `Rc` so the CLI
-            // can read them back out once the parse is done. Metrics ride
-            // the dense-id core; the span trace still needs the legacy
-            // event-stream observer.
-            let metrics: Option<MetricsHandle> = (o.metrics.is_some() || o.profile)
-                .then(|| {
-                    let mut core = schema_core(&schema);
-                    if o.profile {
-                        core.enable_profile();
-                    }
-                    core.into_handle()
-                });
-            if let Some(core) = &metrics {
-                parser = parser.with_metrics(core.clone());
-            }
-            let trace = o.trace.map(|_| Rc::new(RefCell::new(TraceSink::new())));
-            if let Some(t) = &trace {
-                parser = parser.with_observer(ObsHandle::from_rc(t.clone()));
-            }
-            let mask = Mask::all(BaseMask::CheckAndSet);
-            let (v, pd) = parser.parse_source(&data, &mask);
-            let summary = SourceSummary::of(&pd);
-            match o.format {
-                OutputFormat::Xml => print!(
-                    "{}",
-                    pads_tools::value_to_xml(&v, Some(&pd), &schema.source_def().name, 0)
-                ),
-                OutputFormat::Report if o.trace.is_none() && o.metrics.is_none() => {
-                    print!("{}", summary.report());
-                }
-                OutputFormat::Report | OutputFormat::None => {}
-            }
-            if let (Some(t), Some(fmt)) = (&trace, o.trace) {
-                let t = t.borrow();
-                match fmt {
-                    TraceFormat::Json => print!("{}", t.jsonl()),
-                    TraceFormat::Tree => print!("{}", t.render()),
+            // Record-sharded parallel parse. The trace and the profiler each
+            // need one ordered event stream, and header sources have a
+            // non-record prefix: all three stay on one thread.
+            if o.jobs > 1 {
+                let ordered =
+                    o.trace.map(|_| "--trace").or(o.profile.then_some("--profile"));
+                if let Some(flag) = ordered {
+                    eprintln!("pads: {flag} forces a sequential parse; ignoring --jobs");
+                    o.jobs = 1;
+                } else if shape.is_none_or(|s| s.header.is_some()) {
+                    eprintln!("pads: source is not a plain record array; ignoring --jobs");
+                    o.jobs = 1;
                 }
             }
-            if let Some(core) = &metrics {
-                if let Some(fmt) = o.metrics {
-                    print_metrics(core.borrow().clone(), fmt);
-                }
-                if o.profile {
-                    if let Some(table) = core.borrow().profile_table(o.times) {
-                        eprint!("{table}");
-                    }
-                }
+            let (summary, core) = parse_whole(&schema, &registry, options, &o, &data)?;
+            if o.format == OutputFormat::Report && o.trace.is_none() && o.metrics.is_none() {
+                print!("{}", summary.report());
             }
+            print_observed(core, &o);
             // The run itself completed; if the *data* has errors, summarise
             // on stderr and use the distinct "data errors" status.
             Ok(data_status(&summary, &o.positional[1]))
@@ -1082,12 +1081,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let schema = load_schema(&o.positional[0], &registry)?;
             let data =
                 std::fs::read(&o.positional[1]).map_err(|e| format!("{}: {e}", o.positional[1]))?;
-            let core = schema_core(&schema).with_profile().into_handle();
-            let parser = PadsParser::new(&schema, &registry)
-                .with_options(options)
-                .with_metrics(core.clone());
-            let mask = Mask::all(BaseMask::CheckAndSet);
-            let (_, pd) = parser.parse_source(&data, &mask);
+            o.profile = true;
+            o.format = OutputFormat::None;
+            o.jobs = 1;
+            let (summary, core) = parse_whole(&schema, &registry, options, &o, &data)?;
             let core = core.borrow();
             if o.folded {
                 if let Some(folded) = core.profile_folded() {
@@ -1102,7 +1099,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 core.errors_total(),
                 o.positional[1]
             );
-            if pd.is_ok() {
+            if summary.is_ok() {
                 Ok(ExitCode::SUCCESS)
             } else {
                 Ok(ExitCode::from(EXIT_DATA_ERRORS))

@@ -1,15 +1,25 @@
-//! Golden metric snapshots: `pads parse --metrics=json` over each bundled
-//! description and its torture corpus must reproduce the checked-in counts
-//! byte-for-byte. The format is counts-only (no timings), so the snapshot
-//! is fully deterministic; any drift in parsing, error classification, or
-//! event emission shows up as a diff here.
+//! Golden observation snapshots: `pads parse --metrics=json` over each
+//! bundled description and its torture corpus must reproduce the checked-in
+//! counts byte-for-byte, and so must every other deterministic observation
+//! output — the span trace (tree and JSONL, alone and beside the metrics),
+//! the `--profile` table, `pads profile` and its folded stacks — over those
+//! corpora plus one small generated Sirius file (a header source). The
+//! formats carry no timings, so any drift in parsing, error classification,
+//! or event emission shows up as a diff here.
 //!
-//! Regenerate after an intentional change with:
+//! Regenerate after an intentional change with (`<c>` is `<d>_torture` or
+//! `sirius_small`, whose data is `golden/sirius_small.txt`):
 //!
 //! ```text
 //! cargo build -p pads-cli
-//! ./target/debug/pads parse descriptions/<d>.pads tests/data/torture_<d>.* \
-//!     --metrics=json > crates/pads-cli/tests/golden/metrics_<d>_torture.json
+//! G=crates/pads-cli/tests/golden; D=descriptions/<d>.pads; F=<data>
+//! ./target/debug/pads parse $D $F --metrics=json              > $G/metrics_<c>.json
+//! ./target/debug/pads parse $D $F --trace                     > $G/trace_<c>.txt
+//! ./target/debug/pads parse $D $F --trace=json                > $G/trace_<c>.jsonl
+//! ./target/debug/pads parse $D $F --trace=json --metrics=json > $G/trace_metrics_<c>.txt
+//! ./target/debug/pads parse $D $F --profile 2> $G/parse_profile_<c>.stderr >/dev/null
+//! ./target/debug/pads profile $D $F                           > $G/profile_<c>.txt
+//! ./target/debug/pads profile $D $F --folded                  > $G/profile_<c>.folded
 //! ```
 
 use std::path::Path;
@@ -22,41 +32,83 @@ fn repo_root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
-fn run_parse(args: &[&str]) -> std::process::Output {
+fn run(cmd: &str, args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_pads"))
         .current_dir(repo_root())
-        .arg("parse")
+        .arg(cmd)
         .args(args)
         .output()
         .expect("pads binary runs")
 }
 
+fn run_parse(args: &[&str]) -> std::process::Output {
+    run("parse", args)
+}
+
+/// The captured corpora: `(case, description, data)`, paths from the
+/// repository root (they appear in the `--profile` stderr golden).
+const CASES: [(&str, &str, &str); 4] = [
+    ("clf_torture", "clf", "tests/data/torture_clf.log"),
+    ("sirius_torture", "sirius", "tests/data/torture_sirius.txt"),
+    ("mixed_torture", "mixed", "tests/data/torture_mixed.txt"),
+    ("sirius_small", "sirius", "crates/pads-cli/tests/golden/sirius_small.txt"),
+];
+
+/// Every trace and profile output, on stdout or stderr, matches the bytes
+/// captured from the whole-tree implementation these paths replaced.
+#[test]
+fn trace_and_profile_outputs_match_golden_snapshots() {
+    for (case, descr, data) in CASES {
+        let descr = format!("descriptions/{descr}.pads");
+        let outputs: [(&str, &[&str], bool, String); 6] = [
+            ("parse", &["--trace"], false, format!("trace_{case}.txt")),
+            ("parse", &["--trace=json"], false, format!("trace_{case}.jsonl")),
+            (
+                "parse",
+                &["--trace=json", "--metrics=json"],
+                false,
+                format!("trace_metrics_{case}.txt"),
+            ),
+            ("parse", &["--profile"], true, format!("parse_profile_{case}.stderr")),
+            ("profile", &[], false, format!("profile_{case}.txt")),
+            ("profile", &["--folded"], false, format!("profile_{case}.folded")),
+        ];
+        for (cmd, flags, stderr, golden) in outputs {
+            let mut args = vec![descr.as_str(), data];
+            args.extend_from_slice(flags);
+            let out = run(cmd, &args);
+            assert_eq!(
+                out.status.code(),
+                Some(EXIT_DATA_ERRORS),
+                "{case} {cmd} {flags:?}: every captured corpus has data errors\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let got = if stderr { out.stderr } else { out.stdout };
+            let got = String::from_utf8(got).expect("utf-8 output");
+            let path = repo_root().join("crates/pads-cli/tests/golden").join(&golden);
+            let want = std::fs::read_to_string(&path).expect("golden snapshot exists");
+            assert_eq!(got, want, "{case} {cmd} {flags:?}: drifted from {golden}");
+        }
+    }
+}
+
 #[test]
 fn metrics_json_matches_golden_snapshots() {
-    let cases = [
-        ("clf", "tests/data/torture_clf.log"),
-        ("sirius", "tests/data/torture_sirius.txt"),
-        ("mixed", "tests/data/torture_mixed.txt"),
-    ];
-    for (name, data) in cases {
-        let out = run_parse(&[
-            &format!("descriptions/{name}.pads"),
-            data,
-            "--metrics=json",
-        ]);
+    for (case, descr, data) in CASES {
+        let out = run_parse(&[&format!("descriptions/{descr}.pads"), data, "--metrics=json"]);
         assert_eq!(
             out.status.code(),
             Some(EXIT_DATA_ERRORS),
-            "{name}: torture corpus must complete with data errors\n{}",
+            "{case}: every captured corpus must complete with data errors\n{}",
             String::from_utf8_lossy(&out.stderr)
         );
         let got = String::from_utf8(out.stdout).expect("utf-8 metrics");
         let golden_path =
-            repo_root().join(format!("crates/pads-cli/tests/golden/metrics_{name}_torture.json"));
+            repo_root().join(format!("crates/pads-cli/tests/golden/metrics_{case}.json"));
         let want = std::fs::read_to_string(&golden_path).expect("golden snapshot exists");
         assert_eq!(
             got, want,
-            "{name}: metrics drifted from {}; regenerate if intentional",
+            "{case}: metrics drifted from {}; regenerate if intentional",
             golden_path.display()
         );
     }

@@ -83,3 +83,26 @@ fn parse_profile_flag_reports_table_on_stderr() {
     assert!(err.contains("node"), "profile table on stderr:\n{err}");
     assert!(err.contains("entry_t"), "per-node rows on stderr:\n{err}");
 }
+
+/// `--profile` needs one ordered event stream, so `--jobs N` on a source
+/// that would otherwise shard warns and profiles sequentially: the same
+/// table as `--jobs 1`, never a silent run with no table.
+#[test]
+fn parse_profile_with_jobs_warns_and_prints_the_sequential_table() {
+    let parse = |jobs: &str| {
+        Command::new(env!("CARGO_BIN_EXE_pads"))
+            .current_dir(repo_root())
+            .args(["parse", "descriptions/clf.pads", "tests/data/torture_clf.log"])
+            .args(["--profile", "--format", "none", "--max-inflight-records", "4", "--jobs", jobs])
+            .output()
+            .expect("pads binary runs")
+    };
+    let (one, four) = (parse("1"), parse("4"));
+    assert_eq!(four.status.code(), Some(EXIT_DATA_ERRORS));
+    let one = String::from_utf8(one.stderr).expect("utf-8 stderr");
+    let four = String::from_utf8(four.stderr).expect("utf-8 stderr");
+    assert!(one.starts_with("node") && one.contains("entry_t"), "table at --jobs 1:\n{one}");
+    let (warning, table) = four.split_once('\n').expect("a warning line, then the table");
+    assert_eq!(warning, "pads: --profile forces a sequential parse; ignoring --jobs");
+    assert_eq!(table, one, "--jobs 4 prints the --jobs 1 table");
+}

@@ -12,15 +12,6 @@ impl<'s> Gen<'s> {
             .collect()
     }
 
-    /// Emits the public `read` entry: a thin wrapper bracketing
-    /// `read_impl` with observer type-enter/type-exit events. When no
-    /// observer is attached the wrapper is a single `Option` discriminant
-    /// test plus a tail call, which the optimiser flattens away.
-    ///
-    /// The type is identified by its dense node id (`TypeId` doubles as
-    /// the `ObsSchema` index — the module's `OBS_TYPES` table is emitted
-    /// in the same order) so a trusted metrics core bumps flat slabs
-    /// without a name lookup; the name rides along for legacy observers.
     /// `("", "'d")` when the representation borrows the buffer (the `'d`
     /// is bound by the surrounding `impl<'d>`), else `("", "'_")`: fn
     /// generics and cursor lifetime for read methods.
@@ -32,6 +23,17 @@ impl<'s> Gen<'s> {
         }
     }
 
+    /// Emits the public `read` entry: a thin wrapper bracketing
+    /// `read_impl` with type-enter/type-exit events. With no metrics core
+    /// attached the wrapper is a single discriminant test plus a tail
+    /// call, which the optimiser flattens away; a counting core hears the
+    /// exit alone (`observe_enter_id` is a no-op for it), a profiling or
+    /// tracing one both.
+    ///
+    /// The type is identified by its dense node id (`TypeId` doubles as
+    /// the `ObsSchema` index — the module's `OBS_TYPES` table is emitted
+    /// in the same order), so the core bumps flat slabs without a name
+    /// lookup.
     fn emit_read_wrapper(&self, id: TypeId, mask_used: bool, out: &mut String) {
         let def = self.schema.def(id);
         let name = camel(&def.name);
@@ -48,24 +50,10 @@ impl<'s> Gen<'s> {
         let _ = writeln!(out, "        if !cur.observing() {{");
         let _ = writeln!(out, "            return Self::read_impl(cur, {mask_param}{args});");
         let _ = writeln!(out, "        }}");
-        let _ = writeln!(out, "        if !cur.observing_events() {{");
-        let _ = writeln!(out, "            let obs_off = cur.offset();");
-        let _ = writeln!(out, "            let (v, pd) = Self::read_impl(cur, {mask_param}{args});");
-        let _ = writeln!(
-            out,
-            "            cur.metrics_exit({id}u32, \"{}\", obs_off, &pd);",
-            def.name
-        );
-        let _ = writeln!(out, "            return (v, pd);");
-        let _ = writeln!(out, "        }}");
-        let _ = writeln!(out, "        let obs_start = cur.position();");
-        let _ = writeln!(out, "        cur.observe_enter_id({id}u32, \"{}\");", def.name);
+        let _ = writeln!(out, "        let obs_off = cur.offset();");
+        let _ = writeln!(out, "        cur.observe_enter_id({id}u32);");
         let _ = writeln!(out, "        let (v, pd) = Self::read_impl(cur, {mask_param}{args});");
-        let _ = writeln!(
-            out,
-            "        cur.observe_exit_id({id}u32, \"{}\", obs_start, &pd);",
-            def.name
-        );
+        let _ = writeln!(out, "        cur.observe_exit_id({id}u32, obs_off, &pd);");
         let _ = writeln!(out, "        (v, pd)");
         let _ = writeln!(out, "    }}");
     }
@@ -399,8 +387,8 @@ impl<'s> Gen<'s> {
 
     /// Emits the fixed-offset fast path for a proven fixed-width struct
     /// prefix: one bounds check, per-member validation against the peeked
-    /// slice, then a single cursor advance. Any mismatch (or an attached
-    /// event-stream observer, or a non-ASCII ambient charset) leaves the
+    /// slice, then a single cursor advance. Any mismatch (or a profiling
+    /// or tracing metrics core, or a non-ASCII ambient charset) leaves the
     /// cursor untouched and the general member loop handles the record —
     /// so the fast path can only ever *commit* byte-for-byte identical
     /// results.
@@ -491,15 +479,14 @@ impl<'s> Gen<'s> {
         let metric_items: Vec<String> = items
             .iter()
             .filter_map(|i| match i {
-                FixedItem::FwUint { width, wrap: Some(id), .. } => Some(format!(
-                    "({id}u32, {:?}, {width}u32)",
-                    self.schema.def(*id).name
-                )),
+                FixedItem::FwUint { width, wrap: Some(id), .. } => {
+                    Some(format!("({id}u32, {width}u32)"))
+                }
                 _ => None,
             })
             .collect();
         if !metric_items.is_empty() {
-            let _ = writeln!(out, "                if cur.metrics_on() {{");
+            let _ = writeln!(out, "                if cur.observing() {{");
             let _ = writeln!(
                 out,
                 "                    cur.metrics_fixed_prefix(&[{}]);",
@@ -1808,11 +1795,11 @@ impl<'s> Gen<'s> {
             "    if cur.stopped() {{\n        \
                  let loc = Loc::at(cur.position());\n        \
                  pd.add_root_error(ErrorCode::BudgetExhausted, loc);\n        \
-                 cur.observe_error(\"\", ErrorCode::BudgetExhausted, Some(loc));\n    \
+                 cur.observe_error(ErrorCode::BudgetExhausted, loc);\n    \
              }} else if !cur.at_eof() {{\n        \
                  let loc = Loc::at(cur.position());\n        \
                  pd.add_error(ErrorCode::ExtraDataAtEof, loc);\n        \
-                 cur.observe_error(\"\", ErrorCode::ExtraDataAtEof, Some(loc));\n    \
+                 cur.observe_error(ErrorCode::ExtraDataAtEof, loc);\n    \
              }}"
         );
         let _ = writeln!(out, "    (v, pd)");

@@ -1,134 +1,122 @@
-//! Observer-stream equivalence: both engines — the interpreting parser and
-//! the generated modules — must emit *identical* event streams for the same
-//! input, because record, error, and recovery events come from the shared
-//! cursor accounting path and type enter/exit pairs bracket the same named
-//! types. Also pins the satellite guarantees: recovery events mirror the
-//! `ErrorBudget` counters exactly, under both degradation modes and the
-//! 1000-seed fault harness from PR 1.
+//! Event-stream equivalence: every engine — the interpreting parser, the
+//! bytecode VM and the generated modules — must feed an attached metrics
+//! core *identical* events for the same input, because record, error, and
+//! recovery events come from the shared cursor accounting path and type
+//! enter/exit pairs bracket the same named types. The reference is the
+//! unbounded trace tree, compared node for node; the counters the same run
+//! bumped are held to it by an independent tally. Also pins the satellite
+//! guarantees: recovery events mirror the `ErrorBudget` counters exactly,
+//! under both degradation modes and the 1000-seed fault harness from PR 1.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+#[path = "../../../tests/common/trace_tally.rs"]
+mod trace_tally;
 
 use pads::generated::{clf, mixed, sirius};
-use pads::{descriptions, PadsParser, ParseOptions};
-use pads_observe::{MetricsSink, ObsHandle, Observer};
+use pads::{descriptions, Engine, PadsParser, ParseOptions};
+use pads_observe::trace;
 use pads_runtime::{
-    BaseMask, Cursor, ErrorCode, FaultPlan, Loc, Mask, OnExhausted, ParseDesc, Pos,
-    RecoveryEvent, RecoveryPolicy,
+    BaseMask, Cursor, ErrorBudget, ErrorCode, FaultPlan, Loc, Mask, MetricsCore, OnExhausted,
+    ParseDesc, RecoveryPolicy,
 };
+use trace_tally::{assert_counters_match_trace, unbounded, Tally};
 
 fn mask() -> Mask {
     Mask::all(BaseMask::CheckAndSet)
 }
 
-/// Records every event verbatim, as comparable strings.
-#[derive(Default)]
-struct EventLog {
-    events: Vec<String>,
-    panic_skip_bytes: u64,
-    skip_records: u64,
-}
+type Errors = Vec<(String, ErrorCode, Option<Loc>)>;
 
-impl Observer for EventLog {
-    fn type_enter(&mut self, name: &str, pos: Pos) {
-        self.events.push(format!("enter {name} @{}", pos.offset));
-    }
-    fn type_exit(&mut self, name: &str, start: Pos, end: Pos, pd: &ParseDesc) {
-        self.events.push(format!(
-            "exit {name} [{}..{}) nerr={} ok={}",
-            start.offset,
-            end.offset,
-            pd.nerr,
-            pd.is_ok()
-        ));
-    }
-    fn error(&mut self, path: &str, code: ErrorCode, loc: Option<Loc>) {
-        let at = loc.map(|l| format!("{}..{}", l.begin.offset, l.end.offset));
-        self.events.push(format!("error {path} {} @{at:?}", code.name()));
-    }
-    fn recovery(&mut self, event: RecoveryEvent, pos: Pos) {
-        match event {
-            RecoveryEvent::PanicSkip { bytes } => self.panic_skip_bytes += bytes,
-            RecoveryEvent::SkipRecord => self.skip_records += 1,
-            RecoveryEvent::BudgetExhausted { .. } => {}
-        }
-        self.events.push(format!("recovery {event:?} @{}", pos.offset));
-    }
-    fn record(&mut self, index: usize, span: Loc, nerr: u32) {
-        self.events.push(format!(
-            "record {index} [{}..{}) nerr={nerr}",
-            span.begin.offset, span.end.offset
-        ));
-    }
-}
-
-/// Parses `data` with the interpreter under `policy` and returns the log.
-fn interp_events(
+/// Parses `data` whole with the interpreter or the VM under `policy`, an
+/// unbounded tracing core attached; returns the core and the located errors
+/// of the source descriptor.
+fn engine_run(
     schema: &pads_check::ir::Schema,
     data: &[u8],
     policy: RecoveryPolicy,
-) -> EventLog {
+    engine: Engine,
+) -> (MetricsCore, Errors) {
     let registry = pads_runtime::Registry::standard();
-    let sink: Rc<RefCell<EventLog>> = Rc::new(RefCell::new(EventLog::default()));
     let parser = PadsParser::new(schema, &registry)
-        .with_options(ParseOptions { policy, ..Default::default() })
-        .with_observer(ObsHandle::from_rc(sink.clone()));
-    let _ = parser.parse_source(data, &mask());
-    drop(parser);
-    Rc::try_unwrap(sink).map(RefCell::into_inner).unwrap_or_default()
+        .with_options(ParseOptions { policy, engine, ..Default::default() });
+    let core = unbounded(parser.metrics_core()).into_handle();
+    let (_, pd) = parser.with_metrics(core.clone()).parse_source(data, &mask());
+    let core = core.borrow().clone();
+    (core, pd.errors())
 }
 
-/// Parses `data` with a generated `parse_source` and returns the log plus
-/// the cursor's final budget (for counter cross-checks).
-fn gen_events(
-    parse: impl Fn(&mut Cursor<'_>, &Mask) -> ParseDesc,
+/// A generated module's whole-source entry and its pre-interned core.
+type Generated = (fn(&mut Cursor<'_>, &Mask) -> ParseDesc, fn() -> MetricsCore);
+
+const GEN_CLF: Generated = (|cur, m| clf::parse_source(cur, m).1, clf::metrics_core);
+const GEN_SIRIUS: Generated = (|cur, m| sirius::parse_source(cur, m).1, sirius::metrics_core);
+const GEN_MIXED: Generated = (|cur, m| mixed::parse_source(cur, m).1, mixed::metrics_core);
+
+/// Parses `data` with a generated `parse_source`; returns the core, the
+/// located errors and the cursor's final budget (for counter cross-checks).
+fn gen_run(
+    (parse, metrics_core): Generated,
     data: &[u8],
     policy: RecoveryPolicy,
-) -> (EventLog, pads_runtime::ErrorBudget) {
-    let sink: Rc<RefCell<EventLog>> = Rc::new(RefCell::new(EventLog::default()));
-    let mut cur = Cursor::new(data)
-        .with_policy(policy)
-        .with_observer(ObsHandle::from_rc(sink.clone()));
-    let _ = parse(&mut cur, &mask());
-    let budget = cur.budget();
-    drop(cur);
-    (Rc::try_unwrap(sink).map(RefCell::into_inner).unwrap_or_default(), budget)
+) -> (MetricsCore, Errors, ErrorBudget) {
+    let core = unbounded(metrics_core()).into_handle();
+    let mut cur = Cursor::new(data).with_policy(policy).with_metrics(core.clone());
+    let pd = parse(&mut cur, &mask());
+    let core = core.borrow().clone();
+    (core, pd.errors(), cur.budget())
 }
 
-fn assert_same_stream(name: &str, interp: &EventLog, gen: &EventLog) {
-    if interp.events != gen.events {
-        for (i, (a, b)) in interp.events.iter().zip(&gen.events).enumerate() {
+/// Node for node: the trees are equal, and where they are not the first
+/// differing line of their JSONL renderings says where.
+fn assert_same_stream(name: &str, want: &MetricsCore, got: &MetricsCore) {
+    if want.trace_roots() != got.trace_roots() {
+        let (want, got) = (trace::jsonl(want).unwrap(), trace::jsonl(got).unwrap());
+        for (i, (a, b)) in want.lines().zip(got.lines()).enumerate() {
             assert_eq!(a, b, "{name}: event {i} diverges");
         }
         panic!(
-            "{name}: stream lengths differ (interp {} vs gen {})",
-            interp.events.len(),
-            gen.events.len()
+            "{name}: stream lengths differ ({} vs {})",
+            want.lines().count(),
+            got.lines().count()
         );
     }
-    assert!(!interp.events.is_empty(), "{name}: no events observed");
+    assert!(want.trace_roots().is_some_and(|r| !r.is_empty()), "{name}: no events observed");
+}
+
+/// Runs all three engines over `data`, holds them to one event stream (and
+/// the descriptors to one located-error list, which carries the full error
+/// `Loc`s the trace keeps only the start of), cross-checks each engine's
+/// counters against its own tree, and returns the generated run.
+fn assert_engines_agree(
+    name: &str,
+    schema: &pads_check::ir::Schema,
+    generated: Generated,
+    data: &[u8],
+    policy: RecoveryPolicy,
+) -> (MetricsCore, ErrorBudget) {
+    let (interp, interp_errors) = engine_run(schema, data, policy, Engine::Interp);
+    let (vm, vm_errors) = engine_run(schema, data, policy, Engine::Vm);
+    let (gen, gen_errors, budget) = gen_run(generated, data, policy);
+    assert_same_stream(&format!("{name}: interpreter vs VM"), &interp, &vm);
+    assert_same_stream(&format!("{name}: interpreter vs generated"), &interp, &gen);
+    assert_eq!(interp_errors, vm_errors, "{name}: VM descriptor errors diverge");
+    assert_eq!(interp_errors, gen_errors, "{name}: generated descriptor errors diverge");
+    for (engine, core) in [("interpreter", &interp), ("VM", &vm), ("generated", &gen)] {
+        assert_counters_match_trace(&format!("{name}/{engine}"), core);
+    }
+    (gen, budget)
 }
 
 #[test]
 fn torture_corpora_produce_identical_event_streams() {
-    let cases: [(&str, &[u8], fn(&mut Cursor<'_>, &Mask) -> ParseDesc); 3] = [
-        ("clf", include_bytes!("../../../tests/data/torture_clf.log"), |cur, m| {
-            clf::parse_source(cur, m).1
-        }),
-        ("sirius", include_bytes!("../../../tests/data/torture_sirius.txt"), |cur, m| {
-            sirius::parse_source(cur, m).1
-        }),
-        ("mixed", include_bytes!("../../../tests/data/torture_mixed.txt"), |cur, m| {
-            mixed::parse_source(cur, m).1
-        }),
+    let cases: [(&str, &[u8], Generated); 3] = [
+        ("clf", include_bytes!("../../../tests/data/torture_clf.log"), GEN_CLF),
+        ("sirius", include_bytes!("../../../tests/data/torture_sirius.txt"), GEN_SIRIUS),
+        ("mixed", include_bytes!("../../../tests/data/torture_mixed.txt"), GEN_MIXED),
     ];
     let schemas =
         [descriptions::clf(), descriptions::sirius(), descriptions::mixed()];
-    for ((name, data, parse), schema) in cases.into_iter().zip(&schemas) {
-        let policy = RecoveryPolicy::unlimited();
-        let interp = interp_events(schema, data, policy);
-        let (gen, _) = gen_events(parse, data, policy);
-        assert_same_stream(name, &interp, &gen);
+    for ((name, data, generated), schema) in cases.into_iter().zip(&schemas) {
+        assert_engines_agree(name, schema, generated, data, RecoveryPolicy::unlimited());
     }
 }
 
@@ -151,28 +139,22 @@ fn skip_record_mode_emits_matching_recovery_events() {
         .with_max_errs(3)
         .with_on_exhausted(OnExhausted::SkipRecord);
     let schema = descriptions::sirius();
-    let interp = interp_events(&schema, &data, policy);
-    let (gen, budget) = gen_events(|c, m| sirius::parse_source(c, m).1, &data, policy);
-    assert_same_stream("sirius/skip-record", &interp, &gen);
+    let (gen, budget) =
+        assert_engines_agree("sirius/skip-record", &schema, GEN_SIRIUS, &data, policy);
     // Every budget-driven record skip produced exactly one SkipRecord event,
     // and the exhaustion transition itself was announced once.
+    let events = Tally::of_trace(&gen);
     assert!(budget.skipped_records > 0, "budget never forced a skip");
-    assert_eq!(gen.skip_records, budget.skipped_records);
-    let exhausted = gen
-        .events
-        .iter()
-        .filter(|e| e.starts_with("recovery BudgetExhausted"))
-        .count();
-    assert_eq!(exhausted, 1, "exhaustion transition must fire exactly once");
-    // The metrics sink aggregates the same stream into the same counters.
-    let sink: Rc<RefCell<MetricsSink>> = Rc::new(RefCell::new(MetricsSink::new()));
-    let mut cur = Cursor::new(&data)
-        .with_policy(policy)
-        .with_observer(ObsHandle::from_rc(sink.clone()));
-    let _ = sirius::parse_source(&mut cur, &mask());
-    let m = sink.borrow();
-    assert_eq!(m.records_skipped(), budget.skipped_records);
-    assert_eq!(m.records(), 40 + 1); // 40 entries + the header record
+    assert_eq!(events.records_skipped, budget.skipped_records);
+    assert_eq!(
+        events.budget_exhausted.values().sum::<u64>(),
+        1,
+        "exhaustion transition must fire exactly once"
+    );
+    // The counters aggregate the same stream (`assert_engines_agree` held
+    // them to the tree): skips, and 40 entries + the header record.
+    assert_eq!(gen.records_skipped(), budget.skipped_records);
+    assert_eq!(gen.records(), 40 + 1);
 }
 
 #[test]
@@ -182,23 +164,21 @@ fn best_effort_mode_emits_matching_recovery_events() {
         .with_max_errs(3)
         .with_on_exhausted(OnExhausted::BestEffort);
     let schema = descriptions::sirius();
-    let interp = interp_events(&schema, &data, policy);
-    let (gen, budget) = gen_events(|c, m| sirius::parse_source(c, m).1, &data, policy);
-    assert_same_stream("sirius/best-effort", &interp, &gen);
+    let (gen, budget) =
+        assert_engines_agree("sirius/best-effort", &schema, GEN_SIRIUS, &data, policy);
     // Best-effort never skips records wholesale; it only flattens detail.
-    assert_eq!(gen.skip_records, 0);
+    let events = Tally::of_trace(&gen);
+    assert_eq!(events.records_skipped, 0);
     assert_eq!(budget.skipped_records, 0);
     assert!(
-        gen.events
-            .iter()
-            .any(|e| e.starts_with("recovery BudgetExhausted { mode: BestEffort }")),
+        events.budget_exhausted.contains_key("BestEffort"),
         "exhaustion under BestEffort must be announced"
     );
 }
 
-/// The 1000-seed fault harness from PR 1, with observers attached: both
-/// engines still agree event-for-event, and the recovery events account for
-/// exactly the bytes the budget says panic mode skipped.
+/// The 1000-seed fault harness from PR 1, observed: all three engines still
+/// agree event for event, and the recovery events account for exactly the
+/// bytes the budget says panic mode skipped.
 #[test]
 fn fault_harness_event_streams_agree_and_match_byte_accounting() {
     let clean = pads_gen::clf::generate(&pads_gen::ClfConfig {
@@ -211,13 +191,12 @@ fn fault_harness_event_streams_agree_and_match_byte_accounting() {
     let mut panic_seeds = 0u32;
     for seed in 0..1000 {
         let data = FaultPlan::for_seed(seed).apply(&clean);
-        let interp = interp_events(&schema, &data, policy);
-        let (gen, budget) = gen_events(|c, m| clf::parse_source(c, m).1, &data, policy);
-        assert_same_stream(&format!("clf seed {seed}"), &interp, &gen);
-        // PR-1 byte accounting, restated through the observer: the sum of
-        // PanicSkip event bytes equals the budget's panic_skipped counter.
+        let (gen, budget) =
+            assert_engines_agree(&format!("clf seed {seed}"), &schema, GEN_CLF, &data, policy);
+        // PR-1 byte accounting, restated through the event stream: the sum
+        // of PanicSkip event bytes equals the budget's panic_skipped counter.
         assert_eq!(
-            gen.panic_skip_bytes, budget.panic_skipped,
+            Tally::of_trace(&gen).panic_skipped_bytes, budget.panic_skipped,
             "seed {seed}: recovery events disagree with the budget"
         );
         if budget.panic_skipped > 0 {

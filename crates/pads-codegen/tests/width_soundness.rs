@@ -1,39 +1,41 @@
 //! Width-interval soundness: the fact database claims every parse of a
 //! type `T` consumes between `min` and `max` bytes (`max` absent for
 //! unbounded types). This property test replays the torture corpora and
-//! the 1000-seed fault harness through BOTH engines with an observer
-//! attached, and checks every clean type-exit span against the computed
+//! the 1000-seed fault harness through BOTH engines with an unbounded
+//! tracing core attached, and checks every clean span against the computed
 //! interval. Record types get one byte of slack: the record close
 //! consumes the newline terminator, which sits outside the type's
 //! content width.
 
-use std::cell::RefCell;
+#[path = "../../../tests/common/trace_tally.rs"]
+mod trace_tally;
+
 use std::collections::HashMap;
-use std::rc::Rc;
 
 use pads::generated::{clf, mixed, sirius};
 use pads::{descriptions, PadsParser};
 use pads_check::ir::Schema;
 use pads_check::lint::facts::{SemFacts, WidthInterval};
 use pads_check::lint::firstset::Facts;
-use pads_observe::{ObsHandle, Observer};
-use pads_runtime::{BaseMask, Cursor, FaultPlan, Mask, ParseDesc, Pos, Registry};
+use pads_runtime::{BaseMask, Cursor, FaultPlan, Mask, MetricsCore, ParseDesc, Registry};
 
 fn mask() -> Mask {
     Mask::all(BaseMask::CheckAndSet)
 }
 
-/// Captures `(type name, consumed bytes)` for every *clean* type exit;
-/// errored or partial parses may legitimately stop anywhere.
+/// `(type name, consumed bytes)` for every *clean* type exit; errored or
+/// partial parses may legitimately stop anywhere.
 #[derive(Default)]
 struct SpanLog {
     spans: Vec<(String, u64)>,
 }
 
-impl Observer for SpanLog {
-    fn type_exit(&mut self, name: &str, start: Pos, end: Pos, pd: &ParseDesc) {
-        if pd.is_ok() && pd.nerr == 0 {
-            self.spans.push((name.to_owned(), (end.offset - start.offset) as u64));
+impl SpanLog {
+    /// The clean spans of the whole event stream `core` traced.
+    fn of(core: &MetricsCore) -> SpanLog {
+        let clean = trace_tally::spans(core).into_iter().filter(|(_, span)| span.nerr == 0);
+        SpanLog {
+            spans: clean.map(|(name, s)| (name.to_owned(), (s.end - s.start) as u64)).collect(),
         }
     }
 }
@@ -55,7 +57,7 @@ fn check_spans(label: &str, log: &SpanLog, table: &HashMap<String, (WidthInterva
     assert!(!log.spans.is_empty(), "{label}: no clean spans observed");
     for (name, consumed) in &log.spans {
         let Some((w, is_record)) = table.get(name) else {
-            panic!("{label}: observer saw unknown type `{name}`");
+            panic!("{label}: the trace holds unknown type `{name}`");
         };
         let slack = u64::from(*is_record);
         assert!(
@@ -74,37 +76,42 @@ fn check_spans(label: &str, log: &SpanLog, table: &HashMap<String, (WidthInterva
 
 fn interp_spans(schema: &Schema, data: &[u8]) -> SpanLog {
     let registry = Registry::standard();
-    let sink: Rc<RefCell<SpanLog>> = Rc::new(RefCell::new(SpanLog::default()));
-    let parser =
-        PadsParser::new(schema, &registry).with_observer(ObsHandle::from_rc(sink.clone()));
-    let _ = parser.parse_source(data, &mask());
-    drop(parser);
-    Rc::try_unwrap(sink).map(RefCell::into_inner).unwrap_or_default()
+    let parser = PadsParser::new(schema, &registry);
+    let core = trace_tally::unbounded(parser.metrics_core()).into_handle();
+    let _ = parser.with_metrics(core.clone()).parse_source(data, &mask());
+    let core = core.borrow();
+    SpanLog::of(&core)
 }
 
-fn gen_spans(
-    parse: impl Fn(&mut Cursor<'_>, &Mask) -> ParseDesc,
-    data: &[u8],
-) -> SpanLog {
-    let sink: Rc<RefCell<SpanLog>> = Rc::new(RefCell::new(SpanLog::default()));
-    let mut cur = Cursor::new(data).with_observer(ObsHandle::from_rc(sink.clone()));
+/// A generated module's whole-source entry and its pre-interned core.
+type Generated = (fn(&mut Cursor<'_>, &Mask) -> ParseDesc, fn() -> MetricsCore);
+
+fn gen_spans((parse, metrics_core): Generated, data: &[u8]) -> SpanLog {
+    let core = trace_tally::unbounded(metrics_core()).into_handle();
+    let mut cur = Cursor::new(data).with_metrics(core.clone());
     let _ = parse(&mut cur, &mask());
-    drop(cur);
-    Rc::try_unwrap(sink).map(RefCell::into_inner).unwrap_or_default()
+    let core = core.borrow();
+    SpanLog::of(&core)
 }
 
 #[test]
 fn torture_corpora_respect_width_intervals_on_both_engines() {
-    let cases: [(&str, &[u8], fn(&mut Cursor<'_>, &Mask) -> ParseDesc); 3] = [
-        ("clf", include_bytes!("../../../tests/data/torture_clf.log"), |cur, m| {
-            clf::parse_source(cur, m).1
-        }),
-        ("sirius", include_bytes!("../../../tests/data/torture_sirius.txt"), |cur, m| {
-            sirius::parse_source(cur, m).1
-        }),
-        ("mixed", include_bytes!("../../../tests/data/torture_mixed.txt"), |cur, m| {
-            mixed::parse_source(cur, m).1
-        }),
+    let cases: [(&str, &[u8], Generated); 3] = [
+        (
+            "clf",
+            include_bytes!("../../../tests/data/torture_clf.log"),
+            (|cur, m| clf::parse_source(cur, m).1, clf::metrics_core),
+        ),
+        (
+            "sirius",
+            include_bytes!("../../../tests/data/torture_sirius.txt"),
+            (|cur, m| sirius::parse_source(cur, m).1, sirius::metrics_core),
+        ),
+        (
+            "mixed",
+            include_bytes!("../../../tests/data/torture_mixed.txt"),
+            (|cur, m| mixed::parse_source(cur, m).1, mixed::metrics_core),
+        ),
     ];
     let schemas = [descriptions::clf(), descriptions::sirius(), descriptions::mixed()];
     for ((name, data, parse), schema) in cases.into_iter().zip(&schemas) {
@@ -134,7 +141,7 @@ fn fault_harness_respects_width_intervals_on_both_engines() {
     for seed in 0..1000 {
         let data = FaultPlan::for_seed(seed).apply(&clean);
         let ilog = interp_spans(&schema, &data);
-        let glog = gen_spans(|c, m| clf::parse_source(c, m).1, &data);
+        let glog = gen_spans((|c, m| clf::parse_source(c, m).1, clf::metrics_core), &data);
         // Mutated corpora can in principle fail every parse; only check
         // non-empty logs (check_spans asserts non-emptiness).
         for (label, log) in

@@ -19,16 +19,18 @@
 //! What the consumer leaves in the chunk goes back to the worker that
 //! parsed it and is dropped there.
 //!
-//! Observers are per-worker: `records_par_stream` takes a *factory* that
-//! builds one [`WorkerObs`] attachment per worker thread — a dense
-//! [`MetricsCore`](pads_runtime::MetricsCore) (the `Send`-able counter
-//! slabs; the usual choice), a legacy event-stream observer, or both; the
-//! handles themselves never cross threads — plus a harvest closure drained
-//! once per chunk, whose deltas reach the consumer in merge order, each
-//! with the chunk it covers, for the caller to fold together.
+//! Observation is per-worker: `records_par_stream` takes a *factory* that
+//! builds one [`MetricsHandle`] per worker thread — the handle never
+//! crosses threads; the `Send`-able
+//! [`MetricsCore`](pads_runtime::MetricsCore) behind it does — plus a
+//! harvest closure drained once per chunk, whose deltas reach the consumer
+//! in merge order, each with the chunk it covers, for the caller to fold
+//! together.
 
 use pads_runtime::par::{self, Job};
-use pads_runtime::{ErrorBudget, Mask, Parsed, ResumePoint, WorkerObs, DEFAULT_MAX_INFLIGHT};
+use pads_runtime::{
+    ErrorBudget, Mask, MetricsHandle, Parsed, ResumePoint, DEFAULT_MAX_INFLIGHT,
+};
 
 use crate::parse::{PadsParser, ParseOptions};
 use crate::value::Value;
@@ -41,8 +43,8 @@ impl<'s> PadsParser<'s> {
     /// `i` reconstructs exactly what [`PadsParser::records`] yields at
     /// index `i`. Returns the batch and the final error-budget tally.
     ///
-    /// `jobs <= 1` *is* the sequential path. The parser's own observer is
-    /// not carried into workers (observer handles are not `Send`) — use
+    /// `jobs <= 1` *is* the sequential path. The parser's own metrics core
+    /// is not carried into workers (handles are not `Send`) — use
     /// [`records_par_stream`](Self::records_par_stream) to observe a
     /// parallel parse.
     pub fn records_par_batched(
@@ -79,10 +81,10 @@ impl<'s> PadsParser<'s> {
     /// drains the ones it keeps.
     ///
     /// Each worker thread (and the sequential-replay path, if taken) gets
-    /// its own observation from the `observer` factory: the attachment
-    /// plus a closure that drains the sink's accumulation since its
-    /// previous call (sinks and cores are plain data and cross threads;
-    /// handles do not). It is called once per chunk, and a chunk is merged
+    /// its own observation from the `observer` factory: the core to
+    /// attach plus a closure that drains what it accumulated since the
+    /// previous call (cores are plain data and cross threads; handles do
+    /// not). It is called once per chunk, and a chunk is merged
     /// whole or replayed whole, so the harvests fold exactly in record
     /// order even when the merge diverts to sequential replay.
     ///
@@ -101,7 +103,7 @@ impl<'s> PadsParser<'s> {
     ) -> ErrorBudget
     where
         E: Send,
-        F: Fn() -> (WorkerObs, Box<dyn FnMut() -> E>) + Sync,
+        F: Fn() -> (MetricsHandle, Box<dyn FnMut() -> E>) + Sync,
         C: FnMut(&mut Vec<Parsed<Value>>, Option<E>),
     {
         let schema = self.schema();
@@ -126,13 +128,8 @@ impl<'s> PadsParser<'s> {
                 PadsParser::new(schema, registry).with_options(ParseOptions { policy, ..options });
             let mut harvest = None;
             if let Some(factory) = observer {
-                let (att, h) = factory();
-                if let Some(obs) = att.handle {
-                    parser = parser.with_observer(obs);
-                }
-                if let Some(core) = att.metrics {
-                    parser = parser.with_metrics(core);
-                }
+                let (core, h) = factory();
+                parser = parser.with_metrics(core);
                 harvest = Some(h);
             }
             (parser.into_records(slice, name, mask, start), move || harvest.as_mut().map(|h| h()))
@@ -142,4 +139,4 @@ impl<'s> PadsParser<'s> {
 }
 
 /// Type-anchoring alias for calls that pass no observer factory.
-pub(crate) type Unobserved = fn() -> (WorkerObs, Box<dyn FnMut()>);
+pub(crate) type Unobserved = fn() -> (MetricsHandle, Box<dyn FnMut()>);

@@ -18,7 +18,7 @@ use pads_runtime::io::{new_regex_cache, RegexCache};
 use pads_runtime::pd::PdKind;
 use pads_runtime::{
     BaseMask, Charset, Cursor, Endian, ErrorBudget, ErrorCode, Loc, Mask, MetricsCore,
-    MetricsHandle, Name, ObsHandle, ParseDesc, ParseState, Pos, Prim, RecordDiscipline,
+    MetricsHandle, Name, ParseDesc, ParseState, Pos, Prim, RecordDiscipline,
     RecordReader, RecoveryPolicy, Registry, ResumePoint,
 };
 use pads_syntax::ast::{CaseLabel, Expr, Literal};
@@ -46,7 +46,7 @@ pub struct ParseOptions {
 /// How a [`PadsParser`] executes its schema.
 ///
 /// Both engines are proven byte-identical (values, descriptors, budgets,
-/// observer streams) by the `vm_equiv` suite; the choice is purely a
+/// observation events) by the `vm_equiv` suite; the choice is purely a
 /// speed/startup trade-off. See `docs/VM.md` for the selection contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
@@ -81,7 +81,6 @@ pub struct PadsParser<'s> {
     schema: &'s Schema,
     registry: &'s Registry,
     options: ParseOptions,
-    obs: Option<ObsHandle>,
     metrics: Option<MetricsHandle>,
     /// One compiled-regex cache per parser: every cursor the parser builds
     /// shares it, so each `Pre` pattern in the schema compiles once — not
@@ -144,7 +143,6 @@ impl<'s> PadsParser<'s> {
             schema,
             registry,
             options: ParseOptions::default(),
-            obs: None,
             metrics: None,
             regexes: new_regex_cache(),
             names: intern_names(schema),
@@ -161,18 +159,12 @@ impl<'s> PadsParser<'s> {
         self
     }
 
-    /// Attaches an observer; every cursor the parser builds (including
-    /// the per-record cursors of the streaming front-end) carries it.
-    pub fn with_observer(mut self, obs: ObsHandle) -> PadsParser<'s> {
-        self.obs = Some(obs);
-        self
-    }
-
     /// Attaches a dense-id metrics core; every cursor the parser builds
-    /// carries it. The interpreter's type ids *are* the core's node ids
-    /// when the core was built over this schema's type names (see
-    /// [`PadsParser::metrics_core`]), so the metrics hot path is a flat
-    /// slab bump with no per-event string work.
+    /// (including the per-record cursors of the streaming front-end)
+    /// carries it. The engines' type ids *are* the core's node ids: build
+    /// the core over this schema's type names
+    /// ([`PadsParser::metrics_core`]) — a core over any other table drops
+    /// the type events it cannot attribute.
     pub fn with_metrics(mut self, core: MetricsHandle) -> PadsParser<'s> {
         self.metrics = Some(core);
         self
@@ -180,8 +172,8 @@ impl<'s> PadsParser<'s> {
 
     /// A [`MetricsCore`] whose dense node-id table is this schema's type
     /// list, in `TypeId` order — the core to attach via
-    /// [`with_metrics`](PadsParser::with_metrics) for id-trusted (fast
-    /// path) aggregation.
+    /// [`with_metrics`](PadsParser::with_metrics), optionally with its
+    /// profiler or trace switched on first.
     pub fn metrics_core(&self) -> MetricsCore {
         MetricsCore::with_names(self.schema.types.iter().map(|d| d.name.as_str()))
     }
@@ -208,10 +200,6 @@ impl<'s> PadsParser<'s> {
             .with_discipline(self.options.discipline)
             .with_policy(self.options.policy)
             .with_regex_cache(self.regexes.clone());
-        let cur = match &self.obs {
-            Some(obs) => cur.with_observer(obs.clone()),
-            None => cur,
-        };
         match &self.metrics {
             Some(core) => cur.with_metrics(core.clone()),
             None => cur,
@@ -229,11 +217,11 @@ impl<'s> PadsParser<'s> {
         if cur.stopped() {
             let loc = Loc::at(cur.position());
             pd.add_root_error(ErrorCode::BudgetExhausted, loc);
-            cur.observe_error("", ErrorCode::BudgetExhausted, Some(loc));
+            cur.observe_error(ErrorCode::BudgetExhausted, loc);
         } else if !cur.at_eof() {
             let loc = Loc::at(cur.position());
             pd.add_error(ErrorCode::ExtraDataAtEof, loc);
-            cur.observe_error("", ErrorCode::ExtraDataAtEof, Some(loc));
+            cur.observe_error(ErrorCode::ExtraDataAtEof, loc);
         }
         (value, pd)
     }
@@ -340,9 +328,9 @@ impl<'s> PadsParser<'s> {
 
     // ---- internals -------------------------------------------------------
 
-    /// Parses the definition `id`, bracketing the work with observer
-    /// type-enter/type-exit events. The observer test is a single
-    /// `Option` discriminant check, so the unobserved path pays nothing.
+    /// Parses the definition `id`, bracketing the work with type-enter /
+    /// type-exit events. The observation test is a single discriminant
+    /// check, so the unobserved path pays nothing.
     fn parse_def(
         &self,
         cur: &mut Cursor<'_>,
@@ -365,13 +353,11 @@ impl<'s> PadsParser<'s> {
             return self.parse_def_inner(cur, id, args, mask);
         }
         // TypeId doubles as the dense metrics node id (the core attached
-        // by `with_metrics` is built over the same type list); the name
-        // is borrowed for legacy observers — no per-parse allocation.
-        let name = &self.schema.def(id).name;
-        let start = cur.position();
-        cur.observe_enter_id(id as u32, name);
+        // by `with_metrics` is built over the same type list).
+        let start = cur.offset();
+        cur.observe_enter_id(id as u32);
         let (value, pd) = self.parse_def_inner(cur, id, args, mask);
-        cur.observe_exit_id(id as u32, name, start, &pd);
+        cur.observe_exit_id(id as u32, start, &pd);
         (value, pd)
     }
 

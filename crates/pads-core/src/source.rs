@@ -13,14 +13,15 @@
 //! descriptor: it folds the per-record descriptors by the struct and array
 //! rules [`PadsParser::parse_source`] applies, so a report (or the
 //! aggregate `<pd>` of an XML rendering) comes out identical to the
-//! whole-tree parse while only one record is ever live.
+//! whole-tree parse while only one record is ever live — and, asked to
+//! [`observe`](SourceFold::observe), a metrics core hears the same events.
 //! [`SourceShape::infer`] says which sources that holds for.
 
 use pads_check::ir::{MemberIr, Schema, TyUse, TypeId, TypeKind};
 use pads_runtime::par::Progress;
 use pads_runtime::{
-    ErrorBudget, ErrorCode, Loc, Mask, ParseDesc, ParseState, PdKind, Pos, ResumePoint, WorkerObs,
-    DEFAULT_MAX_INFLIGHT,
+    ErrorBudget, ErrorCode, Loc, Mask, MetricsHandle, ParseDesc, ParseState, PdKind, Pos,
+    ResumePoint, DEFAULT_MAX_INFLIGHT,
 };
 
 use crate::parse::PadsParser;
@@ -122,13 +123,14 @@ impl<'a> SourceShape<'a> {
 /// `E` is the per-chunk observer harvest of a sharded observed run (a
 /// `MetricsCore` delta, say); unobserved sinks leave it at `()`.
 pub trait RecordSink<E = ()> {
-    /// The header's value and descriptor, once, before any record.
+    /// The header's value and descriptor, once, before any record, with the
+    /// cursor's `progress` past it (the header is itself a record).
     /// Returning `false` ends the run there — the source-struct rule, under
     /// which a header with a syntax error aborts the struct and the record
     /// array is never parsed. Sinks that only want the records (the §5.2
     /// programs) keep the default and carry on: the header is itself a
     /// record, so panic-mode recovery has already resynchronised.
-    fn header(&mut self, _value: Value, _pd: ParseDesc) -> bool {
+    fn header(&mut self, _value: Value, _pd: ParseDesc, _progress: &Progress) -> bool {
         true
     }
 
@@ -190,8 +192,8 @@ pub struct SourceEnd {
 
 impl<'s> PadsParser<'s> {
     /// [`stream_source_observed`](Self::stream_source_observed) without a
-    /// per-worker observer. The parser's own observer and metrics core
-    /// still see a sequential run.
+    /// per-worker observer. The parser's own metrics core still sees a
+    /// sequential run.
     pub fn stream_source<S: RecordSink>(
         &self,
         data: &[u8],
@@ -222,7 +224,7 @@ impl<'s> PadsParser<'s> {
     ) -> SourceEnd
     where
         E: Send,
-        F: Fn() -> (WorkerObs, Box<dyn FnMut() -> E>) + Sync,
+        F: Fn() -> (MetricsHandle, Box<dyn FnMut() -> E>) + Sync,
         S: RecordSink<E>,
     {
         let SourceJob { shape, mask, start, jobs, max_inflight } = *job;
@@ -240,7 +242,8 @@ impl<'s> PadsParser<'s> {
             let (value, pd) = self.parse_named(&mut cur, header, &[], mask);
             pos = cur.position();
             resume = ResumePoint { offset: pos.offset, record: pos.record, budget: cur.budget() };
-            if !sink.header(value, pd) {
+            let progress = Progress { record: start.record, end: pos, budget: resume.budget };
+            if !sink.header(value, pd, &progress) {
                 return end(resume.budget, pos, false);
             }
         }
@@ -412,6 +415,11 @@ fn note(
 /// [`ParseDesc`]s and updated with the very operations the parser applies
 /// (`absorb` per element and per field, `add_error` / `add_root_error` for
 /// the conditions raised at the end), minus the children.
+///
+/// Those two nodes are also the only ones a record-at-a-time run never
+/// *parses*, so no engine emits their events: a fold told to
+/// [`observe`](Self::observe) emits them itself, and a metrics core then
+/// hears a streamed run exactly as it hears the whole-tree parse.
 #[derive(Debug)]
 pub struct SourceFold {
     /// `(header field, array field)` when the source is a struct around
@@ -433,13 +441,32 @@ pub struct SourceFold {
     /// How many of `errors` are the header's.
     header_errors: usize,
     counts: [u64; NCODES],
+    /// Dense node ids of the source type and, for a struct source, of its
+    /// record array.
+    ids: (u32, Option<u32>),
+    own: Option<OwnNodes>,
+}
+
+/// The core that hears the source's own nodes, and where the open ones
+/// began.
+#[derive(Debug)]
+struct OwnNodes {
+    core: MetricsHandle,
+    source_start: usize,
+    /// Set once the header let the struct go on to its record array.
+    array_start: Option<usize>,
 }
 
 impl SourceFold {
     /// A fold for `schema`'s source type.
     pub fn new(schema: &Schema) -> SourceFold {
+        let fields = header_and_array(schema);
+        let array = fields.and_then(|(_, body)| match &body.ty {
+            TyUse::Named { id, .. } => Some(*id as u32),
+            _ => None,
+        });
         SourceFold {
-            fields: header_and_array(schema).map(|(h, b)| (h.name.clone(), b.name.clone())),
+            fields: fields.map(|(h, b)| (h.name.clone(), b.name.clone())),
             header: None,
             aborted: false,
             array: ParseDesc::ok(),
@@ -450,7 +477,21 @@ impl SourceFold {
             errors: Vec::new(),
             header_errors: 0,
             counts: [0; NCODES],
+            ids: (schema.source() as u32, array),
+            own: None,
         }
+    }
+
+    /// Has the fold emit on `core` — the core the parser of the run
+    /// carries, or the one its workers' deltas merge into — the events of
+    /// the source's own nodes: the source type entered here, at byte
+    /// `start`, the record array entered after the header, both exited by
+    /// [`finish`](Self::finish), then the root errors `finish` raises. Call
+    /// it right before a run over the shape [`SourceShape::infer`] gives.
+    pub fn observe(mut self, core: MetricsHandle, start: usize) -> SourceFold {
+        core.borrow_mut().enter_id(self.ids.0, start);
+        self.own = Some(OwnNodes { core, source_start: start, array_start: None });
+        self
     }
 
     /// The `(header field, array field)` names of a struct source.
@@ -507,10 +548,27 @@ impl SourceFold {
                 root
             }
         };
-        if end.budget.stopped() {
+        let root_error = if end.budget.stopped() {
             root.add_root_error(ErrorCode::BudgetExhausted, at);
+            Some(ErrorCode::BudgetExhausted)
         } else if !end.at_eof {
             root.add_error(ErrorCode::ExtraDataAtEof, at);
+            Some(ErrorCode::ExtraDataAtEof)
+        } else {
+            None
+        };
+        if let Some(own) = &self.own {
+            let mut core = own.core.borrow_mut();
+            let end = end.pos.offset;
+            if let (Some(id), Some(start)) = (self.ids.1, own.array_start) {
+                core.exit_id(id, start, end, self.array.nerr);
+            }
+            // A root error is raised after the source type's parse returns.
+            let own_nerr = root.nerr - u32::from(root_error.is_some());
+            core.exit_id(self.ids.0, own.source_start, end, own_nerr);
+            if let Some(code) = root_error {
+                core.note_error_at("", code, Some(end));
+            }
         }
 
         // `errors()` order: the root's own error, the header's, the
@@ -535,7 +593,7 @@ impl SourceFold {
 }
 
 impl<E> RecordSink<E> for SourceFold {
-    fn header(&mut self, _value: Value, pd: ParseDesc) -> bool {
+    fn header(&mut self, _value: Value, pd: ParseDesc, progress: &Progress) -> bool {
         let fields = &self.fields;
         note(&mut self.counts, &mut self.errors, &pd, || {
             fields.as_ref().map(|(header, _)| header.clone()).unwrap_or_default()
@@ -543,6 +601,10 @@ impl<E> RecordSink<E> for SourceFold {
         self.header_errors = self.errors.len();
         self.aborted = pd.has_syntax_error();
         self.header = Some(pd);
+        if let (Some(own), Some(array), false) = (&mut self.own, self.ids.1, self.aborted) {
+            own.core.borrow_mut().enter_id(array, progress.end.offset);
+            own.array_start = Some(progress.end.offset);
+        }
         !self.aborted
     }
 

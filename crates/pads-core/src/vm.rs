@@ -16,7 +16,7 @@
 //! pre-evaluated constant arguments, pre-interned [`Name`]s and
 //! precomputed default values) plus an executor that mirrors the
 //! interpreter *function for function* — same record framing, recovery
-//! policies, error budgets, observer events and descriptor shapes, proven
+//! policies, error budgets, observation events and descriptor shapes, proven
 //! byte-identical by the `vm_equiv` test suite.
 //!
 //! The compiler also applies the elisions `pads-codegen` already proved
@@ -92,8 +92,6 @@ impl VmProgram {
 
 /// One compiled type definition.
 struct CDef {
-    /// Type name, borrowed by observer enter/exit events.
-    name: String,
     is_record: bool,
     /// Interned value-parameter names, by declaration index.
     params: Box<[Name]>,
@@ -376,7 +374,6 @@ fn compile_def(
     // lowering; struct clauses reference arbitrary fields and stay generic.
     let is_array = matches!(def.kind, TypeKind::Array { .. });
     CDef {
-        name: def.name.clone(),
         is_record: def.is_record,
         params: pnames.into_boxed_slice(),
         where_clause: def.where_clause.as_ref().map(|w| compile_where(w, is_array)),
@@ -949,7 +946,7 @@ fn eval_sorted(field: &str, op: BinOp, elts: &[Value]) -> Result<bool, ErrorCode
 
 /// Executes definition `id` of `prog` at the cursor — the VM twin of
 /// `PadsParser::parse_def`, byte-identical in values, descriptors, budget
-/// accounting and observer events (proven by `tests/vm_equiv.rs`).
+/// accounting and observation events (proven by `tests/vm_equiv.rs`).
 pub(crate) fn exec(
     schema: &Schema,
     prog: &VmProgram,
@@ -1000,10 +997,10 @@ impl<'p> Exec<'p> {
         if !cur.observing() {
             return self.exec_def_inner(cur, id, def, args, mask);
         }
-        let start = cur.position();
-        cur.observe_enter_id(id as u32, &def.name);
+        let start = cur.offset();
+        cur.observe_enter_id(id as u32);
         let (value, pd) = self.exec_def_inner(cur, id, def, args, mask);
-        cur.observe_exit_id(id as u32, &def.name, start, &pd);
+        cur.observe_exit_id(id as u32, start, &pd);
         (value, pd)
     }
 

@@ -1,32 +1,32 @@
-//! Observability sinks for the PADS data path.
+//! Observability exposition for the PADS data path.
 //!
-//! The runtime defines the event vocabulary and emission points
-//! ([`pads_runtime::observe`]); this crate provides the things that
-//! listen:
+//! The runtime owns the one observation mechanism: a dense-id
+//! [`MetricsCore`] attached to the cursor, with an optional per-node
+//! profiler and an optional span-tree trace riding on it
+//! ([`pads_runtime::metrics`]). This crate renders what a core collected:
 //!
 //! * [`metrics::MetricsSink`] — per-type hit counts and byte spans,
 //!   error counts by code, record throughput, and latency summaries
 //!   built on the bounded-memory [`summary`] machinery, exposed in
 //!   Prometheus text format and JSON;
-//! * [`trace::TraceSink`] — a depth-bounded span tree showing exactly
-//!   how each record was consumed, dumped as JSONL or rendered text;
-//! * [`Fanout`] — drives several sinks from one cursor hook.
+//! * [`trace`] — the depth-bounded span tree showing exactly how each
+//!   record was consumed, as JSONL or rendered text.
 //!
-//! Both parsing engines (the `pads-core` interpreter and
-//! `pads-codegen`-generated modules) emit identical event streams for
-//! the same input, so a sink never needs to know which engine ran.
+//! Every engine (the `pads-core` interpreter and VM, and
+//! `pads-codegen`-generated modules) feeds a core the same events for
+//! the same input, so a rendering never needs to know which engine ran.
 //!
 //! ```
-//! use std::cell::RefCell;
-//! use std::rc::Rc;
-//! use pads_observe::metrics::MetricsSink;
-//! use pads_runtime::{Cursor, ObsHandle};
+//! use pads_observe::{trace, MetricsCore, MetricsSink};
+//! use pads_runtime::Cursor;
 //!
-//! let sink = Rc::new(RefCell::new(MetricsSink::new()));
-//! let cur = Cursor::new(b"data").with_observer(ObsHandle::from_rc(sink.clone()));
-//! // ... parse with either engine ...
+//! let core = MetricsCore::with_names(["entry_t"]).with_trace(8, 1000).into_handle();
+//! let cur = Cursor::new(b"data").with_metrics(core.clone());
+//! // ... parse with any engine ...
 //! # drop(cur);
-//! println!("{}", sink.borrow().counts_json());
+//! let core = core.borrow();
+//! print!("{}", trace::render(&core).expect("tracing on"));
+//! println!("{}", MetricsSink::from_core(core.clone()).counts_json());
 //! ```
 
 pub mod metrics;
@@ -35,71 +35,4 @@ pub mod trace;
 mod util;
 
 pub use metrics::MetricsSink;
-pub use pads_runtime::metrics::{MetricsCore, MetricsHandle, ObsSchema, TypeStat, WorkerObs};
-pub use pads_runtime::observe::{ObsHandle, Observer, RecoveryEvent};
-pub use trace::TraceSink;
-
-use pads_runtime::{ErrorCode, Loc, ParseDesc, Pos};
-
-/// An [`Observer`] that forwards every event to several sinks.
-#[derive(Clone, Debug, Default)]
-pub struct Fanout(Vec<ObsHandle>);
-
-impl Fanout {
-    /// Creates a fanout over `handles`, invoked in order.
-    pub fn new(handles: Vec<ObsHandle>) -> Fanout {
-        Fanout(handles)
-    }
-}
-
-impl Observer for Fanout {
-    fn type_enter(&mut self, name: &str, pos: Pos) {
-        for h in &self.0 {
-            h.with(|o| o.type_enter(name, pos));
-        }
-    }
-
-    fn type_exit(&mut self, name: &str, start: Pos, end: Pos, pd: &ParseDesc) {
-        for h in &self.0 {
-            h.with(|o| o.type_exit(name, start, end, pd));
-        }
-    }
-
-    fn error(&mut self, path: &str, code: ErrorCode, loc: Option<Loc>) {
-        for h in &self.0 {
-            h.with(|o| o.error(path, code, loc));
-        }
-    }
-
-    fn recovery(&mut self, event: RecoveryEvent, pos: Pos) {
-        for h in &self.0 {
-            h.with(|o| o.recovery(event, pos));
-        }
-    }
-
-    fn record(&mut self, index: usize, span: Loc, nerr: u32) {
-        for h in &self.0 {
-            h.with(|o| o.record(index, span, nerr));
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    #[test]
-    fn fanout_reaches_every_sink() {
-        let m = Rc::new(RefCell::new(MetricsSink::new()));
-        let t = Rc::new(RefCell::new(TraceSink::new()));
-        let mut fan = Fanout::new(vec![
-            ObsHandle::from_rc(m.clone()),
-            ObsHandle::from_rc(t.clone()),
-        ]);
-        fan.record(0, Loc::default(), 2);
-        assert_eq!(m.borrow().records(), 1);
-        assert_eq!(t.borrow().roots().len(), 1);
-    }
-}
+pub use pads_runtime::metrics::{MetricsCore, MetricsHandle, ObsSchema, RecoveryEvent, TypeStat};

@@ -4,10 +4,7 @@
 //! Aggregation lives in [`pads_runtime::metrics`]: the core is a plain
 //! `Send` struct bumping flat `Vec`-indexed counter slabs by node id, so
 //! the hot path never touches a string — names are rejoined here, at
-//! exposition time. `MetricsSink` wraps one core and renders it; it also
-//! still implements the legacy [`Observer`] trait (interning names per
-//! event) as a compatibility surface for event-stream plumbing such as
-//! [`Fanout`](crate::Fanout).
+//! exposition time. `MetricsSink` wraps one core and renders it.
 //!
 //! All counters are exact and deterministic for a given input — the JSON
 //! `counts` section is diffable across runs and machines and is what the
@@ -18,8 +15,6 @@
 use std::fmt::Write as _;
 
 use pads_runtime::metrics::MetricsCore;
-use pads_runtime::observe::{Observer, RecoveryEvent};
-use pads_runtime::{ErrorCode, Loc, ParseDesc, Pos};
 
 use crate::util::esc;
 
@@ -33,11 +28,9 @@ pub struct MetricsSink {
 }
 
 impl MetricsSink {
-    /// Creates an empty sink; the throughput clock starts now. The
-    /// wrapped core interns type names lazily — when the schema's type
-    /// list is known, prefer building a
-    /// [`MetricsCore::with_names`] core and attaching it directly to the
-    /// cursor so the hot path runs on dense ids.
+    /// Creates an empty sink over a core with no type table — a target
+    /// to [`merge`](Self::merge) harvested cores into; the throughput
+    /// clock starts now.
     pub fn new() -> MetricsSink {
         MetricsSink { core: MetricsCore::new() }
     }
@@ -330,43 +323,24 @@ fn indent(s: &str, pad: &str) -> String {
     out
 }
 
-/// Legacy event-stream compatibility: a sink driven through the
-/// [`Observer`] trait interns each event's name into its core. The dense
-/// cursor attachment ([`Cursor::with_metrics`]) is the fast path; this
-/// impl keeps `Fanout`, tests, and existing plumbing working unchanged.
-///
-/// [`Cursor::with_metrics`]: pads_runtime::Cursor::with_metrics
-impl Observer for MetricsSink {
-    fn type_exit(&mut self, name: &str, start: Pos, end: Pos, pd: &ParseDesc) {
-        self.core.note_type(name, end.offset.saturating_sub(start.offset) as u64, pd.nerr);
-    }
-
-    fn error(&mut self, _path: &str, code: ErrorCode, _loc: Option<Loc>) {
-        self.core.note_error(code);
-    }
-
-    fn recovery(&mut self, event: RecoveryEvent, _pos: Pos) {
-        self.core.note_recovery(event);
-    }
-
-    fn record(&mut self, _index: usize, span: Loc, nerr: u32) {
-        self.core.note_record(span.end.offset.saturating_sub(span.begin.offset) as u64, nerr);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pads_runtime::metrics::MetricsCore;
-    use pads_runtime::OnExhausted;
+    use pads_runtime::metrics::RecoveryEvent;
+    use pads_runtime::{ErrorCode, OnExhausted};
+
+    /// A sink over a core whose dense ids index `names`.
+    fn sink(names: &[&str]) -> MetricsSink {
+        MetricsSink::from_core(MetricsCore::with_names(names))
+    }
 
     #[test]
     fn counts_json_is_deterministic_and_ordered() {
-        let mut m = MetricsSink::new();
-        m.type_exit("b_t", Pos::default(), Pos { offset: 4, record: 0, byte: 4 }, &ParseDesc::default());
-        m.type_exit("a_t", Pos::default(), Pos { offset: 2, record: 0, byte: 2 }, &ParseDesc::default());
-        m.error("x", ErrorCode::LitMismatch, None);
-        m.record(0, Loc::default(), 1);
+        let mut m = sink(&["b_t", "a_t"]);
+        m.core_mut().exit_id(0, 0, 4, 0);
+        m.core_mut().exit_id(1, 0, 2, 0);
+        m.core_mut().note_error(ErrorCode::LitMismatch);
+        m.core_mut().note_record(0, 0, 0, 1);
         let a = m.counts_json();
         let b = m.counts_json();
         assert_eq!(a, b);
@@ -381,12 +355,10 @@ mod tests {
     #[test]
     fn recovery_events_tally() {
         let mut m = MetricsSink::new();
-        m.recovery(RecoveryEvent::PanicSkip { bytes: 7 }, Pos::default());
-        m.recovery(RecoveryEvent::SkipRecord, Pos::default());
-        m.recovery(
-            RecoveryEvent::BudgetExhausted { mode: OnExhausted::BestEffort },
-            Pos::default(),
-        );
+        m.core_mut().note_recovery(RecoveryEvent::PanicSkip { bytes: 7 }, 0);
+        m.core_mut().note_recovery(RecoveryEvent::SkipRecord, 0);
+        m.core_mut()
+            .note_recovery(RecoveryEvent::BudgetExhausted { mode: OnExhausted::BestEffort }, 0);
         assert_eq!(m.panic_skipped_bytes(), 7);
         assert_eq!(m.records_skipped(), 1);
         assert!(m.counts_json().contains("\"BestEffort\": 1"));
@@ -394,58 +366,47 @@ mod tests {
 
     #[test]
     fn merge_folds_counters_exactly() {
-        let mut a = MetricsSink::new();
-        a.type_exit("t", Pos::default(), Pos { offset: 4, record: 0, byte: 4 }, &ParseDesc::default());
-        a.error("x", ErrorCode::LitMismatch, None);
-        a.record(0, Loc::default(), 1);
-        let mut b = MetricsSink::new();
-        b.type_exit("t", Pos::default(), Pos { offset: 2, record: 0, byte: 2 }, &ParseDesc::default());
-        b.error("y", ErrorCode::RangeError, None);
-        b.recovery(RecoveryEvent::SkipRecord, Pos::default());
-        b.record(1, Loc::default(), 0);
+        let mut a = sink(&["t"]);
+        a.core_mut().exit_id(0, 0, 4, 0);
+        a.core_mut().note_error(ErrorCode::LitMismatch);
+        a.core_mut().note_record(0, 0, 0, 1);
+        let mut b = sink(&["t"]);
+        b.core_mut().exit_id(0, 0, 2, 0);
+        b.core_mut().note_error(ErrorCode::RangeError);
+        b.core_mut().note_recovery(RecoveryEvent::SkipRecord, 0);
+        b.core_mut().note_record(1, 0, 0, 0);
 
         // One sink fed both streams sequentially == two sinks merged.
-        let mut seq = MetricsSink::new();
-        seq.type_exit("t", Pos::default(), Pos { offset: 4, record: 0, byte: 4 }, &ParseDesc::default());
-        seq.error("x", ErrorCode::LitMismatch, None);
-        seq.record(0, Loc::default(), 1);
-        seq.type_exit("t", Pos::default(), Pos { offset: 2, record: 0, byte: 2 }, &ParseDesc::default());
-        seq.error("y", ErrorCode::RangeError, None);
-        seq.recovery(RecoveryEvent::SkipRecord, Pos::default());
-        seq.record(1, Loc::default(), 0);
+        let mut seq = sink(&["t"]);
+        seq.core_mut().exit_id(0, 0, 4, 0);
+        seq.core_mut().note_error(ErrorCode::LitMismatch);
+        seq.core_mut().note_record(0, 0, 0, 1);
+        seq.core_mut().exit_id(0, 0, 2, 0);
+        seq.core_mut().note_error(ErrorCode::RangeError);
+        seq.core_mut().note_recovery(RecoveryEvent::SkipRecord, 0);
+        seq.core_mut().note_record(1, 0, 0, 0);
 
         a.merge(&b);
         assert_eq!(a.counts_json(), seq.counts_json());
     }
 
     #[test]
-    fn dense_core_exposition_matches_legacy_observer_feed() {
-        // The same event stream fed (a) through the legacy Observer impl
-        // and (b) into a schema-built dense core must render to the same
-        // bytes — the property that keeps golden snapshots unchanged.
-        let mut legacy = MetricsSink::new();
-        legacy.type_exit(
-            "entry_t",
-            Pos::default(),
-            Pos { offset: 10, record: 0, byte: 10 },
-            &ParseDesc::default(),
-        );
-        legacy.type_exit(
-            "client_t",
-            Pos::default(),
-            Pos { offset: 4, record: 0, byte: 4 },
-            &ParseDesc::default(),
-        );
-        legacy.error("p", ErrorCode::LitMismatch, None);
-        legacy.record(0, Loc::default(), 1);
-
-        let mut core = MetricsCore::with_names(["entry_t", "client_t", "unused_t"]);
-        core.exit_id(0, "entry_t", 0, 10, 0);
-        core.exit_id(1, "client_t", 0, 4, 0);
-        core.note_error(ErrorCode::LitMismatch);
-        core.note_record(0, 1);
-        let dense = MetricsSink::from_core(core);
-        assert_eq!(dense.counts_json(), legacy.counts_json());
+    fn exposition_does_not_depend_on_table_order_or_unused_slots() {
+        // The same events on two cores whose tables order the types
+        // differently (one with a type nothing touches) must render to the
+        // same bytes: names, not ids, key the exposition — the property
+        // that lets any engine's table stand behind one golden snapshot.
+        let mut a = sink(&["client_t", "entry_t"]);
+        a.core_mut().exit_id(1, 0, 10, 0);
+        a.core_mut().exit_id(0, 0, 4, 0);
+        let mut b = sink(&["entry_t", "client_t", "unused_t"]);
+        b.core_mut().exit_id(0, 0, 10, 0);
+        b.core_mut().exit_id(1, 0, 4, 0);
+        for m in [&mut a, &mut b] {
+            m.core_mut().note_error(ErrorCode::LitMismatch);
+            m.core_mut().note_record(0, 0, 0, 1);
+        }
+        assert_eq!(a.counts_json(), b.counts_json());
         // Timing families aside, the Prometheus counter lines agree too.
         let strip = |s: &str| {
             s.lines()
@@ -453,13 +414,13 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        assert_eq!(strip(&dense.prometheus()), strip(&legacy.prometheus()));
+        assert_eq!(strip(&a.prometheus()), strip(&b.prometheus()));
     }
 
     #[test]
     fn prometheus_has_core_families() {
         let mut m = MetricsSink::new();
-        m.record(0, Loc::default(), 0);
+        m.core_mut().note_record(0, 0, 0, 0);
         let text = m.prometheus();
         assert!(text.contains("pads_records_total 1"));
         assert!(text.contains("# TYPE pads_records_total counter"));
@@ -468,9 +429,9 @@ mod tests {
 
     #[test]
     fn prometheus_headers_precede_every_family() {
-        let mut m = MetricsSink::new();
-        m.type_exit("t", Pos::default(), Pos { offset: 1, record: 0, byte: 1 }, &ParseDesc::default());
-        m.record(0, Loc::default(), 0);
+        let mut m = sink(&["t"]);
+        m.core_mut().exit_id(0, 0, 1, 0);
+        m.core_mut().note_record(0, 0, 0, 0);
         let text = m.prometheus();
         for family in [
             "pads_records_total",
@@ -502,13 +463,8 @@ mod tests {
     /// come out byte-exactly escaped in both expositions.
     #[test]
     fn escaping_of_type_names_is_pinned() {
-        let mut m = MetricsSink::new();
-        m.type_exit(
-            "weird\"name\\with\nnasties",
-            Pos::default(),
-            Pos { offset: 3, record: 0, byte: 3 },
-            &ParseDesc::default(),
-        );
+        let mut m = sink(&["weird\"name\\with\nnasties"]);
+        m.core_mut().exit_id(0, 0, 3, 0);
         let prom = m.prometheus();
         assert!(
             prom.contains(r#"pads_type_hits_total{type="weird\"name\\with\nnasties"} 1"#),
@@ -523,16 +479,16 @@ mod tests {
 
     #[test]
     fn snapshot_restore_reproduces_counts_json() {
-        let mut m = MetricsSink::new();
-        m.type_exit("b_t", Pos::default(), Pos { offset: 4, record: 0, byte: 4 }, &ParseDesc::default());
-        m.type_exit("a_t", Pos::default(), Pos { offset: 2, record: 0, byte: 2 }, &ParseDesc::default());
-        m.error("x", ErrorCode::LitMismatch, None);
-        m.error("x", ErrorCode::RangeError, None);
-        m.recovery(RecoveryEvent::PanicSkip { bytes: 7 }, Pos::default());
-        m.recovery(RecoveryEvent::SkipRecord, Pos::default());
-        m.recovery(RecoveryEvent::BudgetExhausted { mode: OnExhausted::Stop }, Pos::default());
-        m.record(0, Loc::default(), 1);
-        m.record(1, Loc::default(), 0);
+        let mut m = sink(&["b_t", "a_t"]);
+        m.core_mut().exit_id(0, 0, 4, 0);
+        m.core_mut().exit_id(1, 0, 2, 0);
+        m.core_mut().note_error(ErrorCode::LitMismatch);
+        m.core_mut().note_error(ErrorCode::RangeError);
+        m.core_mut().note_recovery(RecoveryEvent::PanicSkip { bytes: 7 }, 0);
+        m.core_mut().note_recovery(RecoveryEvent::SkipRecord, 0);
+        m.core_mut().note_recovery(RecoveryEvent::BudgetExhausted { mode: OnExhausted::Stop }, 0);
+        m.core_mut().note_record(0, 0, 0, 1);
+        m.core_mut().note_record(1, 0, 0, 0);
         let restored = MetricsSink::restore(&m.snapshot()).expect("roundtrips");
         assert_eq!(restored.counts_json(), m.counts_json());
     }
@@ -557,7 +513,7 @@ mod tests {
     #[test]
     fn snapshot_with_empty_latency_histogram_roundtrips() {
         let mut m = MetricsSink::new();
-        m.record(0, Loc::default(), 0);
+        m.core_mut().note_record(0, 0, 0, 0);
         let restored = MetricsSink::restore(&m.snapshot()).expect("roundtrips");
         assert_eq!(restored.counts_json(), m.counts_json());
         // The live sink counts the record even though no batch has been
@@ -574,16 +530,11 @@ mod tests {
     /// saturating_add) and through merge.
     #[test]
     fn saturating_counters_survive_restore_and_merge() {
-        let mut m = MetricsSink::new();
-        m.type_exit(
-            "t",
-            Pos::default(),
-            Pos { offset: 4, record: 0, byte: 4 },
-            &ParseDesc::default(),
-        );
-        m.core_mut().note_type("t", u64::MAX - 2, 0);
-        let mut other = MetricsSink::new();
-        other.core_mut().note_type("t", 100, 0);
+        let mut m = sink(&["t"]);
+        m.core_mut().exit_id(0, 0, 4, 0);
+        m.core_mut().exit_id(0, 0, usize::MAX - 2, 0);
+        let mut other = sink(&["t"]);
+        other.core_mut().exit_id(0, 0, 100, 0);
         m.merge(&other);
         let types = m.types();
         assert_eq!(types[0].1.bytes, u64::MAX, "merge saturates");
@@ -599,8 +550,8 @@ mod tests {
     #[test]
     fn unknown_error_code_names_are_forward_compatible() {
         let mut m = MetricsSink::new();
-        m.error("p", ErrorCode::LitMismatch, None);
-        m.error("p", ErrorCode::LitMismatch, None);
+        m.core_mut().note_error(ErrorCode::LitMismatch);
+        m.core_mut().note_error(ErrorCode::LitMismatch);
         let snap = m.snapshot();
         // Hand-craft a payload replacing the code name "LitMismatch"
         // with an equal-length name no current variant has.
@@ -616,7 +567,7 @@ mod tests {
         assert!(restored.errors_by_code().is_empty(), "unknown code dropped from table");
         // And the restored sink keeps aggregating normally.
         let mut sink = restored;
-        sink.error("p", ErrorCode::RangeError, None);
+        sink.core_mut().note_error(ErrorCode::RangeError);
         assert_eq!(sink.errors_total(), 3);
     }
 
@@ -624,7 +575,7 @@ mod tests {
     fn latency_samples_batch_but_count_every_record() {
         let mut m = MetricsSink::new();
         for i in 0..(64 * 2 + 5) {
-            m.record(i, Loc::default(), 0);
+            m.core_mut().note_record(i, 0, 0, 0);
         }
         // Two full batches sampled; 5 records still pending.
         let expect = format!("pads_record_latency_seconds_count {}", 64 * 2 + 5);

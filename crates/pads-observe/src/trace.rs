@@ -1,325 +1,198 @@
-//! The trace sink: a depth-bounded span tree showing exactly how a
-//! record was consumed — which types were tried, over which byte
-//! ranges, and what the recovery machinery did in between.
+//! Trace exposition: renders the depth-bounded span tree a tracing
+//! [`MetricsCore`] collected — which types were tried, over which byte
+//! ranges, and what the recovery machinery did in between — as indented
+//! text or JSONL.
 //!
 //! Union backtracking means failed attempts appear too: a span whose
 //! descriptor is not ok is an alternative the engine tried and
 //! abandoned, which is precisely the information grammar debugging
 //! needs (cf. Saggitarius's "which alternatives were tried" traces).
+//!
+//! The tree is built in [`pads_runtime::metrics`] on dense node ids; type
+//! names are rejoined here, at render time.
 
 use std::fmt::Write as _;
 
-use pads_runtime::observe::{Observer, RecoveryEvent};
-use pads_runtime::{ErrorCode, Loc, ParseDesc, Pos};
+use pads_runtime::metrics::MetricsCore;
+pub use pads_runtime::metrics::{TraceNode, TraceSpan};
 
 use crate::util::esc;
 
-/// One node of the trace tree, in document order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Node {
-    /// A completed type parse and everything observed inside it.
-    Span(Span),
-    /// A descriptor error surfaced at record close (or a source-level
-    /// root error).
-    Error {
-        /// Dotted field path within the record type (`""` at the root).
-        path: String,
-        /// The error code's stable name.
-        code: &'static str,
-        /// Error location start offset, when the descriptor recorded one.
-        offset: Option<usize>,
-    },
-    /// A recovery action.
-    Recovery {
-        /// Human-readable action (e.g. `PanicSkip { bytes: 12 }`).
-        what: String,
-        /// Byte offset where the action completed.
-        offset: usize,
-    },
-    /// A record boundary.
-    Record {
-        /// Zero-based record index.
-        index: usize,
-        /// First byte of the record.
-        start: usize,
-        /// One past the last byte of the record.
-        end: usize,
-        /// Errors charged to the record.
-        nerr: u32,
-    },
+/// The nesting depth `pads parse --trace` keeps spans down to.
+pub const DEFAULT_DEPTH: usize = 8;
+
+/// The number of spans `pads parse --trace` keeps.
+pub const DEFAULT_SPANS: usize = 10_000;
+
+fn name<'c>(core: &'c MetricsCore, span: &TraceSpan) -> &'c str {
+    core.type_name(span.id).unwrap_or("?")
 }
 
-/// A completed type parse: byte range, outcome, and children.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Span {
-    /// The named type parsed.
-    pub name: String,
-    /// Byte offset where the parse began.
-    pub start: usize,
-    /// Byte offset where the parse ended.
-    pub end: usize,
-    /// Errors in the final descriptor.
-    pub nerr: u32,
-    /// Whether the final descriptor was ok.
-    pub ok: bool,
-    /// Nested events, in order.
-    pub children: Vec<Node>,
-}
-
-/// A pending span (entered, not yet exited). `None` marks an
-/// unrecorded frame — beyond the depth/span bounds — kept on the stack
-/// only so enter/exit stay balanced.
-#[derive(Debug)]
-struct Open(Option<Span>);
-
-/// An [`Observer`] that collects a depth- and size-bounded trace tree.
-#[derive(Debug)]
-pub struct TraceSink {
-    max_depth: usize,
-    max_spans: usize,
-    total_spans: usize,
-    truncated: u64,
-    stack: Vec<Open>,
-    roots: Vec<Node>,
-}
-
-impl Default for TraceSink {
-    fn default() -> TraceSink {
-        TraceSink::new()
-    }
-}
-
-impl TraceSink {
-    /// Default bounds: depth 8, 10 000 spans.
-    pub fn new() -> TraceSink {
-        TraceSink::with_bounds(8, 10_000)
-    }
-
-    /// Creates a sink keeping spans down to `max_depth` nesting levels
-    /// and at most `max_spans` spans overall; deeper or later spans are
-    /// counted but not stored.
-    pub fn with_bounds(max_depth: usize, max_spans: usize) -> TraceSink {
-        TraceSink {
-            max_depth: max_depth.max(1),
-            max_spans,
-            total_spans: 0,
-            truncated: 0,
-            stack: Vec::new(),
-            roots: Vec::new(),
-        }
-    }
-
-    /// Spans dropped because of the depth/size bounds.
-    pub fn truncated(&self) -> u64 {
-        self.truncated
-    }
-
-    /// The collected top-level nodes (valid once the parse is done; any
-    /// still-open spans are not included).
-    pub fn roots(&self) -> &[Node] {
-        &self.roots
-    }
-
-    fn push(&mut self, node: Node) {
-        // Attach to the innermost recorded open span, or to the roots.
-        for open in self.stack.iter_mut().rev() {
-            if let Open(Some(span)) = open {
-                span.children.push(node);
-                return;
-            }
-        }
-        self.roots.push(node);
-    }
-
-    /// Renders the tree as indented text, one node per line.
-    pub fn render(&self) -> String {
-        fn go(out: &mut String, nodes: &[Node], depth: usize) {
-            for node in nodes {
-                let pad = "  ".repeat(depth);
-                match node {
-                    Node::Span(s) => {
-                        let status = if s.ok {
-                            "ok".to_owned()
-                        } else {
-                            format!("FAILED nerr={}", s.nerr)
-                        };
-                        let _ = writeln!(
-                            out,
-                            "{pad}{} [{}..{}) {status}",
-                            s.name, s.start, s.end
-                        );
-                        go(out, &s.children, depth + 1);
-                    }
-                    Node::Error { path, code, offset } => {
-                        let at = offset.map(|o| format!(" @{o}")).unwrap_or_default();
-                        let p = if path.is_empty() { "<root>" } else { path.as_str() };
-                        let _ = writeln!(out, "{pad}! {p}: {code}{at}");
-                    }
-                    Node::Recovery { what, offset } => {
-                        let _ = writeln!(out, "{pad}~ recovery {what} @{offset}");
-                    }
-                    Node::Record { index, start, end, nerr } => {
-                        let _ = writeln!(
-                            out,
-                            "{pad}= record {index} [{start}..{end}) nerr={nerr}"
-                        );
-                    }
+/// Renders `core`'s trace tree as indented text, one node per line;
+/// `None` when the core was not tracing.
+pub fn render(core: &MetricsCore) -> Option<String> {
+    fn go(core: &MetricsCore, out: &mut String, nodes: &[TraceNode], depth: usize) {
+        for node in nodes {
+            let pad = "  ".repeat(depth);
+            match node {
+                TraceNode::Span(s) => {
+                    let status = if s.nerr == 0 {
+                        "ok".to_owned()
+                    } else {
+                        format!("FAILED nerr={}", s.nerr)
+                    };
+                    let _ = writeln!(
+                        out,
+                        "{pad}{} [{}..{}) {status}",
+                        name(core, s),
+                        s.start,
+                        s.end
+                    );
+                    go(core, out, &s.children, depth + 1);
+                }
+                TraceNode::Error { path, code, offset } => {
+                    let at = offset.map(|o| format!(" @{o}")).unwrap_or_default();
+                    let p = if path.is_empty() {
+                        "<root>"
+                    } else {
+                        path.as_str()
+                    };
+                    let _ = writeln!(out, "{pad}! {p}: {}{at}", code.name());
+                }
+                TraceNode::Recovery { event, offset } => {
+                    let _ = writeln!(out, "{pad}~ recovery {event:?} @{offset}");
+                }
+                TraceNode::Record {
+                    index,
+                    start,
+                    end,
+                    nerr,
+                } => {
+                    let _ = writeln!(out, "{pad}= record {index} [{start}..{end}) nerr={nerr}");
                 }
             }
         }
-        let mut out = String::new();
-        go(&mut out, &self.roots, 0);
-        if self.truncated > 0 {
-            let _ = writeln!(out, "({} spans beyond bounds not shown)", self.truncated);
-        }
-        out
     }
+    let mut out = String::new();
+    go(core, &mut out, core.trace_roots()?, 0);
+    if core.trace_truncated() > 0 {
+        let _ = writeln!(
+            out,
+            "({} spans beyond bounds not shown)",
+            core.trace_truncated()
+        );
+    }
+    Some(out)
+}
 
-    /// Dumps the tree as JSONL: one JSON object per node in document
-    /// order, each carrying its nesting `depth`.
-    pub fn jsonl(&self) -> String {
-        fn go(out: &mut String, nodes: &[Node], depth: usize) {
-            for node in nodes {
-                match node {
-                    Node::Span(s) => {
-                        let _ = writeln!(
-                            out,
-                            "{{\"ev\":\"span\",\"name\":\"{}\",\"depth\":{depth},\"start\":{},\"end\":{},\"nerr\":{},\"ok\":{}}}",
-                            esc(&s.name), s.start, s.end, s.nerr, s.ok
-                        );
-                        go(out, &s.children, depth + 1);
-                    }
-                    Node::Error { path, code, offset } => {
-                        let at = offset.map(|o| o.to_string()).unwrap_or_else(|| "null".into());
-                        let _ = writeln!(
-                            out,
-                            "{{\"ev\":\"error\",\"depth\":{depth},\"path\":\"{}\",\"code\":\"{code}\",\"offset\":{at}}}",
-                            esc(path)
-                        );
-                    }
-                    Node::Recovery { what, offset } => {
-                        let _ = writeln!(
-                            out,
-                            "{{\"ev\":\"recovery\",\"depth\":{depth},\"action\":\"{}\",\"offset\":{offset}}}",
-                            esc(what)
-                        );
-                    }
-                    Node::Record { index, start, end, nerr } => {
-                        let _ = writeln!(
-                            out,
-                            "{{\"ev\":\"record\",\"depth\":{depth},\"index\":{index},\"start\":{start},\"end\":{end},\"nerr\":{nerr}}}"
-                        );
-                    }
+/// Dumps `core`'s trace tree as JSONL: one JSON object per node in
+/// document order, each carrying its nesting `depth`; `None` when the
+/// core was not tracing.
+pub fn jsonl(core: &MetricsCore) -> Option<String> {
+    fn go(core: &MetricsCore, out: &mut String, nodes: &[TraceNode], depth: usize) {
+        for node in nodes {
+            match node {
+                TraceNode::Span(s) => {
+                    let _ = writeln!(
+                        out,
+                        "{{\"ev\":\"span\",\"name\":\"{}\",\"depth\":{depth},\"start\":{},\"end\":{},\"nerr\":{},\"ok\":{}}}",
+                        esc(name(core, s)), s.start, s.end, s.nerr, s.nerr == 0
+                    );
+                    go(core, out, &s.children, depth + 1);
+                }
+                TraceNode::Error { path, code, offset } => {
+                    let at = offset
+                        .map(|o| o.to_string())
+                        .unwrap_or_else(|| "null".into());
+                    let _ = writeln!(
+                        out,
+                        "{{\"ev\":\"error\",\"depth\":{depth},\"path\":\"{}\",\"code\":\"{}\",\"offset\":{at}}}",
+                        esc(path), code.name()
+                    );
+                }
+                TraceNode::Recovery { event, offset } => {
+                    let _ = writeln!(
+                        out,
+                        "{{\"ev\":\"recovery\",\"depth\":{depth},\"action\":\"{}\",\"offset\":{offset}}}",
+                        esc(&format!("{event:?}"))
+                    );
+                }
+                TraceNode::Record {
+                    index,
+                    start,
+                    end,
+                    nerr,
+                } => {
+                    let _ = writeln!(
+                        out,
+                        "{{\"ev\":\"record\",\"depth\":{depth},\"index\":{index},\"start\":{start},\"end\":{end},\"nerr\":{nerr}}}"
+                    );
                 }
             }
         }
-        let mut out = String::new();
-        go(&mut out, &self.roots, 0);
-        if self.truncated > 0 {
-            let _ = writeln!(out, "{{\"ev\":\"truncated\",\"spans\":{}}}", self.truncated);
-        }
-        out
     }
-}
-
-impl Observer for TraceSink {
-    fn type_enter(&mut self, name: &str, pos: Pos) {
-        let parent_recorded = self.stack.last().is_none_or(|o| o.0.is_some());
-        let record = parent_recorded
-            && self.stack.len() < self.max_depth
-            && self.total_spans < self.max_spans;
-        if record {
-            self.total_spans += 1;
-            self.stack.push(Open(Some(Span {
-                name: name.to_owned(),
-                start: pos.offset,
-                end: pos.offset,
-                nerr: 0,
-                ok: true,
-                children: Vec::new(),
-            })));
-        } else {
-            self.truncated += 1;
-            self.stack.push(Open(None));
-        }
+    let mut out = String::new();
+    go(core, &mut out, core.trace_roots()?, 0);
+    if core.trace_truncated() > 0 {
+        let _ = writeln!(
+            out,
+            "{{\"ev\":\"truncated\",\"spans\":{}}}",
+            core.trace_truncated()
+        );
     }
-
-    fn type_exit(&mut self, _name: &str, _start: Pos, end: Pos, pd: &ParseDesc) {
-        if let Some(Open(Some(mut span))) = self.stack.pop() {
-            span.end = end.offset;
-            span.nerr = pd.nerr;
-            span.ok = pd.is_ok();
-            self.push(Node::Span(span));
-        }
-    }
-
-    fn error(&mut self, path: &str, code: ErrorCode, loc: Option<Loc>) {
-        self.push(Node::Error {
-            path: path.to_owned(),
-            code: code.name(),
-            offset: loc.map(|l| l.begin.offset),
-        });
-    }
-
-    fn recovery(&mut self, event: RecoveryEvent, pos: Pos) {
-        self.push(Node::Recovery { what: format!("{event:?}"), offset: pos.offset });
-    }
-
-    fn record(&mut self, index: usize, span: Loc, nerr: u32) {
-        self.push(Node::Record {
-            index,
-            start: span.begin.offset,
-            end: span.end.offset,
-            nerr,
-        });
-    }
+    Some(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn pos(offset: usize) -> Pos {
-        Pos { offset, record: 0, byte: offset }
-    }
-
     #[test]
     fn spans_nest_and_render() {
-        let mut t = TraceSink::new();
-        t.type_enter("outer_t", pos(0));
-        t.type_enter("inner_t", pos(0));
-        t.type_exit("inner_t", pos(0), pos(4), &ParseDesc::default());
-        t.record(0, Loc::new(pos(0), pos(5)), 0);
-        t.type_exit("outer_t", pos(0), pos(5), &ParseDesc::default());
-        assert_eq!(t.roots().len(), 1);
-        let text = t.render();
+        let mut m = MetricsCore::with_names(["outer_t", "inner_t"]).with_trace(8, 100);
+        m.enter_id(0, 0);
+        m.enter_id(1, 0);
+        m.exit_id(1, 0, 4, 0);
+        m.note_record(0, 0, 5, 0);
+        m.exit_id(0, 0, 5, 0);
+        assert_eq!(m.trace_roots().map(<[_]>::len), Some(1));
+        let text = render(&m).expect("tracing on");
         assert!(text.contains("outer_t [0..5) ok"), "{text}");
         assert!(text.contains("  inner_t [0..4) ok"), "{text}");
         assert!(text.contains("  = record 0 [0..5) nerr=0"), "{text}");
-        let jsonl = t.jsonl();
-        assert!(jsonl.contains("\"ev\":\"span\",\"name\":\"inner_t\",\"depth\":1"), "{jsonl}");
+        let jsonl = jsonl(&m).expect("tracing on");
+        assert!(
+            jsonl.contains("\"ev\":\"span\",\"name\":\"inner_t\",\"depth\":1"),
+            "{jsonl}"
+        );
     }
 
     #[test]
     fn depth_bound_truncates_but_stays_balanced() {
-        let mut t = TraceSink::with_bounds(1, 100);
-        t.type_enter("a", pos(0));
-        t.type_enter("b", pos(0)); // beyond depth 1 — dropped
-        t.type_exit("b", pos(0), pos(1), &ParseDesc::default());
-        t.type_exit("a", pos(0), pos(1), &ParseDesc::default());
-        assert_eq!(t.truncated(), 1);
-        assert_eq!(t.roots().len(), 1);
-        assert!(t.render().contains("not shown"));
+        let mut m = MetricsCore::with_names(["a", "b"]).with_trace(1, 100);
+        m.enter_id(0, 0);
+        m.enter_id(1, 0); // beyond depth 1 — dropped
+        m.exit_id(1, 0, 1, 0);
+        m.exit_id(0, 0, 1, 0);
+        assert_eq!(m.trace_truncated(), 1);
+        assert_eq!(m.trace_roots().map(<[_]>::len), Some(1));
+        assert!(render(&m).expect("tracing on").contains("not shown"));
     }
 
     #[test]
     fn span_cap_stops_recording() {
-        let mut t = TraceSink::with_bounds(8, 1);
+        let mut m = MetricsCore::with_names(["x"]).with_trace(8, 1);
         for i in 0..3 {
-            t.type_enter("x", pos(i));
-            t.type_exit("x", pos(i), pos(i + 1), &ParseDesc::default());
+            m.enter_id(0, i);
+            m.exit_id(0, i, i + 1, 0);
         }
-        assert_eq!(t.roots().len(), 1);
-        assert_eq!(t.truncated(), 2);
+        assert_eq!(m.trace_roots().map(<[_]>::len), Some(1));
+        assert_eq!(m.trace_truncated(), 2);
+    }
+
+    #[test]
+    fn a_core_that_is_not_tracing_renders_nothing() {
+        let m = MetricsCore::with_names(["x"]);
+        assert_eq!((render(&m), jsonl(&m)), (None, None));
     }
 }

@@ -568,8 +568,8 @@ where
 /// the result is byte-identical to looping `read` sequentially, under
 /// every recovery policy.
 ///
-/// Observers cannot cross threads (`make` must be `Sync`, and observer
-/// handles are not), so parallel runs are unobserved by construction.
+/// Metrics handles cannot cross threads (`make` must be `Sync`, and a
+/// handle is not), so parallel runs are unobserved by construction.
 pub fn parse_records<'d, T, M, F>(
     data: &'d [u8],
     resume: ResumePoint,

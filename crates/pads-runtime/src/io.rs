@@ -20,8 +20,7 @@ use pads_regex::Regex;
 use crate::cache::KeyedCache;
 use crate::encoding::{Charset, Endian};
 use crate::error::{ErrorCode, Loc, ParseState, Pos};
-use crate::metrics::MetricsHandle;
-use crate::observe::{ObsHandle, RecoveryEvent};
+use crate::metrics::{MetricsHandle, RecoveryEvent};
 use crate::pd::ParseDesc;
 use crate::recovery::{ErrorBudget, OnExhausted, RecoveryPolicy};
 use crate::scan;
@@ -115,14 +114,21 @@ pub struct Cursor<'a> {
     regexes: RegexCache,
     policy: RecoveryPolicy,
     budget: ErrorBudget,
-    obs: Option<ObsHandle>,
-    /// Dense-id metrics core; clones of the cursor share it. Separate
-    /// from `obs` so the metrics hot path is a slab bump, not a dynamic
-    /// dispatch — see [`crate::metrics`].
-    core: Option<MetricsHandle>,
-    /// Cached at attach time: the core's profiler needs the full
-    /// enter/exit stream, so event-eliding fast paths must stand down.
-    core_profiled: bool,
+    obs: Observation,
+}
+
+/// What observes a cursor's parse: nothing, or a dense-id metrics core
+/// (see [`crate::metrics`]) that clones of the cursor share. Which of the
+/// two attached tiers applies is decided once, at attach time.
+#[derive(Debug, Clone)]
+enum Observation {
+    Off,
+    /// The core only counts: exits bump its slabs, and event-eliding fast
+    /// paths may feed it statically-known bumps instead of events.
+    Counting(MetricsHandle),
+    /// The core's profiler or trace needs every enter/exit event, so
+    /// event-eliding fast paths stand down.
+    Events(MetricsHandle),
 }
 
 impl<'a> Cursor<'a> {
@@ -142,9 +148,7 @@ impl<'a> Cursor<'a> {
             regexes: new_regex_cache(),
             policy: RecoveryPolicy::default(),
             budget: ErrorBudget::new(),
-            obs: None,
-            core: None,
-            core_profiled: false,
+            obs: Observation::Off,
         }
     }
 
@@ -192,23 +196,16 @@ impl<'a> Cursor<'a> {
         self
     }
 
-    /// Attaches an observer that will receive parse events (builder
-    /// style). Clones of the cursor share the same observer.
-    pub fn with_observer(mut self, obs: ObsHandle) -> Cursor<'a> {
-        self.obs = Some(obs);
-        self
-    }
-
     /// Attaches a dense-id metrics core (builder style). Clones of the
-    /// cursor share the same core. Unlike [`with_observer`], events feed
-    /// flat counter slabs by node id — the metrics hot path — and a
-    /// core-only cursor keeps the generated event-eliding fast paths
-    /// (unless the core is profiling, which needs every event).
-    ///
-    /// [`with_observer`]: Cursor::with_observer
+    /// cursor share the same core. Events feed flat counter slabs by node
+    /// id, and a counting core keeps the generated event-eliding fast
+    /// paths (a profiling or tracing one needs every event).
     pub fn with_metrics(mut self, core: MetricsHandle) -> Cursor<'a> {
-        self.core_profiled = core.borrow().profiling();
-        self.core = Some(core);
+        self.obs = if core.borrow().wants_events() {
+            Observation::Events(core)
+        } else {
+            Observation::Counting(core)
+        };
         self
     }
 
@@ -255,26 +252,16 @@ impl<'a> Cursor<'a> {
         self.budget.note_record(&self.policy, nerr, panic_skipped);
         let exhausted_now = !was_exhausted && self.budget.exhausted();
         if panic_skipped > 0 || exhausted_now {
-            if let Some(core) = &self.core {
+            if let Some(core) = self.core() {
                 let mut c = core.borrow_mut();
+                let at = self.offset();
                 if panic_skipped > 0 {
-                    c.note_recovery(RecoveryEvent::PanicSkip { bytes: panic_skipped });
+                    c.note_recovery(RecoveryEvent::PanicSkip { bytes: panic_skipped }, at);
                 }
                 if exhausted_now {
-                    c.note_recovery(RecoveryEvent::BudgetExhausted {
-                        mode: self.policy.on_exhausted,
-                    });
+                    let mode = self.policy.on_exhausted;
+                    c.note_recovery(RecoveryEvent::BudgetExhausted { mode }, at);
                 }
-            }
-        }
-        if let Some(obs) = &self.obs {
-            let pos = self.position();
-            if panic_skipped > 0 {
-                obs.with(|o| o.recovery(RecoveryEvent::PanicSkip { bytes: panic_skipped }, pos));
-            }
-            if exhausted_now {
-                let mode = self.policy.on_exhausted;
-                obs.with(|o| o.recovery(RecoveryEvent::BudgetExhausted { mode }, pos));
             }
         }
     }
@@ -283,110 +270,67 @@ impl<'a> Cursor<'a> {
     /// [`OnExhausted::SkipRecord`].
     pub fn note_skipped_record(&mut self) {
         self.budget.note_skipped_record();
-        if let Some(core) = &self.core {
-            core.borrow_mut().note_recovery(RecoveryEvent::SkipRecord);
-        }
-        if let Some(obs) = &self.obs {
-            let pos = self.position();
-            obs.with(|o| o.recovery(RecoveryEvent::SkipRecord, pos));
+        if let Some(core) = self.core() {
+            core.borrow_mut().note_recovery(RecoveryEvent::SkipRecord, self.offset());
         }
     }
 
-    /// Whether any observation is attached (full event stream or dense
-    /// metrics core). Hot paths test this once and skip event
-    /// construction entirely when it is false.
+    fn core(&self) -> Option<&MetricsHandle> {
+        match &self.obs {
+            Observation::Off => None,
+            Observation::Counting(core) | Observation::Events(core) => Some(core),
+        }
+    }
+
+    /// Whether a metrics core is attached. Hot paths test this once and
+    /// skip event construction entirely when it is false.
     #[inline]
     pub fn observing(&self) -> bool {
-        self.obs.is_some() || self.core.is_some()
+        !matches!(self.obs, Observation::Off)
     }
 
-    /// Whether the attached observation needs the *full* enter/exit event
-    /// stream: a legacy observer is present, or the metrics core is
-    /// profiling. Generated event-eliding fast paths (fixed-prefix
-    /// commits) gate on this rather than [`observing`](Cursor::observing):
-    /// a plain counting core can be fed statically-known per-type bumps
-    /// without the events themselves.
+    /// Whether the attached core needs the *full* enter/exit event stream
+    /// (it is profiling or tracing). Generated event-eliding fast paths
+    /// (fixed-prefix commits) gate on this rather than
+    /// [`observing`](Cursor::observing): a plain counting core can be fed
+    /// statically-known per-type bumps without the events themselves.
     #[inline]
     pub fn observing_events(&self) -> bool {
-        self.obs.is_some() || self.core_profiled
+        matches!(self.obs, Observation::Events(_))
     }
 
-    /// Whether a dense metrics core is attached.
+    /// Emits a type-enter event at the current position for the type with
+    /// dense node id `id` (see [`crate::metrics::ObsSchema`]). Only a
+    /// profiling or tracing core hears it; a counting core needs exits
+    /// alone.
     #[inline]
-    pub fn metrics_on(&self) -> bool {
-        self.core.is_some()
-    }
-
-    /// Emits a type-enter event at the current position.
-    #[inline]
-    pub fn observe_enter(&self, name: &str) {
-        self.observe_enter_id(u32::MAX, name);
-    }
-
-    /// Emits a type-enter event at the current position, identifying the
-    /// type by dense node id (see [`crate::metrics::ObsSchema`]) as well
-    /// as by name — the id feeds the metrics core's flat slabs, the name
-    /// feeds legacy observers (borrowed, never allocated). An id the
-    /// core does not trust falls back to interning the name.
-    #[inline]
-    pub fn observe_enter_id(&self, id: u32, name: &str) {
-        if self.core_profiled {
-            if let Some(core) = &self.core {
-                core.borrow_mut().enter_id(id, name, self.offset());
-            }
-        }
-        if let Some(obs) = &self.obs {
-            let pos = self.position();
-            obs.with(|o| o.type_enter(name, pos));
+    pub fn observe_enter_id(&self, id: u32) {
+        if let Observation::Events(core) = &self.obs {
+            core.borrow_mut().enter_id(id, self.offset());
         }
     }
 
-    /// Emits a type-exit event for a parse entered at `start` whose final
-    /// descriptor is `pd`.
+    /// Emits a type-exit event for a parse of type `id` entered at byte
+    /// `start_off` whose final descriptor is `pd` — the metrics hot path:
+    /// one counter-slab bump on the core, no string work.
     #[inline]
-    pub fn observe_exit(&self, name: &str, start: Pos, pd: &ParseDesc) {
-        self.observe_exit_id(u32::MAX, name, start, pd);
-    }
-
-    /// Emits a type-exit event, identifying the type by dense node id as
-    /// well as by name — the metrics hot path (one counter-slab bump on
-    /// the core, no string work).
-    #[inline]
-    pub fn observe_exit_id(&self, id: u32, name: &str, start: Pos, pd: &ParseDesc) {
-        if let Some(core) = &self.core {
-            core.borrow_mut().exit_id(id, name, start.offset, self.offset(), pd.nerr);
-        }
-        if let Some(obs) = &self.obs {
-            let end = self.position();
-            obs.with(|o| o.type_exit(name, start, end, pd));
-        }
-    }
-
-    /// The counting-only exit hook: one slab bump on the metrics core,
-    /// no event construction. Generated wrappers call this instead of
-    /// the [`observe_enter_id`](Cursor::observe_enter_id)/
-    /// [`observe_exit_id`](Cursor::observe_exit_id) pair when
-    /// [`observing_events`](Cursor::observing_events) is false — a plain
-    /// core needs neither enter events nor full positions, only the
-    /// span's byte offsets.
-    #[inline]
-    pub fn metrics_exit(&self, id: u32, name: &str, start_off: usize, pd: &ParseDesc) {
-        if let Some(core) = &self.core {
-            core.borrow_mut().exit_id(id, name, start_off, self.offset(), pd.nerr);
+    pub fn observe_exit_id(&self, id: u32, start_off: usize, pd: &ParseDesc) {
+        if let Some(core) = self.core() {
+            core.borrow_mut().exit_id(id, start_off, self.offset(), pd.nerr);
         }
     }
 
     /// Feeds the metrics core the statically-known per-type stats of a
-    /// committed fixed-prefix fast path: for each `(id, name, width)`
-    /// the prefix covered, one error-free parse of exactly `width`
-    /// bytes. Generated code calls this instead of falling off the fast
-    /// path when only a counting core is attached, so metrics-on output
-    /// stays byte-identical to the member-loop path.
-    pub fn metrics_fixed_prefix(&self, items: &[(u32, &str, u32)]) {
-        if let Some(core) = &self.core {
+    /// committed fixed-prefix fast path: for each `(id, width)` the prefix
+    /// covered, one error-free parse of exactly `width` bytes. Generated
+    /// code calls this instead of falling off the fast path when only a
+    /// counting core is attached, so metrics-on output stays
+    /// byte-identical to the member-loop path.
+    pub fn metrics_fixed_prefix(&self, items: &[(u32, u32)]) {
+        if let Some(core) = self.core() {
             let mut c = core.borrow_mut();
-            for &(id, name, width) in items {
-                c.exit_id(id, name, 0, width as usize, 0);
+            for &(id, width) in items {
+                c.exit_id(id, 0, width as usize, 0);
             }
         }
     }
@@ -394,43 +338,34 @@ impl<'a> Cursor<'a> {
     /// Emits a source-level error event (root errors such as
     /// `ExtraDataAtEof` that are attached outside any record).
     #[inline]
-    pub fn observe_error(&self, path: &str, code: ErrorCode, loc: Option<Loc>) {
-        if let Some(core) = &self.core {
-            core.borrow_mut().note_error(code);
-        }
-        if let Some(obs) = &self.obs {
-            obs.with(|o| o.error(path, code, loc));
+    pub fn observe_error(&self, code: ErrorCode, loc: Loc) {
+        if let Some(core) = self.core() {
+            core.borrow_mut().note_error_at("", code, Some(loc.begin.offset));
         }
     }
 
-    /// Emits the record-boundary event plus one error event per
-    /// descriptor error for a record that just closed (or was skipped
-    /// wholesale). Both engines call this from their record-close paths
-    /// after truncation, so the event streams agree by construction.
+    /// Emits one error event per descriptor error, then the
+    /// record-boundary event, for a record that just closed (or was
+    /// skipped wholesale). Both engines call this from their record-close
+    /// paths after truncation, so the event streams agree by construction.
     ///
-    /// The metrics core is fed through the allocation-free
-    /// [`ParseDesc::visit_error_codes`] walk (codes only — it never
-    /// builds path strings); legacy observers still receive the full
-    /// `(path, code, loc)` triples.
+    /// Errors are counted through the allocation-free
+    /// [`ParseDesc::visit_error_codes`] walk; only a tracing core makes
+    /// this build the `(path, code, loc)` triples.
     pub fn observe_record_close(&self, pd: &ParseDesc) {
-        let end = self.position();
-        let index = self.rec_index.saturating_sub(1);
-        let begin = Pos { offset: self.rec_start, record: index, byte: 0 };
-        if let Some(core) = &self.core {
-            let mut c = core.borrow_mut();
-            if pd.nerr > 0 {
+        let Some(core) = self.core() else { return };
+        let mut c = core.borrow_mut();
+        if pd.nerr > 0 {
+            if c.tracing() {
+                for (path, code, loc) in pd.errors() {
+                    c.note_error_at(&path, code, loc.map(|l| l.begin.offset));
+                }
+            } else {
                 pd.visit_error_codes(&mut |code| c.note_error(code));
             }
-            c.note_record(end.offset.saturating_sub(begin.offset) as u64, pd.nerr);
         }
-        if let Some(obs) = &self.obs {
-            obs.with(|o| {
-                for (path, code, loc) in pd.errors() {
-                    o.error(&path, code, loc);
-                }
-                o.record(index, Loc::new(begin, end), pd.nerr);
-            });
-        }
+        let index = self.rec_index.saturating_sub(1);
+        c.note_record(index, self.rec_start, self.offset(), pd.nerr);
     }
 
     /// Whether the budget is exhausted and further records should be framed

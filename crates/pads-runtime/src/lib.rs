@@ -22,11 +22,10 @@
 //!   driver every engine plugs into;
 //! * [`genrt`] — the library generated parsers link against (`PStr`,
 //!   `rd_*`/`wr_*` helpers, the generated-code prelude);
-//! * [`observe`] — the [`observe::Observer`] hook both engines emit
-//!   parse events to (sinks live in the `pads-observe` crate);
 //! * [`metrics`] — the dense-ID, `Send`-able [`metrics::MetricsCore`]
-//!   counter slabs behind the metrics hot path, plus the per-node cost
-//!   profiler;
+//!   both engines emit parse events to through the cursor: counter
+//!   slabs, plus the opt-in per-node cost profiler and span-tree trace
+//!   (exposition lives in the `pads-observe` crate);
 //! * [`summary`] — bounded-memory histograms and quantile estimates;
 //! * [`cache`] — the bounded LRU [`cache::KeyedCache`] behind the
 //!   compiled-regex and VM program caches.
@@ -65,7 +64,6 @@ pub mod io;
 pub mod mask;
 pub mod metrics;
 pub mod name;
-pub mod observe;
 pub mod par;
 pub mod pd;
 pub mod prim;
@@ -81,9 +79,8 @@ pub use error::{ErrorCode, Loc, ParseState, Pos};
 pub use fault::{FaultPlan, FaultReader, KillPlan};
 pub use io::{Cursor, RecordDiscipline, RecordOpen};
 pub use mask::{BaseMask, Mask};
-pub use metrics::{MetricsCore, MetricsHandle, ObsSchema, TypeStat, WorkerObs};
+pub use metrics::{MetricsCore, MetricsHandle, ObsSchema, RecoveryEvent, TypeStat};
 pub use name::Name;
-pub use observe::{ObsHandle, Observer, RecoveryEvent};
 pub use par::{
     plan_shards, Parsed, Progress, RecordReader, ResumePoint, Shard, ShardPlan,
     DEFAULT_MAX_INFLIGHT,

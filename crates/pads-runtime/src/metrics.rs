@@ -1,10 +1,9 @@
 //! The dense-ID observability core: flat, `Send`-able parse counters.
 //!
-//! The original metrics path routed every `type_enter`/`type_exit` through
-//! an `Rc<RefCell<dyn Observer>>` into a `BTreeMap<String, TypeStat>` —
-//! a string lookup per event, which cost 40–50% on generated parsers.
-//! This module pre-resolves the lookups the way the ASF+SDF compiler
-//! resolves interpreted names: a per-schema [`ObsSchema`] interning table
+//! A name-keyed event stream costs a string lookup per event — 40–50% on
+//! generated parsers when this was a `BTreeMap<String, TypeStat>` behind a
+//! trait object. This module pre-resolves the lookups the way the ASF+SDF
+//! compiler resolves interpreted names: a per-schema [`ObsSchema`] interning table
 //! assigns each named type a dense `u32` node id once, the hot path bumps
 //! flat `Vec`-indexed slabs by id, and names are rejoined only at
 //! exposition time.
@@ -13,16 +12,22 @@
 //! shard crosses threads freely, and the shard merge folds them in order
 //! ([`MetricsCore::merge`] is exact and order-independent for counters).
 //! The `Rc<RefCell<..>>` only appears in [`MetricsHandle`], the thin
-//! single-threaded adapter a [`Cursor`](crate::io::Cursor) holds; the
-//! legacy [`Observer`](crate::observe::Observer) trait remains as a
-//! compatibility surface for sinks that want the full event stream
-//! (traces, event logs).
+//! single-threaded adapter a [`Cursor`](crate::io::Cursor) holds — the one
+//! observation attachment there is. Both engines feed it through the
+//! cursor, and record boundaries, errors and recovery actions are emitted
+//! from the shared budget-accounting path, so every engine produces the
+//! same events for the same input.
 //!
-//! On top of the dense ids sits an opt-in per-schema-node cost profiler
-//! ([`MetricsCore::with_profile`]): byte attribution per node (self vs
-//! cumulative, recursion-safe), error density, batched-clock time
-//! sampling, and folded-stack output consumable by `inferno` /
-//! flamegraph tooling.
+//! Two opt-in attachments ride on the same dense ids and the same hooks:
+//! a per-schema-node cost profiler ([`MetricsCore::with_profile`]: byte
+//! attribution per node, self vs cumulative and recursion-safe, error
+//! density, batched-clock time sampling, folded-stack output for
+//! `inferno` / flamegraph tooling) and a bounded span-tree trace
+//! ([`MetricsCore::with_trace`]: which types were tried over which byte
+//! ranges, failed union branches included, and what the recovery
+//! machinery did in between). Either one needs the full enter/exit event
+//! stream, so engines stand down their event-eliding fast paths while it
+//! is on.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -31,7 +36,6 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use crate::error::ErrorCode;
-use crate::observe::{ObsHandle, RecoveryEvent};
 use crate::recovery::OnExhausted;
 use crate::summary::{Histogram, Quantiles};
 
@@ -55,6 +59,25 @@ const SNAPSHOT_VERSION: u8 = 1;
 /// is the non-`Send` adapter for the one thread driving a parse.
 pub type MetricsHandle = Rc<RefCell<MetricsCore>>;
 
+/// A recovery action taken by the error-budget machinery.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecoveryEvent {
+    /// Panic-mode resynchronisation discarded `bytes` bytes to reach the
+    /// record boundary.
+    PanicSkip {
+        /// Bytes discarded between the failure point and the boundary.
+        bytes: u64,
+    },
+    /// A whole record was framed and skipped without parsing
+    /// ([`OnExhausted::SkipRecord`]).
+    SkipRecord,
+    /// The error budget just transitioned to exhausted under `mode`.
+    BudgetExhausted {
+        /// The degradation mode now in force.
+        mode: OnExhausted,
+    },
+}
+
 /// Per-type aggregate: how often a named type parsed and how many bytes
 /// and errors its parses covered.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -72,8 +95,8 @@ pub struct TypeStat {
 /// Built once — from the checked schema's type list (interpreter) or a
 /// generated module's static `OBS_TYPES` table — so ids coincide with the
 /// engine's own type indices and the hot path never touches a string.
-/// Names not present can still be interned lazily (the legacy
-/// name-keyed [`Observer`](crate::observe::Observer) compatibility path).
+/// [`MetricsCore::merge`] and [`MetricsCore::restore`] intern further
+/// names as they meet them.
 #[derive(Debug, Clone, Default)]
 pub struct ObsSchema {
     names: Vec<String>,
@@ -121,9 +144,9 @@ impl ObsSchema {
     }
 }
 
-/// The `Send`-able aggregation core behind every metrics surface: flat
-/// dense-id counter slabs plus latency summaries and an optional
-/// per-node cost profiler.
+/// The `Send`-able aggregation core behind every observation surface:
+/// flat dense-id counter slabs plus latency summaries, an optional
+/// per-node cost profiler and an optional span-tree trace.
 ///
 /// Counters are exact and deterministic for a given input; timings
 /// (latency, the throughput clock) are wall-clock state and are excluded
@@ -131,10 +154,13 @@ impl ObsSchema {
 #[derive(Debug, Clone)]
 pub struct MetricsCore {
     schema: ObsSchema,
-    /// Whether incoming dense ids are trusted to index `nodes` directly.
-    /// True for cores built from a schema's own name table
-    /// ([`with_names`](Self::with_names)); false for lazily-interning
-    /// cores, where every event resolves through its name.
+    /// Whether incoming dense ids index `nodes` directly: true for cores
+    /// built from an engine's own name table
+    /// ([`with_names`](Self::with_names)). A core whose table came from
+    /// anywhere else ([`new`](Self::new), [`restore`](Self::restore)) is
+    /// in some other order, so it counts records, errors and recovery
+    /// but drops type events rather than misattribute them — fold it into
+    /// a `with_names` core with [`merge`](Self::merge) instead.
     trust_ids: bool,
     nodes: Vec<TypeStat>,
     errors_by_code: Vec<u64>,
@@ -154,6 +180,7 @@ pub struct MetricsCore {
     /// Records closed since the last latency sample was taken.
     batch_pending: u32,
     profile: Option<Box<ProfileCore>>,
+    trace: Option<Box<TraceCore>>,
 }
 
 fn budget_mode_index(mode: OnExhausted) -> usize {
@@ -175,10 +202,9 @@ impl Default for MetricsCore {
 }
 
 impl MetricsCore {
-    /// Creates an empty, lazily-interning core; the throughput clock
-    /// starts now. Every event resolves its node through the name —
-    /// use [`with_names`](Self::with_names) when the schema's type list
-    /// is known so the hot path can trust dense ids.
+    /// Creates an empty core with no type table; the throughput clock
+    /// starts now. It is a merge target and the zero of a fold — to
+    /// observe a parse, attach a [`with_names`](Self::with_names) core.
     pub fn new() -> MetricsCore {
         let now = Instant::now();
         MetricsCore {
@@ -200,6 +226,7 @@ impl MetricsCore {
             latency_q: Quantiles::new(1024, 42),
             batch_pending: 0,
             profile: None,
+            trace: None,
         }
     }
 
@@ -223,20 +250,25 @@ impl MetricsCore {
     /// stacks, sampled time). Profiling needs the full enter/exit event
     /// stream, so engines disable event-eliding fast paths when it is on.
     pub fn with_profile(mut self) -> MetricsCore {
-        self.enable_profile();
+        self.profile = Some(Box::default());
         self
     }
 
-    /// Enables profiling in place; see [`with_profile`](Self::with_profile).
-    pub fn enable_profile(&mut self) {
-        if self.profile.is_none() {
-            self.profile = Some(Box::new(ProfileCore::new()));
-        }
+    /// Enables the span-tree trace, keeping spans down to `max_depth`
+    /// nesting levels and at most `max_spans` spans overall; deeper or
+    /// later spans are counted ([`trace_truncated`](Self::trace_truncated))
+    /// but not stored. Like the profiler, the trace needs the full
+    /// enter/exit event stream.
+    pub fn with_trace(mut self, max_depth: usize, max_spans: usize) -> MetricsCore {
+        self.trace = Some(Box::new(TraceCore::new(max_depth, max_spans)));
+        self
     }
 
-    /// Whether the per-node profiler is collecting.
-    pub fn profiling(&self) -> bool {
-        self.profile.is_some()
+    /// Whether the profiler or the trace is collecting, i.e. whether
+    /// engines must emit every enter/exit event rather than feed the
+    /// counters from their fast paths.
+    pub fn wants_events(&self) -> bool {
+        self.profile.is_some() || self.trace.is_some()
     }
 
     /// Wraps this core in a [`MetricsHandle`] for attachment to a cursor.
@@ -244,92 +276,55 @@ impl MetricsCore {
         Rc::new(RefCell::new(self))
     }
 
-    fn node_mut(&mut self, id: u32, name: &str) -> &mut TypeStat {
-        let idx = if self.trust_ids && (id as usize) < self.nodes.len() {
-            id as usize
-        } else {
-            let idx = self.schema.intern(name) as usize;
-            if idx >= self.nodes.len() {
-                self.nodes.resize(idx + 1, TypeStat::default());
-            }
-            idx
-        };
-        &mut self.nodes[idx]
+    /// Whether `id` names a slot of this core's own table. An id from
+    /// some other table — out of range, or any id at all on a core not
+    /// built by [`with_names`](Self::with_names) — is never attributed.
+    #[inline]
+    fn owns(&self, id: u32) -> bool {
+        self.trust_ids && (id as usize) < self.nodes.len()
     }
 
-    /// A named type's parse began at `offset` — only the profiler cares.
-    /// The cursor skips the call entirely when profiling is off.
+    /// A named type's parse began at `offset` — only the profiler and the
+    /// trace care. The cursor skips the call entirely when neither is on.
     #[inline]
-    pub fn enter_id(&mut self, id: u32, name: &str, offset: usize) {
-        // Resolve through node_mut so untrusted ids intern consistently
-        // with the exit path (and `active` tracking stays id-aligned).
-        let idx = {
-            let _ = self.node_mut(id, name);
-            if self.trust_ids && (id as usize) < self.nodes.len() {
-                id
-            } else {
-                self.schema.intern(name)
-            }
-        };
+    pub fn enter_id(&mut self, id: u32, offset: usize) {
+        if !self.owns(id) {
+            return;
+        }
         if let Some(p) = &mut self.profile {
-            p.enter(idx, offset);
+            p.enter(id, offset);
+        }
+        if let Some(t) = &mut self.trace {
+            t.enter(id, offset);
         }
     }
 
     /// A named type's parse finished: `[start_off, end_off)` with `nerr`
-    /// descriptor errors. The dense hot path — one slab bump. The body is
-    /// kept to the trusted-id, non-profiling bump so it inlines into the
-    /// generated call sites; interning and profiling are outlined.
+    /// descriptor errors. The dense hot path — one slab bump, kept small
+    /// so it inlines into the generated call sites; the profiler's and the
+    /// trace's frame pops are outlined.
     #[inline(always)]
-    pub fn exit_id(&mut self, id: u32, name: &str, start_off: usize, end_off: usize, nerr: u32) {
-        let bytes = end_off.saturating_sub(start_off) as u64;
-        if self.trust_ids && (id as usize) < self.nodes.len() && self.profile.is_none() {
-            let t = &mut self.nodes[id as usize];
-            t.hits = t.hits.saturating_add(1);
-            t.bytes = t.bytes.saturating_add(bytes);
-            t.errors = t.errors.saturating_add(u64::from(nerr));
-        } else {
-            self.exit_id_slow(id, name, bytes, end_off, nerr);
+    pub fn exit_id(&mut self, id: u32, start_off: usize, end_off: usize, nerr: u32) {
+        if !self.owns(id) {
+            return;
+        }
+        let t = &mut self.nodes[id as usize];
+        t.hits = t.hits.saturating_add(1);
+        t.bytes = t.bytes.saturating_add(end_off.saturating_sub(start_off) as u64);
+        t.errors = t.errors.saturating_add(u64::from(nerr));
+        if self.wants_events() {
+            self.exit_events(id, end_off, nerr);
         }
     }
 
-    /// The outlined remainder of [`exit_id`](Self::exit_id): untrusted-id
-    /// interning and the profiler's frame pop.
     #[inline(never)]
-    fn exit_id_slow(&mut self, id: u32, name: &str, bytes: u64, end_off: usize, nerr: u32) {
-        let resolved = if self.trust_ids && (id as usize) < self.nodes.len() {
-            id
-        } else {
-            let idx = self.schema.intern(name);
-            if idx as usize >= self.nodes.len() {
-                self.nodes.resize(idx as usize + 1, TypeStat::default());
-            }
-            idx
-        };
-        let t = &mut self.nodes[resolved as usize];
-        t.hits = t.hits.saturating_add(1);
-        t.bytes = t.bytes.saturating_add(bytes);
-        t.errors = t.errors.saturating_add(u64::from(nerr));
+    fn exit_events(&mut self, id: u32, end_off: usize, nerr: u32) {
         if let Some(p) = &mut self.profile {
-            p.exit(resolved, end_off, nerr);
+            p.exit(id, end_off, nerr);
         }
-    }
-
-    /// Name-keyed compatibility entry for the legacy [`Observer`]
-    /// (`type_exit`) path: interns the name, then bumps the slab.
-    ///
-    /// [`Observer`]: crate::observe::Observer
-    pub fn note_type(&mut self, name: &str, bytes: u64, nerr: u32) {
-        let t = {
-            let idx = self.schema.intern(name) as usize;
-            if idx >= self.nodes.len() {
-                self.nodes.resize(idx + 1, TypeStat::default());
-            }
-            &mut self.nodes[idx]
-        };
-        t.hits = t.hits.saturating_add(1);
-        t.bytes = t.bytes.saturating_add(bytes);
-        t.errors = t.errors.saturating_add(u64::from(nerr));
+        if let Some(t) = &mut self.trace {
+            t.exit(end_off, nerr);
+        }
     }
 
     /// Counts one descriptor error, by dense code index.
@@ -341,8 +336,25 @@ impl MetricsCore {
         }
     }
 
-    /// Counts one recovery event.
-    pub fn note_recovery(&mut self, event: RecoveryEvent) {
+    /// Counts one descriptor error and, while tracing, records where it
+    /// was: the dotted field path within the record type (`""` for a
+    /// source-level root error) and the start offset of its location.
+    /// Callers build paths only when [`tracing`](Self::tracing) says so
+    /// and use [`note_error`](Self::note_error) otherwise.
+    pub fn note_error_at(&mut self, path: &str, code: ErrorCode, offset: Option<usize>) {
+        self.note_error(code);
+        if let Some(t) = &mut self.trace {
+            t.push(TraceNode::Error { path: path.to_owned(), code, offset });
+        }
+    }
+
+    /// Whether the span-tree trace is collecting.
+    pub fn tracing(&self) -> bool {
+        self.trace.is_some()
+    }
+
+    /// Counts one recovery event, completed at byte `offset`.
+    pub fn note_recovery(&mut self, event: RecoveryEvent, offset: usize) {
         match event {
             RecoveryEvent::PanicSkip { bytes } => {
                 self.panic_skip_events = self.panic_skip_events.saturating_add(1);
@@ -356,16 +368,22 @@ impl MetricsCore {
                 *n = n.saturating_add(1);
             }
         }
+        if let Some(t) = &mut self.trace {
+            t.push(TraceNode::Recovery { event, offset });
+        }
     }
 
-    /// Closes one record spanning `bytes` with `nerr` errors: throughput
-    /// counters plus the batched-clock latency sample.
-    pub fn note_record(&mut self, bytes: u64, nerr: u32) {
+    /// Closes record `index`, spanning `[start, end)` with `nerr` errors:
+    /// throughput counters plus the batched-clock latency sample.
+    pub fn note_record(&mut self, index: usize, start: usize, end: usize, nerr: u32) {
         self.records = self.records.saturating_add(1);
         if nerr > 0 {
             self.records_with_errors = self.records_with_errors.saturating_add(1);
         }
-        self.record_bytes = self.record_bytes.saturating_add(bytes);
+        self.record_bytes = self.record_bytes.saturating_add(end.saturating_sub(start) as u64);
+        if let Some(t) = &mut self.trace {
+            t.push(TraceNode::Record { index, start, end, nerr });
+        }
         // Batched latency sampling: one clock read per LATENCY_BATCH
         // records, with the batch's mean credited to each record in it —
         // a single weighted add per summary, not LATENCY_BATCH bucket
@@ -481,7 +499,7 @@ impl MetricsCore {
     /// Folds another core's deterministic counters into this one — the
     /// merge step of a parallel record-sharded parse, where each worker
     /// thread aggregates into its own core. The fold is keyed by *name*,
-    /// so cores built over differently-ordered (or lazily-interned)
+    /// so cores built over differently-ordered (or restored)
     /// tables merge exactly; counter merging is order-independent.
     /// Latency summaries are wall-clock samples of the worker's cadence
     /// and are deliberately not folded in.
@@ -735,6 +753,26 @@ impl MetricsCore {
         }
         Some(o)
     }
+
+    // ---- trace output ----------------------------------------------------
+
+    /// The trace tree's top-level nodes, in document order (spans still
+    /// open are not included), or `None` when tracing was off. Spans
+    /// carry dense node ids; [`type_name`](Self::type_name) resolves them
+    /// at render time.
+    pub fn trace_roots(&self) -> Option<&[TraceNode]> {
+        self.trace.as_ref().map(|t| t.roots.as_slice())
+    }
+
+    /// Spans the trace dropped because of its depth/size bounds.
+    pub fn trace_truncated(&self) -> u64 {
+        self.trace.as_ref().map_or(0, |t| t.truncated)
+    }
+
+    /// The type name behind a dense node id.
+    pub fn type_name(&self, id: u32) -> Option<&str> {
+        self.schema.name(id)
+    }
 }
 
 /// The opt-in per-schema-node cost profiler riding on the dense ids:
@@ -777,10 +815,6 @@ struct ProfNode {
 }
 
 impl ProfileCore {
-    fn new() -> ProfileCore {
-        ProfileCore::default()
-    }
-
     fn node_mut(&mut self, id: u32) -> &mut ProfNode {
         let idx = id as usize;
         if idx >= self.nodes.len() {
@@ -839,45 +873,117 @@ impl ProfileCore {
     }
 }
 
-/// What a per-worker observer factory attaches to the worker's parser:
-/// a legacy event-stream observer, a dense metrics core, both, or
-/// neither. Factories hand one of these per worker thread to the
-/// parallel engines; the handles themselves never cross threads (the
-/// cores they wrap do, via the harvest closures).
-#[derive(Default)]
-pub struct WorkerObs {
-    /// Full event-stream observer (traces, event logs).
-    pub handle: Option<ObsHandle>,
-    /// Dense-id metrics core.
-    pub metrics: Option<MetricsHandle>,
+/// One node of the trace tree, in document order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceNode {
+    /// A completed type parse and everything observed inside it.
+    Span(TraceSpan),
+    /// A descriptor error surfaced at record close (or a source-level
+    /// root error).
+    Error {
+        /// Dotted field path within the record type (`""` at the root).
+        path: String,
+        /// The error code.
+        code: ErrorCode,
+        /// Error location start offset, when the descriptor recorded one.
+        offset: Option<usize>,
+    },
+    /// A recovery action.
+    Recovery {
+        /// What the budget machinery did.
+        event: RecoveryEvent,
+        /// Byte offset where the action completed.
+        offset: usize,
+    },
+    /// A record boundary.
+    Record {
+        /// Zero-based record index.
+        index: usize,
+        /// First byte of the record.
+        start: usize,
+        /// One past the last byte of the record.
+        end: usize,
+        /// Errors charged to the record.
+        nerr: u32,
+    },
 }
 
-impl WorkerObs {
-    /// No observation.
-    pub fn none() -> WorkerObs {
-        WorkerObs::default()
-    }
-
-    /// Metrics-only observation via a dense core.
-    pub fn metrics(core: MetricsHandle) -> WorkerObs {
-        WorkerObs { handle: None, metrics: Some(core) }
-    }
-
-    /// Full event-stream observation via a legacy handle.
-    pub fn observer(handle: ObsHandle) -> WorkerObs {
-        WorkerObs { handle: Some(handle), metrics: None }
-    }
+/// A completed type parse: byte range, outcome, and children. A span with
+/// errors inside a union is an alternative the engine tried and abandoned.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceSpan {
+    /// Dense node id of the type parsed.
+    pub id: u32,
+    /// Byte offset where the parse began.
+    pub start: usize,
+    /// Byte offset where the parse ended.
+    pub end: usize,
+    /// Errors in the final descriptor (zero: the parse was ok).
+    pub nerr: u32,
+    /// Nested events, in order.
+    pub children: Vec<TraceNode>,
 }
 
-impl From<ObsHandle> for WorkerObs {
-    fn from(handle: ObsHandle) -> WorkerObs {
-        WorkerObs::observer(handle)
-    }
+/// The opt-in span-tree builder riding on the dense ids: a depth- and
+/// size-bounded tree of type parses with the record, error and recovery
+/// events that happened inside them.
+#[derive(Debug, Clone)]
+struct TraceCore {
+    max_depth: usize,
+    max_spans: usize,
+    total_spans: usize,
+    truncated: u64,
+    /// Entered, not yet exited. `None` marks an unrecorded frame — beyond
+    /// the depth/span bounds — kept only so enter/exit stay balanced.
+    stack: Vec<Option<TraceSpan>>,
+    roots: Vec<TraceNode>,
 }
 
-impl From<MetricsHandle> for WorkerObs {
-    fn from(core: MetricsHandle) -> WorkerObs {
-        WorkerObs::metrics(core)
+impl TraceCore {
+    fn new(max_depth: usize, max_spans: usize) -> TraceCore {
+        TraceCore {
+            max_depth: max_depth.max(1),
+            max_spans,
+            total_spans: 0,
+            truncated: 0,
+            stack: Vec::new(),
+            roots: Vec::new(),
+        }
+    }
+
+    /// Attaches `node` to the innermost recorded open span, or the roots.
+    fn push(&mut self, node: TraceNode) {
+        match self.stack.iter_mut().rev().flatten().next() {
+            Some(span) => span.children.push(node),
+            None => self.roots.push(node),
+        }
+    }
+
+    fn enter(&mut self, id: u32, offset: usize) {
+        let parent_recorded = self.stack.last().is_none_or(Option::is_some);
+        let record = parent_recorded
+            && self.stack.len() < self.max_depth
+            && self.total_spans < self.max_spans;
+        if record {
+            self.total_spans += 1;
+        } else {
+            self.truncated += 1;
+        }
+        self.stack.push(record.then(|| TraceSpan {
+            id,
+            start: offset,
+            end: offset,
+            nerr: 0,
+            children: Vec::new(),
+        }));
+    }
+
+    fn exit(&mut self, end: usize, nerr: u32) {
+        if let Some(Some(mut span)) = self.stack.pop() {
+            span.end = end;
+            span.nerr = nerr;
+            self.push(TraceNode::Span(span));
+        }
     }
 }
 
@@ -940,51 +1046,68 @@ mod tests {
 
     #[test]
     fn dense_ids_and_interning_agree() {
+        // Fed by id, or grown name by name through `merge`'s interning —
+        // in another order — a core holds the same per-type stats.
         let mut dense = MetricsCore::with_names(["a_t", "b_t"]);
-        dense.exit_id(1, "b_t", 0, 4, 0);
-        dense.exit_id(0, "a_t", 4, 6, 1);
+        dense.exit_id(1, 0, 4, 0);
+        dense.exit_id(0, 4, 6, 1);
+        let mut b_only = MetricsCore::with_names(["b_t"]);
+        b_only.exit_id(0, 0, 4, 0);
+        let mut a_only = MetricsCore::with_names(["a_t"]);
+        a_only.exit_id(0, 4, 6, 1);
         let mut interned = MetricsCore::new();
-        interned.note_type("b_t", 4, 0);
-        interned.note_type("a_t", 2, 1);
+        interned.merge(&b_only);
+        interned.merge(&a_only);
         assert_eq!(dense.sorted_types(), interned.sorted_types());
     }
 
     #[test]
-    fn untrusted_ids_fall_back_to_names() {
-        // A lazily-interning core must never misattribute a dense id.
+    fn ids_from_another_table_are_never_attributed() {
+        // A core with no engine's table (new, restored) cannot tell which
+        // type an id means: it drops type events and keeps the rest.
         let mut m = MetricsCore::new();
-        m.exit_id(5, "first_t", 0, 3, 0);
-        m.exit_id(0, "second_t", 3, 5, 0);
-        let types = m.sorted_types();
-        assert_eq!(types.len(), 2);
-        assert_eq!(types[0].0, "first_t");
-        assert_eq!(types[0].1.bytes, 3);
-        assert_eq!(types[1].0, "second_t");
-        assert_eq!(types[1].1.bytes, 2);
+        m.exit_id(0, 0, 3, 0);
+        m.note_record(0, 0, 3, 0);
+        assert!(m.sorted_types().is_empty());
+        assert_eq!(m.records(), 1);
+        let mut restored = MetricsCore::restore(&{
+            let mut src = MetricsCore::with_names(["b_t", "a_t"]);
+            src.exit_id(0, 0, 4, 0);
+            src.snapshot()
+        })
+        .expect("restores");
+        restored.exit_id(0, 0, 9, 0);
+        assert_eq!(restored.sorted_types(), [("b_t", TypeStat { hits: 1, bytes: 4, errors: 0 })]);
+        // An out-of-range id on a trusted core is dropped, not resized for.
+        let mut dense = MetricsCore::with_names(["only_t"]).with_profile().with_trace(8, 100);
+        dense.enter_id(7, 0);
+        dense.exit_id(7, 0, 5, 1);
+        assert!(dense.sorted_types().is_empty());
+        assert_eq!(dense.trace_roots(), Some(&[][..]));
     }
 
     #[test]
     fn drain_keeps_schema_and_zeroes_counters() {
         let mut m = MetricsCore::with_names(["t"]);
-        m.exit_id(0, "t", 0, 4, 0);
-        m.note_record(4, 0);
+        m.exit_id(0, 0, 4, 0);
+        m.note_record(0, 0, 4, 0);
         let delta = m.drain();
         assert_eq!(delta.records(), 1);
         assert_eq!(delta.sorted_types()[0].1.bytes, 4);
         assert_eq!(m.records(), 0);
         assert!(m.sorted_types().is_empty());
         // Ids still resolve densely after the drain.
-        m.exit_id(0, "t", 4, 8, 0);
+        m.exit_id(0, 4, 8, 0);
         assert_eq!(m.sorted_types()[0].1.bytes, 4);
     }
 
     #[test]
     fn merge_is_name_keyed_across_different_orders() {
         let mut a = MetricsCore::with_names(["x_t", "y_t"]);
-        a.exit_id(0, "x_t", 0, 2, 0);
+        a.exit_id(0, 0, 2, 0);
         let mut b = MetricsCore::with_names(["y_t", "x_t"]);
-        b.exit_id(1, "x_t", 0, 3, 1);
-        b.exit_id(0, "y_t", 3, 4, 0);
+        b.exit_id(1, 0, 3, 1);
+        b.exit_id(0, 3, 4, 0);
         a.merge(&b);
         let types = a.sorted_types();
         assert_eq!(types[0], ("x_t", TypeStat { hits: 2, bytes: 5, errors: 1 }));
@@ -993,25 +1116,25 @@ mod tests {
 
     #[test]
     fn counters_saturate_instead_of_wrapping() {
-        let mut a = MetricsCore::new();
-        a.note_type("t", u64::MAX - 1, 0);
-        let mut b = MetricsCore::new();
-        b.note_type("t", 5, 0);
+        let mut a = MetricsCore::with_names(["t"]);
+        a.exit_id(0, 0, usize::MAX - 1, 0);
+        let mut b = MetricsCore::with_names(["t"]);
+        b.exit_id(0, 0, 5, 0);
         a.merge(&b);
         assert_eq!(a.sorted_types()[0].1.bytes, u64::MAX);
-        a.note_type("t", 9, 0);
+        a.exit_id(0, 0, 9, 0);
         assert_eq!(a.sorted_types()[0].1.bytes, u64::MAX);
     }
 
     #[test]
     fn snapshot_roundtrips_through_restore() {
         let mut m = MetricsCore::with_names(["b_t", "a_t"]);
-        m.exit_id(0, "b_t", 0, 4, 0);
-        m.exit_id(1, "a_t", 4, 6, 1);
+        m.exit_id(0, 0, 4, 0);
+        m.exit_id(1, 4, 6, 1);
         m.note_error(ErrorCode::LitMismatch);
-        m.note_recovery(RecoveryEvent::PanicSkip { bytes: 7 });
-        m.note_recovery(RecoveryEvent::BudgetExhausted { mode: OnExhausted::Stop });
-        m.note_record(6, 1);
+        m.note_recovery(RecoveryEvent::PanicSkip { bytes: 7 }, 6);
+        m.note_recovery(RecoveryEvent::BudgetExhausted { mode: OnExhausted::Stop }, 6);
+        m.note_record(0, 0, 6, 1);
         let r = MetricsCore::restore(&m.snapshot()).expect("roundtrips");
         assert_eq!(r.sorted_types(), m.sorted_types());
         assert_eq!(r.sorted_error_codes(), m.sorted_error_codes());
@@ -1024,10 +1147,10 @@ mod tests {
     fn profile_attributes_self_and_cumulative_bytes() {
         let mut m = MetricsCore::with_names(["rec_t", "field_t"]).with_profile();
         // rec_t spans [0, 10); field_t spans [2, 6) inside it.
-        m.enter_id(0, "rec_t", 0);
-        m.enter_id(1, "field_t", 2);
-        m.exit_id(1, "field_t", 2, 6, 0);
-        m.exit_id(0, "rec_t", 0, 10, 0);
+        m.enter_id(0, 0);
+        m.enter_id(1, 2);
+        m.exit_id(1, 2, 6, 0);
+        m.exit_id(0, 0, 10, 0);
         let table = m.profile_table(false).expect("profiling on");
         assert!(table.contains("rec_t"), "{table}");
         let folded = m.profile_folded().expect("profiling on");
@@ -1040,10 +1163,10 @@ mod tests {
     fn profile_is_recursion_safe() {
         let mut m = MetricsCore::with_names(["list_t"]).with_profile();
         // list_t parses itself recursively: [0, 8) containing [2, 8).
-        m.enter_id(0, "list_t", 0);
-        m.enter_id(0, "list_t", 2);
-        m.exit_id(0, "list_t", 2, 8, 0);
-        m.exit_id(0, "list_t", 0, 8, 0);
+        m.enter_id(0, 0);
+        m.enter_id(0, 2);
+        m.exit_id(0, 2, 8, 0);
+        m.exit_id(0, 0, 8, 0);
         let table = m.profile_table(false).expect("profiling on");
         // Cumulative counts the outermost span once, not 8 + 6.
         let row = table.lines().find(|l| l.starts_with("list_t")).expect("row");
@@ -1057,11 +1180,11 @@ mod tests {
         let run = || {
             let mut m = MetricsCore::with_names(["a", "b"]).with_profile();
             for i in 0..100usize {
-                m.enter_id(0, "a", i * 10);
-                m.enter_id(1, "b", i * 10 + 1);
-                m.exit_id(1, "b", i * 10 + 1, i * 10 + 4, 0);
-                m.exit_id(0, "a", i * 10, (i + 1) * 10, 0);
-                m.note_record(10, 0);
+                m.enter_id(0, i * 10);
+                m.enter_id(1, i * 10 + 1);
+                m.exit_id(1, i * 10 + 1, i * 10 + 4, 0);
+                m.exit_id(0, i * 10, (i + 1) * 10, 0);
+                m.note_record(i, i * 10, (i + 1) * 10, 0);
             }
             (m.profile_folded().expect("on"), m.profile_table(false).expect("on"))
         };
@@ -1069,10 +1192,39 @@ mod tests {
     }
 
     #[test]
+    fn trace_nests_events_under_the_innermost_recorded_span() {
+        let mut m = MetricsCore::with_names(["outer_t", "inner_t"]).with_trace(1, 100);
+        m.enter_id(0, 0);
+        m.enter_id(1, 0); // beyond depth 1: counted, not stored
+        m.note_error_at("f", ErrorCode::LitMismatch, Some(2));
+        m.exit_id(1, 0, 4, 1);
+        m.note_record(0, 0, 5, 1);
+        m.exit_id(0, 0, 5, 1);
+        assert_eq!(m.trace_truncated(), 1);
+        let [TraceNode::Span(outer)] = m.trace_roots().expect("tracing on") else {
+            panic!("one root span");
+        };
+        assert_eq!((outer.id, outer.start, outer.end, outer.nerr), (0, 0, 5, 1));
+        assert_eq!(
+            outer.children,
+            [
+                TraceNode::Error {
+                    path: "f".into(),
+                    code: ErrorCode::LitMismatch,
+                    offset: Some(2),
+                },
+                TraceNode::Record { index: 0, start: 0, end: 5, nerr: 1 },
+            ]
+        );
+        // The counters saw the same events.
+        assert_eq!((m.errors_total(), m.records()), (1, 1));
+    }
+
+    #[test]
     fn latency_counts_every_record() {
         let mut m = MetricsCore::new();
-        for _ in 0..(LATENCY_BATCH as usize * 2 + 5) {
-            m.note_record(1, 0);
+        for i in 0..(LATENCY_BATCH as usize * 2 + 5) {
+            m.note_record(i, 0, 1, 0);
         }
         assert_eq!(m.latency_count(), u64::from(LATENCY_BATCH) * 2 + 5);
         assert_eq!(m.latency_q.count(), u64::from(LATENCY_BATCH) * 2);

@@ -12,7 +12,7 @@ use std::io;
 
 use pads::{ParseDesc, Progress, RecordSink, Schema, SourceEnd, SourceFold, SourceSummary, Value};
 use pads_check::ir::{MemberIr, TypeKind, TyUse};
-use pads_runtime::PdKind;
+use pads_runtime::{MetricsHandle, PdKind};
 
 /// Escapes everything written through it for XML content.
 struct Escaped<'a, W>(&'a mut W);
@@ -210,6 +210,12 @@ impl<W: io::Write> XmlSourceSink<W> {
         sink
     }
 
+    /// [`SourceFold::observe`] for the fold this sink keeps.
+    pub fn observe(mut self, core: MetricsHandle, start: usize) -> XmlSourceSink<W> {
+        self.fold = self.fold.observe(core, start);
+        self
+    }
+
     /// Indentation of the record array's children.
     fn elt_indent(&self) -> usize {
         if self.fold.fields().is_some() {
@@ -264,13 +270,13 @@ impl<W: io::Write> XmlSourceSink<W> {
 }
 
 impl<E, W: io::Write> RecordSink<E> for XmlSourceSink<W> {
-    fn header(&mut self, value: Value, pd: ParseDesc) -> bool {
+    fn header(&mut self, value: Value, pd: ParseDesc, progress: &Progress) -> bool {
         if let Some((header, array)) = self.fold.fields() {
             let _ = write_xml(&mut self.buf, &value, Some(&pd), header, 2)
                 .and_then(|()| open(array, 2, &mut self.buf));
             self.flush_buf();
         }
-        RecordSink::<E>::header(&mut self.fold, value, pd)
+        RecordSink::<E>::header(&mut self.fold, value, pd, progress)
     }
 
     fn record(&mut self, index: usize, value: &Value, pd: &ParseDesc, progress: &Progress) {

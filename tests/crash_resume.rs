@@ -8,16 +8,13 @@
 //! through a real on-disk [`pads_journal::Journal`] and checks the
 //! metrics-snapshot restore path.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use pads::generated::clf as gen_clf;
 use pads::{
     descriptions, BaseMask, ErrorBudget, Mask, OnExhausted, PadsParser, ParseDesc, ParseOptions,
     RecoveryPolicy, Registry, ResumePoint, Schema, Value,
 };
 use pads_observe::MetricsSink;
-use pads_runtime::{Cursor, FaultPlan, KillPlan, ObsHandle, WorkerObs};
+use pads_runtime::{Cursor, FaultPlan, KillPlan, MetricsCore, MetricsHandle};
 
 /// The in-flight bound of every sharded run here: the corpora are a dozen
 /// records, so this cuts them into chunks of two (the default bound would
@@ -48,7 +45,7 @@ fn sharded(
     jobs: usize,
     resume: ResumePoint,
 ) -> (Vec<(Value, ParseDesc)>, ErrorBudget) {
-    type NoObs = fn() -> (WorkerObs, Box<dyn FnMut()>);
+    type NoObs = fn() -> (MetricsHandle, Box<dyn FnMut()>);
     let mut items = Vec::new();
     let budget = parser.records_par_stream(
         data,
@@ -272,6 +269,17 @@ fn generated_kill_resume_matches_uninterrupted_run() {
     }
 }
 
+/// `parser` with a counting core over its own type table attached.
+fn metered(parser: PadsParser<'_>) -> (PadsParser<'_>, MetricsHandle) {
+    let core = parser.metrics_core().into_handle();
+    (parser.with_metrics(core.clone()), core)
+}
+
+/// The deterministic counters `core` holds, as the golden-snapshot JSON.
+fn counts_json(core: &MetricsHandle) -> String {
+    MetricsSink::from_core(core.borrow().clone()).counts_json()
+}
+
 /// A seed subset drives the real on-disk journal end to end: commit
 /// checkpoints (budget + metrics snapshot) during the killed run, reopen
 /// the file, resume from its last checkpoint with the restored observer
@@ -291,23 +299,19 @@ fn journal_roundtrip_restores_budget_and_metrics() {
         let policy = policies[(seed as usize) % policies.len()];
 
         // Uninterrupted observed run: the metrics ground truth.
-        let sink = Rc::new(RefCell::new(MetricsSink::new()));
-        let parser = parser_for(&schema, &registry, policy)
-            .with_observer(ObsHandle::from_rc(sink.clone()));
+        let (parser, core) = metered(parser_for(&schema, &registry, policy));
         let m = mask();
         let mut it = parser.records(&data, "entry_t", &m);
         let full: Vec<_> = it.by_ref().collect();
         let full_budget = it.budget();
         drop(it);
-        let full_json = sink.borrow().counts_json();
+        let full_json = counts_json(&core);
 
         // Killed run, committing (position, budget, metrics) to disk.
         let plan = KillPlan::for_seed(seed, full.len());
         let path = dir.join(format!("seed-{seed}.wal"));
         let mut journal = pads_journal::Journal::create(&path).expect("create journal");
-        let sink = Rc::new(RefCell::new(MetricsSink::new()));
-        let parser = parser_for(&schema, &registry, policy)
-            .with_observer(ObsHandle::from_rc(sink.clone()));
+        let (parser, core) = metered(parser_for(&schema, &registry, policy));
         let m = mask();
         let mut it = parser.records(&data, "entry_t", &m);
         let mut consumed = 0usize;
@@ -324,7 +328,7 @@ fn journal_roundtrip_restores_budget_and_metrics() {
                         offset: it.offset() as u64,
                         record: consumed as u64,
                         budget: it.budget(),
-                        metrics: sink.borrow().snapshot(),
+                        metrics: core.borrow().snapshot(),
                     })
                     .expect("commit");
             }
@@ -341,13 +345,14 @@ fn journal_roundtrip_restores_budget_and_metrics() {
                     record: cp.record as usize,
                     budget: cp.budget,
                 },
-                MetricsSink::restore(&cp.metrics).expect("metrics snapshot restores"),
+                MetricsCore::restore(&cp.metrics).expect("metrics snapshot restores"),
             ),
-            None => (ResumePoint::default(), MetricsSink::new()),
+            None => (ResumePoint::default(), MetricsCore::new()),
         };
-        let sink = Rc::new(RefCell::new(restored));
-        let parser = parser_for(&schema, &registry, policy)
-            .with_observer(ObsHandle::from_rc(sink.clone()));
+        // The restored counters fold into a core over the parser's own
+        // table, which then keeps counting.
+        let (parser, core) = metered(parser_for(&schema, &registry, policy));
+        core.borrow_mut().merge(&restored);
         let m = mask();
         let mut it = parser.records_resumed(&data, "entry_t", &m, cp_resume);
         let resumed: Vec<_> = it.by_ref().collect();
@@ -360,7 +365,7 @@ fn journal_roundtrip_restores_budget_and_metrics() {
         );
         assert_eq!(resumed_budget, full_budget, "seed {seed}: journal-resumed budget diverges");
         assert_eq!(
-            sink.borrow().counts_json(),
+            counts_json(&core),
             full_json,
             "seed {seed} plan={plan:?} policy={policy:?}: restored metrics diverge"
         );

@@ -8,9 +8,10 @@
 //! must leave the cursor offset, record coordinates, and error budget
 //! exactly as its single checkpoint saw them.
 
-use std::cell::RefCell;
+#[path = "common/trace_tally.rs"]
+mod trace_tally;
+
 use std::fmt::Debug;
-use std::rc::Rc;
 
 use pads::generated::clf as gen_clf;
 use pads::{
@@ -21,7 +22,8 @@ use pads::{
 use pads_observe::MetricsSink;
 use pads_runtime::genrt::CursorRecords;
 use pads_runtime::par::{self, Job, RecordReader};
-use pads_runtime::{Cursor, FaultPlan, MetricsCore, ObsHandle, WorkerObs};
+use pads_runtime::{Cursor, FaultPlan, MetricsCore, MetricsHandle};
+use trace_tally::Tally;
 
 const CLF: &[u8] = include_bytes!("data/torture_clf.log");
 const SIRIUS: &[u8] = include_bytes!("data/torture_sirius.txt");
@@ -411,7 +413,7 @@ fn observed<E: Send>(
     data: &[u8],
     record: &str,
     jobs: usize,
-    observer: impl Fn() -> (WorkerObs, Box<dyn FnMut() -> E>) + Sync,
+    observer: impl Fn() -> (MetricsHandle, Box<dyn FnMut() -> E>) + Sync,
 ) -> Vec<E> {
     let mut harvests = Vec::new();
     parser.records_par_stream(
@@ -427,84 +429,73 @@ fn observed<E: Send>(
     harvests
 }
 
-/// Observer equivalence: per-worker `MetricsSink`s merged in shard order
-/// produce the same deterministic counter snapshot as one sink fed by the
-/// sequential record loop.
+/// Per-worker dense cores for `observed`: one core per worker, drained per
+/// chunk. `drain()` keeps the interning table with the live core, so the
+/// worker's trusted dense ids stay valid across harvests.
+fn worker_core(
+    schema: &Schema,
+    registry: &Registry,
+) -> (MetricsHandle, Box<dyn FnMut() -> MetricsCore>) {
+    let core = PadsParser::new(schema, registry).metrics_core().into_handle();
+    let live = core.clone();
+    (core, Box::new(move || live.borrow_mut().drain()))
+}
+
+fn merged(cores: &[MetricsCore]) -> MetricsCore {
+    let mut merged = MetricsCore::new();
+    for core in cores {
+        merged.merge(core);
+    }
+    merged
+}
+
+/// Event-stream reference: per-worker cores merged in record order hold the
+/// counters that the *trace tree* of one sequential run accounts for — an
+/// independent tally of every span, error, record and recovery event — and
+/// that run's own counters agree with its tree.
 #[test]
 fn parallel_metrics_merge_matches_sequential_snapshot() {
     let schema = descriptions::clf();
     let registry = Registry::standard();
 
-    let seq_sink = Rc::new(RefCell::new(MetricsSink::new()));
-    let parser = PadsParser::new(&schema, &registry)
-        .with_observer(ObsHandle::from_rc(seq_sink.clone()));
+    let parser = PadsParser::new(&schema, &registry);
+    let seq = trace_tally::unbounded(parser.metrics_core()).into_handle();
+    let parser = parser.with_metrics(seq.clone());
     let _ = parser.records(CLF, "entry_t", &mask()).count();
-    let seq_json = seq_sink.borrow().counts_json();
+    let seq = seq.borrow();
+    trace_tally::assert_counters_match_trace("sequential", &seq);
+    let want = Tally::of_trace(&seq);
 
     for jobs in [1, 2, 4] {
         let parser = PadsParser::new(&schema, &registry);
-        let sinks = observed(&parser, CLF, "entry_t", jobs, || {
-            let m = Rc::new(RefCell::new(MetricsSink::new()));
-            let handle = ObsHandle::from_rc(m.clone());
-            // Per-chunk harvest: drain the sink's accumulation since the
-            // previous call, leaving it fresh for the next chunk.
-            let harvest: Box<dyn FnMut() -> MetricsSink> =
-                Box::new(move || std::mem::take(&mut *m.borrow_mut()));
-            (WorkerObs::observer(handle), harvest)
-        });
-        let mut merged = MetricsSink::new();
-        for sink in &sinks {
-            merged.merge(sink);
-        }
+        let cores = observed(&parser, CLF, "entry_t", jobs, || worker_core(&schema, &registry));
         assert_eq!(
-            merged.counts_json(),
-            seq_json,
-            "jobs={jobs}: merged metrics snapshot diverges from sequential"
+            Tally::of_counters(&merged(&cores)),
+            want,
+            "jobs={jobs}: merged counters diverge from the sequential event stream"
         );
     }
 }
 
 /// Dense-core equivalence: per-worker `MetricsCore` shards (the `Send`-able
-/// counter slabs, attached without any `Observer`) drained per chunk and
-/// merged in record order produce the same snapshot as both a sequential
-/// dense-core run and the legacy observer feed above.
+/// counter slabs) drained per chunk and merged in record order produce the
+/// same snapshot as a sequential dense-core run.
 #[test]
 fn parallel_dense_cores_merge_matches_sequential_snapshot() {
     let schema = descriptions::clf();
     let registry = Registry::standard();
 
-    // Legacy observer ground truth.
-    let obs_sink = Rc::new(RefCell::new(MetricsSink::new()));
-    let parser =
-        PadsParser::new(&schema, &registry).with_observer(ObsHandle::from_rc(obs_sink.clone()));
-    let _ = parser.records(CLF, "entry_t", &mask()).count();
-    let obs_json = obs_sink.borrow().counts_json();
-
-    // Sequential dense core.
     let parser = PadsParser::new(&schema, &registry);
     let seq_core = parser.metrics_core().into_handle();
     let parser = parser.with_metrics(seq_core.clone());
     let _ = parser.records(CLF, "entry_t", &mask()).count();
     let seq_json = MetricsSink::from_core(seq_core.borrow_mut().drain()).counts_json();
-    assert_eq!(seq_json, obs_json, "dense core diverges from legacy observer feed");
 
     for jobs in [1, 2, 4] {
         let parser = PadsParser::new(&schema, &registry);
-        let cores = observed(&parser, CLF, "entry_t", jobs, || {
-            let core = PadsParser::new(&schema, &registry).metrics_core().into_handle();
-            let att = WorkerObs::metrics(core.clone());
-            // drain() keeps the interning table with the live core, so the
-            // worker's trusted dense ids stay valid across harvests.
-            let harvest: Box<dyn FnMut() -> MetricsCore> =
-                Box::new(move || core.borrow_mut().drain());
-            (att, harvest)
-        });
-        let mut merged = MetricsCore::new();
-        for core in &cores {
-            merged.merge(core);
-        }
+        let cores = observed(&parser, CLF, "entry_t", jobs, || worker_core(&schema, &registry));
         assert_eq!(
-            MetricsSink::from_core(merged).counts_json(),
+            MetricsSink::from_core(merged(&cores)).counts_json(),
             seq_json,
             "jobs={jobs}: merged dense cores diverge from sequential"
         );

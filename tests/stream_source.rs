@@ -143,3 +143,48 @@ fn the_fold_rebuilds_the_source_descriptor_summary() {
         }
     }
 }
+
+/// A fold told to `observe` emits the events of the source's own nodes —
+/// the only ones a record-at-a-time run never parses — so the core of a
+/// streamed run holds the trace tree (every enter, exit, error, recovery
+/// and record, in order) and the counters of the whole-tree parse: also
+/// when the budget stops the run short (a root error) and when a damaged
+/// header aborts the source struct before its record array.
+#[test]
+fn an_observing_fold_hears_what_the_whole_tree_parse_does() {
+    let registry = Registry::standard();
+    let records = &SIRIUS[SIRIUS.iter().position(|&b| b == b'\n').unwrap() + 1..];
+    let bad_header = [b"not a header\n", records].concat();
+    let sources: [(&str, Schema, &[u8]); 4] = [
+        ("clf", descriptions::clf(), CLF),
+        ("sirius", descriptions::sirius(), SIRIUS),
+        ("sirius/bad-header", descriptions::sirius(), &bad_header),
+        ("mixed", descriptions::mixed(), MIXED),
+    ];
+    for (name, schema, data) in &sources {
+        let shape = SourceShape::infer(schema).expect("bundled sources stream");
+        for policy in policies() {
+            for engine in [Engine::Interp, Engine::Vm] {
+                let options = ParseOptions { policy, engine, ..Default::default() };
+                let observed = || {
+                    let parser = PadsParser::new(schema, &registry).with_options(options);
+                    let core = parser.metrics_core().with_trace(usize::MAX, usize::MAX);
+                    let core = core.into_handle();
+                    (parser.with_metrics(core.clone()), core)
+                };
+                let (parser, tree) = observed();
+                let _ = parser.parse_source(data, &mask());
+                let (parser, streamed) = observed();
+                let mut fold = SourceFold::new(schema).observe(streamed.clone(), 0);
+                let mask = mask();
+                let end = parser.stream_source(data, &SourceJob::new(shape, &mask), &mut fold);
+                let _ = fold.finish(&end);
+                let (tree, streamed) = (tree.borrow(), streamed.borrow());
+                let label = format!("{name} {policy:?} {engine:?}");
+                assert!(tree.trace_roots().is_some_and(|r| !r.is_empty()), "{label}: no events");
+                assert_eq!(streamed.trace_roots(), tree.trace_roots(), "{label}: trace");
+                assert_eq!(streamed.snapshot(), tree.snapshot(), "{label}: counters");
+            }
+        }
+    }
+}

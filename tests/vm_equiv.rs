@@ -1,7 +1,7 @@
 //! VM/interpreter equivalence: the bytecode tier (`Engine::Vm`) must be
 //! byte-identical to the tree-walking interpreter — same values, same parse
-//! descriptors, same error-budget counters, same observer counter
-//! snapshots — on the curated torture corpora under every recovery policy,
+//! descriptors, same error-budget counters, same observation events and
+//! counter snapshots — on the curated torture corpora under every recovery policy,
 //! across the sequential, record-sharded (`--jobs {1,4}`), columnar-batch,
 //! and journaled kill-and-resume entry points, and across a 1000-seed
 //! fault-injection sweep. The generated modules are cross-checked too
@@ -9,8 +9,6 @@
 //! equivalence suite holds the interpreter to), and the per-schema program
 //! cache and charset-mismatch interpreter fallback get direct coverage.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use pads::generated::clf as gen_clf;
@@ -19,7 +17,7 @@ use pads::{
     ParseOptions, RecoveryPolicy, Registry, ResumePoint, Schema, Value,
 };
 use pads_observe::MetricsSink;
-use pads_runtime::{Charset, Cursor, FaultPlan, KillPlan, ObsHandle, WorkerObs};
+use pads_runtime::{Charset, Cursor, FaultPlan, KillPlan, MetricsCore, MetricsHandle};
 
 const CLF: &[u8] = include_bytes!("data/torture_clf.log");
 const SIRIUS: &[u8] = include_bytes!("data/torture_sirius.txt");
@@ -60,7 +58,7 @@ fn sharded(
     jobs: usize,
     resume: ResumePoint,
 ) -> (Vec<(Value, ParseDesc)>, ErrorBudget) {
-    type NoObs = fn() -> (WorkerObs, Box<dyn FnMut()>);
+    type NoObs = fn() -> (MetricsHandle, Box<dyn FnMut()>);
     let mut items = Vec::new();
     let budget = parser.records_par_stream(
         data,
@@ -73,6 +71,17 @@ fn sharded(
         |chunk, _harvest| items.extend(chunk.drain(..).map(|parsed| (parsed.item, parsed.pd))),
     );
     (items, budget)
+}
+
+/// `parser` with a counting core over its own type table attached.
+fn metered(parser: PadsParser<'_>) -> (PadsParser<'_>, MetricsHandle) {
+    let core = parser.metrics_core().into_handle();
+    (parser.with_metrics(core.clone()), core)
+}
+
+/// The deterministic counters `core` holds, as the golden-snapshot JSON.
+fn counts_json(core: &MetricsHandle) -> String {
+    MetricsSink::from_core(core.borrow().clone()).counts_json()
 }
 
 /// Drains `records()` under the given options and reads back the budget.
@@ -204,9 +213,11 @@ fn fault_harness_vm_matches_interpreter() {
     }
 }
 
-/// Observer equivalence: a `MetricsSink` fed by the VM engine snapshots to
-/// exactly the same deterministic counters as one fed by the interpreter —
-/// sequentially, and merged across per-worker sinks at `--jobs {1,4}`.
+/// Observation equivalence: a core fed by the VM engine holds exactly the
+/// span tree (unbounded trace: every enter, exit, error, recovery and
+/// record event, in order) and the deterministic counters of one fed by
+/// the interpreter — sequentially, and for the counters merged across
+/// per-worker cores at `--jobs {1,4}`.
 #[test]
 fn vm_observer_stream_matches_interpreter() {
     for (label, schema, data, record) in [
@@ -215,35 +226,34 @@ fn vm_observer_stream_matches_interpreter() {
         ("mixed", descriptions::mixed(), MIXED, "rec_t"),
     ] {
         let registry = Registry::standard();
-
-        let interp_sink = Rc::new(RefCell::new(MetricsSink::new()));
-        let parser = PadsParser::new(&schema, &registry)
-            .with_observer(ObsHandle::from_rc(interp_sink.clone()));
-        let _ = parser.records(data, record, &mask()).count();
-        let interp_json = interp_sink.borrow().counts_json();
-
-        let vm_sink = Rc::new(RefCell::new(MetricsSink::new()));
-        let parser = PadsParser::new(&schema, &registry)
-            .with_options(opts(RecoveryPolicy::unlimited(), Engine::Vm))
-            .with_observer(ObsHandle::from_rc(vm_sink.clone()));
-        let _ = parser.records(data, record, &mask()).count();
+        let observe = |engine| {
+            let parser = PadsParser::new(&schema, &registry)
+                .with_options(opts(RecoveryPolicy::unlimited(), engine));
+            let core = parser.metrics_core().with_trace(usize::MAX, usize::MAX).into_handle();
+            let parser = parser.with_metrics(core.clone());
+            let _ = parser.records(data, record, &mask()).count();
+            core
+        };
+        let (interp, vm) = (observe(Engine::Interp), observe(Engine::Vm));
         assert_eq!(
-            vm_sink.borrow().counts_json(),
-            interp_json,
-            "{label}: VM observer stream diverges from interpreter"
+            vm.borrow().trace_roots(),
+            interp.borrow().trace_roots(),
+            "{label}: VM event stream diverges from interpreter"
         );
+        let interp_json = counts_json(&interp);
+        assert_eq!(counts_json(&vm), interp_json, "{label}: VM counters diverge from interpreter");
 
         for jobs in [1, 4] {
             let parser = PadsParser::new(&schema, &registry)
                 .with_options(opts(RecoveryPolicy::unlimited(), Engine::Vm));
             let observer = || {
-                let m = Rc::new(RefCell::new(MetricsSink::new()));
-                let handle = ObsHandle::from_rc(m.clone());
-                let harvest: Box<dyn FnMut() -> MetricsSink> =
-                    Box::new(move || std::mem::take(&mut *m.borrow_mut()));
-                (WorkerObs::observer(handle), harvest)
+                let core = PadsParser::new(&schema, &registry).metrics_core().into_handle();
+                let live = core.clone();
+                let harvest: Box<dyn FnMut() -> MetricsCore> =
+                    Box::new(move || live.borrow_mut().drain());
+                (core, harvest)
             };
-            let mut sinks = Vec::new();
+            let mut merged = MetricsSink::new();
             parser.records_par_stream(
                 data,
                 record,
@@ -252,12 +262,8 @@ fn vm_observer_stream_matches_interpreter() {
                 CHUNKS_OF_TWO,
                 ResumePoint::default(),
                 Some(&observer),
-                |_chunk, sink| sinks.extend(sink),
+                |_chunk, delta| merged.core_mut().merge(&delta.expect("one harvest per chunk")),
             );
-            let mut merged = MetricsSink::new();
-            for sink in &sinks {
-                merged.merge(sink);
-            }
             assert_eq!(
                 merged.counts_json(),
                 interp_json,
@@ -326,25 +332,22 @@ fn vm_journal_kill_resume_matches_uninterrupted_interpreter() {
         let policy = policies[(seed as usize) % policies.len()];
 
         // Uninterrupted *interpreter* run with metrics: the ground truth.
-        let sink = Rc::new(RefCell::new(MetricsSink::new()));
-        let parser = PadsParser::new(&schema, &registry)
-            .with_options(opts(policy, Engine::Interp))
-            .with_observer(ObsHandle::from_rc(sink.clone()));
+        let (parser, core) = metered(
+            PadsParser::new(&schema, &registry).with_options(opts(policy, Engine::Interp)),
+        );
         let m = mask();
         let mut it = parser.records(&data, "entry_t", &m);
         let full: Vec<_> = it.by_ref().collect();
         let full_budget = it.budget();
         drop(it);
-        let full_json = sink.borrow().counts_json();
+        let full_json = counts_json(&core);
 
         // Killed VM run, committing (position, budget, metrics) to disk.
         let plan = KillPlan::for_seed(seed, full.len());
         let path = dir.join(format!("seed-{seed}.wal"));
         let mut journal = pads_journal::Journal::create(&path).expect("create journal");
-        let sink = Rc::new(RefCell::new(MetricsSink::new()));
-        let parser = PadsParser::new(&schema, &registry)
-            .with_options(opts(policy, Engine::Vm))
-            .with_observer(ObsHandle::from_rc(sink.clone()));
+        let (parser, core) =
+            metered(PadsParser::new(&schema, &registry).with_options(opts(policy, Engine::Vm)));
         let m = mask();
         let mut it = parser.records(&data, "entry_t", &m);
         let mut consumed = 0usize;
@@ -361,7 +364,7 @@ fn vm_journal_kill_resume_matches_uninterrupted_interpreter() {
                         offset: it.offset() as u64,
                         record: consumed as u64,
                         budget: it.budget(),
-                        metrics: sink.borrow().snapshot(),
+                        metrics: core.borrow().snapshot(),
                     })
                     .expect("commit");
             }
@@ -378,14 +381,15 @@ fn vm_journal_kill_resume_matches_uninterrupted_interpreter() {
                     record: cp.record as usize,
                     budget: cp.budget,
                 },
-                MetricsSink::restore(&cp.metrics).expect("metrics snapshot restores"),
+                MetricsCore::restore(&cp.metrics).expect("metrics snapshot restores"),
             ),
-            None => (ResumePoint::default(), MetricsSink::new()),
+            None => (ResumePoint::default(), MetricsCore::new()),
         };
-        let sink = Rc::new(RefCell::new(restored));
-        let parser = PadsParser::new(&schema, &registry)
-            .with_options(opts(policy, Engine::Vm))
-            .with_observer(ObsHandle::from_rc(sink.clone()));
+        // The restored counters fold into a core over the parser's own
+        // table, which then keeps counting.
+        let (parser, core) =
+            metered(PadsParser::new(&schema, &registry).with_options(opts(policy, Engine::Vm)));
+        core.borrow_mut().merge(&restored);
         let m = mask();
         let mut it = parser.records_resumed(&data, "entry_t", &m, cp);
         let resumed: Vec<_> = it.by_ref().collect();
@@ -401,7 +405,7 @@ fn vm_journal_kill_resume_matches_uninterrupted_interpreter() {
             "seed {seed} plan={plan:?} policy={policy:?}: VM-resumed budget diverges"
         );
         assert_eq!(
-            sink.borrow().counts_json(),
+            counts_json(&core),
             full_json,
             "seed {seed} plan={plan:?} policy={policy:?}: VM-restored metrics diverge"
         );
