@@ -1,6 +1,6 @@
 //! Shard-scaling — the record-sharded parallel engine at `--jobs
 //! {1, 2, 4, 8}` against the plain sequential loop, for both engines
-//! (interpreted `records_par_stream`, generated `parse_records_par`) on the
+//! (interpreted `stream_source`, generated `parse_records_par`) on the
 //! same 10 000-record CLF/Sirius corpora as `ablation_codegen`. The
 //! jobs=1 rows measure pure sharding overhead (should be ~the
 //! sequential time); jobs≥2 should scale near-linearly until the
@@ -9,9 +9,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pads::generated::{clf, sirius};
 use pads::{
-    descriptions, BaseMask, Cursor, Mask, PadsParser, Registry, ResumePoint, DEFAULT_MAX_INFLIGHT,
+    descriptions, BaseMask, Cursor, Mask, PadsParser, ParseDesc, Progress, RecordSink, Registry,
+    ResumePoint, SourceJob, SourceShape, Value,
 };
-use pads_runtime::{genrt, MetricsHandle};
+use pads_runtime::genrt;
 
 const JOBS: [usize; 4] = [1, 2, 4, 8];
 
@@ -19,22 +20,22 @@ fn fresh(d: &[u8]) -> Cursor<'_> {
     Cursor::new(d)
 }
 
-/// The interpreted sharded rows: every merged `entry_t` record
-/// materialised in a `Vec`, like the generated entry returns them.
+/// The sink of the interpreted sharded rows: every merged `entry_t` record
+/// is lent to it in source order and counted, then dropped by the worker
+/// that parsed it — what a `pads parse --format none` run does.
+struct Count(usize);
+
+impl RecordSink for Count {
+    fn record(&mut self, _index: usize, _value: &Value, _pd: &ParseDesc, _progress: &Progress) {
+        self.0 += 1;
+    }
+}
+
 fn interpreted_par(parser: &PadsParser<'_>, data: &[u8], mask: &Mask, jobs: usize) -> usize {
-    type NoObs = fn() -> (MetricsHandle, Box<dyn FnMut()>);
-    let mut items = Vec::new();
-    parser.records_par_stream(
-        data,
-        "entry_t",
-        mask,
-        jobs,
-        DEFAULT_MAX_INFLIGHT,
-        ResumePoint::default(),
-        None::<&NoObs>,
-        |chunk, _harvest| items.extend(chunk.drain(..).map(|parsed| (parsed.item, parsed.pd))),
-    );
-    items.len()
+    let mut count = Count(0);
+    let job = SourceJob { jobs, ..SourceJob::new(SourceShape::records("entry_t"), mask) };
+    parser.stream_source(data, &job, &mut count);
+    count.0
 }
 
 fn bench(c: &mut Criterion) {

@@ -52,10 +52,10 @@
 //! killed run from the last valid checkpoint with identical results.
 //! `--kill-after <N>` is the crash-test hook.
 //!
-//! `--jobs <N>` (`parse`, `accum`) cuts a headerless record source into
-//! small chunks of consecutive records that N worker threads parse side by
-//! side; the chunks reach the same sink in source order, so every output is
-//! byte-identical to `--jobs 1`. `--max-inflight-records <N>` (default
+//! `--jobs <N>` (`parse`, `accum`) cuts the records of the source — after
+//! its header, if it has one — into small chunks of consecutive records
+//! that N worker threads parse side by side; the chunks reach the same sink
+//! in source order, so every output is byte-identical to `--jobs 1`. `--max-inflight-records <N>` (default
 //! 1024) bounds the records a worker may hold ahead of that sink — a
 //! quarter of it is the chunk size, and under `--journal` the distance
 //! between two checkpoints of a `--jobs` run.
@@ -162,7 +162,8 @@ struct Opts {
     /// ahead of the in-order merge; a quarter of it is the chunk size.
     max_inflight: usize,
     /// `--kill-after N` (test hook): stop abruptly — no final checkpoint —
-    /// after N records have been consumed this run.
+    /// once N records have been consumed this run (under `--jobs`, at the
+    /// end of the chunk that holds the Nth).
     kill_after: Option<u64>,
 }
 
@@ -448,13 +449,6 @@ fn source_job<'a>(o: &Opts, shape: SourceShape<'a>, mask: &'a Mask) -> SourceJob
     SourceJob { jobs: o.jobs, max_inflight: o.max_inflight, ..SourceJob::new(shape, mask) }
 }
 
-/// A dense metrics core pre-interned with the schema's type names in
-/// `TypeId` order — the ids the interpreter emits — so the hot path
-/// trusts ids and never does a name lookup.
-fn schema_core(schema: &Schema) -> MetricsCore {
-    MetricsCore::with_names(schema.types.iter().map(|d| d.name.as_str()))
-}
-
 /// CPU time consumed so far (user + system, milliseconds), from
 /// `/proc/self/stat`; `None` off Linux or if the fields are unreadable.
 fn cpu_ms() -> Option<f64> {
@@ -501,44 +495,6 @@ fn print_metrics(core: MetricsCore, fmt: MetricsFormat) {
     eprintln!("{}", metrics_summary_line(&sink));
 }
 
-/// Per-worker observation factory for parallel metrics: each worker gets
-/// its own dense [`MetricsCore`] (pre-interned, trusted ids), and the
-/// harvest closure drains the counters accumulated since its previous
-/// call — `drain` keeps the interning table with the live core, so the
-/// worker's dense ids stay valid — yielding per-chunk deltas that fold
-/// exactly in merge order.
-fn metrics_factory(
-    schema: &Schema,
-) -> impl Fn() -> (MetricsHandle, Box<dyn FnMut() -> MetricsCore>) + Sync + '_ {
-    move || {
-        let core = schema_core(schema).into_handle();
-        let live = core.clone();
-        (core, Box::new(move || live.borrow_mut().drain()))
-    }
-}
-
-/// A sink of a possibly sharded, observed run: the inner sink takes the
-/// records, and the per-worker metrics deltas that arrive after each chunk
-/// of them fold into the run's one core, in record order.
-struct Observed<S> {
-    sink: S,
-    merged: MetricsHandle,
-}
-
-impl<S: RecordSink<MetricsCore>> RecordSink<MetricsCore> for Observed<S> {
-    fn header(&mut self, value: Value, pd: ParseDesc, progress: &Progress) -> bool {
-        self.sink.header(value, pd, progress)
-    }
-
-    fn record(&mut self, index: usize, value: &Value, pd: &ParseDesc, progress: &Progress) {
-        self.sink.record(index, value, pd, progress);
-    }
-
-    fn observed(&mut self, delta: MetricsCore) {
-        self.merged.borrow_mut().merge(&delta);
-    }
-}
-
 /// `pads parse` and `pads profile` over the whole source, heard by one
 /// core — returned with the summary — that has the profiler and the trace
 /// `o` asks for switched on.
@@ -547,9 +503,8 @@ impl<S: RecordSink<MetricsCore>> RecordSink<MetricsCore> for Observed<S> {
 /// live at a time, into the sink `--format` names — the report fold
 /// (`report`, `none`) or the XML writer over it — which also emits the
 /// source type's own events, so the core hears what a whole-tree parse
-/// would tell it. A sequential run counts straight into the core; `--jobs
-/// N` shards a headerless source across workers, each with a core of its
-/// own, whose deltas merge into it. Output is byte-identical to the
+/// would tell it. The driver shards the records under `--jobs N` unless the
+/// core wants an ordered event stream. Output is byte-identical to the
 /// whole-tree parse, which only a source of any other shape still takes.
 fn parse_whole(
     schema: &Schema,
@@ -558,7 +513,8 @@ fn parse_whole(
     o: &Opts,
     data: &[u8],
 ) -> Result<(SourceSummary, MetricsHandle), String> {
-    let mut core = schema_core(schema);
+    let mut parser = PadsParser::new(schema, registry).with_options(options);
+    let mut core = parser.metrics_core();
     if o.profile {
         core = core.with_profile();
     }
@@ -566,14 +522,12 @@ fn parse_whole(
         core = core.with_trace(trace::DEFAULT_DEPTH, trace::DEFAULT_SPANS);
     }
     let core = core.into_handle();
-    let observed = o.metrics.is_some() || o.profile || o.trace.is_some();
-    let mut parser = PadsParser::new(schema, registry).with_options(options);
+    if o.metrics.is_some() || o.profile || o.trace.is_some() {
+        parser = parser.with_metrics(core.clone());
+    }
     let mask = Mask::all(BaseMask::CheckAndSet);
     let xml = o.format == OutputFormat::Xml;
     let Some(shape) = SourceShape::infer(schema) else {
-        if observed {
-            parser = parser.with_metrics(core.clone());
-        }
         let (v, pd) = parser.parse_source(data, &mask);
         if xml {
             print!("{}", pads_tools::value_to_xml(&v, Some(&pd), &schema.source_def().name, 0));
@@ -581,23 +535,15 @@ fn parse_whole(
         return Ok((SourceSummary::of(&pd), core));
     };
     let job = source_job(o, shape, &mask);
-    let sharded = job.jobs > 1 && shape.header.is_none();
-    if observed && !sharded {
-        parser = parser.with_metrics(core.clone());
-    }
-    let factory = metrics_factory(schema);
-    let workers = (observed && sharded).then_some(&factory);
     let summary = if xml {
         let out = std::io::BufWriter::new(std::io::stdout().lock());
-        let sink = pads_tools::XmlSourceSink::new(schema, out).observe(core.clone(), 0);
-        let mut sink = Observed { sink, merged: core.clone() };
-        let end = parser.stream_source_observed(data, &job, workers, &mut sink);
-        sink.sink.finish(&end).map_err(|e| format!("stdout: {e}"))?
+        let mut sink = pads_tools::XmlSourceSink::new(schema, out).observe(core.clone(), 0);
+        let end = parser.stream_source(data, &job, &mut sink);
+        sink.finish(&end).map_err(|e| format!("stdout: {e}"))?
     } else {
-        let sink = SourceFold::new(schema).observe(core.clone(), 0);
-        let mut sink = Observed { sink, merged: core.clone() };
-        let end = parser.stream_source_observed(data, &job, workers, &mut sink);
-        sink.sink.finish(&end)
+        let mut sink = SourceFold::new(schema).observe(core.clone(), 0);
+        let end = parser.stream_source(data, &job, &mut sink);
+        sink.finish(&end)
     };
     Ok((summary, core))
 }
@@ -777,24 +723,19 @@ fn parse_journaled(
         last_offset: resume.offset as u64,
     };
 
-    // One metrics core, pre-interned for the schema and seeded from the
-    // restored snapshot, is snapshotted at every commit. A sequential run
-    // counts straight into it; a sharded run folds the per-worker deltas
-    // that stream through the in-order merge.
-    let mut seeded = schema_core(schema);
+    // One metrics core over the schema's type table, seeded from the
+    // restored snapshot, hears the run and is snapshotted at every commit.
+    let parser = PadsParser::new(schema, registry).with_options(options);
+    let mut seeded = parser.metrics_core();
     seeded.merge(&restored);
-    let mut parser = PadsParser::new(schema, registry).with_options(options);
-    let live = (o.jobs <= 1).then(|| std::mem::take(&mut seeded).into_handle());
-    if let Some(core) = &live {
-        parser = parser.with_metrics(core.clone());
-    }
+    let core = seeded.into_handle();
+    let parser = parser.with_metrics(core.clone());
     let mask = Mask::all(BaseMask::CheckAndSet);
     let job = SourceJob { start: resume, ..source_job(o, shape, &mask) };
     let mut sink = JournalSink {
         fold: SourceFold::new(schema),
         com,
-        live,
-        merged: seeded,
+        core,
         kill_after: o.kill_after,
         consumed: 0,
         killed: false,
@@ -803,10 +744,8 @@ fn parse_journaled(
         last_budget: resume.budget,
         commit_err: None,
     };
-    let end = parser.stream_source_observed(data, &job, Some(&metrics_factory(schema)), &mut sink);
-    let JournalSink {
-        mut fold, mut com, live, merged, consumed, killed, last_pos, commit_err, ..
-    } = sink;
+    let end = parser.stream_source(data, &job, &mut sink);
+    let JournalSink { mut fold, mut com, core, consumed, killed, last_pos, commit_err, .. } = sink;
     if let Some(e) = commit_err {
         return fail(&e);
     }
@@ -817,7 +756,7 @@ fn parse_journaled(
         return Ok(ExitCode::SUCCESS);
     }
     let budget = end.budget;
-    let final_core = live.map_or(merged, |core| core.borrow().clone());
+    let final_core = core.borrow().clone();
     if let Err(e) = com.commit(last_pos.0, last_pos.1, budget, &final_core) {
         return fail(&e);
     }
@@ -851,17 +790,15 @@ fn parse_journaled(
 /// advances the commit cadence, until `--kill-after` or a failed commit
 /// ends the run (later records are dropped, as a real kill would).
 ///
-/// A checkpoint carries a metrics snapshot, so it is committed only where
-/// the counters are exact: after any record of a sequential run, and at
-/// the first chunk boundary at or after the point it fell due in a sharded
-/// one (the deltas arrive a chunk at a time).
+/// A checkpoint carries a metrics snapshot, so one that has fallen due is
+/// committed — and the kill switch thrown — only where the driver says the
+/// counters are exact: after every record of a sequential run, at the next
+/// chunk boundary of a sharded one.
 struct JournalSink {
     fold: SourceFold,
     com: Committer,
-    /// Sequential runs: the core the parser counts into.
-    live: Option<MetricsHandle>,
-    /// Sharded runs: the fold of the per-worker deltas.
-    merged: MetricsCore,
+    /// The core the run counts into.
+    core: MetricsHandle,
     kill_after: Option<u64>,
     consumed: u64,
     killed: bool,
@@ -870,41 +807,28 @@ struct JournalSink {
     commit_err: Option<pads_journal::JournalError>,
 }
 
-impl JournalSink {
-    fn checkpoint(&mut self) {
-        if !self.com.due() {
+impl RecordSink for JournalSink {
+    fn observed(&mut self) {
+        if self.killed || self.commit_err.is_some() {
             return;
         }
-        let (offset, record) = self.last_pos;
-        let committed = match &self.live {
-            Some(core) => self.com.commit(offset, record, self.last_budget, &core.borrow()),
-            None => self.com.commit(offset, record, self.last_budget, &self.merged),
-        };
-        self.commit_err = committed.err();
-    }
-}
-
-impl RecordSink<MetricsCore> for JournalSink {
-    fn observed(&mut self, delta: MetricsCore) {
-        if !self.killed && self.commit_err.is_none() {
-            self.merged.merge(&delta);
-            self.checkpoint();
+        if self.com.due() {
+            let (offset, record) = self.last_pos;
+            let committed = self.com.commit(offset, record, self.last_budget, &self.core.borrow());
+            self.commit_err = committed.err();
         }
+        self.killed = self.kill_after.is_some_and(|n| self.consumed >= n);
     }
 
     fn record(&mut self, index: usize, value: &Value, pd: &ParseDesc, progress: &Progress) {
         if self.killed || self.commit_err.is_some() {
             return;
         }
-        RecordSink::<MetricsCore>::record(&mut self.fold, index, value, pd, progress);
+        self.fold.record(index, value, pd, progress);
         self.consumed += 1;
         self.last_pos = (progress.end.offset as u64, progress.record as u64 + 1);
         self.last_budget = progress.budget;
         self.com.on_record(self.last_pos.0);
-        if self.live.is_some() {
-            self.checkpoint();
-        }
-        self.killed = self.kill_after.is_some_and(|n| self.consumed >= n);
     }
 }
 
@@ -1047,18 +971,17 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     journal_path,
                 );
             }
-            // Record-sharded parallel parse. The trace and the profiler each
-            // need one ordered event stream, and header sources have a
-            // non-record prefix: all three stay on one thread.
+            // The driver decides how the run executes; say so where
+            // `--jobs` cannot take effect. The trace and the profiler each
+            // need one ordered event stream, and only a `[header] +
+            // records` source has records to shard.
             if o.jobs > 1 {
                 let ordered =
                     o.trace.map(|_| "--trace").or(o.profile.then_some("--profile"));
                 if let Some(flag) = ordered {
                     eprintln!("pads: {flag} forces a sequential parse; ignoring --jobs");
-                    o.jobs = 1;
-                } else if shape.is_none_or(|s| s.header.is_some()) {
+                } else if shape.is_none() {
                     eprintln!("pads: source is not a plain record array; ignoring --jobs");
-                    o.jobs = 1;
                 }
             }
             let (summary, core) = parse_whole(&schema, &registry, options, &o, &data)?;
@@ -1083,7 +1006,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 std::fs::read(&o.positional[1]).map_err(|e| format!("{}: {e}", o.positional[1]))?;
             o.profile = true;
             o.format = OutputFormat::None;
-            o.jobs = 1;
             let (summary, core) = parse_whole(&schema, &registry, options, &o, &data)?;
             let core = core.borrow();
             if o.folded {
@@ -1120,11 +1042,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 summaries: o.summaries.then_some((16, 1024)),
             };
             let mut acc = pads_tools::Accumulator::with_config(&schema, shape.record, cfg);
-            if o.jobs > 1 && shape.header.is_some() {
-                eprintln!("pads: source is not a plain record array; ignoring --jobs");
-            }
-            // `--jobs N` shards a headerless source across workers feeding
-            // this same sink in record order.
+            // `--jobs N` shards the records across workers feeding this
+            // same sink in record order.
             parser.stream_source(&data, &source_job(&o, shape, &mask), &mut acc);
             print!("{}", acc.report("<top>"));
             if acc.bad_records > 0 {
@@ -1144,10 +1063,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             if let Some(df) = &o.date_fmt {
                 fmt = fmt.with_date_format(df);
             }
-            print!(
-                "{}",
-                pads_tools::formatting_program(&schema, &registry, options, &shape, &data, &fmt)
-            );
+            let out = std::io::BufWriter::new(std::io::stdout().lock());
+            pads_tools::format_source(&schema, &registry, options, &shape, &data, &fmt, out)
+                .map_err(|e| format!("stdout: {e}"))?;
             Ok(ExitCode::SUCCESS)
         }
         "xsd" => {

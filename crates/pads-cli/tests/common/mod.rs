@@ -85,6 +85,25 @@ pub fn write_corpus(path: &Path, pieces: usize, piece: impl Fn(usize) -> Vec<u8>
     file.metadata().expect("corpus metadata").len()
 }
 
+/// The `i`-th 1 000 records of a Sirius file: the first piece keeps its
+/// generated header line, the others are records only.
+pub fn sirius_piece(i: usize) -> Vec<u8> {
+    let cfg =
+        pads_gen::SiriusConfig { records: PIECE, seed: 0x51E1 + i as u64, ..Default::default() };
+    let mut data = pads_gen::sirius::generate(&cfg).0;
+    if i > 0 {
+        let header = data.iter().position(|&b| b == b'\n').expect("header line") + 1;
+        data.drain(..header);
+    }
+    data
+}
+
+/// The `i`-th 1 000 records of a CLF file (one in fifteen has a `-` length).
+pub fn clf_piece(i: usize) -> Vec<u8> {
+    let cfg = pads_gen::ClfConfig { records: PIECE, seed: 0xC1F + i as u64, ..Default::default() };
+    pads_gen::clf::generate(&cfg).0
+}
+
 /// A description bundled with the repository.
 pub fn description(name: &str) -> String {
     format!("{}/../../descriptions/{name}.pads", env!("CARGO_MANIFEST_DIR"))

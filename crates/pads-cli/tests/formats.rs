@@ -44,8 +44,11 @@ struct Run {
 const CHUNKED: [&str; 2] = ["--max-inflight-records", "2"];
 
 fn parse(extra: &[&str]) -> Run {
-    let descr = write_temp("d.pads", DESCR.as_bytes());
-    let data = write_temp("data.txt", DATA);
+    // Tests run on parallel threads: each writes (and truncates) files of
+    // its own, or a child of another test reads one half-written.
+    let me = format!("{:?}", std::thread::current().id());
+    let descr = write_temp(&format!("d-{me}.pads"), DESCR.as_bytes());
+    let data = write_temp(&format!("data-{me}.txt"), DATA);
     let out =
         pads().arg("parse").arg(&descr).arg(&data).args(extra).args(CHUNKED).output().expect("run");
     Run {

@@ -12,26 +12,7 @@
 
 mod common;
 
-use common::{description, pads_usage, write_corpus, PIECE};
-
-/// The `i`-th 1 000 records of a Sirius file: the first piece keeps its
-/// generated header line, the others are records only.
-fn sirius_piece(i: usize) -> Vec<u8> {
-    let cfg =
-        pads_gen::SiriusConfig { records: PIECE, seed: 0x51E1 + i as u64, ..Default::default() };
-    let mut data = pads_gen::sirius::generate(&cfg).0;
-    if i > 0 {
-        let header = data.iter().position(|&b| b == b'\n').expect("header line") + 1;
-        data.drain(..header);
-    }
-    data
-}
-
-/// The `i`-th 1 000 records of a CLF file.
-fn clf_piece(i: usize) -> Vec<u8> {
-    let cfg = pads_gen::ClfConfig { records: PIECE, seed: 0xC1F + i as u64, ..Default::default() };
-    pads_gen::clf::generate(&cfg).0
-}
+use common::{clf_piece, description, pads_usage, sirius_piece, write_corpus};
 
 #[test]
 fn peak_rss_grows_with_the_file_not_with_a_value_tree() {
@@ -45,8 +26,8 @@ fn peak_rss_grows_with_the_file_not_with_a_value_tree() {
         let (small_len, large_len) =
             (write_corpus(&small, 10, piece), write_corpus(&large, 40, piece));
         let file_growth_kib = (large_len - small_len).div_ceil(1024);
-        // Unobserved, then the two sequential observed runs, which used to
-        // parse the whole source into one value.
+        // Not observed, then the two sequential observed runs, which used
+        // to parse the whole source into one value.
         for observation in [&[][..], &["--metrics=json"], &["--profile"]] {
             let peak = |corpus: &std::path::Path| {
                 let corpus = corpus.to_str().expect("utf-8 temp path");

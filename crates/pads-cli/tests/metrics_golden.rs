@@ -92,25 +92,30 @@ fn trace_and_profile_outputs_match_golden_snapshots() {
     }
 }
 
+/// Sequentially, and sharded into one-record chunks on two workers: the
+/// counters do not say how the run was executed.
 #[test]
 fn metrics_json_matches_golden_snapshots() {
     for (case, descr, data) in CASES {
-        let out = run_parse(&[&format!("descriptions/{descr}.pads"), data, "--metrics=json"]);
-        assert_eq!(
-            out.status.code(),
-            Some(EXIT_DATA_ERRORS),
-            "{case}: every captured corpus must complete with data errors\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let got = String::from_utf8(out.stdout).expect("utf-8 metrics");
-        let golden_path =
-            repo_root().join(format!("crates/pads-cli/tests/golden/metrics_{case}.json"));
-        let want = std::fs::read_to_string(&golden_path).expect("golden snapshot exists");
-        assert_eq!(
-            got, want,
-            "{case}: metrics drifted from {}; regenerate if intentional",
-            golden_path.display()
-        );
+        for sharding in [&[][..], &["--jobs", "2", "--max-inflight-records", "4"]] {
+            let descr = format!("descriptions/{descr}.pads");
+            let out = run_parse(&[&[&descr, data, "--metrics=json"], sharding].concat());
+            assert_eq!(
+                out.status.code(),
+                Some(EXIT_DATA_ERRORS),
+                "{case} {sharding:?}: every captured corpus must complete with data errors\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let got = String::from_utf8(out.stdout).expect("utf-8 metrics");
+            let golden_path =
+                repo_root().join(format!("crates/pads-cli/tests/golden/metrics_{case}.json"));
+            let want = std::fs::read_to_string(&golden_path).expect("golden snapshot exists");
+            assert_eq!(
+                got, want,
+                "{case} {sharding:?}: metrics drifted from {}; regenerate if intentional",
+                golden_path.display()
+            );
+        }
     }
 }
 

@@ -17,13 +17,7 @@ mod common;
 use std::path::PathBuf;
 use std::process::Command;
 
-use common::{description, pads_usage, write_corpus, PIECE};
-
-/// The `i`-th 1 000 records of a CLF file (one in fifteen has a `-` length).
-fn clf_piece(i: usize) -> Vec<u8> {
-    let cfg = pads_gen::ClfConfig { records: PIECE, seed: 0xC1F + i as u64, ..Default::default() };
-    pads_gen::clf::generate(&cfg).0
-}
+use common::{clf_piece, description, pads_usage, sirius_piece, write_corpus, PIECE};
 
 /// A CLF corpus of `pieces` × 1 000 records in a directory of this test's
 /// own, and its length.
@@ -63,6 +57,56 @@ fn accum_prints_the_sequential_report_at_every_job_count() {
         }
     }
     let _ = std::fs::remove_dir_all(corpus.parent().expect("corpus directory"));
+}
+
+/// A source with a header shards like any other, from the point its header
+/// leaves off: `accum` and `parse` print the bytes of the sequential run —
+/// stdout, stderr, exit status, and no `ignoring --jobs` — in every
+/// geometry, also when the header has a syntax error (the source struct
+/// aborts before its record array) and when it trips a stop budget.
+#[test]
+fn a_header_source_prints_the_sequential_bytes_at_every_job_count() {
+    let dir = std::env::temp_dir().join(format!("pads-sharding-sirius-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (good, bad) = (dir.join("sirius.txt"), dir.join("sirius-bad-header.txt"));
+    write_corpus(&good, 1, sirius_piece);
+    let mut data = std::fs::read(&good).expect("read corpus");
+    data[0] = b'x';
+    std::fs::write(&bad, data).expect("write corpus");
+    let sirius = description("sirius");
+    let run = |command: &[&str], corpus: &std::path::Path, extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_pads"))
+            .args([command[0], &sirius, path_str(corpus)])
+            .args(&command[1..])
+            .args(extra)
+            .output()
+            .expect("run pads");
+        (out.status.code(), out.stdout, String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    let cases = [(&good, &[][..]), (&bad, &[]), (&bad, &["--max-errs", "0"])];
+    let commands =
+        [&["accum"][..], &["parse", "--format", "report"], &["parse", "--format", "xml"]];
+    for (corpus, budget) in cases {
+        for command in commands {
+            let sequential = run(command, corpus, budget);
+            assert!(
+                matches!(sequential.0, Some(0 | 2)),
+                "{command:?} {budget:?}: {}",
+                sequential.2
+            );
+            assert!(!sequential.1.is_empty(), "{command:?} {budget:?}: no output");
+            for jobs in ["1", "2", "4"] {
+                // The default chunk (256 records) and one-record chunks.
+                for inflight in ["1024", "4"] {
+                    let flags = [budget, &["--jobs", jobs, "--max-inflight-records", inflight]];
+                    let sharded = run(command, corpus, &flags.concat());
+                    assert!(!sharded.2.contains("ignoring --jobs"), "{flags:?}: {}", sharded.2);
+                    assert!(sharded == sequential, "{command:?} {corpus:?} {flags:?}");
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]

@@ -54,8 +54,8 @@ pub enum Engine {
     #[default]
     Interp,
     /// Compile the schema to a cached [`crate::vm::VmProgram`] on first
-    /// use and run the bytecode tier. Falls back to the interpreter for
-    /// cursors whose charset differs from the compiled program's.
+    /// use — one program per charset a cursor arrives with — and run the
+    /// bytecode tier.
     Vm,
 }
 
@@ -91,11 +91,11 @@ pub struct PadsParser<'s> {
     /// a refcount bump, never a per-record `String` allocation — the same
     /// dense-id interning the metrics `ObsSchema` uses.
     names: Vec<TypeNames>,
-    /// Lazily compiled VM program (only populated when
-    /// [`ParseOptions::engine`] is [`Engine::Vm`]); shared through the
-    /// process-wide program cache, so sibling parsers over the same
+    /// Lazily compiled VM programs, one per cursor charset (only populated
+    /// when [`ParseOptions::engine`] is [`Engine::Vm`]); shared through
+    /// the process-wide program cache, so sibling parsers over the same
     /// schema reuse one compilation.
-    vm: std::cell::OnceCell<std::sync::Arc<crate::vm::VmProgram>>,
+    vm: [std::cell::OnceCell<std::sync::Arc<crate::vm::VmProgram>>; 2],
 }
 
 /// Interned names for one type definition (see [`PadsParser::names`]).
@@ -146,25 +146,23 @@ impl<'s> PadsParser<'s> {
             metrics: None,
             regexes: new_regex_cache(),
             names: intern_names(schema),
-            vm: std::cell::OnceCell::new(),
+            vm: Default::default(),
         }
     }
 
     /// Sets cursor options (builder style).
     pub fn with_options(mut self, options: ParseOptions) -> PadsParser<'s> {
         self.options = options;
-        // Options select the engine and the charset programs are encoded
-        // for; drop any program compiled under the previous options.
-        self.vm = std::cell::OnceCell::new();
         self
     }
 
     /// Attaches a dense-id metrics core; every cursor the parser builds
     /// (including the per-record cursors of the streaming front-end)
-    /// carries it. The engines' type ids *are* the core's node ids: build
-    /// the core over this schema's type names
-    /// ([`PadsParser::metrics_core`]) — a core over any other table drops
-    /// the type events it cannot attribute.
+    /// carries it, and a sharded [`stream_source`](Self::stream_source) run
+    /// folds its workers' counters into it, so it hears every run. The
+    /// engines' type ids *are* the core's node ids: build the core over
+    /// this schema's type names ([`PadsParser::metrics_core`]) — a core
+    /// over any other table drops the type events it cannot attribute.
     pub fn with_metrics(mut self, core: MetricsHandle) -> PadsParser<'s> {
         self.metrics = Some(core);
         self
@@ -191,6 +189,11 @@ impl<'s> PadsParser<'s> {
     /// The base-type registry this parser resolves against.
     pub(crate) fn registry(&self) -> &'s Registry {
         self.registry
+    }
+
+    /// The attached metrics core, if any.
+    pub(crate) fn metrics(&self) -> Option<&MetricsHandle> {
+        self.metrics.as_ref()
     }
 
     fn cursor<'d>(&self, data: &'d [u8]) -> Cursor<'d> {
@@ -280,7 +283,7 @@ impl<'s> PadsParser<'s> {
 
     /// [`records_resumed`](Self::records_resumed) for a parser the iterator
     /// owns: what a shard worker opens over its own thread-local parser.
-    pub fn into_records<'p, 'd>(
+    pub(crate) fn into_records<'p, 'd>(
         self,
         data: &'d [u8],
         name: &str,
@@ -339,15 +342,17 @@ impl<'s> PadsParser<'s> {
         mask: &Mask,
     ) -> (Value, ParseDesc) {
         if self.options.engine == Engine::Vm {
-            let prog = self.vm.get_or_init(|| {
-                crate::vm::get_or_compile(self.schema, self.registry, self.options.charset)
-            });
-            // A caller-built cursor may carry a different charset than the
-            // program was encoded for; byte-level literal matching would
-            // diverge, so such parses stay on the interpreter.
-            if prog.charset() == cur.charset() {
-                return crate::vm::exec(self.schema, prog, cur, id, args, mask);
-            }
+            // Programs are encoded for a charset, and a caller-built cursor
+            // may carry another one than the options name: run the program
+            // compiled for the cursor's.
+            let charset = cur.charset();
+            let slot = match charset {
+                Charset::Ascii => &self.vm[0],
+                Charset::Ebcdic => &self.vm[1],
+            };
+            let prog =
+                slot.get_or_init(|| crate::vm::get_or_compile(self.schema, self.registry, charset));
+            return crate::vm::exec(self.schema, prog, cur, id, args, mask);
         }
         if !cur.observing() {
             return self.parse_def_inner(cur, id, args, mask);

@@ -18,13 +18,13 @@
 //! [`SourceShape::infer`] says which sources that holds for.
 
 use pads_check::ir::{MemberIr, Schema, TyUse, TypeId, TypeKind};
-use pads_runtime::par::Progress;
+use pads_runtime::par::{self, Job, Progress};
 use pads_runtime::{
-    ErrorBudget, ErrorCode, Loc, Mask, MetricsHandle, ParseDesc, ParseState, PdKind, Pos,
-    ResumePoint, DEFAULT_MAX_INFLIGHT,
+    ErrorBudget, ErrorCode, Loc, Mask, MetricsCore, MetricsHandle, ParseDesc, ParseState, PdKind,
+    Pos, ResumePoint, DEFAULT_MAX_INFLIGHT,
 };
 
-use crate::parse::PadsParser;
+use crate::parse::{PadsParser, ParseOptions};
 use crate::value::Value;
 
 /// The minimal extra information the paper asks for (§5.2): an optional
@@ -119,10 +119,7 @@ impl<'a> SourceShape<'a> {
 }
 
 /// Where a [`PadsParser::stream_source`] run delivers what it parses.
-///
-/// `E` is the per-chunk observer harvest of a sharded observed run (a
-/// `MetricsCore` delta, say); unobserved sinks leave it at `()`.
-pub trait RecordSink<E = ()> {
+pub trait RecordSink {
     /// The header's value and descriptor, once, before any record, with the
     /// cursor's `progress` past it (the header is itself a record).
     /// Returning `false` ends the run there — the source-struct rule, under
@@ -140,10 +137,12 @@ pub trait RecordSink<E = ()> {
     /// in whole-source coordinates.
     fn record(&mut self, index: usize, value: &Value, pd: &ParseDesc, progress: &Progress);
 
-    /// The observer harvest over every record delivered since the previous
-    /// harvest (a chunk of a sharded run): once it has arrived, the folded
-    /// deltas are exact as of the last record delivered.
-    fn observed(&mut self, _delta: E) {}
+    /// The core attached to the parser
+    /// ([`with_metrics`](PadsParser::with_metrics)) is exact as of the last
+    /// record delivered: called after every record of a sequential run and
+    /// after every chunk of a sharded one, whose workers count a chunk at a
+    /// time.
+    fn observed(&mut self) {}
 }
 
 /// What to stream and how: the input of [`PadsParser::stream_source`].
@@ -155,8 +154,7 @@ pub struct SourceJob<'a> {
     pub mask: &'a Mask,
     /// Where the source starts: a committed checkpoint, or the beginning.
     pub start: ResumePoint,
-    /// Upper bound on worker threads. A source with a header stays on one
-    /// thread whatever this says.
+    /// Upper bound on worker threads.
     pub jobs: usize,
     /// Bound on each worker's lead over the merge, in records (a quarter
     /// of it is the chunk workers parse and hand over at a time).
@@ -191,42 +189,29 @@ pub struct SourceEnd {
 }
 
 impl<'s> PadsParser<'s> {
-    /// [`stream_source_observed`](Self::stream_source_observed) without a
-    /// per-worker observer. The parser's own metrics core still sees a
-    /// sequential run.
+    /// The one record-run driver: parses `job.shape`'s header (if any) at
+    /// `job.start`, then every record to the end of `data`, handing each to
+    /// `sink` and keeping none.
+    ///
+    /// The records continue the header cursor — same record numbers, byte
+    /// offsets and budget tally as one cursor reading the whole source. How
+    /// they are parsed is the driver's business, decided from what it can
+    /// see: on this thread through
+    /// [`records_resumed`](Self::records_resumed) when `job.jobs <= 1` or
+    /// the attached core [wants events](MetricsCore::wants_events), and
+    /// otherwise sharded
+    /// through [`par::drive`] from the point the header left off, on worker
+    /// threads that each parse with a parser and a counting core of their
+    /// own; the merge feeds the same sink in source order and folds each
+    /// chunk's counters into the attached core. Values, descriptors, budget
+    /// and counters are byte-identical either way, under every recovery
+    /// policy, so the caller never learns which it was.
     pub fn stream_source<S: RecordSink>(
         &self,
         data: &[u8],
         job: &SourceJob<'_>,
         sink: &mut S,
     ) -> SourceEnd {
-        self.stream_source_observed(data, job, None::<&crate::parallel::Unobserved>, sink)
-    }
-
-    /// The one source driver: parses `job.shape`'s header (if any) at
-    /// `job.start`, then every record to the end of `data`, handing each to
-    /// `sink` and keeping none.
-    ///
-    /// The records continue the header cursor — same record numbers, byte
-    /// offsets and budget tally as one cursor reading the whole source —
-    /// sequentially through [`records_resumed`](Self::records_resumed), or,
-    /// for a headerless source with `job.jobs > 1`, sharded through
-    /// [`records_par_stream`](Self::records_par_stream), which feeds the
-    /// same sink in merge order and is byte-identical under every recovery
-    /// policy. `observer` is that engine's per-worker observation factory;
-    /// its harvests reach [`RecordSink::observed`].
-    pub fn stream_source_observed<E, F, S>(
-        &self,
-        data: &[u8],
-        job: &SourceJob<'_>,
-        observer: Option<&F>,
-        sink: &mut S,
-    ) -> SourceEnd
-    where
-        E: Send,
-        F: Fn() -> (MetricsHandle, Box<dyn FnMut() -> E>) + Sync,
-        S: RecordSink<E>,
-    {
         let SourceJob { shape, mask, start, jobs, max_inflight } = *job;
         let mut resume = start;
         let mut pos = Pos { offset: start.offset.min(data.len()), record: start.record, byte: 0 };
@@ -255,34 +240,59 @@ impl<'s> PadsParser<'s> {
             sink.record(index, value, pd, progress);
             index += 1;
         };
-        let budget = if jobs <= 1 || shape.header.is_some() {
+        let core = self.metrics();
+        // A profile or a trace needs one ordered event stream, and an
+        // unknown record name poisons the reader with a single error item,
+        // which has no per-chunk meaning.
+        let sequential = jobs <= 1
+            || core.is_some_and(|core| core.borrow().wants_events())
+            || self.schema().type_id(shape.record).is_none();
+        let budget = if sequential {
             let mut records = self.records_resumed(data, shape.record, mask, resume);
             let mut record = resume.record;
             while let Some((value, pd)) = records.next() {
                 let progress =
                     Progress { record, end: records.position(), budget: records.budget() };
                 deliver(sink, &value, &pd, &progress);
+                sink.observed();
                 record += 1;
             }
             records.budget()
         } else {
-            self.records_par_stream(
+            let (schema, registry, options) = (self.schema(), self.registry(), self.options());
+            let job = Job {
                 data,
-                shape.record,
-                mask,
+                discipline: options.discipline,
+                charset: options.charset,
+                policy: options.policy,
                 jobs,
                 max_inflight,
                 resume,
-                observer,
-                |chunk, delta| {
-                    for parsed in chunk.iter() {
-                        deliver(sink, &parsed.item, &parsed.pd, &parsed.progress);
-                    }
-                    if let Some(delta) = delta {
-                        sink.observed(delta);
-                    }
-                },
-            )
+            };
+            // Handles do not cross threads; the cores behind them do. Each
+            // reader's thread builds its own parser and, if this one is
+            // observed, its own core over the same type table, drained
+            // after every chunk.
+            let observed = core.is_some();
+            let open = |slice, policy, start| {
+                let mut parser = PadsParser::new(schema, registry)
+                    .with_options(ParseOptions { policy, ..options });
+                let worker = observed.then(|| parser.metrics_core().into_handle());
+                if let Some(worker) = &worker {
+                    parser = parser.with_metrics(worker.clone());
+                }
+                let records = parser.into_records(slice, shape.record, mask, start);
+                (records, move || worker.as_ref().map(|worker| worker.borrow_mut().drain()))
+            };
+            par::drive(&job, open, |chunk, delta: Option<MetricsCore>| {
+                for parsed in chunk.iter() {
+                    deliver(sink, &parsed.item, &parsed.pd, &parsed.progress);
+                }
+                if let (Some(core), Some(delta)) = (core, delta) {
+                    core.borrow_mut().merge(&delta);
+                }
+                sink.observed();
+            })
         };
         end(budget, pos, stalled)
     }
@@ -483,8 +493,7 @@ impl SourceFold {
     }
 
     /// Has the fold emit on `core` — the core the parser of the run
-    /// carries, or the one its workers' deltas merge into — the events of
-    /// the source's own nodes: the source type entered here, at byte
+    /// carries — the events of the source's own nodes: the source type entered here, at byte
     /// `start`, the record array entered after the header, both exited by
     /// [`finish`](Self::finish), then the root errors `finish` raises. Call
     /// it right before a run over the shape [`SourceShape::infer`] gives.
@@ -592,7 +601,7 @@ impl SourceFold {
     }
 }
 
-impl<E> RecordSink<E> for SourceFold {
+impl RecordSink for SourceFold {
     fn header(&mut self, _value: Value, pd: ParseDesc, progress: &Progress) -> bool {
         let fields = &self.fields;
         note(&mut self.counts, &mut self.errors, &pd, || {

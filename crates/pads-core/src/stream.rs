@@ -10,9 +10,10 @@
 //! Framing follows the parser's record discipline: newline-delimited,
 //! fixed-width, or length-prefixed.
 
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 
-use pads_runtime::{Endian, ErrorBudget, ErrorCode, Loc, ParseDesc, ParseState, Pos, RecordDiscipline};
+use pads_runtime::io::length_prefix;
+use pads_runtime::{ErrorBudget, ErrorCode, Loc, ParseDesc, ParseState, Pos, RecordDiscipline};
 
 use crate::parse::PadsParser;
 use crate::value::Value;
@@ -98,48 +99,16 @@ impl<'p, 's, R: BufRead> StreamRecords<'p, 's, R> {
                 Ok(got > 0)
             }
             RecordDiscipline::LengthPrefixed { header_bytes, endian } => {
-                let mut hdr = [0u8; 8];
-                let hdr = &mut hdr[..header_bytes.min(8)];
-                let mut got = 0;
-                while got < hdr.len() {
-                    let n = self.reader.read(&mut hdr[got..])?;
-                    if n == 0 {
-                        break;
-                    }
-                    got += n;
+                // `take` bounds each read by the length asked for while the
+                // buffer grows only with the bytes that exist: a prefix that
+                // lies leaves a short body for the parser to flag.
+                let got =
+                    self.reader.by_ref().take(header_bytes as u64).read_to_end(&mut self.buf)?;
+                if got == header_bytes {
+                    let len = length_prefix(&self.buf, endian);
+                    self.reader.by_ref().take(len as u64).read_to_end(&mut self.buf)?;
                 }
-                if got == 0 {
-                    return Ok(false);
-                }
-                self.buf.extend_from_slice(&hdr[..got]);
-                if got < hdr.len() {
-                    return Ok(true); // malformed header; let the parser flag it
-                }
-                let mut len: usize = 0;
-                match endian {
-                    Endian::Big => {
-                        for &b in hdr.iter() {
-                            len = len << 8 | b as usize;
-                        }
-                    }
-                    Endian::Little => {
-                        for &b in hdr.iter().rev() {
-                            len = len << 8 | b as usize;
-                        }
-                    }
-                }
-                let start = self.buf.len();
-                self.buf.resize(start + len, 0);
-                let mut got = 0;
-                while got < len {
-                    let n = self.reader.read(&mut self.buf[start + got..])?;
-                    if n == 0 {
-                        break;
-                    }
-                    got += n;
-                }
-                self.buf.truncate(start + got);
-                Ok(true)
+                Ok(got > 0)
             }
             // Rejected (poisoned) in `stream_records`; treat as end of
             // input defensively rather than crash.
@@ -203,7 +172,7 @@ impl<'p, 's, R: BufRead> std::iter::FusedIterator for StreamRecords<'p, 's, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pads_runtime::{BaseMask, Charset, Registry};
+    use pads_runtime::{BaseMask, Charset, Endian, Registry};
     use std::io::Cursor as IoCursor;
 
     fn mask() -> Mask {
@@ -256,6 +225,9 @@ mod tests {
         assert_eq!(vals, vec![7, 9]);
     }
 
+    /// Every length-prefixed framing the reader meets parses as the slice
+    /// path parses the same bytes: values, verdicts and error codes
+    /// (locations are frame-relative here, source-relative there).
     #[test]
     fn length_prefixed_streaming() {
         let registry = Registry::standard();
@@ -264,20 +236,31 @@ mod tests {
             &registry,
         )
         .unwrap();
-        let parser = PadsParser::new(&schema, &registry).with_options(crate::ParseOptions {
-            discipline: RecordDiscipline::LengthPrefixed {
-                header_bytes: 2,
-                endian: Endian::Big,
-            },
-            ..Default::default()
-        });
-        let data = [0u8, 3, b'a', b'b', b'c', 0, 3, b'x', b'y', b'z'];
         let m = mask();
-        let vals: Vec<String> = parser
-            .stream_records(IoCursor::new(&data[..]), "m_t", &m)
-            .map(|(v, _)| v.at_path("s").and_then(Value::as_str).unwrap().to_owned())
-            .collect();
-        assert_eq!(vals, vec!["abc", "xyz"]);
+        let wide = [&[0u8; 9][..], &[3], b"abc", &[0; 9], &[3], b"xyz"].concat();
+        let cases: [(&str, usize, Endian, &[u8], usize); 7] = [
+            ("two records", 2, Endian::Big, &[0, 3, b'a', b'b', b'c', 0, 3, b'x', b'y', b'z'], 2),
+            ("little-endian", 2, Endian::Little, &[3, 0, b'a', b'b', b'c'], 1),
+            // 2^56 bytes announced, three present: memory follows the bytes.
+            ("lying prefix", 8, Endian::Big, &[1, 0, 0, 0, 0, 0, 0, 0, b'a', b'b', b'c'], 0),
+            ("header wider than a usize", 10, Endian::Big, &wide, 2),
+            ("wide header that saturates", 10, Endian::Big, b"\x01\0\0\0\0\0\0\0\0\x03abc", 0),
+            ("header cut short", 4, Endian::Big, &[0, 0], 0),
+            ("body cut short", 2, Endian::Big, &[0, 3, b'a'], 0),
+        ];
+        for (label, header_bytes, endian, data, clean) in cases {
+            let parser = PadsParser::new(&schema, &registry).with_options(crate::ParseOptions {
+                discipline: RecordDiscipline::LengthPrefixed { header_bytes, endian },
+                ..Default::default()
+            });
+            let verdict = |(v, pd): (Value, ParseDesc)| (v, pd.state, pd.err_code, pd.nerr);
+            let streamed: Vec<_> =
+                parser.stream_records(IoCursor::new(data), "m_t", &m).map(verdict).collect();
+            let sliced: Vec<_> = parser.records(data, "m_t", &m).map(verdict).collect();
+            assert_eq!(streamed, sliced, "{label}");
+            let ok = streamed.iter().filter(|r| !r.2.is_error()).count();
+            assert_eq!(ok, clean, "{label}: clean records");
+        }
     }
 
     #[test]

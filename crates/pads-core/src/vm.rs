@@ -32,8 +32,8 @@
 //!
 //! Programs are `Send + Sync` and cached process-wide in a bounded
 //! [`KeyedCache`] keyed by (schema structure, charset, registry
-//! identity), so many parsers — including the sharded `records_par_stream`
-//! workers — share one compilation. See `docs/VM.md`.
+//! identity), so many parsers — including the workers of a sharded
+//! `stream_source` run — share one compilation. See `docs/VM.md`.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -73,8 +73,8 @@ pub struct VmProgram {
 impl VmProgram {
     /// The charset the program's literals were encoded for. Executing
     /// against a cursor with a different charset would change byte-level
-    /// matching, so the dispatcher falls back to the interpreter when
-    /// they disagree.
+    /// matching, so the dispatcher runs the program compiled for the
+    /// cursor's.
     pub fn charset(&self) -> Charset {
         self.charset
     }

@@ -61,6 +61,18 @@ pub enum RecordDiscipline {
     None,
 }
 
+/// The record length a [`RecordDiscipline::LengthPrefixed`] header encodes:
+/// the one decode behind the cursor, the shard cutter and the reader-backed
+/// stream. A length beyond `usize` saturates rather than overflows; it can
+/// never fit a source, so every framing path reports it as a bad header.
+pub fn length_prefix(header: &[u8], endian: Endian) -> usize {
+    let fold = |len: usize, &b: &u8| len.checked_mul(256).map_or(usize::MAX, |l| l | b as usize);
+    match endian {
+        Endian::Big => header.iter().fold(0, fold),
+        Endian::Little => header.iter().rev().fold(0, fold),
+    }
+}
+
 /// A saved cursor state, used to backtrack after failed union branches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Checkpoint {
@@ -538,26 +550,7 @@ impl<'a> Cursor<'a> {
                     self.rec_end = Some(self.data.len());
                     return Err(ErrorCode::BadRecordHeader);
                 }
-                let hdr = &self.data[self.pos..self.pos + header_bytes];
-                // Oversized headers (> usize) saturate rather than overflow;
-                // a saturated length can never fit the source, so the
-                // overrun check below reports BadRecordHeader.
-                let mut len: usize = 0;
-                let fold = |len: usize, b: u8| {
-                    len.checked_mul(256).map_or(usize::MAX, |l| l | b as usize)
-                };
-                match endian {
-                    Endian::Big => {
-                        for &b in hdr {
-                            len = fold(len, b);
-                        }
-                    }
-                    Endian::Little => {
-                        for &b in hdr.iter().rev() {
-                            len = fold(len, b);
-                        }
-                    }
-                }
+                let len = length_prefix(&self.data[self.pos..self.pos + header_bytes], endian);
                 self.pos += header_bytes;
                 self.rec_start = self.pos;
                 if len <= self.data.len() - self.pos {

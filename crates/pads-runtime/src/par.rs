@@ -78,7 +78,7 @@ use std::thread;
 
 use crate::encoding::Charset;
 use crate::error::Pos;
-use crate::io::RecordDiscipline;
+use crate::io::{length_prefix, RecordDiscipline};
 use crate::pd::ParseDesc;
 use crate::recovery::{ErrorBudget, RecoveryPolicy};
 use crate::scan;
@@ -187,14 +187,7 @@ fn record_end(data: &[u8], disc: RecordDiscipline, newline: u8, pos: usize) -> u
                 return len;
             }
             let body = pos + header_bytes;
-            // An oversized length saturates; it can never fit the source.
-            let fold =
-                |l: usize, &b: &u8| l.checked_mul(256).map_or(usize::MAX, |l| l | b as usize);
-            let header = data[pos..body].iter();
-            let rec_len = match endian {
-                crate::encoding::Endian::Big => header.fold(0, fold),
-                crate::encoding::Endian::Little => header.rev().fold(0, fold),
-            };
+            let rec_len = length_prefix(&data[pos..body], endian);
             if rec_len > len - body {
                 len
             } else {

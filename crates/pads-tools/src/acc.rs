@@ -771,7 +771,7 @@ fn report_node(node: &Node, path: &str, top_k: usize, out: &mut String) {
 
 /// An accumulator is a sink of the source driver: every record is folded
 /// into the profile and dropped (the header, if any, is not profiled).
-impl<E> RecordSink<E> for Accumulator<'_> {
+impl RecordSink for Accumulator<'_> {
     fn record(&mut self, _index: usize, value: &Value, pd: &ParseDesc, _progress: &Progress) {
         self.add(value, pd);
     }

@@ -33,7 +33,9 @@ pub use pads_observe::summary;
 
 pub use acc::{AccConfig, Accumulator};
 pub use summary::{Histogram, Quantiles};
-pub use programs::{accumulator_program, formatting_program, xml_program, SourceShape};
+pub use programs::{
+    accumulator_program, format_source, formatting_program, xml_program, SourceShape,
+};
 pub use fmt::Formatter;
 pub use xml::{schema_to_xsd, value_to_xml, write_xml, XmlSourceSink};
 

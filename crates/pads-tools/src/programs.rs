@@ -7,6 +7,8 @@
 //! pattern powers the generated formatting (§5.3.1) and XML-conversion
 //! (§5.3.2) programs. These functions are those programs as library calls.
 
+use std::io;
+
 use pads::{
     BaseMask, Mask, PadsParser, ParseDesc, ParseOptions, Progress, RecordSink, Registry, Schema,
     SourceJob, Value,
@@ -68,7 +70,38 @@ pub fn accumulator_program<'s>(
 
 /// The generated formatting program: one delimited line per record, with
 /// an optional date output format and mask-based column suppression
-/// (§5.3.1).
+/// (§5.3.1), written to `out` record by record.
+///
+/// # Errors
+///
+/// The first error writing to `out`, if any.
+///
+/// # Panics
+///
+/// Panics if the shape names types not declared in `schema`.
+pub fn format_source<W: io::Write>(
+    schema: &Schema,
+    registry: &Registry,
+    options: ParseOptions,
+    shape: &SourceShape<'_>,
+    data: &[u8],
+    formatter: &Formatter,
+    mut out: W,
+) -> io::Result<()> {
+    // The first write error is kept, and nothing is written after it.
+    let mut failed = None;
+    each_record(schema, registry, options, shape, data, |v, _| {
+        if failed.is_none() {
+            failed = writeln!(out, "{}", formatter.format(v)).err();
+        }
+    });
+    match failed {
+        Some(e) => Err(e),
+        None => out.flush(),
+    }
+}
+
+/// [`format_source`] into a `String`.
 ///
 /// # Panics
 ///
@@ -81,12 +114,10 @@ pub fn formatting_program(
     data: &[u8],
     formatter: &Formatter,
 ) -> String {
-    let mut out = String::new();
-    each_record(schema, registry, options, shape, data, |v, _| {
-        out.push_str(&formatter.format(v));
-        out.push('\n');
-    });
-    out
+    let mut out = Vec::new();
+    // Writing into a `Vec` cannot fail.
+    let _ = format_source(schema, registry, options, shape, data, formatter, &mut out);
+    String::from_utf8_lossy(&out).into_owned()
 }
 
 /// The generated XML-conversion program: the whole source as one XML

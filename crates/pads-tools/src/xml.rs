@@ -269,21 +269,21 @@ impl<W: io::Write> XmlSourceSink<W> {
     }
 }
 
-impl<E, W: io::Write> RecordSink<E> for XmlSourceSink<W> {
+impl<W: io::Write> RecordSink for XmlSourceSink<W> {
     fn header(&mut self, value: Value, pd: ParseDesc, progress: &Progress) -> bool {
         if let Some((header, array)) = self.fold.fields() {
             let _ = write_xml(&mut self.buf, &value, Some(&pd), header, 2)
                 .and_then(|()| open(array, 2, &mut self.buf));
             self.flush_buf();
         }
-        RecordSink::<E>::header(&mut self.fold, value, pd, progress)
+        self.fold.header(value, pd, progress)
     }
 
     fn record(&mut self, index: usize, value: &Value, pd: &ParseDesc, progress: &Progress) {
         let indent = self.elt_indent();
         let _ = write_xml(&mut self.buf, value, Some(pd), "elt", indent);
         self.flush_buf();
-        RecordSink::<E>::record(&mut self.fold, index, value, pd, progress);
+        self.fold.record(index, value, pd, progress);
     }
 }
 

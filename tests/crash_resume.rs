@@ -8,13 +8,16 @@
 //! through a real on-disk [`pads_journal::Journal`] and checks the
 //! metrics-snapshot restore path.
 
+#[path = "common/collect.rs"]
+mod collect;
+
 use pads::generated::clf as gen_clf;
 use pads::{
     descriptions, BaseMask, ErrorBudget, Mask, OnExhausted, PadsParser, ParseDesc, ParseOptions,
     RecoveryPolicy, Registry, ResumePoint, Schema, Value,
 };
-use pads_observe::MetricsSink;
-use pads_runtime::{Cursor, FaultPlan, KillPlan, MetricsCore, MetricsHandle};
+use collect::{counts_json, metered};
+use pads_runtime::{Cursor, FaultPlan, KillPlan, MetricsCore};
 
 /// The in-flight bound of every sharded run here: the corpora are a dozen
 /// records, so this cuts them into chunks of two (the default bound would
@@ -38,26 +41,16 @@ fn policies() -> Vec<RecoveryPolicy> {
     ]
 }
 
-/// Collects a record-sharded parse (`records_par_stream`) from `resume`.
+/// Collects a record-sharded parse (`stream_source`) from `resume`.
 fn sharded(
     parser: &PadsParser<'_>,
     data: &[u8],
     jobs: usize,
     resume: ResumePoint,
 ) -> (Vec<(Value, ParseDesc)>, ErrorBudget) {
-    type NoObs = fn() -> (MetricsHandle, Box<dyn FnMut()>);
-    let mut items = Vec::new();
-    let budget = parser.records_par_stream(
-        data,
-        "entry_t",
-        &mask(),
-        jobs,
-        CHUNKS_OF_TWO,
-        resume,
-        None::<&NoObs>,
-        |chunk, _harvest| items.extend(chunk.drain(..).map(|parsed| (parsed.item, parsed.pd))),
-    );
-    (items, budget)
+    let (sink, budget) =
+        collect::stream(parser, data, "entry_t", &mask(), (jobs, CHUNKS_OF_TWO), resume);
+    (sink.items, budget)
 }
 
 fn parser_for<'s>(
@@ -267,17 +260,6 @@ fn generated_kill_resume_matches_uninterrupted_run() {
             );
         }
     }
-}
-
-/// `parser` with a counting core over its own type table attached.
-fn metered(parser: PadsParser<'_>) -> (PadsParser<'_>, MetricsHandle) {
-    let core = parser.metrics_core().into_handle();
-    (parser.with_metrics(core.clone()), core)
-}
-
-/// The deterministic counters `core` holds, as the golden-snapshot JSON.
-fn counts_json(core: &MetricsHandle) -> String {
-    MetricsSink::from_core(core.borrow().clone()).counts_json()
 }
 
 /// A seed subset drives the real on-disk journal end to end: commit

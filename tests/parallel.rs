@@ -8,10 +8,14 @@
 //! must leave the cursor offset, record coordinates, and error budget
 //! exactly as its single checkpoint saw them.
 
+#[path = "common/collect.rs"]
+mod collect;
 #[path = "common/trace_tally.rs"]
 mod trace_tally;
 
 use std::fmt::Debug;
+use std::sync::Arc;
+use std::thread::{self, ThreadId};
 
 use pads::generated::clf as gen_clf;
 use pads::{
@@ -20,9 +24,11 @@ use pads::{
     Value, DEFAULT_MAX_INFLIGHT,
 };
 use pads_observe::MetricsSink;
+use pads_runtime::base::BaseType;
 use pads_runtime::genrt::CursorRecords;
 use pads_runtime::par::{self, Job, RecordReader};
-use pads_runtime::{Cursor, FaultPlan, MetricsCore, MetricsHandle};
+use pads_runtime::{Cursor, Endian, ErrorCode, FaultPlan, MetricsHandle, Prim, PrimKind};
+use collect::{counts_json, metered};
 use trace_tally::Tally;
 
 const CLF: &[u8] = include_bytes!("data/torture_clf.log");
@@ -49,25 +55,58 @@ fn policies() -> Vec<RecoveryPolicy> {
 
 type Items<T> = Vec<(T, ParseDesc)>;
 
-/// Sequential ground truth: drain one reader over the whole source and
-/// read back the budget.
-fn sequential<'d, R: RecordReader>(
-    data: &'d [u8],
-    policy: RecoveryPolicy,
-    open: &impl Fn(&'d [u8], RecoveryPolicy, ResumePoint) -> R,
-) -> (Items<R::Item>, ErrorBudget) {
-    let (items, boundaries) = sequential_with_boundaries(data, policy, open);
-    (items, boundaries.last().map_or_else(ErrorBudget::new, |b| b.budget))
+/// How the sharded driver is run: `(jobs, max_inflight)`. The corpora here
+/// are a dozen records, so the in-flight bound sets the chunk geometry:
+/// sequential; one-record chunks; chunks of two; more workers than chunks;
+/// one chunk larger than the source.
+const GEOMETRIES: [(usize, usize); 6] =
+    [(1, DEFAULT_MAX_INFLIGHT), (2, 1), (4, 1), (2, 8), (16, 8), (4, DEFAULT_MAX_INFLIGHT)];
+
+/// One engine of the matrix: how it reads a source sequentially, and how
+/// under the sharded driver.
+trait Sharded<'d> {
+    type Item: PartialEq + Debug;
+
+    /// The sequential ground truth — one reader over the whole source,
+    /// drained — plus every record boundary: element `k` is the resume
+    /// point after `k` records (the last one is the end of the run).
+    fn sequential_with_boundaries(
+        &self,
+        data: &'d [u8],
+        policy: RecoveryPolicy,
+    ) -> (Items<Self::Item>, Vec<ResumePoint>);
+
+    /// The same source in a `(jobs, max_inflight)` geometry from `resume`.
+    fn sharded_from(
+        &self,
+        data: &'d [u8],
+        policy: RecoveryPolicy,
+        geometry: (usize, usize),
+        resume: ResumePoint,
+    ) -> (Items<Self::Item>, ErrorBudget);
+
+    /// The sequential ground truth and its final budget.
+    fn sequential(
+        &self,
+        data: &'d [u8],
+        policy: RecoveryPolicy,
+    ) -> (Items<Self::Item>, ErrorBudget) {
+        let (items, boundaries) = self.sequential_with_boundaries(data, policy);
+        (items, boundaries.last().map_or_else(ErrorBudget::new, |b| b.budget))
+    }
+
+    /// [`sharded_from`](Self::sharded_from) the start of the source.
+    fn sharded(
+        &self,
+        data: &'d [u8],
+        policy: RecoveryPolicy,
+        geometry: (usize, usize),
+    ) -> (Items<Self::Item>, ErrorBudget) {
+        self.sharded_from(data, policy, geometry, ResumePoint::default())
+    }
 }
 
-/// The sequential ground truth plus every record boundary: element `k` is
-/// the resume point after `k` records (the last one is the end of the run).
-fn sequential_with_boundaries<'d, R: RecordReader>(
-    data: &'d [u8],
-    policy: RecoveryPolicy,
-    open: &impl Fn(&'d [u8], RecoveryPolicy, ResumePoint) -> R,
-) -> (Items<R::Item>, Vec<ResumePoint>) {
-    let mut reader = open(data, policy, ResumePoint::default());
+fn drain<R: RecordReader>(mut reader: R) -> (Items<R::Item>, Vec<ResumePoint>) {
     let mut items = Vec::new();
     let mut boundaries = vec![ResumePoint::default()];
     while let Some(item) = reader.next_record() {
@@ -81,86 +120,119 @@ fn sequential_with_boundaries<'d, R: RecordReader>(
     (items, boundaries)
 }
 
-/// How the sharded driver is run: `(jobs, max_inflight)`. The corpora here
-/// are a dozen records, so the in-flight bound sets the chunk geometry:
-/// sequential; one-record chunks; chunks of two; more workers than chunks;
-/// one chunk larger than the source.
-const GEOMETRIES: [(usize, usize); 6] =
-    [(1, DEFAULT_MAX_INFLIGHT), (2, 1), (4, 1), (2, 8), (16, 8), (4, DEFAULT_MAX_INFLIGHT)];
+/// A `RecordReader` factory straight under [`par::drive`]: how a generated
+/// module plugs in. Every corpus here is newline-framed ASCII.
+struct Readers<O>(O);
 
-/// The same reader under the sharded driver from the start of the source.
-fn sharded<'d, R>(
-    data: &'d [u8],
-    policy: RecoveryPolicy,
-    (jobs, max_inflight): (usize, usize),
-    open: &(impl Fn(&'d [u8], RecoveryPolicy, ResumePoint) -> R + Sync),
-) -> (Items<R::Item>, ErrorBudget)
+impl<'d, R, O> Sharded<'d> for Readers<O>
 where
-    R: RecordReader,
-    R::Item: Send,
-{
-    sharded_from(data, policy, (jobs, max_inflight), ResumePoint::default(), open)
-}
-
-/// The same reader under the sharded driver from `resume`. Every corpus
-/// here is newline-framed ASCII.
-fn sharded_from<'d, R>(
-    data: &'d [u8],
-    policy: RecoveryPolicy,
-    (jobs, max_inflight): (usize, usize),
-    resume: ResumePoint,
-    open: &(impl Fn(&'d [u8], RecoveryPolicy, ResumePoint) -> R + Sync),
-) -> (Items<R::Item>, ErrorBudget)
-where
-    R: RecordReader,
-    R::Item: Send,
-{
-    let job = Job {
-        data,
-        discipline: RecordDiscipline::Newline,
-        charset: Charset::Ascii,
-        policy,
-        jobs,
-        max_inflight,
-        resume,
-    };
-    let mut items = Vec::new();
-    let mut next = resume.record;
-    let budget = par::drive(
-        &job,
-        |slice, policy, start| (open(slice, policy, start), || None::<()>),
-        |chunk, _harvest| {
-            for parsed in chunk.drain(..) {
-                assert_eq!(parsed.progress.record, next, "progress is dense and in record order");
-                next += 1;
-                items.push((parsed.item, parsed.pd));
-            }
-        },
-    );
-    (items, budget)
-}
-
-/// The one engine-neutral check: whatever engine `open` builds readers
-/// for, the sharded driver in every geometry yields the values, parse
-/// descriptors (whole-source coordinates) and budget of one reader drained
-/// sequentially, under every recovery policy — with and without a newline
-/// after the final record, and resumed from a boundary inside a chunk.
-fn assert_sharded_matches_sequential<'d, R>(
-    label: &str,
-    data: &'d [u8],
-    open: impl Fn(&'d [u8], RecoveryPolicy, ResumePoint) -> R + Sync,
-) where
     R: RecordReader,
     R::Item: PartialEq + Debug + Send,
+    O: Fn(&'d [u8], RecoveryPolicy, ResumePoint) -> R + Sync,
 {
+    type Item = R::Item;
+
+    fn sequential_with_boundaries(
+        &self,
+        data: &'d [u8],
+        policy: RecoveryPolicy,
+    ) -> (Items<R::Item>, Vec<ResumePoint>) {
+        drain(self.0(data, policy, ResumePoint::default()))
+    }
+
+    fn sharded_from(
+        &self,
+        data: &'d [u8],
+        policy: RecoveryPolicy,
+        (jobs, max_inflight): (usize, usize),
+        resume: ResumePoint,
+    ) -> (Items<R::Item>, ErrorBudget) {
+        let job = Job {
+            data,
+            discipline: RecordDiscipline::Newline,
+            charset: Charset::Ascii,
+            policy,
+            jobs,
+            max_inflight,
+            resume,
+        };
+        let mut items = Vec::new();
+        let mut next = resume.record;
+        let budget = par::drive(
+            &job,
+            |slice, policy, start| (self.0(slice, policy, start), || None::<()>),
+            |chunk, _harvest| {
+                for parsed in chunk.drain(..) {
+                    assert_eq!(parsed.progress.record, next, "progress is dense and in record order");
+                    next += 1;
+                    items.push((parsed.item, parsed.pd));
+                }
+            },
+        );
+        (items, budget)
+    }
+}
+
+/// The interpreter or the VM through the one public driver: `records`
+/// drained sequentially, `stream_source` into a collecting sink sharded.
+struct Runtime<'a> {
+    schema: &'a Schema,
+    registry: &'a Registry,
+    engine: Engine,
+    record: &'a str,
+}
+
+impl Runtime<'_> {
+    fn parser(&self, policy: RecoveryPolicy) -> PadsParser<'_> {
+        PadsParser::new(self.schema, self.registry).with_options(ParseOptions {
+            policy,
+            engine: self.engine,
+            ..Default::default()
+        })
+    }
+}
+
+impl<'d> Sharded<'d> for Runtime<'_> {
+    type Item = Value;
+
+    fn sequential_with_boundaries(
+        &self,
+        data: &'d [u8],
+        policy: RecoveryPolicy,
+    ) -> (Items<Value>, Vec<ResumePoint>) {
+        drain(self.parser(policy).records(data, self.record, &mask()))
+    }
+
+    fn sharded_from(
+        &self,
+        data: &'d [u8],
+        policy: RecoveryPolicy,
+        geometry: (usize, usize),
+        resume: ResumePoint,
+    ) -> (Items<Value>, ErrorBudget) {
+        let parser = self.parser(policy);
+        let (sink, budget) = collect::stream(&parser, data, self.record, &mask(), geometry, resume);
+        for (i, progress) in sink.progress.iter().enumerate() {
+            assert_eq!(progress.record, resume.record + i, "progress is dense and in record order");
+        }
+        (sink.items, budget)
+    }
+}
+
+/// The one engine-neutral check: the sharded driver in every geometry
+/// yields the values, parse descriptors (whole-source coordinates) and
+/// budget of the same engine drained sequentially, under every recovery
+/// policy — with and without a newline after the final record, and resumed
+/// from a boundary inside a chunk.
+fn assert_sharded_matches_sequential<'d>(label: &str, data: &'d [u8], engine: &impl Sharded<'d>) {
     let unterminated = data.strip_suffix(b"\n").unwrap_or(data);
     for (label, data) in [(label.to_owned(), data), (format!("{label}/no final newline"), unterminated)]
     {
         for policy in policies() {
-            let (seq_items, boundaries) = sequential_with_boundaries(data, policy, &open);
+            let (seq_items, boundaries) = engine.sequential_with_boundaries(data, policy);
             let seq_budget = boundaries.last().map_or_else(ErrorBudget::new, |b| b.budget);
             for geometry in GEOMETRIES {
-                let (par_items, par_budget) = sharded(data, policy, geometry, &open);
+                let (par_items, par_budget) = engine.sharded(data, policy, geometry);
                 let at = format!("{label} jobs,inflight={geometry:?} policy={policy:?}");
                 assert_eq!(par_items.len(), seq_items.len(), "{at}: record count");
                 for (i, (par, seq)) in par_items.iter().zip(&seq_items).enumerate() {
@@ -172,11 +244,47 @@ fn assert_sharded_matches_sequential<'d, R>(
             // Resumed after 1 and after 5 records, in chunks of two: the
             // boundary falls inside what was a chunk of the full run.
             for from in boundaries.iter().skip(1).step_by(4).take(2) {
-                let (par_items, par_budget) = sharded_from(data, policy, (4, 8), *from, &open);
+                let (par_items, par_budget) = engine.sharded_from(data, policy, (4, 8), *from);
                 let at = format!("{label} resumed at {} policy={policy:?}", from.record);
                 assert_eq!(par_items[..], seq_items[from.record..], "{at}: items");
                 assert_eq!(par_budget, seq_budget, "{at}: budget");
             }
+        }
+    }
+}
+
+/// A clean twelve-record CLF corpus, and that corpus with record `bad`
+/// (and record 10) replaced by garbage, for `bad` the first, a middle and
+/// the last record of the second chunk of three. Leaked: readers borrow
+/// their source for `'static`.
+fn divergence_corpora() -> (&'static [u8], Vec<(usize, &'static [u8])>) {
+    let clean: &[u8] = Vec::leak(
+        pads_gen::clf::generate(&pads_gen::ClfConfig { records: 12, ..Default::default() }).0,
+    );
+    let damaged = [3, 4, 5].map(|bad| {
+        let mut data = Vec::new();
+        for (i, line) in clean.split_inclusive(|&b| b == b'\n').enumerate() {
+            data.extend_from_slice(if i == bad || i == 10 { b"not a log line\n" } else { line });
+        }
+        (bad, &*Vec::leak(data))
+    });
+    (clean, damaged.to_vec())
+}
+
+/// Twelve records in chunks of three.
+const CHUNKS_OF_THREE: (usize, usize) = (2, 12);
+
+/// Chunk-level budget divergence on [`divergence_corpora`]: a trip on the
+/// first, a middle and the last record of a chunk under each degraded
+/// mode.
+fn assert_budget_trips_replay_the_chunk(label: &str, engine: &impl Sharded<'static>) {
+    for (bad, data) in divergence_corpora().1 {
+        for mode in [OnExhausted::Stop, OnExhausted::SkipRecord, OnExhausted::BestEffort] {
+            let policy = RecoveryPolicy::unlimited().with_max_errs(0).with_on_exhausted(mode);
+            let seq = engine.sequential(data, policy);
+            assert!(seq.1.exhausted(), "{label}: record {bad} must trip the budget");
+            let par = engine.sharded(data, policy, CHUNKS_OF_THREE);
+            assert_eq!(par, seq, "{label}: trip at record {bad} under {mode:?}");
         }
     }
 }
@@ -213,73 +321,41 @@ impl<R: RecordReader> RecordReader for PanicsOnWorker<R> {
     }
 }
 
-/// A clean twelve-record CLF corpus, and that corpus with record `bad`
-/// (and record 10) replaced by garbage, for `bad` the first, a middle and
-/// the last record of the second chunk of three. Leaked: readers borrow
-/// their source for `'static`.
-fn divergence_corpora() -> (&'static [u8], Vec<(usize, &'static [u8])>) {
-    let clean: &[u8] = Vec::leak(
-        pads_gen::clf::generate(&pads_gen::ClfConfig { records: 12, ..Default::default() }).0,
-    );
-    let damaged = [3, 4, 5].map(|bad| {
-        let mut data = Vec::new();
-        for (i, line) in clean.split_inclusive(|&b| b == b'\n').enumerate() {
-            data.extend_from_slice(if i == bad || i == 10 { b"not a log line\n" } else { line });
-        }
-        (bad, &*Vec::leak(data))
-    });
-    (clean, damaged.to_vec())
+/// `Puint32` under another name that panics on reading `panic_at` anywhere
+/// but on the thread it was made on: on a worker of the sharded driver,
+/// never in a sequential run or the replay. What `PanicsOnWorker` is to a
+/// reader, for engines whose readers the driver opens itself.
+struct PanicsOffThread {
+    uint: Arc<dyn BaseType>,
+    home: ThreadId,
+    panic_at: u64,
 }
 
-/// Chunk-level divergence, for whatever engine `open` builds readers for,
-/// on [`divergence_corpora`] cut into chunks of three: a budget trip on
-/// the first, a middle and the last record of a chunk under each degraded
-/// mode, and a worker that panics in the middle of a chunk.
-fn assert_chunk_divergence_matches_sequential<R>(
-    label: &str,
-    open: impl Fn(&'static [u8], RecoveryPolicy, ResumePoint) -> R + Sync,
-) where
-    R: RecordReader,
-    R::Item: PartialEq + Debug + Send,
-{
-    let (clean, damaged) = divergence_corpora();
-    let chunks_of_three = (2, 12);
-    for (bad, data) in damaged {
-        for mode in [OnExhausted::Stop, OnExhausted::SkipRecord, OnExhausted::BestEffort] {
-            let policy = RecoveryPolicy::unlimited().with_max_errs(0).with_on_exhausted(mode);
-            let seq = sequential(data, policy, &open);
-            assert!(seq.1.exhausted(), "{label}: record {bad} must trip the budget");
-            let par = sharded(data, policy, chunks_of_three, &open);
-            assert_eq!(par, seq, "{label}: trip at record {bad} under {mode:?}");
-        }
+impl BaseType for PanicsOffThread {
+    fn name(&self) -> &str {
+        "Ppanicky"
     }
-    let main = std::thread::current().id();
-    let panicking = |slice, policy, start: ResumePoint| PanicsOnWorker {
-        reader: open(slice, policy, start),
-        next: start.record,
-        panic_at: (std::thread::current().id() != main).then_some(7),
-    };
-    let policy = RecoveryPolicy::unlimited();
-    assert_eq!(
-        sharded(clean, policy, chunks_of_three, &panicking),
-        sequential(clean, policy, &open),
-        "{label}: worker panic at record 7"
-    );
-}
 
-/// A reader factory for a runtime engine: each reader owns a thread-local
-/// parser, exactly what `records_par_stream` opens per shard.
-fn runtime_reader<'a>(
-    schema: &'a Schema,
-    registry: &'a Registry,
-    engine: Engine,
-    record: &'a str,
-    mask: &'a Mask,
-) -> impl for<'d> Fn(&'d [u8], RecoveryPolicy, ResumePoint) -> pads::Records<'a, 'a, 'd> + Sync {
-    move |slice, policy, start| {
-        PadsParser::new(schema, registry)
-            .with_options(ParseOptions { policy, engine, ..Default::default() })
-            .into_records(slice, record, mask, start)
+    fn kind(&self) -> PrimKind {
+        self.uint.kind()
+    }
+
+    fn parse(&self, cur: &mut Cursor<'_>, args: &[Prim]) -> Result<Prim, ErrorCode> {
+        let value = self.uint.parse(cur, args)?;
+        let spared = thread::current().id() == self.home || value != Prim::Uint(self.panic_at);
+        assert!(spared, "worker panic safety net");
+        Ok(value)
+    }
+
+    fn write(
+        &self,
+        out: &mut Vec<u8>,
+        val: &Prim,
+        args: &[Prim],
+        charset: Charset,
+        endian: Endian,
+    ) -> Result<(), ErrorCode> {
+        self.uint.write(out, val, args, charset, endian)
     }
 }
 
@@ -287,27 +363,24 @@ fn runtime_reader<'a>(
 /// path of the public batched entry point.
 fn assert_equivalent(label: &str, schema: &Schema, data: &[u8], record: &str) {
     let registry = Registry::standard();
-    let m = mask();
     for engine in [Engine::Interp, Engine::Vm] {
         assert_sharded_matches_sequential(
             &format!("{label}/{engine:?}"),
             data,
-            runtime_reader(schema, &registry, engine, record, &m),
+            &Runtime { schema, registry: &registry, engine, record },
         );
     }
-    let open = runtime_reader(schema, &registry, Engine::Interp, record, &m);
+    let interp = Runtime { schema, registry: &registry, engine: Engine::Interp, record };
     for policy in policies() {
-        let (seq_items, seq_budget) = sequential(data, policy, &open);
+        let (seq_items, seq_budget) = interp.sequential(data, policy);
         // The columnar close path: folding the sharded stream into a
         // RecordBatch must reconstruct every record byte-identically,
         // error records included. Clean rows share one canonical OK
         // descriptor (kind `None`), so descriptors are compared exactly
         // on error rows and on state elsewhere.
         for jobs in [1, 4] {
-            let parser = PadsParser::new(schema, &registry)
-                .with_options(ParseOptions { policy, ..Default::default() });
             let (batch, batch_budget) =
-                parser.records_par_batched(data, record, &mask(), jobs);
+                interp.parser(policy).records_par_batched(data, record, &mask(), jobs);
             assert_eq!(
                 batch.len(),
                 seq_items.len(),
@@ -366,16 +439,16 @@ fn fault_harness_parallel_matches_sequential() {
     let clean =
         pads_gen::clf::generate(&pads_gen::ClfConfig { records: 12, ..Default::default() }).0;
     let policies = policies();
-    let m = mask();
-    let open = runtime_reader(&schema, &registry, Engine::Interp, "entry_t", &m);
+    let interp =
+        Runtime { schema: &schema, registry: &registry, engine: Engine::Interp, record: "entry_t" };
     for seed in 0..SEEDS {
         let data = FaultPlan::for_seed(seed).apply(&clean);
         let policy = policies[(seed as usize) % policies.len()];
-        let (seq_items, seq_budget) = sequential(&data, policy, &open);
+        let (seq_items, seq_budget) = interp.sequential(&data, policy);
         for jobs in [2, 4] {
             // One-record chunks and chunks of two, by turns.
             let (par_items, par_budget) =
-                sharded(&data, policy, (jobs, 1 + 7 * (seed as usize % 2)), &open);
+                interp.sharded(&data, policy, (jobs, 1 + 7 * (seed as usize % 2)));
             assert_eq!(
                 par_items, seq_items,
                 "seed {seed} jobs={jobs} policy={policy:?}: items diverge"
@@ -406,50 +479,17 @@ fn fault_harness_parallel_matches_sequential() {
     }
 }
 
-/// A sharded parse observed per worker: the per-chunk harvests in merge
-/// order, for the caller to fold together.
-fn observed<E: Send>(
-    parser: &PadsParser<'_>,
-    data: &[u8],
-    record: &str,
-    jobs: usize,
-    observer: impl Fn() -> (MetricsHandle, Box<dyn FnMut() -> E>) + Sync,
-) -> Vec<E> {
-    let mut harvests = Vec::new();
-    parser.records_par_stream(
-        data,
-        record,
-        &mask(),
-        jobs,
-        8, // chunks of two: several harvests per worker
-        ResumePoint::default(),
-        Some(&observer),
-        |_chunk, harvest| harvests.extend(harvest),
-    );
-    harvests
+/// A counting core over `parser`'s own table, attached, and the run it then
+/// hears: CLF sharded in chunks of two, so every worker hands over several.
+fn observed(parser: PadsParser<'_>, jobs: usize) -> MetricsHandle {
+    let (parser, core) = metered(parser);
+    let (sink, _) =
+        collect::stream(&parser, CLF, "entry_t", &mask(), (jobs, 8), ResumePoint::default());
+    assert!(sink.observed > 0, "jobs={jobs}: the driver never said the core was exact");
+    core
 }
 
-/// Per-worker dense cores for `observed`: one core per worker, drained per
-/// chunk. `drain()` keeps the interning table with the live core, so the
-/// worker's trusted dense ids stay valid across harvests.
-fn worker_core(
-    schema: &Schema,
-    registry: &Registry,
-) -> (MetricsHandle, Box<dyn FnMut() -> MetricsCore>) {
-    let core = PadsParser::new(schema, registry).metrics_core().into_handle();
-    let live = core.clone();
-    (core, Box::new(move || live.borrow_mut().drain()))
-}
-
-fn merged(cores: &[MetricsCore]) -> MetricsCore {
-    let mut merged = MetricsCore::new();
-    for core in cores {
-        merged.merge(core);
-    }
-    merged
-}
-
-/// Event-stream reference: per-worker cores merged in record order hold the
+/// Event-stream reference: the core attached to a sharded run holds the
 /// counters that the *trace tree* of one sequential run accounts for — an
 /// independent tally of every span, error, record and recovery event — and
 /// that run's own counters agree with its tree.
@@ -467,19 +507,18 @@ fn parallel_metrics_merge_matches_sequential_snapshot() {
     let want = Tally::of_trace(&seq);
 
     for jobs in [1, 2, 4] {
-        let parser = PadsParser::new(&schema, &registry);
-        let cores = observed(&parser, CLF, "entry_t", jobs, || worker_core(&schema, &registry));
+        let core = observed(PadsParser::new(&schema, &registry), jobs);
         assert_eq!(
-            Tally::of_counters(&merged(&cores)),
+            Tally::of_counters(&core.borrow()),
             want,
             "jobs={jobs}: merged counters diverge from the sequential event stream"
         );
     }
 }
 
-/// Dense-core equivalence: per-worker `MetricsCore` shards (the `Send`-able
-/// counter slabs) drained per chunk and merged in record order produce the
-/// same snapshot as a sequential dense-core run.
+/// Dense-core equivalence: the workers' `MetricsCore` shards (the
+/// `Send`-able counter slabs), drained per chunk and merged in record order
+/// into the attached core, leave it with the snapshot of a sequential run.
 #[test]
 fn parallel_dense_cores_merge_matches_sequential_snapshot() {
     let schema = descriptions::clf();
@@ -492,10 +531,9 @@ fn parallel_dense_cores_merge_matches_sequential_snapshot() {
     let seq_json = MetricsSink::from_core(seq_core.borrow_mut().drain()).counts_json();
 
     for jobs in [1, 2, 4] {
-        let parser = PadsParser::new(&schema, &registry);
-        let cores = observed(&parser, CLF, "entry_t", jobs, || worker_core(&schema, &registry));
+        let core = observed(PadsParser::new(&schema, &registry), jobs);
         assert_eq!(
-            MetricsSink::from_core(merged(&cores)).counts_json(),
+            counts_json(&core),
             seq_json,
             "jobs={jobs}: merged dense cores diverge from sequential"
         );
@@ -509,14 +547,14 @@ fn parallel_dense_cores_merge_matches_sequential_snapshot() {
 fn generated_parallel_matches_sequential_loop() {
     let m = mask();
     let read = |cur: &mut Cursor<'static>| gen_clf::EntryT::read(cur, &m);
-    let open = |slice, policy, start: ResumePoint| {
+    let generated = Readers(|slice, policy, start: ResumePoint| {
         let mut cur = Cursor::new(slice).with_policy(policy).with_start(start.offset, start.record);
         cur.set_budget(start.budget);
         CursorRecords::new(cur, &read)
-    };
-    assert_sharded_matches_sequential("clf/generated", CLF, open);
+    });
+    assert_sharded_matches_sequential("clf/generated", CLF, &generated);
     for policy in policies() {
-        let (seq, seq_budget) = sequential(CLF, policy, &open);
+        let (seq, seq_budget) = generated.sequential(CLF, policy);
         for jobs in [1, 2, 4] {
             let (par, par_budget) =
                 gen_clf::parse_records_par(CLF, &m, ResumePoint::default(), jobs, |d| {
@@ -530,24 +568,65 @@ fn generated_parallel_matches_sequential_loop() {
 
 /// A chunk is merged whole or replayed whole, whichever engine filled it:
 /// the interpreter, the VM and the generated reader under budget trips at
-/// every position of a chunk and under a worker panic.
+/// every position of a chunk and under a worker panic in the middle of one.
 #[test]
 fn chunk_divergence_replays_the_chunk_for_every_reader() {
     let schema = descriptions::clf();
     let registry = Registry::standard();
     let m = mask();
-    for engine in [Engine::Interp, Engine::Vm] {
-        assert_chunk_divergence_matches_sequential(
-            &format!("clf/{engine:?}"),
-            runtime_reader(&schema, &registry, engine, "entry_t", &m),
-        );
-    }
     let read = |cur: &mut Cursor<'static>| gen_clf::EntryT::read(cur, &m);
-    assert_chunk_divergence_matches_sequential("clf/generated", |slice, policy, start| {
+    let open = |slice, policy, start: ResumePoint| {
         let mut cur = Cursor::new(slice).with_policy(policy).with_start(start.offset, start.record);
         cur.set_budget(start.budget);
         CursorRecords::new(cur, &read)
+    };
+    for engine in [Engine::Interp, Engine::Vm] {
+        let runtime = Runtime { schema: &schema, registry: &registry, engine, record: "entry_t" };
+        assert_budget_trips_replay_the_chunk(&format!("clf/{engine:?}"), &runtime);
+    }
+    assert_budget_trips_replay_the_chunk("clf/generated", &Readers(&open));
+
+    // A generated worker panics at record 7: its reader is wrapped.
+    let home = thread::current().id();
+    let panicking = Readers(|slice, policy, start: ResumePoint| PanicsOnWorker {
+        reader: open(slice, policy, start),
+        next: start.record,
+        panic_at: (thread::current().id() != home).then_some(7),
     });
+    let (clean, _) = divergence_corpora();
+    let policy = RecoveryPolicy::unlimited();
+    assert_eq!(
+        panicking.sharded(clean, policy, CHUNKS_OF_THREE),
+        Readers(&open).sequential(clean, policy),
+        "clf/generated: worker panic at record 7"
+    );
+
+    // A runtime worker panics at record 7: `stream_source` opens the
+    // readers itself, so the panic sits in a base type. The attached core
+    // still ends up exact — the panicked chunk's counts die with its worker
+    // and the replay counts the chunk again.
+    let mut registry = Registry::standard();
+    let uint = registry.get("Puint32").expect("standard registry").clone();
+    registry.register(Arc::new(PanicsOffThread { uint, home, panic_at: 7 }));
+    let schema = compile("Precord Pstruct n_t { Ppanicky n; };", &registry).expect("compiles");
+    let numbers = (0..12).map(|n| format!("{n}\n")).collect::<String>().into_bytes();
+    let numbers: &'static [u8] = Vec::leak(numbers);
+    for engine in [Engine::Interp, Engine::Vm] {
+        let runtime = Runtime { schema: &schema, registry: &registry, engine, record: "n_t" };
+        let seq = runtime.sequential(numbers, policy);
+        assert_eq!(seq.0.len(), 12);
+        assert_eq!(
+            runtime.sharded(numbers, policy, CHUNKS_OF_THREE),
+            seq,
+            "numbers/{engine:?}: worker panic at record 7"
+        );
+        let counted = |jobs| {
+            let (parser, core) = metered(runtime.parser(policy));
+            collect::stream(&parser, numbers, "n_t", &m, (jobs, 12), ResumePoint::default());
+            counts_json(&core)
+        };
+        assert_eq!(counted(2), counted(1), "numbers/{engine:?}: counters after a worker panic");
+    }
 }
 
 /// Regression (satellite): a failed `Popt` must restore from its single

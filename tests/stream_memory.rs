@@ -7,7 +7,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pads::{
-    descriptions, BaseMask, Mask, PadsParser, Registry, SourceFold, SourceJob, SourceShape,
+    descriptions, BaseMask, Mask, PadsParser, ParseOptions, Registry, SourceFold, SourceJob,
+    SourceShape,
 };
 
 /// Forwards to the system allocator, tracking live bytes and their peak.
@@ -52,6 +53,20 @@ fn peak_of(f: impl FnOnce()) -> usize {
     PEAK.load(Ordering::Relaxed) - before
 }
 
+/// An output that keeps nothing: it counts the newlines written to it.
+struct LineCount(usize);
+
+impl std::io::Write for LineCount {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0 += buf.iter().filter(|&&b| b == b'\n').count();
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 fn corpus(records: usize) -> Vec<u8> {
     let cfg = pads_gen::SiriusConfig { records, ..Default::default() };
     pads_gen::sirius::generate(&cfg).0
@@ -63,6 +78,7 @@ fn streamed_peak_heap_is_flat_in_the_record_count() {
     let schema = descriptions::sirius();
     let shape = SourceShape::infer(&schema).expect("sirius streams");
     let mask = Mask::all(BaseMask::CheckAndSet);
+    let options = ParseOptions::default();
     let parser = PadsParser::new(&schema, &registry);
     let (small, large) = (corpus(2_000), corpus(20_000));
 
@@ -82,6 +98,23 @@ fn streamed_peak_heap_is_flat_in_the_record_count() {
     assert!(
         at_20k <= at_2k + 16 * 1024,
         "streamed peak grew with the record count: {at_2k} B at 2 000, {at_20k} B at 20 000"
+    );
+
+    // The formatting program writes each line as its record arrives.
+    let formatted = |data: &[u8], records: usize| {
+        peak_of(|| {
+            let fmt = pads_tools::Formatter::new(&["|"]);
+            let mut lines = LineCount(0);
+            pads_tools::format_source(&schema, &registry, options, &shape, data, &fmt, &mut lines)
+                .expect("counting cannot fail");
+            assert_eq!(lines.0, records);
+        })
+    };
+    formatted(&small, 2_000);
+    let (fmt_2k, fmt_20k) = (formatted(&small, 2_000), formatted(&large, 20_000));
+    assert!(
+        fmt_20k <= fmt_2k + 16 * 1024,
+        "formatting peak grew with the record count: {fmt_2k} B at 2 000, {fmt_20k} B at 20 000"
     );
 
     // The probe does see a tree that is held: the whole-source value is

@@ -8,11 +8,15 @@
 //! file pins the data underneath, and the §5.2 programs that ride the
 //! driver.
 
+#[path = "common/collect.rs"]
+mod collect;
+
 use pads::{
     descriptions, BaseMask, Engine, Mask, OnExhausted, PadsParser, ParseDesc, ParseOptions, PdKind,
     Progress, RecordSink, RecoveryPolicy, Registry, Schema, SourceFold, SourceJob, SourceShape,
     SourceSummary, Value,
 };
+use collect::{counts_json, metered};
 use pads_tools::{accumulator_program, value_to_xml, xml_program};
 
 const CLF: &[u8] = include_bytes!("data/torture_clf.log");
@@ -131,13 +135,18 @@ fn the_fold_rebuilds_the_source_descriptor_summary() {
                 let parser = PadsParser::new(schema, &registry).with_options(options);
                 let (_, pd) = parser.parse_source(data, &mask());
                 let want = SourceSummary::of(&pd);
-                for jobs in [1, 3] {
+                // Sequential, one chunk (which the driver parses in place),
+                // and chunks of one record on three workers.
+                for (jobs, max_inflight) in [(1, 1024), (3, 1024), (3, 4)] {
                     let mut fold = SourceFold::new(schema);
                     let mask = mask();
-                    let job = SourceJob { jobs, ..SourceJob::new(shape, &mask) };
+                    let job = SourceJob { jobs, max_inflight, ..SourceJob::new(shape, &mask) };
                     let end = parser.stream_source(data, &job, &mut fold);
                     let got = fold.finish(&end);
-                    assert_eq!(got, want, "{name} {policy:?} {engine:?} jobs={jobs}");
+                    assert_eq!(
+                        got, want,
+                        "{name} {policy:?} {engine:?} jobs={jobs}/{max_inflight}"
+                    );
                 }
             }
         }
@@ -186,5 +195,72 @@ fn an_observing_fold_hears_what_the_whole_tree_parse_does() {
                 assert_eq!(streamed.snapshot(), tree.snapshot(), "{label}: counters");
             }
         }
+    }
+}
+
+/// A core attached with `with_metrics` hears every run: after a sharded
+/// `stream_source` — header sources too, the header counted — it holds the
+/// counters of the sequential run, whatever the chunk geometry, the policy
+/// or the engine, and the caller never built a per-worker core to get them.
+#[test]
+fn an_attached_core_hears_a_sharded_run_as_it_hears_a_sequential_one() {
+    let registry = Registry::standard();
+    let sources: [(&str, Schema, &[u8]); 3] = [
+        ("clf", descriptions::clf(), CLF),
+        ("sirius", descriptions::sirius(), SIRIUS),
+        ("mixed", descriptions::mixed(), MIXED),
+    ];
+    for (name, schema, data) in &sources {
+        let shape = SourceShape::infer(schema).expect("bundled sources stream");
+        for policy in policies() {
+            for engine in [Engine::Interp, Engine::Vm] {
+                let options = ParseOptions { policy, engine, ..Default::default() };
+                let run = |jobs, max_inflight| {
+                    let (parser, core) =
+                        metered(PadsParser::new(schema, &registry).with_options(options));
+                    let mut fold = SourceFold::new(schema).observe(core.clone(), 0);
+                    let mask = mask();
+                    let job = SourceJob { jobs, max_inflight, ..SourceJob::new(shape, &mask) };
+                    let end = parser.stream_source(data, &job, &mut fold);
+                    let summary = fold.finish(&end);
+                    (counts_json(&core), summary)
+                };
+                let want = run(1, 1024);
+                assert!(want.0.contains("\"records\""), "{name}: {}", want.0);
+                for (jobs, max_inflight) in [(2, 4), (4, 4), (2, 8), (4, 8)] {
+                    let label = format!("{name} {policy:?} {engine:?} jobs={jobs}/{max_inflight}");
+                    assert_eq!(run(jobs, max_inflight), want, "{label}");
+                }
+            }
+        }
+    }
+}
+
+/// A profile (or a trace) needs one ordered event stream, so a core that
+/// wants events keeps the run on one thread whatever `jobs` says: the
+/// `jobs = 4` profile is the `jobs = 1` profile, not a table that lost the
+/// events of every chunk a worker parsed.
+#[test]
+fn an_events_wanting_core_keeps_the_run_sequential() {
+    let registry = Registry::standard();
+    for (name, schema, data) in
+        [("clf", descriptions::clf(), CLF), ("sirius", descriptions::sirius(), SIRIUS)]
+    {
+        let shape = SourceShape::infer(&schema).expect("bundled sources stream");
+        let profile = |jobs| {
+            let parser = PadsParser::new(&schema, &registry);
+            let core = parser.metrics_core().with_profile().into_handle();
+            let parser = parser.with_metrics(core.clone());
+            let mut fold = SourceFold::new(&schema).observe(core.clone(), 0);
+            let mask = mask();
+            let job = SourceJob { jobs, max_inflight: 4, ..SourceJob::new(shape, &mask) };
+            let end = parser.stream_source(data, &job, &mut fold);
+            let _ = fold.finish(&end);
+            let core = core.borrow();
+            (core.profile_table(false).expect("profiling"), core.profile_folded())
+        };
+        let sequential = profile(1);
+        assert!(sequential.0.lines().count() > 3, "{name}: {}", sequential.0);
+        assert_eq!(profile(4), sequential, "{name}: jobs = 4 profile");
     }
 }

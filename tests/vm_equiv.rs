@@ -7,7 +7,10 @@
 //! fault-injection sweep. The generated modules are cross-checked too
 //! (values plus descriptor verdicts, the same contract the codegen
 //! equivalence suite holds the interpreter to), and the per-schema program
-//! cache and charset-mismatch interpreter fallback get direct coverage.
+//! cache and the per-cursor-charset program selection get direct coverage.
+
+#[path = "common/collect.rs"]
+mod collect;
 
 use std::sync::Arc;
 
@@ -16,8 +19,8 @@ use pads::{
     descriptions, BaseMask, Engine, ErrorBudget, Mask, OnExhausted, PadsParser, ParseDesc,
     ParseOptions, RecoveryPolicy, Registry, ResumePoint, Schema, Value,
 };
-use pads_observe::MetricsSink;
-use pads_runtime::{Charset, Cursor, FaultPlan, KillPlan, MetricsCore, MetricsHandle};
+use collect::{counts_json, metered};
+use pads_runtime::{Charset, Cursor, FaultPlan, KillPlan, MetricsCore};
 
 const CLF: &[u8] = include_bytes!("data/torture_clf.log");
 const SIRIUS: &[u8] = include_bytes!("data/torture_sirius.txt");
@@ -50,7 +53,7 @@ fn opts(policy: RecoveryPolicy, engine: Engine) -> ParseOptions {
     ParseOptions { policy, engine, ..Default::default() }
 }
 
-/// Collects a record-sharded parse (`records_par_stream`) from `resume`.
+/// Collects a record-sharded parse (`stream_source`) from `resume`.
 fn sharded(
     parser: &PadsParser<'_>,
     data: &[u8],
@@ -58,30 +61,9 @@ fn sharded(
     jobs: usize,
     resume: ResumePoint,
 ) -> (Vec<(Value, ParseDesc)>, ErrorBudget) {
-    type NoObs = fn() -> (MetricsHandle, Box<dyn FnMut()>);
-    let mut items = Vec::new();
-    let budget = parser.records_par_stream(
-        data,
-        record,
-        &mask(),
-        jobs,
-        CHUNKS_OF_TWO,
-        resume,
-        None::<&NoObs>,
-        |chunk, _harvest| items.extend(chunk.drain(..).map(|parsed| (parsed.item, parsed.pd))),
-    );
-    (items, budget)
-}
-
-/// `parser` with a counting core over its own type table attached.
-fn metered(parser: PadsParser<'_>) -> (PadsParser<'_>, MetricsHandle) {
-    let core = parser.metrics_core().into_handle();
-    (parser.with_metrics(core.clone()), core)
-}
-
-/// The deterministic counters `core` holds, as the golden-snapshot JSON.
-fn counts_json(core: &MetricsHandle) -> String {
-    MetricsSink::from_core(core.borrow().clone()).counts_json()
+    let (sink, budget) =
+        collect::stream(parser, data, record, &mask(), (jobs, CHUNKS_OF_TWO), resume);
+    (sink.items, budget)
 }
 
 /// Drains `records()` under the given options and reads back the budget.
@@ -244,28 +226,16 @@ fn vm_observer_stream_matches_interpreter() {
         assert_eq!(counts_json(&vm), interp_json, "{label}: VM counters diverge from interpreter");
 
         for jobs in [1, 4] {
-            let parser = PadsParser::new(&schema, &registry)
-                .with_options(opts(RecoveryPolicy::unlimited(), Engine::Vm));
-            let observer = || {
-                let core = PadsParser::new(&schema, &registry).metrics_core().into_handle();
-                let live = core.clone();
-                let harvest: Box<dyn FnMut() -> MetricsCore> =
-                    Box::new(move || live.borrow_mut().drain());
-                (core, harvest)
-            };
-            let mut merged = MetricsSink::new();
-            parser.records_par_stream(
-                data,
-                record,
-                &mask(),
-                jobs,
-                CHUNKS_OF_TWO,
-                ResumePoint::default(),
-                Some(&observer),
-                |_chunk, delta| merged.core_mut().merge(&delta.expect("one harvest per chunk")),
+            let (parser, core) = metered(
+                PadsParser::new(&schema, &registry)
+                    .with_options(opts(RecoveryPolicy::unlimited(), Engine::Vm)),
             );
+            let geometry = (jobs, CHUNKS_OF_TWO);
+            let (sink, _) =
+                collect::stream(&parser, data, record, &mask(), geometry, ResumePoint::default());
+            assert!(sink.observed > 0, "{label} jobs={jobs}: the driver never said `observed`");
             assert_eq!(
-                merged.counts_json(),
+                counts_json(&core),
                 interp_json,
                 "{label} jobs={jobs}: merged VM metrics diverge from interpreter"
             );
@@ -432,25 +402,45 @@ fn program_cache_reuses_compiled_programs() {
     assert!(pads::vm::program_cache_len() >= 2, "cache retains distinct programs");
 }
 
-/// Engine-selection contract: a cursor whose charset disagrees with the
-/// compiled program's falls back to the interpreter and still produces the
-/// interpreter's exact result.
+/// Engine-selection contract: the VM runs whatever charset the cursor
+/// carries — the program compiled for it, fetched through the shared cache
+/// — and agrees with the interpreter under both. The description is this
+/// test's own, so no other test touches its cache entries and the
+/// reference count of the EBCDIC program is a witness that the VM parser
+/// took it rather than fall back to the interpreter.
 #[test]
-fn vm_falls_back_to_interpreter_on_charset_mismatch() {
-    let schema = descriptions::clf();
+fn vm_runs_under_either_charset_and_agrees_with_the_interpreter() {
     let registry = Registry::standard();
-    let line = &CLF[..CLF.iter().position(|&b| b == b'\n').map_or(CLF.len(), |i| i + 1)];
-
-    // The parser's program is compiled for ASCII; hand it an EBCDIC cursor.
+    let schema = pads::compile(
+        "Precord Pstruct charset_witness_t { Puint32 n; '|'; Pstring(:'|':) tag; '|'; };",
+        &registry,
+    )
+    .expect("compiles");
+    let ebcdic = Charset::Ebcdic;
+    let line: Vec<u8> = b"17|west|".iter().map(|&b| ebcdic.encode(b)).collect();
     let interp = PadsParser::new(&schema, &registry);
-    let mut cur = interp.open(line).with_charset(Charset::Ebcdic);
-    let (iv, ipd) = interp.parse_named(&mut cur, "entry_t", &[], &mask());
-
     let vm = PadsParser::new(&schema, &registry)
         .with_options(opts(RecoveryPolicy::unlimited(), Engine::Vm));
-    let mut cur = vm.open(line).with_charset(Charset::Ebcdic);
-    let (vv, vpd) = vm.parse_named(&mut cur, "entry_t", &[], &mask());
+    let program = pads::vm::get_or_compile(&schema, &registry, ebcdic);
+    assert_eq!(program.charset(), ebcdic);
+    let holders = Arc::strong_count(&program);
 
-    assert_eq!(vv, iv, "fallback value diverges");
-    assert_eq!(vpd, ipd, "fallback descriptor diverges");
+    // Both parsers were built for ASCII; hand them cursors of either kind.
+    for (charset, data) in [(Charset::Ascii, &b"17|west|"[..]), (ebcdic, &line[..])] {
+        let parse = |parser: &PadsParser<'_>| {
+            let mut cur = parser.open(data).with_charset(charset);
+            parser.parse_named(&mut cur, "charset_witness_t", &[], &mask())
+        };
+        let (iv, ipd) = parse(&interp);
+        let (vv, vpd) = parse(&vm);
+        assert!(ipd.is_ok(), "{charset:?}: {ipd}");
+        assert_eq!(iv.at_path("n").and_then(Value::as_u64), Some(17), "{charset:?}");
+        assert_eq!(vv, iv, "{charset:?}: VM value diverges");
+        assert_eq!(vpd, ipd, "{charset:?}: VM descriptor diverges");
+    }
+    assert_eq!(
+        Arc::strong_count(&program),
+        holders + 1,
+        "the VM parser holds the EBCDIC program it ran"
+    );
 }
