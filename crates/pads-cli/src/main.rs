@@ -13,7 +13,7 @@
 //!             [--metrics[=prom|json]]           emit runtime metrics
 //!             [--profile]                       per-node cost table on stderr
 //!             [--jobs N]                        parse chunks of records on N worker threads
-//!             [--engine {interp,vm}]            execution engine (see docs/VM.md)
+//!             [--engine {vm,interp}]            execution engine (default vm; see docs/VM.md)
 //!             [--journal <path> [--resume]]     durable ingest (see docs/DURABILITY.md)
 //! pads profile <descr.pads> <data>              per-schema-node cost profile
 //!             [--folded]                        folded stacks (flamegraph input)
@@ -60,16 +60,19 @@
 //! quarter of it is the chunk size, and under `--journal` the distance
 //! between two checkpoints of a `--jobs` run.
 //!
+//! Every run executes on the bytecode VM — the engine the benchmark measures
+//! — unless `--engine interp` asks for the tree-walking reference evaluator,
+//! which prints the same bytes (docs/VM.md, "Engine selection contract").
+//!
 //! Exit status: 0 on success, 2 when parsing completed but recorded errors
 //! in the data, 3 when `pads check --lint` found findings at or above the
 //! requested level **or `pads diff` found a breaking change**, 4 when
 //! `--journal`/`--resume` found the journal unusable, 1 on hard failure
-//! (bad usage, I/O, broken description).
+//! (bad usage, I/O — a closed stdout included — broken description).
 
-use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::io::Write;
 use std::process::ExitCode;
-use std::rc::Rc;
 
 use pads::{
     BaseMask, Charset, Endian, Engine, ErrorCode, Mask, OnExhausted, PadsParser, ParseDesc,
@@ -77,7 +80,7 @@ use pads::{
     SourceFold, SourceJob, SourceShape, SourceSummary, Value,
 };
 use pads_check::lint;
-use pads_observe::{trace, MetricsCore, MetricsHandle, MetricsSink};
+use pads_observe::{metrics, trace, MetricsCore, MetricsHandle};
 
 /// Exit status for "the data had errors but the run completed".
 const EXIT_DATA_ERRORS: u8 = 2;
@@ -91,13 +94,27 @@ const EXIT_JOURNAL: u8 = 4;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    match run(&args, &mut out).and_then(|code| out.flush().map(|()| code).map_err(stdout_err)) {
         Ok(code) => code,
         Err(msg) => {
             eprintln!("pads: {msg}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// A failed write to stdout — a reader that has gone away, say — is a hard
+/// failure like any other I/O error, not a panic.
+fn stdout_err(e: std::io::Error) -> String {
+    format!("stdout: {e}")
+}
+
+/// Writes `text` to stdout — the one writer `main` locks, which every
+/// subcommand prints through — and flushes it, so it precedes whatever the
+/// subcommand says on stderr next.
+fn emit(out: &mut impl Write, text: impl std::fmt::Display) -> Result<(), String> {
+    write!(out, "{text}").and_then(|()| out.flush()).map_err(stdout_err)
 }
 
 struct Opts {
@@ -143,9 +160,10 @@ struct Opts {
     /// chunk of consecutive records at a time (byte-identical results to a
     /// sequential parse).
     jobs: usize,
-    /// `--engine {interp,vm}`: which execution engine runs the schema —
-    /// the IR interpreter (default) or the cached bytecode tier
-    /// (byte-identical results; see docs/VM.md).
+    /// `--engine {vm,interp}`: which execution engine runs the schema —
+    /// the cached bytecode tier (default) or the IR interpreter, the
+    /// reference it is checked against (byte-identical results; see
+    /// docs/VM.md).
     engine: Engine,
     /// `--journal <path>`: commit checkpoints to this write-ahead journal.
     journal: Option<String>,
@@ -228,7 +246,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         folded: false,
         times: false,
         jobs: 1,
-        engine: Engine::Interp,
+        engine: Engine::Vm,
         journal: None,
         resume: false,
         checkpoint_records: 1,
@@ -471,11 +489,11 @@ fn peak_rss_kb() -> Option<u64> {
     line.trim().trim_end_matches("kB").trim().parse().ok()
 }
 
-/// The `--metrics` stderr summary: throughput from the sink, plus CPU
+/// The `--metrics` stderr summary: throughput from the core, plus CPU
 /// time and peak RSS when the probes are available, so one line answers
 /// "how expensive was this run".
-fn metrics_summary_line(sink: &MetricsSink) -> String {
-    let mut line = format!("pads: {}", sink.summary_line());
+fn metrics_summary_line(core: &MetricsCore) -> String {
+    let mut line = format!("pads: {}", metrics::summary_line(core));
     if let Some(ms) = cpu_ms() {
         let _ = write!(line, ", cpu {ms:.0} ms");
     }
@@ -486,13 +504,17 @@ fn metrics_summary_line(sink: &MetricsSink) -> String {
 }
 
 /// `--metrics`: the exposition on stdout, the summary line on stderr.
-fn print_metrics(core: MetricsCore, fmt: MetricsFormat) {
-    let sink = MetricsSink::from_core(core);
+fn print_metrics(
+    out: &mut impl Write,
+    core: &MetricsCore,
+    fmt: MetricsFormat,
+) -> Result<(), String> {
     match fmt {
-        MetricsFormat::Prom => print!("{}", sink.prometheus()),
-        MetricsFormat::Json => println!("{}", sink.counts_json()),
+        MetricsFormat::Prom => emit(out, metrics::prometheus(core))?,
+        MetricsFormat::Json => emit(out, format_args!("{}\n", metrics::counts_json(core)))?,
     }
-    eprintln!("{}", metrics_summary_line(&sink));
+    eprintln!("{}", metrics_summary_line(core));
+    Ok(())
 }
 
 /// `pads parse` and `pads profile` over the whole source, heard by one
@@ -512,6 +534,7 @@ fn parse_whole(
     options: ParseOptions,
     o: &Opts,
     data: &[u8],
+    out: &mut impl Write,
 ) -> Result<(SourceSummary, MetricsHandle), String> {
     let mut parser = PadsParser::new(schema, registry).with_options(options);
     let mut core = parser.metrics_core();
@@ -530,16 +553,15 @@ fn parse_whole(
     let Some(shape) = SourceShape::infer(schema) else {
         let (v, pd) = parser.parse_source(data, &mask);
         if xml {
-            print!("{}", pads_tools::value_to_xml(&v, Some(&pd), &schema.source_def().name, 0));
+            emit(out, pads_tools::value_to_xml(&v, Some(&pd), &schema.source_def().name, 0))?;
         }
         return Ok((SourceSummary::of(&pd), core));
     };
     let job = source_job(o, shape, &mask);
     let summary = if xml {
-        let out = std::io::BufWriter::new(std::io::stdout().lock());
         let mut sink = pads_tools::XmlSourceSink::new(schema, out).observe(core.clone(), 0);
         let end = parser.stream_source(data, &job, &mut sink);
-        sink.finish(&end).map_err(|e| format!("stdout: {e}"))?
+        sink.finish(&end).map_err(stdout_err)?
     } else {
         let mut sink = SourceFold::new(schema).observe(core.clone(), 0);
         let end = parser.stream_source(data, &job, &mut sink);
@@ -551,24 +573,21 @@ fn parse_whole(
 /// What an observed `pads parse` prints once the run is over: the trace,
 /// then the `--metrics` exposition, on stdout; the `--profile` table on
 /// stderr.
-fn print_observed(core: MetricsHandle, o: &Opts) {
-    // The run's parser and sinks are gone, so this is the last handle and
-    // the core (with its trace tree) moves out rather than being copied.
-    let core = Rc::try_unwrap(core).map_or_else(|rc| rc.borrow().clone(), RefCell::into_inner);
+fn print_observed(out: &mut impl Write, core: &MetricsCore, o: &Opts) -> Result<(), String> {
     let traced = o.trace.and_then(|fmt| match fmt {
-        TraceFormat::Json => trace::jsonl(&core),
-        TraceFormat::Tree => trace::render(&core),
+        TraceFormat::Json => trace::jsonl(core),
+        TraceFormat::Tree => trace::render(core),
     });
     if let Some(text) = traced {
-        print!("{text}");
+        emit(out, text)?;
     }
-    let table = if o.profile { core.profile_table(o.times) } else { None };
     if let Some(fmt) = o.metrics {
-        print_metrics(core, fmt);
+        print_metrics(out, core, fmt)?;
     }
-    if let Some(table) = table {
+    if let Some(table) = core.profile_table(o.times) {
         eprint!("{table}");
     }
+    Ok(())
 }
 
 /// FNV-1a fingerprint over (length, first 64 bytes, last 64 bytes) of the
@@ -652,12 +671,12 @@ impl Committer {
 /// docs/DURABILITY.md for the format and guarantees.
 fn parse_journaled(
     schema: &Schema,
-    registry: &Registry,
-    options: ParseOptions,
+    parser: PadsParser<'_>,
     o: &Opts,
     data: &[u8],
     shape: SourceShape<'_>,
     journal_path: &str,
+    out: &mut impl Write,
 ) -> Result<ExitCode, String> {
     let source_id = source_fingerprint(data);
     let path = std::path::Path::new(journal_path);
@@ -725,7 +744,6 @@ fn parse_journaled(
 
     // One metrics core over the schema's type table, seeded from the
     // restored snapshot, hears the run and is snapshotted at every commit.
-    let parser = PadsParser::new(schema, registry).with_options(options);
     let mut seeded = parser.metrics_core();
     seeded.merge(&restored);
     let core = seeded.into_handle();
@@ -756,7 +774,7 @@ fn parse_journaled(
         return Ok(ExitCode::SUCCESS);
     }
     let budget = end.budget;
-    let final_core = core.borrow().clone();
+    let final_core = core.borrow();
     if let Err(e) = com.commit(last_pos.0, last_pos.1, budget, &final_core) {
         return fail(&e);
     }
@@ -769,10 +787,10 @@ fn parse_journaled(
     // resumes.
     let summary = fold.finish(&end);
     if o.metrics.is_none() && o.format == OutputFormat::Report {
-        print!("{}", summary.report());
+        emit(out, summary.report())?;
     }
     if let Some(fmt) = o.metrics {
-        print_metrics(final_core, fmt);
+        print_metrics(out, &final_core, fmt)?;
     }
     if summary.is_ok() && (budget.errs > 0 || budget.skipped_records > 0) {
         // All the errors predate the resume point; the budget is the only
@@ -832,7 +850,7 @@ impl RecordSink for JournalSink {
     }
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
+fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err(
             "usage: pads <check|diff|parse|profile|accum|fmt|xsd|query|gen|cobol|codegen> …"
@@ -903,7 +921,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     // The JSON stream always carries every finding;
                     // machine consumers filter by level themselves.
                     LintFormat::Json => {
-                        print!("{}", lint::render::render_json(&diags, &src, path));
+                        emit(out, lint::render::render_json(&diags, &src, path))?;
                     }
                 }
                 if diags.any_at(threshold) {
@@ -918,7 +936,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 schema.source_def().name
             );
             match o.lint_format {
-                LintFormat::Text => println!("{ok_line}"),
+                LintFormat::Text => emit(out, format_args!("{ok_line}\n"))?,
                 LintFormat::Json => eprintln!("{ok_line}"),
             }
             Ok(ExitCode::SUCCESS)
@@ -932,7 +950,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let old = load_schema(&o.positional[0], &registry)?;
             let new = load_schema(&o.positional[1], &registry)?;
             let report = pads_check::diff::diff_schemas(&old, &new);
-            print!("{}", report.render());
+            emit(out, report.render())?;
             if report.breaks() {
                 Ok(ExitCode::from(EXIT_LINT))
             } else {
@@ -963,12 +981,12 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 };
                 return parse_journaled(
                     &schema,
-                    &registry,
-                    options,
+                    PadsParser::new(&schema, &registry).with_options(options),
                     &o,
                     &data,
                     shape,
                     journal_path,
+                    out,
                 );
             }
             // The driver decides how the run executes; say so where
@@ -984,11 +1002,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     eprintln!("pads: source is not a plain record array; ignoring --jobs");
                 }
             }
-            let (summary, core) = parse_whole(&schema, &registry, options, &o, &data)?;
+            let (summary, core) = parse_whole(&schema, &registry, options, &o, &data, out)?;
             if o.format == OutputFormat::Report && o.trace.is_none() && o.metrics.is_none() {
-                print!("{}", summary.report());
+                emit(out, summary.report())?;
             }
-            print_observed(core, &o);
+            print_observed(out, &core.borrow(), &o)?;
             // The run itself completed; if the *data* has errors, summarise
             // on stderr and use the distinct "data errors" status.
             Ok(data_status(&summary, &o.positional[1]))
@@ -1006,14 +1024,12 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 std::fs::read(&o.positional[1]).map_err(|e| format!("{}: {e}", o.positional[1]))?;
             o.profile = true;
             o.format = OutputFormat::None;
-            let (summary, core) = parse_whole(&schema, &registry, options, &o, &data)?;
+            let (summary, core) = parse_whole(&schema, &registry, options, &o, &data, out)?;
             let core = core.borrow();
-            if o.folded {
-                if let Some(folded) = core.profile_folded() {
-                    print!("{folded}");
-                }
-            } else if let Some(table) = core.profile_table(o.times) {
-                print!("{table}");
+            let table =
+                if o.folded { core.profile_folded() } else { core.profile_table(o.times) };
+            if let Some(table) = table {
+                emit(out, table)?;
             }
             eprintln!(
                 "pads: profile: {} record(s), {} error(s) in {}",
@@ -1045,7 +1061,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             // `--jobs N` shards the records across workers feeding this
             // same sink in record order.
             parser.stream_source(&data, &source_job(&o, shape, &mask), &mut acc);
-            print!("{}", acc.report("<top>"));
+            emit(out, acc.report("<top>"))?;
             if acc.bad_records > 0 {
                 eprintln!("pads: {} bad record(s) in {}", acc.bad_records, o.positional[1]);
                 Ok(ExitCode::from(EXIT_DATA_ERRORS))
@@ -1063,15 +1079,14 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             if let Some(df) = &o.date_fmt {
                 fmt = fmt.with_date_format(df);
             }
-            let out = std::io::BufWriter::new(std::io::stdout().lock());
             pads_tools::format_source(&schema, &registry, options, &shape, &data, &fmt, out)
-                .map_err(|e| format!("stdout: {e}"))?;
+                .map_err(stdout_err)?;
             Ok(ExitCode::SUCCESS)
         }
         "xsd" => {
             need(1)?;
             let schema = load_schema(&o.positional[0], &registry)?;
-            print!("{}", pads_tools::schema_to_xsd(&schema));
+            emit(out, pads_tools::schema_to_xsd(&schema))?;
             Ok(ExitCode::SUCCESS)
         }
         "query" => {
@@ -1084,7 +1099,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let (v, pd) = parser.parse_source(&data, &mask);
             let root = pads_query::Node::root(&schema.source_def().name, &v, Some(&pd));
             let q = pads_query::Query::parse(&o.positional[2]).map_err(|e| e.to_string())?;
-            println!("{}", q.count(&root));
+            emit(out, format_args!("{}\n", q.count(&root)))?;
             Ok(ExitCode::SUCCESS)
         }
         "gen" => {
@@ -1093,9 +1108,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let record = source_shape(&schema, &o)?.record;
             let config = pads_gen::GenConfig { seed: o.seed, ..Default::default() };
             let mut g = pads_gen::Generator::new(&schema, config);
-            let out = g.generate_records(record, o.records);
-            use std::io::Write;
-            std::io::stdout().write_all(&out).map_err(|e| e.to_string())?;
+            let records = g.generate_records(record, o.records);
+            out.write_all(&records).map_err(stdout_err)?;
             Ok(ExitCode::SUCCESS)
         }
         "cobol" => {
@@ -1103,7 +1117,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let copybook = std::fs::read_to_string(&o.positional[0])
                 .map_err(|e| format!("{}: {e}", o.positional[0]))?;
             let description = pads_cobol::translate(&copybook).map_err(|e| e.to_string())?;
-            print!("{description}");
+            emit(out, description)?;
             Ok(ExitCode::SUCCESS)
         }
         "codegen" => {
@@ -1111,7 +1125,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let schema = load_schema(&o.positional[0], &registry)?;
             let module = pads_codegen::generate_rust(&schema, &o.positional[0])
                 .map_err(|e| e.to_string())?;
-            print!("{module}");
+            emit(out, module)?;
             Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown command `{other}`")),

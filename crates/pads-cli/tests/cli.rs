@@ -1,7 +1,10 @@
 //! End-to-end tests driving the `pads` binary.
 
 use std::io::Write;
-use std::process::Command;
+use std::process::{Command, Stdio};
+
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+mod common;
 
 fn pads() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pads"))
@@ -280,4 +283,29 @@ fn a_source_the_driver_cannot_frame_is_not_inferred() {
     let out = pads().arg("parse").arg(&descr).arg(&data).output().expect("run");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert_eq!(String::from_utf8_lossy(&out.stdout), "parse state: ok errors: 0\n");
+}
+
+/// A reader that goes away (`pads … | head -1`) is the `pads: stdout: …`
+/// hard failure, not a panic with a backtrace: the exposition of a
+/// `--metrics=json` run is written once the parse is over, long after the
+/// read end of the pipe was dropped here.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+#[test]
+fn closed_stdout_is_a_hard_failure_not_a_panic() {
+    let corpus = write_temp("closed-pipe.log", b"");
+    common::write_corpus(&corpus, 10, common::clf_piece);
+    let mut child = pads()
+        .args(["parse", &common::description("clf")])
+        .arg(&corpus)
+        .arg("--metrics=json")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn pads");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for pads");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("pads: stdout: "), "{stderr}");
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
 }

@@ -305,11 +305,7 @@ impl<'s> Gen<'s> {
     /// typedef). Anything else — including fields carrying their own
     /// inline constraint, whose failure must build a descriptor — ends
     /// the prefix.
-    fn fixed_prefix(
-        &self,
-        members: &[MemberIr],
-        sem: &lint::facts::SemFacts,
-    ) -> (Vec<FixedItem>, usize) {
+    fn fixed_prefix(&self, members: &[MemberIr]) -> (Vec<FixedItem>, usize) {
         let mut items = Vec::new();
         for m in members {
             let item = match m {
@@ -318,7 +314,7 @@ impl<'s> Gen<'s> {
                     Some(FixedItem::Lit(s.clone().into_bytes()))
                 }
                 MemberIr::Lit(_) => None,
-                MemberIr::Field(f) if f.constraint.is_none() => self.fixed_field(f, sem),
+                MemberIr::Field(f) if f.constraint.is_none() => self.fixed_field(f),
                 MemberIr::Field(_) => None,
             };
             match item {
@@ -332,7 +328,7 @@ impl<'s> Gen<'s> {
 
     /// The [`FixedItem`] for one field, or `None` when the field does not
     /// qualify (not provably fixed-width, or not a supported shape).
-    fn fixed_field(&self, f: &pads_check::ir::FieldIr, sem: &lint::facts::SemFacts) -> Option<FixedItem> {
+    fn fixed_field(&self, f: &pads_check::ir::FieldIr) -> Option<FixedItem> {
         let fname = field_name(&f.name);
         let (base_name, args, wrap, pred) = match &f.ty {
             TyUse::Base { name, args } => (name, args, None, None),
@@ -354,7 +350,7 @@ impl<'s> Gen<'s> {
         if base_name == "Pchar" && wrap.is_none() {
             // Cross-check the classifier against the fact database: only
             // elide when the abstract interpretation agrees on the width.
-            if sem.width_of_tyuse(&f.ty).as_fixed() != Some(1) {
+            if self.sem.width_of_tyuse(&f.ty).as_fixed() != Some(1) {
                 return None;
             }
             return Some(FixedItem::Char { fname });
@@ -368,7 +364,7 @@ impl<'s> Gen<'s> {
             return None;
         }
         let width = *w as u64;
-        if sem.width_of_tyuse(&f.ty).as_fixed() != Some(width) {
+        if self.sem.width_of_tyuse(&f.ty).as_fixed() != Some(width) {
             return None;
         }
         let bits = bits_of(base_name);
@@ -547,9 +543,7 @@ impl<'s> Gen<'s> {
         // Fact-driven elision: when the description proves the leading
         // members fixed-width (and at least one is a field worth the
         // setup), read them at fixed offsets instead of scanning.
-        let facts = lint::firstset::Facts::compute(self.schema);
-        let sem = lint::facts::SemFacts::compute(self.schema, &facts);
-        let (fp_items, fp_members) = self.fixed_prefix(members, &sem);
+        let (fp_items, fp_members) = self.fixed_prefix(members);
         let fast = fp_items.len() >= 2
             && fp_items.iter().any(|i| !matches!(i, FixedItem::Lit(_)));
         if fast {
@@ -1077,9 +1071,8 @@ impl<'s> Gen<'s> {
             // the element non-empty the guard is dead code — but only for
             // non-recovering elements: a `Precord` element's resync path
             // can report success without advancing past `before`.
-            let facts = lint::firstset::Facts::compute(self.schema);
-            let proven =
-                lint::progress::array_progress(self.schema, &facts, id) == lint::progress::Progress::Proven;
+            let proven = lint::progress::array_progress(self.schema, &self.facts, id)
+                == lint::progress::Progress::Proven;
             if proven && !elem_recovers {
                 let _ = writeln!(
                     out,

@@ -5,9 +5,8 @@
 //! profiler and an optional span-tree trace riding on it
 //! ([`pads_runtime::metrics`]). This crate renders what a core collected:
 //!
-//! * [`metrics::MetricsSink`] — per-type hit counts and byte spans,
-//!   error counts by code, record throughput, and latency summaries
-//!   built on the bounded-memory [`summary`] machinery, exposed in
+//! * [`metrics`] — per-type hit counts and byte spans, error counts by
+//!   code, record throughput, and latency summaries, exposed in
 //!   Prometheus text format and JSON;
 //! * [`trace`] — the depth-bounded span tree showing exactly how each
 //!   record was consumed, as JSONL or rendered text.
@@ -17,7 +16,7 @@
 //! the same input, so a rendering never needs to know which engine ran.
 //!
 //! ```
-//! use pads_observe::{trace, MetricsCore, MetricsSink};
+//! use pads_observe::{metrics, trace, MetricsCore};
 //! use pads_runtime::Cursor;
 //!
 //! let core = MetricsCore::with_names(["entry_t"]).with_trace(8, 1000).into_handle();
@@ -26,13 +25,11 @@
 //! # drop(cur);
 //! let core = core.borrow();
 //! print!("{}", trace::render(&core).expect("tracing on"));
-//! println!("{}", MetricsSink::from_core(core.clone()).counts_json());
+//! println!("{}", metrics::counts_json(&core));
 //! ```
 
 pub mod metrics;
-pub mod summary;
 pub mod trace;
 mod util;
 
-pub use metrics::MetricsSink;
 pub use pads_runtime::metrics::{MetricsCore, MetricsHandle, ObsSchema, RecoveryEvent, TypeStat};

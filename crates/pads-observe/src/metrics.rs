@@ -1,10 +1,10 @@
-//! The metrics sink: exposition surfaces over the dense-id
-//! [`MetricsCore`], with Prometheus text-format and JSON output.
+//! Metrics exposition: Prometheus text-format and JSON renderings of a
+//! dense-id [`MetricsCore`].
 //!
 //! Aggregation lives in [`pads_runtime::metrics`]: the core is a plain
 //! `Send` struct bumping flat `Vec`-indexed counter slabs by node id, so
 //! the hot path never touches a string — names are rejoined here, at
-//! exposition time. `MetricsSink` wraps one core and renders it.
+//! exposition time, by free functions over `&MetricsCore`.
 //!
 //! All counters are exact and deterministic for a given input — the JSON
 //! `counts` section is diffable across runs and machines and is what the
@@ -18,287 +18,191 @@ use pads_runtime::metrics::MetricsCore;
 
 use crate::util::esc;
 
-pub use pads_runtime::metrics::TypeStat;
-
-/// Aggregated parse metrics with Prometheus and JSON exposition: a thin
-/// rendering wrapper around a [`MetricsCore`].
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSink {
-    core: MetricsCore,
+/// The deterministic counters as a pretty-printed JSON object. This
+/// is the golden-snapshot format: no timings, stable key order.
+pub fn counts_json(core: &MetricsCore) -> String {
+    let mut o = String::new();
+    o.push_str("{\n");
+    let _ = writeln!(o, "  \"records\": {},", core.records());
+    let _ = writeln!(o, "  \"records_with_errors\": {},", core.records_with_errors());
+    let _ = writeln!(o, "  \"records_skipped\": {},", core.records_skipped());
+    let _ = writeln!(o, "  \"record_bytes\": {},", core.record_bytes());
+    let _ = writeln!(o, "  \"errors_total\": {},", core.errors_total());
+    o.push_str("  \"errors_by_code\": {");
+    let codes = core.sorted_error_codes();
+    for (i, (code, n)) in codes.iter().enumerate() {
+        let sep = if i == 0 { "\n" } else { ",\n" };
+        let _ = write!(o, "{sep}    \"{code}\": {n}");
+    }
+    o.push_str(if codes.is_empty() { "},\n" } else { "\n  },\n" });
+    o.push_str("  \"recovery\": {\n");
+    let _ = writeln!(o, "    \"panic_skip_events\": {},", core.panic_skip_events());
+    let _ = writeln!(o, "    \"panic_skipped_bytes\": {},", core.panic_skipped_bytes());
+    o.push_str("    \"budget_exhausted\": {");
+    let modes = core.sorted_budget_modes();
+    for (i, (mode, n)) in modes.iter().enumerate() {
+        let sep = if i == 0 { "\n" } else { ",\n" };
+        let _ = write!(o, "{sep}      \"{mode}\": {n}");
+    }
+    o.push_str(if modes.is_empty() { "}\n" } else { "\n    }\n" });
+    o.push_str("  },\n");
+    o.push_str("  \"types\": {");
+    let types = core.sorted_types();
+    for (i, (name, t)) in types.iter().enumerate() {
+        let sep = if i == 0 { "\n" } else { ",\n" };
+        let _ = write!(
+            o,
+            "{sep}    \"{}\": {{\"hits\": {}, \"bytes\": {}, \"errors\": {}}}",
+            esc(name),
+            t.hits,
+            t.bytes,
+            t.errors
+        );
+    }
+    o.push_str(if types.is_empty() { "}\n" } else { "\n  }\n" });
+    o.push('}');
+    o
 }
 
-impl MetricsSink {
-    /// Creates an empty sink over a core with no type table — a target
-    /// to [`merge`](Self::merge) harvested cores into; the throughput
-    /// clock starts now.
-    pub fn new() -> MetricsSink {
-        MetricsSink { core: MetricsCore::new() }
-    }
+/// Full JSON exposition: `{"counts": …, "timings": …}`. Strip or
+/// ignore `timings` when diffing.
+pub fn json(core: &MetricsCore) -> String {
+    let counts = indent(&counts_json(core), "  ");
+    let timings = indent(&timings_json(core), "  ");
+    format!("{{\n  \"counts\": {counts},\n  \"timings\": {timings}\n}}")
+}
 
-    /// Wraps an existing core (e.g. one harvested from a worker shard or
-    /// drained from a cursor attachment) for exposition.
-    pub fn from_core(core: MetricsCore) -> MetricsSink {
-        MetricsSink { core }
-    }
-
-    /// The wrapped core.
-    pub fn core(&self) -> &MetricsCore {
-        &self.core
-    }
-
-    /// The wrapped core, mutably.
-    pub fn core_mut(&mut self) -> &mut MetricsCore {
-        &mut self.core
-    }
-
-    /// Unwraps into the core.
-    pub fn into_core(self) -> MetricsCore {
-        self.core
-    }
-
-    /// Records closed (skipped records included).
-    pub fn records(&self) -> u64 {
-        self.core.records()
-    }
-
-    /// Records skipped wholesale by the budget machinery.
-    pub fn records_skipped(&self) -> u64 {
-        self.core.records_skipped()
-    }
-
-    /// Total bytes discarded by panic-mode resynchronisation.
-    pub fn panic_skipped_bytes(&self) -> u64 {
-        self.core.panic_skipped_bytes()
-    }
-
-    /// Total descriptor errors observed.
-    pub fn errors_total(&self) -> u64 {
-        self.core.errors_total()
-    }
-
-    /// Per-type aggregates with at least one event, in name order.
-    pub fn types(&self) -> Vec<(&str, TypeStat)> {
-        self.core.sorted_types()
-    }
-
-    /// Nonzero error counts keyed by `ErrorCode` variant name, in name
-    /// order.
-    pub fn errors_by_code(&self) -> Vec<(&'static str, u64)> {
-        self.core.sorted_error_codes()
-    }
-
-    /// Folds another sink's deterministic counters into this one — the
-    /// merge step of a parallel record-sharded parse, where each worker
-    /// thread aggregates into its own sink. The fold is name-keyed and
-    /// order-independent, so `counts_json` over the merged sink matches
-    /// a sequential run. Latency summaries are wall-clock samples of the
-    /// *worker's* cadence and are deliberately not folded in; timings
-    /// are excluded from golden snapshots for the same reason.
-    pub fn merge(&mut self, other: &MetricsSink) {
-        self.core.merge(&other.core);
-    }
-
-    /// Serialises the deterministic counters to a compact binary payload
-    /// for embedding in a checkpoint journal frame; see
-    /// [`MetricsCore::snapshot`] (the byte format is unchanged from the
-    /// pre-dense sink).
-    pub fn snapshot(&self) -> Vec<u8> {
-        self.core.snapshot()
-    }
-
-    /// Rebuilds a sink from a [`snapshot`](Self::snapshot) payload;
-    /// `None` on a malformed or wrong-version payload. See
-    /// [`MetricsCore::restore`].
-    pub fn restore(bytes: &[u8]) -> Option<MetricsSink> {
-        MetricsCore::restore(bytes).map(MetricsSink::from_core)
-    }
-
-    /// The deterministic counters as a pretty-printed JSON object. This
-    /// is the golden-snapshot format: no timings, stable key order.
-    pub fn counts_json(&self) -> String {
-        let mut o = String::new();
-        o.push_str("{\n");
-        let _ = writeln!(o, "  \"records\": {},", self.core.records());
-        let _ = writeln!(o, "  \"records_with_errors\": {},", self.core.records_with_errors());
-        let _ = writeln!(o, "  \"records_skipped\": {},", self.core.records_skipped());
-        let _ = writeln!(o, "  \"record_bytes\": {},", self.core.record_bytes());
-        let _ = writeln!(o, "  \"errors_total\": {},", self.core.errors_total());
-        o.push_str("  \"errors_by_code\": {");
-        let codes = self.core.sorted_error_codes();
-        for (i, (code, n)) in codes.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(o, "{sep}    \"{code}\": {n}");
+fn timings_json(core: &MetricsCore) -> String {
+    let elapsed = core.elapsed_seconds();
+    let mut o = String::new();
+    o.push_str("{\n");
+    let _ = writeln!(o, "  \"elapsed_seconds\": {:.6},", elapsed);
+    let _ =
+        writeln!(o, "  \"records_per_second\": {:.1},", rate(core.records(), elapsed));
+    let _ = writeln!(
+        o,
+        "  \"bytes_per_second\": {:.1},",
+        rate(core.record_bytes(), elapsed)
+    );
+    o.push_str("  \"record_latency_us\": {");
+    let qs: Vec<(f64, &str)> =
+        vec![(0.5, "p50"), (0.9, "p90"), (0.99, "p99"), (1.0, "max")];
+    let mut first = true;
+    for (q, name) in qs {
+        if let Some(v) = core.latency_quantile(q) {
+            let sep = if first { "" } else { ", " };
+            let _ = write!(o, "{sep}\"{name}\": {v:.1}");
+            first = false;
         }
-        o.push_str(if codes.is_empty() { "},\n" } else { "\n  },\n" });
-        o.push_str("  \"recovery\": {\n");
-        let _ = writeln!(o, "    \"panic_skip_events\": {},", self.core.panic_skip_events());
-        let _ = writeln!(o, "    \"panic_skipped_bytes\": {},", self.core.panic_skipped_bytes());
-        o.push_str("    \"budget_exhausted\": {");
-        let modes = self.core.sorted_budget_modes();
-        for (i, (mode, n)) in modes.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(o, "{sep}      \"{mode}\": {n}");
-        }
-        o.push_str(if modes.is_empty() { "}\n" } else { "\n    }\n" });
-        o.push_str("  },\n");
-        o.push_str("  \"types\": {");
-        let types = self.core.sorted_types();
-        for (i, (name, t)) in types.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(
+    }
+    o.push_str("}\n");
+    o.push('}');
+    o
+}
+
+/// Prometheus text exposition format: every family led by its
+/// `# HELP` / `# TYPE` headers, label values escaped (counters plus
+/// latency quantiles as a summary metric).
+pub fn prometheus(core: &MetricsCore) -> String {
+    let mut o = String::new();
+    let c = |o: &mut String, name: &str, help: &str, v: u64| {
+        let _ = writeln!(o, "# HELP {name} {help}");
+        let _ = writeln!(o, "# TYPE {name} counter");
+        let _ = writeln!(o, "{name} {v}");
+    };
+    c(&mut o, "pads_records_total", "Records closed (skipped included).", core.records());
+    c(
+        &mut o,
+        "pads_records_with_errors_total",
+        "Records closed with at least one error.",
+        core.records_with_errors(),
+    );
+    c(
+        &mut o,
+        "pads_records_skipped_total",
+        "Records skipped wholesale under OnExhausted::SkipRecord.",
+        core.records_skipped(),
+    );
+    c(
+        &mut o,
+        "pads_record_bytes_total",
+        "Bytes covered by closed records.",
+        core.record_bytes(),
+    );
+    c(&mut o, "pads_errors_total", "Descriptor errors observed.", core.errors_total());
+
+    let _ = writeln!(o, "# HELP pads_errors_by_code_total Errors by ErrorCode variant.");
+    let _ = writeln!(o, "# TYPE pads_errors_by_code_total counter");
+    for (code, n) in core.sorted_error_codes() {
+        let _ = writeln!(o, "pads_errors_by_code_total{{code=\"{code}\"}} {n}");
+    }
+
+    c(
+        &mut o,
+        "pads_panic_skip_events_total",
+        "Panic-mode resynchronisation events.",
+        core.panic_skip_events(),
+    );
+    c(
+        &mut o,
+        "pads_panic_skipped_bytes_total",
+        "Bytes discarded by panic-mode resynchronisation.",
+        core.panic_skipped_bytes(),
+    );
+    let _ = writeln!(o, "# HELP pads_budget_exhausted_total Budget exhaustion transitions.");
+    let _ = writeln!(o, "# TYPE pads_budget_exhausted_total counter");
+    for (mode, n) in core.sorted_budget_modes() {
+        let _ = writeln!(o, "pads_budget_exhausted_total{{mode=\"{mode}\"}} {n}");
+    }
+
+    let types = core.sorted_types();
+    let _ = writeln!(o, "# HELP pads_type_hits_total Parses per named type.");
+    let _ = writeln!(o, "# TYPE pads_type_hits_total counter");
+    for (name, t) in &types {
+        let _ = writeln!(o, "pads_type_hits_total{{type=\"{}\"}} {}", esc(name), t.hits);
+    }
+    let _ = writeln!(o, "# HELP pads_type_bytes_total Bytes spanned per named type.");
+    let _ = writeln!(o, "# TYPE pads_type_bytes_total counter");
+    for (name, t) in &types {
+        let _ = writeln!(o, "pads_type_bytes_total{{type=\"{}\"}} {}", esc(name), t.bytes);
+    }
+    let _ = writeln!(o, "# HELP pads_type_errors_total Errors per named type.");
+    let _ = writeln!(o, "# TYPE pads_type_errors_total counter");
+    for (name, t) in &types {
+        let _ = writeln!(o, "pads_type_errors_total{{type=\"{}\"}} {}", esc(name), t.errors);
+    }
+
+    let _ = writeln!(o, "# HELP pads_record_latency_seconds Per-record parse latency.");
+    let _ = writeln!(o, "# TYPE pads_record_latency_seconds summary");
+    for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
+        if let Some(us) = core.latency_quantile(q) {
+            let _ = writeln!(
                 o,
-                "{sep}    \"{}\": {{\"hits\": {}, \"bytes\": {}, \"errors\": {}}}",
-                esc(name),
-                t.hits,
-                t.bytes,
-                t.errors
+                "pads_record_latency_seconds{{quantile=\"{label}\"}} {:.9}",
+                us / 1e6
             );
         }
-        o.push_str(if types.is_empty() { "}\n" } else { "\n  }\n" });
-        o.push('}');
-        o
     }
+    let _ = writeln!(o, "pads_record_latency_seconds_count {}", core.latency_count());
+    o
+}
 
-    /// Full JSON exposition: `{"counts": …, "timings": …}`. Strip or
-    /// ignore `timings` when diffing.
-    pub fn json(&self) -> String {
-        let counts = indent(&self.counts_json(), "  ");
-        let timings = indent(&self.timings_json(), "  ");
-        format!("{{\n  \"counts\": {counts},\n  \"timings\": {timings}\n}}")
-    }
-
-    fn timings_json(&self) -> String {
-        let elapsed = self.core.elapsed_seconds();
-        let mut o = String::new();
-        o.push_str("{\n");
-        let _ = writeln!(o, "  \"elapsed_seconds\": {:.6},", elapsed);
-        let _ =
-            writeln!(o, "  \"records_per_second\": {:.1},", rate(self.core.records(), elapsed));
-        let _ = writeln!(
-            o,
-            "  \"bytes_per_second\": {:.1},",
-            rate(self.core.record_bytes(), elapsed)
-        );
-        o.push_str("  \"record_latency_us\": {");
-        let qs: Vec<(f64, &str)> =
-            vec![(0.5, "p50"), (0.9, "p90"), (0.99, "p99"), (1.0, "max")];
-        let mut first = true;
-        for (q, name) in qs {
-            if let Some(v) = self.core.latency_quantile(q) {
-                let sep = if first { "" } else { ", " };
-                let _ = write!(o, "{sep}\"{name}\": {v:.1}");
-                first = false;
-            }
-        }
-        o.push_str("}\n");
-        o.push('}');
-        o
-    }
-
-    /// Prometheus text exposition format: every family led by its
-    /// `# HELP` / `# TYPE` headers, label values escaped (counters plus
-    /// latency quantiles as a summary metric).
-    pub fn prometheus(&self) -> String {
-        let mut o = String::new();
-        let c = |o: &mut String, name: &str, help: &str, v: u64| {
-            let _ = writeln!(o, "# HELP {name} {help}");
-            let _ = writeln!(o, "# TYPE {name} counter");
-            let _ = writeln!(o, "{name} {v}");
-        };
-        c(&mut o, "pads_records_total", "Records closed (skipped included).", self.core.records());
-        c(
-            &mut o,
-            "pads_records_with_errors_total",
-            "Records closed with at least one error.",
-            self.core.records_with_errors(),
-        );
-        c(
-            &mut o,
-            "pads_records_skipped_total",
-            "Records skipped wholesale under OnExhausted::SkipRecord.",
-            self.core.records_skipped(),
-        );
-        c(
-            &mut o,
-            "pads_record_bytes_total",
-            "Bytes covered by closed records.",
-            self.core.record_bytes(),
-        );
-        c(&mut o, "pads_errors_total", "Descriptor errors observed.", self.core.errors_total());
-
-        let _ = writeln!(o, "# HELP pads_errors_by_code_total Errors by ErrorCode variant.");
-        let _ = writeln!(o, "# TYPE pads_errors_by_code_total counter");
-        for (code, n) in self.core.sorted_error_codes() {
-            let _ = writeln!(o, "pads_errors_by_code_total{{code=\"{code}\"}} {n}");
-        }
-
-        c(
-            &mut o,
-            "pads_panic_skip_events_total",
-            "Panic-mode resynchronisation events.",
-            self.core.panic_skip_events(),
-        );
-        c(
-            &mut o,
-            "pads_panic_skipped_bytes_total",
-            "Bytes discarded by panic-mode resynchronisation.",
-            self.core.panic_skipped_bytes(),
-        );
-        let _ = writeln!(o, "# HELP pads_budget_exhausted_total Budget exhaustion transitions.");
-        let _ = writeln!(o, "# TYPE pads_budget_exhausted_total counter");
-        for (mode, n) in self.core.sorted_budget_modes() {
-            let _ = writeln!(o, "pads_budget_exhausted_total{{mode=\"{mode}\"}} {n}");
-        }
-
-        let types = self.core.sorted_types();
-        let _ = writeln!(o, "# HELP pads_type_hits_total Parses per named type.");
-        let _ = writeln!(o, "# TYPE pads_type_hits_total counter");
-        for (name, t) in &types {
-            let _ = writeln!(o, "pads_type_hits_total{{type=\"{}\"}} {}", esc(name), t.hits);
-        }
-        let _ = writeln!(o, "# HELP pads_type_bytes_total Bytes spanned per named type.");
-        let _ = writeln!(o, "# TYPE pads_type_bytes_total counter");
-        for (name, t) in &types {
-            let _ = writeln!(o, "pads_type_bytes_total{{type=\"{}\"}} {}", esc(name), t.bytes);
-        }
-        let _ = writeln!(o, "# HELP pads_type_errors_total Errors per named type.");
-        let _ = writeln!(o, "# TYPE pads_type_errors_total counter");
-        for (name, t) in &types {
-            let _ = writeln!(o, "pads_type_errors_total{{type=\"{}\"}} {}", esc(name), t.errors);
-        }
-
-        let _ = writeln!(o, "# HELP pads_record_latency_seconds Per-record parse latency.");
-        let _ = writeln!(o, "# TYPE pads_record_latency_seconds summary");
-        for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
-            if let Some(us) = self.core.latency_quantile(q) {
-                let _ = writeln!(
-                    o,
-                    "pads_record_latency_seconds{{quantile=\"{label}\"}} {:.9}",
-                    us / 1e6
-                );
-            }
-        }
-        let _ = writeln!(o, "pads_record_latency_seconds_count {}", self.core.latency_count());
-        o
-    }
-
-    /// A one-line human summary for stderr, alongside the CLI's per-code
-    /// error listing.
-    pub fn summary_line(&self) -> String {
-        let elapsed = self.core.elapsed_seconds();
-        let mb = self.core.record_bytes() as f64 / (1024.0 * 1024.0);
-        let mbps = if elapsed > 0.0 { mb / elapsed } else { 0.0 };
-        format!(
-            "metrics: {} records ({} bad, {} skipped), {} errors, {} bytes in {:.1} ms ({:.1} MiB/s)",
-            self.core.records(),
-            self.core.records_with_errors(),
-            self.core.records_skipped(),
-            self.core.errors_total(),
-            self.core.record_bytes(),
-            elapsed * 1e3,
-            mbps
-        )
-    }
+/// A one-line human summary for stderr, alongside the CLI's per-code
+/// error listing.
+pub fn summary_line(core: &MetricsCore) -> String {
+    let elapsed = core.elapsed_seconds();
+    let mb = core.record_bytes() as f64 / (1024.0 * 1024.0);
+    let mbps = if elapsed > 0.0 { mb / elapsed } else { 0.0 };
+    format!(
+        "metrics: {} records ({} bad, {} skipped), {} errors, {} bytes in {:.1} ms ({:.1} MiB/s)",
+        core.records(),
+        core.records_with_errors(),
+        core.records_skipped(),
+        core.errors_total(),
+        core.record_bytes(),
+        elapsed * 1e3,
+        mbps
+    )
 }
 
 fn rate(n: u64, elapsed: f64) -> f64 {
@@ -329,20 +233,15 @@ mod tests {
     use pads_runtime::metrics::RecoveryEvent;
     use pads_runtime::{ErrorCode, OnExhausted};
 
-    /// A sink over a core whose dense ids index `names`.
-    fn sink(names: &[&str]) -> MetricsSink {
-        MetricsSink::from_core(MetricsCore::with_names(names))
-    }
-
     #[test]
     fn counts_json_is_deterministic_and_ordered() {
-        let mut m = sink(&["b_t", "a_t"]);
-        m.core_mut().exit_id(0, 0, 4, 0);
-        m.core_mut().exit_id(1, 0, 2, 0);
-        m.core_mut().note_error(ErrorCode::LitMismatch);
-        m.core_mut().note_record(0, 0, 0, 1);
-        let a = m.counts_json();
-        let b = m.counts_json();
+        let mut m = MetricsCore::with_names(&["b_t", "a_t"]);
+        m.exit_id(0, 0, 4, 0);
+        m.exit_id(1, 0, 2, 0);
+        m.note_error(ErrorCode::LitMismatch);
+        m.note_record(0, 0, 0, 1);
+        let a = counts_json(&m);
+        let b = counts_json(&m);
         assert_eq!(a, b);
         // Name-sorted exposition: a_t before b_t.
         let ia = a.find("a_t").unwrap();
@@ -354,40 +253,40 @@ mod tests {
 
     #[test]
     fn recovery_events_tally() {
-        let mut m = MetricsSink::new();
-        m.core_mut().note_recovery(RecoveryEvent::PanicSkip { bytes: 7 }, 0);
-        m.core_mut().note_recovery(RecoveryEvent::SkipRecord, 0);
-        m.core_mut()
+        let mut m = MetricsCore::new();
+        m.note_recovery(RecoveryEvent::PanicSkip { bytes: 7 }, 0);
+        m.note_recovery(RecoveryEvent::SkipRecord, 0);
+        m
             .note_recovery(RecoveryEvent::BudgetExhausted { mode: OnExhausted::BestEffort }, 0);
         assert_eq!(m.panic_skipped_bytes(), 7);
         assert_eq!(m.records_skipped(), 1);
-        assert!(m.counts_json().contains("\"BestEffort\": 1"));
+        assert!(counts_json(&m).contains("\"BestEffort\": 1"));
     }
 
     #[test]
     fn merge_folds_counters_exactly() {
-        let mut a = sink(&["t"]);
-        a.core_mut().exit_id(0, 0, 4, 0);
-        a.core_mut().note_error(ErrorCode::LitMismatch);
-        a.core_mut().note_record(0, 0, 0, 1);
-        let mut b = sink(&["t"]);
-        b.core_mut().exit_id(0, 0, 2, 0);
-        b.core_mut().note_error(ErrorCode::RangeError);
-        b.core_mut().note_recovery(RecoveryEvent::SkipRecord, 0);
-        b.core_mut().note_record(1, 0, 0, 0);
+        let mut a = MetricsCore::with_names(&["t"]);
+        a.exit_id(0, 0, 4, 0);
+        a.note_error(ErrorCode::LitMismatch);
+        a.note_record(0, 0, 0, 1);
+        let mut b = MetricsCore::with_names(&["t"]);
+        b.exit_id(0, 0, 2, 0);
+        b.note_error(ErrorCode::RangeError);
+        b.note_recovery(RecoveryEvent::SkipRecord, 0);
+        b.note_record(1, 0, 0, 0);
 
-        // One sink fed both streams sequentially == two sinks merged.
-        let mut seq = sink(&["t"]);
-        seq.core_mut().exit_id(0, 0, 4, 0);
-        seq.core_mut().note_error(ErrorCode::LitMismatch);
-        seq.core_mut().note_record(0, 0, 0, 1);
-        seq.core_mut().exit_id(0, 0, 2, 0);
-        seq.core_mut().note_error(ErrorCode::RangeError);
-        seq.core_mut().note_recovery(RecoveryEvent::SkipRecord, 0);
-        seq.core_mut().note_record(1, 0, 0, 0);
+        // One core fed both streams sequentially == two cores merged.
+        let mut seq = MetricsCore::with_names(&["t"]);
+        seq.exit_id(0, 0, 4, 0);
+        seq.note_error(ErrorCode::LitMismatch);
+        seq.note_record(0, 0, 0, 1);
+        seq.exit_id(0, 0, 2, 0);
+        seq.note_error(ErrorCode::RangeError);
+        seq.note_recovery(RecoveryEvent::SkipRecord, 0);
+        seq.note_record(1, 0, 0, 0);
 
         a.merge(&b);
-        assert_eq!(a.counts_json(), seq.counts_json());
+        assert_eq!(counts_json(&a), counts_json(&seq));
     }
 
     #[test]
@@ -396,17 +295,17 @@ mod tests {
         // differently (one with a type nothing touches) must render to the
         // same bytes: names, not ids, key the exposition — the property
         // that lets any engine's table stand behind one golden snapshot.
-        let mut a = sink(&["client_t", "entry_t"]);
-        a.core_mut().exit_id(1, 0, 10, 0);
-        a.core_mut().exit_id(0, 0, 4, 0);
-        let mut b = sink(&["entry_t", "client_t", "unused_t"]);
-        b.core_mut().exit_id(0, 0, 10, 0);
-        b.core_mut().exit_id(1, 0, 4, 0);
+        let mut a = MetricsCore::with_names(&["client_t", "entry_t"]);
+        a.exit_id(1, 0, 10, 0);
+        a.exit_id(0, 0, 4, 0);
+        let mut b = MetricsCore::with_names(&["entry_t", "client_t", "unused_t"]);
+        b.exit_id(0, 0, 10, 0);
+        b.exit_id(1, 0, 4, 0);
         for m in [&mut a, &mut b] {
-            m.core_mut().note_error(ErrorCode::LitMismatch);
-            m.core_mut().note_record(0, 0, 0, 1);
+            m.note_error(ErrorCode::LitMismatch);
+            m.note_record(0, 0, 0, 1);
         }
-        assert_eq!(a.counts_json(), b.counts_json());
+        assert_eq!(counts_json(&a), counts_json(&b));
         // Timing families aside, the Prometheus counter lines agree too.
         let strip = |s: &str| {
             s.lines()
@@ -414,14 +313,14 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        assert_eq!(strip(&a.prometheus()), strip(&b.prometheus()));
+        assert_eq!(strip(&prometheus(&a)), strip(&prometheus(&b)));
     }
 
     #[test]
     fn prometheus_has_core_families() {
-        let mut m = MetricsSink::new();
-        m.core_mut().note_record(0, 0, 0, 0);
-        let text = m.prometheus();
+        let mut m = MetricsCore::new();
+        m.note_record(0, 0, 0, 0);
+        let text = prometheus(&m);
         assert!(text.contains("pads_records_total 1"));
         assert!(text.contains("# TYPE pads_records_total counter"));
         assert!(text.contains("pads_record_latency_seconds_count 1"));
@@ -429,10 +328,10 @@ mod tests {
 
     #[test]
     fn prometheus_headers_precede_every_family() {
-        let mut m = sink(&["t"]);
-        m.core_mut().exit_id(0, 0, 1, 0);
-        m.core_mut().note_record(0, 0, 0, 0);
-        let text = m.prometheus();
+        let mut m = MetricsCore::with_names(&["t"]);
+        m.exit_id(0, 0, 1, 0);
+        m.note_record(0, 0, 0, 0);
+        let text = prometheus(&m);
         for family in [
             "pads_records_total",
             "pads_records_with_errors_total",
@@ -463,14 +362,14 @@ mod tests {
     /// come out byte-exactly escaped in both expositions.
     #[test]
     fn escaping_of_type_names_is_pinned() {
-        let mut m = sink(&["weird\"name\\with\nnasties"]);
-        m.core_mut().exit_id(0, 0, 3, 0);
-        let prom = m.prometheus();
+        let mut m = MetricsCore::with_names(&["weird\"name\\with\nnasties"]);
+        m.exit_id(0, 0, 3, 0);
+        let prom = prometheus(&m);
         assert!(
             prom.contains(r#"pads_type_hits_total{type="weird\"name\\with\nnasties"} 1"#),
             "{prom}"
         );
-        let json = m.counts_json();
+        let json = counts_json(&m);
         assert!(
             json.contains(r#""weird\"name\\with\nnasties": {"hits": 1, "bytes": 3, "errors": 0}"#),
             "{json}"
@@ -479,50 +378,50 @@ mod tests {
 
     #[test]
     fn snapshot_restore_reproduces_counts_json() {
-        let mut m = sink(&["b_t", "a_t"]);
-        m.core_mut().exit_id(0, 0, 4, 0);
-        m.core_mut().exit_id(1, 0, 2, 0);
-        m.core_mut().note_error(ErrorCode::LitMismatch);
-        m.core_mut().note_error(ErrorCode::RangeError);
-        m.core_mut().note_recovery(RecoveryEvent::PanicSkip { bytes: 7 }, 0);
-        m.core_mut().note_recovery(RecoveryEvent::SkipRecord, 0);
-        m.core_mut().note_recovery(RecoveryEvent::BudgetExhausted { mode: OnExhausted::Stop }, 0);
-        m.core_mut().note_record(0, 0, 0, 1);
-        m.core_mut().note_record(1, 0, 0, 0);
-        let restored = MetricsSink::restore(&m.snapshot()).expect("roundtrips");
-        assert_eq!(restored.counts_json(), m.counts_json());
+        let mut m = MetricsCore::with_names(&["b_t", "a_t"]);
+        m.exit_id(0, 0, 4, 0);
+        m.exit_id(1, 0, 2, 0);
+        m.note_error(ErrorCode::LitMismatch);
+        m.note_error(ErrorCode::RangeError);
+        m.note_recovery(RecoveryEvent::PanicSkip { bytes: 7 }, 0);
+        m.note_recovery(RecoveryEvent::SkipRecord, 0);
+        m.note_recovery(RecoveryEvent::BudgetExhausted { mode: OnExhausted::Stop }, 0);
+        m.note_record(0, 0, 0, 1);
+        m.note_record(1, 0, 0, 0);
+        let restored = MetricsCore::restore(&m.snapshot()).expect("roundtrips");
+        assert_eq!(counts_json(&restored), counts_json(&m));
     }
 
     #[test]
     fn restore_rejects_malformed_payloads() {
-        let m = MetricsSink::new();
+        let m = MetricsCore::new();
         let snap = m.snapshot();
-        assert!(MetricsSink::restore(&[]).is_none(), "empty");
-        assert!(MetricsSink::restore(&snap[..snap.len() - 1]).is_none(), "truncated");
+        assert!(MetricsCore::restore(&[]).is_none(), "empty");
+        assert!(MetricsCore::restore(&snap[..snap.len() - 1]).is_none(), "truncated");
         let mut wrong = snap.clone();
         wrong[0] = wrong[0].wrapping_add(1);
-        assert!(MetricsSink::restore(&wrong).is_none(), "wrong version");
+        assert!(MetricsCore::restore(&wrong).is_none(), "wrong version");
         let mut trailing = snap;
         trailing.push(0);
-        assert!(MetricsSink::restore(&trailing).is_none(), "trailing bytes");
+        assert!(MetricsCore::restore(&trailing).is_none(), "trailing bytes");
     }
 
-    /// Codec edge case: a sink that never sampled a latency batch (fewer
+    /// Codec edge case: a core that never sampled a latency batch (fewer
     /// than LATENCY_BATCH records — the empty-histogram case) must
     /// round-trip and expose cleanly.
     #[test]
     fn snapshot_with_empty_latency_histogram_roundtrips() {
-        let mut m = MetricsSink::new();
-        m.core_mut().note_record(0, 0, 0, 0);
-        let restored = MetricsSink::restore(&m.snapshot()).expect("roundtrips");
-        assert_eq!(restored.counts_json(), m.counts_json());
-        // The live sink counts the record even though no batch has been
+        let mut m = MetricsCore::new();
+        m.note_record(0, 0, 0, 0);
+        let restored = MetricsCore::restore(&m.snapshot()).expect("roundtrips");
+        assert_eq!(counts_json(&restored), counts_json(&m));
+        // The live core counts the record even though no batch has been
         // sampled yet; latency state is wall-clock and is not persisted,
-        // so the restored sink starts its summary fresh.
-        assert!(m.prometheus().contains("pads_record_latency_seconds_count 1"));
-        assert!(restored.prometheus().contains("pads_record_latency_seconds_count 0"));
+        // so the restored core starts its summary fresh.
+        assert!(prometheus(&m).contains("pads_record_latency_seconds_count 1"));
+        assert!(prometheus(&restored).contains("pads_record_latency_seconds_count 0"));
         // And no quantile lines, since the histogram is empty.
-        assert!(!restored.prometheus().contains("quantile=\"0.5\""));
+        assert!(!prometheus(&restored).contains("quantile=\"0.5\""));
     }
 
     /// Codec edge case: counters at or near u64::MAX must saturate, not
@@ -530,16 +429,16 @@ mod tests {
     /// saturating_add) and through merge.
     #[test]
     fn saturating_counters_survive_restore_and_merge() {
-        let mut m = sink(&["t"]);
-        m.core_mut().exit_id(0, 0, 4, 0);
-        m.core_mut().exit_id(0, 0, usize::MAX - 2, 0);
-        let mut other = sink(&["t"]);
-        other.core_mut().exit_id(0, 0, 100, 0);
+        let mut m = MetricsCore::with_names(&["t"]);
+        m.exit_id(0, 0, 4, 0);
+        m.exit_id(0, 0, usize::MAX - 2, 0);
+        let mut other = MetricsCore::with_names(&["t"]);
+        other.exit_id(0, 0, 100, 0);
         m.merge(&other);
-        let types = m.types();
+        let types = m.sorted_types();
         assert_eq!(types[0].1.bytes, u64::MAX, "merge saturates");
-        let restored = MetricsSink::restore(&m.snapshot()).expect("roundtrips");
-        assert_eq!(restored.types()[0].1.bytes, u64::MAX, "codec preserves the rail");
+        let restored = MetricsCore::restore(&m.snapshot()).expect("roundtrips");
+        assert_eq!(restored.sorted_types()[0].1.bytes, u64::MAX, "codec preserves the rail");
     }
 
     /// Codec edge case: an unknown error-code name (a journal written by
@@ -549,9 +448,9 @@ mod tests {
     /// forward-compatibility contract.
     #[test]
     fn unknown_error_code_names_are_forward_compatible() {
-        let mut m = MetricsSink::new();
-        m.core_mut().note_error(ErrorCode::LitMismatch);
-        m.core_mut().note_error(ErrorCode::LitMismatch);
+        let mut m = MetricsCore::new();
+        m.note_error(ErrorCode::LitMismatch);
+        m.note_error(ErrorCode::LitMismatch);
         let snap = m.snapshot();
         // Hand-craft a payload replacing the code name "LitMismatch"
         // with an equal-length name no current variant has.
@@ -562,30 +461,30 @@ mod tests {
             .expect("code name present");
         let mut futuristic = snap.clone();
         futuristic[pos..pos + needle.len()].copy_from_slice(b"FutureCode?");
-        let restored = MetricsSink::restore(&futuristic).expect("restores despite unknown code");
+        let restored = MetricsCore::restore(&futuristic).expect("restores despite unknown code");
         assert_eq!(restored.errors_total(), 2, "total keeps the count");
-        assert!(restored.errors_by_code().is_empty(), "unknown code dropped from table");
-        // And the restored sink keeps aggregating normally.
-        let mut sink = restored;
-        sink.core_mut().note_error(ErrorCode::RangeError);
-        assert_eq!(sink.errors_total(), 3);
+        assert!(restored.sorted_error_codes().is_empty(), "unknown code dropped from table");
+        // And the restored core keeps aggregating normally.
+        let mut core = restored;
+        core.note_error(ErrorCode::RangeError);
+        assert_eq!(core.errors_total(), 3);
     }
 
     #[test]
     fn latency_samples_batch_but_count_every_record() {
-        let mut m = MetricsSink::new();
+        let mut m = MetricsCore::new();
         for i in 0..(64 * 2 + 5) {
-            m.core_mut().note_record(i, 0, 0, 0);
+            m.note_record(i, 0, 0, 0);
         }
         // Two full batches sampled; 5 records still pending.
         let expect = format!("pads_record_latency_seconds_count {}", 64 * 2 + 5);
-        assert!(m.prometheus().contains(&expect));
+        assert!(prometheus(&m).contains(&expect));
     }
 
     #[test]
     fn json_wraps_counts_and_timings() {
-        let m = MetricsSink::new();
-        let j = m.json();
+        let m = MetricsCore::new();
+        let j = json(&m);
         assert!(j.contains("\"counts\""));
         assert!(j.contains("\"timings\""));
         assert!(j.contains("\"elapsed_seconds\""));

@@ -568,9 +568,81 @@ where
 mod tests {
     use super::*;
     use crate::encoding::Endian;
+    use crate::io::Cursor;
     use crate::recovery::OnExhausted;
+    use proptest::prelude::*;
+    use proptest::{collection, sample};
     use std::cell::Cell;
     use std::rc::Rc;
+
+    /// The offsets at which a cursor's records end, walking the source
+    /// record by record. A record that ends where it began (fixed width 0)
+    /// is one no reader ever gets past: the walk stops there, and what is
+    /// left belongs to that record's chunk — [`record_end`]'s "always past
+    /// `pos`" — for the merge's completeness check to catch.
+    fn cursor_record_ends(data: &[u8], disc: RecordDiscipline, charset: Charset) -> Vec<usize> {
+        let mut cur = Cursor::new(data).with_discipline(disc).with_charset(charset);
+        let mut ends = Vec::new();
+        while !cur.at_eof() {
+            let opened = cur.offset();
+            let _ = cur.begin_record();
+            cur.end_record();
+            if cur.offset() == opened {
+                ends.push(data.len());
+                break;
+            }
+            ends.push(cur.offset());
+        }
+        ends
+    }
+
+    fn framings() -> Vec<RecordDiscipline> {
+        let mut all = vec![RecordDiscipline::Newline, RecordDiscipline::None];
+        all.extend((0..9).map(RecordDiscipline::FixedWidth));
+        for header_bytes in [1, 2, 4, 8, 10] {
+            for endian in [Endian::Big, Endian::Little] {
+                all.push(RecordDiscipline::LengthPrefixed { header_bytes, endian });
+            }
+        }
+        all
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        // `record_end` mirrors `Cursor::begin_record` by hand; a worker
+        // reads its chunk with the cursor. They must frame alike: cut a
+        // record at a time, the cutter's chunks end exactly where the
+        // cursor's records do, malformed and truncated headers included.
+        #[test]
+        fn cutter_and_cursor_frame_records_identically(
+            // Both newlines, and bytes small enough to be plausible lengths.
+            data in collection::vec(
+                sample::select(vec![0u8, 1, 2, 3, 7, b'\n', 0x15, 0x25, b'a', 0xFF]),
+                0..48,
+            ),
+            discipline in sample::select(framings()),
+            charset in sample::select(vec![Charset::Ascii, Charset::Ebcdic]),
+        ) {
+            let mut cutter = Cutter {
+                data: &data,
+                discipline,
+                newline: charset.encode(b'\n'),
+                size: 1,
+                index: 0,
+                offset: 0,
+                record: 0,
+            };
+            let mut cut_ends = Vec::new();
+            while let Some(cut) = cutter.next() {
+                prop_assert_eq!(cut.start, cut_ends.last().copied().unwrap_or(0));
+                let nth = cut_ends.len();
+                prop_assert_eq!((cut.index, cut.first_record, cut.records), (nth, nth, 1));
+                cut_ends.push(cut.end);
+            }
+            prop_assert_eq!(cut_ends, cursor_record_ends(&data, discipline, charset));
+        }
+    }
 
     fn newline_plan(data: &[u8], jobs: usize) -> ShardPlan {
         plan_shards(data, RecordDiscipline::Newline, Charset::Ascii, jobs)

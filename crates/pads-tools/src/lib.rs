@@ -26,10 +26,10 @@ pub mod fmt;
 pub mod programs;
 pub mod xml;
 
-// The summary machinery moved to `pads-observe` (the metrics sink's
-// latency histograms reuse it); re-exported here so accumulator users
-// keep the `pads_tools::summary` path.
-pub use pads_observe::summary;
+// The summary machinery lives in the runtime (the metrics core's latency
+// histograms reuse it); re-exported here so accumulator users keep the
+// `pads_tools::summary` path.
+pub use pads_runtime::summary;
 
 pub use acc::{AccConfig, Accumulator};
 pub use summary::{Histogram, Quantiles};

@@ -8,7 +8,6 @@ use pads::{
     ErrorBudget, Mask, PadsParser, ParseDesc, Progress, RecordSink, ResumePoint, SourceJob,
     SourceShape, Value,
 };
-use pads_observe::MetricsSink;
 use pads_runtime::MetricsHandle;
 
 /// `parser` with a counting core over its own type table attached.
@@ -19,7 +18,7 @@ pub fn metered(parser: PadsParser<'_>) -> (PadsParser<'_>, MetricsHandle) {
 
 /// The deterministic counters `core` holds, as the golden-snapshot JSON.
 pub fn counts_json(core: &MetricsHandle) -> String {
-    MetricsSink::from_core(core.borrow().clone()).counts_json()
+    pads_observe::metrics::counts_json(&core.borrow())
 }
 
 /// Every record with the progress it arrived with, and how many times the

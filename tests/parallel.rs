@@ -23,7 +23,6 @@ use pads::{
     ParseDesc, ParseOptions, RecordDiscipline, RecoveryPolicy, Registry, ResumePoint, Schema,
     Value, DEFAULT_MAX_INFLIGHT,
 };
-use pads_observe::MetricsSink;
 use pads_runtime::base::BaseType;
 use pads_runtime::genrt::CursorRecords;
 use pads_runtime::par::{self, Job, RecordReader};
@@ -524,11 +523,9 @@ fn parallel_dense_cores_merge_matches_sequential_snapshot() {
     let schema = descriptions::clf();
     let registry = Registry::standard();
 
-    let parser = PadsParser::new(&schema, &registry);
-    let seq_core = parser.metrics_core().into_handle();
-    let parser = parser.with_metrics(seq_core.clone());
+    let (parser, seq_core) = metered(PadsParser::new(&schema, &registry));
     let _ = parser.records(CLF, "entry_t", &mask()).count();
-    let seq_json = MetricsSink::from_core(seq_core.borrow_mut().drain()).counts_json();
+    let seq_json = counts_json(&seq_core);
 
     for jobs in [1, 2, 4] {
         let core = observed(PadsParser::new(&schema, &registry), jobs);

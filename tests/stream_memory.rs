@@ -1,23 +1,34 @@
 //! The source driver keeps one record live: the peak heap of a streamed
 //! parse does not grow with the number of records, where the whole-tree
-//! parse's does. Measured with a counting global allocator, which is why
-//! this test has a binary to itself.
+//! parse's does. And the generated parsers' arena path allocates (next to)
+//! nothing per record at steady state. Both are measured with a counting
+//! global allocator, which is why these tests have a binary to themselves
+//! and take turns (`SERIAL`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
+use pads::generated::{clf, sirius};
 use pads::{
-    descriptions, BaseMask, Mask, PadsParser, ParseOptions, Registry, SourceFold, SourceJob,
-    SourceShape,
+    descriptions, BaseMask, Cursor, Mask, PadsParser, ParseOptions, Registry, SourceFold,
+    SourceJob, SourceShape,
 };
+use pads_runtime::ValueArena;
 
-/// Forwards to the system allocator, tracking live bytes and their peak.
+/// Forwards to the system allocator, tracking live bytes, their peak, and
+/// the number of allocations (the growth half of `realloc` included).
 struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+/// The counters are the process's: one test measures at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn grew(by: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
     let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
@@ -74,6 +85,7 @@ fn corpus(records: usize) -> Vec<u8> {
 
 #[test]
 fn streamed_peak_heap_is_flat_in_the_record_count() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let registry = Registry::standard();
     let schema = descriptions::sirius();
     let shape = SourceShape::infer(&schema).expect("sirius streams");
@@ -121,4 +133,89 @@ fn streamed_peak_heap_is_flat_in_the_record_count() {
     // two orders of magnitude above one record.
     let whole = peak_of(|| drop(parser.parse_source(&large, &mask)));
     assert!(whole > 100 * at_20k, "whole-tree peak {whole} B vs streamed {at_20k} B");
+}
+
+/// Allocations per record of `pass` at steady state: a first pass grows
+/// every reusable buffer, the second, identical one is counted. Counts are
+/// exact, so one measured pass is enough.
+fn steady_allocs_per_record(name: &str, mut pass: impl FnMut() -> usize) -> f64 {
+    let records = pass();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(pass(), records, "{name}: passes parsed different record counts");
+    let per_record = (ALLOCS.load(Ordering::Relaxed) - before) as f64 / records as f64;
+    println!("{name:<22} {per_record:>10.3} allocs/record  ({records} records)");
+    per_record
+}
+
+/// One pass over `data`: `record` parses the record at the cursor, until
+/// none is left. Returns how many there were.
+fn each_record<'d>(data: &'d [u8], mut record: impl FnMut(&mut Cursor<'d>)) -> usize {
+    let mut cur = Cursor::new(data);
+    let mut records = 0;
+    while !cur.at_eof() {
+        record(&mut cur);
+        records += 1;
+    }
+    records
+}
+
+/// The allocation ceilings of the generated parsers' arena path: at most
+/// 2.0 allocations per record on clean CLF (string leaves borrow: exactly
+/// 0) and clean Sirius (`Vec` growth of the variable-length event array:
+/// about 1.7), and on CLF at least 10 times fewer than the interpreter's
+/// owned `Value` trees. These rows leave with `ValueArena`.
+#[test]
+fn arena_path_allocates_next_to_nothing_per_record() {
+    const RECORDS: usize = 10_000;
+    const MAX_PER_RECORD: f64 = 2.0;
+    const MIN_RATIO: f64 = 10.0;
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let registry = Registry::standard();
+    let mask = Mask::all(BaseMask::CheckAndSet);
+    let (clf_data, _) = pads_gen::clf::generate(&pads_gen::ClfConfig {
+        records: RECORDS,
+        dash_length_rate: 0.0,
+        ..Default::default()
+    });
+    let (sirius_data, _) = pads_gen::sirius::generate(&pads_gen::SiriusConfig {
+        records: RECORDS,
+        syntax_errors: 0,
+        sort_violations: 0,
+        ..Default::default()
+    });
+    let header = sirius_data.iter().position(|&b| b == b'\n').map_or(0, |p| p + 1);
+    let sirius_body = &sirius_data[header..];
+
+    let clf_schema = descriptions::clf();
+    let interpreter = PadsParser::new(&clf_schema, &registry);
+    let owned = steady_allocs_per_record("clf_interpreted", || {
+        interpreter.records(&clf_data, "entry_t", &mask).count()
+    });
+    // A generated `read` lowered into an arena that is reset per record:
+    // typed values borrow their strings from the buffer and the arena's
+    // stores keep their capacity.
+    let mut arena = ValueArena::new();
+    let clf_arena = steady_allocs_per_record("clf_arena", || {
+        each_record(&clf_data, |cur| {
+            let (v, _) = clf::EntryT::read(cur, &mask);
+            arena.reset();
+            let _ = v.to_arena(&mut arena);
+        })
+    });
+    let mut arena = ValueArena::new();
+    let sirius_arena = steady_allocs_per_record("sirius_arena", || {
+        each_record(sirius_body, |cur| {
+            let (v, _) = sirius::EntryT::read(cur, &mask);
+            arena.reset();
+            let _ = v.to_arena(&mut arena);
+        })
+    });
+
+    assert!(clf_arena <= MAX_PER_RECORD, "clf_arena allocates {clf_arena:.3}/record");
+    assert!(sirius_arena <= MAX_PER_RECORD, "sirius_arena allocates {sirius_arena:.3}/record");
+    assert!(
+        owned >= MIN_RATIO * clf_arena,
+        "clf arena path allocates {clf_arena:.3}/record against {owned:.3} for owned trees: \
+         less than {MIN_RATIO} times fewer"
+    );
 }
