@@ -28,14 +28,17 @@
 //! pads codegen <descr.pads>                     Rust parser source
 //! ```
 //!
-//! `pads parse` streams: when the source type is a plain array of records,
-//! or a struct of exactly a header and such an array, the header is parsed
-//! with the source cursor and each record is handed to the `--format` sink
-//! (report fold, XML writer, nothing) and dropped, so memory is the file
-//! plus one record — with output byte-identical to the whole-tree parse,
-//! observed (`--trace`, `--metrics`, `--profile`, `pads profile`) or not.
-//! Only a source of any other shape is parsed into one value first. See
-//! docs/PERFORMANCE.md, "Memory".
+//! `<data>` is a path, or `-` for standard input. `parse`, `profile`,
+//! `accum` and `fmt` stream it: the source driver reads the input through
+//! a bounded window (1 MiB per job) cut at record boundaries, so memory
+//! does not grow with the input. When the source type is a plain array of
+//! records, or a struct of exactly a header and such an array, `pads parse`
+//! parses the header with the source cursor and hands each record to the
+//! `--format` sink (report fold, XML writer, nothing) and drops it — with
+//! output byte-identical to the whole-tree parse, observed (`--trace`,
+//! `--metrics`, `--profile`, `pads profile`) or not. Only a source of any
+//! other shape, and `query`, read the input to its end and parse it into
+//! one value first. See docs/PERFORMANCE.md, "Memory".
 //!
 //! Common options: `--ebcdic`, `--fixed <N>`, `--lenpfx <N>` select the
 //! ambient coding / record discipline; `--record <T>` and `--header <T>`
@@ -71,7 +74,7 @@
 //! (bad usage, I/O — a closed stdout included — broken description).
 
 use std::fmt::Write as _;
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::process::ExitCode;
 
 use pads::{
@@ -81,6 +84,9 @@ use pads::{
 };
 use pads_check::lint;
 use pads_observe::{metrics, trace, MetricsCore, MetricsHandle};
+
+/// Records `pads gen` generates between writes.
+const GEN_BATCH: usize = 1024;
 
 /// Exit status for "the data had errors but the run completed".
 const EXIT_DATA_ERRORS: u8 = 2;
@@ -426,6 +432,29 @@ fn load_schema(path: &str, registry: &Registry) -> Result<Schema, String> {
     })
 }
 
+/// The data source `path` names — standard input for `-` — to be read from
+/// its start.
+fn open_source(path: &str) -> Result<Box<dyn Read>, String> {
+    if path == "-" {
+        return Ok(Box::new(std::io::stdin().lock()));
+    }
+    let file = std::fs::File::open(path).map_err(read_err(path))?;
+    Ok(Box::new(file))
+}
+
+/// The whole of the data source `path` names: what a parse into one value
+/// needs before it can start.
+fn read_source(path: &str) -> Result<Vec<u8>, String> {
+    let mut data = Vec::new();
+    open_source(path)?.read_to_end(&mut data).map_err(read_err(path))?;
+    Ok(data)
+}
+
+/// A failed open or read of the data source is a hard failure.
+fn read_err(path: &str) -> impl Fn(std::io::Error) -> String + '_ {
+    move |e| format!("{path}: {e}")
+}
+
 /// Ends a parse whose data diagnosis is `summary`: clean data is status 0;
 /// otherwise the error-summary line — a count per distinct `ErrorCode` —
 /// goes to stderr, so scripts can separate the diagnosis from stdout
@@ -517,12 +546,13 @@ fn print_metrics(
     Ok(())
 }
 
-/// `pads parse` and `pads profile` over the whole source, heard by one
-/// core — returned with the summary — that has the profiler and the trace
-/// `o` asks for switched on.
+/// `pads parse` and `pads profile` over the whole source at `path`, heard by
+/// one core — returned with the summary — that has the profiler and the
+/// trace `o` asks for switched on.
 ///
-/// A `[header] + records` source goes through the source driver, a record
-/// live at a time, into the sink `--format` names — the report fold
+/// A `[header] + records` source goes through the source driver, a window
+/// of input and a record live at a time, into the sink `--format` names —
+/// the report fold
 /// (`report`, `none`) or the XML writer over it — which also emits the
 /// source type's own events, so the core hears what a whole-tree parse
 /// would tell it. The driver shards the records under `--jobs N` unless the
@@ -533,7 +563,7 @@ fn parse_whole(
     registry: &Registry,
     options: ParseOptions,
     o: &Opts,
-    data: &[u8],
+    path: &str,
     out: &mut impl Write,
 ) -> Result<(SourceSummary, MetricsHandle), String> {
     let mut parser = PadsParser::new(schema, registry).with_options(options);
@@ -551,20 +581,21 @@ fn parse_whole(
     let mask = Mask::all(BaseMask::CheckAndSet);
     let xml = o.format == OutputFormat::Xml;
     let Some(shape) = SourceShape::infer(schema) else {
-        let (v, pd) = parser.parse_source(data, &mask);
+        let (v, pd) = parser.parse_source(&read_source(path)?, &mask);
         if xml {
             emit(out, pads_tools::value_to_xml(&v, Some(&pd), &schema.source_def().name, 0))?;
         }
         return Ok((SourceSummary::of(&pd), core));
     };
     let job = source_job(o, shape, &mask);
+    let source = open_source(path)?;
     let summary = if xml {
         let mut sink = pads_tools::XmlSourceSink::new(schema, out).observe(core.clone(), 0);
-        let end = parser.stream_source(data, &job, &mut sink);
+        let end = parser.stream_reader(source, &job, &mut sink).map_err(read_err(path))?;
         sink.finish(&end).map_err(stdout_err)?
     } else {
         let mut sink = SourceFold::new(schema).observe(core.clone(), 0);
-        let end = parser.stream_source(data, &job, &mut sink);
+        let end = parser.stream_reader(source, &job, &mut sink).map_err(read_err(path))?;
         sink.finish(&end)
     };
     Ok((summary, core))
@@ -591,10 +622,10 @@ fn print_observed(out: &mut impl Write, core: &MetricsCore, o: &Opts) -> Result<
 }
 
 /// FNV-1a fingerprint over (length, first 64 bytes, last 64 bytes) of the
-/// source: cheap, stable identification of "the same data file" across
-/// runs, recorded in every checkpoint so `--resume` can reject a journal
-/// written for different data.
-fn source_fingerprint(data: &[u8]) -> u64 {
+/// source file, and its length: cheap, stable identification of "the same
+/// data file" across runs, recorded in every checkpoint so `--resume` can
+/// reject a journal written for different data. Three seeks, no scan.
+fn source_fingerprint(file: &mut std::fs::File) -> std::io::Result<(u64, u64)> {
     fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
         for &b in bytes {
             h ^= u64::from(b);
@@ -602,11 +633,16 @@ fn source_fingerprint(data: &[u8]) -> u64 {
         }
         h
     }
-    let mut h = 0xcbf2_9ce4_8422_2325;
-    h = fnv(h, &(data.len() as u64).to_le_bytes());
-    h = fnv(h, &data[..data.len().min(64)]);
-    h = fnv(h, &data[data.len().saturating_sub(64)..]);
-    h
+    let len = file.metadata()?.len();
+    let mut edge = [0; 64];
+    let edge = &mut edge[..len.min(64) as usize];
+    let mut h = fnv(0xcbf2_9ce4_8422_2325, &len.to_le_bytes());
+    for from in [0, len - edge.len() as u64] {
+        file.seek(SeekFrom::Start(from))?;
+        file.read_exact(edge)?;
+        h = fnv(h, edge);
+    }
+    Ok((h, len))
 }
 
 /// Commit cadence over a journal: counts records and source bytes since
@@ -673,12 +709,16 @@ fn parse_journaled(
     schema: &Schema,
     parser: PadsParser<'_>,
     o: &Opts,
-    data: &[u8],
+    source_path: &str,
     shape: SourceShape<'_>,
     journal_path: &str,
     out: &mut impl Write,
 ) -> Result<ExitCode, String> {
-    let source_id = source_fingerprint(data);
+    if source_path == "-" {
+        return Err("--journal needs a seekable file to fingerprint and resume; `-` is not".into());
+    }
+    let mut source = std::fs::File::open(source_path).map_err(read_err(source_path))?;
+    let (source_id, source_len) = source_fingerprint(&mut source).map_err(read_err(source_path))?;
     let path = std::path::Path::new(journal_path);
     fn fail(err: &pads_journal::JournalError) -> Result<ExitCode, String> {
         eprintln!("pads: journal: {err}");
@@ -718,7 +758,7 @@ fn parse_journaled(
                     );
                 }
                 let resume = pads::ResumePoint {
-                    offset: cp.offset as usize,
+                    offset: cp.offset.min(source_len) as usize,
                     record: cp.record as usize,
                     budget: cp.budget,
                 };
@@ -762,7 +802,8 @@ fn parse_journaled(
         last_budget: resume.budget,
         commit_err: None,
     };
-    let end = parser.stream_source(data, &job, &mut sink);
+    source.seek(SeekFrom::Start(resume.offset as u64)).map_err(read_err(source_path))?;
+    let end = parser.stream_reader(source, &job, &mut sink).map_err(read_err(source_path))?;
     let JournalSink { mut fold, mut com, core, consumed, killed, last_pos, commit_err, .. } = sink;
     if let Some(e) = commit_err {
         return fail(&e);
@@ -960,8 +1001,7 @@ fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
         "parse" => {
             need(2)?;
             let schema = load_schema(&o.positional[0], &registry)?;
-            let data =
-                std::fs::read(&o.positional[1]).map_err(|e| format!("{}: {e}", o.positional[1]))?;
+            let path = &o.positional[1];
             let shape = SourceShape::infer(&schema);
             if let Some(journal_path) = &o.journal {
                 // Durable ingest: the journal records progress per record,
@@ -983,7 +1023,7 @@ fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
                     &schema,
                     PadsParser::new(&schema, &registry).with_options(options),
                     &o,
-                    &data,
+                    path,
                     shape,
                     journal_path,
                     out,
@@ -1002,14 +1042,14 @@ fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
                     eprintln!("pads: source is not a plain record array; ignoring --jobs");
                 }
             }
-            let (summary, core) = parse_whole(&schema, &registry, options, &o, &data, out)?;
+            let (summary, core) = parse_whole(&schema, &registry, options, &o, path, out)?;
             if o.format == OutputFormat::Report && o.trace.is_none() && o.metrics.is_none() {
                 emit(out, summary.report())?;
             }
             print_observed(out, &core.borrow(), &o)?;
             // The run itself completed; if the *data* has errors, summarise
             // on stderr and use the distinct "data errors" status.
-            Ok(data_status(&summary, &o.positional[1]))
+            Ok(data_status(&summary, path))
         }
         "profile" => {
             // Per-schema-node cost profile: parse the source sequentially
@@ -1020,11 +1060,10 @@ fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
             // the sampled (approximate) self-time column.
             need(2)?;
             let schema = load_schema(&o.positional[0], &registry)?;
-            let data =
-                std::fs::read(&o.positional[1]).map_err(|e| format!("{}: {e}", o.positional[1]))?;
             o.profile = true;
             o.format = OutputFormat::None;
-            let (summary, core) = parse_whole(&schema, &registry, options, &o, &data, out)?;
+            let (summary, core) =
+                parse_whole(&schema, &registry, options, &o, &o.positional[1], out)?;
             let core = core.borrow();
             let table =
                 if o.folded { core.profile_folded() } else { core.profile_table(o.times) };
@@ -1046,8 +1085,7 @@ fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
         "accum" => {
             need(2)?;
             let schema = load_schema(&o.positional[0], &registry)?;
-            let data =
-                std::fs::read(&o.positional[1]).map_err(|e| format!("{}: {e}", o.positional[1]))?;
+            let path = &o.positional[1];
             let shape = source_shape(&schema, &o)?;
             let parser = PadsParser::new(&schema, &registry).with_options(options);
             let mask = Mask::all(BaseMask::CheckAndSet);
@@ -1060,10 +1098,12 @@ fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
             let mut acc = pads_tools::Accumulator::with_config(&schema, shape.record, cfg);
             // `--jobs N` shards the records across workers feeding this
             // same sink in record order.
-            parser.stream_source(&data, &source_job(&o, shape, &mask), &mut acc);
+            parser
+                .stream_reader(open_source(path)?, &source_job(&o, shape, &mask), &mut acc)
+                .map_err(read_err(path))?;
             emit(out, acc.report("<top>"))?;
             if acc.bad_records > 0 {
-                eprintln!("pads: {} bad record(s) in {}", acc.bad_records, o.positional[1]);
+                eprintln!("pads: {} bad record(s) in {path}", acc.bad_records);
                 Ok(ExitCode::from(EXIT_DATA_ERRORS))
             } else {
                 Ok(ExitCode::SUCCESS)
@@ -1072,14 +1112,15 @@ fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
         "fmt" => {
             need(2)?;
             let schema = load_schema(&o.positional[0], &registry)?;
-            let data =
-                std::fs::read(&o.positional[1]).map_err(|e| format!("{}: {e}", o.positional[1]))?;
+            let path = &o.positional[1];
             let shape = source_shape(&schema, &o)?;
             let mut fmt = pads_tools::Formatter::new(&[o.delim.as_str()]);
             if let Some(df) = &o.date_fmt {
                 fmt = fmt.with_date_format(df);
             }
-            pads_tools::format_source(&schema, &registry, options, &shape, &data, &fmt, out)
+            let source = open_source(path)?;
+            pads_tools::format_source(&schema, &registry, options, &shape, source, &fmt, out)
+                .map_err(read_err(path))?
                 .map_err(stdout_err)?;
             Ok(ExitCode::SUCCESS)
         }
@@ -1092,8 +1133,7 @@ fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
         "query" => {
             need(3)?;
             let schema = load_schema(&o.positional[0], &registry)?;
-            let data =
-                std::fs::read(&o.positional[1]).map_err(|e| format!("{}: {e}", o.positional[1]))?;
+            let data = read_source(&o.positional[1])?;
             let parser = PadsParser::new(&schema, &registry).with_options(options);
             let mask = Mask::all(BaseMask::CheckAndSet);
             let (v, pd) = parser.parse_source(&data, &mask);
@@ -1108,8 +1148,14 @@ fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
             let record = source_shape(&schema, &o)?.record;
             let config = pads_gen::GenConfig { seed: o.seed, ..Default::default() };
             let mut g = pads_gen::Generator::new(&schema, config);
-            let records = g.generate_records(record, o.records);
-            out.write_all(&records).map_err(stdout_err)?;
+            // A batch at a time: the generator carries its state on, so the
+            // bytes are those of one call, and none of them wait for the last.
+            let mut left = o.records;
+            while left > 0 {
+                let batch = left.min(GEN_BATCH);
+                out.write_all(&g.generate_records(record, batch)).map_err(stdout_err)?;
+                left -= batch;
+            }
             Ok(ExitCode::SUCCESS)
         }
         "cobol" => {

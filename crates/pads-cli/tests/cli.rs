@@ -309,3 +309,101 @@ fn closed_stdout_is_a_hard_failure_not_a_panic() {
     assert!(stderr.contains("pads: stdout: "), "{stderr}");
     assert_eq!(out.status.code(), Some(1), "{stderr}");
 }
+
+/// The repository's bundled description `name`.
+fn bundled(name: &str) -> String {
+    format!("{}/../../descriptions/{name}.pads", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// `-` is standard input, read through the same window as a file: a pipe
+/// from `pads gen` into `accum`, `parse`, `fmt` and `profile` prints the
+/// bytes (stdout, and the exit status) the same records print from a file —
+/// 30 000 CLF records, a few windows' worth, on one thread and on two.
+#[test]
+fn a_piped_source_prints_what_the_file_does() {
+    let clf = bundled("clf");
+    let gen = || pads().args(["gen", &clf, "--records", "30000"]).stdout(Stdio::piped()).spawn();
+    let file = write_temp("piped.log", b"");
+    let mut whole = gen().expect("spawn pads gen");
+    std::io::copy(
+        whole.stdout.as_mut().expect("piped"),
+        &mut std::fs::File::create(&file).expect("temp file"),
+    )
+    .expect("write corpus");
+    assert!(whole.wait().expect("pads gen").success());
+    let commands: [&[&str]; 5] = [
+        &["accum"],
+        &["accum", "--jobs", "2"],
+        &["parse", "--format", "xml", "--jobs", "2"],
+        &["fmt"],
+        &["profile"],
+    ];
+    for command in commands {
+        let run = |source: &std::ffi::OsStr, stdin: Stdio| {
+            let out = pads()
+                .args([command[0], &clf])
+                .arg(source)
+                .args(&command[1..])
+                .stdin(stdin)
+                .output()
+                .expect("run pads");
+            assert!(matches!(out.status.code(), Some(0 | 2)), "{command:?}: {:?}", out.status);
+            (out.status.code(), out.stdout)
+        };
+        let mut gen = gen().expect("spawn pads gen");
+        let piped = run("-".as_ref(), gen.stdout.take().expect("piped").into());
+        assert!(gen.wait().expect("pads gen").success());
+        assert!(piped == run(file.as_os_str(), Stdio::null()), "{command:?}");
+    }
+}
+
+/// A source that cannot be opened or read is the hard failure `pads:
+/// <path>: <error>` — status 1, nothing on stdout — on every streaming
+/// subcommand; and a journal needs a file it can fingerprint and seek in,
+/// which standard input is not.
+#[test]
+fn an_unreadable_source_is_a_hard_failure() {
+    let clf = bundled("clf");
+    let dir = std::env::temp_dir();
+    let dir = dir.to_str().expect("utf-8 temp dir");
+    for (source, error) in [
+        ("/definitely/not/a/file", "No such file or directory (os error 2)"),
+        (dir, "Is a directory (os error 21)"),
+    ] {
+        for command in ["parse", "accum", "fmt", "profile", "query"] {
+            let out = pads().args([command, &clf, source, "/elt"]).output().expect("run pads");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(stderr, format!("pads: {source}: {error}\n"), "{command}");
+            assert_eq!((out.status.code(), out.stdout.len()), (Some(1), 0), "{command}");
+        }
+    }
+    let out = pads()
+        .args(["parse", &clf, "-", "--journal", "/tmp/never-created.wal"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run pads");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("pads: --journal needs a seekable file"), "{stderr}");
+    assert_eq!((out.status.code(), stderr.lines().count()), (Some(1), 1), "{stderr}");
+}
+
+/// `pads gen` writes a batch of records at a time and the bytes are those
+/// of generating them all at once, for every bundled description.
+#[test]
+fn gen_in_batches_writes_the_bytes_of_one_call() {
+    for (name, schema) in [
+        ("clf", pads::descriptions::clf()),
+        ("sirius", pads::descriptions::sirius()),
+        ("mixed", pads::descriptions::mixed()),
+    ] {
+        let out = pads()
+            .args(["gen", &bundled(name), "--records", "2500", "--seed", "7"])
+            .output()
+            .expect("run pads");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let record = pads::SourceShape::infer(&schema).expect("bundled sources stream").record;
+        let config = pads_gen::GenConfig { seed: 7, ..Default::default() };
+        let at_once = pads_gen::Generator::new(&schema, config).generate_records(record, 2500);
+        assert!(out.stdout == at_once, "{name}");
+    }
+}

@@ -2,8 +2,10 @@
 //!
 //! Linux carries the spawning process's own high-water mark across `exec`
 //! into the child's `ru_maxrss`, so a test binary that reads peak RSS must
-//! stay smaller than the children it measures: corpora are written a piece
-//! at a time and child output goes to `/dev/null`.
+//! stay smaller than the children it measures — which peak at a few
+//! megabytes: corpora are written a piece at a time, child output goes to
+//! `/dev/null`, and [`pads_usage`] refuses a figure that is not above this
+//! process's own (the check `benchmark/src/sys.rs` documents).
 #![cfg(all(target_os = "linux", target_pointer_width = "64"))]
 // Each test binary uses its own part of this module.
 #![allow(dead_code)]
@@ -65,10 +67,21 @@ pub fn pads_usage(args: &[&str]) -> Usage {
     assert_eq!(reaped, pid, "wait4: {}", std::io::Error::last_os_error());
     // Exited normally, with "clean" or "data errors".
     assert!(status & 0x7f == 0 && [0, 2].contains(&((status >> 8) & 0xff)), "status {status:#x}");
-    Usage {
-        peak_rss_kib: u64::try_from(usage.maxrss).expect("ru_maxrss"),
-        voluntary_switches: u64::try_from(usage.nvcsw).expect("ru_nvcsw"),
-    }
+    let peak_rss_kib = u64::try_from(usage.maxrss).expect("ru_maxrss");
+    let own = own_peak_rss_kib();
+    assert!(
+        peak_rss_kib > own,
+        "pads {args:?} peaked at {peak_rss_kib} KiB, not above this process's own {own} KiB: \
+         the figure may be this process's, carried across exec"
+    );
+    Usage { peak_rss_kib, voluntary_switches: u64::try_from(usage.nvcsw).expect("ru_nvcsw") }
+}
+
+/// This process's peak resident set so far, KiB (`VmHWM`).
+fn own_peak_rss_kib() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+    let hwm = status.lines().find_map(|line| line.strip_prefix("VmHWM:")).expect("VmHWM");
+    hwm.trim().trim_end_matches("kB").trim().parse().expect("VmHWM in kB")
 }
 
 /// Records per generated piece of a corpus.

@@ -62,7 +62,6 @@ pub mod eval;
 pub mod parallel;
 pub mod parse;
 pub mod source;
-pub mod stream;
 pub mod value;
 pub mod verify;
 pub mod vm;
@@ -83,7 +82,6 @@ pub use eval::{Env, Ev};
 pub use parse::{has_syntax_error, Elements, Engine, PadsParser, ParseOptions, Records};
 pub use source::{RecordSink, SourceEnd, SourceFold, SourceJob, SourceShape, SourceSummary};
 pub use vm::VmProgram;
-pub use stream::StreamRecords;
 pub use value::Value;
 pub use verify::{Verifier, Violation};
 pub use write::Writer;

@@ -278,19 +278,36 @@ impl<'s> PadsParser<'s> {
         mask: &'p Mask,
         resume: ResumePoint,
     ) -> Records<'p, 's, 'd> {
-        Records::open(ParserRef::Borrowed(self), data, name, mask, resume)
+        self.records_in(data, (0, usize::MAX), name, mask, resume)
     }
 
-    /// [`records_resumed`](Self::records_resumed) for a parser the iterator
-    /// owns: what a shard worker opens over its own thread-local parser.
-    pub(crate) fn into_records<'p, 'd>(
-        self,
+    /// [`records_resumed`](Self::records_resumed) over a window of the
+    /// source: `data[0]` is the source's byte `base`, `resume` and every
+    /// position reported are whole-source ones, and the iteration ends at
+    /// byte `until` — a record boundary — short of the window's end, so
+    /// that a record's own end-of-source test sees the bytes that follow.
+    pub(crate) fn records_in<'p, 'd>(
+        &'p self,
         data: &'d [u8],
+        (base, until): (usize, usize),
         name: &str,
         mask: &'p Mask,
         resume: ResumePoint,
     ) -> Records<'p, 's, 'd> {
-        Records::open(ParserRef::Owned(Box::new(self)), data, name, mask, resume)
+        Records::open(ParserRef::Borrowed(self), data, (base, until), name, mask, resume)
+    }
+
+    /// [`records_in`](Self::records_in) for a parser the iterator owns:
+    /// what a shard worker opens over its own thread-local parser.
+    pub(crate) fn into_records<'p, 'd>(
+        self,
+        data: &'d [u8],
+        (base, until): (usize, usize),
+        name: &str,
+        mask: &'p Mask,
+        resume: ResumePoint,
+    ) -> Records<'p, 's, 'd> {
+        Records::open(ParserRef::Owned(Box::new(self)), data, (base, until), name, mask, resume)
     }
 
     /// Drains [`PadsParser::records`] into a columnar
@@ -315,18 +332,6 @@ impl<'s> PadsParser<'s> {
     /// callers sequencing their own entry-point calls.
     pub fn open<'d>(&self, data: &'d [u8]) -> Cursor<'d> {
         self.cursor(data)
-    }
-
-    /// Parses a type by id at the cursor (crate-internal entry point for
-    /// the streaming module).
-    pub(crate) fn parse_named_id(
-        &self,
-        cur: &mut Cursor<'_>,
-        id: TypeId,
-        args: &[Prim],
-        mask: &Mask,
-    ) -> (Value, ParseDesc) {
-        self.parse_def(cur, id, args, mask)
     }
 
     // ---- internals -------------------------------------------------------
@@ -1239,6 +1244,8 @@ pub struct Records<'p, 's, 'd> {
     cur: Cursor<'d>,
     id: TypeId,
     mask: &'p Mask,
+    /// Whole-source offset the iteration ends at, if the slice goes on.
+    until: usize,
     done: bool,
     poison: Option<ErrorCode>,
 }
@@ -1247,6 +1254,7 @@ impl<'p, 's, 'd> Records<'p, 's, 'd> {
     fn open(
         parser: ParserRef<'p, 's>,
         data: &'d [u8],
+        (base, until): (usize, usize),
         name: &str,
         mask: &'p Mask,
         start: ResumePoint,
@@ -1255,9 +1263,9 @@ impl<'p, 's, 'd> Records<'p, 's, 'd> {
             Some(id) => (id, None),
             None => (parser.schema.source(), Some(ErrorCode::InternalError)),
         };
-        let mut cur = parser.cursor(data).with_start(start.offset, start.record);
+        let mut cur = parser.cursor(data).with_base(base).with_start(start.offset, start.record);
         cur.set_budget(start.budget);
-        Records { parser, cur, id, mask, done: false, poison }
+        Records { parser, cur, id, mask, until, done: false, poison }
     }
 
     /// The cursor's current absolute offset (for progress reporting).
@@ -1285,7 +1293,8 @@ impl RecordReader for Records<'_, '_, '_> {
     }
 
     fn position(&self) -> Pos {
-        self.cur.position()
+        let pos = self.cur.position();
+        Pos { offset: pos.offset - self.cur.base(), ..pos }
     }
 
     fn budget(&self) -> ErrorBudget {
@@ -1293,7 +1302,7 @@ impl RecordReader for Records<'_, '_, '_> {
     }
 
     fn seek(&mut self, offset: usize, record: usize) {
-        self.cur.seek(offset, record);
+        self.cur.seek(self.cur.base() + offset, record);
         self.done = false;
     }
 }
@@ -1311,7 +1320,7 @@ impl<'p, 's, 'd> Iterator for Records<'p, 's, 'd> {
             pd.state = ParseState::Partial;
             return Some((Value::Prim(Prim::Unit), pd));
         }
-        if self.cur.at_eof() {
+        if self.cur.at_eof() || self.cur.offset() >= self.until {
             return None;
         }
         let before = self.cur.offset();

@@ -17,6 +17,8 @@
 //! [`observe`](SourceFold::observe), a metrics core hears the same events.
 //! [`SourceShape::infer`] says which sources that holds for.
 
+use std::io::{self, Read};
+
 use pads_check::ir::{MemberIr, Schema, TyUse, TypeId, TypeKind};
 use pads_runtime::par::{self, Job, Progress};
 use pads_runtime::{
@@ -188,113 +190,250 @@ pub struct SourceEnd {
     pub at_eof: bool,
 }
 
+/// Bytes of input the driver holds per job: the window it fills from the
+/// reader, cuts at the last record boundary, parses and refills. It doubles
+/// only while a single record does not fit.
+const WINDOW: usize = 1 << 20;
+
+/// The part of the source the driver holds: `buf[..filled]` are the source's
+/// bytes from `base` on, and `drained` says the reader has no more.
+struct Window<R> {
+    reader: R,
+    buf: Vec<u8>,
+    base: usize,
+    filled: usize,
+    drained: bool,
+}
+
+impl<R: Read> Window<R> {
+    /// Reads until the buffer is full or the reader is drained, however
+    /// short the reads come.
+    fn fill(&mut self) -> io::Result<()> {
+        while !self.drained && self.filled < self.buf.len() {
+            match self.reader.read(&mut self.buf[self.filled..]) {
+                Ok(0) => self.drained = true,
+                Ok(n) => self.filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Doubles the buffer. The new one is zeroed by the allocator, so only
+    /// the pages the source's bytes reach are ever touched.
+    fn grow(&mut self) {
+        let mut bigger = vec![0; self.buf.len().max(1) * 2];
+        bigger[..self.filled].copy_from_slice(&self.buf[..self.filled]);
+        self.buf = bigger;
+    }
+
+    /// Drops everything before source byte `offset`, moving the unconsumed
+    /// tail to the front.
+    fn consume(&mut self, offset: usize) {
+        let used = offset.saturating_sub(self.base).min(self.filled);
+        self.buf.copy_within(used..self.filled, 0);
+        self.filled -= used;
+        self.base += used;
+    }
+}
+
 impl<'s> PadsParser<'s> {
-    /// The one record-run driver: parses `job.shape`'s header (if any) at
-    /// `job.start`, then every record to the end of `data`, handing each to
-    /// `sink` and keeping none.
-    ///
-    /// The records continue the header cursor — same record numbers, byte
-    /// offsets and budget tally as one cursor reading the whole source. How
-    /// they are parsed is the driver's business, decided from what it can
-    /// see: on this thread through
-    /// [`records_resumed`](Self::records_resumed) when `job.jobs <= 1` or
-    /// the attached core [wants events](MetricsCore::wants_events), and
-    /// otherwise sharded
-    /// through [`par::drive`] from the point the header left off, on worker
-    /// threads that each parse with a parser and a counting core of their
-    /// own; the merge feeds the same sink in source order and folds each
-    /// chunk's counters into the attached core. Values, descriptors, budget
-    /// and counters are byte-identical either way, under every recovery
-    /// policy, so the caller never learns which it was.
+    /// [`stream_reader`](Self::stream_reader) over a source that is already
+    /// a slice (a slice is a reader whose reads cannot fail).
     pub fn stream_source<S: RecordSink>(
         &self,
         data: &[u8],
         job: &SourceJob<'_>,
         sink: &mut S,
     ) -> SourceEnd {
-        let SourceJob { shape, mask, start, jobs, max_inflight } = *job;
-        let mut resume = start;
-        let mut pos = Pos { offset: start.offset.min(data.len()), record: start.record, byte: 0 };
-        let end = |budget, pos: Pos, stalled| SourceEnd {
-            budget,
-            pos,
-            stalled,
-            at_eof: pos.offset >= data.len(),
-        };
-        if let Some(header) = shape.header {
-            let mut cur = self.open(data).with_start(start.offset, start.record);
-            cur.set_budget(start.budget);
-            let (value, pd) = self.parse_named(&mut cur, header, &[], mask);
-            pos = cur.position();
-            resume = ResumePoint { offset: pos.offset, record: pos.record, budget: cur.budget() };
-            let progress = Progress { record: start.record, end: pos, budget: resume.budget };
-            if !sink.header(value, pd, &progress) {
-                return end(resume.budget, pos, false);
-            }
+        let offset = job.start.offset.min(data.len());
+        let job = SourceJob { start: ResumePoint { offset, ..job.start }, ..*job };
+        match self.stream_reader(&data[offset..], &job, sink) {
+            Ok(end) => end,
+            Err(e) => unreachable!("reading a slice failed: {e}"),
         }
-        let mut index = 0;
-        let mut stalled = false;
-        let mut deliver = |sink: &mut S, value: &Value, pd: &ParseDesc, progress: &Progress| {
-            stalled = progress.end.offset == pos.offset;
-            pos = progress.end;
-            sink.record(index, value, pd, progress);
-            index += 1;
-        };
+    }
+
+    /// The one record-run driver: parses `job.shape`'s header (if any) at
+    /// `job.start` — where `reader` stands — then every record to the end
+    /// of the input, handing each to `sink` and keeping none.
+    ///
+    /// The source is read through a bounded **window**: 1 MiB per job,
+    /// filled from `reader`, cut at the last record boundary of
+    /// the parser's discipline, parsed, and refilled behind the unconsumed
+    /// tail, so memory is the window and one chunk of records however long
+    /// the source. Positions, record numbers and the budget tally carry on
+    /// from window to window — and from the header to the records — as on
+    /// one cursor reading the whole source, so where the windows fall never
+    /// shows. A source that cannot be cut — `RecordDiscipline::None`, or a
+    /// header or record type that is not a `Precord` and so is not confined
+    /// to its record — is read to its end first.
+    ///
+    /// How a window's records are parsed is the driver's business, decided
+    /// from what it can see: on this thread when `job.jobs <= 1` or the
+    /// attached core [wants events](MetricsCore::wants_events), and
+    /// otherwise sharded through [`par::drive`], on worker threads that
+    /// each parse with a parser and a counting core of their own; the merge
+    /// feeds the same sink in source order and folds each chunk's counters
+    /// into the attached core. Values, descriptors, budget and counters are
+    /// byte-identical either way, under every recovery policy, so the
+    /// caller never learns which it was.
+    ///
+    /// # Errors
+    ///
+    /// The first error `reader` returns. The sink has then been given every
+    /// record that ended before the bytes the failed read was for.
+    pub fn stream_reader<R: Read, S: RecordSink>(
+        &self,
+        reader: R,
+        job: &SourceJob<'_>,
+        sink: &mut S,
+    ) -> io::Result<SourceEnd> {
+        self.stream_windowed(reader, WINDOW, job, sink)
+    }
+
+    /// [`stream_reader`](Self::stream_reader) with the window size as an
+    /// argument, for the tests that show it never matters.
+    #[doc(hidden)]
+    pub fn stream_windowed<R: Read, S: RecordSink>(
+        &self,
+        reader: R,
+        window: usize,
+        job: &SourceJob<'_>,
+        sink: &mut S,
+    ) -> io::Result<SourceEnd> {
+        let SourceJob { shape, mask, start, jobs, max_inflight } = *job;
+        let (schema, registry, options) = (self.schema(), self.registry(), self.options());
         let core = self.metrics();
         // A profile or a trace needs one ordered event stream, and an
         // unknown record name poisons the reader with a single error item,
         // which has no per-chunk meaning.
         let sequential = jobs <= 1
             || core.is_some_and(|core| core.borrow().wants_events())
-            || self.schema().type_id(shape.record).is_none();
-        let budget = if sequential {
-            let mut records = self.records_resumed(data, shape.record, mask, resume);
-            let mut record = resume.record;
-            while let Some((value, pd)) = records.next() {
-                let progress =
-                    Progress { record, end: records.position(), budget: records.budget() };
-                deliver(sink, &value, &pd, &progress);
-                sink.observed();
-                record += 1;
-            }
-            records.budget()
-        } else {
-            let (schema, registry, options) = (self.schema(), self.registry(), self.options());
-            let job = Job {
-                data,
-                discipline: options.discipline,
-                charset: options.charset,
-                policy: options.policy,
-                jobs,
-                max_inflight,
-                resume,
-            };
-            // Handles do not cross threads; the cores behind them do. Each
-            // reader's thread builds its own parser and, if this one is
-            // observed, its own core over the same type table, drained
-            // after every chunk.
-            let observed = core.is_some();
-            let open = |slice, policy, start| {
-                let mut parser = PadsParser::new(schema, registry)
-                    .with_options(ParseOptions { policy, ..options });
-                let worker = observed.then(|| parser.metrics_core().into_handle());
-                if let Some(worker) = &worker {
-                    parser = parser.with_metrics(worker.clone());
-                }
-                let records = parser.into_records(slice, shape.record, mask, start);
-                (records, move || worker.as_ref().map(|worker| worker.borrow_mut().drain()))
-            };
-            par::drive(&job, open, |chunk, delta: Option<MetricsCore>| {
-                for parsed in chunk.iter() {
-                    deliver(sink, &parsed.item, &parsed.pd, &parsed.progress);
-                }
-                if let (Some(core), Some(delta)) = (core, delta) {
-                    core.borrow_mut().merge(&delta);
-                }
-                sink.observed();
-            })
+            || schema.type_id(shape.record).is_none();
+        let framed = |name| schema.type_id(name).is_some_and(|id| schema.def(id).is_record);
+        let cuttable = framed(shape.record) && shape.header.is_none_or(framed);
+        let newline = options.charset.encode(b'\n');
+        let mut win = Window {
+            reader,
+            buf: vec![0; window.saturating_mul(if sequential { 1 } else { jobs }).max(1)],
+            base: start.offset,
+            filled: 0,
+            drained: false,
         };
-        end(budget, pos, stalled)
+
+        let mut header = shape.header;
+        let mut resume = start;
+        let mut pos = Pos { offset: start.offset, record: start.record, byte: 0 };
+        let mut index = 0;
+        let mut stalled = false;
+        loop {
+            let read = win.fill();
+            // While the reader has more, the cut leaves the window's last
+            // byte out and the readers below get it: a record that asks
+            // whether the source ends with it then sees that it does not.
+            // (After a failed read nothing will follow, and every record
+            // before it is due to the sink.)
+            let data = &win.buf[..win.filled];
+            let cut = match (win.drained, cuttable) {
+                (true, _) => win.filled,
+                (false, false) => 0,
+                (false, true) => {
+                    let ahead = usize::from(read.is_ok());
+                    let whole = &data[..win.filled.saturating_sub(ahead)];
+                    par::last_record_end(whole, options.discipline, newline)
+                }
+            };
+            if cut == 0 && !win.drained {
+                read?;
+                win.grow();
+                continue;
+            }
+            let (base, until) = (win.base, win.base + cut);
+            if let Some(header) = header.take() {
+                let mut cur = self.open(data).with_base(base);
+                cur.seek(start.offset, start.record);
+                cur.set_budget(start.budget);
+                let (value, pd) = self.parse_named(&mut cur, header, &[], mask);
+                (pos, resume.budget) = (cur.position(), cur.budget());
+                (resume.offset, resume.record) = (pos.offset, pos.record);
+                let progress = Progress { record: start.record, end: pos, budget: resume.budget };
+                if !sink.header(value, pd, &progress) {
+                    read?;
+                    break;
+                }
+            }
+            let from = resume;
+            let mut deliver = |sink: &mut S, value: &Value, pd: &ParseDesc, progress: &Progress| {
+                stalled = progress.end.offset == pos.offset;
+                pos = progress.end;
+                resume.record = progress.record + 1;
+                sink.record(index, value, pd, progress);
+                index += 1;
+            };
+            let budget = if sequential {
+                let mut records = self.records_in(data, (base, until), shape.record, mask, from);
+                let mut record = from.record;
+                while let Some((value, pd)) = records.next() {
+                    let progress =
+                        Progress { record, end: records.position(), budget: records.budget() };
+                    deliver(sink, &value, &pd, &progress);
+                    sink.observed();
+                    record += 1;
+                }
+                records.budget()
+            } else {
+                // The driver below works in the coordinates of the slice it
+                // is given — the whole records of the window — and so do
+                // the readers it asks about theirs.
+                let job = Job {
+                    data: &data[..cut],
+                    discipline: options.discipline,
+                    charset: options.charset,
+                    policy: options.policy,
+                    jobs,
+                    max_inflight,
+                    resume: ResumePoint { offset: from.offset - base, ..from },
+                };
+                // Handles do not cross threads; the cores behind them do. Each
+                // reader's thread builds its own parser and, if this one is
+                // observed, its own core over the same type table, drained
+                // after every chunk.
+                let observed = core.is_some();
+                let open = |_cut: &[u8], policy, start: ResumePoint| {
+                    let mut parser = PadsParser::new(schema, registry)
+                        .with_options(ParseOptions { policy, ..options });
+                    let worker = observed.then(|| parser.metrics_core().into_handle());
+                    if let Some(worker) = &worker {
+                        parser = parser.with_metrics(worker.clone());
+                    }
+                    let start = ResumePoint { offset: base + start.offset, ..start };
+                    let records =
+                        parser.into_records(data, (base, until), shape.record, mask, start);
+                    (records, move || worker.as_ref().map(|worker| worker.borrow_mut().drain()))
+                };
+                par::drive(&job, open, |chunk, delta: Option<MetricsCore>| {
+                    for parsed in chunk.iter() {
+                        let mut progress = parsed.progress;
+                        progress.end.offset += base;
+                        deliver(sink, &parsed.item, &parsed.pd, &progress);
+                    }
+                    if let (Some(core), Some(delta)) = (core, delta) {
+                        core.borrow_mut().merge(&delta);
+                    }
+                    sink.observed();
+                })
+            };
+            (resume.offset, resume.budget) = (pos.offset, budget);
+            read?;
+            if win.drained || stalled || budget.stopped() {
+                break;
+            }
+            win.consume(pos.offset);
+        }
+        let at_eof = win.drained && pos.offset >= win.base + win.filled;
+        Ok(SourceEnd { budget: resume.budget, pos, stalled, at_eof })
     }
 }
 

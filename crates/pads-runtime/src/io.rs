@@ -10,7 +10,11 @@
 //! For the paper's very-large-source requirement (§1: netflow at 1 Gbit/s,
 //! 300 M calls/day), a cursor never copies the input: it is a window over a
 //! caller-owned byte slice, and the interpreter exposes record-at-a-time and
-//! element-at-a-time entry points on top of it.
+//! element-at-a-time entry points on top of it. The slice need not be the
+//! whole source: a cursor [`with_base`](Cursor::with_base) reads a window
+//! of it and reports every position — `offset()`, `position()`, each `Loc`,
+//! each metrics event — in whole-source coordinates, while the byte access
+//! in this file stays window-relative.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -62,9 +66,10 @@ pub enum RecordDiscipline {
 }
 
 /// The record length a [`RecordDiscipline::LengthPrefixed`] header encodes:
-/// the one decode behind the cursor, the shard cutter and the reader-backed
-/// stream. A length beyond `usize` saturates rather than overflows; it can
-/// never fit a source, so every framing path reports it as a bad header.
+/// the one decode behind the cursor, the shard cutter and the source
+/// driver's window cut. A length beyond `usize` saturates rather than
+/// overflows; it can never fit a source, so every framing path reports it
+/// as a bad header.
 pub fn length_prefix(header: &[u8], endian: Endian) -> usize {
     let fold = |len: usize, &b: &u8| len.checked_mul(256).map_or(usize::MAX, |l| l | b as usize);
     match endian {
@@ -112,6 +117,9 @@ pub enum RecordOpen {
 #[derive(Debug, Clone)]
 pub struct Cursor<'a> {
     data: &'a [u8],
+    /// Whole-source offset of `data[0]`; `pos`, `rec_start` and `rec_end`
+    /// index `data`.
+    base: usize,
     pos: usize,
     /// Bits of `data[pos]` already consumed by `read_bits` (0–7). Byte-level
     /// reads align forward, discarding any partial byte (C bit-field padding
@@ -149,6 +157,7 @@ impl<'a> Cursor<'a> {
     pub fn new(data: &'a [u8]) -> Cursor<'a> {
         Cursor {
             data,
+            base: 0,
             pos: 0,
             bit_off: 0,
             charset: Charset::Ascii,
@@ -164,10 +173,23 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Declares the slice a window of a larger source whose byte `base` is
+    /// the slice's first (builder style, before any positioning): every
+    /// offset the cursor takes or reports is then a whole-source one.
+    pub fn with_base(mut self, base: usize) -> Cursor<'a> {
+        self.base = base;
+        self
+    }
+
+    /// Whole-source offset of the first byte of the slice.
+    pub fn base(&self) -> usize {
+        self.base
+    }
+
     /// Positions the cursor at a committed record boundary (builder style):
     /// byte `offset` becomes the start of record number `record`. Used by
     /// resume paths that re-open a source at a checkpoint; `offset` is
-    /// clamped to the source length.
+    /// clamped to the slice.
     pub fn with_start(mut self, offset: usize, record: usize) -> Cursor<'a> {
         self.seek(offset, record);
         self
@@ -176,7 +198,7 @@ impl<'a> Cursor<'a> {
     /// Moves the cursor to byte `offset`, a record boundary where record
     /// number `record` starts. The budget tally is left as it is.
     pub fn seek(&mut self, offset: usize, record: usize) {
-        let offset = offset.min(self.data.len());
+        let offset = offset.saturating_sub(self.base).min(self.data.len());
         self.pos = offset;
         self.bit_off = 0;
         self.rec_start = offset;
@@ -377,7 +399,7 @@ impl<'a> Cursor<'a> {
             }
         }
         let index = self.rec_index.saturating_sub(1);
-        c.note_record(index, self.rec_start, self.offset(), pd.nerr);
+        c.note_record(index, self.base + self.rec_start, self.offset(), pd.nerr);
     }
 
     /// Whether the budget is exhausted and further records should be framed
@@ -417,6 +439,12 @@ impl<'a> Cursor<'a> {
     /// been consumed by [`read_bits`](Cursor::read_bits), this is the next
     /// *whole* byte (partial bytes pad forward, like C bit fields).
     pub fn offset(&self) -> usize {
+        self.base + self.at()
+    }
+
+    /// [`offset`](Cursor::offset) as an index into the slice.
+    #[inline]
+    fn at(&self) -> usize {
         self.pos + (self.bit_off != 0) as usize
     }
 
@@ -463,8 +491,12 @@ impl<'a> Cursor<'a> {
 
     /// Full position (record coordinates included).
     pub fn position(&self) -> Pos {
-        let p = self.offset();
-        Pos { offset: p, record: self.rec_index, byte: p.saturating_sub(self.rec_start) }
+        let p = self.at();
+        Pos {
+            offset: self.base + p,
+            record: self.rec_index,
+            byte: p.saturating_sub(self.rec_start),
+        }
     }
 
     /// Whether the cursor is inside an open record.
@@ -472,16 +504,16 @@ impl<'a> Cursor<'a> {
         self.rec_end.is_some()
     }
 
-    /// Exclusive upper bound for reads: the current record end, or the end
-    /// of the source when no record is open.
-    pub fn limit(&self) -> usize {
+    /// Exclusive upper bound for reads, as an index into the slice: the
+    /// current record end, or the end of the slice when no record is open.
+    fn limit(&self) -> usize {
         self.rec_end.unwrap_or(self.data.len())
     }
 
     /// Bytes available before the read limit (a partially consumed byte
     /// does not count).
     pub fn remaining(&self) -> usize {
-        self.limit().saturating_sub(self.offset())
+        self.limit().saturating_sub(self.at())
     }
 
     /// Whether the source is exhausted. Also true once the error budget has
@@ -489,7 +521,7 @@ impl<'a> Cursor<'a> {
     /// deliberately left unread, and every loop conditioned on end-of-input
     /// terminates without reporting further errors.
     pub fn at_eof(&self) -> bool {
-        self.budget.stopped() || self.offset() >= self.data.len()
+        self.budget.stopped() || self.at() >= self.data.len()
     }
 
     /// Whether the cursor sits at the end of the current record. Outside an
@@ -497,10 +529,10 @@ impl<'a> Cursor<'a> {
     /// under the discipline (newline, or end of source).
     pub fn at_eor(&self) -> bool {
         match self.rec_end {
-            Some(end) => self.offset() >= end,
+            Some(end) => self.at() >= end,
             None => match self.disc {
                 RecordDiscipline::Newline => {
-                    self.at_eof() || self.data[self.offset()] == self.charset.encode(b'\n')
+                    self.at_eof() || self.data[self.at()] == self.charset.encode(b'\n')
                 }
                 _ => self.at_eof(),
             },
@@ -684,13 +716,13 @@ impl<'a> Cursor<'a> {
     /// The next raw byte within the read limit, without consuming it
     /// (skipping any partially consumed byte).
     pub fn peek(&self) -> Option<u8> {
-        let p = self.offset();
+        let p = self.at();
         (p < self.limit()).then(|| self.data[p])
     }
 
     /// The raw byte `i` positions ahead, within the read limit.
     pub fn peek_at(&self, i: usize) -> Option<u8> {
-        let p = self.offset() + i;
+        let p = self.at() + i;
         (p < self.limit()).then(|| self.data[p])
     }
 
@@ -728,12 +760,12 @@ impl<'a> Cursor<'a> {
 
     /// The unread bytes of the current record (or source).
     pub fn rest(&self) -> &'a [u8] {
-        &self.data[self.offset()..self.limit()]
+        &self.data[self.at()..self.limit()]
     }
 
     /// Distance to the first occurrence of raw byte `b` within the limit.
     /// The record bound is applied once — `rest()` is a slice ending at
-    /// [`limit()`](Cursor::limit) — and the scan kernel runs on the slice
+    /// the read limit — and the scan kernel runs on the slice
     /// with no per-byte limit checks.
     pub fn find_byte(&self, b: u8) -> Option<usize> {
         scan::find_byte(self.rest(), b)
@@ -794,7 +826,7 @@ impl<'a> Cursor<'a> {
         Some(s)
     }
 
-    /// Entire underlying source.
+    /// The entire underlying slice.
     pub fn source(&self) -> &'a [u8] {
         self.data
     }
@@ -918,6 +950,20 @@ mod tests {
         assert_eq!(p.record, 1);
         assert_eq!(p.byte, 0);
         assert_eq!(p.offset, 2);
+    }
+
+    #[test]
+    fn a_window_reports_whole_source_positions() {
+        // Bytes 100.. of some source; record 7 starts at its byte 103.
+        let mut c = Cursor::new(b"cd\nef\n").with_base(100).with_start(103, 7);
+        c.begin_record().unwrap();
+        assert_eq!(c.rest(), b"ef");
+        c.advance(1);
+        assert_eq!(c.position(), Pos { offset: 104, record: 7, byte: 1 });
+        c.end_record();
+        assert_eq!((c.offset(), c.at_eof()), (106, true));
+        c.seek(100, 6);
+        assert_eq!(c.peek(), Some(b'c'));
     }
 
     #[test]

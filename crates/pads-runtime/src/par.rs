@@ -197,6 +197,31 @@ fn record_end(data: &[u8], disc: RecordDiscipline, newline: u8, pos: usize) -> u
     }
 }
 
+/// One past the last record of `data` that is whole whatever follows `data`
+/// in its source — where a window of a longer source may be cut — or 0 when
+/// no record is known to end inside it (also under the disciplines whose
+/// one record is the rest of the source, as the shard cutter frames them).
+pub fn last_record_end(data: &[u8], disc: RecordDiscipline, newline: u8) -> usize {
+    let len = data.len();
+    match disc {
+        RecordDiscipline::None | RecordDiscipline::FixedWidth(0) => 0,
+        RecordDiscipline::Newline => scan::rfind_byte(data, newline).map_or(0, |i| i + 1),
+        RecordDiscipline::FixedWidth(w) => len - len % w,
+        RecordDiscipline::LengthPrefixed { header_bytes, endian } => {
+            let mut pos = 0;
+            while header_bytes > 0 && header_bytes <= len - pos {
+                let body = pos + header_bytes;
+                let rec_len = length_prefix(&data[pos..body], endian);
+                if rec_len > len - body {
+                    break;
+                }
+                pos = body + rec_len;
+            }
+            pos
+        }
+    }
+}
+
 /// Default bound on the records a worker may hold ahead of the in-order
 /// merge: deep enough to decouple workers from merge stalls, shallow enough
 /// to keep retained memory O(jobs · max_inflight) instead of O(all records).
@@ -640,7 +665,19 @@ mod tests {
                 prop_assert_eq!((cut.index, cut.first_record, cut.records), (nth, nth, 1));
                 cut_ends.push(cut.end);
             }
-            prop_assert_eq!(cut_ends, cursor_record_ends(&data, discipline, charset));
+            prop_assert_eq!(&cut_ends, &cursor_record_ends(&data, discipline, charset));
+
+            // A window cut falls on one of those ends, and on one that
+            // stays a record end whatever the source goes on with.
+            let cut = last_record_end(&data, discipline, charset.encode(b'\n'));
+            let kept: Vec<usize> = cut_ends.iter().copied().filter(|&end| end <= cut).collect();
+            prop_assert_eq!(kept.last().copied().unwrap_or(0), cut);
+            for more in [&[0u8, 0][..], b"\n", &[0xFF; 9], &[0x25]] {
+                let longer = [&data[..], more].concat();
+                let mut ends = cursor_record_ends(&longer, discipline, charset);
+                ends.retain(|&end| end <= cut);
+                prop_assert_eq!(&ends, &kept, "followed by {:?}", more);
+            }
         }
     }
 

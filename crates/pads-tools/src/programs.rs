@@ -29,20 +29,20 @@ impl<F: FnMut(&Value, &ParseDesc)> RecordSink for Records<F> {
     }
 }
 
-/// Runs the source driver over `data`: the header is parsed with the source
-/// cursor and the records continue it, so every location a descriptor
-/// carries is in whole-source coordinates.
+/// Runs the source driver over `reader`: the header is parsed with the
+/// source cursor and the records continue it, so every location a
+/// descriptor carries is in whole-source coordinates.
 fn each_record(
     schema: &Schema,
     registry: &Registry,
     options: ParseOptions,
     shape: &SourceShape<'_>,
-    data: &[u8],
+    reader: impl io::Read,
     f: impl FnMut(&Value, &ParseDesc),
-) {
+) -> io::Result<()> {
     let parser = PadsParser::new(schema, registry).with_options(options);
     let mask = Mask::all(BaseMask::CheckAndSet);
-    parser.stream_source(data, &SourceJob::new(*shape, &mask), &mut Records(f));
+    parser.stream_reader(reader, &SourceJob::new(*shape, &mask), &mut Records(f)).map(drop)
 }
 
 /// The generated accumulator program: parse the whole source record by
@@ -70,35 +70,36 @@ pub fn accumulator_program<'s>(
 
 /// The generated formatting program: one delimited line per record, with
 /// an optional date output format and mask-based column suppression
-/// (§5.3.1), written to `out` record by record.
+/// (§5.3.1), read from `reader` a window at a time and written to `out`
+/// record by record.
 ///
 /// # Errors
 ///
-/// The first error writing to `out`, if any.
+/// The outer error is the first failed read of `reader`; the inner one the
+/// first failed write to `out`, after which nothing more is written.
 ///
 /// # Panics
 ///
 /// Panics if the shape names types not declared in `schema`.
-pub fn format_source<W: io::Write>(
+pub fn format_source<R: io::Read, W: io::Write>(
     schema: &Schema,
     registry: &Registry,
     options: ParseOptions,
     shape: &SourceShape<'_>,
-    data: &[u8],
+    reader: R,
     formatter: &Formatter,
     mut out: W,
-) -> io::Result<()> {
-    // The first write error is kept, and nothing is written after it.
+) -> io::Result<io::Result<()>> {
     let mut failed = None;
-    each_record(schema, registry, options, shape, data, |v, _| {
+    each_record(schema, registry, options, shape, reader, |v, _| {
         if failed.is_none() {
             failed = writeln!(out, "{}", formatter.format(v)).err();
         }
-    });
-    match failed {
+    })?;
+    Ok(match failed {
         Some(e) => Err(e),
         None => out.flush(),
-    }
+    })
 }
 
 /// [`format_source`] into a `String`.
@@ -115,7 +116,7 @@ pub fn formatting_program(
     formatter: &Formatter,
 ) -> String {
     let mut out = Vec::new();
-    // Writing into a `Vec` cannot fail.
+    // Reading a slice and writing into a `Vec` cannot fail.
     let _ = format_source(schema, registry, options, shape, data, formatter, &mut out);
     String::from_utf8_lossy(&out).into_owned()
 }
@@ -136,8 +137,8 @@ pub fn xml_program(
     root_tag: &str,
 ) -> String {
     let mut out = format!("<{root_tag}>\n");
-    each_record(schema, registry, options, shape, data, |v, pd| {
-        // Writing into a `String` cannot fail.
+    // Reading a slice cannot fail, nor can writing into a `String`.
+    let _ = each_record(schema, registry, options, shape, data, |v, pd| {
         let _ = write_xml(&mut out, v, Some(pd), shape.record, 2);
     });
     out.push_str(&format!("</{root_tag}>\n"));

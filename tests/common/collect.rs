@@ -21,16 +21,23 @@ pub fn counts_json(core: &MetricsHandle) -> String {
     pads_observe::metrics::counts_json(&core.borrow())
 }
 
-/// Every record with the progress it arrived with, and how many times the
-/// driver said the attached core was exact.
+/// The header, if the source has one, and every record, each with the
+/// progress it arrived with, and how many times the driver said the attached
+/// core was exact.
 #[derive(Default)]
 pub struct Collect {
+    pub header: Option<(Value, ParseDesc, Progress)>,
     pub items: Vec<(Value, ParseDesc)>,
     pub progress: Vec<Progress>,
     pub observed: usize,
 }
 
 impl RecordSink for Collect {
+    fn header(&mut self, value: Value, pd: ParseDesc, progress: &Progress) -> bool {
+        self.header = Some((value, pd, *progress));
+        true
+    }
+
     fn record(&mut self, index: usize, value: &Value, pd: &ParseDesc, progress: &Progress) {
         assert_eq!(index, self.items.len(), "indices are dense and in record order");
         self.items.push((value.clone(), pd.clone()));

@@ -7,17 +7,28 @@
 //! matrix (`pads-cli/tests/stream_matrix.rs`) pins the printed bytes; this
 //! file pins the data underneath, and the §5.2 programs that ride the
 //! driver.
+//!
+//! The driver reads its source through a bounded window; the second half
+//! of this file shows that where the windows fall never shows — whatever
+//! the framing, the window size, the reads' lengths and the job count — and
+//! what a hostile reader (a length prefix that lies, a read that fails)
+//! gets.
+
+use std::io::{self, Read};
 
 #[path = "common/collect.rs"]
 mod collect;
 
+use collect::{counts_json, metered, Collect};
 use pads::{
-    descriptions, BaseMask, Engine, Mask, OnExhausted, PadsParser, ParseDesc, ParseOptions, PdKind,
-    Progress, RecordSink, RecoveryPolicy, Registry, Schema, SourceFold, SourceJob, SourceShape,
-    SourceSummary, Value,
+    compile, descriptions, BaseMask, Charset, Endian, Engine, Mask, OnExhausted, PadsParser,
+    ParseDesc, ParseOptions, PdKind, Progress, RecordDiscipline, RecordSink, RecoveryPolicy,
+    Registry, Schema, SourceEnd, SourceFold, SourceJob, SourceShape, SourceSummary, Value,
 };
-use collect::{counts_json, metered};
+use pads_runtime::fault::{FaultReader, Xorshift};
 use pads_tools::{accumulator_program, value_to_xml, xml_program};
+use proptest::prelude::*;
+use proptest::sample;
 
 const CLF: &[u8] = include_bytes!("data/torture_clf.log");
 const SIRIUS: &[u8] = include_bytes!("data/torture_sirius.txt");
@@ -262,5 +273,293 @@ fn an_events_wanting_core_keeps_the_run_sequential() {
         let sequential = profile(1);
         assert!(sequential.0.lines().count() > 3, "{name}: {}", sequential.0);
         assert_eq!(profile(4), sequential, "{name}: jobs = 4 profile");
+    }
+}
+
+/// Hands `data` out in reads of 1 to 40 bytes, whatever buffer it is given.
+struct ShortReads<'a> {
+    data: &'a [u8],
+    rng: Xorshift,
+}
+
+impl Read for ShortReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = (1 + self.rng.below(40)).min(buf.len());
+        self.data.read(&mut buf[..n])
+    }
+}
+
+/// Everything a run hands over or leaves behind: the sink's header and
+/// records, each with its `Progress`; how the run ended; the counters of the
+/// core attached to the parser.
+type Run = (
+    Option<(Value, ParseDesc, Progress)>,
+    Vec<(Value, ParseDesc)>,
+    Vec<Progress>,
+    SourceEnd,
+    Vec<u8>,
+);
+
+/// What `drive` — a call of the driver on the parser it is given, into the
+/// sink it is given — hands over and leaves behind.
+fn run(
+    parser: PadsParser<'_>,
+    drive: impl FnOnce(&PadsParser<'_>, &mut Collect) -> SourceEnd,
+) -> Run {
+    let (parser, core) = metered(parser);
+    let mut sink = Collect::default();
+    let end = drive(&parser, &mut sink);
+    let counters = core.borrow().snapshot();
+    (sink.header, sink.items, sink.progress, end, counters)
+}
+
+fn framings() -> Vec<RecordDiscipline> {
+    use RecordDiscipline::{FixedWidth, LengthPrefixed, Newline};
+    vec![
+        Newline,
+        Newline,
+        FixedWidth(7),
+        FixedWidth(64),
+        // Every record is empty: the first one stalls the run.
+        FixedWidth(0),
+        LengthPrefixed { header_bytes: 0, endian: Endian::Big },
+        // An ASCII byte as a length: records of 32 to 126 bytes.
+        LengthPrefixed { header_bytes: 1, endian: Endian::Big },
+        // Two of them: a length no source has, so the rest is one record.
+        LengthPrefixed { header_bytes: 2, endian: Endian::Little },
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Window geometry never shows. For each bundled description, under any
+    // framing (the text then frames as garbage, which must come out as the
+    // same garbage), policy and engine: a run fed by short reads of random
+    // length through windows of 1 byte to more than the source — smaller
+    // than a record, so the window has to grow; cut so that a stop or a
+    // degraded budget trips in a later window, which `par::drive` replays
+    // and the next window starts from — delivers what one window holding
+    // the whole source does: values, descriptors with their `Loc`s, every
+    // `Progress`, the `SourceEnd`, the attached core's counters.
+    #[test]
+    fn window_geometry_never_shows(
+        discipline in sample::select(framings()),
+        policy in sample::select(policies()),
+        engine in sample::select(vec![Engine::Interp, Engine::Vm]),
+        window in prop_oneof![1usize..100, 1usize..1000],
+        jobs in 1usize..=2,
+        ends_with_newline in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let registry = Registry::standard();
+        let sources: [(&str, Schema, &[u8]); 3] = [
+            ("clf", descriptions::clf(), CLF),
+            ("sirius", descriptions::sirius(), SIRIUS),
+            ("mixed", descriptions::mixed(), MIXED),
+        ];
+        for (name, schema, data) in &sources {
+            let data = &data[..data.len() - usize::from(!ends_with_newline)];
+            let shape = SourceShape::infer(schema).expect("bundled sources stream");
+            let options = ParseOptions { discipline, policy, engine, ..Default::default() };
+            let parser = || PadsParser::new(schema, &registry).with_options(options);
+            let mask = mask();
+            let whole = SourceJob::new(shape, &mask);
+            let want = run(parser(), |parser, sink| parser.stream_source(data, &whole, sink));
+            let windowed = SourceJob { jobs, max_inflight: 4, ..whole };
+            let reader = ShortReads { data, rng: Xorshift::new(seed) };
+            let got = run(parser(), |parser, sink| {
+                parser.stream_windowed(reader, window, &windowed, sink).expect("reads succeed")
+            });
+            prop_assert!(
+                got == want,
+                "{name} {discipline:?} {policy:?} {engine:?} window={window} jobs={jobs}: \
+                 {got:#?}\nwindowed (above) differs from whole (below)\n{want:#?}"
+            );
+        }
+    }
+}
+
+/// The records of a headerless `record` source as the driver delivers them
+/// from short reads through `window`-byte windows, which must be what the
+/// slice iterator yields — values and descriptors, locations included.
+fn assert_streams_as_the_slice_parses(
+    label: &str,
+    parser: &PadsParser<'_>,
+    record: &str,
+    data: &[u8],
+    window: usize,
+) -> Vec<(Value, ParseDesc)> {
+    let mask = mask();
+    let mut sink = Collect::default();
+    let job = SourceJob::new(SourceShape::records(record), &mask);
+    let reader = ShortReads { data, rng: Xorshift::new(window as u64) };
+    let end = parser.stream_windowed(reader, window, &job, &mut sink).expect("reads succeed");
+    let sliced: Vec<_> = parser.records(data, record, &mask).collect();
+    assert_eq!(sink.items, sliced, "{label} window={window}");
+    assert!(end.at_eof || end.stalled, "{label} window={window}: {end:?}");
+    sink.items
+}
+
+fn with_discipline<'s>(
+    schema: &'s Schema,
+    registry: &'s Registry,
+    discipline: RecordDiscipline,
+) -> PadsParser<'s> {
+    PadsParser::new(schema, registry)
+        .with_options(ParseOptions { discipline, ..Default::default() })
+}
+
+#[test]
+fn newline_streaming_matches_slice_parsing() {
+    let registry = Registry::standard();
+    let schema = compile(
+        "Precord Pstruct r_t { Puint32 n; ','; Pstring(:',':) tag; }; Psource Parray rs_t { r_t[]; };",
+        &registry,
+    )
+    .unwrap();
+    let parser = PadsParser::new(&schema, &registry);
+    for window in [1, 5, 1 << 20] {
+        let items = assert_streams_as_the_slice_parses(
+            "newline",
+            &parser,
+            "r_t",
+            b"1,ab\n2,cd\nbroken\n4,ef\n",
+            window,
+        );
+        let ok: Vec<bool> = items.iter().map(|(_, pd)| pd.is_ok()).collect();
+        assert_eq!(ok, [true, true, false, true]);
+    }
+}
+
+#[test]
+fn fixed_width_streaming() {
+    let registry = Registry::standard();
+    let schema = compile(
+        "Precord Pstruct c_t { Pb_uint16 a; Pb_uint8 b; }; Psource Parray cs_t { c_t[]; };",
+        &registry,
+    )
+    .unwrap();
+    let parser = with_discipline(&schema, &registry, RecordDiscipline::FixedWidth(3));
+    for window in [1, 4, 1 << 20] {
+        let items = assert_streams_as_the_slice_parses(
+            "fixed width",
+            &parser,
+            "c_t",
+            &[0u8, 7, 1, 0, 9, 2],
+            window,
+        );
+        let a: Vec<_> = items.iter().map(|(v, _)| v.at_path("a").and_then(Value::as_u64)).collect();
+        assert_eq!(a, [Some(7), Some(9)]);
+    }
+}
+
+#[test]
+fn truncated_fixed_width_tail_is_flagged() {
+    let registry = Registry::standard();
+    let schema =
+        compile("Precord Pstruct c_t { Pb_uint16 a; }; Psource Parray cs_t { c_t[]; };", &registry)
+            .unwrap();
+    let parser = with_discipline(&schema, &registry, RecordDiscipline::FixedWidth(2));
+    for window in [1, 2, 1 << 20] {
+        // One full record and one truncated byte.
+        let items =
+            assert_streams_as_the_slice_parses("short tail", &parser, "c_t", &[0u8, 7, 9], window);
+        let ok: Vec<bool> = items.iter().map(|(_, pd)| pd.is_ok()).collect();
+        assert_eq!(ok, [true, false]);
+    }
+}
+
+/// Every length-prefixed framing the driver meets parses as the slice path
+/// parses the same bytes — a prefix that lies about a short tail included:
+/// the window grows with the bytes that exist, never with the length a
+/// header announces.
+#[test]
+fn length_prefixed_streaming() {
+    let registry = Registry::standard();
+    let schema = compile(
+        "Precord Pstruct m_t { Pstring_FW(:3:) s; }; Psource Parray ms_t { m_t[]; };",
+        &registry,
+    )
+    .unwrap();
+    let wide = [&[0u8; 9][..], &[3], b"abc", &[0; 9], &[3], b"xyz"].concat();
+    let cases: [(&str, usize, Endian, &[u8], usize); 7] = [
+        ("two records", 2, Endian::Big, &[0, 3, b'a', b'b', b'c', 0, 3, b'x', b'y', b'z'], 2),
+        ("little-endian", 2, Endian::Little, &[3, 0, b'a', b'b', b'c'], 1),
+        // 2^56 bytes announced, three present.
+        ("lying prefix", 8, Endian::Big, &[1, 0, 0, 0, 0, 0, 0, 0, b'a', b'b', b'c'], 0),
+        ("header wider than a usize", 10, Endian::Big, &wide, 2),
+        ("wide header that saturates", 10, Endian::Big, b"\x01\0\0\0\0\0\0\0\0\x03abc", 0),
+        ("header cut short", 4, Endian::Big, &[0, 0], 0),
+        ("body cut short", 2, Endian::Big, &[0, 3, b'a'], 0),
+    ];
+    for (label, header_bytes, endian, data, clean) in cases {
+        let discipline = RecordDiscipline::LengthPrefixed { header_bytes, endian };
+        let parser = with_discipline(&schema, &registry, discipline);
+        for window in [1, 6, 1 << 20] {
+            let items = assert_streams_as_the_slice_parses(label, &parser, "m_t", data, window);
+            let ok = items.iter().filter(|(_, pd)| !pd.err_code.is_error()).count();
+            assert_eq!(ok, clean, "{label}: clean records");
+        }
+    }
+}
+
+/// The window is cut at the newline of the parser's charset, so EBCDIC
+/// sources stream under every framing.
+#[test]
+fn streaming_works_under_ebcdic() {
+    let registry = Registry::standard();
+    let schema =
+        compile("Precord Pstruct r_t { Puint32 n; }; Psource Parray rs_t { r_t[]; };", &registry)
+            .unwrap();
+    // "12" and "34", fixed-width and then newline-terminated (EBCDIC LF is 0x25).
+    let framed: [(RecordDiscipline, &[u8]); 2] = [
+        (RecordDiscipline::FixedWidth(2), &[0xF1, 0xF2, 0xF3, 0xF4]),
+        (RecordDiscipline::Newline, &[0xF1, 0xF2, 0x25, 0xF3, 0xF4, 0x25]),
+    ];
+    for (discipline, data) in framed {
+        let options = ParseOptions { charset: Charset::Ebcdic, discipline, ..Default::default() };
+        let parser = PadsParser::new(&schema, &registry).with_options(options);
+        for window in [1, 3, 1 << 20] {
+            let items = assert_streams_as_the_slice_parses("ebcdic", &parser, "r_t", data, window);
+            let n: Vec<_> =
+                items.iter().map(|(v, _)| v.at_path("n").and_then(Value::as_u64)).collect();
+            assert_eq!(n, [Some(12), Some(34)], "{discipline:?}");
+        }
+    }
+}
+
+/// A reader that fails mid-stream is an error, not a panic and not an
+/// `IoError` record: the run returns it once the sink holds every record
+/// that ended before the failed read — here through the header, whether the
+/// failure falls inside a record or right on a boundary, on one thread or
+/// two.
+#[test]
+fn a_failing_reader_is_an_error_after_the_records_before_it() {
+    let registry = Registry::standard();
+    let schema = descriptions::sirius();
+    let shape = SourceShape::infer(&schema).expect("sirius streams");
+    let mask = mask();
+    let starts: Vec<usize> = [0]
+        .into_iter()
+        .chain(SIRIUS.iter().enumerate().filter(|(_, &b)| b == b'\n').map(|(i, _)| i + 1))
+        .collect();
+    for fail_at in [0, 1, starts[1], starts[4] - 1, starts[4], starts[4] + 1, SIRIUS.len() - 1] {
+        for (jobs, window) in [(1, 1 << 20), (1, 16), (2, 1 << 20), (2, 64)] {
+            let parser = PadsParser::new(&schema, &registry);
+            let mut sink = Collect::default();
+            let job = SourceJob { jobs, max_inflight: 4, ..SourceJob::new(shape, &mask) };
+            let reader = FaultReader::new(SIRIUS.to_vec()).with_chunk(7).with_fail_at(fail_at);
+            let err = parser.stream_windowed(reader, window, &job, &mut sink).unwrap_err();
+            assert_eq!(err.to_string(), "injected fault");
+            // The header is the first of the whole lines before the fault.
+            let whole = starts.iter().filter(|&&start| 0 < start && start <= fail_at).count();
+            let label = format!("fail_at={fail_at} jobs={jobs} window={window}");
+            assert_eq!(sink.header.is_some(), whole > 0, "{label}");
+            assert_eq!(sink.items.len(), whole.saturating_sub(1), "{label}");
+            let mut want = Collect::default();
+            parser.stream_source(SIRIUS, &SourceJob::new(shape, &mask), &mut want);
+            assert_eq!(sink.items, want.items[..sink.items.len()], "{label}");
+        }
     }
 }
