@@ -11,19 +11,22 @@
 //! pads parse  <descr.pads> <data> [--format {report,xml,none}]  parse; report, XML, or discard
 //!             [--trace[=json]]                  dump the parse-span tree
 //!             [--metrics[=prom|json]]           emit runtime metrics
-//!             [--profile]                       per-node cost table on stderr
+//!             [--profile [--times]]             per-node cost table on stderr
 //!             [--jobs N]                        parse chunks of records on N worker threads
 //!             [--engine {vm,interp}]            execution engine (default vm; see docs/VM.md)
+//!             [--max-inflight-records N]        … at most N parsed ahead, per worker
 //!             [--journal <path> [--resume]]     durable ingest (see docs/DURABILITY.md)
 //! pads profile <descr.pads> <data>              per-schema-node cost profile
 //!             [--folded]                        folded stacks (flamegraph input)
 //!             [--times]                         add sampled self-time column
 //! pads accum  <descr.pads> <data> [--summaries]  §5.2 accumulator report
-//!             [--jobs N]                        … from N worker threads, same report
-//! pads fmt    <descr.pads> <data> [opts]        §5.3.1 delimited output
+//!             [--tracked N] [--top N]           distinct values tracked / printed
+//!             [--jobs N] [--max-inflight-records N]  … from N worker threads, same report
+//! pads fmt    <descr.pads> <data>               §5.3.1 delimited output
+//!             [--delim D] [--date-fmt F]
 //! pads xsd    <descr.pads>                      §5.3.2 XML Schema
 //! pads query  <descr.pads> <data> <query>       §5.4 path query (counts matches)
-//! pads gen    <descr.pads> [--records N]        §9 conforming random data
+//! pads gen    <descr.pads> [--records N] [--seed S] [--record T]  §9 conforming random data
 //! pads cobol  <copybook>                        copybook -> description
 //! pads codegen <descr.pads>                     Rust parser source
 //! ```
@@ -40,20 +43,31 @@
 //! other shape, and `query`, read the input to its end and parse it into
 //! one value first. See docs/PERFORMANCE.md, "Memory".
 //!
-//! Common options: `--ebcdic`, `--fixed <N>`, `--lenpfx <N>` select the
-//! ambient coding / record discipline; `--record <T>` and `--header <T>`
-//! pick the §5.2 source shape (default: inferred from the source type when
-//! it is such a header + records source).
+//! Common options, wherever data is parsed (`parse`, `profile`, `accum`,
+//! `fmt`, `query`): `--ebcdic`, `--fixed <N>`, `--lenpfx <N>` select the
+//! ambient coding / record discipline. `--record <T>` and `--header <T>`
+//! (`accum`, `fmt`; `gen` takes `--record`) pick the §5.2 source shape
+//! (default: inferred from the source type when it is such a header +
+//! records source).
 //! Error budgets (the C runtime's `Pmax_errs` discipline): `--max-errs <N>`,
 //! `--max-record-errs <N>`, `--max-panic-skip <N>`, and
 //! `--on-overflow <stop|skip|best-effort>`.
 //!
-//! Durable ingest: `--journal <path>` commits a write-ahead checkpoint
-//! (byte offset, record index, error budget, metrics snapshot) every
+//! Durable ingest: `pads parse --journal <path>` is the same run with the
+//! journal in front of its sink — any source that streams, Sirius's header
+//! and records included. It commits a write-ahead checkpoint (byte offset,
+//! record index, error budget, metrics snapshot) every
 //! `--checkpoint-records <N>` records or `--checkpoint-bytes <N>` bytes,
-//! fsyncing every `--fsync-every <N>` commits; `--resume` continues a
-//! killed run from the last valid checkpoint with identical results.
-//! `--kill-after <N>` is the crash-test hook.
+//! always at the end of a record, fsyncing every `--fsync-every <N>`
+//! commits; `--resume` continues a killed run from the last valid
+//! checkpoint — past the header, which lies behind every checkpoint — with
+//! identical results. `--kill-after <N>` is the crash-test hook. Refused,
+//! with the reason: `--format xml`, `--trace`/`--profile`, a source that
+//! does not stream, and `-`.
+//!
+//! An option is accepted only by the subcommands that read it (the block
+//! above; the common options wherever data is parsed), and the journal's
+//! options only with `--journal`; anything else is status 1.
 //!
 //! `--jobs <N>` (`parse`, `accum`) cuts the records of the source — after
 //! its header, if it has one — into small chunks of consecutive records
@@ -79,8 +93,8 @@ use std::process::ExitCode;
 
 use pads::{
     BaseMask, Charset, Endian, Engine, ErrorCode, Mask, OnExhausted, PadsParser, ParseDesc,
-    ParseOptions, Progress, RecordDiscipline, RecordSink, RecoveryPolicy, Registry, Schema,
-    SourceFold, SourceJob, SourceShape, SourceSummary, Value,
+    ParseOptions, Progress, RecordDiscipline, RecordSink, RecoveryPolicy, Registry, ResumePoint,
+    Schema, SourceFold, SourceJob, SourceShape, SourceSummary, Value,
 };
 use pads_check::lint;
 use pads_observe::{metrics, trace, MetricsCore, MetricsHandle};
@@ -123,8 +137,54 @@ fn emit(out: &mut impl Write, text: impl std::fmt::Display) -> Result<(), String
     write!(out, "{text}").and_then(|()| out.flush()).map_err(stdout_err)
 }
 
+/// Every option, by the subcommands that read it. An option given to any
+/// other subcommand is refused rather than dropped: a run that wrote no
+/// journal must not exit as if it had.
+const OPTIONS: &[(&[&str], &[&str])] = &[
+    // The coding, the record discipline, the error budgets and the engine:
+    // wherever data is parsed.
+    (
+        &["parse", "profile", "accum", "fmt", "query"],
+        &[
+            "--ebcdic", "--fixed", "--lenpfx", "--max-errs", "--max-record-errs",
+            "--max-panic-skip", "--on-overflow", "--engine",
+        ],
+    ),
+    (&["parse"], &["--format", "--xml", "--trace", "--metrics", "--profile", "--journal"]),
+    (&["parse"], NEEDS_JOURNAL),
+    (&["parse", "profile"], &["--times"]),
+    (&["profile"], &["--folded"]),
+    (&["parse", "accum"], &["--jobs", "--max-inflight-records"]),
+    (&["accum"], &["--tracked", "--top", "--summaries"]),
+    (&["accum", "fmt"], &["--header"]),
+    (&["accum", "fmt", "gen"], &["--record"]),
+    (&["fmt"], &["--delim", "--date-fmt"]),
+    (&["gen"], &["--records", "--seed"]),
+    (&["check"], &["--lint", "--lint-format"]),
+];
+
+/// The options that say how to journal, and mean nothing without one.
+const NEEDS_JOURNAL: &[&str] =
+    &["--resume", "--checkpoint-records", "--checkpoint-bytes", "--fsync-every", "--kill-after"];
+
+/// Refuses the first option of `o` that `pads <cmd>` does not read.
+fn check_options(cmd: &str, o: &Opts) -> Result<(), String> {
+    for name in &o.given {
+        let name = name.as_str();
+        if !OPTIONS.iter().any(|(cmds, read)| cmds.contains(&cmd) && read.contains(&name)) {
+            return Err(format!("{name} is not an option of `pads {cmd}`"));
+        }
+        if o.journal.is_none() && NEEDS_JOURNAL.contains(&name) {
+            return Err(format!("{name} needs --journal"));
+        }
+    }
+    Ok(())
+}
+
 struct Opts {
     positional: Vec<String>,
+    /// The options given, by name (`--lint=warn` is `--lint`).
+    given: Vec<String>,
     charset: Charset,
     discipline: RecordDiscipline,
     record: Option<String>,
@@ -228,9 +288,35 @@ enum MetricsFormat {
     Json,
 }
 
+/// The value of option `name`: the next argument.
+fn value(it: &mut std::slice::Iter<'_, String>, name: &str) -> Result<String, String> {
+    it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
+}
+
+/// The [`value`] of a numeric option.
+fn number<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    name: &str,
+) -> Result<T, String> {
+    value(it, name)?.parse().map_err(|_| format!("{name}: bad number"))
+}
+
+/// A [`number`] that must not be zero.
+fn positive<T: std::str::FromStr + PartialEq + From<u8>>(
+    it: &mut std::slice::Iter<'_, String>,
+    name: &str,
+) -> Result<T, String> {
+    let n = number(it, name)?;
+    if n == T::from(0) {
+        return Err(format!("{name}: must be at least 1"));
+    }
+    Ok(n)
+}
+
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut o = Opts {
         positional: Vec::new(),
+        given: Vec::new(),
         charset: Charset::Ascii,
         discipline: RecordDiscipline::Newline,
         record: None,
@@ -263,39 +349,25 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut grab = |name: &str| {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
+        if a.starts_with("--") {
+            o.given.push(a.split('=').next().unwrap_or(a).to_owned());
+        }
         match a.as_str() {
             "--ebcdic" => o.charset = Charset::Ebcdic,
-            "--fixed" => {
-                let n: usize = grab("--fixed")?.parse().map_err(|_| "--fixed: bad number")?;
-                o.discipline = RecordDiscipline::FixedWidth(n);
-            }
+            "--fixed" => o.discipline = RecordDiscipline::FixedWidth(number(&mut it, a)?),
             "--lenpfx" => {
-                let n: usize = grab("--lenpfx")?.parse().map_err(|_| "--lenpfx: bad number")?;
-                o.discipline =
-                    RecordDiscipline::LengthPrefixed { header_bytes: n, endian: Endian::Big };
+                let (header_bytes, endian) = (number(&mut it, a)?, Endian::Big);
+                o.discipline = RecordDiscipline::LengthPrefixed { header_bytes, endian };
             }
-            "--record" => o.record = Some(grab("--record")?),
-            "--header" => o.header = Some(grab("--header")?),
-            "--records" => {
-                o.records = grab("--records")?.parse().map_err(|_| "--records: bad number")?
-            }
-            "--seed" => o.seed = grab("--seed")?.parse().map_err(|_| "--seed: bad number")?,
-            "--tracked" => {
-                o.tracked = grab("--tracked")?.parse().map_err(|_| "--tracked: bad number")?
-            }
-            "--top" => o.top = grab("--top")?.parse().map_err(|_| "--top: bad number")?,
-            "--jobs" => {
-                let n: usize = grab("--jobs")?.parse().map_err(|_| "--jobs: bad number")?;
-                if n == 0 {
-                    return Err("--jobs: must be at least 1".into());
-                }
-                o.jobs = n;
-            }
+            "--record" => o.record = Some(value(&mut it, a)?),
+            "--header" => o.header = Some(value(&mut it, a)?),
+            "--records" => o.records = number(&mut it, a)?,
+            "--seed" => o.seed = number(&mut it, a)?,
+            "--tracked" => o.tracked = number(&mut it, a)?,
+            "--top" => o.top = number(&mut it, a)?,
+            "--jobs" => o.jobs = positive(&mut it, a)?,
             "--engine" => {
-                o.engine = match grab("--engine")?.as_str() {
+                o.engine = match value(&mut it, a)?.as_str() {
                     "interp" => Engine::Interp,
                     "vm" => Engine::Vm,
                     other => {
@@ -303,67 +375,26 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                     }
                 };
             }
-            "--journal" => o.journal = Some(grab("--journal")?),
+            "--journal" => o.journal = Some(value(&mut it, a)?),
             "--resume" => o.resume = true,
-            "--checkpoint-records" => {
-                let n: u64 = grab("--checkpoint-records")?
-                    .parse()
-                    .map_err(|_| "--checkpoint-records: bad number")?;
-                if n == 0 {
-                    return Err("--checkpoint-records: must be at least 1".into());
-                }
-                o.checkpoint_records = n;
-            }
-            "--checkpoint-bytes" => {
-                let n = grab("--checkpoint-bytes")?
-                    .parse()
-                    .map_err(|_| "--checkpoint-bytes: bad number")?;
-                o.checkpoint_bytes = Some(n);
-            }
-            "--fsync-every" => {
-                o.fsync_every =
-                    grab("--fsync-every")?.parse().map_err(|_| "--fsync-every: bad number")?;
-            }
-            "--max-inflight-records" => {
-                let n: usize = grab("--max-inflight-records")?
-                    .parse()
-                    .map_err(|_| "--max-inflight-records: bad number")?;
-                if n == 0 {
-                    return Err("--max-inflight-records: must be at least 1".into());
-                }
-                o.max_inflight = n;
-            }
-            "--kill-after" => {
-                o.kill_after = Some(
-                    grab("--kill-after")?.parse().map_err(|_| "--kill-after: bad number")?,
-                );
-            }
-            "--delim" => o.delim = grab("--delim")?,
-            "--date-fmt" => o.date_fmt = Some(grab("--date-fmt")?),
+            "--checkpoint-records" => o.checkpoint_records = positive(&mut it, a)?,
+            "--checkpoint-bytes" => o.checkpoint_bytes = Some(number(&mut it, a)?),
+            "--fsync-every" => o.fsync_every = number(&mut it, a)?,
+            "--max-inflight-records" => o.max_inflight = positive(&mut it, a)?,
+            "--kill-after" => o.kill_after = Some(number(&mut it, a)?),
+            "--delim" => o.delim = value(&mut it, a)?,
+            "--date-fmt" => o.date_fmt = Some(value(&mut it, a)?),
             "--xml" => o.format = OutputFormat::Xml,
-            "--format" => o.format = grab("--format")?.parse()?,
+            "--format" => o.format = value(&mut it, a)?.parse()?,
             flag if flag.starts_with("--format=") => {
                 o.format = flag["--format=".len()..].parse()?;
             }
             "--summaries" => o.summaries = true,
-            "--max-errs" => {
-                let n = grab("--max-errs")?.parse().map_err(|_| "--max-errs: bad number")?;
-                o.policy = o.policy.with_max_errs(n);
-            }
-            "--max-record-errs" => {
-                let n = grab("--max-record-errs")?
-                    .parse()
-                    .map_err(|_| "--max-record-errs: bad number")?;
-                o.policy = o.policy.with_max_record_errs(n);
-            }
-            "--max-panic-skip" => {
-                let n = grab("--max-panic-skip")?
-                    .parse()
-                    .map_err(|_| "--max-panic-skip: bad number")?;
-                o.policy = o.policy.with_max_panic_skip(n);
-            }
+            "--max-errs" => o.policy = o.policy.with_max_errs(number(&mut it, a)?),
+            "--max-record-errs" => o.policy = o.policy.with_max_record_errs(number(&mut it, a)?),
+            "--max-panic-skip" => o.policy = o.policy.with_max_panic_skip(number(&mut it, a)?),
             "--on-overflow" => {
-                let mode: OnExhausted = grab("--on-overflow")?
+                let mode: OnExhausted = value(&mut it, a)?
                     .parse()
                     .map_err(|_| "--on-overflow: expected stop, skip, or best-effort")?;
                 o.policy = o.policy.with_on_exhausted(mode);
@@ -455,15 +486,21 @@ fn read_err(path: &str) -> impl Fn(std::io::Error) -> String + '_ {
     move |e| format!("{path}: {e}")
 }
 
-/// Ends a parse whose data diagnosis is `summary`: clean data is status 0;
-/// otherwise the error-summary line — a count per distinct `ErrorCode` —
-/// goes to stderr, so scripts can separate the diagnosis from stdout
-/// output, and the status is the distinct "data errors" one.
-fn data_status(summary: &SourceSummary, source: &str) -> ExitCode {
-    if summary.is_ok() {
+/// Ends a parse whose data diagnosis is `summary` and whose tally is
+/// `budget`: clean data is status 0; otherwise the error-summary line — a
+/// count per distinct `ErrorCode` — goes to stderr, so scripts can separate
+/// the diagnosis from stdout output, and the status is the distinct "data
+/// errors" one. The summary covers this run's records and the budget the
+/// whole run's, across kills and resumes: when every error predates the
+/// resume point the budget is the only witness, and says so.
+fn data_status(summary: &SourceSummary, budget: &pads::ErrorBudget, source: &str) -> ExitCode {
+    if !summary.is_ok() {
+        eprintln!("pads: {}", summary.error_line(source));
+    } else if budget.errs > 0 || budget.skipped_records > 0 {
+        eprintln!("pads: {} error(s) in {source} (all before the resume point)", budget.errs);
+    } else {
         return ExitCode::SUCCESS;
     }
-    eprintln!("pads: {}", summary.error_line(source));
     ExitCode::from(EXIT_DATA_ERRORS)
 }
 
@@ -532,78 +569,9 @@ fn metrics_summary_line(core: &MetricsCore) -> String {
     line
 }
 
-/// `--metrics`: the exposition on stdout, the summary line on stderr.
-fn print_metrics(
-    out: &mut impl Write,
-    core: &MetricsCore,
-    fmt: MetricsFormat,
-) -> Result<(), String> {
-    match fmt {
-        MetricsFormat::Prom => emit(out, metrics::prometheus(core))?,
-        MetricsFormat::Json => emit(out, format_args!("{}\n", metrics::counts_json(core)))?,
-    }
-    eprintln!("{}", metrics_summary_line(core));
-    Ok(())
-}
-
-/// `pads parse` and `pads profile` over the whole source at `path`, heard by
-/// one core — returned with the summary — that has the profiler and the
-/// trace `o` asks for switched on.
-///
-/// A `[header] + records` source goes through the source driver, a window
-/// of input and a record live at a time, into the sink `--format` names —
-/// the report fold
-/// (`report`, `none`) or the XML writer over it — which also emits the
-/// source type's own events, so the core hears what a whole-tree parse
-/// would tell it. The driver shards the records under `--jobs N` unless the
-/// core wants an ordered event stream. Output is byte-identical to the
-/// whole-tree parse, which only a source of any other shape still takes.
-fn parse_whole(
-    schema: &Schema,
-    registry: &Registry,
-    options: ParseOptions,
-    o: &Opts,
-    path: &str,
-    out: &mut impl Write,
-) -> Result<(SourceSummary, MetricsHandle), String> {
-    let mut parser = PadsParser::new(schema, registry).with_options(options);
-    let mut core = parser.metrics_core();
-    if o.profile {
-        core = core.with_profile();
-    }
-    if o.trace.is_some() {
-        core = core.with_trace(trace::DEFAULT_DEPTH, trace::DEFAULT_SPANS);
-    }
-    let core = core.into_handle();
-    if o.metrics.is_some() || o.profile || o.trace.is_some() {
-        parser = parser.with_metrics(core.clone());
-    }
-    let mask = Mask::all(BaseMask::CheckAndSet);
-    let xml = o.format == OutputFormat::Xml;
-    let Some(shape) = SourceShape::infer(schema) else {
-        let (v, pd) = parser.parse_source(&read_source(path)?, &mask);
-        if xml {
-            emit(out, pads_tools::value_to_xml(&v, Some(&pd), &schema.source_def().name, 0))?;
-        }
-        return Ok((SourceSummary::of(&pd), core));
-    };
-    let job = source_job(o, shape, &mask);
-    let source = open_source(path)?;
-    let summary = if xml {
-        let mut sink = pads_tools::XmlSourceSink::new(schema, out).observe(core.clone(), 0);
-        let end = parser.stream_reader(source, &job, &mut sink).map_err(read_err(path))?;
-        sink.finish(&end).map_err(stdout_err)?
-    } else {
-        let mut sink = SourceFold::new(schema).observe(core.clone(), 0);
-        let end = parser.stream_reader(source, &job, &mut sink).map_err(read_err(path))?;
-        sink.finish(&end)
-    };
-    Ok((summary, core))
-}
-
 /// What an observed `pads parse` prints once the run is over: the trace,
-/// then the `--metrics` exposition, on stdout; the `--profile` table on
-/// stderr.
+/// then the `--metrics` exposition, on stdout; the `--metrics` summary line
+/// and the `--profile` table on stderr.
 fn print_observed(out: &mut impl Write, core: &MetricsCore, o: &Opts) -> Result<(), String> {
     let traced = o.trace.and_then(|fmt| match fmt {
         TraceFormat::Json => trace::jsonl(core),
@@ -613,7 +581,11 @@ fn print_observed(out: &mut impl Write, core: &MetricsCore, o: &Opts) -> Result<
         emit(out, text)?;
     }
     if let Some(fmt) = o.metrics {
-        print_metrics(out, core, fmt)?;
+        match fmt {
+            MetricsFormat::Prom => emit(out, metrics::prometheus(core))?,
+            MetricsFormat::Json => emit(out, format_args!("{}\n", metrics::counts_json(core)))?,
+        }
+        eprintln!("{}", metrics_summary_line(core));
     }
     if let Some(table) = core.profile_table(o.times) {
         eprint!("{table}");
@@ -652,97 +624,80 @@ struct Committer {
     source_id: u64,
     every_records: u64,
     every_bytes: Option<u64>,
+    /// Records delivered since the last checkpoint (or the start), and the
+    /// offset it (or the run) stands at.
     records_since: u64,
-    bytes_since: u64,
-    last_offset: u64,
+    committed_offset: u64,
 }
 
 impl Committer {
-    /// Accounts one consumed record ending at `offset`.
-    fn on_record(&mut self, offset: u64) {
-        self.records_since += 1;
-        self.bytes_since += offset.saturating_sub(self.last_offset);
-        self.last_offset = offset;
-    }
-
-    /// Whether a checkpoint interval has elapsed since the last commit.
-    fn due(&self) -> bool {
+    /// Whether a checkpoint interval has elapsed between the last commit
+    /// and the record end `at`.
+    fn due(&self, at: &ResumePoint) -> bool {
+        let bytes_since = (at.offset as u64).saturating_sub(self.committed_offset);
         self.records_since >= self.every_records
-            || self.every_bytes.is_some_and(|b| self.bytes_since >= b)
+            || self.every_bytes.is_some_and(|b| bytes_since >= b)
     }
 
-    /// Commits unconditionally — unless the position does not advance past
-    /// the last checkpoint (a resumed run with nothing new), which is a
-    /// no-op rather than an out-of-order error.
+    /// Commits `at`, a record end past the last checkpoint.
     fn commit(
         &mut self,
-        offset: u64,
-        record: u64,
-        budget: pads::ErrorBudget,
+        at: ResumePoint,
         metrics: &MetricsCore,
     ) -> Result<(), pads_journal::JournalError> {
         self.records_since = 0;
-        self.bytes_since = 0;
-        let advances = self.journal.last().is_none_or(|cp| {
-            offset >= cp.offset && record >= cp.record && (offset > cp.offset || record > cp.record)
-        });
-        if !advances {
-            return Ok(());
-        }
+        self.committed_offset = at.offset as u64;
         self.journal.commit(pads_journal::Checkpoint {
             source_id: self.source_id,
-            offset,
-            record,
-            budget,
+            offset: at.offset as u64,
+            record: at.record as u64,
+            budget: at.budget,
             metrics: metrics.snapshot(),
         })
     }
 }
 
-/// `pads parse --journal <path>`: the durable-ingest driver. Parses the
-/// record-array source (sequentially or record-sharded), committing a
-/// checkpoint — byte offset, record index, error budget, metrics snapshot
-/// — at the configured cadence, so a killed run can `--resume` from the
-/// last valid checkpoint with byte-identical results. See
-/// docs/DURABILITY.md for the format and guarantees.
-fn parse_journaled(
-    schema: &Schema,
-    parser: PadsParser<'_>,
+/// An unusable journal: the stable code on stderr, the status of its own.
+fn journal_failed(err: &pads_journal::JournalError) -> ExitCode {
+    eprintln!("pads: journal: {err}");
+    ExitCode::from(EXIT_JOURNAL)
+}
+
+/// What `--journal` opens: the data file, fingerprinted and standing where
+/// the run starts; the cadence over the journal; and that start.
+type Journaling = (std::fs::File, Committer, ResumePoint);
+
+/// Starts a fresh journal at `journal_path`, or under `--resume` opens the
+/// one there: recovers a torn tail with a notice, rejects anything
+/// structurally unsound or written for another source, and folds the
+/// counters as of its last checkpoint into `core`.
+fn open_journal(
     o: &Opts,
     source_path: &str,
-    shape: SourceShape<'_>,
     journal_path: &str,
-    out: &mut impl Write,
-) -> Result<ExitCode, String> {
-    if source_path == "-" {
-        return Err("--journal needs a seekable file to fingerprint and resume; `-` is not".into());
-    }
+    core: &MetricsHandle,
+) -> Result<Result<Journaling, pads_journal::JournalError>, String> {
     let mut source = std::fs::File::open(source_path).map_err(read_err(source_path))?;
     let (source_id, source_len) = source_fingerprint(&mut source).map_err(read_err(source_path))?;
     let path = std::path::Path::new(journal_path);
-    fn fail(err: &pads_journal::JournalError) -> Result<ExitCode, String> {
-        eprintln!("pads: journal: {err}");
-        Ok(ExitCode::from(EXIT_JOURNAL))
-    }
-
-    // Open (--resume) or start a fresh journal; recover a torn tail with a
-    // notice, reject anything structurally unsound or from another source.
-    let (journal, resume, restored) = if o.resume {
-        let (journal, repaired) = match pads_journal::Journal::open(path) {
-            Ok(j) => j,
-            Err(e) => return fail(&e),
+    let opened = (|| {
+        let journal = if o.resume {
+            let (journal, repaired) = pads_journal::Journal::open(path)?;
+            if let Some(r) = repaired {
+                eprintln!(
+                    "pads: journal: {}: dropped {} trailing byte(s); {} checkpoint(s) kept",
+                    ErrorCode::JournalTornTail.name(),
+                    r.dropped_bytes,
+                    r.checkpoints_kept
+                );
+            }
+            journal
+        } else {
+            pads_journal::Journal::create(path)?
         };
-        if let Some(r) = repaired {
-            eprintln!(
-                "pads: journal: {}: dropped {} trailing byte(s); {} checkpoint(s) kept",
-                ErrorCode::JournalTornTail.name(),
-                r.dropped_bytes,
-                r.checkpoints_kept
-            );
-        }
-        match journal.last() {
+        let start = match journal.last() {
             Some(cp) if cp.source_id != source_id => {
-                return fail(&pads_journal::JournalError {
+                return Err(pads_journal::JournalError {
                     code: ErrorCode::JournalSourceMismatch,
                     detail: format!(
                         "journal is for source {:#018x}, data is {:#018x}",
@@ -751,144 +706,257 @@ fn parse_journaled(
                 });
             }
             Some(cp) => {
-                let core = MetricsCore::restore(&cp.metrics);
-                if core.is_none() {
-                    eprintln!(
+                match MetricsCore::restore(&cp.metrics) {
+                    Some(restored) => core.borrow_mut().merge(&restored),
+                    None => eprintln!(
                         "pads: journal: metrics snapshot unreadable; counters restart at the checkpoint"
-                    );
+                    ),
                 }
-                let resume = pads::ResumePoint {
+                ResumePoint {
                     offset: cp.offset.min(source_len) as usize,
                     record: cp.record as usize,
                     budget: cp.budget,
-                };
-                (journal, resume, core.unwrap_or_default())
+                }
             }
-            None => (journal, pads::ResumePoint::default(), MetricsCore::new()),
+            None => ResumePoint::default(),
+        };
+        let com = Committer {
+            journal: journal.with_fsync_every(o.fsync_every),
+            source_id,
+            every_records: o.checkpoint_records,
+            every_bytes: o.checkpoint_bytes,
+            records_since: 0,
+            committed_offset: start.offset as u64,
+        };
+        Ok((com, start))
+    })();
+    Ok(match opened {
+        Ok((com, start)) => {
+            source.seek(SeekFrom::Start(start.offset as u64)).map_err(read_err(source_path))?;
+            Ok((source, com, start))
         }
-    } else {
-        match pads_journal::Journal::create(path) {
-            Ok(j) => (j, pads::ResumePoint::default(), MetricsCore::new()),
-            Err(e) => return fail(&e),
-        }
-    };
-    let com = Committer {
-        journal: journal.with_fsync_every(o.fsync_every),
-        source_id,
-        every_records: o.checkpoint_records,
-        every_bytes: o.checkpoint_bytes,
-        records_since: 0,
-        bytes_since: 0,
-        last_offset: resume.offset as u64,
-    };
-
-    // One metrics core over the schema's type table, seeded from the
-    // restored snapshot, hears the run and is snapshotted at every commit.
-    let mut seeded = parser.metrics_core();
-    seeded.merge(&restored);
-    let core = seeded.into_handle();
-    let parser = parser.with_metrics(core.clone());
-    let mask = Mask::all(BaseMask::CheckAndSet);
-    let job = SourceJob { start: resume, ..source_job(o, shape, &mask) };
-    let mut sink = JournalSink {
-        fold: SourceFold::new(schema),
-        com,
-        core,
-        kill_after: o.kill_after,
-        consumed: 0,
-        killed: false,
-        // Position of the first unconsumed (byte, record) — the final commit.
-        last_pos: (resume.offset as u64, resume.record as u64),
-        last_budget: resume.budget,
-        commit_err: None,
-    };
-    source.seek(SeekFrom::Start(resume.offset as u64)).map_err(read_err(source_path))?;
-    let end = parser.stream_reader(source, &job, &mut sink).map_err(read_err(source_path))?;
-    let JournalSink { mut fold, mut com, core, consumed, killed, last_pos, commit_err, .. } = sink;
-    if let Some(e) = commit_err {
-        return fail(&e);
-    }
-    if killed {
-        // Crash simulation: exit without the final commit or sync, leaving
-        // exactly the periodic checkpoints a real kill would have left.
-        eprintln!("pads: --kill-after: stopped after {consumed} record(s); rerun with --resume");
-        return Ok(ExitCode::SUCCESS);
-    }
-    let budget = end.budget;
-    let final_core = core.borrow();
-    if let Err(e) = com.commit(last_pos.0, last_pos.1, budget, &final_core) {
-        return fail(&e);
-    }
-    if let Err(e) = com.journal.sync() {
-        return fail(&e);
-    }
-
-    // Report: the fold covers this run's records; the exit code comes from
-    // the *budget*, which carries the whole run's tally across kills and
-    // resumes.
-    let summary = fold.finish(&end);
-    if o.metrics.is_none() && o.format == OutputFormat::Report {
-        emit(out, summary.report())?;
-    }
-    if let Some(fmt) = o.metrics {
-        print_metrics(out, &final_core, fmt)?;
-    }
-    if summary.is_ok() && (budget.errs > 0 || budget.skipped_records > 0) {
-        // All the errors predate the resume point; the budget is the only
-        // witness this run sees.
-        eprintln!(
-            "pads: {} error(s) in {} (all before the resume point)",
-            budget.errs, o.positional[1]
-        );
-        return Ok(ExitCode::from(EXIT_DATA_ERRORS));
-    }
-    Ok(data_status(&summary, &o.positional[1]))
+        Err(e) => Err(e),
+    })
 }
 
-/// The durable-ingest sink: every record folds into the report and
-/// advances the commit cadence, until `--kill-after` or a failed commit
-/// ends the run (later records are dropped, as a real kill would).
+/// The durable-ingest adapter in front of a run's sink: the header and
+/// every record go on to `inner`, and each record advances the commit
+/// cadence, until `--kill-after` or a failed commit ends the run (later
+/// records are dropped, as a real kill would).
 ///
 /// A checkpoint carries a metrics snapshot, so one that has fallen due is
 /// committed — and the kill switch thrown — only where the driver says the
 /// counters are exact: after every record of a sequential run, at the next
-/// chunk boundary of a sharded one.
-struct JournalSink {
-    fold: SourceFold,
+/// chunk boundary of a sharded one. Checkpoints are therefore only ever
+/// taken at record ends, with the header behind them.
+struct Journaled<S> {
+    inner: S,
     com: Committer,
     /// The core the run counts into.
     core: MetricsHandle,
     kill_after: Option<u64>,
     consumed: u64,
     killed: bool,
-    last_pos: (u64, u64),
-    last_budget: pads::ErrorBudget,
+    /// The end of the last record delivered, until a checkpoint says it:
+    /// what the next one commits, if a record has ended since the last.
+    last: Option<ResumePoint>,
     commit_err: Option<pads_journal::JournalError>,
 }
 
-impl RecordSink for JournalSink {
-    fn observed(&mut self) {
-        if self.killed || self.commit_err.is_some() {
-            return;
+impl<S> Journaled<S> {
+    fn new(inner: S, com: Committer, core: MetricsHandle, kill_after: Option<u64>) -> Self {
+        let (consumed, killed, last, commit_err) = (0, false, None, None);
+        Journaled { inner, com, core, kill_after, consumed, killed, last, commit_err }
+    }
+
+    /// Closes the journal over a run that ended with `budget` — the final
+    /// commit, then the sync that makes every commit durable — and hands
+    /// the sink back; or the status of a run that has no more to say: the
+    /// journal's own on a failed commit, success after `--kill-after`,
+    /// which leaves exactly the periodic checkpoints a real kill would.
+    fn finish(mut self, budget: pads::ErrorBudget) -> Result<S, ExitCode> {
+        if let Some(e) = &self.commit_err {
+            return Err(journal_failed(e));
         }
-        if self.com.due() {
-            let (offset, record) = self.last_pos;
-            let committed = self.com.commit(offset, record, self.last_budget, &self.core.borrow());
-            self.commit_err = committed.err();
+        if self.killed {
+            let n = self.consumed;
+            eprintln!("pads: --kill-after: stopped after {n} record(s); rerun with --resume");
+            return Err(ExitCode::SUCCESS);
         }
-        self.killed = self.kill_after.is_some_and(|n| self.consumed >= n);
+        let committed = match self.last.take() {
+            Some(at) => self.com.commit(ResumePoint { budget, ..at }, &self.core.borrow()),
+            None => Ok(()),
+        };
+        match committed.and_then(|()| self.com.journal.sync()) {
+            Ok(()) => Ok(self.inner),
+            Err(e) => Err(journal_failed(&e)),
+        }
+    }
+}
+
+impl<S: RecordSink> RecordSink for Journaled<S> {
+    fn header(&mut self, value: Value, pd: ParseDesc, progress: &Progress) -> bool {
+        self.inner.header(value, pd, progress)
     }
 
     fn record(&mut self, index: usize, value: &Value, pd: &ParseDesc, progress: &Progress) {
         if self.killed || self.commit_err.is_some() {
             return;
         }
-        self.fold.record(index, value, pd, progress);
+        self.inner.record(index, value, pd, progress);
         self.consumed += 1;
-        self.last_pos = (progress.end.offset as u64, progress.record as u64 + 1);
-        self.last_budget = progress.budget;
-        self.com.on_record(self.last_pos.0);
+        self.com.records_since += 1;
+        self.last = Some(ResumePoint {
+            offset: progress.end.offset,
+            record: progress.record + 1,
+            budget: progress.budget,
+        });
     }
+
+    fn observed(&mut self) {
+        if self.killed || self.commit_err.is_some() {
+            return;
+        }
+        self.inner.observed();
+        if let Some(at) = self.last.take_if(|at| self.com.due(at)) {
+            self.commit_err = self.com.commit(at, &self.core.borrow()).err();
+        }
+        self.killed = self.kill_after.is_some_and(|n| self.consumed >= n);
+    }
+}
+
+/// Why `--journal` cannot cover this run, where it cannot.
+fn journal_refusal(o: &Opts, shape: Option<SourceShape<'_>>, path: &str) -> Option<&'static str> {
+    if path == "-" {
+        Some("--journal needs a seekable file to fingerprint and resume; `-` is not")
+    } else if o.format == OutputFormat::Xml {
+        Some(
+            "--journal cannot be combined with --format xml: the document is written as records \
+             arrive, and a resumed run cannot re-emit what preceded the checkpoint",
+        )
+    } else if o.trace.is_some() || o.profile {
+        Some(
+            "--journal cannot be combined with --trace or --profile: their state is not in the \
+             checkpoint's metrics snapshot",
+        )
+    } else if shape.is_none() {
+        Some(
+            "--journal needs a source that streams (records, or a header and records): any other \
+             has no record boundary to commit at",
+        )
+    } else {
+        None
+    }
+}
+
+/// `pads parse` and `pads profile` (`profiling`), the one place a run over
+/// the whole source is described: a core with the profiler and the trace
+/// `o` asks for switched on, the sink `--format` names, the journal in
+/// front of it under `--journal`, the source driver from where the journal
+/// says the run starts, and what the run prints when it is over.
+///
+/// A `[header] + records` source goes through the source driver, a window
+/// of input and a record live at a time, into the report fold (`report`,
+/// `none`) or the XML writer over it — which also emit the source type's
+/// own events, so the core hears what a whole-tree parse would tell it. The
+/// driver shards the records under `--jobs N` unless the core wants an
+/// ordered event stream. Output is byte-identical to the whole-tree parse,
+/// which only a source of any other shape still takes.
+fn parse(
+    schema: &Schema,
+    registry: &Registry,
+    options: ParseOptions,
+    o: &Opts,
+    profiling: bool,
+    out: &mut impl Write,
+) -> Result<ExitCode, String> {
+    let path = &o.positional[1];
+    let shape = SourceShape::infer(schema);
+    if let Some(why) = o.journal.as_ref().and_then(|_| journal_refusal(o, shape, path)) {
+        return Err(why.into());
+    }
+    // The driver decides how the run executes; say so where `--jobs` cannot
+    // take effect. The trace and the profiler each need one ordered event
+    // stream, and only a `[header] + records` source has records to shard.
+    if o.jobs > 1 {
+        let ordered = o.trace.map(|_| "--trace").or(o.profile.then_some("--profile"));
+        if let Some(flag) = ordered {
+            eprintln!("pads: {flag} forces a sequential parse; ignoring --jobs");
+        } else if shape.is_none() {
+            eprintln!("pads: source is not a plain record array; ignoring --jobs");
+        }
+    }
+    let mut parser = PadsParser::new(schema, registry).with_options(options);
+    let mut core = parser.metrics_core();
+    if o.profile {
+        core = core.with_profile();
+    }
+    if o.trace.is_some() {
+        core = core.with_trace(trace::DEFAULT_DEPTH, trace::DEFAULT_SPANS);
+    }
+    let core = core.into_handle();
+    // A checkpoint snapshots the counters, so a journaled run always counts.
+    if o.journal.is_some() || o.metrics.is_some() || o.profile || o.trace.is_some() {
+        parser = parser.with_metrics(core.clone());
+    }
+    let mask = Mask::all(BaseMask::CheckAndSet);
+    let xml = o.format == OutputFormat::Xml;
+    let (summary, budget) = if let Some(shape) = shape {
+        let (source, start, com): (Box<dyn Read>, _, _) = match &o.journal {
+            None => (open_source(path)?, ResumePoint::default(), None),
+            Some(journal_path) => match open_journal(o, path, journal_path, &core)? {
+                Ok((source, com, start)) => (Box::new(source), start, Some(com)),
+                Err(e) => return Ok(journal_failed(&e)),
+            },
+        };
+        let job = SourceJob { start, ..source_job(o, shape, &mask) };
+        if xml {
+            let sink = pads_tools::XmlSourceSink::new(schema, &mut *out);
+            let mut sink = sink.observe(core.clone(), 0);
+            let end = parser.stream_reader(source, &job, &mut sink).map_err(read_err(path))?;
+            (sink.finish(&end).map_err(stdout_err)?, end.budget)
+        } else if let Some(com) = com {
+            // A fold that resumes has not seen the records before the
+            // checkpoint, so what it would say of the source's own two nodes
+            // is not the whole run's: a journaled run counts the header and
+            // the records, which the snapshot carries across a kill.
+            let mut sink = Journaled::new(SourceFold::new(schema), com, core.clone(), o.kill_after);
+            let end = parser.stream_reader(source, &job, &mut sink).map_err(read_err(path))?;
+            match sink.finish(end.budget) {
+                Ok(mut fold) => (fold.finish(&end), end.budget),
+                Err(status) => return Ok(status),
+            }
+        } else {
+            let mut sink = SourceFold::new(schema).observe(core.clone(), 0);
+            let end = parser.stream_reader(source, &job, &mut sink).map_err(read_err(path))?;
+            (sink.finish(&end), end.budget)
+        }
+    } else {
+        let (v, pd) = parser.parse_source(&read_source(path)?, &mask);
+        if xml {
+            emit(out, pads_tools::value_to_xml(&v, Some(&pd), &schema.source_def().name, 0))?;
+        }
+        (SourceSummary::of(&pd), pads::ErrorBudget::new())
+    };
+
+    let core = core.borrow();
+    if profiling {
+        // Deterministic for a given input unless `--times` opts into the
+        // sampled (approximate) self-time column.
+        let table = if o.folded { core.profile_folded() } else { core.profile_table(o.times) };
+        if let Some(table) = table {
+            emit(out, table)?;
+        }
+        let (records, errors) = (core.records(), core.errors_total());
+        eprintln!("pads: profile: {records} record(s), {errors} error(s) in {path}");
+        let status = if summary.is_ok() { 0 } else { EXIT_DATA_ERRORS };
+        return Ok(ExitCode::from(status));
+    }
+    if o.format == OutputFormat::Report && o.trace.is_none() && o.metrics.is_none() {
+        emit(out, summary.report())?;
+    }
+    print_observed(out, &core, o)?;
+    Ok(data_status(&summary, &budget, path))
 }
 
 fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
@@ -899,6 +967,7 @@ fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
         );
     };
     let mut o = parse_opts(rest)?;
+    check_options(cmd, &o)?;
     let registry = Registry::standard();
     let options = ParseOptions {
         charset: o.charset,
@@ -998,89 +1067,19 @@ fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
                 Ok(ExitCode::SUCCESS)
             }
         }
-        "parse" => {
+        "parse" | "profile" => {
             need(2)?;
             let schema = load_schema(&o.positional[0], &registry)?;
-            let path = &o.positional[1];
-            let shape = SourceShape::infer(&schema);
-            if let Some(journal_path) = &o.journal {
-                // Durable ingest: the journal records progress per record,
-                // which only makes sense for a plain record-array source
-                // with the plain record report.
-                if o.trace.is_some() {
-                    return Err("--journal cannot be combined with --trace".into());
-                }
-                if o.profile {
-                    return Err("--journal cannot be combined with --profile".into());
-                }
-                if o.format == OutputFormat::Xml {
-                    return Err("--journal cannot be combined with --format xml".into());
-                }
-                let Some(shape @ SourceShape { header: None, .. }) = shape else {
-                    return Err("--journal requires a plain record-array source".into());
-                };
-                return parse_journaled(
-                    &schema,
-                    PadsParser::new(&schema, &registry).with_options(options),
-                    &o,
-                    path,
-                    shape,
-                    journal_path,
-                    out,
-                );
+            // `pads profile` is a sequential parse with the profiler on
+            // whose output is the per-node cost table — or, with
+            // `--folded`, folded-stack lines for `inferno`/flamegraph
+            // tooling.
+            let profiling = cmd == "profile";
+            if profiling {
+                o.profile = true;
+                o.format = OutputFormat::None;
             }
-            // The driver decides how the run executes; say so where
-            // `--jobs` cannot take effect. The trace and the profiler each
-            // need one ordered event stream, and only a `[header] +
-            // records` source has records to shard.
-            if o.jobs > 1 {
-                let ordered =
-                    o.trace.map(|_| "--trace").or(o.profile.then_some("--profile"));
-                if let Some(flag) = ordered {
-                    eprintln!("pads: {flag} forces a sequential parse; ignoring --jobs");
-                } else if shape.is_none() {
-                    eprintln!("pads: source is not a plain record array; ignoring --jobs");
-                }
-            }
-            let (summary, core) = parse_whole(&schema, &registry, options, &o, path, out)?;
-            if o.format == OutputFormat::Report && o.trace.is_none() && o.metrics.is_none() {
-                emit(out, summary.report())?;
-            }
-            print_observed(out, &core.borrow(), &o)?;
-            // The run itself completed; if the *data* has errors, summarise
-            // on stderr and use the distinct "data errors" status.
-            Ok(data_status(&summary, path))
-        }
-        "profile" => {
-            // Per-schema-node cost profile: parse the source sequentially
-            // with a profiling dense core attached, then print the
-            // per-node cost table — or, with `--folded`, folded-stack
-            // lines for `inferno`/flamegraph tooling. Both outputs are
-            // deterministic for a given input unless `--times` opts into
-            // the sampled (approximate) self-time column.
-            need(2)?;
-            let schema = load_schema(&o.positional[0], &registry)?;
-            o.profile = true;
-            o.format = OutputFormat::None;
-            let (summary, core) =
-                parse_whole(&schema, &registry, options, &o, &o.positional[1], out)?;
-            let core = core.borrow();
-            let table =
-                if o.folded { core.profile_folded() } else { core.profile_table(o.times) };
-            if let Some(table) = table {
-                emit(out, table)?;
-            }
-            eprintln!(
-                "pads: profile: {} record(s), {} error(s) in {}",
-                core.records(),
-                core.errors_total(),
-                o.positional[1]
-            );
-            if summary.is_ok() {
-                Ok(ExitCode::SUCCESS)
-            } else {
-                Ok(ExitCode::from(EXIT_DATA_ERRORS))
-            }
+            parse(&schema, &registry, options, &o, profiling, out)
         }
         "accum" => {
             need(2)?;

@@ -407,3 +407,60 @@ fn gen_in_batches_writes_the_bytes_of_one_call() {
         assert!(out.stdout == at_once, "{name}");
     }
 }
+
+/// An option is accepted only by the subcommands that read it: a run that
+/// wrote no journal, or ran on one thread, must not exit as if it had done
+/// what it was asked. Refusals are status 1 with one line on stderr and
+/// nothing done; every subcommand still takes an option it does read.
+#[test]
+fn an_option_a_subcommand_does_not_read_is_refused() {
+    let clf = bundled("clf");
+    let log = format!("{}/../../tests/data/torture_clf.log", env!("CARGO_MANIFEST_DIR"));
+    let copybook = write_temp("opts.cpy", b"       01 REC.\n          05 A PIC 9(4).\n");
+    let copybook = copybook.to_str().expect("utf-8 temp path");
+    let journal = std::env::temp_dir().join(format!("pads-cli-opts-{}.wal", std::process::id()));
+    let wal = journal.to_str().expect("utf-8 temp path");
+    let refused: [(&[&str], &str); 8] = [
+        (
+            &["accum", &clf, &log, "--journal", wal, "--trace", "--lint", "--folded"],
+            "--journal is not an option of `pads accum`",
+        ),
+        (
+            &["parse", &clf, &log, "--resume", "--kill-after", "2", "--checkpoint-records", "3"],
+            "--resume needs --journal",
+        ),
+        (&["fmt", &clf, &log, "--jobs", "4"], "--jobs is not an option of `pads fmt`"),
+        (&["profile", &clf, &log, "--jobs", "2"], "--jobs is not an option of `pads profile`"),
+        (&["parse", &clf, &log, "--header", "h_t"], "--header is not an option of `pads parse`"),
+        (&["query", &clf, &log, "/elt", "--xml"], "--xml is not an option of `pads query`"),
+        (&["gen", &clf, "--ebcdic"], "--ebcdic is not an option of `pads gen`"),
+        (&["xsd", &clf, "--lint=warn"], "--lint is not an option of `pads xsd`"),
+    ];
+    for (args, why) in refused {
+        let out = pads().args(args).output().expect("run pads");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr, format!("pads: {why}\n"), "{args:?}");
+        assert_eq!((out.status.code(), out.stdout.len()), (Some(1), 0), "{args:?}");
+    }
+    assert!(!journal.exists(), "a refused run wrote a journal");
+
+    let accepted: [&[&str]; 10] = [
+        &["check", &clf, "--lint=allow"],
+        &["parse", &clf, &log, "--journal", wal, "--checkpoint-records", "3", "--fsync-every", "1"],
+        &["profile", &clf, &log, "--folded", "--max-errs", "2"],
+        &["accum", &clf, &log, "--jobs", "2", "--top", "3", "--on-overflow", "skip"],
+        &["fmt", &clf, &log, "--delim", ",", "--record", "entry_t"],
+        &["query", &clf, &log, "/elt", "--engine", "interp"],
+        &["gen", &clf, "--records", "3", "--seed", "9", "--record", "entry_t"],
+        &["xsd", &clf],
+        &["cobol", copybook],
+        &["codegen", &clf],
+    ];
+    for args in accepted {
+        let out = pads().args(args).output().expect("run pads");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(matches!(out.status.code(), Some(0 | 2 | 3)), "{args:?}: {stderr}");
+        assert!(!stderr.contains("is not an option"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_file(&journal).expect("the accepted --journal run wrote its journal");
+}

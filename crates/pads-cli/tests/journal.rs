@@ -1,23 +1,31 @@
 //! End-to-end durability tests driving `pads parse --journal`: the
-//! kill-and-resume loop (sequential and record-sharded) and the corrupt-
-//! journal torture matrix — every distinct failure mode must surface its
-//! stable `ErrorCode` name on stderr and the dedicated exit status 4,
-//! except a torn tail, which is repaired in place with a notice.
+//! kill-and-resume loop (sequential and record-sharded, under every budget)
+//! and the corrupt-journal torture matrix — every distinct failure mode
+//! must surface its stable `ErrorCode` name on stderr and the dedicated
+//! exit status 4, except a torn tail, which is repaired in place with a
+//! notice. Every row runs over a plain record array and over Sirius, the
+//! paper's header-then-records feed.
+
+#[path = "common/tables.rs"]
+mod tables;
 
 use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use tables::{policies, JOBS};
 
 fn pads() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pads"))
 }
 
-fn temp_dir() -> std::path::PathBuf {
+fn temp_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pads-journal-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
 }
 
-fn write_temp(name: &str, contents: &[u8]) -> std::path::PathBuf {
+fn write_temp(name: &str, contents: &[u8]) -> PathBuf {
     let path = temp_dir().join(name);
     let mut f = std::fs::File::create(&path).expect("temp file");
     f.write_all(contents).expect("write");
@@ -36,13 +44,49 @@ Psource Parray orders_t { order_t[]; };
 // Two constraint violations (records 1 and 5, zero-based).
 const DATA: &[u8] = b"1|OPEN|5\n2|SHIP|1\n3|DONE|9\n4|HOLD|8\n5|SHIP|20\n6|DONE|2\n7|OPEN|7\n";
 
+/// A source the matrix runs over: seven records, some of them bad, so an
+/// uninterrupted run exits 2.
+struct Corpus {
+    name: &'static str,
+    descr: PathBuf,
+    data: PathBuf,
+    /// Other data of the same description, for the foreign-source row.
+    other: PathBuf,
+}
+
+/// Seven Sirius orders (one with a syntax error, one out of order) behind
+/// their header line.
+fn sirius(seed: u64) -> Vec<u8> {
+    let cfg = pads_gen::SiriusConfig { records: 7, seed, syntax_errors: 1, ..Default::default() };
+    pads_gen::sirius::generate(&cfg).0
+}
+
+/// `test`'s own copy of each corpus: the order array, and Sirius.
+fn corpora(test: &str) -> [Corpus; 2] {
+    let sirius_descr = concat!(env!("CARGO_MANIFEST_DIR"), "/../../descriptions/sirius.pads");
+    [
+        Corpus {
+            name: "orders",
+            descr: write_temp(&format!("{test}-orders.pads"), DESCR.as_bytes()),
+            data: write_temp(&format!("{test}-orders.txt"), DATA),
+            other: write_temp(&format!("{test}-orders-other.txt"), b"9|OPEN|9\n8|SHIP|8\n"),
+        },
+        Corpus {
+            name: "sirius",
+            descr: sirius_descr.into(),
+            data: write_temp(&format!("{test}-sirius.txt"), &sirius(1)),
+            other: write_temp(&format!("{test}-sirius-other.txt"), &sirius(2)),
+        },
+    ]
+}
+
 struct Run {
     code: Option<i32>,
     stdout: String,
     stderr: String,
 }
 
-fn parse_journaled(descr: &std::path::Path, data: &std::path::Path, extra: &[&str]) -> Run {
+fn parse_journaled(descr: &Path, data: &Path, extra: &[&str]) -> Run {
     let out = pads()
         .arg("parse")
         .arg(descr)
@@ -62,49 +106,40 @@ fn parse_journaled(descr: &std::path::Path, data: &std::path::Path, extra: &[&st
 
 /// Kill a journaled run partway, resume it, and require the resumed run's
 /// metrics and exit status to match an uninterrupted journaled run — at
-/// `--jobs 1` and `--jobs 4`, across checkpoint cadences.
+/// every job count, under every budget, across checkpoint cadences: killed
+/// before the first checkpoint (the resumed run starts over, header and
+/// all), inside the records (it starts past the header), and on the last
+/// record. A run the budget stops before the kill point completes instead,
+/// and resuming it is the no-op of the next test.
 #[test]
 fn kill_then_resume_matches_uninterrupted_run() {
-    let descr = write_temp("kr.pads", DESCR.as_bytes());
-    let data = write_temp("kr.txt", DATA);
-    for jobs in ["1", "4"] {
-        let full_wal = temp_dir().join(format!("kr-full-{jobs}.wal"));
-        let full = parse_journaled(
-            &descr,
-            &data,
-            &["--journal", full_wal.to_str().unwrap(), "--jobs", jobs, "--metrics=json"],
-        );
-        assert_eq!(full.code, Some(2), "{}", full.stderr);
-        for (kill_after, every) in [("1", "1"), ("3", "2"), ("5", "3"), ("7", "1")] {
-            let wal = temp_dir().join(format!("kr-{jobs}-{kill_after}-{every}.wal"));
+    for Corpus { name, descr, data, .. } in corpora("kr") {
+        let budgets = policies();
+        for (jobs, (budget, _)) in JOBS.iter().flat_map(|jobs| budgets.iter().map(move |b| (jobs, b))) {
+            let budget: Vec<&str> = budget.iter().map(String::as_str).collect();
+            let at = format!("{name} jobs={jobs} {budget:?}");
+            let wal = temp_dir().join(format!("kr-{name}-{jobs}-{}.wal", budget.join("")));
             let wal = wal.to_str().unwrap();
-            let killed = parse_journaled(
-                &descr,
-                &data,
-                &[
-                    "--journal", wal,
-                    "--jobs", jobs,
-                    "--kill-after", kill_after,
-                    "--checkpoint-records", every,
-                ],
-            );
-            assert_eq!(killed.code, Some(0), "killed run failed: {}", killed.stderr);
-            assert!(killed.stderr.contains("--kill-after"), "{}", killed.stderr);
-            let resumed = parse_journaled(
-                &descr,
-                &data,
-                &["--journal", wal, "--resume", "--jobs", jobs, "--metrics=json"],
-            );
-            assert_eq!(
-                resumed.code,
-                Some(2),
-                "jobs={jobs} kill={kill_after}/{every}: {}",
-                resumed.stderr
-            );
-            assert_eq!(
-                resumed.stdout, full.stdout,
-                "jobs={jobs} kill={kill_after}/{every}: resumed metrics diverge"
-            );
+            let run = |extra: &[&str]| {
+                let flags = [&["--journal", wal, "--jobs", jobs], &budget[..], extra].concat();
+                parse_journaled(&descr, &data, &flags)
+            };
+            let full = run(&["--metrics=json"]);
+            assert_eq!(full.code, Some(2), "{at}: {}", full.stderr);
+            let kills = [("1", "3"), ("1", "1"), ("3", "2"), ("5", "3"), ("7", "1")];
+            for (kill_after, every) in kills {
+                let at = format!("{at} kill={kill_after}/{every}");
+                let killed = run(&["--kill-after", kill_after, "--checkpoint-records", every]);
+                if killed.stderr.contains("--kill-after") {
+                    assert_eq!(killed.code, Some(0), "{at}: killed run failed: {}", killed.stderr);
+                } else {
+                    assert!(!budget.is_empty(), "{at}: never killed: {}", killed.stderr);
+                    assert_eq!(killed.code, full.code, "{at}: {}", killed.stderr);
+                }
+                let resumed = run(&["--resume", "--metrics=json"]);
+                assert_eq!(resumed.code, full.code, "{at}: {}", resumed.stderr);
+                assert_eq!(resumed.stdout, full.stdout, "{at}: resumed metrics diverge");
+            }
         }
     }
 }
@@ -113,16 +148,43 @@ fn kill_then_resume_matches_uninterrupted_run() {
 /// nothing but still reports the run's errors from the restored state.
 #[test]
 fn resume_of_a_complete_run_is_a_faithful_no_op() {
-    let descr = write_temp("noop.pads", DESCR.as_bytes());
-    let data = write_temp("noop.txt", DATA);
-    let wal = temp_dir().join("noop.wal");
+    for Corpus { name, descr, data, .. } in corpora("noop") {
+        let wal = temp_dir().join(format!("noop-{name}.wal"));
+        let wal = wal.to_str().unwrap();
+        let full = parse_journaled(&descr, &data, &["--journal", wal, "--metrics=json"]);
+        assert_eq!(full.code, Some(2), "{name}: {}", full.stderr);
+        let again =
+            parse_journaled(&descr, &data, &["--journal", wal, "--resume", "--metrics=json"]);
+        assert_eq!(again.code, Some(2), "{name}: {}", again.stderr);
+        assert_eq!(again.stdout, full.stdout, "{name}: restored metrics diverge");
+        assert!(again.stderr.contains("before the resume point"), "{name}: {}", again.stderr);
+    }
+}
+
+/// A header with a syntax error aborts the source struct before its record
+/// array: no record ends, so no checkpoint is taken, and `--resume` starts
+/// over and aborts the same way, with the same output and status.
+#[test]
+fn a_bad_header_aborts_the_resumed_run_as_it_did_the_first() {
+    let [_, Corpus { descr, .. }] = corpora("hdr");
+    let mut data = sirius(1);
+    data[0] = b'x';
+    let data = write_temp("hdr-sirius-bad-header.txt", &data);
+    let wal = temp_dir().join("hdr.wal");
     let wal = wal.to_str().unwrap();
-    let full = parse_journaled(&descr, &data, &["--journal", wal, "--metrics=json"]);
-    assert_eq!(full.code, Some(2), "{}", full.stderr);
-    let again = parse_journaled(&descr, &data, &["--journal", wal, "--resume", "--metrics=json"]);
-    assert_eq!(again.code, Some(2), "{}", again.stderr);
-    assert_eq!(again.stdout, full.stdout, "restored metrics diverge");
-    assert!(again.stderr.contains("before the resume point"), "{}", again.stderr);
+    for jobs in JOBS {
+        let run = |extra: &[&str]| {
+            parse_journaled(&descr, &data, &[&["--journal", wal, "--jobs", jobs], extra].concat())
+        };
+        let first = run(&["--kill-after", "2"]);
+        assert_eq!(first.code, Some(2), "{}", first.stderr);
+        let aborted = "\n  h: literal did not match at record 0\n";
+        assert!(first.stdout.contains(aborted), "{}", first.stdout);
+        assert!(!first.stderr.contains("--kill-after"), "no record to kill at: {}", first.stderr);
+        let resumed = run(&["--resume"]);
+        assert_eq!((resumed.code, &resumed.stdout), (first.code, &first.stdout), "jobs={jobs}");
+        assert_eq!(resumed.stderr, first.stderr, "jobs={jobs}");
+    }
 }
 
 /// A journal too short to hold the magic header: exit 4, stable code name.
@@ -147,18 +209,19 @@ fn resume_rejects_garbled_header() {
     assert!(run.stderr.contains("JournalBadHeader"), "{}", run.stderr);
 }
 
-/// Writes a valid journal by running a full journaled parse, then hands
-/// the file bytes to `mutate` and reports the mutated resume attempt.
-fn corrupted_resume(tag: &str, mutate: impl FnOnce(&mut Vec<u8>)) -> Run {
-    let descr = write_temp(&format!("{tag}.pads"), DESCR.as_bytes());
-    let data = write_temp(&format!("{tag}.txt"), DATA);
-    let wal = temp_dir().join(format!("{tag}.wal"));
-    let full = parse_journaled(&descr, &data, &["--journal", wal.to_str().unwrap()]);
-    assert_eq!(full.code, Some(2), "{}", full.stderr);
-    let mut bytes = std::fs::read(&wal).expect("read journal");
-    mutate(&mut bytes);
-    std::fs::write(&wal, &bytes).expect("rewrite journal");
-    parse_journaled(&descr, &data, &["--journal", wal.to_str().unwrap(), "--resume"])
+/// For each corpus: writes a valid journal by running a full journaled
+/// parse, hands the file bytes to `mutate`, and has `check` look at the
+/// resume attempt over the mutated journal.
+fn corrupted_resume(tag: &str, mutate: impl Fn(&mut Vec<u8>), check: impl Fn(&Run)) {
+    for Corpus { name, descr, data, .. } in corpora(tag) {
+        let wal = temp_dir().join(format!("{tag}-{name}.wal"));
+        let full = parse_journaled(&descr, &data, &["--journal", wal.to_str().unwrap()]);
+        assert_eq!(full.code, Some(2), "{name}: {}", full.stderr);
+        let mut bytes = std::fs::read(&wal).expect("read journal");
+        mutate(&mut bytes);
+        std::fs::write(&wal, &bytes).expect("rewrite journal");
+        check(&parse_journaled(&descr, &data, &["--journal", wal.to_str().unwrap(), "--resume"]));
+    }
 }
 
 /// Byte offsets of each complete frame after the 16-byte header.
@@ -181,48 +244,51 @@ fn frame_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
 /// A flipped payload byte inside a complete frame: exit 4, CRC mismatch.
 #[test]
 fn resume_rejects_flipped_payload_byte() {
-    let run = corrupted_resume("crc", |bytes| {
+    let flip = |bytes: &mut Vec<u8>| {
         let (start, _) = frame_spans(bytes)[0];
         bytes[start + 12] ^= 0xFF;
+    };
+    corrupted_resume("crc", flip, |run| {
+        assert_eq!(run.code, Some(4), "{}", run.stderr);
+        assert!(run.stderr.contains("JournalCrcMismatch"), "{}", run.stderr);
     });
-    assert_eq!(run.code, Some(4), "{}", run.stderr);
-    assert!(run.stderr.contains("JournalCrcMismatch"), "{}", run.stderr);
 }
 
 /// A duplicated frame (same offset and record twice): exit 4, the
 /// checkpoint sequence must strictly advance.
 #[test]
 fn resume_rejects_duplicate_checkpoint() {
-    let run = corrupted_resume("dup", |bytes| {
+    let duplicate = |bytes: &mut Vec<u8>| {
         let (start, end) = *frame_spans(bytes).last().expect("at least one frame");
         let copy = bytes[start..end].to_vec();
         bytes.extend_from_slice(&copy);
+    };
+    corrupted_resume("dup", duplicate, |run| {
+        assert_eq!(run.code, Some(4), "{}", run.stderr);
+        assert!(run.stderr.contains("JournalOutOfOrder"), "{}", run.stderr);
     });
-    assert_eq!(run.code, Some(4), "{}", run.stderr);
-    assert!(run.stderr.contains("JournalOutOfOrder"), "{}", run.stderr);
 }
 
 /// A tail torn mid-frame (the crash case): repaired with a notice, and
 /// the resumed run still completes with the right exit status.
 #[test]
 fn resume_repairs_torn_tail_and_completes() {
-    let run = corrupted_resume("torn", |bytes| {
-        bytes.truncate(bytes.len() - 5);
+    corrupted_resume("torn", |bytes| bytes.truncate(bytes.len() - 5), |run| {
+        assert_eq!(run.code, Some(2), "{}", run.stderr);
+        assert!(run.stderr.contains("JournalTornTail"), "{}", run.stderr);
     });
-    assert_eq!(run.code, Some(2), "{}", run.stderr);
-    assert!(run.stderr.contains("JournalTornTail"), "{}", run.stderr);
 }
 
 /// A journal written for different data: exit 4, source mismatch.
 #[test]
 fn resume_rejects_journal_for_other_source() {
-    let descr = write_temp("sm.pads", DESCR.as_bytes());
-    let data = write_temp("sm.txt", DATA);
-    let other = write_temp("sm-other.txt", b"9|OPEN|9\n8|SHIP|8\n");
-    let wal = temp_dir().join("sm.wal");
-    let full = parse_journaled(&descr, &data, &["--journal", wal.to_str().unwrap()]);
-    assert_eq!(full.code, Some(2), "{}", full.stderr);
-    let run = parse_journaled(&descr, &other, &["--journal", wal.to_str().unwrap(), "--resume"]);
-    assert_eq!(run.code, Some(4), "{}", run.stderr);
-    assert!(run.stderr.contains("JournalSourceMismatch"), "{}", run.stderr);
+    for Corpus { name, descr, data, other } in corpora("sm") {
+        let wal = temp_dir().join(format!("sm-{name}.wal"));
+        let wal = wal.to_str().unwrap();
+        let full = parse_journaled(&descr, &data, &["--journal", wal]);
+        assert_eq!(full.code, Some(2), "{name}: {}", full.stderr);
+        let run = parse_journaled(&descr, &other, &["--journal", wal, "--resume"]);
+        assert_eq!(run.code, Some(4), "{name}: {}", run.stderr);
+        assert!(run.stderr.contains("JournalSourceMismatch"), "{name}: {}", run.stderr);
+    }
 }

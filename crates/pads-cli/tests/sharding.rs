@@ -14,11 +14,14 @@
 #![cfg(all(target_os = "linux", target_pointer_width = "64"))]
 
 mod common;
+#[path = "common/tables.rs"]
+mod tables;
 
 use std::path::PathBuf;
 use std::process::Command;
 
 use common::{clf_piece, description, pads_usage, sirius_piece, write_corpus, PIECE};
+use tables::JOBS;
 
 /// A CLF corpus of `pieces` × 1 000 records in a directory of this test's
 /// own, and its length.
@@ -49,7 +52,7 @@ fn accum_prints_the_sequential_report_at_every_job_count() {
     for summaries in [&[][..], &["--summaries"]] {
         let sequential = accum(summaries);
         assert!(sequential.contains("good"), "{sequential}");
-        for jobs in ["1", "2", "4"] {
+        for jobs in JOBS {
             // The default chunk (256 records) and one-record chunks.
             for inflight in ["1024", "4"] {
                 let flags = [summaries, &["--jobs", jobs, "--max-inflight-records", inflight]];
@@ -96,7 +99,7 @@ fn a_header_source_prints_the_sequential_bytes_at_every_job_count() {
                 sequential.2
             );
             assert!(!sequential.1.is_empty(), "{command:?} {budget:?}: no output");
-            for jobs in ["1", "2", "4"] {
+            for jobs in JOBS {
                 // The default chunk (256 records) and one-record chunks.
                 for inflight in ["1024", "4"] {
                     let flags = [budget, &["--jobs", jobs, "--max-inflight-records", inflight]];

@@ -9,11 +9,15 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+#[path = "common/tables.rs"]
+mod tables;
+
 use pads::{
-    descriptions, BaseMask, Engine, Mask, OnExhausted, PadsParser, ParseOptions, RecordDiscipline,
+    descriptions, BaseMask, Engine, Mask, PadsParser, ParseOptions, RecordDiscipline,
     RecoveryPolicy, Registry, Schema, SourceSummary,
 };
 use pads_runtime::FaultPlan;
+use tables::{policies, JOBS};
 
 fn repo_root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
@@ -69,17 +73,6 @@ fn check(descr: &Path, data: &Path, flags: &[String], format: &str, want: &Expec
     assert_eq!(stderr, want.summary.clone().unwrap_or_default(), "{label}");
 }
 
-fn policies() -> Vec<(Vec<String>, RecoveryPolicy)> {
-    let flags = |mode: &str| ["--max-errs", "2", "--on-overflow", mode].map(str::to_owned).to_vec();
-    let capped = |mode| RecoveryPolicy::unlimited().with_max_errs(2).with_on_exhausted(mode);
-    vec![
-        (Vec::new(), RecoveryPolicy::unlimited()),
-        (flags("stop"), capped(OnExhausted::Stop)),
-        (flags("skip"), capped(OnExhausted::SkipRecord)),
-        (flags("best-effort"), capped(OnExhausted::BestEffort)),
-    ]
-}
-
 /// Clean, `FaultPlan`-damaged and torture corpora for one description.
 fn corpora(name: &str, schema: &Schema) -> Vec<(String, Vec<u8>)> {
     let clean = match name {
@@ -128,7 +121,7 @@ fn streamed_parse_matches_the_whole_tree_parse() {
                 for (engine_flag, engine) in [("interp", Engine::Interp), ("vm", Engine::Vm)] {
                     let options = ParseOptions { policy, engine, ..Default::default() };
                     let want = oracle(&schema, options, &data, &source);
-                    for jobs in ["1", "2", "4"] {
+                    for jobs in JOBS {
                         let mut flags = policy_flags.clone();
                         // Chunks of two records, so that `--jobs 2|4` really
                         // shard these small corpora.

@@ -50,7 +50,8 @@ pub struct ParseOptions {
 /// speed/startup trade-off. See `docs/VM.md` for the selection contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Walk the checked IR directly — no warm-up cost, the default.
+    /// Walk the checked IR directly — no warm-up cost. The default of
+    /// `ParseOptions`; the `pads` CLI defaults to [`Engine::Vm`] instead.
     #[default]
     Interp,
     /// Compile the schema to a cached [`crate::vm::VmProgram`] on first

@@ -154,7 +154,8 @@ pub struct SourceJob<'a> {
     pub shape: SourceShape<'a>,
     /// Applied to the header and to every record.
     pub mask: &'a Mask,
-    /// Where the source starts: a committed checkpoint, or the beginning.
+    /// Where the run starts: the beginning of the source, or a committed
+    /// checkpoint — the end of a record, the header behind it.
     pub start: ResumePoint,
     /// Upper bound on worker threads.
     pub jobs: usize,
@@ -255,9 +256,11 @@ impl<'s> PadsParser<'s> {
         }
     }
 
-    /// The one record-run driver: parses `job.shape`'s header (if any) at
-    /// `job.start` — where `reader` stands — then every record to the end
-    /// of the input, handing each to `sink` and keeping none.
+    /// The one record-run driver: from `job.start` — where `reader` stands
+    /// — parses `job.shape`'s header (if it has one, and the run starts at
+    /// the beginning of the source: a later start is a record end, so the
+    /// header lies behind it), then every record to the end of the input,
+    /// handing each to `sink` and keeping none.
     ///
     /// The source is read through a bounded **window**: 1 MiB per job,
     /// filled from `reader`, cut at the last record boundary of
@@ -323,7 +326,9 @@ impl<'s> PadsParser<'s> {
             drained: false,
         };
 
-        let mut header = shape.header;
+        // A start past the beginning has the header behind it: checkpoints
+        // are taken at record ends, and the header is the first record.
+        let mut header = shape.header.filter(|_| (start.offset, start.record) == (0, 0));
         let mut resume = start;
         let mut pos = Pos { offset: start.offset, record: start.record, byte: 0 };
         let mut index = 0;
@@ -353,7 +358,6 @@ impl<'s> PadsParser<'s> {
             let (base, until) = (win.base, win.base + cut);
             if let Some(header) = header.take() {
                 let mut cur = self.open(data).with_base(base);
-                cur.seek(start.offset, start.record);
                 cur.set_budget(start.budget);
                 let (value, pd) = self.parse_named(&mut cur, header, &[], mask);
                 (pos, resume.budget) = (cur.position(), cur.budget());

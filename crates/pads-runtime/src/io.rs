@@ -65,16 +65,65 @@ pub enum RecordDiscipline {
     None,
 }
 
-/// The record length a [`RecordDiscipline::LengthPrefixed`] header encodes:
-/// the one decode behind the cursor, the shard cutter and the source
-/// driver's window cut. A length beyond `usize` saturates rather than
-/// overflows; it can never fit a source, so every framing path reports it
-/// as a bad header.
+/// The record length a [`RecordDiscipline::LengthPrefixed`] header encodes.
+/// A length beyond `usize` saturates rather than overflows; it can never
+/// fit a source, so [`frame_record`] reports it as a bad header.
 pub fn length_prefix(header: &[u8], endian: Endian) -> usize {
     let fold = |len: usize, &b: &u8| len.checked_mul(256).map_or(usize::MAX, |l| l | b as usize);
     match endian {
         Endian::Big => header.iter().fold(0, fold),
         Endian::Little => header.iter().rev().fold(0, fold),
+    }
+}
+
+/// Where one record lies in its source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame {
+    /// First byte of the record's content, past a length header.
+    pub body: usize,
+    /// One past the content's last byte; a terminator is not content.
+    pub end: usize,
+    /// Where the next record starts: `end`, past the terminator if any.
+    pub next: usize,
+    /// Whether the record ends inside `data` whatever a longer source goes
+    /// on with: its newline, full width, or header and declared length are
+    /// all there.
+    pub closed: bool,
+    /// The framing error of a record that is not closed: a fixed-width
+    /// record or a length header that overruns the source, which leave the
+    /// rest of the source as the record.
+    pub error: Option<ErrorCode>,
+}
+
+/// Frames the record that starts at `pos <= data.len()`: the one framing
+/// rule behind [`Cursor::begin_record`], the shard cutter and the source
+/// driver's window cut. A zero-width record (`FixedWidth(0)`, an empty
+/// length header) has `next == pos`; no reader gets past it.
+#[inline]
+pub fn frame_record(data: &[u8], disc: RecordDiscipline, newline: u8, pos: usize) -> Frame {
+    let len = data.len();
+    let closed = |body, end, next| Frame { body, end, next, closed: true, error: None };
+    let rest = |body, error| Frame { body, end: len, next: len, closed: false, error };
+    match disc {
+        RecordDiscipline::Newline => match scan::find_byte(&data[pos..], newline) {
+            Some(i) => closed(pos, pos + i, pos + i + 1),
+            None => rest(pos, None),
+        },
+        RecordDiscipline::FixedWidth(n) if n <= len - pos => closed(pos, pos + n, pos + n),
+        RecordDiscipline::FixedWidth(_) => rest(pos, Some(ErrorCode::RecordTooShort)),
+        RecordDiscipline::LengthPrefixed { header_bytes, endian } => {
+            if header_bytes > len - pos {
+                return rest(pos, Some(ErrorCode::BadRecordHeader));
+            }
+            let body = pos + header_bytes;
+            let rec_len = length_prefix(&data[pos..body], endian);
+            if rec_len <= len - body {
+                closed(body, body + rec_len, body + rec_len)
+            } else {
+                rest(body, Some(ErrorCode::BadRecordHeader))
+            }
+        }
+        RecordDiscipline::None => rest(pos, None),
     }
 }
 
@@ -558,46 +607,11 @@ impl<'a> Cursor<'a> {
             return Err(ErrorCode::UnexpectedEof);
         }
         self.align();
-        self.rec_start = self.pos;
-        match self.disc {
-            RecordDiscipline::Newline => {
-                let nl = self.charset.encode(b'\n');
-                let end = scan::find_byte(&self.data[self.pos..], nl)
-                    .map(|i| self.pos + i)
-                    .unwrap_or(self.data.len());
-                self.rec_end = Some(end);
-                Ok(())
-            }
-            RecordDiscipline::FixedWidth(n) => {
-                if self.pos + n <= self.data.len() {
-                    self.rec_end = Some(self.pos + n);
-                    Ok(())
-                } else {
-                    self.rec_end = Some(self.data.len());
-                    Err(ErrorCode::RecordTooShort)
-                }
-            }
-            RecordDiscipline::LengthPrefixed { header_bytes, endian } => {
-                if header_bytes > self.data.len() - self.pos {
-                    self.rec_end = Some(self.data.len());
-                    return Err(ErrorCode::BadRecordHeader);
-                }
-                let len = length_prefix(&self.data[self.pos..self.pos + header_bytes], endian);
-                self.pos += header_bytes;
-                self.rec_start = self.pos;
-                if len <= self.data.len() - self.pos {
-                    self.rec_end = Some(self.pos + len);
-                    Ok(())
-                } else {
-                    self.rec_end = Some(self.data.len());
-                    Err(ErrorCode::BadRecordHeader)
-                }
-            }
-            RecordDiscipline::None => {
-                self.rec_end = Some(self.data.len());
-                Ok(())
-            }
-        }
+        let frame = frame_record(self.data, self.disc, self.charset.encode(b'\n'), self.pos);
+        self.pos = frame.body;
+        self.rec_start = frame.body;
+        self.rec_end = Some(frame.end);
+        frame.error.map_or(Ok(()), Err)
     }
 
     /// Closes the current record: skips any unconsumed bytes, consumes the

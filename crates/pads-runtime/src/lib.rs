@@ -89,5 +89,5 @@ pub use pd::{ParseDesc, PdKind, SparseElts};
 pub use prim::{Prim, PrimKind};
 pub use recovery::{ErrorBudget, OnExhausted, RecoveryPolicy};
 pub use scan::{
-    count_byte, find_byte, find_byte2, find_literal, rfind_byte, skip_class, ClassBitmap,
+    count_byte, find_byte, find_byte2, find_literal, skip_class, ClassBitmap,
 };

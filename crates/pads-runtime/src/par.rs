@@ -78,10 +78,9 @@ use std::thread;
 
 use crate::encoding::Charset;
 use crate::error::Pos;
-use crate::io::{length_prefix, RecordDiscipline};
+use crate::io::{frame_record, RecordDiscipline};
 use crate::pd::ParseDesc;
 use crate::recovery::{ErrorBudget, RecoveryPolicy};
-use crate::scan;
 
 /// One contiguous byte range of the source, aligned to record boundaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,14 +105,12 @@ pub struct ShardPlan {
 }
 
 /// Splits `data` into at most `jobs` contiguous shards at record boundaries
-/// of `disc`. With `jobs <= 1`, an empty source, or the
-/// [`RecordDiscipline::None`] discipline (the whole source is one record),
-/// the plan is a single shard.
+/// of `disc`. With `jobs <= 1`, an empty source, or a discipline whose one
+/// record is the whole source, the plan is a single shard.
 ///
 /// Shards are byte-balanced: each interior boundary is the first record
-/// boundary at or after an even byte split (an even split of the record
-/// count, for fixed-width records). Sources with fewer boundaries than jobs
-/// simply produce fewer shards.
+/// start at or after an even byte split, found on one walk of the records.
+/// Sources with fewer boundaries than jobs simply produce fewer shards.
 pub fn plan_shards(
     data: &[u8],
     disc: RecordDiscipline,
@@ -123,103 +120,46 @@ pub fn plan_shards(
     let len = data.len();
     let nl = charset.encode(b'\n');
     let jobs = jobs.max(1);
-    // Length-prefixed record starts are only discoverable by walking the
-    // headers.
-    let mut starts = Vec::new();
-    if let RecordDiscipline::LengthPrefixed { .. } = disc {
-        let mut pos = 0;
-        while pos < len {
-            starts.push(pos);
-            pos = record_end(data, disc, nl, pos);
-        }
-    }
-    let records_in = |s: usize, e: usize| match disc {
-        RecordDiscipline::None => usize::from(e > s),
-        // A final record without a trailing newline still counts.
-        RecordDiscipline::Newline => {
-            scan::count_byte(&data[s..e], nl) + usize::from(e == len && e > s && data[e - 1] != nl)
-        }
-        RecordDiscipline::FixedWidth(0) => 0,
-        RecordDiscipline::FixedWidth(w) => (e - s).div_ceil(w),
-        RecordDiscipline::LengthPrefixed { .. } => {
-            starts.iter().filter(|&&p| s <= p && p < e).count()
-        }
-    };
-    // The boundary for the `i`-th of `jobs` even splits, given the previous.
-    let boundary = |i: usize, prev: usize| match disc {
-        RecordDiscipline::None | RecordDiscipline::FixedWidth(0) => None,
-        RecordDiscipline::Newline => {
-            let from = (len * i / jobs).max(prev);
-            scan::find_byte(data.get(from..)?, nl).map(|off| from + off + 1)
-        }
-        RecordDiscipline::FixedWidth(w) => Some((len.div_ceil(w) * i / jobs) * w),
-        RecordDiscipline::LengthPrefixed { .. } => {
-            starts.iter().copied().find(|&p| p >= len * i / jobs)
-        }
-    };
     let mut shards = Vec::with_capacity(jobs);
-    let (mut start, mut first_record) = (0, 0);
-    for i in 1..=jobs {
-        let end = if i == jobs { Some(len) } else { boundary(i, start) };
-        if let Some(end) = end.filter(|&end| i == jobs || (end > start && end < len)) {
-            let records = records_in(start, end);
-            shards.push(Shard { index: shards.len(), start, end, first_record, records });
-            (start, first_record) = (end, first_record + records);
+    let (mut start, mut first_record, mut records, mut pos) = (0, 0, 0, 0);
+    while pos < len {
+        if pos > start && pos >= len * (shards.len() + 1) / jobs {
+            shards.push(Shard { index: shards.len(), start, end: pos, first_record, records });
+            (start, first_record, records) = (pos, first_record + records, 0);
         }
+        pos = record_end(data, disc, nl, pos);
+        records += 1;
     }
+    shards.push(Shard { index: shards.len(), start, end: len, first_record, records });
     ShardPlan { shards }
 }
 
 /// One past the last byte of the record that starts at `pos < data.len()`,
-/// terminator included: `Cursor::begin_record`'s framing, malformed-header
-/// recovery too (the rest of the source becomes one record). Always past
-/// `pos`.
+/// terminator included, as [`frame_record`] frames it. Always past `pos`: a
+/// zero-width record is one no reader gets past, so the rest of the source
+/// goes with it.
 fn record_end(data: &[u8], disc: RecordDiscipline, newline: u8, pos: usize) -> usize {
-    let len = data.len();
-    match disc {
-        RecordDiscipline::None | RecordDiscipline::FixedWidth(0) => len,
-        RecordDiscipline::Newline => {
-            scan::find_byte(&data[pos..], newline).map_or(len, |i| pos + i + 1)
-        }
-        RecordDiscipline::FixedWidth(w) => pos.saturating_add(w).min(len),
-        RecordDiscipline::LengthPrefixed { header_bytes, endian } => {
-            if header_bytes == 0 || header_bytes > len - pos {
-                return len;
-            }
-            let body = pos + header_bytes;
-            let rec_len = length_prefix(&data[pos..body], endian);
-            if rec_len > len - body {
-                len
-            } else {
-                body + rec_len
-            }
-        }
+    let next = frame_record(data, disc, newline, pos).next;
+    if next > pos {
+        next
+    } else {
+        data.len()
     }
 }
 
 /// One past the last record of `data` that is whole whatever follows `data`
 /// in its source — where a window of a longer source may be cut — or 0 when
-/// no record is known to end inside it (also under the disciplines whose
-/// one record is the rest of the source, as the shard cutter frames them).
+/// no record is known to end inside it.
 pub fn last_record_end(data: &[u8], disc: RecordDiscipline, newline: u8) -> usize {
-    let len = data.len();
-    match disc {
-        RecordDiscipline::None | RecordDiscipline::FixedWidth(0) => 0,
-        RecordDiscipline::Newline => scan::rfind_byte(data, newline).map_or(0, |i| i + 1),
-        RecordDiscipline::FixedWidth(w) => len - len % w,
-        RecordDiscipline::LengthPrefixed { header_bytes, endian } => {
-            let mut pos = 0;
-            while header_bytes > 0 && header_bytes <= len - pos {
-                let body = pos + header_bytes;
-                let rec_len = length_prefix(&data[pos..body], endian);
-                if rec_len > len - body {
-                    break;
-                }
-                pos = body + rec_len;
-            }
-            pos
+    let mut pos = 0;
+    while pos < data.len() {
+        let frame = frame_record(data, disc, newline, pos);
+        if !frame.closed || frame.next == pos {
+            break;
         }
+        pos = frame.next;
     }
+    pos
 }
 
 /// Default bound on the records a worker may hold ahead of the in-order
@@ -600,11 +540,51 @@ mod tests {
     use std::cell::Cell;
     use std::rc::Rc;
 
+    /// [`frame_record`]'s contract, a byte at a time: where each record of
+    /// `data` ends, terminator included, and whether it is closed — ends
+    /// there whatever a longer source goes on with. A record that ends where
+    /// it began (fixed width 0, an empty length header) is one no reader
+    /// gets past: the walk stops there, and what is left belongs to that
+    /// record's chunk — [`record_end`]'s "always past `pos`" — for the
+    /// merge's completeness check to catch.
+    fn naive_record_ends(data: &[u8], disc: RecordDiscipline, newline: u8) -> Vec<(usize, bool)> {
+        let len = data.len();
+        let mut ends = Vec::new();
+        let mut pos = 0;
+        while pos < len {
+            let (end, closed) = match disc {
+                RecordDiscipline::None => (len, false),
+                RecordDiscipline::Newline => {
+                    let mut end = pos;
+                    while end < len && data[end] != newline {
+                        end += 1;
+                    }
+                    (len.min(end + 1), end < len)
+                }
+                RecordDiscipline::FixedWidth(w) => (len.min(pos + w), pos + w <= len),
+                RecordDiscipline::LengthPrefixed { header_bytes, endian } => {
+                    let mut header = data[pos..len.min(pos.saturating_add(header_bytes))].to_vec();
+                    if endian == Endian::Little {
+                        header.reverse();
+                    }
+                    let big = |n: u128, &b: &u8| n.saturating_mul(256) | u128::from(b);
+                    let end = (pos + header_bytes) as u128 + header.iter().fold(0, big);
+                    let fits = header.len() == header_bytes && end <= len as u128;
+                    (if fits { end as usize } else { len }, fits)
+                }
+            };
+            if end == pos {
+                ends.push((len, false));
+                break;
+            }
+            ends.push((end, closed));
+            pos = end;
+        }
+        ends
+    }
+
     /// The offsets at which a cursor's records end, walking the source
-    /// record by record. A record that ends where it began (fixed width 0)
-    /// is one no reader ever gets past: the walk stops there, and what is
-    /// left belongs to that record's chunk — [`record_end`]'s "always past
-    /// `pos`" — for the merge's completeness check to catch.
+    /// record by record, under [`naive_record_ends`]' zero-width rule.
     fn cursor_record_ends(data: &[u8], disc: RecordDiscipline, charset: Charset) -> Vec<usize> {
         let mut cur = Cursor::new(data).with_discipline(disc).with_charset(charset);
         let mut ends = Vec::new();
@@ -635,10 +615,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2048))]
 
-        // `record_end` mirrors `Cursor::begin_record` by hand; a worker
-        // reads its chunk with the cursor. They must frame alike: cut a
-        // record at a time, the cutter's chunks end exactly where the
-        // cursor's records do, malformed and truncated headers included.
+        // The cursor, the shard cutter and the window cut all frame through
+        // `frame_record`; this holds it to the byte loop above. Cut a record
+        // at a time, the cutter's chunks end exactly where the cursor's
+        // records do, malformed and truncated headers included.
         #[test]
         fn cutter_and_cursor_frame_records_identically(
             // Both newlines, and bytes small enough to be plausible lengths.
@@ -649,6 +629,7 @@ mod tests {
             discipline in sample::select(framings()),
             charset in sample::select(vec![Charset::Ascii, Charset::Ebcdic]),
         ) {
+            let naive = naive_record_ends(&data, discipline, charset.encode(b'\n'));
             let mut cutter = Cutter {
                 data: &data,
                 discipline,
@@ -665,11 +646,15 @@ mod tests {
                 prop_assert_eq!((cut.index, cut.first_record, cut.records), (nth, nth, 1));
                 cut_ends.push(cut.end);
             }
+            prop_assert_eq!(&cut_ends, &naive.iter().map(|&(end, _)| end).collect::<Vec<_>>());
             prop_assert_eq!(&cut_ends, &cursor_record_ends(&data, discipline, charset));
 
-            // A window cut falls on one of those ends, and on one that
-            // stays a record end whatever the source goes on with.
+            // A window cut falls on the last of those ends before the first
+            // record that is not closed — so on one that stays a record end
+            // whatever the source goes on with.
             let cut = last_record_end(&data, discipline, charset.encode(b'\n'));
+            let closed = naive.iter().take_while(|&&(_, closed)| closed).last();
+            prop_assert_eq!(cut, closed.map_or(0, |&(end, _)| end));
             let kept: Vec<usize> = cut_ends.iter().copied().filter(|&end| end <= cut).collect();
             prop_assert_eq!(kept.last().copied().unwrap_or(0), cut);
             for more in [&[0u8, 0][..], b"\n", &[0xFF; 9], &[0x25]] {

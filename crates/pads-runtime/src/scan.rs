@@ -74,20 +74,6 @@ pub fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
     None
 }
 
-/// Offset of the last occurrence of `needle` in `hay`, or `None`: the
-/// source driver's search for the last record boundary of a window.
-#[inline]
-pub fn rfind_byte(hay: &[u8], needle: u8) -> Option<usize> {
-    let splat = usize::from_ne_bytes([needle; WORD]);
-    let mut end = hay.len();
-    while end >= WORD && zero_bytes(load_word(hay, end - WORD) ^ splat) == 0 {
-        end -= WORD;
-    }
-    // The word that matched, or the unaligned head: at most `WORD` bytes.
-    let from = end.saturating_sub(WORD);
-    hay[from..end].iter().rposition(|&b| b == needle).map(|i| from + i)
-}
-
 /// Offset of the first occurrence of either `a` or `b` in `hay`.
 ///
 /// Used when a scan must stop at whichever of two delimiters comes first
@@ -342,12 +328,6 @@ mod tests {
         fn find_byte_matches_naive(hay in bytes_strategy(), needle in sample::select(vec![b'a', b'\n', 0u8, 0x80u8, 0xFFu8])) {
             let naive = hay.iter().position(|&b| b == needle);
             prop_assert_eq!(find_byte(&hay, needle), naive);
-        }
-
-        #[test]
-        fn rfind_byte_matches_naive(hay in bytes_strategy(), needle in sample::select(vec![b'a', b'\n', 0u8, 0x80u8, 0xFFu8])) {
-            let naive = hay.iter().rposition(|&b| b == needle);
-            prop_assert_eq!(rfind_byte(&hay, needle), naive);
         }
 
         #[test]

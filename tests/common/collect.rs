@@ -5,8 +5,8 @@
 #![allow(dead_code)]
 
 use pads::{
-    ErrorBudget, Mask, PadsParser, ParseDesc, Progress, RecordSink, ResumePoint, SourceJob,
-    SourceShape, Value,
+    ErrorBudget, Mask, PadsParser, ParseDesc, Progress, RecordSink, ResumePoint, SourceEnd,
+    SourceJob, SourceShape, Value,
 };
 use pads_runtime::MetricsHandle;
 
@@ -56,12 +56,26 @@ pub fn stream(
     data: &[u8],
     record: &str,
     mask: &Mask,
-    (jobs, max_inflight): (usize, usize),
+    geometry: (usize, usize),
     resume: ResumePoint,
 ) -> (Collect, ErrorBudget) {
     let mut sink = Collect::default();
     let shape = SourceShape::records(record);
-    let job = SourceJob { start: resume, jobs, max_inflight, ..SourceJob::new(shape, mask) };
-    let end = parser.stream_source(data, &job, &mut sink);
+    let end = stream_into(parser, data, shape, mask, geometry, resume, &mut sink);
     (sink, end.budget)
+}
+
+/// A source of `shape` streamed into `sink` from `resume`, in a `(jobs,
+/// max_inflight)` geometry.
+pub fn stream_into(
+    parser: &PadsParser<'_>,
+    data: &[u8],
+    shape: SourceShape<'_>,
+    mask: &Mask,
+    (jobs, max_inflight): (usize, usize),
+    resume: ResumePoint,
+    sink: &mut impl RecordSink,
+) -> SourceEnd {
+    let job = SourceJob { start: resume, jobs, max_inflight, ..SourceJob::new(shape, mask) };
+    parser.stream_source(data, &job, sink)
 }

@@ -10,35 +10,20 @@
 
 #[path = "common/collect.rs"]
 mod collect;
+#[path = "common/tables.rs"]
+mod tables;
 
 use pads::generated::clf as gen_clf;
 use pads::{
-    descriptions, BaseMask, ErrorBudget, Mask, OnExhausted, PadsParser, ParseDesc, ParseOptions,
-    RecoveryPolicy, Registry, ResumePoint, Schema, Value,
+    descriptions, BaseMask, ErrorBudget, Mask, PadsParser, ParseDesc, ParseOptions, Progress,
+    RecordSink, RecoveryPolicy, Registry, ResumePoint, Schema, SourceEnd, SourceShape, Value,
 };
-use collect::{counts_json, metered};
-use pads_runtime::{Cursor, FaultPlan, KillPlan, MetricsCore};
-
-/// The in-flight bound of every sharded run here: the corpora are a dozen
-/// records, so this cuts them into chunks of two (the default bound would
-/// make each a single chunk, parsed sequentially).
-const CHUNKS_OF_TWO: usize = 8;
+use collect::{counts_json, metered, stream_into, Collect};
+use pads_runtime::{Cursor, FaultPlan, KillPlan, MetricsCore, MetricsHandle, Pos};
+use tables::{policies, CHUNKS_OF_TWO};
 
 fn mask() -> Mask {
     Mask::all(BaseMask::CheckAndSet)
-}
-
-/// Same policy matrix as the parallel-equivalence harness: unlimited plus
-/// each `OnExhausted` mode with a budget small enough to trip.
-fn policies() -> Vec<RecoveryPolicy> {
-    vec![
-        RecoveryPolicy::unlimited(),
-        RecoveryPolicy::unlimited().with_max_errs(2).with_on_exhausted(OnExhausted::Stop),
-        RecoveryPolicy::unlimited().with_max_errs(2).with_on_exhausted(OnExhausted::SkipRecord),
-        RecoveryPolicy::unlimited().with_max_errs(3).with_on_exhausted(OnExhausted::BestEffort),
-        RecoveryPolicy::unlimited().with_max_record_errs(0),
-        RecoveryPolicy::unlimited().with_max_panic_skip(0).with_on_exhausted(OnExhausted::SkipRecord),
-    ]
 }
 
 /// Collects a record-sharded parse (`stream_source`) from `resume`.
@@ -354,4 +339,149 @@ fn journal_roundtrip_restores_budget_and_metrics() {
         let _ = std::fs::remove_file(&path);
     }
     let _ = std::fs::remove_dir(&dir);
+}
+
+/// A journaled run that is killed, in process: every record is kept and
+/// advances `plan`'s cadence; a checkpoint that has fallen due — position,
+/// budget, the core's snapshot — is taken only where the driver says the
+/// core is exact (what the CLI's journal adapter does); and once
+/// `plan.kill_after` records are in, nothing more is heard.
+struct Killed {
+    kept: Collect,
+    core: MetricsHandle,
+    plan: KillPlan,
+    last: Option<ResumePoint>,
+    since: usize,
+    committed: Option<(ResumePoint, Vec<u8>)>,
+    dead: bool,
+}
+
+impl RecordSink for Killed {
+    fn header(&mut self, value: Value, pd: ParseDesc, progress: &Progress) -> bool {
+        self.kept.header(value, pd, progress)
+    }
+
+    fn record(&mut self, index: usize, value: &Value, pd: &ParseDesc, progress: &Progress) {
+        if self.dead {
+            return;
+        }
+        self.kept.record(index, value, pd, progress);
+        self.since += 1;
+        self.last = Some(ResumePoint {
+            offset: progress.end.offset,
+            record: progress.record + 1,
+            budget: progress.budget,
+        });
+    }
+
+    fn observed(&mut self) {
+        if self.dead {
+            return;
+        }
+        if let Some(at) = self.last.filter(|_| self.since >= self.plan.checkpoint_every) {
+            self.committed = Some((at, self.core.borrow().snapshot()));
+            self.since = 0;
+        }
+        self.dead = self.kept.items.len() >= self.plan.kill_after;
+    }
+}
+
+/// Sirius — a header, then the records — killed before the first record
+/// commit, mid-run and after the last record, sequentially and sharded:
+/// the run resumed from the last checkpoint starts past the header, so it
+/// is given no header, and ends with the uninterrupted run's remaining
+/// records, `SourceEnd` (position, budget) and counters, under every
+/// policy. A run with no checkpoint yet starts over, header included.
+#[test]
+fn header_source_kill_resume_matches_uninterrupted_run() {
+    const SEEDS: u64 = 120;
+    let schema = descriptions::sirius();
+    let registry = Registry::standard();
+    let shape = SourceShape::infer(&schema).expect("sirius streams");
+    assert!(shape.header.is_some());
+    let cfg = pads_gen::SiriusConfig { records: 12, ..Default::default() };
+    let clean = pads_gen::sirius::generate(&cfg).0;
+    let policies = policies();
+    let m = mask();
+    for seed in 0..SEEDS {
+        let data = FaultPlan::for_seed(seed).apply(&clean);
+        let policy = policies[(seed as usize) % policies.len()];
+        let observed = || metered(parser_for(&schema, &registry, policy));
+        let beginning = ResumePoint::default();
+
+        let (parser, core) = observed();
+        let mut full = Collect::default();
+        let full_end =
+            stream_into(&parser, &data, shape, &m, (1, CHUNKS_OF_TWO), beginning, &mut full);
+        let full_json = counts_json(&core);
+        let n = full.items.len();
+
+        let plans = [
+            KillPlan { kill_after: 1, checkpoint_every: 3 },
+            KillPlan { kill_after: n / 2, checkpoint_every: 2 },
+            KillPlan { kill_after: n, checkpoint_every: 1 },
+        ];
+        for (plan, jobs) in plans.into_iter().flat_map(|plan| [(plan, 1), (plan, 2)]) {
+            let at = format!("seed {seed} jobs={jobs} plan={plan:?} policy={policy:?}");
+            let (parser, core) = observed();
+            let kept = Collect::default();
+            let mut killed =
+                Killed { kept, core, plan, last: None, since: 0, committed: None, dead: false };
+            stream_into(&parser, &data, shape, &m, (jobs, CHUNKS_OF_TWO), beginning, &mut killed);
+
+            let (parser, core) = observed();
+            let start = killed.committed.map_or(beginning, |(at, snapshot)| {
+                let restored = MetricsCore::restore(&snapshot).expect("metrics snapshot restores");
+                core.borrow_mut().merge(&restored);
+                at
+            });
+            let mut resumed = Collect::default();
+            let end =
+                stream_into(&parser, &data, shape, &m, (jobs, CHUNKS_OF_TWO), start, &mut resumed);
+            // The header is record 0: `start.record - 1` records are behind
+            // a checkpoint, and so is the header.
+            let behind = if start == beginning {
+                assert_eq!(resumed.header, full.header, "{at}: header");
+                0
+            } else {
+                assert_eq!(resumed.header, None, "{at}: the header is behind the checkpoint");
+                start.record - 1
+            };
+            assert_eq!(resumed.items.as_slice(), &full.items[behind..], "{at}: resumed tail");
+            // A checkpoint is a record end; the length of the record before
+            // it, which a cursor that just closed one still knows, is not
+            // in it.
+            let ended = |end: SourceEnd| SourceEnd { pos: Pos { byte: 0, ..end.pos }, ..end };
+            assert_eq!(ended(end), ended(full_end), "{at}: how the run ended");
+            assert_eq!(counts_json(&core), full_json, "{at}: counters");
+        }
+    }
+}
+
+/// The library rule on its own: a `start` past the beginning of a header
+/// source — any record end — has the header behind it, so the driver
+/// delivers no header and the remaining records. (It used to parse the
+/// header type at `start`, on a record.)
+#[test]
+fn a_start_past_the_header_delivers_no_header_and_the_remaining_records() {
+    const SIRIUS: &[u8] = include_bytes!("data/torture_sirius.txt");
+    let schema = descriptions::sirius();
+    let registry = Registry::standard();
+    let shape = SourceShape::with_header("summary_header_t", "entry_t");
+    let parser = parser_for(&schema, &registry, RecoveryPolicy::unlimited());
+    let m = mask();
+    let mut full = Collect::default();
+    let geometry = (1, CHUNKS_OF_TWO);
+    stream_into(&parser, SIRIUS, shape, &m, geometry, ResumePoint::default(), &mut full);
+    assert!(full.header.is_some() && full.items.len() > 2);
+    for (k, after) in full.progress.iter().enumerate() {
+        let (offset, record) = (after.end.offset, after.record + 1);
+        let start = ResumePoint { offset, record, budget: after.budget };
+        for jobs in [1, 2] {
+            let mut rest = Collect::default();
+            stream_into(&parser, SIRIUS, shape, &m, (jobs, CHUNKS_OF_TWO), start, &mut rest);
+            assert_eq!(rest.header, None, "start after record {k}, jobs={jobs}");
+            assert_eq!(rest.items.as_slice(), &full.items[k + 1..], "start after record {k}");
+        }
+    }
 }

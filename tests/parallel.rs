@@ -10,6 +10,8 @@
 
 #[path = "common/collect.rs"]
 mod collect;
+#[path = "common/tables.rs"]
+mod tables;
 #[path = "common/trace_tally.rs"]
 mod trace_tally;
 
@@ -21,13 +23,14 @@ use pads::generated::clf as gen_clf;
 use pads::{
     compile, descriptions, BaseMask, Charset, Engine, ErrorBudget, Mask, OnExhausted, PadsParser,
     ParseDesc, ParseOptions, RecordDiscipline, RecoveryPolicy, Registry, ResumePoint, Schema,
-    Value, DEFAULT_MAX_INFLIGHT,
+    Value,
 };
 use pads_runtime::base::BaseType;
 use pads_runtime::genrt::CursorRecords;
 use pads_runtime::par::{self, Job, RecordReader};
 use pads_runtime::{Cursor, Endian, ErrorCode, FaultPlan, MetricsHandle, Prim, PrimKind};
 use collect::{counts_json, metered};
+use tables::{policies, GEOMETRIES};
 use trace_tally::Tally;
 
 const CLF: &[u8] = include_bytes!("data/torture_clf.log");
@@ -38,28 +41,7 @@ fn mask() -> Mask {
     Mask::all(BaseMask::CheckAndSet)
 }
 
-/// The policy matrix every equivalence check runs under: unlimited, plus
-/// each `OnExhausted` mode with a budget small enough to trip on the
-/// torture corpora, plus the orthogonal per-record and panic-skip limits.
-fn policies() -> Vec<RecoveryPolicy> {
-    vec![
-        RecoveryPolicy::unlimited(),
-        RecoveryPolicy::unlimited().with_max_errs(2).with_on_exhausted(OnExhausted::Stop),
-        RecoveryPolicy::unlimited().with_max_errs(2).with_on_exhausted(OnExhausted::SkipRecord),
-        RecoveryPolicy::unlimited().with_max_errs(3).with_on_exhausted(OnExhausted::BestEffort),
-        RecoveryPolicy::unlimited().with_max_record_errs(0),
-        RecoveryPolicy::unlimited().with_max_panic_skip(0).with_on_exhausted(OnExhausted::SkipRecord),
-    ]
-}
-
 type Items<T> = Vec<(T, ParseDesc)>;
-
-/// How the sharded driver is run: `(jobs, max_inflight)`. The corpora here
-/// are a dozen records, so the in-flight bound sets the chunk geometry:
-/// sequential; one-record chunks; chunks of two; more workers than chunks;
-/// one chunk larger than the source.
-const GEOMETRIES: [(usize, usize); 6] =
-    [(1, DEFAULT_MAX_INFLIGHT), (2, 1), (4, 1), (2, 8), (16, 8), (4, DEFAULT_MAX_INFLIGHT)];
 
 /// One engine of the matrix: how it reads a source sequentially, and how
 /// under the sharded driver.

@@ -18,12 +18,15 @@ use std::io::{self, Read};
 
 #[path = "common/collect.rs"]
 mod collect;
+#[path = "common/tables.rs"]
+mod tables;
 
 use collect::{counts_json, metered, Collect};
+use tables::{policies, GEOMETRIES};
 use pads::{
-    compile, descriptions, BaseMask, Charset, Endian, Engine, Mask, OnExhausted, PadsParser,
-    ParseDesc, ParseOptions, PdKind, Progress, RecordDiscipline, RecordSink, RecoveryPolicy,
-    Registry, Schema, SourceEnd, SourceFold, SourceJob, SourceShape, SourceSummary, Value,
+    compile, descriptions, BaseMask, Charset, Endian, Engine, Mask, PadsParser, ParseDesc,
+    ParseOptions, PdKind, Progress, RecordDiscipline, RecordSink, Registry, Schema, SourceEnd,
+    SourceFold, SourceJob, SourceShape, SourceSummary, Value,
 };
 use pads_runtime::fault::{FaultReader, Xorshift};
 use pads_tools::{accumulator_program, value_to_xml, xml_program};
@@ -117,16 +120,6 @@ fn records_after_a_header_keep_whole_source_coordinates() {
     assert_eq!(locs(&program), elt_locs, "all but the array's own <loc>");
 }
 
-fn policies() -> Vec<RecoveryPolicy> {
-    vec![
-        RecoveryPolicy::unlimited(),
-        RecoveryPolicy::unlimited().with_max_errs(2).with_on_exhausted(OnExhausted::Stop),
-        RecoveryPolicy::unlimited().with_max_errs(2).with_on_exhausted(OnExhausted::SkipRecord),
-        RecoveryPolicy::unlimited().with_max_errs(3).with_on_exhausted(OnExhausted::BestEffort),
-        RecoveryPolicy::unlimited().with_max_record_errs(0),
-    ]
-}
-
 /// The fold's summary — the root node with its first error and location,
 /// the first located errors, the per-code counts — equals the summary of
 /// the descriptor `parse_source` builds, node for node.
@@ -146,9 +139,7 @@ fn the_fold_rebuilds_the_source_descriptor_summary() {
                 let parser = PadsParser::new(schema, &registry).with_options(options);
                 let (_, pd) = parser.parse_source(data, &mask());
                 let want = SourceSummary::of(&pd);
-                // Sequential, one chunk (which the driver parses in place),
-                // and chunks of one record on three workers.
-                for (jobs, max_inflight) in [(1, 1024), (3, 1024), (3, 4)] {
+                for (jobs, max_inflight) in GEOMETRIES {
                     let mut fold = SourceFold::new(schema);
                     let mask = mask();
                     let job = SourceJob { jobs, max_inflight, ..SourceJob::new(shape, &mask) };
@@ -238,7 +229,7 @@ fn an_attached_core_hears_a_sharded_run_as_it_hears_a_sequential_one() {
                 };
                 let want = run(1, 1024);
                 assert!(want.0.contains("\"records\""), "{name}: {}", want.0);
-                for (jobs, max_inflight) in [(2, 4), (4, 4), (2, 8), (4, 8)] {
+                for (jobs, max_inflight) in GEOMETRIES {
                     let label = format!("{name} {policy:?} {engine:?} jobs={jobs}/{max_inflight}");
                     assert_eq!(run(jobs, max_inflight), want, "{label}");
                 }

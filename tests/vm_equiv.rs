@@ -11,42 +11,26 @@
 
 #[path = "common/collect.rs"]
 mod collect;
+#[path = "common/tables.rs"]
+mod tables;
 
 use std::sync::Arc;
 
 use pads::generated::clf as gen_clf;
 use pads::{
-    descriptions, BaseMask, Engine, ErrorBudget, Mask, OnExhausted, PadsParser, ParseDesc,
+    descriptions, BaseMask, Engine, ErrorBudget, Mask, PadsParser, ParseDesc,
     ParseOptions, RecoveryPolicy, Registry, ResumePoint, Schema, Value,
 };
 use collect::{counts_json, metered};
+use tables::{policies, CHUNKS_OF_TWO};
 use pads_runtime::{Charset, Cursor, FaultPlan, KillPlan, MetricsCore};
 
 const CLF: &[u8] = include_bytes!("data/torture_clf.log");
 const SIRIUS: &[u8] = include_bytes!("data/torture_sirius.txt");
 const MIXED: &[u8] = include_bytes!("data/torture_mixed.txt");
 
-/// The in-flight bound of every sharded run here: the corpora are a dozen
-/// records, so this cuts them into chunks of two (the default bound would
-/// make each a single chunk, parsed sequentially).
-const CHUNKS_OF_TWO: usize = 8;
-
 fn mask() -> Mask {
     Mask::all(BaseMask::CheckAndSet)
-}
-
-/// Same policy matrix as the parallel-equivalence harness: unlimited plus
-/// each `OnExhausted` mode with a budget small enough to trip, plus the
-/// orthogonal per-record and panic-skip limits.
-fn policies() -> Vec<RecoveryPolicy> {
-    vec![
-        RecoveryPolicy::unlimited(),
-        RecoveryPolicy::unlimited().with_max_errs(2).with_on_exhausted(OnExhausted::Stop),
-        RecoveryPolicy::unlimited().with_max_errs(2).with_on_exhausted(OnExhausted::SkipRecord),
-        RecoveryPolicy::unlimited().with_max_errs(3).with_on_exhausted(OnExhausted::BestEffort),
-        RecoveryPolicy::unlimited().with_max_record_errs(0),
-        RecoveryPolicy::unlimited().with_max_panic_skip(0).with_on_exhausted(OnExhausted::SkipRecord),
-    ]
 }
 
 fn opts(policy: RecoveryPolicy, engine: Engine) -> ParseOptions {
