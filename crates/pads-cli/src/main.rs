@@ -412,6 +412,11 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                     }
                 });
             }
+            "--lint-format" => {
+                return Err(
+                    "--lint-format needs a value: --lint-format=json or --lint-format=text".into()
+                )
+            }
             flag if flag.starts_with("--lint-format=") => {
                 o.lint_format = match &flag["--lint-format=".len()..] {
                     "json" => LintFormat::Json,
@@ -976,12 +981,21 @@ fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
         engine: o.engine,
         ..Default::default()
     };
+    // Every subcommand takes exactly `n` arguments: one more is refused,
+    // not dropped.
     let need = |n: usize| -> Result<(), String> {
-        if o.positional.len() < n {
-            Err(format!("`pads {cmd}` needs {n} argument(s)"))
-        } else {
-            Ok(())
+        let got = o.positional.len();
+        if got < n {
+            return Err(format!("`pads {cmd}` needs {n} argument(s)"));
         }
+        if got > n {
+            let extra: Vec<String> = o.positional[n..].iter().map(|a| format!("`{a}`")).collect();
+            return Err(format!(
+                "`pads {cmd}` takes {n} argument(s), got {got} ({})",
+                extra.join(", ")
+            ));
+        }
+        Ok(())
     };
 
     match cmd.as_str() {

@@ -371,7 +371,9 @@ fn an_unreadable_source_is_a_hard_failure() {
         (dir, "Is a directory (os error 21)"),
     ] {
         for command in ["parse", "accum", "fmt", "profile", "query"] {
-            let out = pads().args([command, &clf, source, "/elt"]).output().expect("run pads");
+            let query: &[&str] = if command == "query" { &["/elt"] } else { &[] };
+            let out =
+                pads().args([command, &clf, source]).args(query).output().expect("run pads");
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(stderr, format!("pads: {source}: {error}\n"), "{command}");
             assert_eq!((out.status.code(), out.stdout.len()), (Some(1), 0), "{command}");
@@ -410,8 +412,10 @@ fn gen_in_batches_writes_the_bytes_of_one_call() {
 
 /// An option is accepted only by the subcommands that read it: a run that
 /// wrote no journal, or ran on one thread, must not exit as if it had done
-/// what it was asked. Refusals are status 1 with one line on stderr and
-/// nothing done; every subcommand still takes an option it does read.
+/// what it was asked. The same holds for an argument past the ones a
+/// subcommand takes, and for an option missing its value. Refusals are
+/// status 1 with one line on stderr and nothing done; every subcommand
+/// still takes an option it does read.
 #[test]
 fn an_option_a_subcommand_does_not_read_is_refused() {
     let clf = bundled("clf");
@@ -420,7 +424,7 @@ fn an_option_a_subcommand_does_not_read_is_refused() {
     let copybook = copybook.to_str().expect("utf-8 temp path");
     let journal = std::env::temp_dir().join(format!("pads-cli-opts-{}.wal", std::process::id()));
     let wal = journal.to_str().expect("utf-8 temp path");
-    let refused: [(&[&str], &str); 8] = [
+    let refused: [(&[&str], &str); 12] = [
         (
             &["accum", &clf, &log, "--journal", wal, "--trace", "--lint", "--folded"],
             "--journal is not an option of `pads accum`",
@@ -435,6 +439,17 @@ fn an_option_a_subcommand_does_not_read_is_refused() {
         (&["query", &clf, &log, "/elt", "--xml"], "--xml is not an option of `pads query`"),
         (&["gen", &clf, "--ebcdic"], "--ebcdic is not an option of `pads gen`"),
         (&["xsd", &clf, "--lint=warn"], "--lint is not an option of `pads xsd`"),
+        // An extra argument is refused too, not dropped.
+        (
+            &["parse", &clf, &log, "--metrics", "json"],
+            "`pads parse` takes 2 argument(s), got 3 (`json`)",
+        ),
+        (&["accum", &clf, &log, "b.log"], "`pads accum` takes 2 argument(s), got 3 (`b.log`)"),
+        (&["xsd", &clf, "extra"], "`pads xsd` takes 1 argument(s), got 2 (`extra`)"),
+        (
+            &["check", &clf, "--lint-format"],
+            "--lint-format needs a value: --lint-format=json or --lint-format=text",
+        ),
     ];
     for (args, why) in refused {
         let out = pads().args(args).output().expect("run pads");

@@ -1,31 +1,24 @@
-//! Columnar record batches: struct-of-arrays output for both engines.
+//! Record batches: many parsed records in one columnar store.
 //!
-//! A [`RecordBatch`] holds many parsed records in Arrow-style columns —
-//! one value vector per leaf, offset arrays for nested arrays and string
+//! A [`RecordBatch`] holds parsed records in Arrow-style columns — one
+//! value vector per leaf, offset arrays for nested arrays and string
 //! heaps, dense child columns for unions and optionals, and per-row
 //! validity/error bitmaps — instead of one [`Value`] tree per record.
-//! Appending a row therefore amortises to zero allocations once the
-//! column vectors have grown to their high-water mark, and the close path
-//! (accumulators, `--format` writers, metrics summaries) walks contiguous
-//! vectors instead of chasing per-record heap trees.
+//! Appending a row amortises to zero allocations once the column vectors
+//! have grown to their high-water mark.
 //!
-//! Producers:
-//!
-//! * the interpreter appends owned trees via [`RecordBatch::push`];
-//! * generated parsers and the parallel sharded engine lower through the
-//!   [`ValueArena`](pads_runtime::ValueArena) and append zero-copy via
-//!   [`RecordBatch::push_arena`] (borrowed string leaves are copied once,
-//!   into the column heap — never through an intermediate `String`);
-//! * [`PadsParser::records_batched`](crate::parse::PadsParser) and
-//!   [`PadsParser::records_par_batched`](crate::parse::PadsParser) fold
-//!   whole runs for the CLI.
+//! The batch is a pinned shim: no CLI path builds one. It is what
+//! [`PadsParser::records_batched`](crate::parse::PadsParser) and
+//! [`PadsParser::records_par_batched`](crate::parse::PadsParser) return,
+//! and what the benchmark's generated tier fills with
+//! [`RecordBatch::push_arena`] (borrowed string leaves are copied once,
+//! into the column heap) before handing it to the accumulator. Its
+//! consumers read it a row at a time.
 //!
 //! Equivalence is the design invariant: [`RecordBatch::row`] reconstructs
 //! a [`Value`] byte-identical to what the per-record path produced, and
 //! [`RecordBatch::pd`] returns the record's parse descriptor (stored
-//! sparsely — clean rows cost one bitmap bit). Anything that consumed
-//! `(Value, ParseDesc)` pairs can consume a batch without observable
-//! change; the columnar layout is pure representation.
+//! sparsely — clean rows cost one bitmap bit).
 //!
 //! Schema drift inside a batch (a column seeing a differently-shaped
 //! value, e.g. under aggressive error recovery) does not lose data: the
@@ -38,8 +31,8 @@ use pads_runtime::{AShape, AValRef, Name, NameTable, ParseDesc, Prim};
 use crate::value::Value;
 
 /// Packed row bitmap (validity / error flags).
-#[derive(Debug, Default, Clone)]
-pub struct Bitmap {
+#[derive(Debug, Default)]
+struct Bitmap {
     bits: Vec<u64>,
     len: usize,
 }
@@ -57,27 +50,12 @@ impl Bitmap {
     }
 
     /// Bit `i`.
-    pub fn get(&self, i: usize) -> bool {
+    fn get(&self, i: usize) -> bool {
         i < self.len && self.bits[i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// Number of bits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the bitmap is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Number of set bits strictly before `i`.
-    pub fn rank(&self, i: usize) -> usize {
+    fn rank(&self, i: usize) -> usize {
         let full = i / 64;
         let mut n: usize =
             self.bits[..full.min(self.bits.len())].iter().map(|w| w.count_ones() as usize).sum();
@@ -448,7 +426,7 @@ impl Col {
             Col::Union { tags, .. } => tags.len(),
             Col::Array { offsets, .. } => offsets.len(),
             Col::Enum { indices, .. } => indices.len(),
-            Col::Opt { validity, .. } => validity.len(),
+            Col::Opt { validity, .. } => validity.len,
             Col::Mixed(v) => v.len(),
         }
     }
@@ -599,226 +577,6 @@ impl Col {
         }
     }
 
-    fn resolve(&self, mut segs: std::str::Split<'_, char>) -> Option<&Col> {
-        let Some(seg) = segs.next() else { return Some(self) };
-        match self {
-            Col::Struct { fields, .. } => {
-                fields.iter().find(|(n, _)| n == seg).and_then(|(_, c)| c.resolve(segs))
-            }
-            Col::Union { names, children, .. } => {
-                names.iter().position(|n| n == seg).and_then(|i| children[i].resolve(segs))
-            }
-            Col::Array { elem, .. } if seg == "[]" => elem.resolve(segs),
-            Col::Opt { inner, .. } if seg == "?" => inner.resolve(segs),
-            _ => None,
-        }
-    }
-
-    fn leaf_paths(&self, prefix: &str, out: &mut Vec<(String, usize)>) {
-        match self {
-            Col::Struct { fields, .. } => {
-                for (n, c) in fields {
-                    let p = if prefix.is_empty() {
-                        n.as_str().to_owned()
-                    } else {
-                        format!("{prefix}.{n}")
-                    };
-                    c.leaf_paths(&p, out);
-                }
-            }
-            Col::Union { names, children, .. } => {
-                for (n, c) in names.iter().zip(children) {
-                    c.leaf_paths(&format!("{prefix}.{n}"), out);
-                }
-            }
-            Col::Array { elem, .. } => elem.leaf_paths(&format!("{prefix}.[]"), out),
-            Col::Opt { inner, .. } => inner.leaf_paths(&format!("{prefix}.?"), out),
-            Col::Empty => {}
-            _ => out.push((prefix.to_owned(), self.slots())),
-        }
-    }
-}
-
-/// Typed view of one leaf column, for columnar consumers (stats,
-/// metrics summaries) that want the vector without row reconstruction.
-#[derive(Debug)]
-pub enum ColumnView<'b> {
-    /// Unsigned-integer vector.
-    U64(&'b [u64]),
-    /// Signed-integer vector.
-    I64(&'b [i64]),
-    /// Float vector.
-    F64(&'b [f64]),
-    /// String column: shared heap plus end offsets (slot `i` is
-    /// `heap[offsets[i-1]..offsets[i]]`, with slot 0 starting at 0).
-    Str {
-        /// End offset of each slot in `heap`.
-        offsets: &'b [u32],
-        /// Concatenated slot texts.
-        heap: &'b str,
-    },
-    /// Enum/union tag vector (dense indices).
-    Tags(&'b [u32]),
-    /// Anything else (bools, chars, dates, spilled columns …).
-    Other,
-}
-
-impl<'b> ColumnView<'b> {
-    /// The strings of a [`ColumnView::Str`] column, in slot order.
-    pub fn strs(&self) -> Vec<&'b str> {
-        match self {
-            ColumnView::Str { offsets, heap } => {
-                let mut start = 0usize;
-                offsets
-                    .iter()
-                    .map(|&end| {
-                        let s = &heap[start..end as usize];
-                        start = end as usize;
-                        s
-                    })
-                    .collect()
-            }
-            _ => Vec::new(),
-        }
-    }
-}
-
-/// Typed borrowed view of one primitive leaf column — every leaf kind,
-/// unlike the flat [`ColumnView`] which collapses the rare ones to
-/// `Other`. Variable-length columns are the shared heap plus end
-/// offsets: slot `i` is `heap[offsets[i-1]..offsets[i]]`, with slot 0
-/// starting at 0.
-#[derive(Debug, Clone, Copy)]
-pub enum PrimColView<'b> {
-    /// Unit column: just a slot count.
-    Unit(usize),
-    /// Bool vector.
-    Bool(&'b [bool]),
-    /// Char vector (raw bytes).
-    Char(&'b [u8]),
-    /// Signed-integer vector.
-    Int(&'b [i64]),
-    /// Unsigned-integer vector.
-    Uint(&'b [u64]),
-    /// String column heap + end offsets.
-    Str {
-        /// End offset of each slot in `heap`.
-        offsets: &'b [u32],
-        /// Concatenated slot texts.
-        heap: &'b str,
-    },
-    /// Bytes column heap + end offsets.
-    Bytes {
-        /// End offset of each slot in `heap`.
-        offsets: &'b [u32],
-        /// Concatenated slot bytes.
-        heap: &'b [u8],
-    },
-    /// Float vector.
-    Float(&'b [f64]),
-    /// IPv4 address vector.
-    Ip(&'b [[u8; 4]]),
-    /// Date vector.
-    Date(&'b [PDate]),
-    /// Kind-drift spill: row-major primitives.
-    Mixed(&'b [Prim]),
-}
-
-/// Borrowed typed view of the whole nested column tree, produced by
-/// [`RecordBatch::column_tree`]. Columnar consumers (the accumulator's
-/// column-at-a-time fold) need more than flat leaves: union tags next
-/// to their dense children, array offsets, optional validity. Dense
-/// child columns (union branches, optional contents) hold only the
-/// taken/present slots, **in row order** — folding a child column
-/// front to back visits exactly the rows that selected it, in the same
-/// order a row-wise walk would.
-#[derive(Debug)]
-pub enum ColTree<'b> {
-    /// No slot appended yet (an empty batch, a never-taken branch).
-    Empty,
-    /// A primitive leaf column.
-    Prim(PrimColView<'b>),
-    /// Struct: every field column has `slots` slots.
-    Struct {
-        /// Field name and column, in schema order.
-        fields: Vec<(&'b Name, ColTree<'b>)>,
-        /// Slot count (shared by all fields).
-        slots: usize,
-    },
-    /// Union: per-slot branch index plus dense per-branch children.
-    Union {
-        /// Branch index taken by each slot.
-        tags: &'b [u32],
-        /// Slot of each row's value within its branch child.
-        child_rows: &'b [u32],
-        /// Branch names, indexed by tag.
-        names: &'b [Name],
-        /// Dense per-branch columns (row order within each branch).
-        children: Vec<ColTree<'b>>,
-    },
-    /// Array: element column plus end offsets (slot `i` spans elements
-    /// `offsets[i-1]..offsets[i]`, with slot 0 starting at 0).
-    Array {
-        /// End offset of each slot in the element column.
-        offsets: &'b [u32],
-        /// The flattened element column.
-        elem: Box<ColTree<'b>>,
-    },
-    /// Enum: per-slot variant index.
-    Enum {
-        /// Variant index of each slot.
-        indices: &'b [u32],
-        /// Variant names, indexed by `indices` entries.
-        names: &'b [Name],
-    },
-    /// Optional: per-slot presence plus the dense present column.
-    Opt {
-        /// Presence bit per slot.
-        validity: &'b Bitmap,
-        /// Dense column of the present slots, in row order.
-        inner: Box<ColTree<'b>>,
-    },
-    /// Shape-drift spill: row-major values.
-    Mixed(&'b [Value]),
-}
-
-impl Col {
-    fn tree(&self) -> ColTree<'_> {
-        match self {
-            Col::Empty => ColTree::Empty,
-            Col::Prim(p) => ColTree::Prim(match p {
-                PrimCol::Unit(n) => PrimColView::Unit(*n),
-                PrimCol::Bool(v) => PrimColView::Bool(v),
-                PrimCol::Char(v) => PrimColView::Char(v),
-                PrimCol::Int(v) => PrimColView::Int(v),
-                PrimCol::Uint(v) => PrimColView::Uint(v),
-                PrimCol::Float(v) => PrimColView::Float(v),
-                PrimCol::Str { offsets, heap } => PrimColView::Str { offsets, heap },
-                PrimCol::Bytes { offsets, heap } => PrimColView::Bytes { offsets, heap },
-                PrimCol::Ip(v) => PrimColView::Ip(v),
-                PrimCol::Date(v) => PrimColView::Date(v),
-                PrimCol::Mixed(v) => PrimColView::Mixed(v),
-            }),
-            Col::Struct { fields, slots } => ColTree::Struct {
-                fields: fields.iter().map(|(n, c)| (n, c.tree())).collect(),
-                slots: *slots,
-            },
-            Col::Union { tags, child_rows, names, children } => ColTree::Union {
-                tags,
-                child_rows,
-                names,
-                children: children.iter().map(Col::tree).collect(),
-            },
-            Col::Array { offsets, elem } => {
-                ColTree::Array { offsets, elem: Box::new(elem.tree()) }
-            }
-            Col::Enum { indices, names } => ColTree::Enum { indices, names },
-            Col::Opt { validity, inner } => {
-                ColTree::Opt { validity, inner: Box::new(inner.tree()) }
-            }
-            Col::Mixed(rows) => ColTree::Mixed(rows),
-        }
-    }
 }
 
 /// A batch of parsed records in columnar (struct-of-arrays) layout.
@@ -910,42 +668,6 @@ impl RecordBatch {
         self.rows = 0;
         self.errors.clear();
         self.dirty.clear();
-    }
-
-    /// Leaf column by dotted path. Struct fields by name, union branches
-    /// by branch name, array elements as `[]`, optional contents as `?` —
-    /// e.g. `"events.[].tstamp"` or `"ramp.genRamp"`.
-    pub fn column(&self, path: &str) -> Option<ColumnView<'_>> {
-        let col = if path.is_empty() {
-            Some(&self.root)
-        } else {
-            self.root.resolve(path.split('.'))
-        }?;
-        Some(match col {
-            Col::Prim(PrimCol::Uint(v)) => ColumnView::U64(v),
-            Col::Prim(PrimCol::Int(v)) => ColumnView::I64(v),
-            Col::Prim(PrimCol::Float(v)) => ColumnView::F64(v),
-            Col::Prim(PrimCol::Str { offsets, heap }) => ColumnView::Str { offsets, heap },
-            Col::Enum { indices, .. } => ColumnView::Tags(indices),
-            Col::Union { tags, .. } => ColumnView::Tags(tags),
-            _ => ColumnView::Other,
-        })
-    }
-
-    /// Borrowed typed view of the whole nested column tree — see
-    /// [`ColTree`]. The view is read-only and borrows the batch; use it
-    /// for column-at-a-time folds that need structure (union tags,
-    /// array offsets, optional validity) beyond what [`Self::column`]
-    /// exposes.
-    pub fn column_tree(&self) -> ColTree<'_> {
-        self.root.tree()
-    }
-
-    /// Every leaf column as `(path, slot_count)`, in schema order.
-    pub fn leaf_columns(&self) -> Vec<(String, usize)> {
-        let mut out = Vec::new();
-        self.root.leaf_paths("", &mut out);
-        out
     }
 }
 
@@ -1043,39 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn columns_are_contiguous_vectors() {
-        let mut batch = RecordBatch::new();
-        for i in 0..5 {
-            batch.push(&rec(i, &format!("m{i}"), &[100 + i, 200 + i]), &ParseDesc::CLEAN);
-        }
-        let Some(ColumnView::U64(ns)) = batch.column("n") else {
-            panic!("n should be a u64 column")
-        };
-        assert_eq!(ns, &[0, 1, 2, 3, 4]);
-        let Some(ColumnView::U64(ts)) = batch.column("events.[].tstamp") else {
-            panic!("tstamp should be a u64 column")
-        };
-        assert_eq!(ts.len(), 10); // 2 per record, expanded
-        assert_eq!(ts[0], 100);
-        let Some(sv) = batch.column("s") else { panic!("s missing") };
-        assert_eq!(sv.strs(), vec!["m0", "m1", "m2", "m3", "m4"]);
-        let Some(ColumnView::Tags(tags)) = batch.column("ramp") else {
-            panic!("ramp should expose tags")
-        };
-        assert_eq!(tags, &[1, 0, 0, 1, 0]); // n%3==0 takes branch 1
-        // Dense union child: only the rows that took the branch.
-        let Some(ColumnView::U64(gen)) = batch.column("ramp.genRamp") else {
-            panic!("genRamp child should be dense u64")
-        };
-        assert_eq!(gen, &[0, 3]);
-        // Dense optional child.
-        let Some(ColumnView::U64(some)) = batch.column("maybe.?") else {
-            panic!("maybe.? should be dense u64")
-        };
-        assert_eq!(some, &[0, 20, 40]);
-    }
-
-    #[test]
     fn clear_retains_shape_and_reuses_capacity() {
         let mut batch = RecordBatch::new();
         for i in 0..50 {
@@ -1106,14 +795,5 @@ mod tests {
             batch.row(2),
             Value::Struct { fields: vec![("x".into(), Value::Prim(Prim::Unit))] }
         );
-    }
-
-    #[test]
-    fn leaf_columns_enumerate_schema_order() {
-        let mut batch = RecordBatch::new();
-        batch.push(&rec(0, "a", &[1, 2]), &ParseDesc::CLEAN);
-        let cols = batch.leaf_columns();
-        let paths: Vec<&str> = cols.iter().map(|(p, _)| p.as_str()).collect();
-        assert_eq!(paths, vec!["n", "s", "events.[].tstamp", "maybe.?", "ramp.genRamp"]);
     }
 }

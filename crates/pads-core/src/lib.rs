@@ -77,7 +77,7 @@ pub use pads_runtime::{
 pub use pads_syntax::{parse as parse_description, Program, SyntaxError};
 
 pub use arena::{push_value, to_value};
-pub use batch::{Bitmap, ColTree, ColumnView, PrimColView, RecordBatch};
+pub use batch::RecordBatch;
 pub use eval::{Env, Ev};
 pub use parse::{has_syntax_error, Elements, Engine, PadsParser, ParseOptions, Records};
 pub use source::{RecordSink, SourceEnd, SourceFold, SourceJob, SourceShape, SourceSummary};

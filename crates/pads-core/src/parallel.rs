@@ -1,4 +1,4 @@
-//! The columnar close path of a sharded parse: the pinned
+//! A sharded parse into a [`RecordBatch`]: the pinned
 //! [`PadsParser::records_par_batched`] shim over the source driver.
 //!
 //! Sharding itself — chunks, workers, the in-order merge, per-worker
@@ -23,11 +23,11 @@ impl RecordSink for RecordBatch {
 
 impl<'s> PadsParser<'s> {
     /// Parses `data` record-at-a-time with the named record type on up to
-    /// `jobs` worker threads, folding the merged stream straight into a
-    /// columnar [`RecordBatch`]: the close path (report, accumulators,
-    /// writers) reads contiguous columns, and row `i` reconstructs exactly
-    /// what [`PadsParser::records`] yields at index `i`. Returns the batch
-    /// and the final error-budget tally.
+    /// `jobs` worker threads, pushing the merged stream into a
+    /// [`RecordBatch`] whose row `i` reconstructs exactly what
+    /// [`PadsParser::records`] yields at index `i`. Returns the batch and
+    /// the final error-budget tally. No CLI path calls it; it is pinned
+    /// for the benchmark's layer timings.
     pub fn records_par_batched(
         &self,
         data: &[u8],

@@ -11,7 +11,7 @@
 //! (ROADMAP item 2, the paper's 300 M-calls/day hot-loading scenario).
 //!
 //! This module is the middle tier: a single-pass compiler from the checked
-//! [`Schema`] to a flat [`VmProgram`] (one [`CDef`] per `TypeId`, with
+//! [`Schema`] to a flat [`VmProgram`] (one `CDef` per `TypeId`, with
 //! pre-resolved `Arc<dyn BaseType>` handles, pre-encoded literal bytes,
 //! pre-evaluated constant arguments, pre-interned [`Name`]s and
 //! precomputed default values) plus an executor that mirrors the
@@ -23,7 +23,7 @@
 //! out, using the same analysis facts:
 //!
 //! * consecutive `Char`/`Str` literals fuse into one peek-validate-commit
-//!   byte-run match ([`CMember::LitRun`]), falling back to per-literal
+//!   byte-run match (`CMember::LitRun`), falling back to per-literal
 //!   matching on mismatch so error attribution is unchanged;
 //! * arrays with proven progress (`lint::progress`) drop the zero-width
 //!   loop guard, exactly when codegen does;

@@ -241,6 +241,8 @@ fn corrupt(line: &mut Vec<u8>, rng: &mut StdRng) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
     use pads::descriptions;
     use pads::PadsParser;
     use pads_runtime::{BaseMask, Mask, Registry};
@@ -279,25 +281,28 @@ mod tests {
         let (value, pd) = parser.parse_source(&data, &mask);
         // All records materialise.
         assert_eq!(value.at_path("es").unwrap().len(), Some(500));
-        // Exactly the injected problems are detected.
+        // Exactly the injected problems are detected, on exactly the
+        // records they were injected into.
         let errors = pd.errors();
-        let bad_records: std::collections::BTreeSet<&str> = errors
+        let bad_records: BTreeSet<usize> = errors
             .iter()
             .map(|(p, _, _)| {
                 let start = p.find('[').expect("error path includes element index");
                 let end = p.find(']').expect("closing bracket");
-                &p[start..=end]
+                p[start + 1..end].parse().expect("numeric element index")
             })
             .collect();
-        assert_eq!(
-            bad_records.len(),
-            7,
-            "expected 2 sort + 5 syntax bad records, got {errors:?}"
-        );
+        let injected: BTreeSet<usize> = stats
+            .sort_violation_records
+            .iter()
+            .chain(&stats.syntax_error_records)
+            .copied()
+            .collect();
+        assert_eq!(injected.len(), 7);
+        assert_eq!(bad_records, injected, "{errors:?}");
         assert!(errors
             .iter()
             .any(|(_, c, _)| *c == pads::ErrorCode::ForallViolation));
-        let _ = stats;
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! recovery; a *complete* frame that fails CRC is in-place corruption and
 //! is a hard error, as are non-monotonic checkpoints and mid-file source
 //! changes. Each failure mode carries a distinct stable
-//! [`ErrorCode`](pads_runtime::ErrorCode).
+//! [`ErrorCode`].
 
 // The journal sits on the ingest path: like the parsers, it must fail
 // with errors, never panics.

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use pads::{ColTree, PdKind, Prim, PrimColView, Progress, RecordSink, Schema, Value};
+use pads::{PdKind, Prim, Progress, RecordSink, Schema, Value};
 use pads_check::ir::{MemberIr, TypeId, TypeKind, TyUse};
 use pads_runtime::ParseDesc;
 
@@ -116,13 +116,6 @@ impl BaseAcc {
     }
 
     fn add_good(&mut self, rendered: String, numeric: Option<f64>) {
-        self.add_good_str(&rendered, numeric);
-    }
-
-    /// Borrowing twin of [`add_good`](Self::add_good): the columnar fold
-    /// renders into a reused buffer, so the value only becomes a `String`
-    /// on its first-seen insert into the tracked map.
-    fn add_good_str(&mut self, rendered: &str, numeric: Option<f64>) {
         self.good += 1;
         if let Some(v) = numeric {
             self.num.add(v);
@@ -131,11 +124,11 @@ impl BaseAcc {
                 s.1.add(v);
             }
         }
-        if let Some(count) = self.tracked.get_mut(rendered) {
+        if let Some(count) = self.tracked.get_mut(&rendered) {
             *count += 1;
             self.tracked_count += 1;
         } else if self.tracked.len() < self.limit {
-            self.tracked.insert(rendered.to_owned(), 1);
+            self.tracked.insert(rendered, 1);
             self.tracked_count += 1;
         }
     }
@@ -370,30 +363,9 @@ impl<'s> Accumulator<'s> {
         add_node(&mut self.root, value, Some(pd));
     }
 
-    /// Folds every row of a columnar batch into the profile, producing
-    /// exactly the statistics [`add`](Accumulator::add) would have for
-    /// the same record stream.
-    ///
-    /// Clean batches (no error rows) whose column tree matches the
-    /// accumulator tree fold column-at-a-time: each leaf's statistics
-    /// are updated by streaming its contiguous column vector, never
-    /// materialising row [`Value`] trees. This is exact, not
-    /// approximate — dense union/optional children and flattened array
-    /// elements are stored in row order, so every per-leaf statistic
-    /// (including float summation order and which values the
-    /// first-`tracked`-distinct map admits) sees its values in the same
-    /// order a row-wise walk would. Batches with error rows, spilled
-    /// (`Mixed`) columns, or shape drift fall back to the row-wise walk.
+    /// Folds every row of a batch into the profile: [`add`](Accumulator::add)
+    /// of row `i` and its descriptor, for `i` in order.
     pub fn add_batch(&mut self, batch: &pads::RecordBatch) {
-        if batch.error_rows() == 0 {
-            let tree = batch.column_tree();
-            if col_supported(&self.root, &tree) {
-                self.records += batch.len() as u64;
-                let mut buf = String::new();
-                fold_col(&mut self.root, &tree, &mut buf);
-                return;
-            }
-        }
         for i in 0..batch.len() {
             self.add(&batch.row(i), &batch.pd(i));
         }
@@ -589,160 +561,6 @@ fn numeric(p: &Prim) -> Option<f64> {
     }
 }
 
-/// Whether the columnar fold can process `col` into `node` with
-/// semantics identical to the row-wise walk. `false` forces the
-/// row-wise fallback — checked for the whole tree *before* any
-/// statistic is mutated, so a mid-tree mismatch never leaves the
-/// accumulator half-folded.
-fn col_supported(node: &Node, col: &ColTree<'_>) -> bool {
-    match (node, col) {
-        // Nothing to fold: an empty batch, or a never-taken branch.
-        (_, ColTree::Empty) => true,
-        (Node::Typedef(inner), c) => col_supported(inner, c),
-        // Leaf-level kind drift (PrimColView::Mixed) is still row-order
-        // prims, so every prim leaf folds.
-        (Node::Base(_), ColTree::Prim(_)) => true,
-        (Node::Enum(_), ColTree::Enum { .. }) => true,
-        (Node::Struct { fields }, ColTree::Struct { fields: cols, .. }) => {
-            // A node field absent from the columns is skipped by both
-            // walks; a present one must fold.
-            fields.iter().all(|(name, child)| {
-                cols.iter()
-                    .find(|(n, _)| n.as_str() == name.as_str())
-                    .is_none_or(|(_, c)| col_supported(child, c))
-            })
-        }
-        (Node::Union { branches, .. }, ColTree::Union { names, children, .. }) => {
-            children.iter().enumerate().all(|(i, c)| {
-                matches!(c, ColTree::Empty)
-                    || branches
-                        .iter()
-                        .find(|(n, _)| names.get(i).is_some_and(|bn| bn.as_str() == n.as_str()))
-                        .is_none_or(|(_, b)| col_supported(b, c))
-            })
-        }
-        (Node::Array { elem, .. }, ColTree::Array { elem: e, .. }) => col_supported(elem, e),
-        (Node::Opt { inner, .. }, ColTree::Opt { inner: i, .. }) => col_supported(inner, i),
-        // Shape-drift spills and node/column kind mismatches: fall back.
-        _ => false,
-    }
-}
-
-/// Streams one primitive leaf column into its accumulator. `buf` is the
-/// shared render buffer: values are formatted through the same `Display`
-/// the row-wise walk's `to_string` uses, but the text only becomes an
-/// owned `String` on first-seen tracked-map inserts.
-fn fold_prims(acc: &mut BaseAcc, col: &PrimColView<'_>, buf: &mut String) {
-    use std::fmt::Write;
-    let scalar = |acc: &mut BaseAcc, buf: &mut String, p: Prim| {
-        buf.clear();
-        let _ = write!(buf, "{p}");
-        acc.add_good_str(buf, numeric(&p));
-    };
-    match col {
-        PrimColView::Unit(n) => {
-            for _ in 0..*n {
-                acc.add_good_str("", None);
-            }
-        }
-        PrimColView::Bool(v) => v.iter().for_each(|&b| scalar(acc, buf, Prim::Bool(b))),
-        PrimColView::Char(v) => v.iter().for_each(|&c| scalar(acc, buf, Prim::Char(c))),
-        PrimColView::Int(v) => v.iter().for_each(|&i| scalar(acc, buf, Prim::Int(i))),
-        PrimColView::Uint(v) => v.iter().for_each(|&u| scalar(acc, buf, Prim::Uint(u))),
-        PrimColView::Float(v) => v.iter().for_each(|&f| scalar(acc, buf, Prim::Float(f))),
-        PrimColView::Ip(v) => v.iter().for_each(|&ip| scalar(acc, buf, Prim::Ip(ip))),
-        PrimColView::Date(v) => v.iter().for_each(|&d| scalar(acc, buf, Prim::Date(d))),
-        PrimColView::Str { offsets, heap } => {
-            let mut start = 0usize;
-            for &end in *offsets {
-                acc.add_good_str(&heap[start..end as usize], None);
-                start = end as usize;
-            }
-        }
-        PrimColView::Bytes { offsets, heap } => {
-            let mut start = 0usize;
-            for &end in *offsets {
-                buf.clear();
-                // Mirrors `Prim::Bytes`'s `Display` without building the
-                // owned `Prim` (which would copy the slice).
-                for b in &heap[start..end as usize] {
-                    let _ = write!(buf, "\\x{b:02x}");
-                }
-                acc.add_good_str(buf, None);
-                start = end as usize;
-            }
-        }
-        PrimColView::Mixed(prims) => {
-            for p in *prims {
-                buf.clear();
-                let _ = write!(buf, "{p}");
-                acc.add_good_str(buf, numeric(p));
-            }
-        }
-    }
-}
-
-/// The column-at-a-time fold: every slot of `col` lands in `node` in
-/// row order, exactly as the row-wise walk over clean rows would (see
-/// [`Accumulator::add_batch`]). Only called after [`col_supported`].
-fn fold_col(node: &mut Node, col: &ColTree<'_>, buf: &mut String) {
-    use std::fmt::Write;
-    match (node, col) {
-        (_, ColTree::Empty) => {}
-        (Node::Typedef(inner), c) => fold_col(inner, c, buf),
-        (Node::Base(acc), ColTree::Prim(pv)) => fold_prims(acc, pv, buf),
-        (Node::Enum(acc), ColTree::Enum { indices, names }) => {
-            for &idx in *indices {
-                acc.add_good_str(names[idx as usize].as_str(), None);
-            }
-        }
-        (Node::Struct { fields }, ColTree::Struct { fields: cols, .. }) => {
-            for (name, child) in fields {
-                if let Some((_, c)) =
-                    cols.iter().find(|(n, _)| n.as_str() == name.as_str())
-                {
-                    fold_col(child, c, buf);
-                }
-            }
-        }
-        (Node::Union { tag, branches }, ColTree::Union { tags, names, children, .. }) => {
-            for &t in *tags {
-                tag.add_good_str(names[t as usize].as_str(), None);
-            }
-            for (i, c) in children.iter().enumerate() {
-                if matches!(c, ColTree::Empty) {
-                    continue;
-                }
-                if let Some((_, branch)) = branches
-                    .iter_mut()
-                    .find(|(n, _)| names.get(i).is_some_and(|bn| bn.as_str() == n.as_str()))
-                {
-                    fold_col(branch, c, buf);
-                }
-            }
-        }
-        (Node::Array { length, elem }, ColTree::Array { offsets, elem: e }) => {
-            let mut start = 0u32;
-            for &end in *offsets {
-                let len = (end - start) as usize;
-                buf.clear();
-                let _ = write!(buf, "{len}");
-                length.add_good_str(buf, Some(len as f64));
-                start = end;
-            }
-            fold_col(elem, e, buf);
-        }
-        (Node::Opt { presence, inner }, ColTree::Opt { validity, inner: i }) => {
-            for slot in 0..validity.len() {
-                presence.add_good_str(if validity.get(slot) { "SOME" } else { "NONE" }, None);
-            }
-            fold_col(inner, i, buf);
-        }
-        // col_supported has excluded every other pairing.
-        _ => {}
-    }
-}
-
 fn report_node(node: &Node, path: &str, top_k: usize, out: &mut String) {
     match node {
         Node::Base(acc) | Node::Enum(acc) => acc.report(path, top_k, out),
@@ -780,69 +598,6 @@ impl RecordSink for Accumulator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Guards the clean-batch fast path against silently degrading to
-    /// row-wise: the bundled descriptions (every composite kind between
-    /// them) must be recognised as foldable.
-    #[test]
-    fn columnar_fold_engages_on_bundled_descriptions() {
-        use pads::{descriptions, PadsParser};
-        use pads_runtime::{BaseMask, Mask, Registry};
-        let registry = Registry::standard();
-        let m = Mask::all(BaseMask::CheckAndSet);
-
-        let sirius = descriptions::sirius();
-        let (data, _) = pads_gen::sirius::generate(&pads_gen::SiriusConfig {
-            records: 40,
-            syntax_errors: 0,
-            sort_violations: 0,
-            ..Default::default()
-        });
-        let body_start = data.iter().position(|&b| b == b'\n').unwrap() + 1;
-        let (batch, _) = PadsParser::new(&sirius, &registry).records_batched(
-            &data[body_start..],
-            "entry_t",
-            &m,
-        );
-        assert_eq!(batch.error_rows(), 0);
-        let acc = Accumulator::new(&sirius, "entry_t");
-        assert!(col_supported(&acc.root, &batch.column_tree()), "sirius must fold columnar");
-
-        let clf = descriptions::clf();
-        let (data, _) = pads_gen::clf::generate(&pads_gen::ClfConfig {
-            records: 40,
-            dash_length_rate: 0.0,
-            ..Default::default()
-        });
-        let (batch, _) = PadsParser::new(&clf, &registry).records_batched(&data, "entry_t", &m);
-        assert_eq!(batch.error_rows(), 0);
-        let acc = Accumulator::new(&clf, "entry_t");
-        assert!(col_supported(&acc.root, &batch.column_tree()), "clf must fold columnar");
-    }
-
-    /// The bytes fast path mirrors `Prim::Bytes`'s `Display` by hand (to
-    /// avoid copying the slice into an owned `Prim`); pin them together.
-    #[test]
-    fn bytes_column_renders_like_prim_display() {
-        let cfg = AccConfig::default();
-        let mut folded = BaseAcc::new(&cfg, "bytes");
-        let mut rendered = BaseAcc::new(&cfg, "bytes");
-        let slots: &[&[u8]] = &[b"\x00\x7f", b"", b"abc\xff"];
-        let mut offsets = Vec::new();
-        let mut heap = Vec::new();
-        for s in slots {
-            heap.extend_from_slice(s);
-            offsets.push(heap.len() as u32);
-            rendered.add_good(Prim::Bytes(s.to_vec()).to_string(), None);
-        }
-        let mut buf = String::new();
-        fold_prims(
-            &mut folded,
-            &PrimColView::Bytes { offsets: &offsets, heap: &heap },
-            &mut buf,
-        );
-        assert_eq!(folded.top(10), rendered.top(10));
-    }
 
     /// Ties must break by value (ascending) so reports are deterministic —
     /// `tracked` is a `HashMap` and would otherwise leak iteration order.

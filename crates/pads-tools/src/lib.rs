@@ -126,10 +126,19 @@ mod tests {
             acc.add(&v, &pd);
         }
         let report = acc.report("<top>");
-        assert!(report.contains("<top>.w.<tag>"), "{report}");
-        let tag = acc.stats_at("w").is_none();
-        assert!(tag || true);
-        assert!(report.contains("val:"), "{report}");
+        let section = report
+            .split("\n\n")
+            .find(|s| s.starts_with("<top>.w.<tag> : union tag"))
+            .unwrap_or_else(|| panic!("no <top>.w.<tag> section in {report}"));
+        let vals: Vec<&str> = section.lines().filter(|l| l.starts_with(" val:")).collect();
+        assert_eq!(
+            vals,
+            [
+                format!(" val: {:>12} count: {:>8} %-of-good: 66.667", "word", 2),
+                format!(" val: {:>12} count: {:>8} %-of-good: 33.333", "num", 1),
+            ],
+            "{section}"
+        );
     }
 
     #[test]

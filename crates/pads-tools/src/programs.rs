@@ -171,9 +171,14 @@ mod tests {
             10,
         );
         assert_eq!(acc.records, 300);
-        assert_eq!(acc.bad_records, 5);
+        let injected: std::collections::BTreeSet<usize> = stats
+            .syntax_error_records
+            .iter()
+            .chain(&stats.sort_violation_records)
+            .copied()
+            .collect();
+        assert_eq!(acc.bad_records, injected.len() as u64);
         assert!(report.contains("<top>.header.order_num"), "{report}");
-        let _ = stats;
     }
 
     #[test]

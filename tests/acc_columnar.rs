@@ -1,36 +1,13 @@
-//! The columnar accumulator fold must be invisible: folding a
-//! [`RecordBatch`] column-at-a-time produces a report byte-identical to
-//! the row-wise walk over the same records — on clean batches (where
-//! the vectorised path engages) and on dirty batches (where
-//! `add_batch` falls back to row-wise).
+//! `Accumulator::add_batch` is the benchmark's gen-tier entry point: over
+//! any [`RecordBatch`] it must leave the accumulator exactly where `add`
+//! over the batch's `rows()` does.
 
 use pads::{descriptions, BaseMask, Mask, PadsParser, RecordBatch, Registry, Schema};
 use pads_tools::Accumulator;
 
-fn mask() -> Mask {
-    Mask::all(BaseMask::CheckAndSet)
-}
-
-/// Report + counters from `add_batch` (columnar when eligible).
-fn via_batch(schema: &Schema, name: &str, batch: &RecordBatch) -> (String, u64, u64) {
-    let mut acc = Accumulator::new(schema, name);
-    acc.add_batch(batch);
-    (acc.report("<top>"), acc.records, acc.bad_records)
-}
-
-/// Report + counters from the per-record path the batch must match.
-fn via_rows(schema: &Schema, name: &str, batch: &RecordBatch) -> (String, u64, u64) {
-    let mut acc = Accumulator::new(schema, name);
-    for (v, pd) in batch.rows() {
-        acc.add(&v, &pd);
-    }
-    (acc.report("<top>"), acc.records, acc.bad_records)
-}
-
-fn sirius_batch(records: usize, syntax_errors: usize) -> (Schema, RecordBatch) {
-    let schema = descriptions::sirius();
+fn sirius_batch(schema: &Schema, records: usize, syntax_errors: usize) -> RecordBatch {
     let registry = Registry::standard();
-    let parser = PadsParser::new(&schema, &registry);
+    let parser = PadsParser::new(schema, &registry);
     let (data, _) = pads_gen::sirius::generate(&pads_gen::SiriusConfig {
         records,
         syntax_errors,
@@ -38,89 +15,33 @@ fn sirius_batch(records: usize, syntax_errors: usize) -> (Schema, RecordBatch) {
         ..Default::default()
     });
     let body_start = data.iter().position(|&b| b == b'\n').unwrap() + 1;
-    let (batch, _) = parser.records_batched(&data[body_start..], "entry_t", &mask());
-    (schema, batch)
+    let mask = Mask::all(BaseMask::CheckAndSet);
+    parser.records_batched(&data[body_start..], "entry_t", &mask).0
 }
 
-#[test]
-fn columnar_fold_matches_rowwise_on_clean_sirius() {
-    // Unions, enums-of-strings, optionals, and variable-length arrays —
-    // the full dense-children geometry of the column tree.
-    let (schema, batch) = sirius_batch(400, 0);
-    assert_eq!(batch.error_rows(), 0, "corpus must be clean for the columnar path");
-    let (col_report, col_records, col_bad) = via_batch(&schema, "entry_t", &batch);
-    let (row_report, row_records, row_bad) = via_rows(&schema, "entry_t", &batch);
-    assert_eq!(col_records, row_records);
-    assert_eq!(col_bad, row_bad);
-    assert_eq!(col_report, row_report);
-}
-
-#[test]
-fn columnar_fold_matches_rowwise_on_clean_clf() {
-    // IPs, dates, fixed-width ints, string leaves.
-    let schema = descriptions::clf();
-    let registry = Registry::standard();
-    let parser = PadsParser::new(&schema, &registry);
-    let (data, _) = pads_gen::clf::generate(&pads_gen::ClfConfig {
-        records: 300,
-        dash_length_rate: 0.0,
-        ..Default::default()
-    });
-    let (batch, _) = parser.records_batched(&data, "entry_t", &mask());
-    assert_eq!(batch.error_rows(), 0, "corpus must be clean for the columnar path");
-    let (col_report, ..) = via_batch(&schema, "entry_t", &batch);
-    let (row_report, ..) = via_rows(&schema, "entry_t", &batch);
-    assert_eq!(col_report, row_report);
-}
-
-#[test]
-fn dirty_batch_falls_back_and_still_matches_rowwise() {
-    let (schema, batch) = sirius_batch(300, 20);
-    assert!(batch.error_rows() > 0, "corpus must carry errors to exercise the fallback");
-    let (col_report, col_records, col_bad) = via_batch(&schema, "entry_t", &batch);
-    let (row_report, row_records, row_bad) = via_rows(&schema, "entry_t", &batch);
-    assert!(col_bad > 0);
-    assert_eq!(col_records, row_records);
-    assert_eq!(col_bad, row_bad);
-    assert_eq!(col_report, row_report);
-}
-
+/// A clean batch, a dirty batch, and both in sequence — with a `tracked`
+/// limit small enough that which values are admitted depends on arrival
+/// order — give the report and counters of `add` over `rows()`.
 #[test]
 fn repeated_batches_accumulate_identically() {
-    // Several add_batch calls against one accumulator must equal one
-    // long row-wise stream — the tracked-map admission order and float
-    // summation order survive batch boundaries.
-    let (schema, batch) = sirius_batch(120, 0);
-    let mut col_acc = Accumulator::new(&schema, "entry_t");
-    col_acc.add_batch(&batch);
-    col_acc.add_batch(&batch);
-    let mut row_acc = Accumulator::new(&schema, "entry_t");
-    for _ in 0..2 {
-        for (v, pd) in batch.rows() {
-            row_acc.add(&v, &pd);
+    let schema = descriptions::sirius();
+    let clean = sirius_batch(&schema, 120, 0);
+    let dirty = sirius_batch(&schema, 300, 20);
+    assert_eq!(clean.error_rows(), 0);
+    assert!(dirty.error_rows() > 0);
+    let counters =
+        |a: &Accumulator<'_>| (a.records, a.bad_records, a.skipped_records, a.panicked_records);
+    let runs: [&[&RecordBatch]; 3] = [&[&clean], &[&dirty], &[&clean, &dirty]];
+    for batches in runs {
+        let mut via_batch = Accumulator::with_limits(&schema, "entry_t", 3, 3);
+        let mut via_rows = Accumulator::with_limits(&schema, "entry_t", 3, 3);
+        for batch in batches {
+            via_batch.add_batch(batch);
+            for (v, pd) in batch.rows() {
+                via_rows.add(&v, &pd);
+            }
         }
+        assert_eq!(counters(&via_batch), counters(&via_rows));
+        assert_eq!(via_batch.report("<top>"), via_rows.report("<top>"));
     }
-    assert_eq!(col_acc.records, row_acc.records);
-    assert_eq!(col_acc.report("<top>"), row_acc.report("<top>"));
-    // Spot-check a leaf through the typed API too.
-    let c = col_acc.stats_at("header.service_tn").unwrap();
-    let r = row_acc.stats_at("header.service_tn").unwrap();
-    assert_eq!(c.good, r.good);
-    assert_eq!(c.num, r.num);
-    assert_eq!(c.top(10), r.top(10));
-}
-
-#[test]
-fn tracked_limit_admits_same_values_in_columnar_order() {
-    // With a tiny tracked limit, *which* distinct values are admitted
-    // depends on arrival order — the columnar fold must admit exactly
-    // the ones the row-wise walk would.
-    let (schema, batch) = sirius_batch(200, 0);
-    let mut col_acc = Accumulator::with_limits(&schema, "entry_t", 3, 3);
-    col_acc.add_batch(&batch);
-    let mut row_acc = Accumulator::with_limits(&schema, "entry_t", 3, 3);
-    for (v, pd) in batch.rows() {
-        row_acc.add(&v, &pd);
-    }
-    assert_eq!(col_acc.report("<top>"), row_acc.report("<top>"));
 }
