@@ -3,8 +3,8 @@
 //! per site, so `*_off` must match the pre-observer `ablation_codegen`
 //! numbers within noise; with a dense `MetricsCore` attached (`*_metrics`)
 //! the overhead stays under ~10% — counters are flat `Vec` slabs indexed
-//! by trusted node ids, and generated fixed-prefix fast paths stay on,
-//! feeding statically-known per-type bumps instead of events.
+//! by trusted node ids, and a counting core hears type exits only, never
+//! the enter events a profiler or trace needs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pads::generated::{clf, sirius};

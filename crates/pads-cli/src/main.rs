@@ -354,9 +354,9 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         }
         match a.as_str() {
             "--ebcdic" => o.charset = Charset::Ebcdic,
-            "--fixed" => o.discipline = RecordDiscipline::FixedWidth(number(&mut it, a)?),
+            "--fixed" => o.discipline = RecordDiscipline::FixedWidth(positive(&mut it, a)?),
             "--lenpfx" => {
-                let (header_bytes, endian) = (number(&mut it, a)?, Endian::Big);
+                let (header_bytes, endian) = (positive(&mut it, a)?, Endian::Big);
                 o.discipline = RecordDiscipline::LengthPrefixed { header_bytes, endian };
             }
             "--record" => o.record = Some(value(&mut it, a)?),

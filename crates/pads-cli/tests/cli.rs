@@ -413,7 +413,8 @@ fn gen_in_batches_writes_the_bytes_of_one_call() {
 /// An option is accepted only by the subcommands that read it: a run that
 /// wrote no journal, or ran on one thread, must not exit as if it had done
 /// what it was asked. The same holds for an argument past the ones a
-/// subcommand takes, and for an option missing its value. Refusals are
+/// subcommand takes, for an option missing its value, and for a zero-width
+/// record discipline (which would read the whole input). Refusals are
 /// status 1 with one line on stderr and nothing done; every subcommand
 /// still takes an option it does read.
 #[test]
@@ -424,7 +425,7 @@ fn an_option_a_subcommand_does_not_read_is_refused() {
     let copybook = copybook.to_str().expect("utf-8 temp path");
     let journal = std::env::temp_dir().join(format!("pads-cli-opts-{}.wal", std::process::id()));
     let wal = journal.to_str().expect("utf-8 temp path");
-    let refused: [(&[&str], &str); 12] = [
+    let refused: [(&[&str], &str); 14] = [
         (
             &["accum", &clf, &log, "--journal", wal, "--trace", "--lint", "--folded"],
             "--journal is not an option of `pads accum`",
@@ -450,6 +451,8 @@ fn an_option_a_subcommand_does_not_read_is_refused() {
             &["check", &clf, "--lint-format"],
             "--lint-format needs a value: --lint-format=json or --lint-format=text",
         ),
+        (&["parse", &clf, &log, "--format", "none", "--fixed", "0"], "--fixed: must be at least 1"),
+        (&["accum", &clf, &log, "--lenpfx", "0"], "--lenpfx: must be at least 1"),
     ];
     for (args, why) in refused {
         let out = pads().args(args).output().expect("run pads");

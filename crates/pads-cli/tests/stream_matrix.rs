@@ -14,7 +14,7 @@ mod tables;
 
 use pads::{
     descriptions, BaseMask, Engine, Mask, PadsParser, ParseOptions, RecordDiscipline,
-    RecoveryPolicy, Registry, Schema, SourceSummary,
+    RecoveryPolicy, Registry, Schema, SourceFold, SourceJob, SourceShape, SourceSummary,
 };
 use pads_runtime::FaultPlan;
 use tables::{policies, JOBS};
@@ -175,22 +175,32 @@ fn a_budget_stopped_in_the_header_is_reported_at_the_root() {
 }
 
 /// A record that consumes nothing ends the array on its zero-width guard
-/// and leaves the rest of the input as trailing garbage.
+/// and leaves the rest of the input as trailing garbage. `pads` refuses a
+/// zero-width discipline (`--fixed 0`), so the driver runs in process here,
+/// into the two sinks `pads parse` prints through.
 #[test]
 fn trailing_garbage_after_a_stalled_record_is_extra_data_at_eof() {
     let schema = descriptions::clf();
     let data = std::fs::read(repo_root().join("tests/data/torture_clf.log")).expect("corpus");
-    let path = temp_dir().join("clf-zero-width.dat");
-    std::fs::write(&path, &data).expect("write corpus");
     let options =
         ParseOptions { discipline: RecordDiscipline::FixedWidth(0), ..Default::default() };
-    let want = oracle(&schema, options, &data, &path.to_string_lossy());
+    let want = oracle(&schema, options, &data, "torture_clf.log");
     assert_eq!(want.code, 2);
     assert!(want.xml.contains("<length>1</length>"), "the first record stalls the array");
-    let descr = repo_root().join("descriptions/clf.pads");
-    for jobs in ["1", "4"] {
-        let flags = ["--fixed", "0", "--jobs", jobs, INFLIGHT, "8"].map(str::to_owned);
-        check(&descr, &path, &flags, "report", &want);
-        check(&descr, &path, &flags, "xml", &want);
+    let registry = Registry::standard();
+    let options = ParseOptions { engine: Engine::Vm, ..options };
+    let parser = PadsParser::new(&schema, &registry).with_options(options);
+    let shape = SourceShape::infer(&schema).expect("clf streams");
+    let mask = Mask::all(BaseMask::CheckAndSet);
+    for jobs in [1, 4] {
+        let job = SourceJob { jobs, max_inflight: 8, ..SourceJob::new(shape, &mask) };
+        let mut fold = SourceFold::new(&schema);
+        let end = parser.stream_source(&data, &job, &mut fold);
+        assert_eq!(fold.finish(&end).report(), want.report, "jobs={jobs}: report");
+        let mut xml = Vec::new();
+        let mut sink = pads_tools::XmlSourceSink::new(&schema, &mut xml);
+        let end = parser.stream_source(&data, &job, &mut sink);
+        sink.finish(&end).expect("writes into memory");
+        assert!(xml == want.xml.as_bytes(), "jobs={jobs}: xml differs from the whole-tree parse");
     }
 }

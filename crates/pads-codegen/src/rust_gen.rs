@@ -6,7 +6,7 @@
 //! error handling as the interpreting parser, a `write` function, and a
 //! `verify` function re-checking semantic constraints in memory.
 //! Generated modules link `pads_runtime::genrt` — the fixed runtime library
-//! of readers, writers and record drivers — instead of carrying a copy.
+//! of base-type readers and writers — instead of carrying a copy.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -62,13 +62,11 @@ enum Repr {
 ///
 /// [`CodegenError`] naming the unsupported construct, if any.
 pub fn generate_rust(schema: &Schema, header: &str) -> GenResult<String> {
-    let facts = lint::firstset::Facts::compute(schema);
     let g = Gen {
         schema,
         lt: compute_lifetimes(schema),
         names: collect_arena_names(schema),
-        sem: lint::facts::SemFacts::compute(schema, &facts),
-        facts,
+        facts: lint::firstset::Facts::compute(schema),
     };
     let mut out = String::new();
     let _ = writeln!(out, "//! {header}");
@@ -100,11 +98,9 @@ struct Gen<'s> {
     /// the dense order the module's `name_table()` interns them — so the
     /// `NameId(i)` literals baked into generated code line up.
     names: Vec<String>,
-    /// The description's fact base, each a whole-schema fixpoint computed
-    /// once: first sets (the array progress proof reads them) and the
-    /// width intervals that admit the fixed-prefix fast path.
+    /// The description's first sets, a whole-schema fixpoint computed once:
+    /// the array progress proof behind guard elision reads them.
     facts: lint::firstset::Facts,
-    sem: lint::facts::SemFacts,
 }
 
 /// Collects every field, union-branch, and enum-variant name in the

@@ -294,208 +294,6 @@ impl<'s> Gen<'s> {
 
     // ---- struct ----------------------------------------------------------------
 
-    /// Classifies the longest run of leading struct members whose byte
-    /// width the fact database proves exactly constant, as candidates for
-    /// the fixed-offset fast path. Returns the compiled items plus how
-    /// many members they cover.
-    ///
-    /// Supported members: char/string literals, `Pchar` fields, and
-    /// fixed-width unsigned decimal fields (`Puint*_FW` with a constant
-    /// width, optionally wrapped in an unparameterised constrained
-    /// typedef). Anything else — including fields carrying their own
-    /// inline constraint, whose failure must build a descriptor — ends
-    /// the prefix.
-    fn fixed_prefix(&self, members: &[MemberIr]) -> (Vec<FixedItem>, usize) {
-        let mut items = Vec::new();
-        for m in members {
-            let item = match m {
-                MemberIr::Lit(Literal::Char(c)) => Some(FixedItem::Lit(vec![*c])),
-                MemberIr::Lit(Literal::Str(s)) if !s.is_empty() && s.is_ascii() => {
-                    Some(FixedItem::Lit(s.clone().into_bytes()))
-                }
-                MemberIr::Lit(_) => None,
-                MemberIr::Field(f) if f.constraint.is_none() => self.fixed_field(f),
-                MemberIr::Field(_) => None,
-            };
-            match item {
-                Some(item) => items.push(item),
-                None => break,
-            }
-        }
-        let n = items.len();
-        (items, n)
-    }
-
-    /// The [`FixedItem`] for one field, or `None` when the field does not
-    /// qualify (not provably fixed-width, or not a supported shape).
-    fn fixed_field(&self, f: &pads_check::ir::FieldIr) -> Option<FixedItem> {
-        let fname = field_name(&f.name);
-        let (base_name, args, wrap, pred) = match &f.ty {
-            TyUse::Base { name, args } => (name, args, None, None),
-            TyUse::Named { id, args } if args.is_empty() => {
-                let def = self.schema.def(*id);
-                if !def.params.is_empty() || def.where_clause.is_some() || def.is_record {
-                    return None;
-                }
-                let TypeKind::Typedef { base, var, pred } = &def.kind else { return None };
-                let TyUse::Base { name, args } = base else { return None };
-                let p = match (var, pred) {
-                    (Some(v), Some(p)) => Some((v.clone(), p)),
-                    _ => None,
-                };
-                (name, args, Some(*id), p)
-            }
-            _ => return None,
-        };
-        if base_name == "Pchar" && wrap.is_none() {
-            // Cross-check the classifier against the fact database: only
-            // elide when the abstract interpretation agrees on the width.
-            if self.sem.width_of_tyuse(&f.ty).as_fixed() != Some(1) {
-                return None;
-            }
-            return Some(FixedItem::Char { fname });
-        }
-        if !(base_name.starts_with("Puint") && base_name.ends_with("_FW")) {
-            return None;
-        }
-        let [Expr::Int(w)] = args.as_slice() else { return None };
-        // ≤ 18 digits keeps the u64 accumulator overflow-free.
-        if !(1..=18).contains(w) {
-            return None;
-        }
-        let width = *w as u64;
-        if self.sem.width_of_tyuse(&f.ty).as_fixed() != Some(width) {
-            return None;
-        }
-        let bits = bits_of(base_name);
-        // Compile the typedef predicate against the raw temporary; a
-        // predicate codegen cannot compile simply ends the prefix here.
-        let pred_code = match pred {
-            Some((var, p)) => {
-                let mut pctx = Ctx::new();
-                pctx.bind(&var, Operand::Place(format!("pc_fp_{fname}"), Repr::UInt(bits)));
-                Some(self.compile_bool(p, &pctx).ok()?)
-            }
-            None => None,
-        };
-        Some(FixedItem::FwUint { fname, width, bits, wrap, pred_code })
-    }
-
-    /// Emits the fixed-offset fast path for a proven fixed-width struct
-    /// prefix: one bounds check, per-member validation against the peeked
-    /// slice, then a single cursor advance. Any mismatch (or a profiling
-    /// or tracing metrics core, or a non-ASCII ambient charset) leaves the
-    /// cursor untouched and the general member loop handles the record —
-    /// so the fast path can only ever *commit* byte-for-byte identical
-    /// results.
-    ///
-    /// A plain counting metrics core does *not* disable the fast path:
-    /// the per-type counters a committed prefix would have produced are
-    /// statically known (each wrapped typedef: one hit, `width` bytes,
-    /// zero errors), so the commit feeds them to the core as one
-    /// `metrics_fixed_prefix` call instead of running the member loop.
-    fn emit_fixed_prefix(&self, items: &[FixedItem], out: &mut String) {
-        let total: u64 = items.iter().map(FixedItem::width).sum();
-        let _ = writeln!(
-            out,
-            "        // Fast path: the first {} member(s) form a proven fixed-width\n        \
-             // prefix of {total} byte(s) — validate at fixed offsets, commit with\n        \
-             // one advance, or fall back to the member loop untouched.",
-            items.len()
-        );
-        let _ = writeln!(out, "        let mut pc_fp_done = false;");
-        let _ = writeln!(
-            out,
-            "        if !cur.observing_events() && cur.charset() == Charset::Ascii {{"
-        );
-        let _ = writeln!(out, "            let fp = cur.rest();");
-        let _ = writeln!(out, "            'prefix: {{");
-        let _ = writeln!(out, "                if fp.len() < {total} {{ break 'prefix; }}");
-        let mut off = 0u64;
-        let mut commits: Vec<String> = Vec::new();
-        for item in items {
-            let end = off + item.width();
-            match item {
-                FixedItem::Lit(bytes) => {
-                    if let [b] = bytes.as_slice() {
-                        let _ = writeln!(
-                            out,
-                            "                if fp[{off}] != {b}u8 {{ break 'prefix; }}"
-                        );
-                    } else {
-                        let lit = bytes_lit(&String::from_utf8_lossy(bytes));
-                        let _ = writeln!(
-                            out,
-                            "                if &fp[{off}..{end}] != {lit} {{ break 'prefix; }}"
-                        );
-                    }
-                }
-                FixedItem::Char { fname } => {
-                    let _ = writeln!(out, "                let pc_fp_{fname} = fp[{off}];");
-                    commits.push(format!("f_{fname} = pc_fp_{fname};"));
-                }
-                FixedItem::FwUint { fname, bits, wrap, pred_code, .. } => {
-                    let _ = writeln!(out, "                let mut pc_fp_acc: u64 = 0;");
-                    let _ = writeln!(
-                        out,
-                        "                for &b in &fp[{off}..{end}] {{\n                    \
-                         if !b.is_ascii_digit() {{ break 'prefix; }}\n                    \
-                         pc_fp_acc = pc_fp_acc * 10 + (b - b'0') as u64;\n                }}"
-                    );
-                    if *bits < 64 {
-                        let _ = writeln!(
-                            out,
-                            "                if pc_fp_acc > u{bits}::MAX as u64 {{ break 'prefix; }}"
-                        );
-                    }
-                    let _ = writeln!(
-                        out,
-                        "                let pc_fp_{fname}: u{bits} = pc_fp_acc as u{bits};"
-                    );
-                    if let Some(code) = pred_code {
-                        let _ = writeln!(out, "                if !({code}) {{ break 'prefix; }}");
-                    }
-                    commits.push(match wrap {
-                        Some(id) => format!(
-                            "f_{fname} = {}(pc_fp_{fname});",
-                            camel(&self.schema.def(*id).name)
-                        ),
-                        None => format!("f_{fname} = pc_fp_{fname};"),
-                    });
-                }
-            }
-            off = end;
-        }
-        for c in commits {
-            let _ = writeln!(out, "                {c}");
-        }
-        // A committed prefix skips the wrapped typedefs' read wrappers, so
-        // feed their statically-known counters to the metrics core here:
-        // what each wrapper's exit event would have recorded on success.
-        let metric_items: Vec<String> = items
-            .iter()
-            .filter_map(|i| match i {
-                FixedItem::FwUint { width, wrap: Some(id), .. } => {
-                    Some(format!("({id}u32, {width}u32)"))
-                }
-                _ => None,
-            })
-            .collect();
-        if !metric_items.is_empty() {
-            let _ = writeln!(out, "                if cur.observing() {{");
-            let _ = writeln!(
-                out,
-                "                    cur.metrics_fixed_prefix(&[{}]);",
-                metric_items.join(", ")
-            );
-            let _ = writeln!(out, "                }}");
-        }
-        let _ = writeln!(out, "                cur.advance({total});");
-        let _ = writeln!(out, "                pc_fp_done = true;");
-        let _ = writeln!(out, "            }}");
-        let _ = writeln!(out, "        }}");
-    }
-
     fn gen_struct_read(
         &self,
         id: TypeId,
@@ -540,22 +338,9 @@ impl<'s> Gen<'s> {
                  RecordOpen::Done(pd) => return (Default::default(), pd),\n        };\n",
             );
         }
-        // Fact-driven elision: when the description proves the leading
-        // members fixed-width (and at least one is a field worth the
-        // setup), read them at fixed offsets instead of scanning.
-        let (fp_items, fp_members) = self.fixed_prefix(members);
-        let fast = fp_items.len() >= 2
-            && fp_items.iter().any(|i| !matches!(i, FixedItem::Lit(_)));
-        if fast {
-            self.emit_fixed_prefix(&fp_items, out);
-        }
         let mut ctx = self.param_ctx(id);
         let _ = writeln!(out, "        'body: {{");
-        for (mi, m) in members.iter().enumerate() {
-            let in_prefix = fast && mi < fp_members;
-            if in_prefix {
-                let _ = writeln!(out, "            if !pc_fp_done {{");
-            }
+        for m in members {
             match m {
                 MemberIr::Lit(lit) => {
                     let code = self.lit_match_code(lit)?;
@@ -571,9 +356,6 @@ impl<'s> Gen<'s> {
                 MemberIr::Field(f) => {
                     self.gen_struct_field(f, &mut ctx, out)?;
                 }
-            }
-            if in_prefix {
-                let _ = writeln!(out, "            }}");
             }
         }
         // Pwhere at the end of the body (skipped when aborted).
@@ -1797,79 +1579,7 @@ impl<'s> Gen<'s> {
         );
         let _ = writeln!(out, "    (v, pd)");
         let _ = writeln!(out, "}}");
-        self.gen_parallel_entry(out);
         Ok(())
-    }
-
-    /// Emits the record-sharded parallel entry for the common
-    /// `Psource Parray { elem[] }` shape (unparameterised, no separator or
-    /// terminator, named element). Other source shapes simply get no
-    /// parallel entry — callers fall back to [`parse_source`].
-    fn gen_parallel_entry(&self, out: &mut String) {
-        let src = self.schema.source_def();
-        let TypeKind::Array { elem: TyUse::Named { id, args }, sep: None, term: None, ended: None, size: None } =
-            &src.kind
-        else {
-            return;
-        };
-        if !args.is_empty() || !self.schema.def(*id).params.is_empty() {
-            return;
-        }
-        let elt = camel(&self.schema.def(*id).name);
-        let elt_lt = self.lt_args(*id);
-        let _ = writeln!(
-            out,
-            "\n/// Parses the source's records from `resume` (default: the start) on up\n\
-             /// to `jobs` worker threads — record-sharded, byte-identical to the\n\
-             /// sequential record loop (see `pads_runtime::genrt::parse_records`) —\n\
-             /// returning them in source order with the final error budget. `make`\n\
-             /// builds the cursor for a byte slice exactly the way the caller would\n\
-             /// for [`parse_source`].\n\
-             pub fn parse_records_par<'d, M>(\n    \
-                 data: &'d [u8],\n    \
-                 mask: &Mask,\n    \
-                 resume: ResumePoint,\n    \
-                 jobs: usize,\n    \
-                 make: M,\n\
-             ) -> (Vec<({elt}{elt_lt}, ParseDesc)>, ErrorBudget)\n\
-             where\n    \
-                 M: Fn(&'d [u8]) -> Cursor<'d> + Sync,\n\
-             {{\n    \
-                 let elem_mask = mask.child(\"elt\");\n    \
-                 parse_records(data, resume, jobs, make, |cur| {elt}::read(cur, &elem_mask))\n\
-             }}"
-        );
-    }
-}
-
-/// One member of a proven fixed-width struct prefix (see
-/// [`Gen::fixed_prefix`]); the width of every item is an exact constant
-/// confirmed against the fact database.
-enum FixedItem {
-    /// A literal: raw bytes compared at a fixed offset.
-    Lit(Vec<u8>),
-    /// A `Pchar` field: one raw byte.
-    Char { fname: String },
-    /// A fixed-width unsigned decimal field, optionally wrapped in a
-    /// constrained typedef (`wrap` is the wrapper's schema `TypeId` —
-    /// which is also its dense observation id — and `pred_code` its
-    /// compiled predicate over `pc_fp_{fname}`).
-    FwUint {
-        fname: String,
-        width: u64,
-        bits: u32,
-        wrap: Option<TypeId>,
-        pred_code: Option<String>,
-    },
-}
-
-impl FixedItem {
-    fn width(&self) -> u64 {
-        match self {
-            FixedItem::Lit(b) => b.len() as u64,
-            FixedItem::Char { .. } => 1,
-            FixedItem::FwUint { width, .. } => *width,
-        }
     }
 }
 

@@ -255,32 +255,47 @@ fn mixed_kitchen_sink_generated_parser_matches_interpreter() {
     }
 }
 
+/// Record by record, the generated `rec_t` reader and the interpreter agree
+/// on the value, the descriptor and where the record ends, on hand-picked
+/// records: a plain one, a code with a leading space (`Puint16_FW` reads
+/// " 012" as 12, outside `code_t`'s range), an all-digit code outside the
+/// range, the range's upper bound, and constraint violations on the code,
+/// the kind and the number of values.
 #[test]
 fn mixed_constraint_violations_agree() {
     use pads::generated::mixed as gen_mixed;
-    // code out of range + kind out of range + too many vals.
-    let data = b"0042|LOW|0|7||0|\n5555|MED|9|x|abc=1.5|1|3\n";
+    let records: [&[u8]; 6] = [
+        b"1234|LOW|0|7|q01=2.5|T|2|8,9\n",
+        b" 012|MED|0|7|q01=2.5|T|2|8,9\n",
+        b"0042|HIGH|0|7|q01=2.5|T|2|8,9\n",
+        b"9999|LOW|0|7|q01=2.5|T|0|\n",
+        b"0042|LOW|0|7||0|\n",
+        b"5555|MED|9|x|abc=1.5|1|3\n",
+    ];
+    let data = records.concat();
     let registry = pads_runtime::Registry::standard();
     let schema = descriptions::mixed();
     let parser = PadsParser::new(&schema, &registry);
-    let (_, ipd) = parser.parse_source(data, &mask());
-    let mut cur = Cursor::new(data);
-    let (_, gpd) = gen_mixed::parse_source(&mut cur, &mask());
-    assert!(!ipd.is_ok() && !gpd.is_ok());
-    // Same per-record bad sets.
-    fn bad_records(pd: &ParseDesc) -> Vec<usize> {
-        match &pd.kind {
-            pads_runtime::PdKind::Array { elts, .. } => elts
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| !e.is_ok())
-                .map(|(i, _)| i)
-                .collect(),
-            _ => Vec::new(),
+    let m = mask();
+    let names = gen_mixed::name_table();
+    let mut arena = pads_runtime::ValueArena::new();
+    let mut interp = parser.records(&data, "rec_t", &m);
+    let mut cur = Cursor::new(&data);
+    let mut bad = Vec::new();
+    for i in 0..records.len() {
+        let (iv, ipd) = interp.next().expect("interpreter record");
+        let (gv, gpd) = gen_mixed::RecT::read(&mut cur, &m);
+        arena.reset();
+        let h = gv.to_arena(&mut arena);
+        assert_eq!(pads::to_value(arena.get(h), &names), iv, "record {i}: value");
+        assert_eq!(gpd, ipd, "record {i}: descriptor");
+        assert_eq!(cur.offset(), interp.offset(), "record {i}: end offset");
+        if !gpd.is_ok() {
+            bad.push(i);
         }
     }
-    assert_eq!(bad_records(&ipd), bad_records(&gpd));
-    assert!(!bad_records(&ipd).is_empty());
+    assert!(interp.next().is_none() && cur.at_eof());
+    assert_eq!(bad, [1, 2, 4, 5]);
 }
 
 #[test]

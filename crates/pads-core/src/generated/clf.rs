@@ -873,23 +873,3 @@ pub fn parse_source<'d>(cur: &mut Cursor<'d>, mask: &Mask) -> (CltT<'d>, ParseDe
     }
     (v, pd)
 }
-
-/// Parses the source's records from `resume` (default: the start) on up
-/// to `jobs` worker threads — record-sharded, byte-identical to the
-/// sequential record loop (see `pads_runtime::genrt::parse_records`) —
-/// returning them in source order with the final error budget. `make`
-/// builds the cursor for a byte slice exactly the way the caller would
-/// for [`parse_source`].
-pub fn parse_records_par<'d, M>(
-    data: &'d [u8],
-    mask: &Mask,
-    resume: ResumePoint,
-    jobs: usize,
-    make: M,
-) -> (Vec<(EntryT<'d>, ParseDesc)>, ErrorBudget)
-where
-    M: Fn(&'d [u8]) -> Cursor<'d> + Sync,
-{
-    let elem_mask = mask.child("elt");
-    parse_records(data, resume, jobs, make, |cur| EntryT::read(cur, &elem_mask))
-}

@@ -523,33 +523,7 @@ impl<'d> RecT<'d> {
             }
             RecordOpen::Done(pd) => return (Default::default(), pd),
         };
-        // Fast path: the first 2 member(s) form a proven fixed-width
-        // prefix of 5 byte(s) — validate at fixed offsets, commit with
-        // one advance, or fall back to the member loop untouched.
-        let mut pc_fp_done = false;
-        if !cur.observing_events() && cur.charset() == Charset::Ascii {
-            let fp = cur.rest();
-            'prefix: {
-                if fp.len() < 5 { break 'prefix; }
-                let mut pc_fp_acc: u64 = 0;
-                for &b in &fp[0..4] {
-                    if !b.is_ascii_digit() { break 'prefix; }
-                    pc_fp_acc = pc_fp_acc * 10 + (b - b'0') as u64;
-                }
-                if pc_fp_acc > u16::MAX as u64 { break 'prefix; }
-                let pc_fp_code: u16 = pc_fp_acc as u16;
-                if !((((1000i64) <= ((pc_fp_code).pc_num())) && (((pc_fp_code).pc_num()) <= (9999i64)))) { break 'prefix; }
-                if fp[4] != 124u8 { break 'prefix; }
-                f_code = CodeT(pc_fp_code);
-                if cur.observing() {
-                    cur.metrics_fixed_prefix(&[(5u32, 4u32)]);
-                }
-                cur.advance(5);
-                pc_fp_done = true;
-            }
-        }
         'body: {
-            if !pc_fp_done {
             {
                 let m = mask.child("code");
                 let (v, mut fpd) = CodeT::read(cur, &m);
@@ -559,13 +533,10 @@ impl<'d> RecT<'d> {
                 if !fpd.is_ok() { pds.push((Name::from_static("code"), fpd)); }
                 if syn { pd.state = ParseState::Partial; break 'body; }
             }
-            }
-            if !pc_fp_done {
             if !(pc_match_char(cur, 124u8)) {
                 pd.add_error(ErrorCode::LitMismatch, Loc::at(cur.position()));
                 pd.state = ParseState::Partial;
                 break 'body;
-            }
             }
             {
                 let m = mask.child("sev");
@@ -882,24 +853,4 @@ pub fn parse_source<'d>(cur: &mut Cursor<'d>, mask: &Mask) -> (RecsT<'d>, ParseD
         cur.observe_error(ErrorCode::ExtraDataAtEof, loc);
     }
     (v, pd)
-}
-
-/// Parses the source's records from `resume` (default: the start) on up
-/// to `jobs` worker threads — record-sharded, byte-identical to the
-/// sequential record loop (see `pads_runtime::genrt::parse_records`) —
-/// returning them in source order with the final error budget. `make`
-/// builds the cursor for a byte slice exactly the way the caller would
-/// for [`parse_source`].
-pub fn parse_records_par<'d, M>(
-    data: &'d [u8],
-    mask: &Mask,
-    resume: ResumePoint,
-    jobs: usize,
-    make: M,
-) -> (Vec<(RecT<'d>, ParseDesc)>, ErrorBudget)
-where
-    M: Fn(&'d [u8]) -> Cursor<'d> + Sync,
-{
-    let elem_mask = mask.child("elt");
-    parse_records(data, resume, jobs, make, |cur| RecT::read(cur, &elem_mask))
 }

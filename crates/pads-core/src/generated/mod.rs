@@ -5,7 +5,8 @@
 //! with `read`/`write`/`verify` functions, no interpretation overhead.
 //! Like that generated C, each module links a fixed runtime library —
 //! `pads_runtime::genrt`, re-exported at its top — instead of carrying its
-//! own readers, writers and record driver. They are committed so the crate proves they compile; a golden test in
+//! own readers and writers. They are committed so the crate proves they
+//! compile; a golden test in
 //! `pads-codegen` keeps them in sync with the generator (regenerate with
 //! `cargo run -p pads-codegen --bin regen`).
 

@@ -54,9 +54,9 @@ pub enum Engine {
     /// `ParseOptions`; the `pads` CLI defaults to [`Engine::Vm`] instead.
     #[default]
     Interp,
-    /// Compile the schema to a cached [`crate::vm::VmProgram`] on first
-    /// use — one program per charset a cursor arrives with — and run the
-    /// bytecode tier.
+    /// Compile the schema to a [`crate::vm::VmProgram`] on first use — one
+    /// program per charset a cursor arrives with, kept by the parser — and
+    /// run the bytecode tier.
     Vm,
 }
 
@@ -93,10 +93,8 @@ pub struct PadsParser<'s> {
     /// dense-id interning the metrics `ObsSchema` uses.
     names: Vec<TypeNames>,
     /// Lazily compiled VM programs, one per cursor charset (only populated
-    /// when [`ParseOptions::engine`] is [`Engine::Vm`]); shared through
-    /// the process-wide program cache, so sibling parsers over the same
-    /// schema reuse one compilation.
-    vm: [std::cell::OnceCell<std::sync::Arc<crate::vm::VmProgram>>; 2],
+    /// when [`ParseOptions::engine`] is [`Engine::Vm`]).
+    vm: [std::cell::OnceCell<crate::vm::VmProgram>; 2],
 }
 
 /// Interned names for one type definition (see [`PadsParser::names`]).
@@ -356,8 +354,7 @@ impl<'s> PadsParser<'s> {
                 Charset::Ascii => &self.vm[0],
                 Charset::Ebcdic => &self.vm[1],
             };
-            let prog =
-                slot.get_or_init(|| crate::vm::get_or_compile(self.schema, self.registry, charset));
+            let prog = slot.get_or_init(|| crate::vm::compile(self.schema, self.registry, charset));
             return crate::vm::exec(self.schema, prog, cur, id, args, mask);
         }
         if !cur.observing() {

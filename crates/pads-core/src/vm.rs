@@ -1,5 +1,5 @@
-//! The bytecode tier: checked schemas compiled to a cached, pre-resolved
-//! program executed by a tight dispatch loop.
+//! The bytecode tier: checked schemas compiled to a pre-resolved program
+//! executed by a tight dispatch loop.
 //!
 //! The interpreter ([`crate::parse::PadsParser`]) re-derives per-record
 //! facts that never change for a given schema: it looks base types up in
@@ -30,16 +30,14 @@
 //! * enum variants match against pre-encoded byte strings (the
 //!   interpreter allocates one `Vec` per variant per record).
 //!
-//! Programs are `Send + Sync` and cached process-wide in a bounded
-//! [`KeyedCache`] keyed by (schema structure, charset, registry
-//! identity), so many parsers — including the workers of a sharded
-//! `stream_source` run — share one compilation. See `docs/VM.md`.
+//! A parser compiles its program on first use, once per charset a cursor
+//! arrives with, and keeps it; a shard worker builds its own parser, so it
+//! compiles its own. See `docs/VM.md`.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use pads_check::ir::{Schema, TypeId, TypeKind, TyUse};
 use pads_check::lint;
-use pads_runtime::cache::KeyedCache;
 use pads_runtime::{
     BaseType, Charset, Cursor, ErrorCode, Loc, Mask, Name, ParseDesc, ParseState, Prim,
     RecordOpen, Registry, SparseElts,
@@ -50,12 +48,6 @@ use pads_syntax::ast::{BinOp, CaseLabel, Expr, Literal, Stmt, UnOp};
 use crate::eval::{self, Env, Ev};
 use crate::value::Value;
 
-/// Capacity of the process-wide compiled-program cache. Each entry is one
-/// (schema, charset, registry) combination; a hot-loading daemon cycling
-/// through more live schemas than this recompiles on re-entry (compilation
-/// is a one-time cost per schema, microseconds — not per record).
-pub const PROGRAM_CACHE_CAPACITY: usize = 64;
-
 // ---- compiled form --------------------------------------------------------
 
 /// A schema compiled for one charset: everything per-record-invariant is
@@ -63,22 +55,12 @@ pub const PROGRAM_CACHE_CAPACITY: usize = 64;
 ///
 /// `Send + Sync`: names are `Arc<str>`-backed, base-type handles are
 /// `Arc<dyn BaseType>`, and regex literals are stored as pattern strings
-/// (compiled through each cursor's own cache), so one program serves every
-/// worker of a sharded parse.
+/// (compiled through each cursor's own cache).
 pub struct VmProgram {
-    charset: Charset,
     defs: Vec<CDef>,
 }
 
 impl VmProgram {
-    /// The charset the program's literals were encoded for. Executing
-    /// against a cursor with a different charset would change byte-level
-    /// matching, so the dispatcher runs the program compiled for the
-    /// cursor's.
-    pub fn charset(&self) -> Charset {
-        self.charset
-    }
-
     /// Number of compiled definitions (one per schema `TypeId`).
     pub fn len(&self) -> usize {
         self.defs.len()
@@ -290,7 +272,7 @@ pub fn compile(schema: &Schema, registry: &Registry, charset: Charset) -> VmProg
         .enumerate()
         .map(|(id, def)| compile_def(schema, registry, charset, &firsts, id, def))
         .collect();
-    VmProgram { charset, defs }
+    VmProgram { defs }
 }
 
 fn compile_def(
@@ -796,64 +778,6 @@ fn default_tyuse(schema: &Schema, registry: &Registry, ty: &TyUse, depth: u32) -
         }
         TyUse::Named { id, .. } => default_def(schema, registry, *id, depth + 1),
     }
-}
-
-// ---- program cache --------------------------------------------------------
-
-static PROGRAMS: OnceLock<Mutex<KeyedCache<u64, Arc<VmProgram>>>> = OnceLock::new();
-
-fn programs() -> &'static Mutex<KeyedCache<u64, Arc<VmProgram>>> {
-    PROGRAMS.get_or_init(|| Mutex::new(KeyedCache::new(PROGRAM_CACHE_CAPACITY)))
-}
-
-fn lock_programs() -> std::sync::MutexGuard<'static, KeyedCache<u64, Arc<VmProgram>>> {
-    match programs().lock() {
-        Ok(g) => g,
-        // A panic while holding the lock cannot corrupt the cache (it is
-        // a plain map); keep serving.
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// The process-wide cache key: schema structure (the `types` table is a
-/// `Vec` with deterministic `Debug`), target charset, and registry
-/// identity (sorted name → `Arc` address pairs — the cached program holds
-/// clones of those `Arc`s, so an address cannot be recycled while its
-/// entry is live).
-fn cache_key(schema: &Schema, registry: &Registry, charset: Charset) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    format!("{:?}", schema.types).hash(&mut h);
-    format!("{:?}", charset).hash(&mut h);
-    let mut entries: Vec<(&str, usize)> = registry
-        .names()
-        .map(|n| {
-            (n, registry.get(n).map_or(0, |bt| Arc::as_ptr(bt) as *const () as usize))
-        })
-        .collect();
-    entries.sort_unstable();
-    entries.hash(&mut h);
-    h.finish()
-}
-
-/// Returns the compiled program for (schema, registry, charset), compiling
-/// and caching on first use. Subsequent parsers — including every worker
-/// of a sharded parse — get the shared `Arc`.
-pub fn get_or_compile(schema: &Schema, registry: &Registry, charset: Charset) -> Arc<VmProgram> {
-    let key = cache_key(schema, registry, charset);
-    if let Some(p) = lock_programs().get(&key) {
-        return p;
-    }
-    // Compile outside the lock: compilation walks the whole schema and
-    // must not serialise unrelated parsers.
-    let prog = Arc::new(compile(schema, registry, charset));
-    lock_programs().insert(key, Arc::clone(&prog));
-    prog
-}
-
-/// Number of programs currently cached (test hook).
-pub fn program_cache_len() -> usize {
-    lock_programs().len()
 }
 
 // ---- compiled-predicate evaluation ----------------------------------------

@@ -1,18 +1,13 @@
-//! A small bounded keyed cache shared by the engines.
+//! A small bounded keyed cache.
 //!
-//! Two hot paths memoise compiled artifacts keyed by their source text:
-//! the cursor's per-parser regex cache (`Pre` patterns compile once per
-//! schema, not once per record) and the VM's per-schema program cache
-//! (a checked schema compiles to bytecode once per process). Both used
-//! to grow without bound; [`KeyedCache`] gives them one implementation
-//! with a capacity ceiling and least-recently-used eviction, so a
-//! long-running ingest daemon that hot-loads descriptions cannot leak
-//! compiled artifacts indefinitely.
+//! The cursor's per-parser regex cache memoises compiled `Pre` patterns
+//! keyed by their text, so each pattern compiles once per parser, not once
+//! per record. `Pstring_ME`/`Pstring_SE` patterns may come from the data,
+//! so the set of keys is not bounded by the schema; [`KeyedCache`] caps it
+//! with least-recently-used eviction.
 //!
-//! The cache is deliberately not synchronised: callers wrap it in
-//! whatever sharing discipline they need (`Rc<RefCell<..>>` for the
-//! per-parser regex cache, a `Mutex` for the process-wide program
-//! cache).
+//! The cache is deliberately not synchronised: callers wrap it in whatever
+//! sharing discipline they need (`Rc<RefCell<..>>` for the regex cache).
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -21,8 +16,8 @@ use std::hash::Hash;
 /// A bounded key→value memo with least-recently-used eviction.
 ///
 /// Values are handed out by clone, so `V` is typically a shared pointer
-/// (`Rc<Regex>`, `Arc<VmProgram>`): eviction drops the cache's
-/// reference while outstanding users keep theirs.
+/// (`Rc<Regex>`): eviction drops the cache's reference while outstanding
+/// users keep theirs.
 #[derive(Debug)]
 pub struct KeyedCache<K, V> {
     map: HashMap<K, Entry<V>>,

@@ -9,8 +9,10 @@
 //! ([`PcVal`], [`pc_eq`], [`pc_cmp`]), literal matchers (`pc_match_*`),
 //! base-type readers and writers (`rd_*` / `wr_*`) mirroring the
 //! interpreting parser's semantics over one shared base-type registry, and
-//! the record-sharded [`parse_records`] driver. Record open/skip/close
-//! policy is [`Cursor::open_record`] / [`Cursor::close_record`].
+//! [`CursorRecords`], the [`RecordReader`] that puts a generated record
+//! `read` under the sharded driver [`par::drive`](crate::par::drive).
+//! Record open/skip/close policy is [`Cursor::open_record`] /
+//! [`Cursor::close_record`].
 //!
 //! The hot helpers are `#[inline]`: they are called once per field from
 //! another crate, and a generated `read`/`write` must not pay a call for
@@ -27,14 +29,13 @@ pub use crate::io::{Cursor, RecordOpen};
 pub use crate::mask::Mask;
 pub use crate::metrics::MetricsCore;
 pub use crate::name::Name;
-pub use crate::par::ResumePoint;
 pub use crate::pd::{ParseDesc, PdKind, SparseElts};
 pub use crate::prim::Prim;
-pub use crate::recovery::ErrorBudget;
 
 use crate::base::{PrimView, Registry};
 use crate::error::Pos;
-use crate::par::{self, Job, RecordReader};
+use crate::par::RecordReader;
+use crate::recovery::ErrorBudget;
 use crate::scan::{skip_class, ClassBitmap};
 
 // ---- borrowed string leaves --------------------------------------------------
@@ -509,10 +510,11 @@ pub fn wr_prim(
     bt.write(out, v, args, charset, endian)
 }
 
-// ---- record-sharded driver --------------------------------------------------------
+// ---- record reader -----------------------------------------------------------------
 
 /// A generated `read` looped over a cursor until the source is exhausted:
-/// the generated engine's [`RecordReader`].
+/// the generated engine's [`RecordReader`], which a caller opens under
+/// [`par::drive`](crate::par::drive) to shard a source.
 pub struct CursorRecords<'d, 'r, F> {
     cur: Cursor<'d>,
     read: &'r F,
@@ -556,52 +558,4 @@ where
         self.cur.seek(offset, record);
         self.done = false;
     }
-}
-
-/// Record-sharded parallel engine behind the generated `parse_records_par`
-/// entry points: [`par::drive`] over a generated record reader.
-///
-/// `make` builds a cursor over a byte slice exactly as the caller would for
-/// `parse_source` (charset, endianness, record discipline, recovery
-/// policy); `read` parses ONE record (a generated `read` method). Parsing
-/// starts at `resume` (default: the beginning) on up to `jobs` workers and
-/// the result is byte-identical to looping `read` sequentially, under
-/// every recovery policy.
-///
-/// Metrics handles cannot cross threads (`make` must be `Sync`, and a
-/// handle is not), so parallel runs are unobserved by construction.
-pub fn parse_records<'d, T, M, F>(
-    data: &'d [u8],
-    resume: ResumePoint,
-    jobs: usize,
-    make: M,
-    read: F,
-) -> (Vec<(T, ParseDesc)>, ErrorBudget)
-where
-    T: Send,
-    M: Fn(&'d [u8]) -> Cursor<'d> + Sync,
-    F: for<'b> Fn(&'b mut Cursor<'d>) -> (T, ParseDesc) + Sync,
-{
-    let probe = make(data);
-    let job = Job {
-        data,
-        discipline: probe.discipline(),
-        charset: probe.charset(),
-        policy: probe.policy(),
-        jobs,
-        max_inflight: par::DEFAULT_MAX_INFLIGHT,
-        resume,
-    };
-    let mut items = Vec::new();
-    let budget = par::drive(
-        &job,
-        |slice, policy, start: ResumePoint| {
-            let mut cur = make(slice).with_policy(policy).with_start(start.offset, start.record);
-            cur.set_budget(start.budget);
-            (CursorRecords::new(cur, &read), || None::<()>)
-        },
-        // The caller keeps the records: take them out of the chunk.
-        |chunk, _harvest| items.extend(chunk.drain(..).map(|parsed| (parsed.item, parsed.pd))),
-    );
-    (items, budget)
 }

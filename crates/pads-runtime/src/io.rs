@@ -372,16 +372,6 @@ impl<'a> Cursor<'a> {
         !matches!(self.obs, Observation::Off)
     }
 
-    /// Whether the attached core needs the *full* enter/exit event stream
-    /// (it is profiling or tracing). Generated event-eliding fast paths
-    /// (fixed-prefix commits) gate on this rather than
-    /// [`observing`](Cursor::observing): a plain counting core can be fed
-    /// statically-known per-type bumps without the events themselves.
-    #[inline]
-    pub fn observing_events(&self) -> bool {
-        matches!(self.obs, Observation::Events(_))
-    }
-
     /// Emits a type-enter event at the current position for the type with
     /// dense node id `id` (see [`crate::metrics::ObsSchema`]). Only a
     /// profiling or tracing core hears it; a counting core needs exits
@@ -400,21 +390,6 @@ impl<'a> Cursor<'a> {
     pub fn observe_exit_id(&self, id: u32, start_off: usize, pd: &ParseDesc) {
         if let Some(core) = self.core() {
             core.borrow_mut().exit_id(id, start_off, self.offset(), pd.nerr);
-        }
-    }
-
-    /// Feeds the metrics core the statically-known per-type stats of a
-    /// committed fixed-prefix fast path: for each `(id, width)` the prefix
-    /// covered, one error-free parse of exactly `width` bytes. Generated
-    /// code calls this instead of falling off the fast path when only a
-    /// counting core is attached, so metrics-on output stays
-    /// byte-identical to the member-loop path.
-    pub fn metrics_fixed_prefix(&self, items: &[(u32, u32)]) {
-        if let Some(core) = self.core() {
-            let mut c = core.borrow_mut();
-            for &(id, width) in items {
-                c.exit_id(id, 0, width as usize, 0);
-            }
         }
     }
 

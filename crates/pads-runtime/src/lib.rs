@@ -21,14 +21,15 @@
 //! * [`par`] — record-aligned shard planning and the one sharded record
 //!   driver every engine plugs into;
 //! * [`genrt`] — the library generated parsers link against (`PStr`,
-//!   `rd_*`/`wr_*` helpers, the generated-code prelude);
+//!   `rd_*`/`wr_*` helpers, the generated-code prelude, and
+//!   [`genrt::CursorRecords`], the generated engine's record reader);
 //! * [`metrics`] — the dense-ID, `Send`-able [`metrics::MetricsCore`]
 //!   both engines emit parse events to through the cursor: counter
 //!   slabs, plus the opt-in per-node cost profiler and span-tree trace
 //!   (exposition lives in the `pads-observe` crate);
 //! * [`summary`] — bounded-memory histograms and quantile estimates;
 //! * [`cache`] — the bounded LRU [`cache::KeyedCache`] behind the
-//!   compiled-regex and VM program caches.
+//!   compiled-regex cache.
 //!
 //! # Examples
 //!

@@ -35,7 +35,7 @@
 //! [`drive`] a factory that opens a reader over the source under a given
 //! policy from a given start. The interpreter and the VM do so through
 //! `pads::Records`, generated parsers through
-//! [`genrt::parse_records`](crate::genrt::parse_records).
+//! [`genrt::CursorRecords`](crate::genrt::CursorRecords).
 //!
 //! [`plan_shards`] is the older, static partition — at most `jobs`
 //! contiguous byte-balanced shards with their record counts. The driver no

@@ -10,6 +10,8 @@
 
 #[path = "common/collect.rs"]
 mod collect;
+#[path = "common/readers.rs"]
+mod readers;
 #[path = "common/tables.rs"]
 mod tables;
 
@@ -19,7 +21,9 @@ use pads::{
     RecordSink, RecoveryPolicy, Registry, ResumePoint, Schema, SourceEnd, SourceShape, Value,
 };
 use collect::{counts_json, metered, stream_into, Collect};
+use pads_runtime::genrt::CursorRecords;
 use pads_runtime::{Cursor, FaultPlan, KillPlan, MetricsCore, MetricsHandle, Pos};
+use readers::{cursor_at, Readers};
 use tables::{policies, CHUNKS_OF_TWO};
 
 fn mask() -> Mask {
@@ -156,12 +160,13 @@ fn kill_resume_matches_uninterrupted_run() {
 
 /// The generated engine honours the same contract: `Cursor::with_start`
 /// plus a restored budget continues a killed generated parse exactly, and
-/// `parse_records_par` from that `ResumePoint` does the same record-sharded.
+/// the generated record reader under the sharded driver does the same from
+/// that `ResumePoint` at `jobs {1,4}`.
 #[test]
 fn generated_kill_resume_matches_uninterrupted_run() {
     const SEEDS: u64 = 1000;
-    fn factory(policy: RecoveryPolicy) -> impl for<'a> Fn(&'a [u8]) -> Cursor<'a> + Sync {
-        move |d| Cursor::new(d).with_policy(policy)
+    fn read<'d>(cur: &mut Cursor<'d>) -> (gen_clf::EntryT<'d>, ParseDesc) {
+        gen_clf::EntryT::read(cur, &mask())
     }
     let clean =
         pads_gen::clf::generate(&pads_gen::ClfConfig { records: 12, ..Default::default() }).0;
@@ -171,14 +176,14 @@ fn generated_kill_resume_matches_uninterrupted_run() {
         let policy = policies[(seed as usize) % policies.len()];
 
         // Uninterrupted generated ground truth.
-        let mut cur = factory(policy)(&data);
+        let mut cur = Cursor::new(&data).with_policy(policy);
         let mut full = Vec::new();
         loop {
             if cur.at_eof() {
                 break;
             }
             let before = cur.offset();
-            full.push(gen_clf::EntryT::read(&mut cur, &mask()));
+            full.push(read(&mut cur));
             if cur.offset() == before {
                 break;
             }
@@ -187,7 +192,7 @@ fn generated_kill_resume_matches_uninterrupted_run() {
 
         // Kill at a seeded boundary, checkpointing along the way.
         let plan = KillPlan::for_seed(seed, full.len());
-        let mut cur = factory(policy)(&data);
+        let mut cur = Cursor::new(&data).with_policy(policy);
         let mut consumed = 0usize;
         let mut cp = ResumePoint::default();
         loop {
@@ -195,7 +200,7 @@ fn generated_kill_resume_matches_uninterrupted_run() {
                 break;
             }
             let before = cur.offset();
-            let _ = gen_clf::EntryT::read(&mut cur, &mask());
+            let _ = read(&mut cur);
             if cur.offset() == before {
                 break;
             }
@@ -206,15 +211,14 @@ fn generated_kill_resume_matches_uninterrupted_run() {
         }
 
         // Sequential resume over the generated reader.
-        let mut cur = factory(policy)(&data).with_start(cp.offset, cp.record);
-        cur.set_budget(cp.budget);
+        let mut cur = cursor_at(&data, policy, cp);
         let mut resumed = Vec::new();
         loop {
             if cur.at_eof() {
                 break;
             }
             let before = cur.offset();
-            resumed.push(gen_clf::EntryT::read(&mut cur, &mask()));
+            resumed.push(read(&mut cur));
             if cur.offset() == before {
                 break;
             }
@@ -231,9 +235,10 @@ fn generated_kill_resume_matches_uninterrupted_run() {
         );
 
         // Record-sharded generated resume.
+        let generated =
+            Readers(|slice, policy, start| CursorRecords::new(cursor_at(slice, policy, start), &read));
         for jobs in [1, 4] {
-            let (par, par_budget) =
-                gen_clf::parse_records_par(&data, &mask(), cp, jobs, factory(policy));
+            let (par, par_budget) = generated.sharded_from(&data, policy, (jobs, CHUNKS_OF_TWO), cp);
             assert_eq!(
                 par.as_slice(),
                 &full[cp.record..],

@@ -10,6 +10,8 @@
 
 #[path = "common/collect.rs"]
 mod collect;
+#[path = "common/readers.rs"]
+mod readers;
 #[path = "common/tables.rs"]
 mod tables;
 #[path = "common/trace_tally.rs"]
@@ -22,14 +24,14 @@ use std::thread::{self, ThreadId};
 use pads::generated::clf as gen_clf;
 use pads::{
     compile, descriptions, BaseMask, Charset, Engine, ErrorBudget, Mask, OnExhausted, PadsParser,
-    ParseDesc, ParseOptions, RecordDiscipline, RecoveryPolicy, Registry, ResumePoint, Schema,
-    Value,
+    ParseDesc, ParseOptions, RecoveryPolicy, Registry, ResumePoint, Schema, Value,
 };
 use pads_runtime::base::BaseType;
 use pads_runtime::genrt::CursorRecords;
-use pads_runtime::par::{self, Job, RecordReader};
+use pads_runtime::par::RecordReader;
 use pads_runtime::{Cursor, Endian, ErrorCode, FaultPlan, MetricsHandle, Prim, PrimKind};
 use collect::{counts_json, metered};
+use readers::{cursor_at, Readers};
 use tables::{policies, GEOMETRIES};
 use trace_tally::Tally;
 
@@ -101,10 +103,6 @@ fn drain<R: RecordReader>(mut reader: R) -> (Items<R::Item>, Vec<ResumePoint>) {
     (items, boundaries)
 }
 
-/// A `RecordReader` factory straight under [`par::drive`]: how a generated
-/// module plugs in. Every corpus here is newline-framed ASCII.
-struct Readers<O>(O);
-
 impl<'d, R, O> Sharded<'d> for Readers<O>
 where
     R: RecordReader,
@@ -125,32 +123,10 @@ where
         &self,
         data: &'d [u8],
         policy: RecoveryPolicy,
-        (jobs, max_inflight): (usize, usize),
+        geometry: (usize, usize),
         resume: ResumePoint,
     ) -> (Items<R::Item>, ErrorBudget) {
-        let job = Job {
-            data,
-            discipline: RecordDiscipline::Newline,
-            charset: Charset::Ascii,
-            policy,
-            jobs,
-            max_inflight,
-            resume,
-        };
-        let mut items = Vec::new();
-        let mut next = resume.record;
-        let budget = par::drive(
-            &job,
-            |slice, policy, start| (self.0(slice, policy, start), || None::<()>),
-            |chunk, _harvest| {
-                for parsed in chunk.drain(..) {
-                    assert_eq!(parsed.progress.record, next, "progress is dense and in record order");
-                    next += 1;
-                    items.push((parsed.item, parsed.pd));
-                }
-            },
-        );
-        (items, budget)
+        Readers::sharded_from(self, data, policy, geometry, resume)
     }
 }
 
@@ -520,29 +496,14 @@ fn parallel_dense_cores_merge_matches_sequential_snapshot() {
 }
 
 /// The generated row of the matrix: the generated record reader under the
-/// sharded driver agrees with the same reader looped sequentially, and the
-/// module's `parse_records_par` entry is that driver.
+/// sharded driver agrees with the same reader looped sequentially.
 #[test]
 fn generated_parallel_matches_sequential_loop() {
     let m = mask();
     let read = |cur: &mut Cursor<'static>| gen_clf::EntryT::read(cur, &m);
-    let generated = Readers(|slice, policy, start: ResumePoint| {
-        let mut cur = Cursor::new(slice).with_policy(policy).with_start(start.offset, start.record);
-        cur.set_budget(start.budget);
-        CursorRecords::new(cur, &read)
-    });
+    let generated =
+        Readers(|slice, policy, start| CursorRecords::new(cursor_at(slice, policy, start), &read));
     assert_sharded_matches_sequential("clf/generated", CLF, &generated);
-    for policy in policies() {
-        let (seq, seq_budget) = generated.sequential(CLF, policy);
-        for jobs in [1, 2, 4] {
-            let (par, par_budget) =
-                gen_clf::parse_records_par(CLF, &m, ResumePoint::default(), jobs, |d| {
-                    Cursor::new(d).with_policy(policy)
-                });
-            assert_eq!(par, seq, "jobs={jobs} policy={policy:?}: parse_records_par items");
-            assert_eq!(par_budget, seq_budget, "jobs={jobs} policy={policy:?}: budget");
-        }
-    }
 }
 
 /// A chunk is merged whole or replayed whole, whichever engine filled it:
@@ -554,11 +515,7 @@ fn chunk_divergence_replays_the_chunk_for_every_reader() {
     let registry = Registry::standard();
     let m = mask();
     let read = |cur: &mut Cursor<'static>| gen_clf::EntryT::read(cur, &m);
-    let open = |slice, policy, start: ResumePoint| {
-        let mut cur = Cursor::new(slice).with_policy(policy).with_start(start.offset, start.record);
-        cur.set_budget(start.budget);
-        CursorRecords::new(cur, &read)
-    };
+    let open = |slice, policy, start| CursorRecords::new(cursor_at(slice, policy, start), &read);
     for engine in [Engine::Interp, Engine::Vm] {
         let runtime = Runtime { schema: &schema, registry: &registry, engine, record: "entry_t" };
         assert_budget_trips_replay_the_chunk(&format!("clf/{engine:?}"), &runtime);

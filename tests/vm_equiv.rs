@@ -6,8 +6,8 @@
 //! and journaled kill-and-resume entry points, and across a 1000-seed
 //! fault-injection sweep. The generated modules are cross-checked too
 //! (values plus descriptor verdicts, the same contract the codegen
-//! equivalence suite holds the interpreter to), and the per-schema program
-//! cache and the per-cursor-charset program selection get direct coverage.
+//! equivalence suite holds the interpreter to), and the per-cursor-charset
+//! program selection gets direct coverage.
 
 #[path = "common/collect.rs"]
 mod collect;
@@ -368,30 +368,12 @@ fn vm_journal_kill_resume_matches_uninterrupted_interpreter() {
     let _ = std::fs::remove_dir(&dir);
 }
 
-/// The process-wide program cache hands back the same compiled program for
-/// the same (schema, registry, charset) key and a distinct one when any
-/// component of the key changes.
-#[test]
-fn program_cache_reuses_compiled_programs() {
-    let schema = descriptions::clf();
-    let registry = Registry::standard();
-    let a = pads::vm::get_or_compile(&schema, &registry, Charset::Ascii);
-    let b = pads::vm::get_or_compile(&schema, &registry, Charset::Ascii);
-    assert!(Arc::ptr_eq(&a, &b), "same key must hit the cache");
-    let c = pads::vm::get_or_compile(&schema, &registry, Charset::Ebcdic);
-    assert!(!Arc::ptr_eq(&a, &c), "charset is part of the cache key");
-    let other = descriptions::sirius();
-    let d = pads::vm::get_or_compile(&other, &registry, Charset::Ascii);
-    assert!(!Arc::ptr_eq(&a, &d), "schema is part of the cache key");
-    assert!(pads::vm::program_cache_len() >= 2, "cache retains distinct programs");
-}
-
 /// Engine-selection contract: the VM runs whatever charset the cursor
-/// carries — the program compiled for it, fetched through the shared cache
-/// — and agrees with the interpreter under both. The description is this
-/// test's own, so no other test touches its cache entries and the
-/// reference count of the EBCDIC program is a witness that the VM parser
-/// took it rather than fall back to the interpreter.
+/// carries — the program compiled for it — and agrees with the interpreter
+/// under both. A compiled program holds the base-type handles it resolved,
+/// so the reference count of the description's one `Puint32` is a witness
+/// that the VM parser compiled and kept a program per charset rather than
+/// fall back to the interpreter.
 #[test]
 fn vm_runs_under_either_charset_and_agrees_with_the_interpreter() {
     let registry = Registry::standard();
@@ -405,9 +387,8 @@ fn vm_runs_under_either_charset_and_agrees_with_the_interpreter() {
     let interp = PadsParser::new(&schema, &registry);
     let vm = PadsParser::new(&schema, &registry)
         .with_options(opts(RecoveryPolicy::unlimited(), Engine::Vm));
-    let program = pads::vm::get_or_compile(&schema, &registry, ebcdic);
-    assert_eq!(program.charset(), ebcdic);
-    let holders = Arc::strong_count(&program);
+    let uint = Arc::clone(registry.get("Puint32").expect("standard registry"));
+    let holders = Arc::strong_count(&uint);
 
     // Both parsers were built for ASCII; hand them cursors of either kind.
     for (charset, data) in [(Charset::Ascii, &b"17|west|"[..]), (ebcdic, &line[..])] {
@@ -423,8 +404,8 @@ fn vm_runs_under_either_charset_and_agrees_with_the_interpreter() {
         assert_eq!(vpd, ipd, "{charset:?}: VM descriptor diverges");
     }
     assert_eq!(
-        Arc::strong_count(&program),
-        holders + 1,
-        "the VM parser holds the EBCDIC program it ran"
+        Arc::strong_count(&uint),
+        holders + 2,
+        "the VM parser holds the ASCII and the EBCDIC program it ran"
     );
 }
