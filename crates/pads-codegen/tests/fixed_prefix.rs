@@ -1,82 +1,27 @@
-//! The width analysis drives codegen: struct members that the fact
-//! database proves exactly fixed-width form a prefix the generated
-//! parser validates at fixed offsets and commits with one cursor
-//! advance. Structs with no such prefix (or a trivial one) keep the
-//! plain member loop only, and the fast path must fall back — never
-//! misparse — on every input the slow path handles differently.
+//! A struct that leads with fixed-width members invites a shortcut: check
+//! the whole prefix at fixed offsets and commit it with one cursor advance.
+//! Generated parsers take no such shortcut; every member goes through the
+//! member loop. Over the whole source, the generated parser must keep
+//! agreeing with the interpreter on the records a shortcut would get wrong.
+//! (`equivalence.rs::mixed_constraint_violations_agree` compares the same
+//! records one `rec_t` read at a time.)
 
 use pads::descriptions;
 use pads_runtime::{BaseMask, Cursor, Mask, Registry};
 
-const FAST: &str = "pc_fp_done";
-
-fn generate(src: &str) -> String {
-    let schema = pads_check::compile(src, &Registry::standard()).expect("compiles");
-    pads_codegen::generate_rust(&schema, "test.pads").expect("generates")
-}
-
-#[test]
-fn mixed_rec_gets_fast_path_but_clf_and_sirius_stay_unchanged() {
-    // rec_t leads with code_t (Puint16_FW(:4:) typedef) + '|': proven
-    // 5-byte prefix.
-    let mixed = pads_codegen::generate_rust(&descriptions::mixed(), "t").expect("generates");
-    let rec = mixed
-        .split("impl<'d> RecT<'d>")
-        .nth(1)
-        .and_then(|s| s.split("\nimpl").next())
-        .expect("RecT impl present");
-    assert!(rec.contains(FAST), "RecT should get the fixed-prefix fast path");
-    // clf entry_t leads with a union, sirius's structs with literals or
-    // variable-width ints only: proven-neutral, no fast path anywhere.
-    let clf = pads_codegen::generate_rust(&descriptions::clf(), "t").expect("generates");
-    assert!(!clf.contains(FAST), "clf has no provable fixed prefix");
-    let sirius = pads_codegen::generate_rust(&descriptions::sirius(), "t").expect("generates");
-    assert!(!sirius.contains(FAST), "sirius has no provable fixed prefix");
-}
-
-#[test]
-fn committed_modules_match_description_prefixes() {
-    // The committed generated sources agree with what the current
-    // generator decides (regen keeps them in sync; this pins the
-    // fast-path placement specifically).
-    assert!(include_str!("../../pads-core/src/generated/mixed.rs").contains(FAST));
-    assert!(!include_str!("../../pads-core/src/generated/clf.rs").contains(FAST));
-    assert!(!include_str!("../../pads-core/src/generated/sirius.rs").contains(FAST));
-}
-
-#[test]
-fn prefix_needs_a_field_and_ends_at_variable_width_members() {
-    // A lone literal prefix is not worth the setup cost.
-    let m = generate("Psource Pstruct t { \"0|\"; Puint32 tstamp; };");
-    assert!(!m.contains(FAST), "literal-only prefix must not emit a fast path");
-    // Variable-width leading field: no prefix at all.
-    let m = generate("Psource Pstruct t { Puint32 a; ','; Puint8 b; };");
-    assert!(!m.contains(FAST));
-    // FW uint + literal: qualifies.
-    let m = generate("Psource Pstruct t { Puint16_FW(:4:) a; ','; Pstring(:' ':) b; };");
-    assert!(m.contains(FAST));
-    // A field with an inline constraint ends the prefix before it (its
-    // failure must build a field descriptor, which the fast path never
-    // does).
-    let m = generate("Psource Pstruct t { Puint16_FW(:4:) a : a > 0; ','; Puint8 b; };");
-    assert!(!m.contains(FAST));
-}
-
 #[test]
 fn fast_path_and_member_loop_agree_on_hits_misses_and_constraint_failures() {
-    // Drive the committed mixed parser over inputs chosen to hit the
-    // fast path, miss it syntactically (non-digit code bytes — FW fields
-    // tolerate leading spaces, so " 123" must still parse to 123 via the
-    // slow path), and miss it semantically (all-digit code outside the
-    // typedef range). Values, error counts, and cursor positions must
-    // match the interpreter byte for byte.
+    // Inputs that would hit a shortcut, miss it syntactically (non-digit
+    // code bytes — FW fields tolerate leading spaces, so " 012" must still
+    // parse to 12), and miss it semantically (all-digit code outside the
+    // typedef range). Values and error counts must match the interpreter.
     use pads::generated::mixed as gen_mixed;
     use pads::PadsParser;
 
     let mut data = Vec::new();
-    data.extend_from_slice(b"1234|LOW|0|7|q01=2.5|T|2|8,9\n"); // fast-path hit
-    data.extend_from_slice(b" 012|MED|0|7|q01=2.5|T|2|8,9\n"); // non-digit byte: slow path, FW space rule
-    data.extend_from_slice(b"0042|HIGH|0|7|q01=2.5|T|2|8,9\n"); // all digits, constraint fails: bails
+    data.extend_from_slice(b"1234|LOW|0|7|q01=2.5|T|2|8,9\n"); // hit
+    data.extend_from_slice(b" 012|MED|0|7|q01=2.5|T|2|8,9\n"); // non-digit byte: FW space rule
+    data.extend_from_slice(b"0042|HIGH|0|7|q01=2.5|T|2|8,9\n"); // all digits, constraint fails
     data.extend_from_slice(b"9999|LOW|0|7|q01=2.5|T|0|\n"); // boundary hit
     let data = &data[..];
     let mask = Mask::all(BaseMask::CheckAndSet);
@@ -90,9 +35,10 @@ fn fast_path_and_member_loop_agree_on_hits_misses_and_constraint_failures() {
     assert_eq!(ipd.is_ok(), gpd.is_ok());
     assert_eq!(iv.len(), Some(gv.0.len()));
     assert_eq!(gv.0.len(), 4);
-    // Record 0: fast-path hit. Record 1: " 12" parses to 12 but fails
-    // the 1000..=9999 typedef constraint on both engines. Record 2:
-    // leading zero, still a hit (42 fails the constraint identically).
+    assert!(cur.at_eof());
+    // Record 1: " 012" parses to 12 but fails the 1000..=9999 typedef
+    // constraint on both engines. Record 2: leading zero, 42 fails the
+    // constraint identically.
     let codes: Vec<u16> = gv.0.iter().map(|r| r.code.0).collect();
     assert_eq!(codes, vec![1234, 12, 42, 9999]);
     for (i, r) in gv.0.iter().enumerate() {
