@@ -26,7 +26,8 @@
 //!             [--delim D] [--date-fmt F]
 //! pads xsd    <descr.pads>                      §5.3.2 XML Schema
 //! pads query  <descr.pads> <data> <query>       §5.4 path query (counts matches)
-//! pads gen    <descr.pads> [--records N] [--seed S] [--record T]  §9 conforming random data
+//! pads gen    <descr.pads> [--records N] [--seed S] [--record T]  §9 random data,
+//!                                               syntactically conforming only
 //! pads cobol  <copybook>                        copybook -> description
 //! pads codegen <descr.pads>                     Rust parser source
 //! ```
@@ -92,7 +93,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::process::ExitCode;
 
 use pads::{
-    BaseMask, Charset, Endian, Engine, ErrorCode, Mask, OnExhausted, PadsParser, ParseDesc,
+    BaseMask, Charset, Endian, Engine, ErrorCode, Mask, PadsParser, ParseDesc,
     ParseOptions, Progress, RecordDiscipline, RecordSink, RecoveryPolicy, Registry, ResumePoint,
     Schema, SourceFold, SourceJob, SourceShape, SourceSummary, Value,
 };
@@ -137,54 +138,166 @@ fn emit(out: &mut impl Write, text: impl std::fmt::Display) -> Result<(), String
     write!(out, "{text}").and_then(|()| out.flush()).map_err(stdout_err)
 }
 
-/// Every option, by the subcommands that read it. An option given to any
-/// other subcommand is refused rather than dropped: a run that wrote no
-/// journal must not exit as if it had.
-const OPTIONS: &[(&[&str], &[&str])] = &[
-    // The coding, the record discipline, the error budgets and the engine:
-    // wherever data is parsed.
-    (
-        &["parse", "profile", "accum", "fmt", "query"],
-        &[
-            "--ebcdic", "--fixed", "--lenpfx", "--max-errs", "--max-record-errs",
-            "--max-panic-skip", "--on-overflow", "--engine",
-        ],
-    ),
-    (&["parse"], &["--format", "--xml", "--trace", "--metrics", "--profile", "--journal"]),
-    (&["parse"], NEEDS_JOURNAL),
-    (&["parse", "profile"], &["--times"]),
-    (&["profile"], &["--folded"]),
-    (&["parse", "accum"], &["--jobs", "--max-inflight-records"]),
-    (&["accum"], &["--tracked", "--top", "--summaries"]),
-    (&["accum", "fmt"], &["--header"]),
-    (&["accum", "fmt", "gen"], &["--record"]),
-    (&["fmt"], &["--delim", "--date-fmt"]),
-    (&["gen"], &["--records", "--seed"]),
-    (&["check"], &["--lint", "--lint-format"]),
+/// Wherever data is parsed: the coding, the record discipline, the error
+/// budgets and the engine.
+const DATA: &[&str] = &["parse", "profile", "accum", "fmt", "query"];
+
+/// Every option, one row each: its name, the subcommands that read it, how
+/// it takes its value, and what it sets (the module doc says what each
+/// means). An option given to any other subcommand is refused rather than
+/// dropped: a run that wrote no journal must not exit as if it had.
+const OPTIONS: &[Opt] = &[
+    opt("--ebcdic", DATA, Switch, |o, _| set(&mut o.charset, Charset::Ebcdic)),
+    opt("--fixed", DATA, Next, |o, v| {
+        set(&mut o.discipline, RecordDiscipline::FixedWidth(v.positive()?))
+    }),
+    opt("--lenpfx", DATA, Next, |o, v| {
+        let (header_bytes, endian) = (v.positive()?, Endian::Big);
+        set(&mut o.discipline, RecordDiscipline::LengthPrefixed { header_bytes, endian })
+    }),
+    opt("--max-errs", DATA, Next, |o, v| set(&mut o.policy.max_errs, Some(v.number()?))),
+    opt("--max-record-errs", DATA, Next, |o, v| {
+        set(&mut o.policy.max_record_errs, Some(v.number()?))
+    }),
+    opt("--max-panic-skip", DATA, Next, |o, v| {
+        set(&mut o.policy.max_panic_skip, Some(v.number()?))
+    }),
+    opt("--on-overflow", DATA, Next, |o, v| {
+        let expected = "--on-overflow: expected stop, skip, or best-effort";
+        set(&mut o.policy.on_exhausted, v.text().parse().map_err(|_| expected)?)
+    }),
+    opt("--engine", DATA, Next, |o, v| {
+        set(&mut o.engine, v.pick(&[("interp", Engine::Interp), ("vm", Engine::Vm)])?)
+    }),
+    opt("--format", &["parse"], NextOrEq, |o, v| {
+        let (report, xml, none) = (OutputFormat::Report, OutputFormat::Xml, OutputFormat::None);
+        set(&mut o.format, v.pick(&[("report", report), ("xml", xml), ("none", none)])?)
+    }),
+    opt("--trace", &["parse"], Eq(Some("tree")), |o, v| {
+        let formats = [("json", TraceFormat::Json), ("tree", TraceFormat::Tree)];
+        set(&mut o.trace, Some(v.pick(&formats)?))
+    }),
+    opt("--metrics", &["parse"], Eq(Some("prom")), |o, v| {
+        let formats = [("prom", MetricsFormat::Prom), ("json", MetricsFormat::Json)];
+        set(&mut o.metrics, Some(v.pick(&formats)?))
+    }),
+    opt("--profile", &["parse"], Switch, |o, _| set(&mut o.profile, true)),
+    opt("--journal", &["parse"], Next, |o, v| set(&mut o.journal, Some(v.text()))),
+    journal_opt("--resume", Switch, |o, _| set(&mut o.resume, true)),
+    journal_opt("--checkpoint-records", Next, |o, v| set(&mut o.checkpoint_records, v.positive()?)),
+    journal_opt("--checkpoint-bytes", Next, |o, v| set(&mut o.checkpoint_bytes, Some(v.number()?))),
+    journal_opt("--fsync-every", Next, |o, v| set(&mut o.fsync_every, v.number()?)),
+    journal_opt("--kill-after", Next, |o, v| set(&mut o.kill_after, Some(v.number()?))),
+    opt("--times", &["parse", "profile"], Switch, |o, _| set(&mut o.times, true)),
+    opt("--folded", &["profile"], Switch, |o, _| set(&mut o.folded, true)),
+    opt("--jobs", &["parse", "accum"], Next, |o, v| set(&mut o.jobs, v.positive()?)),
+    opt("--max-inflight-records", &["parse", "accum"], Next, |o, v| {
+        set(&mut o.max_inflight, v.positive()?)
+    }),
+    opt("--tracked", &["accum"], Next, |o, v| set(&mut o.tracked, v.number()?)),
+    opt("--top", &["accum"], Next, |o, v| set(&mut o.top, v.number()?)),
+    opt("--summaries", &["accum"], Switch, |o, _| set(&mut o.summaries, true)),
+    opt("--header", &["accum", "fmt"], Next, |o, v| set(&mut o.header, Some(v.text()))),
+    opt("--record", &["accum", "fmt", "gen"], Next, |o, v| set(&mut o.record, Some(v.text()))),
+    opt("--delim", &["fmt"], Next, |o, v| set(&mut o.delim, v.text())),
+    opt("--date-fmt", &["fmt"], Next, |o, v| set(&mut o.date_fmt, Some(v.text()))),
+    opt("--records", &["gen"], Next, |o, v| set(&mut o.records, v.number()?)),
+    opt("--seed", &["gen"], Next, |o, v| set(&mut o.seed, v.number()?)),
+    opt("--lint", &["check"], Eq(Some("deny")), |o, v| {
+        let (deny, warn, allow) = (lint::Level::Deny, lint::Level::Warn, lint::Level::Allow);
+        set(&mut o.lint, Some(v.pick(&[("deny", deny), ("warn", warn), ("allow", allow)])?))
+    }),
+    opt("--lint-format", &["check"], Eq(None), |o, v| {
+        set(&mut o.lint_format, v.pick(&[("json", LintFormat::Json), ("text", LintFormat::Text)])?)
+    }),
 ];
 
-/// The options that say how to journal, and mean nothing without one.
-const NEEDS_JOURNAL: &[&str] =
-    &["--resume", "--checkpoint-records", "--checkpoint-bytes", "--fsync-every", "--kill-after"];
+/// How an option takes its value: not at all (`--name`), as the next
+/// argument (`--name V`), as that or after `=` (`--name=V`), or only after
+/// `=` — given bare, an `Eq` option has the value named here, if any.
+#[derive(Clone, Copy)]
+enum Takes {
+    Switch,
+    Next,
+    NextOrEq,
+    Eq(Option<&'static str>),
+}
+use Takes::{Eq, Next, NextOrEq, Switch};
 
-/// Refuses the first option of `o` that `pads <cmd>` does not read.
-fn check_options(cmd: &str, o: &Opts) -> Result<(), String> {
-    for name in &o.given {
-        let name = name.as_str();
-        if !OPTIONS.iter().any(|(cmds, read)| cmds.contains(&cmd) && read.contains(&name)) {
-            return Err(format!("{name} is not an option of `pads {cmd}`"));
-        }
-        if o.journal.is_none() && NEEDS_JOURNAL.contains(&name) {
-            return Err(format!("{name} needs --journal"));
-        }
-    }
+/// What an option sets, from its value.
+type Set = fn(&mut Opts, &Val<'_>) -> Result<(), String>;
+
+/// A row of [`OPTIONS`].
+struct Opt {
+    name: &'static str,
+    cmds: &'static [&'static str],
+    takes: Takes,
+    set: Set,
+    /// Says how to journal, and means nothing without `--journal`.
+    journal: bool,
+}
+
+const fn opt(name: &'static str, cmds: &'static [&'static str], takes: Takes, set: Set) -> Opt {
+    Opt { name, cmds, takes, set, journal: false }
+}
+
+/// A row for an option of `pads parse` that says how to journal.
+const fn journal_opt(name: &'static str, takes: Takes, set: Set) -> Opt {
+    Opt { name, cmds: &["parse"], takes, set, journal: true }
+}
+
+/// What an option sets.
+fn set<T>(field: &mut T, value: T) -> Result<(), String> {
+    *field = value;
     Ok(())
 }
 
+/// An option's value as given, under the option's name.
+struct Val<'a> {
+    name: &'static str,
+    /// `None` for a switch and for an [`Eq`] option with no default given
+    /// bare.
+    value: Option<&'a str>,
+}
+
+impl Val<'_> {
+    fn text(&self) -> String {
+        self.value.unwrap_or_default().to_owned()
+    }
+
+    fn number<T: std::str::FromStr>(&self) -> Result<T, String> {
+        self.text().parse().map_err(|_| format!("{}: bad number", self.name))
+    }
+
+    /// A [`number`](Self::number) that must not be zero.
+    fn positive<T: std::str::FromStr + PartialEq + From<u8>>(&self) -> Result<T, String> {
+        let n = self.number()?;
+        (n != T::from(0)).then_some(n).ok_or_else(|| format!("{}: must be at least 1", self.name))
+    }
+
+    /// The one of the two or three `choices` the value names.
+    fn pick<T: Copy>(&self, choices: &[(&str, T)]) -> Result<T, String> {
+        let name = self.name;
+        let Some(text) = self.value else {
+            let forms: Vec<String> = choices.iter().map(|(c, _)| format!("{name}={c}")).collect();
+            return Err(format!("{name} needs a value: {}", forms.join(" or ")));
+        };
+        if let Some(&(_, choice)) = choices.iter().find(|&&(c, _)| c == text) {
+            return Ok(choice);
+        }
+        let expected = match choices {
+            [(a, _), (b, _)] => format!("{a} or {b}"),
+            [(a, _), (b, _), (c, _)] => format!("{a}, {b}, or {c}"),
+            _ => String::new(),
+        };
+        Err(format!("{name}: expected {expected}, got `{text}`"))
+    }
+}
+
+/// What the options say, each field set by a row of [`OPTIONS`].
+#[derive(Default)]
 struct Opts {
     positional: Vec<String>,
-    /// The options given, by name (`--lint=warn` is `--lint`).
-    given: Vec<String>,
     charset: Charset,
     discipline: RecordDiscipline,
     record: Option<String>,
@@ -195,79 +308,36 @@ struct Opts {
     top: usize,
     delim: String,
     date_fmt: Option<String>,
-    /// `--format {report,xml,none}` (parse): the error report (default),
-    /// the XML rendering, or nothing — the discard sink parses, prints no
-    /// stdout output, and reports only through stderr and the exit code.
-    /// `--xml` is shorthand for `--format xml`.
     format: OutputFormat,
     summaries: bool,
     policy: RecoveryPolicy,
-    /// `--lint[=deny|warn|allow]`: run the lint passes; render findings at
-    /// or above this level and exit 3 when any finding reaches it.
     lint: Option<lint::Level>,
-    /// `--lint-format=json`: emit the findings as a deterministic JSON
-    /// array on stdout instead of rustc-style text on stderr.
     lint_format: LintFormat,
-    /// `--trace[=json]`: dump the parse-span tree (rendered, or JSONL).
     trace: Option<TraceFormat>,
-    /// `--metrics[=prom|json]`: emit runtime metrics on stdout after the
-    /// parse output, plus a throughput summary line on stderr.
     metrics: Option<MetricsFormat>,
-    /// `--profile` (parse): attach the per-schema-node cost profiler and
-    /// print the per-node cost table on stderr after the run.
     profile: bool,
-    /// `--folded` (profile): emit folded-stack lines (flamegraph input)
-    /// instead of the per-node table.
     folded: bool,
-    /// `--times` (profile): append the sampled self-time column to the
-    /// table (approximate wall-clock — not deterministic).
     times: bool,
-    /// `--jobs N`: parse the source's records on up to N worker threads, a
-    /// chunk of consecutive records at a time (byte-identical results to a
-    /// sequential parse).
     jobs: usize,
-    /// `--engine {vm,interp}`: which execution engine runs the schema —
-    /// the cached bytecode tier (default) or the IR interpreter, the
-    /// reference it is checked against (byte-identical results; see
-    /// docs/VM.md).
     engine: Engine,
-    /// `--journal <path>`: commit checkpoints to this write-ahead journal.
     journal: Option<String>,
-    /// `--resume`: continue from the journal's last valid checkpoint.
     resume: bool,
-    /// `--checkpoint-records N`: commit every N records (default 1).
     checkpoint_records: u64,
-    /// `--checkpoint-bytes N`: also commit once N source bytes have been
-    /// consumed since the last checkpoint.
     checkpoint_bytes: Option<u64>,
-    /// `--fsync-every N`: fsync the journal every N commits.
     fsync_every: usize,
-    /// `--max-inflight-records N`: per-worker bound on records parsed
-    /// ahead of the in-order merge; a quarter of it is the chunk size.
     max_inflight: usize,
-    /// `--kill-after N` (test hook): stop abruptly — no final checkpoint —
-    /// once N records have been consumed this run (under `--jobs`, at the
-    /// end of the chunk that holds the Nth).
     kill_after: Option<u64>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// `--format` (parse): the error report, the XML rendering, or nothing —
+/// the discard sink parses, prints no stdout output, and reports only
+/// through stderr and the exit code.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 enum OutputFormat {
+    #[default]
     Report,
     Xml,
     None,
-}
-
-impl std::str::FromStr for OutputFormat {
-    type Err = String;
-    fn from_str(s: &str) -> Result<OutputFormat, String> {
-        match s {
-            "report" => Ok(OutputFormat::Report),
-            "xml" => Ok(OutputFormat::Xml),
-            "none" => Ok(OutputFormat::None),
-            other => Err(format!("--format: expected report, xml, or none, got `{other}`")),
-        }
-    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -276,8 +346,9 @@ enum TraceFormat {
     Json,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 enum LintFormat {
+    #[default]
     Text,
     Json,
 }
@@ -288,184 +359,66 @@ enum MetricsFormat {
     Json,
 }
 
-/// The value of option `name`: the next argument.
-fn value(it: &mut std::slice::Iter<'_, String>, name: &str) -> Result<String, String> {
-    it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-}
-
-/// The [`value`] of a numeric option.
-fn number<T: std::str::FromStr>(
-    it: &mut std::slice::Iter<'_, String>,
-    name: &str,
-) -> Result<T, String> {
-    value(it, name)?.parse().map_err(|_| format!("{name}: bad number"))
-}
-
-/// A [`number`] that must not be zero.
-fn positive<T: std::str::FromStr + PartialEq + From<u8>>(
-    it: &mut std::slice::Iter<'_, String>,
-    name: &str,
-) -> Result<T, String> {
-    let n = number(it, name)?;
-    if n == T::from(0) {
-        return Err(format!("{name}: must be at least 1"));
-    }
-    Ok(n)
-}
-
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
+/// The arguments of `pads cmd`: the positional ones, and each option read
+/// through its row of [`OPTIONS`] — refused where `cmd` does not read it.
+fn parse_opts(cmd: &str, args: &[String]) -> Result<Opts, String> {
     let mut o = Opts {
-        positional: Vec::new(),
-        given: Vec::new(),
-        charset: Charset::Ascii,
-        discipline: RecordDiscipline::Newline,
-        record: None,
-        header: None,
         records: 10,
         seed: 1,
         tracked: 1000,
         top: 10,
         delim: "|".to_owned(),
-        date_fmt: None,
-        format: OutputFormat::Report,
-        summaries: false,
-        policy: RecoveryPolicy::unlimited(),
-        lint: None,
-        lint_format: LintFormat::Text,
-        trace: None,
-        metrics: None,
-        profile: false,
-        folded: false,
-        times: false,
         jobs: 1,
         engine: Engine::Vm,
-        journal: None,
-        resume: false,
         checkpoint_records: 1,
-        checkpoint_bytes: None,
         fsync_every: pads_journal::DEFAULT_FSYNC_EVERY,
         max_inflight: pads::DEFAULT_MAX_INFLIGHT,
-        kill_after: None,
+        ..Opts::default()
     };
+    // The first option given that says how to journal.
+    let mut journaled = None;
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a.starts_with("--") {
-            o.given.push(a.split('=').next().unwrap_or(a).to_owned());
+    while let Some(arg) = it.next() {
+        if !arg.starts_with("--") {
+            o.positional.push(arg.clone());
+            continue;
         }
-        match a.as_str() {
-            "--ebcdic" => o.charset = Charset::Ebcdic,
-            "--fixed" => o.discipline = RecordDiscipline::FixedWidth(positive(&mut it, a)?),
-            "--lenpfx" => {
-                let (header_bytes, endian) = (positive(&mut it, a)?, Endian::Big);
-                o.discipline = RecordDiscipline::LengthPrefixed { header_bytes, endian };
-            }
-            "--record" => o.record = Some(value(&mut it, a)?),
-            "--header" => o.header = Some(value(&mut it, a)?),
-            "--records" => o.records = number(&mut it, a)?,
-            "--seed" => o.seed = number(&mut it, a)?,
-            "--tracked" => o.tracked = number(&mut it, a)?,
-            "--top" => o.top = number(&mut it, a)?,
-            "--jobs" => o.jobs = positive(&mut it, a)?,
-            "--engine" => {
-                o.engine = match value(&mut it, a)?.as_str() {
-                    "interp" => Engine::Interp,
-                    "vm" => Engine::Vm,
-                    other => {
-                        return Err(format!("--engine: expected interp or vm, got `{other}`"))
-                    }
-                };
-            }
-            "--journal" => o.journal = Some(value(&mut it, a)?),
-            "--resume" => o.resume = true,
-            "--checkpoint-records" => o.checkpoint_records = positive(&mut it, a)?,
-            "--checkpoint-bytes" => o.checkpoint_bytes = Some(number(&mut it, a)?),
-            "--fsync-every" => o.fsync_every = number(&mut it, a)?,
-            "--max-inflight-records" => o.max_inflight = positive(&mut it, a)?,
-            "--kill-after" => o.kill_after = Some(number(&mut it, a)?),
-            "--delim" => o.delim = value(&mut it, a)?,
-            "--date-fmt" => o.date_fmt = Some(value(&mut it, a)?),
-            "--xml" => o.format = OutputFormat::Xml,
-            "--format" => o.format = value(&mut it, a)?.parse()?,
-            flag if flag.starts_with("--format=") => {
-                o.format = flag["--format=".len()..].parse()?;
-            }
-            "--summaries" => o.summaries = true,
-            "--max-errs" => o.policy = o.policy.with_max_errs(number(&mut it, a)?),
-            "--max-record-errs" => o.policy = o.policy.with_max_record_errs(number(&mut it, a)?),
-            "--max-panic-skip" => o.policy = o.policy.with_max_panic_skip(number(&mut it, a)?),
-            "--on-overflow" => {
-                let mode: OnExhausted = value(&mut it, a)?
-                    .parse()
-                    .map_err(|_| "--on-overflow: expected stop, skip, or best-effort")?;
-                o.policy = o.policy.with_on_exhausted(mode);
-            }
-            "--lint" => o.lint = Some(lint::Level::Deny),
-            flag if flag.starts_with("--lint=") => {
-                o.lint = Some(match &flag["--lint=".len()..] {
-                    "deny" => lint::Level::Deny,
-                    "warn" => lint::Level::Warn,
-                    "allow" => lint::Level::Allow,
-                    other => {
-                        return Err(format!(
-                            "--lint: expected deny, warn, or allow, got `{other}`"
-                        ))
-                    }
-                });
-            }
-            "--lint-format" => {
-                return Err(
-                    "--lint-format needs a value: --lint-format=json or --lint-format=text".into()
-                )
-            }
-            flag if flag.starts_with("--lint-format=") => {
-                o.lint_format = match &flag["--lint-format=".len()..] {
-                    "json" => LintFormat::Json,
-                    "text" => LintFormat::Text,
-                    other => {
-                        return Err(format!(
-                            "--lint-format: expected json or text, got `{other}`"
-                        ))
-                    }
-                };
-            }
-            "--trace" => o.trace = Some(TraceFormat::Tree),
-            flag if flag.starts_with("--trace=") => {
-                o.trace = Some(match &flag["--trace=".len()..] {
-                    "json" => TraceFormat::Json,
-                    "tree" => TraceFormat::Tree,
-                    other => return Err(format!("--trace: expected json or tree, got `{other}`")),
-                });
-            }
-            "--profile" => o.profile = true,
-            "--folded" => o.folded = true,
-            "--times" => o.times = true,
-            "--metrics" => o.metrics = Some(MetricsFormat::Prom),
-            flag if flag.starts_with("--metrics=") => {
-                o.metrics = Some(match &flag["--metrics=".len()..] {
-                    "prom" => MetricsFormat::Prom,
-                    "json" => MetricsFormat::Json,
-                    other => {
-                        return Err(format!("--metrics: expected prom or json, got `{other}`"))
-                    }
-                });
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown option {flag}")),
-            _ => o.positional.push(a.clone()),
+        let (name, eq) = arg.split_once('=').map_or((arg.as_str(), None), |(n, v)| (n, Some(v)));
+        let opt = (OPTIONS.iter())
+            .find(|opt| opt.name == name && (eq.is_none() || matches!(opt.takes, NextOrEq | Eq(_))))
+            .ok_or_else(|| format!("unknown option {arg}"))?;
+        if !opt.cmds.contains(&cmd) {
+            return Err(format!("{name} is not an option of `pads {cmd}`"));
         }
+        let value = match (opt.takes, eq) {
+            (Next | NextOrEq, None) => {
+                Some(it.next().ok_or_else(|| format!("{name} needs a value"))?.as_str())
+            }
+            (Eq(bare), None) => bare,
+            (_, eq) => eq,
+        };
+        (opt.set)(&mut o, &Val { name: opt.name, value })?;
+        journaled = journaled.or(opt.journal.then_some(opt.name));
     }
-    Ok(o)
+    match journaled {
+        Some(name) if o.journal.is_none() => Err(format!("{name} needs --journal")),
+        _ => Ok(o),
+    }
 }
 
 fn load_schema(path: &str, registry: &Registry) -> Result<Schema, String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    pads::compile(&src, registry).map_err(|e| {
-        if let pads::CompileError::Syntax(se) = &e {
-            let (line, col) = se.line_col(&src);
-            format!("{path}:{line}:{col}: {e}")
-        } else {
-            format!("{path}: {e}")
-        }
-    })
+    pads::compile(&src, registry).map_err(|e| compile_err(path, &src, &e))
+}
+
+/// A description `path` holds as `src` that does not compile: where, if
+/// the error is a syntax error, and why.
+fn compile_err(path: &str, src: &str, e: &pads::CompileError) -> String {
+    if let pads::CompileError::Syntax(se) = e {
+        let (line, col) = se.line_col(src);
+        return format!("{path}:{line}:{col}: {e}");
+    }
+    format!("{path}: {e}")
 }
 
 /// The data source `path` names — standard input for `-` — to be read from
@@ -971,8 +924,7 @@ fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
                 .into(),
         );
     };
-    let mut o = parse_opts(rest)?;
-    check_options(cmd, &o)?;
+    let mut o = parse_opts(cmd, rest)?;
     let registry = Registry::standard();
     let options = ParseOptions {
         charset: o.charset,
@@ -1018,15 +970,8 @@ fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
                     return Ok(ExitCode::FAILURE);
                 }
             };
-            let (schema, diags) =
-                pads_check::compile_with_lints(&src, &registry).map_err(|e| {
-                    if let pads::CompileError::Syntax(se) = &e {
-                        let (line, col) = se.line_col(&src);
-                        format!("{path}:{line}:{col}: {e}")
-                    } else {
-                        format!("{path}: {e}")
-                    }
-                })?;
+            let (schema, diags) = pads_check::compile_with_lints(&src, &registry)
+                .map_err(|e| compile_err(path, &src, &e))?;
             // `--lint-format=json` without `--lint` still runs the lints
             // (at the default deny threshold for the exit status).
             let threshold = match (o.lint, o.lint_format) {
@@ -1127,14 +1072,17 @@ fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
             let schema = load_schema(&o.positional[0], &registry)?;
             let path = &o.positional[1];
             let shape = source_shape(&schema, &o)?;
+            let parser = PadsParser::new(&schema, &registry).with_options(options);
+            let mask = Mask::all(BaseMask::CheckAndSet);
             let mut fmt = pads_tools::Formatter::new(&[o.delim.as_str()]);
             if let Some(df) = &o.date_fmt {
                 fmt = fmt.with_date_format(df);
             }
-            let source = open_source(path)?;
-            pads_tools::format_source(&schema, &registry, options, &shape, source, &fmt, out)
-                .map_err(read_err(path))?
-                .map_err(stdout_err)?;
+            let mut sink = pads_tools::FormatSink::new(fmt, &mut *out);
+            parser
+                .stream_reader(open_source(path)?, &SourceJob::new(shape, &mask), &mut sink)
+                .map_err(read_err(path))?;
+            sink.finish().map_err(stdout_err)?;
             Ok(ExitCode::SUCCESS)
         }
         "xsd" => {

@@ -105,7 +105,8 @@ fn unknown_record_type_is_a_hard_failure() {
 fn parse_xml_emits_document() {
     let descr = write_temp("d2.pads", DESCR.as_bytes());
     let data = write_temp("data2.txt", b"1|OPEN|5\n");
-    let out = pads().arg("parse").arg(&descr).arg(&data).arg("--xml").output().expect("run");
+    let out = pads().arg("parse").arg(&descr).arg(&data).args(["--format", "xml"]).output();
+    let out = out.expect("run");
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("<state>OPEN</state>"), "{stdout}");
@@ -286,28 +287,38 @@ fn a_source_the_driver_cannot_frame_is_not_inferred() {
 }
 
 /// A reader that goes away (`pads … | head -1`) is the `pads: stdout: …`
-/// hard failure, not a panic with a backtrace: the exposition of a
-/// `--metrics=json` run is written once the parse is over, long after the
-/// read end of the pipe was dropped here.
+/// hard failure, not a panic with a backtrace, on every writer that
+/// streams: the exposition of a `--metrics=json` run, written once the
+/// parse is over; the XML document and the `fmt` lines, written as the
+/// records arrive, on one thread or two; `gen`'s batches. Each writes more
+/// than a pipe holds, so some write comes after the read end was dropped
+/// here.
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 #[test]
 fn closed_stdout_is_a_hard_failure_not_a_panic() {
     let corpus = write_temp("closed-pipe.log", b"");
-    common::write_corpus(&corpus, 10, common::clf_piece);
-    let mut child = pads()
-        .args(["parse", &common::description("clf")])
-        .arg(&corpus)
-        .arg("--metrics=json")
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn pads");
-    drop(child.stdout.take());
-    let out = child.wait_with_output().expect("wait for pads");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert!(stderr.contains("pads: stdout: "), "{stderr}");
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    common::write_corpus(&corpus, 30, common::clf_piece);
+    let (clf, corpus) = (common::description("clf"), corpus.to_str().expect("utf-8 temp path"));
+    let runs: [&[&str]; 5] = [
+        &["parse", &clf, corpus, "--metrics=json"],
+        &["parse", &clf, corpus, "--format", "xml"],
+        &["parse", &clf, corpus, "--format", "xml", "--jobs", "2"],
+        &["fmt", &clf, corpus],
+        &["gen", &clf, "--records", "30000"],
+    ];
+    for args in runs {
+        let mut child = (pads().args(args))
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn pads");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for pads");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("pads: stdout: Broken pipe"), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    }
 }
 
 /// The repository's bundled description `name`.
@@ -425,7 +436,7 @@ fn an_option_a_subcommand_does_not_read_is_refused() {
     let copybook = copybook.to_str().expect("utf-8 temp path");
     let journal = std::env::temp_dir().join(format!("pads-cli-opts-{}.wal", std::process::id()));
     let wal = journal.to_str().expect("utf-8 temp path");
-    let refused: [(&[&str], &str); 14] = [
+    let refused: [(&[&str], &str); 17] = [
         (
             &["accum", &clf, &log, "--journal", wal, "--trace", "--lint", "--folded"],
             "--journal is not an option of `pads accum`",
@@ -437,7 +448,18 @@ fn an_option_a_subcommand_does_not_read_is_refused() {
         (&["fmt", &clf, &log, "--jobs", "4"], "--jobs is not an option of `pads fmt`"),
         (&["profile", &clf, &log, "--jobs", "2"], "--jobs is not an option of `pads profile`"),
         (&["parse", &clf, &log, "--header", "h_t"], "--header is not an option of `pads parse`"),
-        (&["query", &clf, &log, "/elt", "--xml"], "--xml is not an option of `pads query`"),
+        // Every argument is read before a journal option asks for --journal.
+        (
+            &["parse", &clf, &log, "--resume", "--header", "h_t"],
+            "--header is not an option of `pads parse`",
+        ),
+        (
+            &["query", &clf, &log, "/elt", "--format=xml"],
+            "--format is not an option of `pads query`",
+        ),
+        // Only the options that say so take `--name=value`.
+        (&["gen", &clf, "--records=5"], "unknown option --records=5"),
+        (&["parse", &clf, &log, "--trace=xml"], "--trace: expected json or tree, got `xml`"),
         (&["gen", &clf, "--ebcdic"], "--ebcdic is not an option of `pads gen`"),
         (&["xsd", &clf, "--lint=warn"], "--lint is not an option of `pads xsd`"),
         // An extra argument is refused too, not dropped.

@@ -83,14 +83,6 @@ fn xml_is_byte_identical_between_sequential_and_sharded_engines() {
 }
 
 #[test]
-fn format_xml_matches_the_legacy_xml_flag() {
-    let long = parse(&["--format", "xml"]);
-    let short = parse(&["--xml"]);
-    assert_eq!(long.stdout, short.stdout);
-    assert_eq!(long.code, short.code);
-}
-
-#[test]
 fn format_none_discards_output_but_keeps_the_exit_status() {
     for jobs in ["1", "4"] {
         let run = parse(&["--format", "none", "--jobs", jobs]);

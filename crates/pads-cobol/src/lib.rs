@@ -84,6 +84,7 @@ enum Pic {
 
 #[derive(Debug, Clone)]
 struct Item {
+    line: usize,
     level: u32,
     name: String,
     pic: Option<Pic>,
@@ -184,7 +185,7 @@ fn parse_items(copybook: &str) -> Result<Vec<Item>, CobolError> {
     let mut filler = 0usize;
     for (line, toks) in sentences {
         let mut it = toks.into_iter().peekable();
-        let level_tok = it.next().expect("sentence is non-empty");
+        let Some(level_tok) = it.next() else { continue };
         let Ok(level) = level_tok.parse::<u32>() else {
             return Err(CobolError::new(
                 format!("expected a level number, found `{level_tok}`"),
@@ -202,6 +203,7 @@ fn parse_items(copybook: &str) -> Result<Vec<Item>, CobolError> {
             snake(&raw_name)
         };
         let mut item = Item {
+            line,
             level,
             name,
             pic: None,
@@ -259,8 +261,7 @@ fn parse_items(copybook: &str) -> Result<Vec<Item>, CobolError> {
     let mut roots: Vec<Item> = Vec::new();
     let mut stack: Vec<Item> = Vec::new();
     for item in flat {
-        while stack.last().is_some_and(|top| top.level >= item.level) {
-            let done = stack.pop().expect("stack non-empty");
+        while let Some(done) = stack.pop_if(|top| top.level >= item.level) {
             attach(&mut roots, &mut stack, done);
         }
         stack.push(item);
@@ -337,7 +338,12 @@ fn ty_app(name: &str, args: Vec<Expr>) -> TyExpr {
 
 /// Base type for an elementary item.
 fn elementary_ty(item: &Item) -> Result<TyExpr, CobolError> {
-    let pic = item.pic.as_ref().expect("elementary items have a PIC");
+    let Some(pic) = &item.pic else {
+        return Err(CobolError::new(
+            format!("`{}` has neither a PIC nor subordinate items", item.name),
+            item.line,
+        ));
+    };
     match (pic, item.usage) {
         (Pic::Text(n), _) => Ok(ty_app("Pstring_FW", vec![Expr::Int(*n as i64)])),
         (Pic::Num { digits, .. }, Usage::Display) => {
@@ -566,6 +572,13 @@ mod tests {
         let err = translate("01 R.\n   05 F PIC Q(3).").unwrap_err();
         assert_eq!(err.line(), 2);
         assert!(err.to_string().contains("unsupported picture"));
+    }
+
+    #[test]
+    fn an_item_with_neither_picture_nor_children_is_an_error() {
+        let err = translate("01 R.\n   05 A PIC X.\n   05 B.").unwrap_err();
+        assert_eq!(err.line(), 3);
+        assert!(err.to_string().contains("`b` has neither a PIC"), "{err}");
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub use pads_syntax::{parse as parse_description, Program, SyntaxError};
 pub use arena::{push_value, to_value};
 pub use batch::RecordBatch;
 pub use eval::{Env, Ev};
-pub use parse::{has_syntax_error, Elements, Engine, PadsParser, ParseOptions, Records};
+pub use parse::{Elements, Engine, PadsParser, ParseOptions, Records};
 pub use source::{RecordSink, SourceEnd, SourceFold, SourceJob, SourceShape, SourceSummary};
 pub use vm::VmProgram;
 pub use value::Value;
@@ -138,7 +138,7 @@ mod tests {
         assert_eq!(errors[0].1, ErrorCode::ConstraintViolation);
         assert_eq!(pd.field("b").unwrap().err_code, ErrorCode::ConstraintViolation);
         assert_eq!(v.at_path("b").and_then(Value::as_u64), Some(3));
-        assert!(!has_syntax_error(&pd));
+        assert!(!pd.has_syntax_error());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use pads_check::ir::{Schema, TypeDef, TypeId, TypeKind, TyUse};
 use pads_runtime::io::{new_regex_cache, RegexCache};
 use pads_runtime::pd::PdKind;
 use pads_runtime::{
-    BaseMask, Charset, Cursor, Endian, ErrorBudget, ErrorCode, Loc, Mask, MetricsCore,
+    Charset, Cursor, Endian, ErrorBudget, ErrorCode, Loc, Mask, MetricsCore,
     MetricsHandle, Name, ParseDesc, ParseState, Pos, Prim, RecordDiscipline,
     RecordReader, RecoveryPolicy, Registry, ResumePoint,
 };
@@ -261,30 +261,18 @@ impl<'s> PadsParser<'s> {
         name: &str,
         mask: &'p Mask,
     ) -> Records<'p, 's, 'd> {
-        self.records_resumed(data, name, mask, ResumePoint::default())
+        self.records_in(data, (0, usize::MAX), name, mask, ResumePoint::default())
     }
 
-    /// Like [`PadsParser::records`], but continuing from a committed
-    /// [`ResumePoint`]: the cursor starts at `resume.offset` (which must be
-    /// a record boundary — the byte offset a checkpoint journal committed),
-    /// record indices continue from `resume.record`, and the error budget
-    /// is restored to `resume.budget`. A completed run equals a killed run
-    /// resumed from any checkpoint: same values, descriptors, and budget.
-    pub fn records_resumed<'p, 'd>(
-        &'p self,
-        data: &'d [u8],
-        name: &str,
-        mask: &'p Mask,
-        resume: ResumePoint,
-    ) -> Records<'p, 's, 'd> {
-        self.records_in(data, (0, usize::MAX), name, mask, resume)
-    }
-
-    /// [`records_resumed`](Self::records_resumed) over a window of the
-    /// source: `data[0]` is the source's byte `base`, `resume` and every
-    /// position reported are whole-source ones, and the iteration ends at
-    /// byte `until` — a record boundary — short of the window's end, so
-    /// that a record's own end-of-source test sees the bytes that follow.
+    /// [`records`](Self::records) over a window of the source, continuing
+    /// from a committed [`ResumePoint`]: `data[0]` is the source's byte
+    /// `base`, the cursor starts at `resume.offset` (a record boundary) with
+    /// record indices from `resume.record` and the budget `resume.budget`,
+    /// every position reported is a whole-source one, and the iteration
+    /// ends at byte `until` — a record boundary — short of the window's
+    /// end, so that a record's own end-of-source test sees the bytes that
+    /// follow. Resuming a source is [`SourceJob::start`](crate::SourceJob)
+    /// on the driver, which opens its records here.
     pub(crate) fn records_in<'p, 'd>(
         &'p self,
         data: &'d [u8],
@@ -426,7 +414,7 @@ impl<'s> PadsParser<'s> {
 
         if opened {
             let mut panic_skipped = 0u64;
-            if has_syntax_error(&pd) {
+            if pd.has_syntax_error() {
                 // Panic mode: skip to the record boundary and resume there.
                 // The skipped span is recorded so descriptors account for
                 // every byte of the record (consumed + skipped = length).
@@ -550,7 +538,7 @@ impl<'s> PadsParser<'s> {
                     let start = cur.position();
                     let (value, mut child_pd) =
                         self.parse_field_ty(cur, &f.ty, params, &fields, &child_mask);
-                    let syntax_fail = has_syntax_error(&child_pd);
+                    let syntax_fail = child_pd.has_syntax_error();
                     fields.push((names[mi].clone(), value));
                     // Constraint, with the field itself in scope. The error
                     // lands on the *field* descriptor and is aggregated into
@@ -928,7 +916,7 @@ impl<'s> PadsParser<'s> {
             let before = cur.offset();
             let (value, elt_pd) = self.parse_field_ty(cur, elem, params, &[], &elem_mask);
             let bad = !elt_pd.is_ok();
-            let syntax_fail = has_syntax_error(&elt_pd);
+            let syntax_fail = elt_pd.has_syntax_error();
             if bad {
                 neerr += 1;
                 if first_error.is_none() {
@@ -1210,13 +1198,6 @@ fn const_prim(e: &Expr) -> Option<Prim> {
     }
 }
 
-/// Whether a descriptor records any *syntactic* problem (as opposed to
-/// constraint violations, which leave the physical parse intact): the
-/// free-function spelling of [`ParseDesc::has_syntax_error`].
-pub fn has_syntax_error(pd: &ParseDesc) -> bool {
-    pd.has_syntax_error()
-}
-
 /// The parser a [`Records`] iterator runs: the caller's, or its own.
 enum ParserRef<'p, 's> {
     Borrowed(&'p PadsParser<'s>),
@@ -1334,11 +1315,6 @@ impl<'p, 's, 'd> Iterator for Records<'p, 's, 'd> {
 
 impl<'p, 's, 'd> std::iter::FusedIterator for Records<'p, 's, 'd> {}
 
-/// Convenience: `BaseMask::CheckAndSet` everywhere.
-pub fn check_and_set() -> Mask {
-    Mask::all(BaseMask::CheckAndSet)
-}
-
 /// Iterator over the elements of a top-level `Parray`, one element per
 /// step — the paper's third entry-point granularity ("reading the entire
 /// array at once or reading it one element at a time", §4), for arrays too
@@ -1415,7 +1391,7 @@ impl<'p, 's, 'd> Iterator for Elements<'p, 's, 'd> {
         let (value, pd) =
             self.parser.parse_field_ty(&mut self.cur, elem, &[], &[], &self.elem_mask);
         self.produced += 1;
-        if (has_syntax_error(&pd) && !self.elem_recovers) || self.cur.offset() == before {
+        if (pd.has_syntax_error() && !self.elem_recovers) || self.cur.offset() == before {
             self.done = true;
         }
         Some((value, pd))

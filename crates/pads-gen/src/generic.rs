@@ -96,6 +96,7 @@ impl<'s> Generator<'s> {
     /// # Panics
     ///
     /// Panics if `name` is not declared in the schema.
+    #[allow(clippy::expect_used)] // the documented contract: callers validate the name
     pub fn generate_named(&mut self, name: &str, out: &mut Vec<u8>) {
         let id = self.schema.type_id(name).expect("type not declared in schema");
         self.gen_def(id, &[], "", out);
@@ -168,8 +169,8 @@ impl<'s> Generator<'s> {
                     }
                     self.gen_tyuse(elem, &params.clone(), path, out);
                 }
-                if let Some(Literal::Char(_) | Literal::Str(_)) = term {
-                    emit_literal(term.as_ref().expect("checked above"), out);
+                if let Some(t @ (Literal::Char(_) | Literal::Str(_))) = term {
+                    emit_literal(t, out);
                 }
             }
             TypeKind::Enum { variants } => {
@@ -206,13 +207,13 @@ impl<'s> Generator<'s> {
         let mut default = None;
         for (i, b) in branches.iter().enumerate() {
             match &b.case {
-                Some(CaseLabel::Expr(e)) => {
-                    if self.eval_arg(e, params).and_then(|p| p.as_i64()) == Some(sel_val) {
-                        return Some(i);
-                    }
+                Some(CaseLabel::Expr(e))
+                    if self.eval_arg(e, params).and_then(|p| p.as_i64()) == Some(sel_val) =>
+                {
+                    return Some(i)
                 }
                 Some(CaseLabel::Default) => default = Some(i),
-                None => {}
+                Some(CaseLabel::Expr(_)) | None => {}
             }
         }
         default
@@ -433,7 +434,7 @@ impl<'s> Generator<'s> {
             "Ppacked" => {
                 let n = args.first().and_then(Prim::as_u64).unwrap_or(3) as usize;
                 let mut nibbles: Vec<u8> = Vec::new();
-                if n % 2 == 0 {
+                if n.is_multiple_of(2) {
                     nibbles.push(0);
                 }
                 for _ in 0..n {

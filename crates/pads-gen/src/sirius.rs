@@ -37,7 +37,7 @@ impl Default for SiriusConfig {
     fn default() -> SiriusConfig {
         SiriusConfig {
             records: 10_000,
-            seed: 0x51E1_05,
+            seed: 0x0051_E105,
             mean_events: 5.5,
             max_events: 156,
             sort_violations: 1,

@@ -68,11 +68,10 @@ impl<'a> Parser<'a> {
         while self.eat(b'|') {
             branches.push(self.concat()?);
         }
-        if branches.len() == 1 {
-            Ok(branches.pop().expect("non-empty"))
-        } else {
-            Ok(Ast::Alternate(branches))
-        }
+        Ok(match <[Ast; 1]>::try_from(branches) {
+            Ok([only]) => only,
+            Err(branches) => Ast::Alternate(branches),
+        })
     }
 
     fn concat(&mut self) -> Result<Ast, Error> {
@@ -83,11 +82,11 @@ impl<'a> Parser<'a> {
             }
             parts.push(self.repeat()?);
         }
-        match parts.len() {
-            0 => Ok(Ast::Empty),
-            1 => Ok(parts.pop().expect("non-empty")),
-            _ => Ok(Ast::Concat(parts)),
-        }
+        Ok(match <[Ast; 1]>::try_from(parts) {
+            Ok([only]) => only,
+            Err(parts) if parts.is_empty() => Ast::Empty,
+            Err(parts) => Ast::Concat(parts),
+        })
     }
 
     fn repeat(&mut self) -> Result<Ast, Error> {

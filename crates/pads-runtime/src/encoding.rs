@@ -183,12 +183,6 @@ impl Charset {
         }
     }
 
-    /// Decodes a raw byte slice into a logical ASCII string (lossy for
-    /// unmapped EBCDIC code points, which become SUB).
-    pub fn decode_bytes(self, bytes: &[u8]) -> Vec<u8> {
-        bytes.iter().map(|&b| self.decode(b)).collect()
-    }
-
     /// Decodes a raw byte slice into a `String`, treating each decoded
     /// byte as one `char` (Latin-1 style for bytes above 0x7F). Pure-ASCII
     /// input in the ASCII charset is copied in bulk instead of pushed
@@ -209,11 +203,6 @@ impl Charset {
             }
         }
         std::borrow::Cow::Owned(raw.iter().map(|&b| self.decode(b) as char).collect())
-    }
-
-    /// Encodes a logical ASCII string into raw bytes.
-    pub fn encode_bytes(self, bytes: &[u8]) -> Vec<u8> {
-        bytes.iter().map(|&b| self.encode(b)).collect()
     }
 
     /// The raw byte representing the ASCII digit value `d` (0–9).

@@ -17,11 +17,11 @@
 //! in this file stays window-relative.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use pads_regex::Regex;
 
-use crate::cache::KeyedCache;
 use crate::encoding::{Charset, Endian};
 use crate::error::{ErrorCode, Loc, ParseState, Pos};
 use crate::metrics::{MetricsHandle, RecoveryEvent};
@@ -29,20 +29,22 @@ use crate::pd::ParseDesc;
 use crate::recovery::{ErrorBudget, OnExhausted, RecoveryPolicy};
 use crate::scan;
 
-/// A shared compiled-regex cache. Cursors cloned from one another (and all
-/// cursors built by one parser) share a single cache, so each `Pre` pattern
-/// in a schema compiles once per parser, not once per cursor or per call.
-/// Bounded ([`REGEX_CACHE_CAPACITY`] entries, LRU) so hot-loading many
-/// schemas through one parser cannot grow it without limit.
-pub type RegexCache = Rc<RefCell<KeyedCache<String, Rc<Regex>>>>;
+/// A shared compiled-regex memo, keyed by pattern text. Cursors cloned from
+/// one another (and all cursors built by one parser) share a single memo,
+/// so each `Pre` pattern in a schema compiles once per parser, not once per
+/// cursor or per call. `Pstring_ME`/`_SE` patterns can come from the data,
+/// so the memo stops growing at [`REGEX_CACHE_CAPACITY`] entries: the
+/// schema's patterns, met first, stay in it, and a pattern past the bound
+/// compiles at each use.
+pub type RegexCache = Rc<RefCell<HashMap<String, Rc<Regex>>>>;
 
 /// Capacity of a parser's [`RegexCache`]; far above any realistic number
 /// of distinct `Pre` patterns in one schema.
 pub const REGEX_CACHE_CAPACITY: usize = 256;
 
-/// A fresh empty [`RegexCache`] at the standard capacity.
+/// A fresh empty [`RegexCache`].
 pub fn new_regex_cache() -> RegexCache {
-    Rc::new(RefCell::new(KeyedCache::new(REGEX_CACHE_CAPACITY)))
+    Rc::default()
 }
 
 /// How a source is divided into records.
@@ -298,11 +300,6 @@ impl<'a> Cursor<'a> {
     pub fn with_regex_cache(mut self, cache: RegexCache) -> Cursor<'a> {
         self.regexes = cache;
         self
-    }
-
-    /// The cursor's compiled-regex cache (shared, cheap to clone).
-    pub fn regex_cache(&self) -> RegexCache {
-        Rc::clone(&self.regexes)
     }
 
     /// The active recovery policy.
@@ -796,11 +793,14 @@ impl<'a> Cursor<'a> {
     ///
     /// [`ErrorCode::RegexMismatch`] when the pattern itself is invalid.
     pub fn regex(&mut self, pattern: &str) -> Result<Rc<Regex>, ErrorCode> {
-        if let Some(re) = self.regexes.borrow_mut().get(pattern) {
-            return Ok(re);
+        if let Some(re) = self.regexes.borrow().get(pattern) {
+            return Ok(Rc::clone(re));
         }
         let re = Rc::new(Regex::new(pattern).map_err(|_| ErrorCode::RegexMismatch)?);
-        self.regexes.borrow_mut().insert(pattern.to_owned(), Rc::clone(&re));
+        let mut memo = self.regexes.borrow_mut();
+        if memo.len() < REGEX_CACHE_CAPACITY {
+            memo.insert(pattern.to_owned(), Rc::clone(&re));
+        }
         Ok(re)
     }
 
@@ -927,6 +927,25 @@ mod tests {
         let re = c.regex(r"\d+\.\d+").unwrap();
         assert_eq!(c.match_regex(&re), Some(&b"1.0"[..]));
         assert_eq!(c.position().byte, 8);
+    }
+
+    /// Patterns that come from the data fill the memo to its bound and no
+    /// further; past it a pattern compiles at each use and matches as a
+    /// memoised one does.
+    #[test]
+    fn the_regex_memo_stops_at_its_capacity() {
+        let memo = new_regex_cache();
+        for round in 0..2 {
+            for i in 0..REGEX_CACHE_CAPACITY + 40 {
+                let mut c = Cursor::new(b"aaab\n").with_regex_cache(Rc::clone(&memo));
+                c.begin_record().unwrap();
+                let re = c.regex(&format!("z{i}|a+")).unwrap();
+                assert_eq!(c.match_regex(&re), Some(&b"aaa"[..]), "round {round}, pattern {i}");
+                assert!(memo.borrow().len() <= REGEX_CACHE_CAPACITY);
+            }
+        }
+        assert_eq!(memo.borrow().len(), REGEX_CACHE_CAPACITY);
+        assert!(memo.borrow().contains_key("z0|a+"), "the first patterns stay");
     }
 
     #[test]

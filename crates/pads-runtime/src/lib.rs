@@ -27,9 +27,7 @@
 //!   both engines emit parse events to through the cursor: counter
 //!   slabs, plus the opt-in per-node cost profiler and span-tree trace
 //!   (exposition lives in the `pads-observe` crate);
-//! * [`summary`] — bounded-memory histograms and quantile estimates;
-//! * [`cache`] — the bounded LRU [`cache::KeyedCache`] behind the
-//!   compiled-regex cache.
+//! * [`summary`] — bounded-memory histograms and quantile estimates.
 //!
 //! # Examples
 //!
@@ -55,7 +53,6 @@
 
 pub mod arena;
 pub mod base;
-pub mod cache;
 pub mod date;
 pub mod encoding;
 pub mod error;
@@ -74,7 +71,6 @@ pub mod summary;
 
 pub use arena::{AShape, AVal, AValRef, NameId, NameTable, ValueArena};
 pub use base::{BaseType, PrimView, Registry};
-pub use cache::KeyedCache;
 pub use encoding::{Charset, Endian};
 pub use error::{ErrorCode, Loc, ParseState, Pos};
 pub use fault::{FaultPlan, FaultReader, KillPlan};

@@ -156,13 +156,6 @@ impl ParseDesc {
         kind: PdKind::Base,
     };
 
-    /// A `'static` reference to [`ParseDesc::CLEAN`], for consumers that
-    /// need a descriptor reference where an elided child has none.
-    pub fn clean_ref() -> &'static ParseDesc {
-        static CLEAN: ParseDesc = ParseDesc::CLEAN;
-        &CLEAN
-    }
-
     /// A clean descriptor for a leaf value.
     pub fn ok() -> ParseDesc {
         ParseDesc::default()

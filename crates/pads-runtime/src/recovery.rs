@@ -103,11 +103,6 @@ impl RecoveryPolicy {
         self.on_exhausted = mode;
         self
     }
-
-    /// Whether any source-level limit exists.
-    pub fn is_limited(&self) -> bool {
-        self.max_errs.is_some() || self.max_panic_skip.is_some()
-    }
 }
 
 /// The running tally a policy is checked against. Monotone: checkpoints and

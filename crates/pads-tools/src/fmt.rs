@@ -5,9 +5,12 @@
 //! the list advances (reusing its last entry when exhausted). A mask
 //! suppresses fields, and dates can be rendered with a user format — the
 //! configuration that turns Figure 2's records into Figure 8's
-//! pipe-delimited output.
+//! pipe-delimited output. [`FormatSink`] is the generated formatting
+//! program: the same formatter as a sink of the source driver.
 
-use pads::{BaseMask, Mask, Prim, Value};
+use std::io;
+
+use pads::{BaseMask, Mask, ParseDesc, Prim, Progress, RecordSink, Value};
 
 /// Delimiter-list formatter.
 ///
@@ -138,9 +141,47 @@ impl Formatter {
     }
 }
 
+/// The formatting program (§5.3.1) as a sink of the source driver: one
+/// [`Formatter::format`] line per record, written as the record arrives.
+/// The header is not formatted.
+pub struct FormatSink<W: io::Write> {
+    formatter: Formatter,
+    out: W,
+    /// The first write error; nothing is written after it.
+    failed: Option<io::Error>,
+}
+
+impl<W: io::Write> FormatSink<W> {
+    /// A sink writing `formatter`'s lines to `out`.
+    pub fn new(formatter: Formatter, out: W) -> FormatSink<W> {
+        FormatSink { formatter, out, failed: None }
+    }
+
+    /// Flushes the output.
+    ///
+    /// # Errors
+    ///
+    /// The first error writing to the output, if any.
+    pub fn finish(mut self) -> io::Result<()> {
+        match self.failed {
+            Some(e) => Err(e),
+            None => self.out.flush(),
+        }
+    }
+}
+
+impl<W: io::Write> RecordSink for FormatSink<W> {
+    fn record(&mut self, _index: usize, value: &Value, _pd: &ParseDesc, _progress: &Progress) {
+        if self.failed.is_none() {
+            self.failed = writeln!(self.out, "{}", self.formatter.format(value)).err();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pads::{descriptions, PadsParser, Registry, SourceJob, SourceShape};
     use pads_runtime::date::PDate;
 
     fn record() -> Value {
@@ -215,5 +256,26 @@ mod tests {
             Value::Prim(Prim::Uint(2)),
         ]);
         assert_eq!(Formatter::new(&["|"]).format(&v), "1|2");
+    }
+
+    #[test]
+    fn format_sink_writes_one_line_per_record() {
+        let registry = Registry::standard();
+        let schema = descriptions::clf();
+        let (data, _) = pads_gen::clf::generate(&pads_gen::ClfConfig {
+            records: 25,
+            dash_length_rate: 0.0,
+            ..Default::default()
+        });
+        let fmt = Formatter::new(&["|"]).with_date_format("%D:%T");
+        let mut out = Vec::new();
+        let mut sink = FormatSink::new(fmt, &mut out);
+        let mask = Mask::all(BaseMask::CheckAndSet);
+        let job = SourceJob::new(SourceShape::records("entry_t"), &mask);
+        PadsParser::new(&schema, &registry).stream_source(&data, &job, &mut sink);
+        sink.finish().unwrap();
+        let out = String::from_utf8(out).unwrap();
+        assert_eq!(out.lines().count(), 25);
+        assert!(out.lines().all(|l| l.matches('|').count() >= 9), "{out}");
     }
 }

@@ -14,9 +14,10 @@
 //! * [`xml`] — **XML conversion**: canonical value-to-XML embedding parse
 //!   descriptors for buggy data, plus the generated XML Schema (§5.3.2).
 //!
-//! [`programs`] packages the three as complete source-to-report programs
-//! given just the paper's "minimal extra information": an optional header
-//! type plus the record type (§5.2).
+//! Each of the three is a complete source-to-report program given just the
+//! paper's "minimal extra information", an optional header type plus the
+//! record type (§5.2): a sink of the source driver ([`Accumulator`],
+//! [`FormatSink`], [`XmlSourceSink`]); see [`programs`].
 //!
 //! The query-support tool family (§5.4) lives in its own crate,
 //! `pads-query`.
@@ -33,10 +34,8 @@ pub use pads_runtime::summary;
 
 pub use acc::{AccConfig, Accumulator};
 pub use summary::{Histogram, Quantiles};
-pub use programs::{
-    accumulator_program, format_source, formatting_program, xml_program, SourceShape,
-};
-pub use fmt::Formatter;
+pub use programs::{accumulator_program, SourceShape};
+pub use fmt::{FormatSink, Formatter};
 pub use xml::{schema_to_xsd, value_to_xml, write_xml, XmlSourceSink};
 
 #[cfg(test)]

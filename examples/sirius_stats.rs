@@ -37,7 +37,7 @@ fn main() {
     let mut syntax_errors = 0usize;
     for (v, pd) in parser.records(&data[body_start..], "entry_t", &mask) {
         if !pd.is_ok() {
-            if pads::has_syntax_error(&pd) {
+            if pd.has_syntax_error() {
                 syntax_errors += 1;
             } else {
                 sort_violations += 1;

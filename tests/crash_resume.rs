@@ -19,6 +19,7 @@ use pads::generated::clf as gen_clf;
 use pads::{
     descriptions, BaseMask, ErrorBudget, Mask, PadsParser, ParseDesc, ParseOptions, Progress,
     RecordSink, RecoveryPolicy, Registry, ResumePoint, Schema, SourceEnd, SourceShape, Value,
+    DEFAULT_MAX_INFLIGHT,
 };
 use collect::{counts_json, metered, stream_into, Collect};
 use pads_runtime::genrt::CursorRecords;
@@ -97,9 +98,9 @@ fn killed_run(
 }
 
 /// 1000-seed interpreter sweep: kill at a seeded record boundary, resume
-/// from the last committed checkpoint sequentially and record-sharded at
-/// `jobs {1,4}` — the committed prefix plus the resumed tail must equal
-/// the uninterrupted run, budget included.
+/// from the last committed checkpoint on the source driver at `jobs {1,4}`
+/// — the committed prefix plus the resumed tail must equal the
+/// uninterrupted run, budget included.
 #[test]
 fn kill_resume_matches_uninterrupted_run() {
     const SEEDS: u64 = 1000;
@@ -125,23 +126,7 @@ fn kill_resume_matches_uninterrupted_run() {
             "seed {seed} plan={plan:?} policy={policy:?}: committed prefix diverges"
         );
 
-        // Sequential resume.
-        let parser = parser_for(&schema, &registry, policy);
-        let m = mask();
-        let mut it = parser.records_resumed(&data, "entry_t", &m, cp);
-        let resumed: Vec<_> = it.by_ref().collect();
-        assert_eq!(
-            resumed.as_slice(),
-            &full[cp.record..],
-            "seed {seed} plan={plan:?} policy={policy:?}: resumed tail diverges"
-        );
-        assert_eq!(
-            it.budget(),
-            full_budget,
-            "seed {seed} plan={plan:?} policy={policy:?}: resumed budget diverges"
-        );
-
-        // Record-sharded resume.
+        // Resume on the driver: sequential at `jobs = 1`, sharded at 4.
         for jobs in [1, 4] {
             let parser = parser_for(&schema, &registry, policy);
             let (par, par_budget) = sharded(&parser, &data, jobs, cp);
@@ -325,13 +310,11 @@ fn journal_roundtrip_restores_budget_and_metrics() {
         // table, which then keeps counting.
         let (parser, core) = metered(parser_for(&schema, &registry, policy));
         core.borrow_mut().merge(&restored);
-        let m = mask();
-        let mut it = parser.records_resumed(&data, "entry_t", &m, cp_resume);
-        let resumed: Vec<_> = it.by_ref().collect();
-        let resumed_budget = it.budget();
-        drop(it);
+        let geometry = (1, DEFAULT_MAX_INFLIGHT);
+        let (resumed, resumed_budget) =
+            collect::stream(&parser, &data, "entry_t", &mask(), geometry, cp_resume);
         assert_eq!(
-            resumed.as_slice(),
+            resumed.items.as_slice(),
             &full[cp_resume.record..],
             "seed {seed} plan={plan:?} policy={policy:?}: journal-resumed tail diverges"
         );

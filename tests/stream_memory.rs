@@ -12,7 +12,7 @@ use std::sync::Mutex;
 
 use pads::generated::{clf, sirius};
 use pads::{
-    descriptions, BaseMask, Cursor, Mask, PadsParser, ParseOptions, Registry, SourceFold,
+    descriptions, BaseMask, Cursor, Mask, PadsParser, Registry, SourceFold,
     SourceJob, SourceShape,
 };
 use pads_runtime::ValueArena;
@@ -91,7 +91,6 @@ fn streamed_peak_heap_is_flat_in_the_record_count() {
     let schema = descriptions::sirius();
     let shape = SourceShape::infer(&schema).expect("sirius streams");
     let mask = Mask::all(BaseMask::CheckAndSet);
-    let options = ParseOptions::default();
     let parser = PadsParser::new(&schema, &registry);
     let (small, large) = (corpus(2_000), corpus(20_000));
 
@@ -117,11 +116,11 @@ fn streamed_peak_heap_is_flat_in_the_record_count() {
     // The formatting program writes each line as its record arrives.
     let formatted = |data: &[u8], records: usize| {
         peak_of(|| {
-            let fmt = pads_tools::Formatter::new(&["|"]);
             let mut lines = LineCount(0);
-            pads_tools::format_source(&schema, &registry, options, &shape, data, &fmt, &mut lines)
-                .expect("reading a slice cannot fail")
-                .expect("counting cannot fail");
+            let fmt = pads_tools::Formatter::new(&["|"]);
+            let mut sink = pads_tools::FormatSink::new(fmt, &mut lines);
+            parser.stream_source(data, &SourceJob::new(shape, &mask), &mut sink);
+            sink.finish().expect("counting cannot fail");
             assert_eq!(lines.0, records);
         })
     };
@@ -211,7 +210,7 @@ fn steady_allocs_per_record(name: &str, mut pass: impl FnMut() -> usize) -> f64 
 
 /// One pass over `data`: `record` parses the record at the cursor, until
 /// none is left. Returns how many there were.
-fn each_record<'d>(data: &'d [u8], mut record: impl FnMut(&mut Cursor<'d>)) -> usize {
+fn read_records<'d>(data: &'d [u8], mut record: impl FnMut(&mut Cursor<'d>)) -> usize {
     let mut cur = Cursor::new(data);
     let mut records = 0;
     while !cur.at_eof() {
@@ -258,7 +257,7 @@ fn arena_path_allocates_next_to_nothing_per_record() {
     // stores keep their capacity.
     let mut arena = ValueArena::new();
     let clf_arena = steady_allocs_per_record("clf_arena", || {
-        each_record(&clf_data, |cur| {
+        read_records(&clf_data, |cur| {
             let (v, _) = clf::EntryT::read(cur, &mask);
             arena.reset();
             let _ = v.to_arena(&mut arena);
@@ -266,7 +265,7 @@ fn arena_path_allocates_next_to_nothing_per_record() {
     });
     let mut arena = ValueArena::new();
     let sirius_arena = steady_allocs_per_record("sirius_arena", || {
-        each_record(sirius_body, |cur| {
+        read_records(sirius_body, |cur| {
             let (v, _) = sirius::EntryT::read(cur, &mask);
             arena.reset();
             let _ = v.to_arena(&mut arena);

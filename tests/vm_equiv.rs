@@ -19,7 +19,7 @@ use std::sync::Arc;
 use pads::generated::clf as gen_clf;
 use pads::{
     descriptions, BaseMask, Engine, ErrorBudget, Mask, PadsParser, ParseDesc,
-    ParseOptions, RecoveryPolicy, Registry, ResumePoint, Schema, Value,
+    ParseOptions, RecoveryPolicy, Registry, ResumePoint, Schema, Value, DEFAULT_MAX_INFLIGHT,
 };
 use collect::{counts_json, metered};
 use tables::{policies, CHUNKS_OF_TWO};
@@ -344,13 +344,11 @@ fn vm_journal_kill_resume_matches_uninterrupted_interpreter() {
         let (parser, core) =
             metered(PadsParser::new(&schema, &registry).with_options(opts(policy, Engine::Vm)));
         core.borrow_mut().merge(&restored);
-        let m = mask();
-        let mut it = parser.records_resumed(&data, "entry_t", &m, cp);
-        let resumed: Vec<_> = it.by_ref().collect();
-        let resumed_budget = it.budget();
-        drop(it);
+        let geometry = (1, DEFAULT_MAX_INFLIGHT);
+        let (resumed, resumed_budget) =
+            collect::stream(&parser, &data, "entry_t", &mask(), geometry, cp);
         assert_eq!(
-            resumed.as_slice(),
+            resumed.items.as_slice(),
             &full[cp.record..],
             "seed {seed} plan={plan:?} policy={policy:?}: VM-resumed tail diverges"
         );
