@@ -72,8 +72,9 @@
 //!
 //! `--jobs <N>` (`parse`, `accum`) cuts the records of the source — after
 //! its header, if it has one — into small chunks of consecutive records
-//! that N worker threads parse side by side; the chunks reach the same sink
-//! in source order, so every output is byte-identical to `--jobs 1`. `--max-inflight-records <N>` (default
+//! that N worker threads (at most 64, however large N is) parse side by
+//! side; the chunks reach the same sink in source order, so every output
+//! is byte-identical to `--jobs 1`. `--max-inflight-records <N>` (default
 //! 1024) bounds the records a worker may hold ahead of that sink — a
 //! quarter of it is the chunk size, and under `--journal` the distance
 //! between two checkpoints of a `--jobs` run.
@@ -437,6 +438,16 @@ fn read_source(path: &str) -> Result<Vec<u8>, String> {
     let mut data = Vec::new();
     open_source(path)?.read_to_end(&mut data).map_err(read_err(path))?;
     Ok(data)
+}
+
+/// How a completed run of a §5 program ends: status 2, and a line saying
+/// so, when some record of `path` had errors.
+fn bad_records_status(bad_records: u64, path: &str) -> ExitCode {
+    if bad_records == 0 {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("pads: {bad_records} bad record(s) in {path}");
+    ExitCode::from(EXIT_DATA_ERRORS)
 }
 
 /// A failed open or read of the data source is a hard failure.
@@ -1060,12 +1071,7 @@ fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
                 .stream_reader(open_source(path)?, &source_job(&o, shape, &mask), &mut acc)
                 .map_err(read_err(path))?;
             emit(out, acc.report("<top>"))?;
-            if acc.bad_records > 0 {
-                eprintln!("pads: {} bad record(s) in {path}", acc.bad_records);
-                Ok(ExitCode::from(EXIT_DATA_ERRORS))
-            } else {
-                Ok(ExitCode::SUCCESS)
-            }
+            Ok(bad_records_status(acc.bad_records, path))
         }
         "fmt" => {
             need(2)?;
@@ -1082,8 +1088,9 @@ fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
             parser
                 .stream_reader(open_source(path)?, &SourceJob::new(shape, &mask), &mut sink)
                 .map_err(read_err(path))?;
+            let bad_records = sink.bad_records();
             sink.finish().map_err(stdout_err)?;
-            Ok(ExitCode::SUCCESS)
+            Ok(bad_records_status(bad_records, path))
         }
         "xsd" => {
             need(1)?;

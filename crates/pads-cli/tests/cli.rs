@@ -138,6 +138,47 @@ fn fmt_formats_records() {
     assert_eq!(String::from_utf8_lossy(&out.stdout), "1,OPEN,5\n");
 }
 
+/// `fmt` follows the exit-status rule: a run that completes over records
+/// with errors prints every line and ends as `accum` does — status 2, and
+/// the same count of bad records on stderr.
+#[test]
+fn fmt_and_accum_report_bad_records_alike() {
+    let (clf, log) = (bundled("clf"), torture("clf.log"));
+    let run = |cmd: &str| pads().args([cmd, &clf, &log]).output().expect("run pads");
+    let (fmt, accum) = (run("fmt"), run("accum"));
+    assert_eq!(fmt.status.code(), Some(2), "{}", String::from_utf8_lossy(&fmt.stderr));
+    assert_eq!(accum.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&fmt.stderr);
+    assert!(stderr.starts_with("pads: ") && stderr.contains(" bad record(s) in "), "{stderr}");
+    assert_eq!(fmt.stderr, accum.stderr);
+    let records = std::fs::read(&log).expect("corpus").split(|&b| b == b'\n').count() - 1;
+    assert_eq!(String::from_utf8_lossy(&fmt.stdout).lines().count(), records);
+}
+
+/// A `--jobs` far past any machine's cores runs as `MAX_JOBS` workers, each
+/// with its share of the input window: under a 4 GB address-space limit the
+/// run prints what `--jobs 1` prints.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_huge_jobs_count_is_bounded() {
+    let clf = bundled("clf");
+    let records =
+        pads_gen::clf::generate(&pads_gen::ClfConfig { records: 50, ..Default::default() });
+    let data = write_temp("jobs-bound.log", &records.0);
+    let data = data.to_str().expect("utf-8 temp path");
+    let run = |jobs: &str| {
+        Command::new("sh")
+            .args(["-c", "ulimit -v 4000000 && exec \"$@\"", "sh", env!("CARGO_BIN_EXE_pads")])
+            .args(["parse", &clf, data, "--format", "none", "--jobs", jobs])
+            .output()
+            .expect("run pads")
+    };
+    let (huge, one) = (run("100000"), run("1"));
+    assert_eq!(huge.status.code(), one.status.code(), "{}", String::from_utf8_lossy(&huge.stderr));
+    assert!(matches!(one.status.code(), Some(0 | 2)));
+    assert_eq!((huge.stdout, huge.stderr), (one.stdout, one.stderr));
+}
+
 #[test]
 fn gen_then_parse_round_trips() {
     let descr = write_temp("d5.pads", DESCR.as_bytes());
@@ -326,6 +367,11 @@ fn bundled(name: &str) -> String {
     format!("{}/../../descriptions/{name}.pads", env!("CARGO_MANIFEST_DIR"))
 }
 
+/// The repository's torture corpus `torture_<name>`.
+fn torture(name: &str) -> String {
+    format!("{}/../../tests/data/torture_{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
 /// `-` is standard input, read through the same window as a file: a pipe
 /// from `pads gen` into `accum`, `parse`, `fmt` and `profile` prints the
 /// bytes (stdout, and the exit status) the same records print from a file —
@@ -431,7 +477,7 @@ fn gen_in_batches_writes_the_bytes_of_one_call() {
 #[test]
 fn an_option_a_subcommand_does_not_read_is_refused() {
     let clf = bundled("clf");
-    let log = format!("{}/../../tests/data/torture_clf.log", env!("CARGO_MANIFEST_DIR"));
+    let log = torture("clf.log");
     let copybook = write_temp("opts.cpy", b"       01 REC.\n          05 A PIC 9(4).\n");
     let copybook = copybook.to_str().expect("utf-8 temp path");
     let journal = std::env::temp_dir().join(format!("pads-cli-opts-{}.wal", std::process::id()));

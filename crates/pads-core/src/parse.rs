@@ -46,7 +46,7 @@ pub struct ParseOptions {
 /// How a [`PadsParser`] executes its schema.
 ///
 /// Both engines are proven byte-identical (values, descriptors, budgets,
-/// observation events) by the `vm_equiv` suite; the choice is purely a
+/// observation events) by the contract matrix; the choice is purely a
 /// speed/startup trade-off. See `docs/VM.md` for the selection contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {

@@ -23,7 +23,7 @@ use pads_check::ir::{MemberIr, Schema, TyUse, TypeId, TypeKind};
 use pads_runtime::par::{self, Job, Progress};
 use pads_runtime::{
     ErrorBudget, ErrorCode, Loc, Mask, MetricsCore, MetricsHandle, ParseDesc, ParseState, PdKind,
-    Pos, ResumePoint, DEFAULT_MAX_INFLIGHT,
+    Pos, ResumePoint, DEFAULT_MAX_INFLIGHT, MAX_JOBS,
 };
 
 use crate::parse::{PadsParser, ParseOptions};
@@ -157,7 +157,7 @@ pub struct SourceJob<'a> {
     /// Where the run starts: the beginning of the source, or a committed
     /// checkpoint — the end of a record, the header behind it.
     pub start: ResumePoint,
-    /// Upper bound on worker threads.
+    /// Upper bound on worker threads; more than [`MAX_JOBS`] run as that many.
     pub jobs: usize,
     /// Bound on each worker's lead over the merge, in records (a quarter
     /// of it is the chunk workers parse and hand over at a time).
@@ -262,16 +262,17 @@ impl<'s> PadsParser<'s> {
     /// header lies behind it), then every record to the end of the input,
     /// handing each to `sink` and keeping none.
     ///
-    /// The source is read through a bounded **window**: 1 MiB per job,
-    /// filled from `reader`, cut at the last record boundary of
-    /// the parser's discipline, parsed, and refilled behind the unconsumed
-    /// tail, so memory is the window and one chunk of records however long
-    /// the source. Positions, record numbers and the budget tally carry on
-    /// from window to window — and from the header to the records — as on
-    /// one cursor reading the whole source, so where the windows fall never
-    /// shows. A source that cannot be cut — `RecordDiscipline::None`, or a
-    /// header or record type that is not a `Precord` and so is not confined
-    /// to its record — is read to its end first.
+    /// The source is read through a bounded **window**: 1 MiB per job (and
+    /// no more jobs than [`MAX_JOBS`]), filled from `reader`, cut at the last
+    /// record boundary of the parser's discipline, parsed, and refilled
+    /// behind the unconsumed tail, so memory is the window and one chunk of
+    /// records however long the source. Positions, record numbers and the
+    /// budget tally carry on from window to window — and from the header to
+    /// the records — as on one cursor reading the whole source, so where the
+    /// windows fall never shows. A source that cannot be cut —
+    /// `RecordDiscipline::None`, or a header or record type that is not a
+    /// `Precord` and so is not confined to its record — is read to its end
+    /// first.
     ///
     /// How a window's records are parsed is the driver's business, decided
     /// from what it can see: on this thread when `job.jobs <= 1` or the
@@ -318,9 +319,10 @@ impl<'s> PadsParser<'s> {
         let framed = |name| schema.type_id(name).is_some_and(|id| schema.def(id).is_record);
         let cuttable = framed(shape.record) && shape.header.is_none_or(framed);
         let newline = options.charset.encode(b'\n');
+        let shares = if sequential { 1 } else { jobs.min(MAX_JOBS) };
         let mut win = Window {
             reader,
-            buf: vec![0; window.saturating_mul(if sequential { 1 } else { jobs }).max(1)],
+            buf: vec![0; window.saturating_mul(shares).max(1)],
             base: start.offset,
             filled: 0,
             drained: false,

@@ -17,7 +17,7 @@
 //! precomputed default values) plus an executor that mirrors the
 //! interpreter *function for function* — same record framing, recovery
 //! policies, error budgets, observation events and descriptor shapes, proven
-//! byte-identical by the `vm_equiv` test suite.
+//! byte-identical by the contract matrix (`tests/contract.rs`).
 //!
 //! The compiler also applies the elisions `pads-codegen` already proved
 //! out, using the same analysis facts:
@@ -870,7 +870,7 @@ fn eval_sorted(field: &str, op: BinOp, elts: &[Value]) -> Result<bool, ErrorCode
 
 /// Executes definition `id` of `prog` at the cursor — the VM twin of
 /// `PadsParser::parse_def`, byte-identical in values, descriptors, budget
-/// accounting and observation events (proven by `tests/vm_equiv.rs`).
+/// accounting and observation events (proven by `tests/contract.rs`).
 pub(crate) fn exec(
     schema: &Schema,
     prog: &VmProgram,

@@ -80,7 +80,7 @@ pub use metrics::{MetricsCore, MetricsHandle, ObsSchema, RecoveryEvent, TypeStat
 pub use name::Name;
 pub use par::{
     plan_shards, Parsed, Progress, RecordReader, ResumePoint, Shard, ShardPlan,
-    DEFAULT_MAX_INFLIGHT,
+    DEFAULT_MAX_INFLIGHT, MAX_JOBS,
 };
 pub use pd::{ParseDesc, PdKind, SparseElts};
 pub use prim::{Prim, PrimKind};

@@ -168,6 +168,13 @@ pub fn last_record_end(data: &[u8], disc: RecordDiscipline, newline: u8) -> usiz
 /// Each worker splits it into up to four chunks.
 pub const DEFAULT_MAX_INFLIGHT: usize = 1024;
 
+/// The most worker threads one run uses, whatever `jobs` asks for. Every
+/// chunk passes through the one in-order merge, which bounds the speed-up
+/// long before this many workers, while each worker costs a thread and —
+/// in `pads::PadsParser::stream_reader` — a 1 MiB share of the input
+/// window, claimed before a byte is read.
+pub const MAX_JOBS: usize = 64;
+
 /// Chunk buffers a worker owns: one being filled, the rest queued at (or on
 /// their way back from) the merge.
 const BUFFERS: usize = 4;
@@ -235,7 +242,8 @@ pub struct Job<'d> {
     pub charset: Charset,
     /// The recovery policy the merged result must obey.
     pub policy: RecoveryPolicy,
-    /// Upper bound on worker threads; `<= 1` parses sequentially.
+    /// Upper bound on worker threads, itself at most [`MAX_JOBS`]; `<= 1`
+    /// parses sequentially.
     pub jobs: usize,
     /// Bound on each worker's lead over the merge, in records; a quarter
     /// of it (at least one record) is the chunk size.
@@ -454,7 +462,7 @@ where
     let mut divert = None;
     thread::scope(|scope| {
         let (tx, rx) = mpsc::channel();
-        let (handles, backs): (Vec<_>, Vec<_>) = (0..job.jobs)
+        let (handles, backs): (Vec<_>, Vec<_>) = (0..job.jobs.min(MAX_JOBS))
             .map(|id| {
                 // A worker's buffers start out in its return queue.
                 let (back_tx, back_rx) = mpsc::channel();

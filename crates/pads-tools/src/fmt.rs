@@ -142,19 +142,26 @@ impl Formatter {
 }
 
 /// The formatting program (§5.3.1) as a sink of the source driver: one
-/// [`Formatter::format`] line per record, written as the record arrives.
-/// The header is not formatted.
+/// [`Formatter::format`] line per record, written as the record arrives,
+/// and a count of the records that carried errors. The header is not
+/// formatted.
 pub struct FormatSink<W: io::Write> {
     formatter: Formatter,
     out: W,
     /// The first write error; nothing is written after it.
     failed: Option<io::Error>,
+    bad_records: u64,
 }
 
 impl<W: io::Write> FormatSink<W> {
     /// A sink writing `formatter`'s lines to `out`.
     pub fn new(formatter: Formatter, out: W) -> FormatSink<W> {
-        FormatSink { formatter, out, failed: None }
+        FormatSink { formatter, out, failed: None, bad_records: 0 }
+    }
+
+    /// Records so far whose descriptor is not ok.
+    pub fn bad_records(&self) -> u64 {
+        self.bad_records
     }
 
     /// Flushes the output.
@@ -171,7 +178,8 @@ impl<W: io::Write> FormatSink<W> {
 }
 
 impl<W: io::Write> RecordSink for FormatSink<W> {
-    fn record(&mut self, _index: usize, value: &Value, _pd: &ParseDesc, _progress: &Progress) {
+    fn record(&mut self, _index: usize, value: &Value, pd: &ParseDesc, _progress: &Progress) {
+        self.bad_records += u64::from(!pd.is_ok());
         if self.failed.is_none() {
             self.failed = writeln!(self.out, "{}", self.formatter.format(value)).err();
         }
@@ -273,6 +281,7 @@ mod tests {
         let mask = Mask::all(BaseMask::CheckAndSet);
         let job = SourceJob::new(SourceShape::records("entry_t"), &mask);
         PadsParser::new(&schema, &registry).stream_source(&data, &job, &mut sink);
+        assert_eq!(sink.bad_records(), 0);
         sink.finish().unwrap();
         let out = String::from_utf8(out).unwrap();
         assert_eq!(out.lines().count(), 25);

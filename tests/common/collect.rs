@@ -1,24 +1,15 @@
-//! The collecting sink of the equivalence suites (`#[path]`-included, so
-//! each test crate compiles its own copy) — everything
-//! [`PadsParser::stream_source`] delivers, kept — and the two helpers every
-//! observed run of theirs starts and ends with.
+//! The collecting sink of the driver suites (`#[path]`-included, so each
+//! test crate compiles its own copy): everything
+//! [`PadsParser::stream_source`] delivers, kept.
 #![allow(dead_code)]
 
-use pads::{
-    ErrorBudget, Mask, PadsParser, ParseDesc, Progress, RecordSink, ResumePoint, SourceEnd,
-    SourceJob, SourceShape, Value,
-};
+use pads::{PadsParser, ParseDesc, Progress, RecordSink, Value};
 use pads_runtime::MetricsHandle;
 
 /// `parser` with a counting core over its own type table attached.
 pub fn metered(parser: PadsParser<'_>) -> (PadsParser<'_>, MetricsHandle) {
     let core = parser.metrics_core().into_handle();
     (parser.with_metrics(core.clone()), core)
-}
-
-/// The deterministic counters `core` holds, as the golden-snapshot JSON.
-pub fn counts_json(core: &MetricsHandle) -> String {
-    pads_observe::metrics::counts_json(&core.borrow())
 }
 
 /// The header, if the source has one, and every record, each with the
@@ -47,35 +38,4 @@ impl RecordSink for Collect {
     fn observed(&mut self) {
         self.observed += 1;
     }
-}
-
-/// A headerless source of `record`s streamed from `resume` on up to `jobs`
-/// threads with `max_inflight` records in flight.
-pub fn stream(
-    parser: &PadsParser<'_>,
-    data: &[u8],
-    record: &str,
-    mask: &Mask,
-    geometry: (usize, usize),
-    resume: ResumePoint,
-) -> (Collect, ErrorBudget) {
-    let mut sink = Collect::default();
-    let shape = SourceShape::records(record);
-    let end = stream_into(parser, data, shape, mask, geometry, resume, &mut sink);
-    (sink, end.budget)
-}
-
-/// A source of `shape` streamed into `sink` from `resume`, in a `(jobs,
-/// max_inflight)` geometry.
-pub fn stream_into(
-    parser: &PadsParser<'_>,
-    data: &[u8],
-    shape: SourceShape<'_>,
-    mask: &Mask,
-    (jobs, max_inflight): (usize, usize),
-    resume: ResumePoint,
-    sink: &mut impl RecordSink,
-) -> SourceEnd {
-    let job = SourceJob { start: resume, jobs, max_inflight, ..SourceJob::new(shape, mask) };
-    parser.stream_source(data, &job, sink)
 }

@@ -1,6 +1,7 @@
-//! The tables the equivalence suites run over (`#[path]`-included, so each
-//! test crate compiles its own copy): the recovery policies and the chunk
-//! geometries. A new case is a row here, and every suite gets it.
+//! The tables the contract matrix and the driver suites run over
+//! (`#[path]`-included, so each test crate compiles its own copy): the
+//! recovery policies and the chunk geometries. A new row here reaches every
+//! column of the matrix.
 #![allow(dead_code)]
 
 use pads::{OnExhausted, RecoveryPolicy, DEFAULT_MAX_INFLIGHT};
@@ -25,7 +26,3 @@ pub fn policies() -> Vec<RecoveryPolicy> {
 /// than chunks; one chunk larger than the source.
 pub const GEOMETRIES: [(usize, usize); 6] =
     [(1, DEFAULT_MAX_INFLIGHT), (2, 1), (4, 1), (2, 8), (16, 8), (4, DEFAULT_MAX_INFLIGHT)];
-
-/// The in-flight bound that cuts a dozen records into chunks of two (the
-/// default bound would make them a single chunk, parsed sequentially).
-pub const CHUNKS_OF_TWO: usize = 8;

@@ -55,7 +55,7 @@ pub fn spans(core: &MetricsCore) -> Vec<(&str, &TraceSpan)> {
 }
 
 /// The deterministic counters of one run, keyed by name.
-#[derive(Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Tally {
     /// Per type name: spans, bytes spanned, errors at exit.
     pub types: BTreeMap<String, TypeStat>,
