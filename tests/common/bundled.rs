@@ -1,0 +1,124 @@
+//! The bundled descriptions as the contract matrix runs them (a submodule
+//! of `contract.rs`): each with its torture corpus, the clean corpus its
+//! fault seeds mutate, and its generated module.
+
+use pads::generated::{clf, mixed, sirius};
+use pads::{descriptions, Cursor, ErrorCode, Mask, ParseDesc, ParseOptions, Registry, Schema};
+use pads_runtime::MetricsCore;
+
+use super::{generated, Case, Description, Generated, Plan, Truth};
+
+/// A bundled description with its corpora and its generated column.
+pub struct Bundled {
+    pub name: &'static str,
+    pub schema: Schema,
+    pub registry: Registry,
+    pub torture: &'static [u8],
+    pub clean: Vec<u8>,
+    /// Whether a mutation can reach panic-mode recovery (Sirius records
+    /// consume to the record boundary whatever the error).
+    pub panics: bool,
+    column: fn(&Case<'_>, &Truth, &Plan),
+}
+
+impl Bundled {
+    pub fn description(&self) -> Description<'_> {
+        Description {
+            generated: Some(self.column),
+            ..Description::new(&self.schema, &self.registry)
+        }
+    }
+}
+
+/// A bundled description's generated module, as the generated columns
+/// read it.
+macro_rules! generated {
+    ($name:ident, $module:ident :: $record:ident, |$v:ident| $records:expr) => {
+        struct $name;
+
+        impl Generated for $name {
+            type Record<'d> = $module::$record<'d>;
+
+            fn read<'d>(cur: &mut Cursor<'d>, mask: &Mask) -> (Self::Record<'d>, ParseDesc) {
+                $module::$record::read(cur, mask)
+            }
+
+            fn write(record: &Self::Record<'_>, out: &mut Vec<u8>) -> Result<(), ErrorCode> {
+                let options = ParseOptions::default();
+                record.write(out, options.charset, options.endian)
+            }
+
+            fn parse_source(cur: &mut Cursor<'_>, mask: &Mask) -> (usize, ParseDesc) {
+                let ($v, pd) = $module::parse_source(cur, mask);
+                ($records, pd)
+            }
+
+            fn metrics_core() -> MetricsCore {
+                $module::metrics_core()
+            }
+        }
+    };
+}
+
+generated!(Clf, clf::EntryT, |v| v.0.len());
+generated!(Sirius, sirius::EntryT, |v| v.es.0.len());
+generated!(Mixed, mixed::RecT, |v| v.0.len());
+
+/// CLF of twelve records.
+pub fn clean_clf() -> Vec<u8> {
+    pads_gen::clf::generate(&pads_gen::ClfConfig { records: 12, ..Default::default() }).0
+}
+
+pub fn clf() -> Bundled {
+    Bundled {
+        name: "clf",
+        schema: descriptions::clf(),
+        registry: Registry::standard(),
+        torture: include_bytes!("../data/torture_clf.log"),
+        clean: clean_clf(),
+        panics: true,
+        column: generated::<Clf>,
+    }
+}
+
+/// A header and twelve clean records.
+pub fn sirius() -> Bundled {
+    let config = pads_gen::SiriusConfig {
+        records: 12,
+        syntax_errors: 0,
+        sort_violations: 0,
+        ..Default::default()
+    };
+    Bundled {
+        name: "sirius",
+        schema: descriptions::sirius(),
+        registry: Registry::standard(),
+        torture: include_bytes!("../data/torture_sirius.txt"),
+        clean: pads_gen::sirius::generate(&config).0,
+        panics: false,
+        column: generated::<Sirius>,
+    }
+}
+
+/// Fifteen generated records with in-range codes, kinds and counts.
+pub fn mixed() -> Bundled {
+    let schema = descriptions::mixed();
+    let config = pads_gen::GenConfig { seed: 7, min_len: 0, max_len: 4, ..Default::default() }
+        .with_override("code", pads_gen::FieldGen::UintRange(1000, 9999))
+        .with_override("kind", pads_gen::FieldGen::UintRange(0, 2))
+        .with_override("nvals", pads_gen::FieldGen::UintRange(0, 9));
+    let clean = pads_gen::Generator::new(&schema, config).generate_records("rec_t", 15);
+    Bundled {
+        name: "mixed",
+        schema,
+        registry: Registry::standard(),
+        torture: include_bytes!("../data/torture_mixed.txt"),
+        clean,
+        panics: true,
+        column: generated::<Mixed>,
+    }
+}
+
+pub fn all() -> [Bundled; 3] {
+    [clf(), sirius(), mixed()]
+}
