@@ -1,7 +1,7 @@
 //! Ablation — SWAR scan kernels versus byte-at-a-time reference loops.
 //!
-//! Two layers: (1) the kernels themselves (`find_byte`, `find_byte2`,
-//! `find_literal`, `skip_class`, `count_byte`) against the naive loops
+//! Two layers: (1) the kernels themselves (`find_byte`, `find_literal`,
+//! `skip_class`, `count_byte`) against the naive loops
 //! they replaced, on realistic log bytes; (2) the end-to-end generated
 //! parsers on the same corpora/configs as `ablation_codegen`, so the
 //! numbers are directly comparable against the PR-3 baseline recorded in
@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pads::generated::{clf, sirius};
 use pads::{BaseMask, Cursor, Mask};
-use pads_runtime::{count_byte, find_byte, find_byte2, find_literal, skip_class, ClassBitmap};
+use pads_runtime::{count_byte, find_byte, find_literal, skip_class, ClassBitmap};
 
 const DIGITS: ClassBitmap = ClassBitmap::from_bits([0x03FF_0000_0000_0000, 0, 0, 0]);
 
@@ -43,27 +43,6 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let (mut at, mut n) = (0usize, 0usize);
                 while let Some(i) = d[at..].iter().position(|&b| b == b'\n') {
-                    at += i + 1;
-                    n += 1;
-                }
-                n
-            })
-        });
-
-        g.bench_with_input(BenchmarkId::from_parameter("find_byte2_swar"), &data[..], |b, d| {
-            b.iter(|| {
-                let (mut at, mut n) = (0usize, 0usize);
-                while let Some(i) = find_byte2(&d[at..], b'"', b'\n') {
-                    at += i + 1;
-                    n += 1;
-                }
-                n
-            })
-        });
-        g.bench_with_input(BenchmarkId::from_parameter("find_byte2_naive"), &data[..], |b, d| {
-            b.iter(|| {
-                let (mut at, mut n) = (0usize, 0usize);
-                while let Some(i) = d[at..].iter().position(|&b| b == b'"' || b == b'\n') {
                     at += i + 1;
                     n += 1;
                 }

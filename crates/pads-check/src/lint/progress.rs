@@ -4,22 +4,22 @@
 //! terminator, or its `Pended` predicate stops it. If the element itself
 //! can match *empty* input and nothing else forces the cursor forward, the
 //! loop only ends because the runtime carries a zero-width guard — the
-//! description is almost certainly wrong. This pass flags those arrays and
-//! also answers the code generator's question ([`array_progress`]):
-//! "is the guard provably dead for this array?"
+//! description is almost certainly wrong. This pass flags those arrays.
+//! Every engine keeps the guard whatever it finds: the analysis informs the
+//! author, it does not specialise a parser.
 
 use pads_syntax::ast::{BinOp, Expr};
 
-use crate::ir::{Schema, TypeId, TypeKind, TyUse};
+use crate::ir::{Schema, TypeId, TypeKind};
 use crate::lint::facts::SemFacts;
 use crate::lint::firstset::{Facts, Nullability};
 use crate::lint::{const_fold, Const, Diagnostics};
 
 /// What the analysis can prove about an unsized array's read loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Progress {
+pub(crate) enum Progress {
     /// Every iteration consumes at least one byte: the element is proven
-    /// non-empty. The runtime's zero-width guard is dead code.
+    /// non-empty. The runtime's zero-width guard never fires.
     Proven,
     /// A separator or termination condition bounds the loop, but a single
     /// iteration may be zero-width; the guard stays live.
@@ -31,10 +31,8 @@ pub enum Progress {
 /// Classifies the read loop of array declaration `id`.
 ///
 /// Sized arrays (`[n]` with a size expression) iterate a bounded count and
-/// are always [`Progress::Proven`] for the purpose of loop termination,
-/// though callers that care about the guard should note the runtime only
-/// emits it for unsized arrays anyway.
-pub fn array_progress(schema: &Schema, facts: &Facts, id: TypeId) -> Progress {
+/// are always [`Progress::Proven`] for the purpose of loop termination.
+pub(crate) fn array_progress(schema: &Schema, facts: &Facts, id: TypeId) -> Progress {
     let TypeKind::Array { elem, sep, term, ended, size } = &schema.def(id).kind else {
         return Progress::Proven;
     };
@@ -55,13 +53,6 @@ pub fn array_progress(schema: &Schema, facts: &Facts, id: TypeId) -> Progress {
             }
         }
     }
-}
-
-/// Whether the element type ever recovers at record boundaries (a
-/// `Precord` element resynchronises instead of failing, which changes the
-/// loop's break structure). Mirrors the code generator's test.
-pub fn elem_recovers(schema: &Schema, elem: &TyUse) -> bool {
-    matches!(elem, TyUse::Named { id, .. } if schema.def(*id).is_record)
 }
 
 /// The progress lints: `PL101` (array can never make progress), `PL102`
@@ -239,6 +230,18 @@ mod tests {
         assert_eq!(p, Progress::Guarded);
         assert_eq!(diags.iter().count(), 0, "no warnings");
         assert_eq!(diags.iter_all().map(|d| d.code).collect::<Vec<_>>(), vec!["PL304"]);
+    }
+
+    #[test]
+    fn nullable_regex_terminator_keeps_guard() {
+        // `inner_t` can match zero bytes: its element list may be empty and
+        // `Pre "a*"` matches the empty string, so the outer array over it
+        // cannot prove progress.
+        let (p, _) = progress_of(
+            r#"Parray inner_t { Puint8[] : Pterm(Pre "a*"); };
+               Psource Parray outer_t { inner_t[]; };"#,
+        );
+        assert_ne!(p, Progress::Proven);
     }
 
     #[test]

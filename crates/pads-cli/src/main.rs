@@ -186,8 +186,10 @@ const OPTIONS: &[Opt] = &[
     opt("--journal", &["parse"], Next, |o, v| set(&mut o.journal, Some(v.text()))),
     journal_opt("--resume", Switch, |o, _| set(&mut o.resume, true)),
     journal_opt("--checkpoint-records", Next, |o, v| set(&mut o.checkpoint_records, v.positive()?)),
-    journal_opt("--checkpoint-bytes", Next, |o, v| set(&mut o.checkpoint_bytes, Some(v.number()?))),
-    journal_opt("--fsync-every", Next, |o, v| set(&mut o.fsync_every, v.number()?)),
+    journal_opt("--checkpoint-bytes", Next, |o, v| {
+        set(&mut o.checkpoint_bytes, Some(v.positive()?))
+    }),
+    journal_opt("--fsync-every", Next, |o, v| set(&mut o.fsync_every, v.positive()?)),
     journal_opt("--kill-after", Next, |o, v| set(&mut o.kill_after, Some(v.number()?))),
     opt("--times", &["parse", "profile"], Switch, |o, _| set(&mut o.times, true)),
     opt("--folded", &["profile"], Switch, |o, _| set(&mut o.folded, true)),

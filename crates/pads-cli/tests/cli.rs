@@ -470,10 +470,11 @@ fn gen_in_batches_writes_the_bytes_of_one_call() {
 /// An option is accepted only by the subcommands that read it: a run that
 /// wrote no journal, or ran on one thread, must not exit as if it had done
 /// what it was asked. The same holds for an argument past the ones a
-/// subcommand takes, for an option missing its value, and for a zero-width
-/// record discipline (which would read the whole input). Refusals are
-/// status 1 with one line on stderr and nothing done; every subcommand
-/// still takes an option it does read.
+/// subcommand takes, for an option missing its value, for a zero-width
+/// record discipline (which would read the whole input), and for a zero
+/// checkpoint or fsync interval. Refusals are status 1 with one line on
+/// stderr and nothing done; every subcommand still takes an option it does
+/// read.
 #[test]
 fn an_option_a_subcommand_does_not_read_is_refused() {
     let clf = bundled("clf");
@@ -482,7 +483,7 @@ fn an_option_a_subcommand_does_not_read_is_refused() {
     let copybook = copybook.to_str().expect("utf-8 temp path");
     let journal = std::env::temp_dir().join(format!("pads-cli-opts-{}.wal", std::process::id()));
     let wal = journal.to_str().expect("utf-8 temp path");
-    let refused: [(&[&str], &str); 17] = [
+    let refused: [(&[&str], &str); 19] = [
         (
             &["accum", &clf, &log, "--journal", wal, "--trace", "--lint", "--folded"],
             "--journal is not an option of `pads accum`",
@@ -521,6 +522,14 @@ fn an_option_a_subcommand_does_not_read_is_refused() {
         ),
         (&["parse", &clf, &log, "--format", "none", "--fixed", "0"], "--fixed: must be at least 1"),
         (&["accum", &clf, &log, "--lenpfx", "0"], "--lenpfx: must be at least 1"),
+        (
+            &["parse", &clf, &log, "--journal", wal, "--fsync-every", "0"],
+            "--fsync-every: must be at least 1",
+        ),
+        (
+            &["parse", &clf, &log, "--journal", wal, "--checkpoint-bytes", "0"],
+            "--checkpoint-bytes: must be at least 1",
+        ),
     ];
     for (args, why) in refused {
         let out = pads().args(args).output().expect("run pads");

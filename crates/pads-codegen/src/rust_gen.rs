@@ -12,7 +12,6 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use pads_check::ir::{BranchIr, MemberIr, Schema, TypeId, TypeKind, TyUse};
-use pads_check::lint;
 use pads_syntax::ast::{BinOp, CaseLabel, Expr, FuncDecl, Literal, Stmt, UnOp};
 
 /// A construct the generator cannot compile.
@@ -66,7 +65,6 @@ pub fn generate_rust(schema: &Schema, header: &str) -> GenResult<String> {
         schema,
         lt: compute_lifetimes(schema),
         names: collect_arena_names(schema),
-        facts: lint::firstset::Facts::compute(schema),
     };
     let mut out = String::new();
     let _ = writeln!(out, "//! {header}");
@@ -98,9 +96,6 @@ struct Gen<'s> {
     /// the dense order the module's `name_table()` interns them — so the
     /// `NameId(i)` literals baked into generated code line up.
     names: Vec<String>,
-    /// The description's first sets, a whole-schema fixpoint computed once:
-    /// the array progress proof behind guard elision reads them.
-    facts: lint::firstset::Facts,
 }
 
 /// Collects every field, union-branch, and enum-variant name in the

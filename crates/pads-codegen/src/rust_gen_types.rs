@@ -848,24 +848,10 @@ impl<'s> Gen<'s> {
             "            if syn && !{elem_recovers} {{ pd.state = ParseState::Partial; break; }}"
         );
         if size.is_none() {
-            // The zero-width guard stops loops whose element succeeded
-            // without consuming input. When the progress analysis proves
-            // the element non-empty the guard is dead code — but only for
-            // non-recovering elements: a `Precord` element's resync path
-            // can report success without advancing past `before`.
-            let proven = lint::progress::array_progress(self.schema, &self.facts, id)
-                == lint::progress::Progress::Proven;
-            if proven && !elem_recovers {
-                let _ = writeln!(
-                    out,
-                    "            // zero-width guard elided: element is proven to consume input"
-                );
-            } else {
-                let _ = writeln!(
-                    out,
-                    "            if cur.offset() == before {{ pd.add_error(ErrorCode::ArrayTermMismatch, Loc::at(cur.position())); break; }}"
-                );
-            }
+            let _ = writeln!(
+                out,
+                "            if cur.offset() == before {{ pd.add_error(ErrorCode::ArrayTermMismatch, Loc::at(cur.position())); break; }}"
+            );
         }
         if let Some(e) = ended {
             let mut ectx = ctx.clone();

@@ -73,7 +73,9 @@ pub fn to_value(r: AValRef<'_, '_>, names: &NameTable) -> Value {
                 None => Value::Prim(pads_runtime::Prim::Unit),
             }
         }
-        AShape::Array(_) => Value::Array(r.elements().map(|e| to_value(e, names)).collect()),
+        AShape::Array(n) => {
+            Value::Array((0..n).filter_map(|i| r.index(i)).map(|e| to_value(e, names)).collect())
+        }
         AShape::Enum => match r.variant() {
             Some((name, index)) => Value::Enum { variant: names.name(name).clone(), index },
             None => Value::Prim(pads_runtime::Prim::Unit),

@@ -386,7 +386,7 @@ impl Until0T {
             elts.push(v);
             elt_pds.push(epd);
             if syn && !false { pd.state = ParseState::Partial; break; }
-            // zero-width guard elided: element is proven to consume input
+            if cur.offset() == before { pd.add_error(ErrorCode::ArrayTermMismatch, Loc::at(cur.position())); break; }
             if (((elts[((((elts.len() as i64)).wrapping_sub(1i64))) as usize]).pc_num()) == (0i64)) {  break; }
         }
         pd.kind = PdKind::Array { elts: elt_pds.finish(), neerr, first_error };

@@ -791,7 +791,7 @@ impl<'d> EventSeq<'d> {
             elts.push(v);
             elt_pds.push(epd);
             if syn && !false { pd.state = ParseState::Partial; break; }
-            // zero-width guard elided: element is proven to consume input
+            if cur.offset() == before { pd.add_error(ErrorCode::ArrayTermMismatch, Loc::at(cur.position())); break; }
         }
         if mask.compound().checks() && pd.state == ParseState::Ok && !(((0i64)..=((((elts.len() as i64)).wrapping_sub(2i64)))).all(|i| (((elts[(i) as usize].tstamp).pc_num()) <= ((elts[(((i).wrapping_add(1i64))) as usize].tstamp).pc_num())))) {
             pd.add_error(ErrorCode::ForallViolation, Loc::at(cur.position()));

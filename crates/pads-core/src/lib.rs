@@ -79,7 +79,7 @@ pub use pads_syntax::{parse as parse_description, Program, SyntaxError};
 pub use arena::{push_value, to_value};
 pub use batch::RecordBatch;
 pub use eval::{Env, Ev};
-pub use parse::{Elements, Engine, PadsParser, ParseOptions, Records};
+pub use parse::{Engine, PadsParser, ParseOptions, Records};
 pub use source::{RecordSink, SourceEnd, SourceFold, SourceJob, SourceShape, SourceSummary};
 pub use vm::VmProgram;
 pub use value::Value;
@@ -423,7 +423,7 @@ mod tests {
         let mask = caset();
         let (bulk, _) = parser.parse_source(data, &mask);
         let streamed: Vec<Value> =
-            parser.elements(data, "lines_t", &mask).map(|(v, _)| v).collect();
+            parser.records(data, "line_t", &mask).map(|(v, _)| v).collect();
         assert_eq!(bulk, Value::Array(streamed));
     }
 
@@ -432,19 +432,18 @@ mod tests {
         let (schema, registry) = setup("Parray csv_t { Puint32[] : Psep(',') && Pterm(';'); };");
         let parser = PadsParser::new(&schema, &registry);
         let mask = caset();
-        let vals: Vec<u64> = parser
-            .elements(b"5,6,7;rest", "csv_t", &mask)
-            .map(|(v, pd)| {
-                assert!(pd.is_ok());
-                v.as_u64().unwrap()
-            })
-            .collect();
+        let mut cur = parser.open(b"5,6,7;rest");
+        let (v, pd) = parser.parse_named(&mut cur, "csv_t", &[], &mask);
+        assert!(pd.is_ok(), "{pd}");
+        let Value::Array(items) = v else { panic!("csv_t parses to an array") };
+        let vals: Vec<u64> = items.iter().filter_map(Value::as_u64).collect();
         assert_eq!(vals, vec![5, 6, 7]);
-        // Bad separator stops the stream with an error item.
-        let items: Vec<_> = parser.elements(b"5|6;", "csv_t", &mask).collect();
-        assert_eq!(items.len(), 2);
-        assert!(items[0].1.is_ok());
-        assert!(!items[1].1.is_ok());
+        assert_eq!(cur.rest(), b"rest");
+        // A bad separator ends the array after the elements before it.
+        let mut cur = parser.open(b"5|6;");
+        let (v, pd) = parser.parse_named(&mut cur, "csv_t", &[], &mask);
+        assert_eq!(v.len(), Some(1));
+        assert_eq!((pd.err_code, pd.state), (ErrorCode::ArraySepMismatch, ParseState::Partial));
     }
 
     #[test]

@@ -860,7 +860,7 @@ impl<'s> PadsParser<'s> {
         let mut neerr: u32 = 0;
         let mut first_error: Option<usize> = None;
         let elem_mask = mask.child(pads_runtime::mask::ELT);
-        // Elements that are records perform their own panic recovery (skip
+        // Record elements perform their own panic recovery (skip
         // to the record boundary), so the array can continue past them; a
         // syntax error in a non-record element leaves the cursor
         // unsynchronised and stops the array.
@@ -1314,156 +1314,3 @@ impl<'p, 's, 'd> Iterator for Records<'p, 's, 'd> {
 }
 
 impl<'p, 's, 'd> std::iter::FusedIterator for Records<'p, 's, 'd> {}
-
-/// Iterator over the elements of a top-level `Parray`, one element per
-/// step — the paper's third entry-point granularity ("reading the entire
-/// array at once or reading it one element at a time", §4), for arrays too
-/// large to materialise.
-pub struct Elements<'p, 's, 'd> {
-    parser: &'p PadsParser<'s>,
-    cur: Cursor<'d>,
-    /// `None` only when the iterator was poisoned at construction.
-    elem: Option<&'s TyUse>,
-    sep: &'s Option<Literal>,
-    term: &'s Option<Literal>,
-    size: Option<usize>,
-    elem_mask: Mask,
-    elem_recovers: bool,
-    produced: usize,
-    done: bool,
-    poison: Option<ErrorCode>,
-}
-
-impl<'p, 's, 'd> Elements<'p, 's, 'd> {
-    /// The cursor's current absolute offset (for progress reporting).
-    pub fn offset(&self) -> usize {
-        self.cur.offset()
-    }
-}
-
-impl<'p, 's, 'd> Iterator for Elements<'p, 's, 'd> {
-    type Item = (Value, ParseDesc);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        if let Some(code) = self.poison.take() {
-            self.done = true;
-            let mut pd = ParseDesc::error(code, Loc::at(self.cur.position()));
-            pd.state = ParseState::Partial;
-            return Some((Value::Prim(Prim::Unit), pd));
-        }
-        let Some(elem) = self.elem else {
-            self.done = true;
-            return None;
-        };
-        // Completion checks, mirroring the bulk array loop.
-        if let Some(n) = self.size {
-            if self.produced >= n {
-                self.done = true;
-                return None;
-            }
-        } else {
-            if self.parser.term_matches(&mut self.cur, self.term) {
-                self.parser.consume_term(&mut self.cur, self.term);
-                self.done = true;
-                return None;
-            }
-            if self.term.is_none() && self.parser.at_natural_end(&self.cur) {
-                self.done = true;
-                return None;
-            }
-        }
-        if self.produced > 0 {
-            if let Some(s) = self.sep {
-                let cp = self.cur.checkpoint();
-                if let Err((_, loc)) = self.parser.match_literal(&mut self.cur, s) {
-                    self.cur.restore(cp);
-                    self.done = true;
-                    let mut pd = ParseDesc::error(ErrorCode::ArraySepMismatch, loc);
-                    pd.state = ParseState::Partial;
-                    return Some((self.parser.default_tyuse(elem), pd));
-                }
-            }
-        }
-        let before = self.cur.offset();
-        let (value, pd) =
-            self.parser.parse_field_ty(&mut self.cur, elem, &[], &[], &self.elem_mask);
-        self.produced += 1;
-        if (pd.has_syntax_error() && !self.elem_recovers) || self.cur.offset() == before {
-            self.done = true;
-        }
-        Some((value, pd))
-    }
-}
-
-impl<'p, 's, 'd> std::iter::FusedIterator for Elements<'p, 's, 'd> {}
-
-impl<'s> PadsParser<'s> {
-    /// Element-at-a-time iteration over a `Parray` type at the start of
-    /// `data`. `Pwhere` clauses and size-mismatch checks are the caller's
-    /// business in this mode (they need the whole sequence).
-    ///
-    /// When `name` is not declared, is not a `Parray`, or has a size
-    /// expression that is not a constant (element streaming has no
-    /// parameter scope), the iterator yields one
-    /// [`ErrorCode::InternalError`] item and ends — never a panic.
-    pub fn elements<'p, 'd>(
-        &'p self,
-        data: &'d [u8],
-        name: &str,
-        mask: &Mask,
-    ) -> Elements<'p, 's, 'd> {
-        let Some(id) = self.schema().type_id(name) else {
-            return self.poisoned_elements(data, mask);
-        };
-        let def = self.schema().def(id);
-        let TypeKind::Array { elem, sep, term, size, .. } = &def.kind else {
-            return self.poisoned_elements(data, mask);
-        };
-        let size = match size {
-            Some(e) => {
-                let mut env = Env::new(self.schema());
-                match eval::eval_prim(e, &mut env).ok().and_then(|p| p.as_u64()) {
-                    Some(n) => Some(n as usize),
-                    None => return self.poisoned_elements(data, mask),
-                }
-            }
-            None => None,
-        };
-        let elem_recovers =
-            matches!(elem, TyUse::Named { id, .. } if self.schema().def(*id).is_record);
-        Elements {
-            parser: self,
-            cur: self.open(data),
-            elem: Some(elem),
-            sep,
-            term,
-            size,
-            elem_mask: mask.child(pads_runtime::mask::ELT),
-            elem_recovers,
-            produced: 0,
-            done: false,
-            poison: None,
-        }
-    }
-
-    /// An [`Elements`] iterator that yields a single
-    /// [`ErrorCode::InternalError`] item (API misuse recorded as data).
-    fn poisoned_elements<'p, 'd>(&'p self, data: &'d [u8], mask: &Mask) -> Elements<'p, 's, 'd> {
-        Elements {
-            parser: self,
-            cur: self.open(data),
-            elem: None,
-            sep: &None,
-            term: &None,
-            size: None,
-            elem_mask: mask.child(pads_runtime::mask::ELT),
-            elem_recovers: false,
-            produced: 0,
-            done: false,
-            poison: Some(ErrorCode::InternalError),
-        }
-    }
-}

@@ -839,7 +839,7 @@ mod tests {
         ] {
             assert_eq!(infer(&format!("{rec} {array}")), None, "{array}");
         }
-        // Elements that are not records cannot be read a record at a time.
+        // An element that is not a record cannot be read a record at a time.
         assert_eq!(
             infer("Pstruct rec_t { Puint32 a; ','; }; Psource Parray recs_t { rec_t[]; };"),
             None

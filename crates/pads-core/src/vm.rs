@@ -19,16 +19,17 @@
 //! policies, error budgets, observation events and descriptor shapes, proven
 //! byte-identical by the contract matrix (`tests/contract.rs`).
 //!
-//! The compiler also applies the elisions `pads-codegen` already proved
-//! out, using the same analysis facts:
+//! Beyond that pre-resolution the compiler keeps only the specialisations
+//! a benchmark workload pays for (`docs/VM.md` has the table):
 //!
-//! * consecutive `Char`/`Str` literals fuse into one peek-validate-commit
-//!   byte-run match (`CMember::LitRun`), falling back to per-literal
-//!   matching on mismatch so error attribution is unchanged;
-//! * arrays with proven progress (`lint::progress`) drop the zero-width
-//!   loop guard, exactly when codegen does;
-//! * enum variants match against pre-encoded byte strings (the
-//!   interpreter allocates one `Vec` per variant per record).
+//! * constraints that name only the value they guard, earlier siblings,
+//!   enum variants and inlinable `Pfun` calls lower to `CPred::Fast`
+//!   (every CLF constraint);
+//! * the adjacent-pairs `Pforall` on an array lowers to `CWhere::Sorted`
+//!   (Sirius `eventSeq`).
+//!
+//! Everything else runs as the interpreter runs it, the zero-width array
+//! guard included.
 //!
 //! A parser compiles its program on first use, once per charset a cursor
 //! arrives with, and keeps it; a shard worker builds its own parser, so it
@@ -37,7 +38,6 @@
 use std::sync::Arc;
 
 use pads_check::ir::{Schema, TypeId, TypeKind, TyUse};
-use pads_check::lint;
 use pads_runtime::{
     BaseType, Charset, Cursor, ErrorCode, Loc, Mask, Name, ParseDesc, ParseState, Prim,
     RecordOpen, Registry, SparseElts,
@@ -167,9 +167,6 @@ struct CArray {
     /// Record elements resynchronise at the record boundary themselves, so
     /// the array survives syntax errors inside them.
     elem_recovers: bool,
-    /// Zero-width loop guard elided: `lint::progress` proved every
-    /// successful element consumes input (same condition codegen uses).
-    guard_elided: bool,
 }
 
 enum CSize {
@@ -203,14 +200,6 @@ enum CCase {
 
 enum CMember {
     Lit(CLit),
-    /// Consecutive `Char`/`Str` literals fused into one byte-run: matched
-    /// with a single peek-validate-commit; on mismatch the run replays
-    /// per-literal so the failing literal's error code and location are
-    /// identical to the interpreter's.
-    LitRun {
-        bytes: Box<[u8]>,
-        parts: Box<[CLit]>,
-    },
     Field(CField),
 }
 
@@ -265,12 +254,11 @@ enum CArgs {
 /// malformed program, and defensive cases (unknown base type) compile to
 /// ops that report the same `InternalError` the interpreter would.
 pub fn compile(schema: &Schema, registry: &Registry, charset: Charset) -> VmProgram {
-    let firsts = lint::firstset::Facts::compute(schema);
     let defs = schema
         .types
         .iter()
         .enumerate()
-        .map(|(id, def)| compile_def(schema, registry, charset, &firsts, id, def))
+        .map(|(id, def)| compile_def(schema, registry, charset, id, def))
         .collect();
     VmProgram { defs }
 }
@@ -279,7 +267,6 @@ fn compile_def(
     schema: &Schema,
     registry: &Registry,
     charset: Charset,
-    firsts: &lint::firstset::Facts,
     id: TypeId,
     def: &pads_check::ir::TypeDef,
 ) -> CDef {
@@ -318,12 +305,6 @@ fn compile_def(
                 },
                 None => CSize::Dyn(e.clone()),
             });
-            // Same elision condition as `pads-codegen`: the guard only
-            // exists for unsized arrays, and proven progress makes it
-            // unreachable unless the element recovers (which can leave
-            // the cursor parked at a record boundary).
-            let proven = lint::progress::array_progress(schema, firsts, id)
-                == lint::progress::Progress::Proven;
             CKind::Array(Box::new(CArray {
                 elem: compile_tyuse(registry, elem),
                 sep: sep.as_ref().map(|l| compile_lit(charset, l)),
@@ -331,7 +312,6 @@ fn compile_def(
                 ended: ended.clone(),
                 size: size_c,
                 elem_recovers,
-                guard_elided: size.is_none() && proven && !elem_recovers,
             }))
         }
         TypeKind::Enum { variants } => CKind::Enum {
@@ -623,45 +603,10 @@ fn compile_members(
     // any earlier sibling (the checker scopes them in), and the compiled
     // form addresses those by position in the executor's fields vector.
     let mut siblings: Vec<Name> = Vec::new();
-    // Pending fusable-literal run (consecutive Char/Str literals).
-    let mut run: Vec<CLit> = Vec::new();
-    let flush = |out: &mut Vec<CMember>, run: &mut Vec<CLit>| {
-        match run.len() {
-            0 => {}
-            1 => {
-                if let Some(l) = run.pop() {
-                    out.push(CMember::Lit(l));
-                }
-            }
-            _ => {
-                let bytes: Vec<u8> = run
-                    .iter()
-                    .flat_map(|l| match l {
-                        CLit::Bytes(b) => b.iter().copied(),
-                        // Only Bytes literals enter a run.
-                        _ => [].iter().copied(),
-                    })
-                    .collect();
-                out.push(CMember::LitRun {
-                    bytes: bytes.into_boxed_slice(),
-                    parts: std::mem::take(run).into_boxed_slice(),
-                });
-            }
-        }
-    };
     for m in members {
         match m {
-            MemberIr::Lit(lit) => {
-                let c = compile_lit(charset, lit);
-                if matches!(c, CLit::Bytes(_)) {
-                    run.push(c);
-                } else {
-                    flush(&mut out, &mut run);
-                    out.push(CMember::Lit(c));
-                }
-            }
+            MemberIr::Lit(lit) => out.push(CMember::Lit(compile_lit(charset, lit))),
             MemberIr::Field(f) => {
-                flush(&mut out, &mut run);
                 out.push(CMember::Field(CField {
                     name: Name::shared(&f.name),
                     ty: compile_tyuse(registry, &f.ty),
@@ -674,7 +619,6 @@ fn compile_members(
             }
         }
     }
-    flush(&mut out, &mut run);
     out.into_boxed_slice()
 }
 
@@ -1012,27 +956,6 @@ impl<'p> Exec<'p> {
             match &members[i] {
                 CMember::Lit(lit) => {
                     if let Err((code, loc)) = self.match_clit(cur, lit) {
-                        pd.add_error(code, loc);
-                        pd.state = ParseState::Partial;
-                        aborted = true;
-                        break;
-                    }
-                }
-                CMember::LitRun { bytes, parts } => {
-                    // Fused peek-validate-commit over the whole run; on
-                    // mismatch replay per literal for exact attribution.
-                    if !cur.match_bytes(bytes) {
-                        let mut failed = None;
-                        for part in parts.iter() {
-                            if let Err(e) = self.match_clit(cur, part) {
-                                failed = Some(e);
-                                break;
-                            }
-                        }
-                        // The run mismatched, so some part must fail; the
-                        // fallback covers the (unreachable) None anyway.
-                        let (code, loc) = failed
-                            .unwrap_or((ErrorCode::LitMismatch, Loc::at(cur.position())));
                         pd.add_error(code, loc);
                         pd.state = ParseState::Partial;
                         aborted = true;
@@ -1425,9 +1348,7 @@ impl<'p> Exec<'p> {
                 pd.state = ParseState::Partial;
                 break;
             }
-            // Zero-width guard, elided when progress is proven (the same
-            // fact `pads-codegen` uses to drop it from generated loops).
-            if !arr.guard_elided && cur.offset() == before && want_size.is_none() {
+            if cur.offset() == before && want_size.is_none() {
                 pd.add_error(ErrorCode::ArrayTermMismatch, Loc::at(cur.position()));
                 break;
             }
@@ -1656,5 +1577,54 @@ fn at_natural_end(cur: &Cursor<'_>) -> bool {
         cur.at_eor()
     } else {
         cur.at_eof()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::descriptions;
+
+    fn kind<'p>(prog: &'p VmProgram, schema: &Schema, name: &str) -> &'p CKind {
+        let id = schema.type_id(name).expect("bundled type declared");
+        &prog.defs[id].kind
+    }
+
+    /// The two specialisations a benchmark workload pays for (`docs/VM.md`)
+    /// must keep firing on the descriptions those workloads run: demoted to
+    /// `Generic`, output stays identical and only the stopwatch notices.
+    #[test]
+    fn bundled_descriptions_lower_to_the_paying_specialisations() {
+        let registry = Registry::standard();
+        let sirius = descriptions::sirius();
+        let prog = compile(&sirius, &registry, Charset::Ascii);
+        let id = sirius.type_id("eventSeq").expect("eventSeq declared");
+        assert!(
+            matches!(prog.defs[id].where_clause, Some(CWhere::Sorted { .. })),
+            "eventSeq's Pwhere lowers to CWhere::Sorted"
+        );
+
+        let clf = descriptions::clf();
+        let prog = compile(&clf, &registry, Charset::Ascii);
+        let fast = |p: &Option<CPred>| matches!(p, Some(CPred::Fast(_)));
+        let CKind::Union { branches, .. } = kind(&prog, &clf, "auth_id_t") else {
+            panic!("auth_id_t is a union")
+        };
+        assert!(fast(&branches[0].constraint), "`unauthorized == '-'` lowers to CPred::Fast");
+        let CKind::Typedef { pred, .. } = kind(&prog, &clf, "response_t") else {
+            panic!("response_t is a typedef")
+        };
+        assert!(fast(pred), "response_t's range lowers to CPred::Fast");
+        let CKind::Struct { members, .. } = kind(&prog, &clf, "request_t") else {
+            panic!("request_t is a struct")
+        };
+        let version = members.iter().find_map(|m| match m {
+            CMember::Field(f) if f.name == "version" => Some(f),
+            _ => None,
+        });
+        assert!(
+            version.is_some_and(|f| fast(&f.constraint)),
+            "the chkVersion call lowers to CPred::Fast"
+        );
     }
 }

@@ -453,16 +453,6 @@ impl<'a, 'd> AValRef<'a, 'd> {
         }
     }
 
-    /// Array elements in order.
-    pub fn elements(&self) -> impl Iterator<Item = AValRef<'a, 'd>> + 'a {
-        let arena = self.arena;
-        let range = match self.node() {
-            ANode::Array { start, len } => *start as usize..(*start + *len) as usize,
-            _ => 0..0,
-        };
-        arena.kids[range].iter().map(move |v| arena.get(*v))
-    }
-
     /// The taken union branch: `(name, index, value)`.
     pub fn branch(&self) -> Option<(NameId, usize, AValRef<'a, 'd>)> {
         match self.node() {
@@ -548,7 +538,6 @@ mod tests {
             events.index(1).unwrap().field("tstamp", &names).unwrap().as_u64(),
             Some(20)
         );
-        assert_eq!(events.elements().count(), 2);
         let (bn, bi, bv) = r.field("ramp", &names).unwrap().branch().unwrap();
         assert_eq!(names.name(bn), "genRamp");
         assert_eq!(bi, 1);

@@ -757,17 +757,6 @@ impl<'a> Cursor<'a> {
         scan::find_byte(self.rest(), b)
     }
 
-    /// Distance to the first occurrence of either raw byte within the limit.
-    pub fn find_byte2(&self, a: u8, b: u8) -> Option<usize> {
-        scan::find_byte2(self.rest(), a, b)
-    }
-
-    /// Distance to the first occurrence of the raw byte sequence `raw`
-    /// within the limit.
-    pub fn find_literal(&self, raw: &[u8]) -> Option<usize> {
-        scan::find_literal(self.rest(), raw)
-    }
-
     /// Length of the longest run of bytes at the cursor that are members of
     /// `class`, bounded by the record limit.
     pub fn skip_class(&self, class: &scan::ClassBitmap) -> usize {

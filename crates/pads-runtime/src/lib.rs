@@ -85,6 +85,4 @@ pub use par::{
 pub use pd::{ParseDesc, PdKind, SparseElts};
 pub use prim::{Prim, PrimKind};
 pub use recovery::{ErrorBudget, OnExhausted, RecoveryPolicy};
-pub use scan::{
-    count_byte, find_byte, find_byte2, find_literal, skip_class, ClassBitmap,
-};
+pub use scan::{count_byte, find_byte, find_literal, skip_class, ClassBitmap};

@@ -74,32 +74,6 @@ pub fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
     None
 }
 
-/// Offset of the first occurrence of either `a` or `b` in `hay`.
-///
-/// Used when a scan must stop at whichever of two delimiters comes first
-/// (e.g. a field terminator or the record's newline).
-#[inline]
-pub fn find_byte2(hay: &[u8], a: u8, b: u8) -> Option<usize> {
-    let sa = usize::from_ne_bytes([a; WORD]);
-    let sb = usize::from_ne_bytes([b; WORD]);
-    let mut i = 0;
-    while i + WORD <= hay.len() {
-        let w = load_word(hay, i);
-        let m = zero_bytes(w ^ sa) | zero_bytes(w ^ sb);
-        if m != 0 {
-            return Some(i + first_marker(m));
-        }
-        i += WORD;
-    }
-    while i < hay.len() {
-        if hay[i] == a || hay[i] == b {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
-}
-
 /// Offset of the first occurrence of the literal `needle` in `hay`.
 ///
 /// Skips to candidate positions with [`find_byte`] on the first needle
@@ -257,15 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn find_byte2_basics() {
-        assert_eq!(find_byte2(b"", b'a', b'b'), None);
-        assert_eq!(find_byte2(b"xxbxxaxx", b'a', b'b'), Some(2));
-        assert_eq!(find_byte2(b"xxaxxbxx", b'a', b'b'), Some(2));
-        assert_eq!(find_byte2(b"xxxxxxxxxxxxxxxxq", b'q', b'q'), Some(16));
-        assert_eq!(find_byte2(b"no match here!", b'z', b'q'), None);
-    }
-
-    #[test]
     fn find_literal_basics() {
         assert_eq!(find_literal(b"hello world", b"world"), Some(6));
         assert_eq!(find_literal(b"hello world", b"wards"), None);
@@ -328,12 +293,6 @@ mod tests {
         fn find_byte_matches_naive(hay in bytes_strategy(), needle in sample::select(vec![b'a', b'\n', 0u8, 0x80u8, 0xFFu8])) {
             let naive = hay.iter().position(|&b| b == needle);
             prop_assert_eq!(find_byte(&hay, needle), naive);
-        }
-
-        #[test]
-        fn find_byte2_matches_naive(hay in bytes_strategy(), a in sample::select(vec![b'a', b'\n', 0u8, 0xFFu8]), b in sample::select(vec![b'b', b'\n', 0x80u8])) {
-            let naive = hay.iter().position(|&x| x == a || x == b);
-            prop_assert_eq!(find_byte2(&hay, a, b), naive);
         }
 
         #[test]

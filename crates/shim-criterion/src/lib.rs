@@ -19,8 +19,6 @@ pub use std::hint::black_box;
 pub enum Throughput {
     /// Input bytes processed per iteration.
     Bytes(u64),
-    /// Logical elements processed per iteration.
-    Elements(u64),
 }
 
 /// A benchmark identifier (only the display form is used).
@@ -115,10 +113,6 @@ impl BenchmarkGroup<'_> {
             Some(Throughput::Bytes(n)) => {
                 let mib_s = n as f64 / (1 << 20) as f64 / (ns as f64 / 1e9);
                 format!("  {mib_s:>10.1} MiB/s")
-            }
-            Some(Throughput::Elements(n)) => {
-                let elem_s = n as f64 / (ns as f64 / 1e9);
-                format!("  {elem_s:>10.0} elem/s")
             }
             None => String::new(),
         };

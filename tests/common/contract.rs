@@ -11,7 +11,7 @@
 //! a query of that fact base (a `Truth` method), fed a candidate run:
 //!
 //! - `sequential`: the VM on one thread, and the interpreter's observing fold;
-//! - `records`: the element-at-a-time iterator;
+//! - `records`: the record-at-a-time iterator;
 //! - `geometry`: the sharded driver in one `(jobs, max_inflight)` row;
 //! - `resumed`: the driver started at a record boundary;
 //! - `killed`: a run killed at a [`KillPlan`] and resumed from its last
@@ -614,7 +614,7 @@ impl Truth {
         }
     }
 
-    /// `records`: the element-at-a-time iterator of a headerless source
+    /// `records`: the record-at-a-time iterator of a headerless source
     /// yields the truth's records at the truth's boundaries.
     pub fn records(&self, case: &Case<'_>, engine: Engine) {
         let d = case.description;
@@ -864,7 +864,7 @@ pub fn every_boundary(truth: &Truth) -> impl Iterator<Item = (usize, (usize, usi
 
 impl Plan {
     /// Every row a CLF fault seed is checked in: both engines on one thread
-    /// and element at a time; the interpreter on two and on four workers,
+    /// and record at a time; the interpreter on two and on four workers,
     /// one-record chunks or chunks of two by turns; the VM on one and on
     /// four workers taking two records at a time; killed at the seed's
     /// `KillPlan` on one thread and resumed on four, and resumed on one

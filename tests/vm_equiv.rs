@@ -45,7 +45,7 @@ fn torture_mixed_vm_matches_interpreter() {
     vm_tiers(bundled::mixed());
 }
 
-/// CLF fault seeds under the VM: sequentially, element at a time, and on
+/// CLF fault seeds under the VM: sequentially, record at a time, and on
 /// one and on four workers taking two records at a time — rows every seed
 /// of the main sweep (`fault_injection.rs`) runs too, here on a block of
 /// seeds of their own.
