@@ -1,11 +1,20 @@
-//! Golden `pads diff` fixtures: every `tests/diff/<name>.old.pads` /
-//! `<name>.new.pads` pair has a `<name>.expected` file holding the exact
+//! Golden `pads diff` fixtures: every `PDxxx` code has a minimal
+//! `tests/diff/<code>.old.pads` / `<code>.new.pads` pair that triggers it,
+//! with a `<code>.expected` file holding the exact
 //! [`pads_check::diff::DiffReport::render`] output (findings plus the
 //! final `verdict:` line).
+//!
+//! Regenerate after an intentional change with:
+//!
+//! ```text
+//! cargo build -p pads-cli
+//! cd crates/pads-check/tests/diff
+//! ../../../../target/debug/pads diff <code>.old.pads <code>.new.pads > <code>.expected
+//! ```
 
 use std::path::PathBuf;
 
-use pads_check::diff::{diff_schemas, Verdict};
+use pads_check::diff::{code_verdict, diff_schemas, Verdict, CODES};
 use pads_runtime::Registry;
 
 fn fixture_dir() -> PathBuf {
@@ -32,7 +41,6 @@ fn every_fixture_pair_matches_its_expected_report() {
         })
         .collect();
     stems.sort();
-    assert!(!stems.is_empty(), "no diff fixtures found");
     for stem in &stems {
         let dir = fixture_dir();
         let report =
@@ -40,12 +48,19 @@ fn every_fixture_pair_matches_its_expected_report() {
         let expected_path = dir.join(format!("{stem}.expected"));
         let expected = std::fs::read_to_string(&expected_path)
             .unwrap_or_else(|_| panic!("{} missing", expected_path.display()));
-        assert_eq!(
-            report.render().trim(),
-            expected.trim(),
-            "fixture {stem} produced a different report"
+        assert_eq!(report.render(), expected, "fixture {stem} produced a different report");
+        // The fixture pair is named after the code it demonstrates, and
+        // its verdict is that code's.
+        let code = stem.to_uppercase();
+        assert!(
+            report.findings.iter().any(|f| f.code == code),
+            "fixture {stem} does not trigger {code}: {:?}",
+            report.findings
         );
+        assert_eq!(report.verdict(), code_verdict(&code), "fixture {stem}: verdict");
     }
+    // One fixture per registered evolution code, no strays.
+    assert_eq!(stems.len(), CODES.len(), "one fixture per code");
 }
 
 #[test]
@@ -55,10 +70,10 @@ fn required_scenarios_have_the_required_verdicts() {
         diff_files(&dir.join(format!("{stem}.old.pads")), &dir.join(format!("{stem}.new.pads")))
             .verdict()
     };
-    assert_eq!(verdict("add_opt_field"), Verdict::Compatible);
-    assert_eq!(verdict("widen_range"), Verdict::Widens);
-    assert_eq!(verdict("remove_union_arm"), Verdict::Breaks);
-    assert_eq!(verdict("reorder_fields"), Verdict::Breaks);
+    assert_eq!(verdict("pd101"), Verdict::Compatible); // optional field added
+    assert_eq!(verdict("pd102"), Verdict::Widens); // value range widened
+    assert_eq!(verdict("pd303"), Verdict::Breaks); // union arm removed
+    assert_eq!(verdict("pd302"), Verdict::Breaks); // fields reordered
 }
 
 #[test]
