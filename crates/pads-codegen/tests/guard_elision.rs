@@ -4,7 +4,7 @@
 
 use pads_runtime::Registry;
 
-const GUARD: &str = "if cur.offset() == before";
+const GUARD: &str = "if cur.bit_offset() == before";
 
 fn generate(src: &str) -> String {
     let schema = pads_check::compile(src, &Registry::standard()).expect("compiles");
@@ -41,7 +41,7 @@ fn every_unsized_loop_of_the_bundled_modules_keeps_guard() {
         let module = generate(&read_description(name));
         // Every array loop opens with `let before`; a sized one reads its
         // count into `want` and has no guard.
-        let loops = module.matches("let before = cur.offset();").count();
+        let loops = module.matches("let before = cur.bit_offset();").count();
         let sized = module.matches("let want: usize").count();
         assert!(loops > sized, "{name} has an unsized array");
         assert_eq!(module.matches(GUARD).count(), loops - sized, "{name}");
