@@ -20,11 +20,11 @@
 //!   reordered, literal changed, shape changed): old data misparses.
 //!
 //! Every finding carries a stable `PD0xx` code and a field-path
-//! provenance (`entry_t.response`). Width/value claims come from the
-//! [`lint::facts`](crate::lint::facts) interval engine: `widens` and
-//! `narrows` are only reported when the direction is *provable*; a
-//! changed constraint the intervals cannot decide is conservatively
-//! `breaks` ([`PD307`](CODES)).
+//! provenance (`entry_t.response`). Width/value claims are queries of
+//! each side's [fact base](crate::facts): `widens` and `narrows` are only
+//! reported when the direction is *provable*; a changed constraint the
+//! intervals cannot decide is conservatively `breaks`
+//! ([`PD307`](CODES)).
 //!
 //! This is the static-safety gate for hot-reloading schema registries
 //! (docs/EVOLUTION.md): a daemon may swap in a replacement description
@@ -34,9 +34,8 @@ use std::collections::HashSet;
 
 use pads_syntax::ast::Expr;
 
+use crate::facts::{refine_value, FactBase, ValueInterval};
 use crate::ir::{BranchIr, FieldIr, MemberIr, Schema, TypeId, TypeKind, TyUse};
-use crate::lint::facts::{self, SemFacts, ValueInterval};
-use crate::lint::firstset::Facts;
 
 /// Overall compatibility class of a change, ordered from harmless to
 /// fatal; a report's verdict is the maximum over its findings.
@@ -145,28 +144,21 @@ impl DiffReport {
 /// Diffs two checked schemas, matching structurally from their source
 /// types.
 pub fn diff_schemas(old: &Schema, new: &Schema) -> DiffReport {
-    let old_firsts = Facts::compute(old);
-    let new_firsts = Facts::compute(new);
     let mut d = Differ {
-        old,
-        new,
-        old_sem: SemFacts::compute(old, &old_firsts),
-        new_sem: SemFacts::compute(new, &new_firsts),
+        old: FactBase::of(old),
+        new: FactBase::of(new),
         visited: HashSet::new(),
         findings: Vec::new(),
     };
     d.diff_funcs();
-    let root = new.source_def().name.clone();
-    d.diff_def(old.source(), new.source(), &root);
+    d.diff_def(old.source(), new.source(), &new.source_def().name);
     d.findings.sort_by(|a, b| (&a.path, a.code).cmp(&(&b.path, b.code)));
     DiffReport { findings: d.findings }
 }
 
 struct Differ<'a> {
-    old: &'a Schema,
-    new: &'a Schema,
-    old_sem: SemFacts,
-    new_sem: SemFacts,
+    old: FactBase<'a>,
+    new: FactBase<'a>,
     visited: HashSet<(TypeId, TypeId)>,
     findings: Vec<Finding>,
 }
@@ -185,15 +177,12 @@ impl Differ<'_> {
     /// changes which data passes, and the intervals cannot see through
     /// calls — conservatively a break.
     fn diff_funcs(&mut self) {
-        let mut names: Vec<&String> = self
-            .old
-            .funcs
-            .keys()
-            .filter(|n| self.new.funcs.contains_key(*n))
-            .collect();
+        let (old, new) = (self.old.schema(), self.new.schema());
+        let mut names: Vec<&String> =
+            old.funcs.keys().filter(|n| new.funcs.contains_key(*n)).collect();
         names.sort();
         for name in names {
-            let (o, n) = (&self.old.funcs[name], &self.new.funcs[name]);
+            let (o, n) = (&old.funcs[name], &new.funcs[name]);
             if (&o.ret, &o.params, &o.body) != (&n.ret, &n.params, &n.body) {
                 self.push(
                     "PD307",
@@ -209,8 +198,7 @@ impl Differ<'_> {
         if !self.visited.insert((old_id, new_id)) {
             return;
         }
-        let od = self.old.def(old_id);
-        let nd = self.new.def(new_id);
+        let (od, nd) = (self.old.schema().def(old_id), self.new.schema().def(new_id));
         if od.is_record != nd.is_record {
             self.push(
                 "PD305",
@@ -232,9 +220,7 @@ impl Differ<'_> {
                 "Pwhere clause changed: the effect on accepted data cannot be proved",
             );
         }
-        // Clones keep the borrow checker happy across the recursive walk.
-        let (ok, nk) = (od.kind.clone(), nd.kind.clone());
-        match (&ok, &nk) {
+        match (&od.kind, &nd.kind) {
             (TypeKind::Struct { members: om }, TypeKind::Struct { members: nm }) => {
                 self.diff_struct(om, nm, path);
             }
@@ -247,8 +233,27 @@ impl Differ<'_> {
                 }
                 self.diff_union(ob, nb, path);
             }
-            (TypeKind::Array { .. }, TypeKind::Array { .. }) => {
-                self.diff_array(&ok, &nk, path);
+            (
+                TypeKind::Array { elem: oe, sep: osep, term: oterm, ended: oend, size: osz },
+                TypeKind::Array { elem: ne, sep: nsep, term: nterm, ended: nend, size: nsz },
+            ) => {
+                self.diff_tyuse(oe, ne, &format!("{path}[]"));
+                if osep != nsep {
+                    self.push("PD305", path, "array separator changed");
+                }
+                if oterm != nterm {
+                    self.push("PD305", path, "array terminator changed");
+                }
+                if osz != nsz {
+                    self.push("PD305", path, "array size expression changed");
+                }
+                if oend != nend {
+                    self.push(
+                        "PD307",
+                        path,
+                        "Pended predicate changed: the effect on accepted data cannot be proved",
+                    );
+                }
             }
             (TypeKind::Enum { variants: ov }, TypeKind::Enum { variants: nv }) => {
                 self.diff_enum(ov, nv, path);
@@ -259,94 +264,48 @@ impl Differ<'_> {
             ) => {
                 self.diff_tyuse(ob, nb, path);
                 if (ovar, op) != (nvar, np) {
-                    self.diff_constraint(
-                        self.old_sem.value_of_tyuse(ob),
-                        ovar.as_deref(),
-                        op.as_ref(),
-                        self.new_sem.value_of_tyuse(nb),
-                        nvar.as_deref(),
-                        np.as_ref(),
-                        path,
-                    );
+                    let o = refined(self.old.of_use(ob).value, ovar.as_deref(), op.as_ref());
+                    let n = refined(self.new.of_use(nb).value, nvar.as_deref(), np.as_ref());
+                    self.diff_constraint(o, n, path);
                 }
             }
-            _ => {
+            (ok, nk) => {
                 self.push(
                     "PD305",
                     path,
-                    format!(
-                        "type shape changed from {} to {}",
-                        kind_name(&ok),
-                        kind_name(&nk)
-                    ),
+                    format!("type shape changed from {} to {}", kind_name(ok), kind_name(nk)),
                 );
             }
         }
     }
 
     fn diff_struct(&mut self, om: &[MemberIr], nm: &[MemberIr], path: &str) {
-        let of: Vec<&FieldIr> = fields(om);
-        let nf: Vec<&FieldIr> = fields(nm);
-        for f in &of {
-            if !nf.iter().any(|g| g.name == f.name) {
-                self.push(
-                    "PD301",
-                    &format!("{path}.{}", f.name),
-                    "field removed: data containing it no longer parses",
-                );
-            }
-        }
-        for f in &nf {
-            if !of.iter().any(|g| g.name == f.name) {
-                if matches!(f.ty, TyUse::Opt(_)) {
-                    self.push(
-                        "PD101",
-                        &format!("{path}.{}", f.name),
-                        "added field is optional (Popt): old data parses unchanged",
-                    );
-                } else {
-                    self.push(
-                        "PD304",
-                        &format!("{path}.{}", f.name),
-                        "required field added: old data lacks it and misparses",
-                    );
-                }
-            }
-        }
-        let common_old: Vec<&str> = of
-            .iter()
-            .filter(|f| nf.iter().any(|g| g.name == f.name))
-            .map(|f| f.name.as_str())
-            .collect();
-        let common_new: Vec<&str> = nf
-            .iter()
-            .filter(|f| of.iter().any(|g| g.name == f.name))
-            .map(|f| f.name.as_str())
-            .collect();
-        if common_old != common_new {
+        let (of, nf) = (fields(om), fields(nm));
+        let fields = Lineup::new(&of, &nf, |f| f.name.as_str());
+        for f in &fields.removed {
             self.push(
-                "PD302",
-                path,
-                format!(
-                    "fields reordered: old order [{}], new order [{}]",
-                    common_old.join(", "),
-                    common_new.join(", ")
-                ),
+                "PD301",
+                &format!("{path}.{}", f.name),
+                "field removed: data containing it no longer parses",
             );
+        }
+        for f in &fields.added {
+            let at = format!("{path}.{}", f.name);
+            if matches!(f.ty, TyUse::Opt(_)) {
+                self.push("PD101", &at, "added field is optional (Popt): old data parses unchanged");
+            } else {
+                self.push("PD304", &at, "required field added: old data lacks it and misparses");
+            }
+        }
+        if let Some((o, n)) = fields.reordered() {
+            self.push("PD302", path, format!("fields reordered: old order [{o}], new order [{n}]"));
             return; // field-by-field comparison is meaningless once reordered
         }
-        for name in common_old {
-            // Both lookups succeed: `name` came from the common set.
-            let (Some(o), Some(n)) =
-                (of.iter().find(|f| f.name == name), nf.iter().find(|f| f.name == name))
-            else {
-                continue;
-            };
-            self.diff_field(o, n, &format!("{path}.{name}"));
+        for (o, n) in fields.kept() {
+            self.diff_field(o, n, &format!("{path}.{}", n.name));
         }
-        let ol: Vec<_> = om.iter().filter(|m| matches!(m, MemberIr::Lit(_))).collect();
-        let nl: Vec<_> = nm.iter().filter(|m| matches!(m, MemberIr::Lit(_))).collect();
-        if ol != nl {
+        let is_lit = |m: &&MemberIr| matches!(m, MemberIr::Lit(_));
+        if !om.iter().filter(is_lit).eq(nm.iter().filter(is_lit)) {
             self.push(
                 "PD306",
                 path,
@@ -356,55 +315,34 @@ impl Differ<'_> {
     }
 
     fn diff_union(&mut self, ob: &[BranchIr], nb: &[BranchIr], path: &str) {
-        for b in ob {
-            if !nb.iter().any(|c| c.field.name == b.field.name) {
-                self.push(
-                    "PD303",
-                    &format!("{path}.{}", b.field.name),
-                    "union arm removed: data matching it no longer parses",
-                );
-            }
+        let arms = Lineup::new(ob, nb, |b| b.field.name.as_str());
+        for b in &arms.removed {
+            self.push(
+                "PD303",
+                &format!("{path}.{}", b.field.name),
+                "union arm removed: data matching it no longer parses",
+            );
         }
-        for b in nb {
-            if !ob.iter().any(|c| c.field.name == b.field.name) {
-                self.push(
-                    "PD103",
-                    &format!("{path}.{}", b.field.name),
-                    "union arm added: the new description accepts more shapes",
-                );
-            }
+        for b in &arms.added {
+            self.push(
+                "PD103",
+                &format!("{path}.{}", b.field.name),
+                "union arm added: the new description accepts more shapes",
+            );
         }
-        let common_old: Vec<&str> = ob
-            .iter()
-            .filter(|b| nb.iter().any(|c| c.field.name == b.field.name))
-            .map(|b| b.field.name.as_str())
-            .collect();
-        let common_new: Vec<&str> = nb
-            .iter()
-            .filter(|b| ob.iter().any(|c| c.field.name == b.field.name))
-            .map(|b| b.field.name.as_str())
-            .collect();
-        if common_old != common_new {
+        if let Some((o, n)) = arms.reordered() {
             self.push(
                 "PD302",
                 path,
                 format!(
-                    "union arms reordered: old order [{}], new order [{}] — arm \
-                     order decides ambiguous inputs",
-                    common_old.join(", "),
-                    common_new.join(", ")
+                    "union arms reordered: old order [{o}], new order [{n}] — arm \
+                     order decides ambiguous inputs"
                 ),
             );
             return;
         }
-        for name in common_old {
-            let (Some(o), Some(n)) = (
-                ob.iter().find(|b| b.field.name == name),
-                nb.iter().find(|b| b.field.name == name),
-            ) else {
-                continue;
-            };
-            let arm_path = format!("{path}.{name}");
+        for (o, n) in arms.kept() {
+            let arm_path = format!("{path}.{}", n.field.name);
             if o.case != n.case {
                 self.push("PD305", &arm_path, "Pcase label changed");
             }
@@ -412,57 +350,23 @@ impl Differ<'_> {
         }
     }
 
-    fn diff_array(&mut self, ok: &TypeKind, nk: &TypeKind, path: &str) {
-        let (
-            TypeKind::Array { elem: oe, sep: osep, term: oterm, ended: oend, size: osz },
-            TypeKind::Array { elem: ne, sep: nsep, term: nterm, ended: nend, size: nsz },
-        ) = (ok, nk)
-        else {
-            return;
-        };
-        self.diff_tyuse(oe, ne, &format!("{path}[]"));
-        if osep != nsep {
-            self.push("PD305", path, "array separator changed");
-        }
-        if oterm != nterm {
-            self.push("PD305", path, "array terminator changed");
-        }
-        if osz != nsz {
-            self.push("PD305", path, "array size expression changed");
-        }
-        if oend != nend {
+    fn diff_enum(&mut self, ov: &[String], nv: &[String], path: &str) {
+        let variants = Lineup::new(ov, nv, |v| v.as_str());
+        for v in &variants.removed {
             self.push(
-                "PD307",
-                path,
-                "Pended predicate changed: the effect on accepted data cannot be proved",
+                "PD303",
+                &format!("{path}.{v}"),
+                "enum variant removed: data matching it no longer parses",
             );
         }
-    }
-
-    fn diff_enum(&mut self, ov: &[String], nv: &[String], path: &str) {
-        for v in ov {
-            if !nv.contains(v) {
-                self.push(
-                    "PD303",
-                    &format!("{path}.{v}"),
-                    "enum variant removed: data matching it no longer parses",
-                );
-            }
+        for v in &variants.added {
+            self.push(
+                "PD103",
+                &format!("{path}.{v}"),
+                "enum variant added: the new description accepts more values",
+            );
         }
-        for v in nv {
-            if !ov.contains(v) {
-                self.push(
-                    "PD103",
-                    &format!("{path}.{v}"),
-                    "enum variant added: the new description accepts more values",
-                );
-            }
-        }
-        let common_old: Vec<&str> =
-            ov.iter().filter(|v| nv.contains(v)).map(String::as_str).collect();
-        let common_new: Vec<&str> =
-            nv.iter().filter(|v| ov.contains(v)).map(String::as_str).collect();
-        if common_old != common_new {
+        if variants.reordered().is_some() {
             self.push(
                 "PD302",
                 path,
@@ -474,15 +378,9 @@ impl Differ<'_> {
     fn diff_field(&mut self, o: &FieldIr, n: &FieldIr, path: &str) {
         self.diff_tyuse(&o.ty, &n.ty, path);
         if o.constraint != n.constraint {
-            self.diff_constraint(
-                self.old_sem.value_of_tyuse(&o.ty),
-                Some(&o.name),
-                o.constraint.as_ref(),
-                self.new_sem.value_of_tyuse(&n.ty),
-                Some(&n.name),
-                n.constraint.as_ref(),
-                path,
-            );
+            let ov = refined(self.old.of_use(&o.ty).value, Some(&o.name), o.constraint.as_ref());
+            let nv = refined(self.new.of_use(&n.ty).value, Some(&n.name), n.constraint.as_ref());
+            self.diff_constraint(ov, nv, path);
         }
     }
 
@@ -533,9 +431,8 @@ impl Differ<'_> {
     /// same byte-width interval and comparable integer value ranges
     /// (e.g. `Puint8` → `Puint16`, both variable-width ASCII).
     fn diff_base(&mut self, o: &TyUse, n: &TyUse, on: &str, nn: &str, path: &str) {
-        let same_width = self.old_sem.width_of_tyuse(o) == self.new_sem.width_of_tyuse(n);
-        let values = (self.old_sem.value_of_tyuse(o), self.new_sem.value_of_tyuse(n));
-        if let (true, (Some(ov), Some(nv))) = (same_width, values) {
+        let (of, nf) = (self.old.of_use(o), self.new.of_use(n));
+        if let (true, Some(ov), Some(nv)) = (of.width == nf.width, of.value, nf.value) {
             if nv == ov {
                 return; // spelled differently, provably the same values
             }
@@ -570,19 +467,10 @@ impl Differ<'_> {
     }
 
     /// Called when the predicates differ syntactically; decides widens /
-    /// narrows / breaks from the refined value intervals.
-    #[allow(clippy::too_many_arguments)]
-    fn diff_constraint(
-        &mut self,
-        ob: Option<ValueInterval>,
-        ovar: Option<&str>,
-        opred: Option<&Expr>,
-        nb: Option<ValueInterval>,
-        nvar: Option<&str>,
-        npred: Option<&Expr>,
-        path: &str,
-    ) {
-        let (Some(ob), Some(nb)) = (ob, nb) else {
+    /// narrows / breaks from the refined value intervals (`None` for a
+    /// non-integer type).
+    fn diff_constraint(&mut self, old: Option<ValueInterval>, new: Option<ValueInterval>, path: &str) {
+        let (Some(oi), Some(ni)) = (old, new) else {
             self.push(
                 "PD307",
                 path,
@@ -591,8 +479,6 @@ impl Differ<'_> {
             );
             return;
         };
-        let oi = opred.map_or(ob, |p| facts::refine_value(ob, ovar, p));
-        let ni = npred.map_or(nb, |p| facts::refine_value(nb, nvar, p));
         // a ⊆ b, treating the empty interval as a subset of everything.
         let subset = |a: ValueInterval, b: ValueInterval| a.is_empty() || b.contains(a);
         if ni.exact && oi == ni {
@@ -621,6 +507,43 @@ impl Differ<'_> {
                 ),
             );
         }
+    }
+}
+
+/// A base value interval under a constraint, if there is one.
+fn refined(base: Option<ValueInterval>, var: Option<&str>, pred: Option<&Expr>) -> Option<ValueInterval> {
+    base.map(|b| pred.map_or(b, |p| refine_value(b, var, p)))
+}
+
+/// Two by-name sequences (struct fields, union arms, enum variants) lined
+/// up: the items only the old side has, the items only the new side has,
+/// and the items both keep, in each side's order.
+struct Lineup<'a, T> {
+    removed: Vec<&'a T>,
+    added: Vec<&'a T>,
+    kept_old: Vec<&'a T>,
+    kept_new: Vec<&'a T>,
+    name: fn(&T) -> &str,
+}
+
+impl<'a, T> Lineup<'a, T> {
+    fn new(old: &'a [T], new: &'a [T], name: fn(&T) -> &str) -> Lineup<'a, T> {
+        let absent = |side: &[T], x: &T| !side.iter().any(|y| name(y) == name(x));
+        let (removed, kept_old) = old.iter().partition(|x| absent(new, x));
+        let (added, kept_new) = new.iter().partition(|x| absent(old, x));
+        Lineup { removed, added, kept_old, kept_new, name }
+    }
+
+    /// The kept names in old and in new order, when the orders differ.
+    fn reordered(&self) -> Option<(String, String)> {
+        let names = |side: &[&'a T]| side.iter().map(|x| (self.name)(x)).collect::<Vec<_>>();
+        let (o, n) = (names(&self.kept_old), names(&self.kept_new));
+        (o != n).then(|| (o.join(", "), n.join(", ")))
+    }
+
+    /// The kept items paired by name (sides in the same order).
+    fn kept(&self) -> impl Iterator<Item = (&'a T, &'a T)> + '_ {
+        self.kept_old.iter().copied().zip(self.kept_new.iter().copied())
     }
 }
 

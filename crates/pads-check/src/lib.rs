@@ -35,6 +35,7 @@
 //! ```
 
 pub mod diff;
+pub mod facts;
 pub mod ir;
 pub mod lint;
 pub mod types;

@@ -5,7 +5,7 @@
 //! operationally suspect* — the mistakes that otherwise only surface at
 //! parse time on real data:
 //!
-//! * **Ambiguity** ([`firstset`]): union arms shadowed by an earlier arm
+//! * **Ambiguity** ([`ambiguity`]): union arms shadowed by an earlier arm
 //!   whose admissible first bytes cover them, `Pswitch` unions with
 //!   duplicate case values or no `Pdefault`, and `Popt` wrappers whose
 //!   inner type always succeeds.
@@ -15,10 +15,12 @@
 //! * **Reachability** ([`reach`]): unreachable union arms, type
 //!   declarations never reached from the source type, unused parameters,
 //!   and constraints that constant-fold to `true`/`false`.
-//! * **Width/value** ([`width`], over the [`facts`] database): union arms
-//!   indistinguishable within any finite lookahead, string terminators
-//!   the following data can never produce, and constraints whose value
-//!   interval is empty over the base type's range.
+//! * **Width/value** ([`width`]): union arms indistinguishable within any
+//!   finite lookahead, string terminators the following data can never
+//!   produce, and constraints whose value interval is empty over the base
+//!   type's range.
+//!
+//! Each pass is a query over one [`FactBase`], computed once per run.
 //!
 //! Every finding is a [`Diagnostic`] with a stable `PLxxx` code, a default
 //! [`Level`], a source span, and a fix hint; [`render`] prints them in
@@ -40,8 +42,7 @@
 //! # Ok::<(), pads_check::CompileError>(())
 //! ```
 
-pub mod facts;
-pub mod firstset;
+pub mod ambiguity;
 pub mod progress;
 pub mod reach;
 pub mod render;
@@ -50,6 +51,7 @@ pub mod width;
 use pads_syntax::ast::{BinOp, Expr, UnOp};
 use pads_syntax::Span;
 
+use crate::facts::FactBase;
 use crate::ir::Schema;
 
 /// Severity a lint fires at.
@@ -192,13 +194,12 @@ impl IntoIterator for Diagnostics {
 
 /// Runs every lint pass over a checked schema.
 pub fn lint_schema(schema: &Schema) -> Diagnostics {
-    let facts = firstset::Facts::compute(schema);
-    let sem = facts::SemFacts::compute(schema, &facts);
+    let facts = FactBase::of(schema);
     let mut diags = Diagnostics::default();
-    firstset::lint_ambiguity(schema, &facts, &mut diags);
-    progress::lint_progress(schema, &facts, &sem, &mut diags);
-    reach::lint_reachability(schema, &facts, &mut diags);
-    width::lint_width(schema, &facts, &sem, &mut diags);
+    ambiguity::lint_ambiguity(&facts, &mut diags);
+    progress::lint_progress(&facts, &mut diags);
+    reach::lint_reachability(&facts, &mut diags);
+    width::lint_width(&facts, &mut diags);
     diags.sort();
     diags
 }

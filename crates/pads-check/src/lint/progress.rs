@@ -10,9 +10,8 @@
 
 use pads_syntax::ast::{BinOp, Expr};
 
-use crate::ir::{Schema, TypeId, TypeKind};
-use crate::lint::facts::SemFacts;
-use crate::lint::firstset::{Facts, Nullability};
+use crate::facts::{FactBase, Nullability};
+use crate::ir::{TypeId, TypeKind};
 use crate::lint::{const_fold, Const, Diagnostics};
 
 /// What the analysis can prove about an unsized array's read loop.
@@ -32,15 +31,14 @@ pub(crate) enum Progress {
 ///
 /// Sized arrays (`[n]` with a size expression) iterate a bounded count and
 /// are always [`Progress::Proven`] for the purpose of loop termination.
-pub(crate) fn array_progress(schema: &Schema, facts: &Facts, id: TypeId) -> Progress {
-    let TypeKind::Array { elem, sep, term, ended, size } = &schema.def(id).kind else {
+pub(crate) fn array_progress(facts: &FactBase<'_>, id: TypeId) -> Progress {
+    let TypeKind::Array { elem, sep, term, ended, size } = &facts.schema().def(id).kind else {
         return Progress::Proven;
     };
     if size.is_some() {
         return Progress::Proven;
     }
-    let ef = facts.of_tyuse(elem);
-    match ef.null {
+    match facts.of_use(elem).null {
         Nullability::NonEmpty => Progress::Proven,
         Nullability::MaybeEmpty | Nullability::Unknown => {
             // A separator forces consumption *between* elements, and any
@@ -60,21 +58,16 @@ pub(crate) fn array_progress(schema: &Schema, facts: &Facts, id: TypeId) -> Prog
 /// (width analysis proves every *successful* element parse consumes at
 /// least one byte, so the zero-width guard only matters on error paths —
 /// the sharpened, note-level form of `PL102`).
-pub(crate) fn lint_progress(
-    schema: &Schema,
-    facts: &Facts,
-    sem: &SemFacts,
-    diags: &mut Diagnostics,
-) {
-    for (id, def) in schema.types.iter().enumerate() {
-        if let TypeKind::Array { elem, ended, .. } = &def.kind {
-            let ef = facts.of_tyuse(elem);
+pub(crate) fn lint_progress(facts: &FactBase<'_>, diags: &mut Diagnostics) {
+    for (id, def) in facts.schema().types.iter().enumerate() {
+        if let TypeKind::Array { elem, .. } = &def.kind {
+            let ef = facts.of_use(elem);
             // Width analysis can prove progress the nullability lattice
             // cannot: a constrained element whose successful matches all
             // consume input (e.g. `Pwhere x != ""` on a terminated
             // string) loops only while the data actually moves.
-            let width_proven = sem.width_of_tyuse(elem).nonzero();
-            let progress = array_progress(schema, facts, id);
+            let width_proven = ef.width.nonzero();
+            let progress = array_progress(facts, id);
             if width_proven && progress != Progress::Proven {
                 diags.push(
                     "PL304",
@@ -131,10 +124,6 @@ pub(crate) fn lint_progress(
                 ),
                 Progress::Guarded => {}
             }
-            // Pended predicates that constant-fold are handled as trivial
-            // constraints (PL204/PL205) by the reachability pass; here we
-            // only look at Pforall-style bounded ranges.
-            let _ = ended;
         }
         // Vacuous Pforall ranges: `Pforall (i Pin [lo..hi] : …)` where the
         // constant bounds are empty. The checker lowers Pforall into the
@@ -189,11 +178,10 @@ mod tests {
 
     fn progress_of(src: &str) -> (Progress, Diagnostics) {
         let schema = crate::compile(src, &Registry::standard()).expect("compiles");
-        let facts = Facts::compute(&schema);
-        let sem = SemFacts::compute(&schema, &facts);
+        let facts = FactBase::of(&schema);
         let mut diags = Diagnostics::default();
-        lint_progress(&schema, &facts, &sem, &mut diags);
-        (array_progress(&schema, &facts, schema.source()), diags)
+        lint_progress(&facts, &mut diags);
+        (array_progress(&facts, schema.source()), diags)
     }
 
     #[test]

@@ -9,32 +9,26 @@ use std::collections::HashSet;
 
 use pads_syntax::ast::Expr;
 
-use crate::ir::{MemberIr, Schema, TypeId, TypeKind, TyUse};
-use crate::lint::firstset::{Facts, Nullability, TypeFacts};
+use crate::facts::FactBase;
+use crate::ir::{MemberIr, Schema, TypeId, TypeKind};
 use crate::lint::{const_fold, Const, Diagnostics};
 
 /// The reachability lints.
-pub(crate) fn lint_reachability(schema: &Schema, facts: &Facts, diags: &mut Diagnostics) {
-    lint_unreachable_arms(schema, facts, diags);
-    lint_unreachable_types(schema, diags);
-    lint_unused_params(schema, diags);
-    lint_trivial_constraints(schema, diags);
-    lint_unconstrained_fields(schema, diags);
+pub(crate) fn lint_reachability(facts: &FactBase<'_>, diags: &mut Diagnostics) {
+    lint_unreachable_arms(facts, diags);
+    lint_unreachable_types(facts, diags);
+    lint_unused_params(facts, diags);
+    lint_trivial_constraints(facts.schema(), diags);
+    lint_unconstrained_fields(facts, diags);
 }
 
-/// Whether a union arm always succeeds: no constraint, can match empty
-/// input, and nothing inside can semantically reject.
-fn arm_always_succeeds(f: TypeFacts, constrained: bool) -> bool {
-    !constrained && f.null == Nullability::MaybeEmpty && !f.may_reject
-}
-
-/// `PL201`: arms after an always-succeeding arm in an ordered union.
-fn lint_unreachable_arms(schema: &Schema, facts: &Facts, diags: &mut Diagnostics) {
-    for def in &schema.types {
+/// `PL201`: arms after an always-succeeding arm (no constraint, can match
+/// empty input, nothing inside can reject) in an ordered union.
+fn lint_unreachable_arms(facts: &FactBase<'_>, diags: &mut Diagnostics) {
+    for def in &facts.schema().types {
         let TypeKind::Union { switch: None, branches } = &def.kind else { continue };
-        let Some(catch_all) = branches.iter().position(|b| {
-            arm_always_succeeds(facts.of_tyuse(&b.field.ty), b.field.constraint.is_some())
-        }) else {
+        let Some(catch_all) = branches.iter().position(|b| facts.of_branch(b).always_succeeds())
+        else {
             continue;
         };
         for dead in &branches[catch_all + 1..] {
@@ -57,76 +51,15 @@ fn lint_unreachable_arms(schema: &Schema, facts: &Facts, diags: &mut Diagnostics
     }
 }
 
-/// Type ids referenced by a type use, innermost included.
-fn tyuse_refs(ty: &TyUse, out: &mut Vec<TypeId>, exprs: &mut Vec<Expr>) {
-    match ty {
-        TyUse::Base { args, .. } => exprs.extend(args.iter().cloned()),
-        TyUse::Named { id, args } => {
-            out.push(*id);
-            exprs.extend(args.iter().cloned());
-        }
-        TyUse::Opt(inner) => tyuse_refs(inner, out, exprs),
-    }
-}
-
-/// Direct type references and the expressions of a definition body.
-fn def_refs(schema: &Schema, id: TypeId) -> (Vec<TypeId>, Vec<Expr>) {
-    let def = schema.def(id);
-    let mut ids = Vec::new();
-    let mut exprs = Vec::new();
-    match &def.kind {
-        TypeKind::Struct { members } => {
-            for m in members {
-                if let MemberIr::Field(f) = m {
-                    tyuse_refs(&f.ty, &mut ids, &mut exprs);
-                    exprs.extend(f.constraint.iter().cloned());
-                }
-            }
-        }
-        TypeKind::Union { switch, branches } => {
-            exprs.extend(switch.iter().cloned());
-            for b in branches {
-                tyuse_refs(&b.field.ty, &mut ids, &mut exprs);
-                exprs.extend(b.field.constraint.iter().cloned());
-                if let Some(pads_syntax::ast::CaseLabel::Expr(e)) = &b.case {
-                    exprs.push(e.clone());
-                }
-            }
-        }
-        TypeKind::Array { elem, size, ended, .. } => {
-            tyuse_refs(elem, &mut ids, &mut exprs);
-            exprs.extend(size.iter().cloned());
-            exprs.extend(ended.iter().cloned());
-        }
-        TypeKind::Enum { .. } => {}
-        TypeKind::Typedef { base, pred, .. } => {
-            tyuse_refs(base, &mut ids, &mut exprs);
-            exprs.extend(pred.iter().cloned());
-        }
-    }
-    exprs.extend(def.where_clause.iter().cloned());
-    // Enum variants are global names: a constraint mentioning one keeps
-    // its enum alive even without a field of that type.
-    for e in &exprs {
-        for name in e.free_idents() {
-            if let Some((enum_id, _)) = schema.enum_variants.get(name) {
-                ids.push(*enum_id);
-            }
-        }
-    }
-    (ids, exprs)
-}
-
 /// `PL202`: declarations not reachable from the `Psource` type.
-fn lint_unreachable_types(schema: &Schema, diags: &mut Diagnostics) {
+fn lint_unreachable_types(facts: &FactBase<'_>, diags: &mut Diagnostics) {
+    let schema = facts.schema();
     let mut reachable: HashSet<TypeId> = HashSet::new();
     let mut stack = vec![schema.source()];
     while let Some(id) = stack.pop() {
-        if !reachable.insert(id) {
-            continue;
+        if reachable.insert(id) {
+            stack.extend(&facts.of_type(id).refs);
         }
-        let (ids, _) = def_refs(schema, id);
-        stack.extend(ids);
     }
     for (id, def) in schema.types.iter().enumerate() {
         if !reachable.contains(&id) {
@@ -145,23 +78,16 @@ fn lint_unreachable_types(schema: &Schema, diags: &mut Diagnostics) {
 }
 
 /// `PL203`: declaration parameters no expression reads.
-fn lint_unused_params(schema: &Schema, diags: &mut Diagnostics) {
-    for (id, def) in schema.types.iter().enumerate() {
-        if def.params.is_empty() {
-            continue;
-        }
-        let (_, exprs) = def_refs(schema, id);
-        let used: HashSet<&str> =
-            exprs.iter().flat_map(Expr::free_idents).collect();
-        for p in &def.params {
-            if !used.contains(p.name.as_str()) {
-                diags.push(
-                    "PL203",
-                    def.span,
-                    format!("parameter `{}` of `{}` is never used", p.name, def.name),
-                    Some("remove the parameter (and the argument at every use site)".to_owned()),
-                );
-            }
+fn lint_unused_params(facts: &FactBase<'_>, diags: &mut Diagnostics) {
+    for (id, def) in facts.schema().types.iter().enumerate() {
+        let used = &facts.of_type(id).idents;
+        for p in def.params.iter().filter(|p| !used.contains(&p.name.as_str())) {
+            diags.push(
+                "PL203",
+                def.span,
+                format!("parameter `{}` of `{}` is never used", p.name, def.name),
+                Some("remove the parameter (and the argument at every use site)".to_owned()),
+            );
         }
     }
 }
@@ -223,21 +149,17 @@ fn lint_trivial_constraints(schema: &Schema, diags: &mut Diagnostics) {
 }
 
 /// `PL206` (allow-level): struct fields no constraint anywhere mentions.
-fn lint_unconstrained_fields(schema: &Schema, diags: &mut Diagnostics) {
+fn lint_unconstrained_fields(facts: &FactBase<'_>, diags: &mut Diagnostics) {
     // Any expression in the schema may reference a field by name (scoping
     // rules keep this sound enough for an allow-level note).
-    let mut mentioned: HashSet<String> = HashSet::new();
-    for id in 0..schema.types.len() {
-        let (_, exprs) = def_refs(schema, id);
-        for e in &exprs {
-            mentioned.extend(e.free_idents().into_iter().map(str::to_owned));
-        }
-    }
+    let schema = facts.schema();
+    let mentioned: HashSet<&str> =
+        (0..schema.types.len()).flat_map(|id| facts.of_type(id).idents.iter().copied()).collect();
     for def in &schema.types {
         let TypeKind::Struct { members } = &def.kind else { continue };
         for m in members {
             let MemberIr::Field(f) = m else { continue };
-            if f.constraint.is_none() && !mentioned.contains(&f.name) {
+            if f.constraint.is_none() && !mentioned.contains(f.name.as_str()) {
                 diags.push(
                     "PL206",
                     f.span,
@@ -260,9 +182,8 @@ mod tests {
 
     fn reach_lints(src: &str) -> Vec<(String, Level)> {
         let schema = crate::compile(src, &Registry::standard()).expect("compiles");
-        let facts = Facts::compute(&schema);
         let mut diags = Diagnostics::default();
-        lint_reachability(&schema, &facts, &mut diags);
+        lint_reachability(&FactBase::of(&schema), &mut diags);
         diags.iter().map(|d| (d.code.to_owned(), d.level)).collect()
     }
 
@@ -314,9 +235,8 @@ mod tests {
     fn unconstrained_field_note_is_allow_level() {
         let schema =
             crate::compile("Pstruct t { Puint8 a; };", &Registry::standard()).expect("compiles");
-        let facts = Facts::compute(&schema);
         let mut diags = Diagnostics::default();
-        lint_reachability(&schema, &facts, &mut diags);
+        lint_reachability(&FactBase::of(&schema), &mut diags);
         // Not in the default iteration…
         assert_eq!(diags.iter().count(), 0);
         // …but present for explicit consumers.

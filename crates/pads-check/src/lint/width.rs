@@ -1,8 +1,8 @@
-//! Width/value lints over the semantic fact database (`PL301`–`PL303`).
+//! Width/value lints over the fact base (`PL301`–`PL303`).
 //!
-//! These consume [`super::facts::SemFacts`] — byte-width intervals, value
-//! ranges, and follow sets — and flag problems the purely syntactic
-//! passes cannot see:
+//! These query the byte-width intervals, value ranges and follow sets of
+//! [`crate::facts`] and flag problems the purely syntactic passes cannot
+//! see:
 //!
 //! * **PL301** — ordered union arms that overlap on their admissible
 //!   first bytes while *both* have unbounded width: no finite lookahead
@@ -19,52 +19,35 @@
 //! [`super::progress`], next to the `PL101`/`PL102` logic it refines.
 
 use pads_syntax::ast::Expr;
+use pads_syntax::Span;
 
-use crate::ir::{MemberIr, Schema, TypeKind, TyUse};
-use crate::lint::facts::{self, SemFacts, ValueInterval};
-use crate::lint::firstset::{ByteSet, Facts, Nullability, TypeFacts};
+use crate::facts::{refine_value, ByteSet, FactBase, Facts, ValueInterval};
+use crate::ir::{BranchIr, MemberIr, TypeId, TypeKind, TyUse};
+use crate::lint::ambiguity::shadows;
 use crate::lint::Diagnostics;
 
 /// The width/value lints: `PL301`–`PL303`.
-pub(crate) fn lint_width(
-    schema: &Schema,
-    firsts: &Facts,
-    sem: &SemFacts,
-    diags: &mut Diagnostics,
-) {
-    for (id, def) in schema.types.iter().enumerate() {
+pub(crate) fn lint_width(facts: &FactBase<'_>, diags: &mut Diagnostics) {
+    for (id, def) in facts.schema().types.iter().enumerate() {
         match &def.kind {
             TypeKind::Union { switch: None, branches } => {
-                lint_unbounded_overlap(schema, firsts, sem, &def.name, branches, diags);
+                lint_unbounded_overlap(facts, &def.name, branches, diags);
             }
             TypeKind::Struct { members } => {
-                lint_uncapturable_terminator(schema, firsts, sem, id, members, diags);
+                lint_uncapturable_terminator(facts, id, members, diags);
                 for m in members {
-                    if let MemberIr::Field(f) = m {
-                        if let Some(c) = &f.constraint {
-                            lint_unsat_constraint(
-                                sem,
-                                sem.value_of_tyuse(&f.ty),
-                                Some(&f.name),
-                                c,
-                                f.span,
-                                &format!("field `{}`", f.name),
-                                diags,
-                            );
-                        }
+                    let MemberIr::Field(f) = m else { continue };
+                    if let Some(c) = &f.constraint {
+                        let owner = format!("field `{}`", f.name);
+                        let base = facts.of_use(&f.ty).value;
+                        lint_unsat_constraint(base, Some(&f.name), c, f.span, &owner, diags);
                     }
                 }
             }
             TypeKind::Typedef { base, var, pred: Some(p) } => {
-                lint_unsat_constraint(
-                    sem,
-                    sem.value_of_tyuse(base),
-                    var.as_deref(),
-                    p,
-                    def.span,
-                    &format!("typedef `{}`", def.name),
-                    diags,
-                );
+                let owner = format!("typedef `{}`", def.name);
+                let base = facts.of_use(base).value;
+                lint_unsat_constraint(base, var.as_deref(), p, def.span, &owner, diags);
             }
             _ => {}
         }
@@ -75,77 +58,48 @@ pub(crate) fn lint_width(
 /// unbounded. Pairs already covered by `PL001` (first-set shadowing) or
 /// `PL201` (always-succeeding earlier arm) are skipped.
 fn lint_unbounded_overlap(
-    schema: &Schema,
-    firsts: &Facts,
-    sem: &SemFacts,
+    facts: &FactBase<'_>,
     union_name: &str,
-    branches: &[crate::ir::BranchIr],
+    branches: &[BranchIr],
     diags: &mut Diagnostics,
 ) {
-    let _ = schema;
-    let bf: Vec<TypeFacts> = branches
-        .iter()
-        .map(|b| {
-            let mut f = firsts.of_tyuse(&b.field.ty);
-            if b.field.constraint.is_some() {
-                f.may_reject = true;
-                f.precise = false;
-            }
-            f
-        })
-        .collect();
-    for (i, (bi, fi)) in branches.iter().zip(&bf).enumerate() {
-        // An always-succeeding earlier arm is PL201's finding.
-        if fi.null == Nullability::MaybeEmpty && !fi.may_reject {
+    let arms: Vec<(&BranchIr, Facts)> = branches.iter().map(|b| (b, facts.of_branch(b))).collect();
+    for (i, &(bi, fi)) in arms.iter().enumerate() {
+        if fi.always_succeeds() || fi.width.max.is_some() {
             continue;
         }
-        let wi = sem.width_of_tyuse(&bi.field.ty);
-        if wi.max.is_some() {
+        // Opaque ALL-byte sets would fire on everything; require real
+        // first-byte evidence of the overlap.
+        let overlaps = |fj: Facts| {
+            fj.width.max.is_none()
+                && fi.first != ByteSet::ALL
+                && fj.first != ByteSet::ALL
+                && fi.first.intersects(fj.first)
+                && !shadows(fi, fj)
+        };
+        // One report per earlier arm is enough.
+        let Some(&(bj, fj)) = arms[i + 1..].iter().find(|(_, fj)| overlaps(*fj)) else {
             continue;
-        }
-        for (bj, fj) in branches.iter().zip(&bf).skip(i + 1) {
-            let wj = sem.width_of_tyuse(&bj.field.ty);
-            if wj.max.is_some() {
-                continue;
-            }
-            // Opaque ALL-byte sets would fire on everything; require real
-            // first-byte evidence of the overlap.
-            if fi.first == ByteSet::ALL || fj.first == ByteSet::ALL {
-                continue;
-            }
-            if !fi.first.intersects(fj.first) {
-                continue;
-            }
-            // First-byte shadowing is PL001's finding.
-            let shadowed = bi.field.constraint.is_none()
-                && fi.precise
-                && fi.null == Nullability::NonEmpty
-                && !fj.first.is_empty()
-                && fj.first.is_subset(fi.first);
-            if shadowed {
-                continue;
-            }
-            diags.push(
-                "PL301",
-                bj.field.span,
-                format!(
-                    "arms `{}` and `{}` of union `{union_name}` are indistinguishable \
-                     within any finite lookahead: their first bytes overlap and both \
-                     widths are unbounded ({} vs {})",
-                    bi.field.name,
-                    bj.field.name,
-                    wi.describe(),
-                    wj.describe(),
-                ),
-                Some(format!(
-                    "arm order silently decides every overlapping input; bound one arm's \
-                     width, or add a constraint or leading literal that separates \
-                     `{}` from `{}`",
-                    bi.field.name, bj.field.name
-                )),
-            );
-            break; // one report per later arm is enough
-        }
+        };
+        diags.push(
+            "PL301",
+            bj.field.span,
+            format!(
+                "arms `{}` and `{}` of union `{union_name}` are indistinguishable \
+                 within any finite lookahead: their first bytes overlap and both \
+                 widths are unbounded ({} vs {})",
+                bi.field.name,
+                bj.field.name,
+                fi.width.describe(),
+                fj.width.describe(),
+            ),
+            Some(format!(
+                "arm order silently decides every overlapping input; bound one arm's \
+                 width, or add a constraint or leading literal that separates \
+                 `{}` from `{}`",
+                bi.field.name, bj.field.name
+            )),
+        );
     }
 }
 
@@ -153,23 +107,18 @@ fn lint_unbounded_overlap(
 /// (precise) set of bytes that can follow the field — the scan runs past
 /// the intended field boundary.
 fn lint_uncapturable_terminator(
-    schema: &Schema,
-    firsts: &Facts,
-    sem: &SemFacts,
-    id: crate::ir::TypeId,
+    facts: &FactBase<'_>,
+    id: TypeId,
     members: &[MemberIr],
     diags: &mut Diagnostics,
 ) {
     for (i, m) in members.iter().enumerate() {
         let MemberIr::Field(f) = m else { continue };
         let Some(term) = string_terminator(&f.ty) else { continue };
-        let fol = facts::follow_after(schema, firsts, &members[i + 1..], sem.follow_of(id));
+        let fol = facts.follow_after(&members[i + 1..], facts.of_type(id).follow);
         // A field that can legally sit at a record/source boundary scans
         // to the boundary instead — idiomatic for trailing fields.
-        if !fol.precise || fol.at_end || fol.set.is_empty() {
-            continue;
-        }
-        if fol.set.contains(term) {
+        if !fol.precise || fol.at_end || fol.set.is_empty() || fol.set.contains(term) {
             continue;
         }
         diags.push(
@@ -208,23 +157,17 @@ fn string_terminator(ty: &TyUse) -> Option<u8> {
 /// range. Refinement only intersects with recognised conjuncts, so an
 /// empty result is a sound unsatisfiability proof even when other
 /// conjuncts were not understood.
-#[allow(clippy::too_many_arguments)]
 fn lint_unsat_constraint(
-    _sem: &SemFacts,
     base: Option<ValueInterval>,
     var: Option<&str>,
     pred: &Expr,
-    span: pads_syntax::Span,
+    span: Span,
     owner: &str,
     diags: &mut Diagnostics,
 ) {
-    let Some(base) = base else { return };
     // An already-empty base interval was flagged at its own declaration.
-    if base.is_empty() {
-        return;
-    }
-    let refined = facts::refine_value(base, var, pred);
-    if !refined.is_empty() {
+    let Some(base) = base.filter(|b| !b.is_empty()) else { return };
+    if !refine_value(base, var, pred).is_empty() {
         return;
     }
     diags.push(
@@ -242,15 +185,12 @@ fn lint_unsat_constraint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lint::facts::SemFacts;
     use pads_runtime::Registry;
 
     fn lint(src: &str) -> Vec<&'static str> {
         let schema = crate::compile(src, &Registry::standard()).expect("compiles");
-        let firsts = Facts::compute(&schema);
-        let sem = SemFacts::compute(&schema, &firsts);
         let mut diags = Diagnostics::default();
-        lint_width(&schema, &firsts, &sem, &mut diags);
+        lint_width(&FactBase::of(&schema), &mut diags);
         diags.into_iter().map(|d| d.code).collect()
     }
 

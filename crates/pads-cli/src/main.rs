@@ -983,16 +983,18 @@ fn run(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
                     return Ok(ExitCode::FAILURE);
                 }
             };
-            let (schema, diags) = pads_check::compile_with_lints(&src, &registry)
+            let schema = pads_check::compile(&src, &registry)
                 .map_err(|e| compile_err(path, &src, &e))?;
-            // `--lint-format=json` without `--lint` still runs the lints
-            // (at the default deny threshold for the exit status).
+            // The lints run only when asked for; `--lint-format=json`
+            // without `--lint` runs them at the default deny threshold
+            // (for the exit status).
             let threshold = match (o.lint, o.lint_format) {
                 (Some(t), _) => Some(t),
                 (None, LintFormat::Json) => Some(lint::Level::Deny),
                 (None, LintFormat::Text) => None,
             };
             if let Some(threshold) = threshold {
+                let diags = lint::lint_schema(&schema);
                 match o.lint_format {
                     // Render at the *chosen* threshold, so `--lint=allow`
                     // reveals the Allow-level notes (PL206, PL304, …).

@@ -20,7 +20,7 @@
 //! - `generated`, `reader`, `drive`: a generated module's whole-source
 //!   verdict, its record reader, and that reader under `par::drive`;
 //!
-//! and the facts — byte accounting, `has_syntax_error`, `SemFacts` widths —
+//! and the facts — byte accounting, `has_syntax_error`, the fact base's widths —
 //! hold of every truth.
 //!
 //! A `#[test]` is a **cell**: the rows of some columns (a [`Plan`]) over
@@ -53,8 +53,7 @@ use pads::{
     ParseState, PdKind, Progress, RecordBatch, RecordSink, RecoveryPolicy, Registry, ResumePoint,
     Schema, SourceEnd, SourceFold, SourceJob, SourceShape, SourceSummary, Value, Writer,
 };
-use pads_check::lint::facts::{SemFacts, WidthInterval};
-use pads_check::lint::firstset::Facts;
+use pads_check::facts::{FactBase, WidthInterval};
 use pads_runtime::genrt::CursorRecords;
 use pads_runtime::metrics::TraceNode;
 use pads_runtime::par::{self, Job, RecordReader};
@@ -97,10 +96,12 @@ impl<'a> Description<'a> {
 
     /// Any source read as headerless `record`s: no whole-tree columns.
     pub fn records(schema: &'a Schema, registry: &'a Registry, record: &'a str) -> Description<'a> {
-        let firsts = Facts::compute(schema);
-        let sem = SemFacts::compute(schema, &firsts);
-        let widths = (0..schema.types.len())
-            .map(|id| (schema.def(id).name.clone(), (sem.width_of(id), schema.def(id).is_record)))
+        let facts = FactBase::of(schema);
+        let widths = schema
+            .types
+            .iter()
+            .enumerate()
+            .map(|(id, def)| (def.name.clone(), (facts.of_type(id).facts.width, def.is_record)))
             .collect();
         Description {
             schema,
@@ -704,7 +705,7 @@ impl Truth {
     /// the budgets of the runs they heard; the records' extents tile the
     /// source, each panic skip inside its record; `has_syntax_error` is the
     /// errors walk at every descriptor node; and every clean span consumed
-    /// a width inside its type's `SemFacts` interval.
+    /// a width inside its type's fact-base width interval.
     pub fn facts(&self, case: &Case<'_>) {
         let at = self.label("facts");
         let events = Tally::of_trace(self.traced());
