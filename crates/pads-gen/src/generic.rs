@@ -412,7 +412,7 @@ impl<'s> Generator<'s> {
                     tz_minutes: -420,
                     style: pads_runtime::date::DateStyle::Clf,
                 };
-                out.extend_from_slice(d.to_original().as_bytes());
+                pads_runtime::render::date(out, &d);
             }
             "Pvoid" => {}
             "Pbits" => {

@@ -35,7 +35,7 @@ pub struct PDate {
     pub style: DateStyle,
 }
 
-const MONTHS: [&str; 12] =
+pub(crate) const MONTHS: [&str; 12] =
     ["Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"];
 
 /// Days since the epoch for a civil date (proleptic Gregorian).
@@ -105,43 +105,12 @@ impl PDate {
             .or_else(|| parse_epoch(text))
     }
 
-    /// Renders the date in its original on-disk style.
+    /// Renders the date in its original on-disk style
+    /// ([`render::date`](crate::render::date)).
     pub fn to_original(&self) -> String {
-        match self.style {
-            DateStyle::Clf => {
-                let local = civil_from_epoch(self.epoch + self.tz_minutes as i64 * 60);
-                let sign = if self.tz_minutes < 0 { '-' } else { '+' };
-                let abs = self.tz_minutes.unsigned_abs();
-                format!(
-                    "{:02}/{}/{:04}:{:02}:{:02}:{:02} {}{:02}{:02}",
-                    local.day,
-                    MONTHS[(local.month - 1) as usize],
-                    local.year,
-                    local.hour,
-                    local.minute,
-                    local.second,
-                    sign,
-                    abs / 60,
-                    abs % 60
-                )
-            }
-            DateStyle::IsoDateTime => {
-                let c = civil_from_epoch(self.epoch);
-                format!(
-                    "{:04}-{:02}-{:02}T{:02}:{:02}:{:02}",
-                    c.year, c.month, c.day, c.hour, c.minute, c.second
-                )
-            }
-            DateStyle::IsoDate => {
-                let c = civil_from_epoch(self.epoch);
-                format!("{:04}-{:02}-{:02}", c.year, c.month, c.day)
-            }
-            DateStyle::UsSlash => {
-                let c = civil_from_epoch(self.epoch);
-                format!("{:02}/{:02}/{:04}", c.month, c.day, c.year)
-            }
-            DateStyle::Epoch => self.epoch.to_string(),
-        }
+        let mut out = Vec::new();
+        crate::render::date(&mut out, self);
+        String::from_utf8(out).unwrap_or_default()
     }
 
     /// Formats the date (in UTC) with a strftime-like format string.
@@ -199,7 +168,7 @@ impl Default for PDate {
 impl std::fmt::Display for PDate {
     /// Displays the date in its original on-disk style.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_original())
+        crate::render::display(f, |out| crate::render::date(out, self))
     }
 }
 

@@ -11,6 +11,8 @@
 //! * [`encoding`] — ambient codings: ASCII, EBCDIC (cp037), byte orders;
 //! * [`date`] — civil-time conversion and the `Pdate` styles;
 //! * [`prim`] — primitive values produced by base types;
+//! * [`render`] — their text forms, appended to a byte buffer (every
+//!   printed value, `Display` included, comes from there);
 //! * [`io`] — the record-disciplined input [`io::Cursor`];
 //! * [`base`] — the user-extensible base type [`base::Registry`]
 //!   with the full built-in families (`Pint*`/`Puint*` in ASCII, EBCDIC and
@@ -66,6 +68,7 @@ pub mod par;
 pub mod pd;
 pub mod prim;
 pub mod recovery;
+pub mod render;
 pub mod scan;
 pub mod summary;
 

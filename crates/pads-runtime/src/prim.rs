@@ -140,24 +140,9 @@ impl Prim {
 }
 
 impl std::fmt::Display for Prim {
+    /// The text [`render::prim`](crate::render::prim) appends.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Prim::Unit => f.write_str(""),
-            Prim::Bool(b) => write!(f, "{b}"),
-            Prim::Char(c) => write!(f, "{}", *c as char),
-            Prim::Int(v) => write!(f, "{v}"),
-            Prim::Uint(v) => write!(f, "{v}"),
-            Prim::Float(v) => write!(f, "{v}"),
-            Prim::String(s) => f.write_str(s),
-            Prim::Bytes(b) => {
-                for byte in b {
-                    write!(f, "\\x{byte:02x}")?;
-                }
-                Ok(())
-            }
-            Prim::Ip(o) => write!(f, "{}.{}.{}.{}", o[0], o[1], o[2], o[3]),
-            Prim::Date(d) => write!(f, "{d}"),
-        }
+        crate::render::display(f, |out| crate::render::prim(out, self))
     }
 }
 
