@@ -25,13 +25,13 @@ pub fn push_value(arena: &mut ValueArena<'_>, v: &Value, names: &mut NameTable) 
         Value::Struct { fields } => {
             let pairs: Vec<(NameId, AVal)> = fields
                 .iter()
-                .map(|(n, v)| (names.intern(n.clone()), push_value(arena, v, names)))
+                .map(|(n, v)| (names.intern(*n), push_value(arena, v, names)))
                 .collect();
             arena.strct(&pairs)
         }
         Value::Union { branch, index, value } => {
             let inner = push_value(arena, value, names);
-            let name = names.intern(branch.clone());
+            let name = names.intern(*branch);
             arena.union(name, *index, inner)
         }
         Value::Array(elts) => {
@@ -39,7 +39,7 @@ pub fn push_value(arena: &mut ValueArena<'_>, v: &Value, names: &mut NameTable) 
             arena.array(&kids)
         }
         Value::Enum { variant, index } => {
-            let name = names.intern(variant.clone());
+            let name = names.intern(*variant);
             arena.enumv(name, *index)
         }
         Value::Opt(None) => arena.opt_none(),
@@ -59,14 +59,14 @@ pub fn to_value(r: AValRef<'_, '_>, names: &NameTable) -> Value {
         AShape::Struct(_) => Value::Struct {
             fields: r
                 .fields()
-                .map(|(n, v)| (names.name(n).clone(), to_value(v, names)))
+                .map(|(n, v)| (*names.name(n), to_value(v, names)))
                 .collect(),
         },
         AShape::Union => {
             // Shape guarantees the branch exists; the fallback never runs.
             match r.branch() {
                 Some((name, index, value)) => Value::Union {
-                    branch: names.name(name).clone(),
+                    branch: *names.name(name),
                     index,
                     value: Box::new(to_value(value, names)),
                 },
@@ -77,7 +77,7 @@ pub fn to_value(r: AValRef<'_, '_>, names: &NameTable) -> Value {
             Value::Array((0..n).filter_map(|i| r.index(i)).map(|e| to_value(e, names)).collect())
         }
         AShape::Enum => match r.variant() {
-            Some((name, index)) => Value::Enum { variant: names.name(name).clone(), index },
+            Some((name, index)) => Value::Enum { variant: *names.name(name), index },
             None => Value::Prim(pads_runtime::Prim::Unit),
         },
         AShape::Opt(false) => Value::Opt(None),

@@ -10,8 +10,8 @@ use pads_runtime::{Name, Prim};
 /// A parsed value.
 ///
 /// Structure names are interned [`Name`]s: carrying a field, branch, or
-/// variant name costs a refcount bump (interpreter) or a pointer copy
-/// (generated parsers), never a per-record heap `String`.
+/// variant name costs a pointer copy in every engine, never a per-record
+/// heap `String` or refcount.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// A base-type value.

@@ -12,6 +12,7 @@ use pads_runtime::{ErrorCode, Name, Prim};
 use pads_syntax::ast::Expr;
 
 use crate::eval::{self, Env, Ev};
+use crate::parse::{intern_names, TypeNames};
 use crate::value::Value;
 
 /// A constraint violation found by [`Verifier::verify_named`].
@@ -32,12 +33,14 @@ impl std::fmt::Display for Violation {
 /// Re-checks semantic constraints on in-memory values.
 pub struct Verifier<'s> {
     schema: &'s Schema,
+    /// The schema's names, interned once (as the parser keeps them).
+    names: Vec<TypeNames>,
 }
 
 impl<'s> Verifier<'s> {
     /// Creates a verifier for `schema`.
     pub fn new(schema: &'s Schema) -> Verifier<'s> {
-        Verifier { schema }
+        Verifier { schema, names: intern_names(schema) }
     }
 
     /// Verifies `value` against the named type. Returns every violation
@@ -69,12 +72,9 @@ impl<'s> Verifier<'s> {
         out: &mut Vec<Violation>,
     ) {
         let def = self.schema.def(id);
-        let params: Vec<(Name, Value)> = def
-            .params
-            .iter()
-            .zip(args)
-            .map(|(p, a)| (Name::shared(&p.name), Value::Prim(a.clone())))
-            .collect();
+        let names = &self.names[id];
+        let params: Vec<(Name, Value)> =
+            names.params.iter().zip(args).map(|(n, a)| (*n, Value::Prim(a.clone()))).collect();
         match (&def.kind, value) {
             (TypeKind::Struct { members }, Value::Struct { fields }) => {
                 for m in members {
@@ -100,7 +100,7 @@ impl<'s> Verifier<'s> {
                     out.push(Violation { path: path.to_owned(), code: ErrorCode::EvalError });
                     return;
                 };
-                let bound = [(branch.clone(), (**inner).clone())];
+                let bound = [(*branch, (**inner).clone())];
                 if let Some(c) = &b.field.constraint {
                     self.check(c, &params, &bound, &join(path, branch), out);
                 }
@@ -130,9 +130,9 @@ impl<'s> Verifier<'s> {
                     out.push(Violation { path: path.to_owned(), code: ErrorCode::EnumNoMatch });
                 }
             }
-            (TypeKind::Typedef { base, var, pred }, v) => {
-                if let (Some(name), Some(p)) = (var, pred) {
-                    let bound = [(Name::shared(name), v.clone())];
+            (TypeKind::Typedef { base, pred, .. }, v) => {
+                if let (Some(name), Some(p)) = (names.items.first(), pred) {
+                    let bound = [(*name, v.clone())];
                     self.check(p, &params, &bound, path, out);
                 }
                 self.verify_tyuse(base, &params, &[], v, path, out);

@@ -14,7 +14,7 @@ use pads_runtime::{Charset, Endian, ErrorCode, Name, Prim, RecordDiscipline, Reg
 use pads_syntax::ast::{Expr, Literal};
 
 use crate::eval::{self, Env, Ev};
-use crate::parse::ParseOptions;
+use crate::parse::{intern_names, ParseOptions, TypeNames};
 use crate::value::Value;
 
 /// Writes parsed values back to bytes.
@@ -22,12 +22,14 @@ pub struct Writer<'s> {
     schema: &'s Schema,
     registry: &'s Registry,
     options: ParseOptions,
+    /// The schema's names, interned once (as the parser keeps them).
+    names: Vec<TypeNames>,
 }
 
 impl<'s> Writer<'s> {
     /// Creates a writer with default options.
     pub fn new(schema: &'s Schema, registry: &'s Registry) -> Writer<'s> {
-        Writer { schema, registry, options: ParseOptions::default() }
+        Writer { schema, registry, options: ParseOptions::default(), names: intern_names(schema) }
     }
 
     /// Sets cursor options (must match the parse).
@@ -82,11 +84,11 @@ impl<'s> Writer<'s> {
         value: &Value,
     ) -> Result<(), ErrorCode> {
         let def = self.schema.def(id);
-        let params: Vec<(Name, Value)> = def
+        let params: Vec<(Name, Value)> = self.names[id]
             .params
             .iter()
             .zip(args)
-            .map(|(p, a)| (Name::shared(&p.name), Value::Prim(a.clone())))
+            .map(|(n, a)| (*n, Value::Prim(a.clone())))
             .collect();
         if def.is_record {
             let mut body = Vec::new();
