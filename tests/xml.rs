@@ -65,6 +65,26 @@ fn buggy_sirius_value_embeds_parse_descriptors() {
     assert!(xml.contains("<state>A</state>"));
 }
 
+/// A `Penum` that matched no variant keeps its error: line 4 of the CLF
+/// torture corpus (`"BREW /a …"`) renders its method as the default
+/// variant under `<val>`, next to a `<pd>` carrying `EnumNoMatch`.
+#[test]
+fn bad_enum_embeds_its_parse_descriptor() {
+    let schema = descriptions::clf();
+    let registry = Registry::standard();
+    let parser = PadsParser::new(&schema, &registry);
+    let corpus = String::from_utf8_lossy(include_bytes!("data/torture_clf.log"));
+    let line = format!("{}\n", corpus.lines().nth(3).expect("line 4"));
+    assert!(line.contains("\"BREW /a "), "{line}");
+    let (v, pd) = parser.parse_source(line.as_bytes(), &Mask::all(BaseMask::CheckAndSet));
+    assert!(pd.errors().iter().any(|(_, code, _)| *code == pads::ErrorCode::EnumNoMatch));
+    let xml = value_to_xml(&v, Some(&pd), "clt_t", 0);
+    let meth = xml.find("<meth>").map(|at| &xml[at..]).expect("a <meth> node");
+    let meth = &meth[..meth.find("</meth>").expect("closed") + "</meth>".len()];
+    assert!(meth.contains("<val>GET</val>"), "{meth}");
+    assert!(meth.contains("<errCode>EnumNoMatch</errCode>"), "{meth}");
+}
+
 #[test]
 fn clf_xsd_uses_choice_for_unions_and_enumeration_for_enums() {
     let xsd = schema_to_xsd(&descriptions::clf());
