@@ -99,3 +99,42 @@ fn ignore_mask_still_consumes_input() {
     assert!(pd.is_ok());
     assert_eq!(v.at_path("[1].b").and_then(pads::Value::as_u64), Some(4));
 }
+
+/// Under `Check`, constraints see the value that was parsed, on every
+/// engine: only `Ignore` leaves a base value at its default. A clean CLF
+/// record has no error (its `response` is not checked as `0`), and the
+/// Sirius corpus's 10 sort violations are all found — by the interpreter,
+/// the VM and the generated module alike.
+#[test]
+fn check_mask_gives_one_descriptor_on_every_engine() {
+    use pads::generated::{clf as gen_clf, sirius as gen_sirius};
+    use pads::{Cursor, Engine, ParseDesc, ParseOptions, Schema};
+
+    let registry = Registry::standard();
+    let mask = Mask::all(BaseMask::Check);
+    let verdict = |pd: &ParseDesc| (pd.state, pd.nerr, pd.errors());
+    let engines = |schema: &Schema, data: &[u8]| {
+        [Engine::Interp, Engine::Vm].map(|engine| {
+            let parser = PadsParser::new(schema, &registry)
+                .with_options(ParseOptions { engine, ..ParseOptions::default() });
+            verdict(&parser.parse_source(data, &mask).1)
+        })
+    };
+
+    let clean: &[u8] =
+        b"207.136.97.49 - - [15/Oct/1997:18:46:51 -0700] \"GET /tk/p.txt HTTP/1.0\" 200 30\n";
+    let generated = verdict(&gen_clf::parse_source(&mut Cursor::new(clean), &mask).1);
+    assert_eq!(generated.1, 0, "{generated:?}");
+    for (engine, got) in ["interp", "vm"].iter().zip(engines(&descriptions::clf(), clean)) {
+        assert_eq!(got, generated, "clf {engine}");
+    }
+
+    let data = sirius_with_violations();
+    let generated = verdict(&gen_sirius::parse_source(&mut Cursor::new(&data), &mask).1);
+    let forall =
+        generated.2.iter().filter(|(_, c, _)| *c == pads::ErrorCode::ForallViolation).count();
+    assert_eq!(forall, 10, "{generated:?}");
+    for (engine, got) in ["interp", "vm"].iter().zip(engines(&descriptions::sirius(), &data)) {
+        assert_eq!(got, generated, "sirius {engine}");
+    }
+}
