@@ -1,10 +1,12 @@
 //! The source driver keeps one window of input and one record live: the
 //! peak heap of a streamed parse does not grow with the number of records,
 //! where the whole-tree parse's does — exactly so when the source comes
-//! from a reader and was never in memory at all. And the generated parsers'
-//! arena path allocates (next to) nothing per record at steady state. Both are measured with a counting
-//! global allocator, which is why these tests have a binary to themselves
-//! and take turns (`SERIAL`).
+//! from a reader and was never in memory at all. The generated parsers'
+//! arena path allocates (next to) nothing per record at steady state, the
+//! XML sink nothing at all, and the name interner grows with the
+//! descriptions compiled, never with how often. All are measured with a
+//! counting global allocator, which is why these tests have a binary to
+//! themselves and take turns (`SERIAL`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -12,10 +14,11 @@ use std::sync::Mutex;
 
 use pads::generated::{clf, sirius};
 use pads::{
-    descriptions, BaseMask, Cursor, Mask, PadsParser, Registry, SourceFold,
-    SourceJob, SourceShape,
+    descriptions, BaseMask, Charset, Cursor, ErrorBudget, Mask, PadsParser, ParseDesc,
+    Pos, Progress, RecordSink, Registry, SourceFold, SourceJob, SourceShape, Value, Verifier,
+    Writer,
 };
-use pads_runtime::ValueArena;
+use pads_runtime::{Name, ValueArena};
 
 /// Forwards to the system allocator, tracking live bytes, their peak, and
 /// the number of allocations (the growth half of `realloc` included).
@@ -279,4 +282,56 @@ fn arena_path_allocates_next_to_nothing_per_record() {
         "clf arena path allocates {clf_arena:.3}/record against {owned:.3} for owned trees: \
          less than {MIN_RATIO} times fewer"
     );
+}
+
+/// The XML sink renders into one reused byte buffer: once a first pass has
+/// grown it, a second pass of clean CLF records through
+/// `XmlSourceSink::record` allocates nothing at all.
+#[test]
+fn xml_sink_allocates_nothing_per_clean_record() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let registry = Registry::standard();
+    let schema = descriptions::clf();
+    let mask = Mask::all(BaseMask::CheckAndSet);
+    let (data, _) = pads_gen::clf::generate(&pads_gen::ClfConfig {
+        records: 2_000,
+        dash_length_rate: 0.0,
+        ..Default::default()
+    });
+    let parser = PadsParser::new(&schema, &registry);
+    let parsed: Vec<(Value, ParseDesc)> = parser.records(&data, "entry_t", &mask).collect();
+    assert!(parsed.iter().all(|(_, pd)| pd.is_ok()), "the corpus is clean");
+    let progress = Progress { record: 0, end: Pos::default(), budget: ErrorBudget::new() };
+    let mut sink = pads_tools::XmlSourceSink::new(&schema, std::io::sink());
+    let per_record = steady_allocs_per_record("xml_sink", || {
+        for (i, (value, pd)) in parsed.iter().enumerate() {
+            sink.record(i, value, pd, &progress);
+        }
+        parsed.len()
+    });
+    assert_eq!(per_record, 0.0, "the XML sink allocates {per_record:.3}/record");
+}
+
+/// Names are interned when a parser, VM program, verifier or writer is
+/// built, each distinct text once per process: compiling the three bundled
+/// descriptions and building all four 1 000 times leaves the interner
+/// where the first time left it.
+#[test]
+fn recompiling_leaves_the_name_interner_as_one_compile_left_it() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let registry = Registry::standard();
+    let build = || {
+        for schema in [descriptions::clf(), descriptions::sirius(), descriptions::mixed()] {
+            drop(PadsParser::new(&schema, &registry));
+            drop(pads::vm::compile(&schema, &registry, Charset::Ascii));
+            drop(Verifier::new(&schema));
+            drop(Writer::new(&schema, &registry));
+        }
+    };
+    build();
+    let once = Name::interned();
+    for _ in 1..1_000 {
+        build();
+    }
+    assert_eq!(Name::interned(), once, "interned names after 1 000 compiles vs one");
 }
