@@ -470,31 +470,27 @@ pub fn wr_text(out: &mut Vec<u8>, s: &str, charset: Charset) {
 /// Writes an unsigned decimal in `charset`.
 #[inline]
 pub fn wr_u64(out: &mut Vec<u8>, v: u64, charset: Charset) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    let mut v = v;
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    if charset == Charset::Ascii {
-        out.extend_from_slice(&buf[i..]);
-    } else {
-        out.extend(buf[i..].iter().map(|&b| charset.encode(b)));
-    }
+    let from = out.len();
+    crate::render::uint(out, v, 0);
+    encode_from(out, from, charset);
 }
 
 /// Writes a signed decimal in `charset`.
 #[inline]
 pub fn wr_i64(out: &mut Vec<u8>, v: i64, charset: Charset) {
-    if v < 0 {
-        out.push(charset.encode(b'-'));
+    let from = out.len();
+    crate::render::int(out, v, 0);
+    encode_from(out, from, charset);
+}
+
+/// Re-encodes the ASCII text written since `from` in `charset`.
+#[inline]
+fn encode_from(out: &mut [u8], from: usize, charset: Charset) {
+    if charset != Charset::Ascii {
+        for b in &mut out[from..] {
+            *b = charset.encode(*b);
+        }
     }
-    wr_u64(out, v.unsigned_abs(), charset);
 }
 
 /// Dynamic writer through the registry.
