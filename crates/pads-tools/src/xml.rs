@@ -6,6 +6,11 @@
 //! buggy, the parse descriptor is embedded alongside the value (`<pd>`
 //! elements), so the error portions of a source can be explored like any
 //! other data.
+//!
+//! XML 1.0 cannot carry the C0 control characters other than tab, line feed
+//! and carriage return, not even as character references, so text that
+//! holds one (a `Pchar` of `\0`, a string with a `\x01` byte) is written
+//! with each replaced by U+FFFD, the replacement character.
 
 use std::io::{self, Write as _};
 
@@ -13,8 +18,9 @@ use pads::{ParseDesc, Prim, Progress, RecordSink, Schema, SourceEnd, SourceFold,
 use pads_check::ir::{MemberIr, TypeKind, TyUse};
 use pads_runtime::{render, MetricsHandle, PdKind};
 
-/// Appends `text` escaped for XML content: as is when it holds no special
-/// byte, which is the common case.
+/// Appends `text` escaped for XML content, a C0 control XML 1.0 forbids
+/// written as U+FFFD: as is when it holds no special byte, which is the
+/// common case.
 fn escaped(out: &mut Vec<u8>, text: &[u8]) {
     fn entity(b: u8) -> Option<&'static [u8]> {
         Some(match b {
@@ -23,6 +29,8 @@ fn escaped(out: &mut Vec<u8>, text: &[u8]) {
             b'>' => b"&gt;",
             b'"' => b"&quot;",
             b'\'' => b"&apos;",
+            b'\t' | b'\n' | b'\r' => return None,
+            0..=0x1f => "\u{FFFD}".as_bytes(),
             _ => return None,
         })
     }
@@ -480,6 +488,11 @@ mod tests {
         assert_eq!(value_to_xml(&v, None, "c", 0), "<c>&apos;</c>\n");
         let v = Value::Enum { variant: pads_runtime::Name::from_static("a&b"), index: 0 };
         assert_eq!(value_to_xml(&v, None, "e", 0), "<e>a&amp;b</e>\n");
+        // C0 controls XML 1.0 forbids become U+FFFD; tab, LF and CR stay.
+        let v = Value::Prim(pads::Prim::Char(0));
+        assert_eq!(value_to_xml(&v, None, "c", 0), "<c>\u{FFFD}</c>\n");
+        let v = Value::Prim(pads::Prim::String("/a\x01b\t\n\r".into()));
+        assert_eq!(value_to_xml(&v, None, "s", 0), "<s>/a\u{FFFD}b\t\n\r</s>\n");
         // Every other form is written as rendered.
         let v = Value::Prim(pads::Prim::Int(-3));
         assert_eq!(value_to_xml(&v, None, "i", 2), "  <i>-3</i>\n");
