@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use pads::{PdKind, Prim, Progress, RecordSink, Schema, Value};
 use pads_check::ir::{MemberIr, TypeId, TypeKind, TyUse};
-use pads_runtime::ParseDesc;
+use pads_runtime::{ErrorCode, ParseDesc};
 
 use crate::summary::{Histogram, Quantiles};
 
@@ -351,7 +351,7 @@ impl<'s> Accumulator<'s> {
         if !pd.is_ok() {
             self.bad_records += 1;
         }
-        if pd.err_code == pads_runtime::ErrorCode::BudgetExhausted {
+        if pd.err_code == ErrorCode::BudgetExhausted {
             // Budget-skipped records are framed in panic mode too; count
             // them once, as skipped, not also as resynchronised.
             self.skipped_records += 1;
@@ -509,7 +509,11 @@ fn add_node(node: &mut Node, value: &Value, pd: Option<&ParseDesc>) {
             } else {
                 tag.add_good(branch.as_str().to_owned(), None);
             }
-            if let Some((_, child)) = branches.iter_mut().find(|(n, _)| n == branch) {
+            // A union no branch matched holds its first branch's default,
+            // which is not data.
+            let matched = pd.is_none_or(|p| p.err_code != ErrorCode::UnionNoBranch);
+            let child = branches.iter_mut().find(|(n, _)| n == branch).filter(|_| matched);
+            if let Some((_, child)) = child {
                 let bpd = pd.and_then(|p| match &p.kind {
                     PdKind::Union { pd, .. } => pd.as_deref(),
                     _ => None,
@@ -598,6 +602,30 @@ impl RecordSink for Accumulator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pads::{compile, PadsParser};
+    use pads_runtime::{BaseMask, Mask, Registry};
+
+    /// A union that matched no branch counts its tag bad and accumulates
+    /// no branch: the value it holds is the first branch's default.
+    #[test]
+    fn a_union_that_matched_no_branch_accumulates_no_branch() {
+        let registry = Registry::standard();
+        let src = "Punion u_t { Puint32 n; Pchar c : c == 'x'; };\n\
+                   Precord Pstruct r_t { u_t u; };";
+        let schema = compile(src, &registry).expect("compiles");
+        let parser = PadsParser::new(&schema, &registry);
+        let mask = Mask::all(BaseMask::CheckAndSet);
+        let mut acc = Accumulator::new(&schema, "r_t");
+        for (value, pd) in parser.records(b"7\nx\n?\n", "r_t", &mask) {
+            acc.add(&value, &pd);
+        }
+        let report = acc.report("<top>");
+        assert!(report.contains("<top>.u.<tag> : union tag\n+++"), "{report}");
+        assert!(report.contains("+\ngood: 2 bad: 1 pcnt-bad"), "{report}");
+        let n = acc.stats_at("u.n").expect("branch n");
+        assert_eq!((n.good, n.bad, n.top(10)), (1, 0, vec![("7", 1)]));
+        assert_eq!(acc.stats_at("u.c").map(|c| (c.good, c.bad)), Some((1, 0)));
+    }
 
     /// Ties must break by value (ascending) so reports are deterministic —
     /// `tracked` is a `HashMap` and would otherwise leak iteration order.
