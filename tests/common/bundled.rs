@@ -1,6 +1,6 @@
 //! The bundled descriptions as the contract matrix runs them (a submodule
 //! of `contract.rs`): each with its torture corpus, the clean corpus its
-//! fault seeds mutate, and its generated module.
+//! fault seeds mutate, its generated module, and its `.pads` text.
 
 use pads::generated::{clf, mixed, sirius};
 use pads::{descriptions, Cursor, ErrorCode, Mask, ParseDesc, ParseOptions, Registry, Schema};
@@ -11,6 +11,7 @@ use super::{generated, Case, Description, Generated, Plan, Truth};
 /// A bundled description with its corpora and its generated column.
 pub struct Bundled {
     pub name: &'static str,
+    pub text: &'static str,
     pub schema: Schema,
     pub registry: Registry,
     pub torture: &'static [u8],
@@ -25,7 +26,7 @@ impl Bundled {
     pub fn description(&self) -> Description<'_> {
         Description {
             generated: Some(self.column),
-            ..Description::new(&self.schema, &self.registry)
+            ..Description::new(&self.schema, &self.registry).with_text(self.text)
         }
     }
 }
@@ -72,6 +73,7 @@ pub fn clean_clf() -> Vec<u8> {
 pub fn clf() -> Bundled {
     Bundled {
         name: "clf",
+        text: descriptions::CLF,
         schema: descriptions::clf(),
         registry: Registry::standard(),
         torture: include_bytes!("../data/torture_clf.log"),
@@ -91,6 +93,7 @@ pub fn sirius() -> Bundled {
     };
     Bundled {
         name: "sirius",
+        text: descriptions::SIRIUS,
         schema: descriptions::sirius(),
         registry: Registry::standard(),
         torture: include_bytes!("../data/torture_sirius.txt"),
@@ -110,6 +113,7 @@ pub fn mixed() -> Bundled {
     let clean = pads_gen::Generator::new(&schema, config).generate_records("rec_t", 15);
     Bundled {
         name: "mixed",
+        text: descriptions::MIXED,
         schema,
         registry: Registry::standard(),
         torture: include_bytes!("../data/torture_mixed.txt"),
