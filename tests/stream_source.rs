@@ -4,7 +4,7 @@
 //! continues it through the records, so everything a sink sees — values,
 //! descriptors, every `Loc` — is what `parse_source` puts in the tree, and
 //! `SourceFold` rebuilds the tree's own nodes from the stream: the fold's
-//! cells of the contract matrix (`common/contract.rs`). The CLI matrix
+//! cells of the contract matrix (`common/contract.rs`), whose `cli` column
 //! (`pads-cli/tests/stream_matrix.rs`) pins the printed bytes. This file
 //! also pins the §5.2 programs that ride the driver, and a profile that
 //! needs one thread.
