@@ -1,22 +1,26 @@
 //! End-to-end tests driving the `pads` binary.
 
-use std::io::Write;
-use std::process::{Command, Stdio};
-
-#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 mod common;
+
+use std::process::{Command, Output, Stdio};
+
+use common::{clf_piece, description, torture, write_corpus};
 
 fn pads() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pads"))
 }
 
-fn write_temp(name: &str, contents: &[u8]) -> std::path::PathBuf {
+/// `pads <args>`, run to completion.
+fn run(args: &[&str]) -> Output {
+    pads().args(args).output().expect("run pads")
+}
+
+/// `contents` in a file `name` of this process's own directory: its path.
+fn write_temp(name: &str, contents: &[u8]) -> String {
     let dir = std::env::temp_dir().join(format!("pads-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(name);
-    let mut f = std::fs::File::create(&path).expect("temp file");
-    f.write_all(contents).expect("write");
-    path
+    std::fs::write(dir.join(name), contents).expect("write");
+    dir.join(name).to_str().expect("utf-8 temp path").to_owned()
 }
 
 const DESCR: &str = r#"
@@ -31,12 +35,12 @@ Psource Parray orders_t { order_t[]; };
 #[test]
 fn check_accepts_good_and_rejects_bad_descriptions() {
     let good = write_temp("good.pads", DESCR.as_bytes());
-    let out = pads().arg("check").arg(&good).output().expect("run");
+    let out = run(&["check", &good]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("source `orders_t`"));
 
     let bad = write_temp("bad.pads", b"Pstruct t { NoSuch x; };");
-    let out = pads().arg("check").arg(&bad).output().expect("run");
+    let out = run(&["check", &bad]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown type"));
 }
@@ -45,7 +49,7 @@ fn check_accepts_good_and_rejects_bad_descriptions() {
 fn parse_reports_errors_with_record_numbers() {
     let descr = write_temp("d.pads", DESCR.as_bytes());
     let data = write_temp("data.txt", b"1|OPEN|5\n2|SHIP|1\n3|DONE|9\n");
-    let out = pads().arg("parse").arg(&descr).arg(&data).output().expect("run");
+    let out = run(&["parse", &descr, &data]);
     // total 1 < id 2 on the second record: the run completes, so the exit
     // status is the distinct "data errors" code (2), not hard failure (1).
     assert_eq!(out.status.code(), Some(2));
@@ -60,9 +64,7 @@ fn parse_reports_errors_with_record_numbers() {
 #[test]
 fn parse_distinguishes_hard_failure_from_data_errors() {
     let descr = write_temp("d-hard.pads", DESCR.as_bytes());
-    let out =
-        pads().arg("parse").arg(&descr).arg("/definitely/not/a/file").output().expect("run");
-    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(run(&["parse", &descr, "/definitely/not/a/file"]).status.code(), Some(1));
 }
 
 #[test]
@@ -70,13 +72,7 @@ fn error_budget_flags_stop_parsing_early() {
     let descr = write_temp("d-budget.pads", DESCR.as_bytes());
     // Three constraint violations; a budget of one stops the run early.
     let data = write_temp("data-budget.txt", b"5|A|1\n6|B|1\n7|C|1\n8|D|9\n");
-    let out = pads()
-        .arg("parse")
-        .arg(&descr)
-        .arg(&data)
-        .args(["--max-errs", "1", "--on-overflow", "stop"])
-        .output()
-        .expect("run");
+    let out = run(&["parse", &descr, &data, "--max-errs", "1", "--on-overflow", "stop"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("error budget exhausted"), "{stderr}");
@@ -86,27 +82,17 @@ fn error_budget_flags_stop_parsing_early() {
 fn unknown_record_type_is_a_hard_failure() {
     let descr = write_temp("d-rec.pads", DESCR.as_bytes());
     let data = write_temp("data-rec.txt", b"1|OPEN|5\n");
-    let out = pads()
-        .arg("accum")
-        .arg(&descr)
-        .arg(&data)
-        .args(["--record", "nonexistent_t"])
-        .output()
-        .expect("run");
+    let out = run(&["accum", &descr, &data, "--record", "nonexistent_t"]);
     assert_eq!(out.status.code(), Some(1));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("not declared"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("not declared"), "{stderr}");
 }
 
 #[test]
 fn parse_xml_emits_document() {
     let descr = write_temp("d2.pads", DESCR.as_bytes());
     let data = write_temp("data2.txt", b"1|OPEN|5\n");
-    let out = pads().arg("parse").arg(&descr).arg(&data).args(["--format", "xml"]).output();
-    let out = out.expect("run");
+    let out = run(&["parse", &descr, &data, "--format", "xml"]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("<state>OPEN</state>"), "{stdout}");
@@ -116,7 +102,7 @@ fn parse_xml_emits_document() {
 fn accum_infers_the_record_type() {
     let descr = write_temp("d3.pads", DESCR.as_bytes());
     let data = write_temp("data3.txt", b"1|OPEN|5\n2|SHIP|7\n2|OPEN|9\n");
-    let out = pads().arg("accum").arg(&descr).arg(&data).output().expect("run");
+    let out = run(&["accum", &descr, &data]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("<top>.state"), "{stdout}");
@@ -127,13 +113,7 @@ fn accum_infers_the_record_type() {
 fn fmt_formats_records() {
     let descr = write_temp("d4.pads", DESCR.as_bytes());
     let data = write_temp("data4.txt", b"1|OPEN|5\n");
-    let out = pads()
-        .args(["fmt"])
-        .arg(&descr)
-        .arg(&data)
-        .args(["--delim", ","])
-        .output()
-        .expect("run");
+    let out = run(&["fmt", &descr, &data, "--delim", ","]);
     assert!(out.status.success());
     assert_eq!(String::from_utf8_lossy(&out.stdout), "1,OPEN,5\n");
 }
@@ -143,7 +123,7 @@ fn fmt_formats_records() {
 /// the same count of bad records on stderr.
 #[test]
 fn fmt_and_accum_report_bad_records_alike() {
-    let (clf, log) = (bundled("clf"), torture("clf.log"));
+    let (clf, log) = (description("clf"), torture("clf.log"));
     let run = |cmd: &str| pads().args([cmd, &clf, &log]).output().expect("run pads");
     let (fmt, accum) = (run("fmt"), run("accum"));
     assert_eq!(fmt.status.code(), Some(2), "{}", String::from_utf8_lossy(&fmt.stderr));
@@ -161,15 +141,14 @@ fn fmt_and_accum_report_bad_records_alike() {
 #[cfg(target_os = "linux")]
 #[test]
 fn a_huge_jobs_count_is_bounded() {
-    let clf = bundled("clf");
+    let clf = description("clf");
     let records =
         pads_gen::clf::generate(&pads_gen::ClfConfig { records: 50, ..Default::default() });
     let data = write_temp("jobs-bound.log", &records.0);
-    let data = data.to_str().expect("utf-8 temp path");
     let run = |jobs: &str| {
         Command::new("sh")
             .args(["-c", "ulimit -v 4000000 && exec \"$@\"", "sh", env!("CARGO_BIN_EXE_pads")])
-            .args(["parse", &clf, data, "--format", "none", "--jobs", jobs])
+            .args(["parse", &clf, &data, "--format", "none", "--jobs", jobs])
             .output()
             .expect("run pads")
     };
@@ -182,23 +161,12 @@ fn a_huge_jobs_count_is_bounded() {
 #[test]
 fn gen_then_parse_round_trips() {
     let descr = write_temp("d5.pads", DESCR.as_bytes());
-    let gen = pads()
-        .args(["gen"])
-        .arg(&descr)
-        .args(["--records", "12", "--seed", "9"])
-        .output()
-        .expect("run");
+    let gen = run(&["gen", &descr, "--records", "12", "--seed", "9"]);
     assert!(gen.status.success(), "{}", String::from_utf8_lossy(&gen.stderr));
     let data = write_temp("gen5.txt", &gen.stdout);
     // Generic generation ignores semantic constraints, so only require
     // syntactic acceptance: count parsed records via a query.
-    let out = pads()
-        .args(["query"])
-        .arg(&descr)
-        .arg(&data)
-        .arg("/elt[id >= 0]")
-        .output()
-        .expect("run");
+    let out = run(&["query", &descr, &data, "/elt[id >= 0]"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "12");
 }
@@ -206,10 +174,10 @@ fn gen_then_parse_round_trips() {
 #[test]
 fn xsd_and_codegen_emit_plausible_output() {
     let descr = write_temp("d6.pads", DESCR.as_bytes());
-    let out = pads().arg("xsd").arg(&descr).output().expect("run");
+    let out = run(&["xsd", &descr]);
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("<xs:schema"));
-    let out = pads().arg("codegen").arg(&descr).output().expect("run");
+    let out = run(&["codegen", &descr]);
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("pub struct OrderT"));
 }
@@ -217,7 +185,7 @@ fn xsd_and_codegen_emit_plausible_output() {
 #[test]
 fn cobol_translates() {
     let cb = write_temp("c.cpy", b"01 R.\n   05 A PIC 9(3).\n   05 B PIC X(2).\n");
-    let out = pads().arg("cobol").arg(&cb).output().expect("run");
+    let out = run(&["cobol", &cb]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("Pebc_zoned(:3:) a"), "{stdout}");
@@ -225,7 +193,7 @@ fn cobol_translates() {
 
 #[test]
 fn unknown_command_fails_with_usage() {
-    let out = pads().arg("bogus").output().expect("run");
+    let out = run(&["bogus"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
 }
@@ -235,11 +203,11 @@ fn lint_allow_threshold_reveals_notes_and_trips_exit() {
     // DESCR's `state` field is referenced by no constraint: a PL206
     // note, invisible at the warn/deny thresholds.
     let descr = write_temp("d-lint-allow.pads", DESCR.as_bytes());
-    let out = pads().arg("check").arg(&descr).arg("--lint").output().expect("run");
+    let out = run(&["check", &descr, "--lint"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(!String::from_utf8_lossy(&out.stderr).contains("PL206"));
 
-    let out = pads().arg("check").arg(&descr).arg("--lint=allow").output().expect("run");
+    let out = run(&["check", &descr, "--lint=allow"]);
     assert_eq!(out.status.code(), Some(3));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("note[PL206]:"), "{stderr}");
@@ -248,15 +216,8 @@ fn lint_allow_threshold_reveals_notes_and_trips_exit() {
 #[test]
 fn lint_format_json_is_deterministic_machine_output() {
     let descr = write_temp("d-lint-json.pads", DESCR.as_bytes());
-    let run = || {
-        pads()
-            .arg("check")
-            .arg(&descr)
-            .args(["--lint=allow", "--lint-format=json"])
-            .output()
-            .expect("run")
-    };
-    let (a, b) = (run(), run());
+    let json = || run(&["check", &descr, "--lint=allow", "--lint-format=json"]);
+    let (a, b) = (json(), json());
     assert_eq!(a.stdout, b.stdout, "json output must be deterministic");
     let stdout = String::from_utf8_lossy(&a.stdout);
     assert!(stdout.starts_with('['), "{stdout}");
@@ -265,8 +226,7 @@ fn lint_format_json_is_deterministic_machine_output() {
     assert!(stdout.contains("\"span\":{\"start\":"), "{stdout}");
     assert!(stdout.contains("\"hint\":"), "{stdout}");
     // Without `--lint`, json implies the deny threshold: clean exit here.
-    let out =
-        pads().arg("check").arg(&descr).arg("--lint-format=json").output().expect("run");
+    let out = run(&["check", &descr, "--lint-format=json"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
@@ -274,17 +234,21 @@ fn lint_format_json_is_deterministic_machine_output() {
 fn diff_classifies_and_exits_three_on_breaks() {
     let old = write_temp("diff-old.pads", DESCR.as_bytes());
     // Identity: compatible, exit 0, no findings.
-    let out = pads().arg("diff").arg(&old).arg(&old).output().expect("run");
+    let out = run(&["diff", &old, &old]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert_eq!(String::from_utf8_lossy(&out.stdout), "verdict: compatible\n");
 
     // Added optional field: compatible, exit 0.
     let widened = write_temp(
         "diff-opt.pads",
-        DESCR.replace("Puint32 total : total >= id;", "Puint32 total : total >= id; Popt Pchar flag;")
+        DESCR
+            .replace(
+                "Puint32 total : total >= id;",
+                "Puint32 total : total >= id; Popt Pchar flag;",
+            )
             .as_bytes(),
     );
-    let out = pads().arg("diff").arg(&old).arg(&widened).output().expect("run");
+    let out = run(&["diff", &old, &widened]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("PD101 compatible"));
 
@@ -293,7 +257,7 @@ fn diff_classifies_and_exits_three_on_breaks() {
         "diff-broken.pads",
         DESCR.replace("'|'; Pstring(:'|':) state;\n", "").as_bytes(),
     );
-    let out = pads().arg("diff").arg(&old).arg(&broken).output().expect("run");
+    let out = run(&["diff", &old, &broken]);
     assert_eq!(out.status.code(), Some(3));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("PD301 breaks"), "{stdout}");
@@ -317,12 +281,12 @@ fn a_source_the_driver_cannot_frame_is_not_inferred() {
     );
     let data = write_temp("separated.txt", b"2\n----\n7\n8\n");
     for cmd in ["accum", "fmt"] {
-        let out = pads().arg(cmd).arg(&descr).arg(&data).output().expect("run");
+        let out = run(&[cmd, &descr, &data]);
         assert_eq!(out.status.code(), Some(1), "{cmd}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("cannot infer the record type"), "{cmd}: {stderr}");
     }
-    let out = pads().arg("parse").arg(&descr).arg(&data).output().expect("run");
+    let out = run(&["parse", &descr, &data]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert_eq!(String::from_utf8_lossy(&out.stdout), "parse state: ok errors: 0\n");
 }
@@ -337,14 +301,13 @@ fn a_source_the_driver_cannot_frame_is_not_inferred() {
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 #[test]
 fn closed_stdout_is_a_hard_failure_not_a_panic() {
-    let corpus = write_temp("closed-pipe.log", b"");
-    common::write_corpus(&corpus, 30, common::clf_piece);
-    let (clf, corpus) = (common::description("clf"), corpus.to_str().expect("utf-8 temp path"));
+    let (clf, corpus) = (description("clf"), write_temp("closed-pipe.log", b""));
+    write_corpus(corpus.as_ref(), 30, clf_piece);
     let runs: [&[&str]; 5] = [
-        &["parse", &clf, corpus, "--metrics=json"],
-        &["parse", &clf, corpus, "--format", "xml"],
-        &["parse", &clf, corpus, "--format", "xml", "--jobs", "2"],
-        &["fmt", &clf, corpus],
+        &["parse", &clf, &corpus, "--metrics=json"],
+        &["parse", &clf, &corpus, "--format", "xml"],
+        &["parse", &clf, &corpus, "--format", "xml", "--jobs", "2"],
+        &["fmt", &clf, &corpus],
         &["gen", &clf, "--records", "30000"],
     ];
     for args in runs {
@@ -362,23 +325,13 @@ fn closed_stdout_is_a_hard_failure_not_a_panic() {
     }
 }
 
-/// The repository's bundled description `name`.
-fn bundled(name: &str) -> String {
-    format!("{}/../../descriptions/{name}.pads", env!("CARGO_MANIFEST_DIR"))
-}
-
-/// The repository's torture corpus `torture_<name>`.
-fn torture(name: &str) -> String {
-    format!("{}/../../tests/data/torture_{name}", env!("CARGO_MANIFEST_DIR"))
-}
-
 /// `-` is standard input, read through the same window as a file: a pipe
 /// from `pads gen` into `accum`, `parse`, `fmt` and `profile` prints the
 /// bytes (stdout, and the exit status) the same records print from a file —
 /// 30 000 CLF records, a few windows' worth, on one thread and on two.
 #[test]
 fn a_piped_source_prints_what_the_file_does() {
-    let clf = bundled("clf");
+    let clf = description("clf");
     let gen = || pads().args(["gen", &clf, "--records", "30000"]).stdout(Stdio::piped()).spawn();
     let file = write_temp("piped.log", b"");
     let mut whole = gen().expect("spawn pads gen");
@@ -396,21 +349,17 @@ fn a_piped_source_prints_what_the_file_does() {
         &["profile"],
     ];
     for command in commands {
-        let run = |source: &std::ffi::OsStr, stdin: Stdio| {
-            let out = pads()
-                .args([command[0], &clf])
-                .arg(source)
-                .args(&command[1..])
-                .stdin(stdin)
-                .output()
-                .expect("run pads");
+        let run = |source: &str, stdin: Stdio| {
+            let mut pads = pads();
+            let out = pads.args([command[0], &clf, source]).args(&command[1..]).stdin(stdin);
+            let out = out.output().expect("run pads");
             assert!(matches!(out.status.code(), Some(0 | 2)), "{command:?}: {:?}", out.status);
             (out.status.code(), out.stdout)
         };
         let mut gen = gen().expect("spawn pads gen");
-        let piped = run("-".as_ref(), gen.stdout.take().expect("piped").into());
+        let piped = run("-", gen.stdout.take().expect("piped").into());
         assert!(gen.wait().expect("pads gen").success());
-        assert!(piped == run(file.as_os_str(), Stdio::null()), "{command:?}");
+        assert!(piped == run(&file, Stdio::null()), "{command:?}");
     }
 }
 
@@ -420,7 +369,7 @@ fn a_piped_source_prints_what_the_file_does() {
 /// which standard input is not.
 #[test]
 fn an_unreadable_source_is_a_hard_failure() {
-    let clf = bundled("clf");
+    let clf = description("clf");
     let dir = std::env::temp_dir();
     let dir = dir.to_str().expect("utf-8 temp dir");
     for (source, error) in [
@@ -429,18 +378,14 @@ fn an_unreadable_source_is_a_hard_failure() {
     ] {
         for command in ["parse", "accum", "fmt", "profile", "query"] {
             let query: &[&str] = if command == "query" { &["/elt"] } else { &[] };
-            let out =
-                pads().args([command, &clf, source]).args(query).output().expect("run pads");
+            let out = pads().args([command, &clf, source]).args(query).output().expect("run pads");
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(stderr, format!("pads: {source}: {error}\n"), "{command}");
             assert_eq!((out.status.code(), out.stdout.len()), (Some(1), 0), "{command}");
         }
     }
-    let out = pads()
-        .args(["parse", &clf, "-", "--journal", "/tmp/never-created.wal"])
-        .stdin(Stdio::null())
-        .output()
-        .expect("run pads");
+    // `output` runs the child with a null standard input.
+    let out = run(&["parse", &clf, "-", "--journal", "/tmp/never-created.wal"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.starts_with("pads: --journal needs a seekable file"), "{stderr}");
     assert_eq!((out.status.code(), stderr.lines().count()), (Some(1), 1), "{stderr}");
@@ -455,10 +400,7 @@ fn gen_in_batches_writes_the_bytes_of_one_call() {
         ("sirius", pads::descriptions::sirius()),
         ("mixed", pads::descriptions::mixed()),
     ] {
-        let out = pads()
-            .args(["gen", &bundled(name), "--records", "2500", "--seed", "7"])
-            .output()
-            .expect("run pads");
+        let out = run(&["gen", &description(name), "--records", "2500", "--seed", "7"]);
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
         let record = pads::SourceShape::infer(&schema).expect("bundled sources stream").record;
         let config = pads_gen::GenConfig { seed: 7, ..Default::default() };
@@ -477,10 +419,9 @@ fn gen_in_batches_writes_the_bytes_of_one_call() {
 /// read.
 #[test]
 fn an_option_a_subcommand_does_not_read_is_refused() {
-    let clf = bundled("clf");
+    let clf = description("clf");
     let log = torture("clf.log");
     let copybook = write_temp("opts.cpy", b"       01 REC.\n          05 A PIC 9(4).\n");
-    let copybook = copybook.to_str().expect("utf-8 temp path");
     let journal = std::env::temp_dir().join(format!("pads-cli-opts-{}.wal", std::process::id()));
     let wal = journal.to_str().expect("utf-8 temp path");
     let refused: [(&[&str], &str); 19] = [
@@ -548,7 +489,7 @@ fn an_option_a_subcommand_does_not_read_is_refused() {
         &["query", &clf, &log, "/elt", "--engine", "interp"],
         &["gen", &clf, "--records", "3", "--seed", "9", "--record", "entry_t"],
         &["xsd", &clf],
-        &["cobol", copybook],
+        &["cobol", &copybook],
         &["codegen", &clf],
     ];
     for args in accepted {

@@ -1,4 +1,6 @@
-//! Running `pads` as a measured child: what `wait4` says the child used.
+//! What the `pads-cli` suites share: the repository's files, `pads` run
+//! from its root, and — on 64-bit Linux — `pads` run as a measured child:
+//! what `wait4` says the child used.
 //!
 //! Linux carries the spawning process's own high-water mark across `exec`
 //! into the child's `ru_maxrss`, so a test binary that reads peak RSS must
@@ -6,13 +8,24 @@
 //! megabytes: corpora are written a piece at a time, child output goes to
 //! `/dev/null`, and [`pads_usage`] refuses a figure that is not above this
 //! process's own (the check `benchmark/src/sys.rs` documents).
-#![cfg(all(target_os = "linux", target_pointer_width = "64"))]
 // Each test binary uses its own part of this module.
 #![allow(dead_code)]
 
 use std::io::Write;
 use std::path::Path;
-use std::process::{Command, Stdio};
+use std::process::{Command, Output, Stdio};
+
+/// The repository's root, where the goldens' paths start.
+pub const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
+/// Exit status for "the data had errors but the run completed".
+pub const EXIT_DATA_ERRORS: i32 = 2;
+
+/// `pads <args>`, run from [`ROOT`] to completion.
+pub fn pads_at_root(args: &[&str]) -> Output {
+    let mut pads = Command::new(env!("CARGO_BIN_EXE_pads"));
+    pads.current_dir(ROOT).args(args).output().expect("pads binary runs")
+}
 
 #[repr(C)]
 #[derive(Default, Clone, Copy)]
@@ -34,6 +47,7 @@ struct Rusage {
     nivcsw: i64,
 }
 
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 extern "C" {
     fn wait4(pid: i32, status: *mut i32, options: i32, rusage: *mut Rusage) -> i32;
 }
@@ -49,6 +63,7 @@ pub struct Usage {
 /// Runs `pads <args>` to completion, output discarded, and returns its
 /// resource usage. The child is reaped by `wait4`, which is what hands the
 /// usage back; `Child::wait` would not.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 #[allow(clippy::zombie_processes)]
 pub fn pads_usage(args: &[&str]) -> Usage {
     let child = Command::new(env!("CARGO_BIN_EXE_pads"))
@@ -119,5 +134,10 @@ pub fn clf_piece(i: usize) -> Vec<u8> {
 
 /// A description bundled with the repository.
 pub fn description(name: &str) -> String {
-    format!("{}/../../descriptions/{name}.pads", env!("CARGO_MANIFEST_DIR"))
+    format!("{ROOT}/descriptions/{name}.pads")
+}
+
+/// The repository's torture corpus `torture_<name>`.
+pub fn torture(name: &str) -> String {
+    format!("{ROOT}/tests/data/torture_{name}")
 }

@@ -22,28 +22,11 @@
 //! ./target/debug/pads profile $D $F --folded                  > $G/profile_<c>.folded
 //! ```
 
+mod common;
+
 use std::path::Path;
-use std::process::Command;
 
-/// Exit status for "the data had errors but the run completed".
-const EXIT_DATA_ERRORS: i32 = 2;
-
-fn repo_root() -> &'static Path {
-    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
-}
-
-fn run(cmd: &str, args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_pads"))
-        .current_dir(repo_root())
-        .arg(cmd)
-        .args(args)
-        .output()
-        .expect("pads binary runs")
-}
-
-fn run_parse(args: &[&str]) -> std::process::Output {
-    run("parse", args)
-}
+use common::{pads_at_root, EXIT_DATA_ERRORS, ROOT};
 
 /// The captured corpora: `(case, description, data)`, paths from the
 /// repository root (they appear in the `--profile` stderr golden).
@@ -74,9 +57,7 @@ fn trace_and_profile_outputs_match_golden_snapshots() {
             ("profile", &["--folded"], false, format!("profile_{case}.folded")),
         ];
         for (cmd, flags, stderr, golden) in outputs {
-            let mut args = vec![descr.as_str(), data];
-            args.extend_from_slice(flags);
-            let out = run(cmd, &args);
+            let out = pads_at_root(&[&[cmd, &descr, data], flags].concat());
             assert_eq!(
                 out.status.code(),
                 Some(EXIT_DATA_ERRORS),
@@ -85,7 +66,7 @@ fn trace_and_profile_outputs_match_golden_snapshots() {
             );
             let got = if stderr { out.stderr } else { out.stdout };
             let got = String::from_utf8(got).expect("utf-8 output");
-            let path = repo_root().join("crates/pads-cli/tests/golden").join(&golden);
+            let path = Path::new(ROOT).join("crates/pads-cli/tests/golden").join(&golden);
             let want = std::fs::read_to_string(&path).expect("golden snapshot exists");
             assert_eq!(got, want, "{case} {cmd} {flags:?}: drifted from {golden}");
         }
@@ -99,7 +80,8 @@ fn metrics_json_matches_golden_snapshots() {
     for (case, descr, data) in CASES {
         for sharding in [&[][..], &["--jobs", "2", "--max-inflight-records", "4"]] {
             let descr = format!("descriptions/{descr}.pads");
-            let out = run_parse(&[&[&descr, data, "--metrics=json"], sharding].concat());
+            let out =
+                pads_at_root(&[&["parse", &descr, data, "--metrics=json"], sharding].concat());
             assert_eq!(
                 out.status.code(),
                 Some(EXIT_DATA_ERRORS),
@@ -108,10 +90,11 @@ fn metrics_json_matches_golden_snapshots() {
             );
             let got = String::from_utf8(out.stdout).expect("utf-8 metrics");
             let golden_path =
-                repo_root().join(format!("crates/pads-cli/tests/golden/metrics_{case}.json"));
+                Path::new(ROOT).join(format!("crates/pads-cli/tests/golden/metrics_{case}.json"));
             let want = std::fs::read_to_string(&golden_path).expect("golden snapshot exists");
             assert_eq!(
-                got, want,
+                got,
+                want,
                 "{case} {sharding:?}: metrics drifted from {}; regenerate if intentional",
                 golden_path.display()
             );
@@ -129,7 +112,7 @@ fn trace_and_metrics_work_on_every_description() {
         ("mixed", "tests/data/torture_mixed.txt"),
     ];
     let mut described = 0;
-    for entry in std::fs::read_dir(repo_root().join("descriptions")).expect("descriptions/") {
+    for entry in std::fs::read_dir(Path::new(ROOT).join("descriptions")).expect("descriptions/") {
         let path = entry.expect("dir entry").path();
         if path.extension().and_then(|e| e.to_str()) != Some("pads") {
             continue;
@@ -148,22 +131,17 @@ fn trace_and_metrics_work_on_every_description() {
             &["--metrics=json"][..],
             &["--trace=json", "--metrics=json"][..],
         ] {
-            let mut args = vec![descr.as_str(), data];
-            args.extend_from_slice(flags);
-            let out = run_parse(&args);
+            let out = pads_at_root(&[&["parse", &descr, data], flags].concat());
             assert_eq!(
                 out.status.code(),
                 Some(EXIT_DATA_ERRORS),
                 "{stem} {flags:?}: unexpected exit\n{}",
                 String::from_utf8_lossy(&out.stderr)
             );
-            assert!(
-                !out.stdout.is_empty(),
-                "{stem} {flags:?}: produced no output"
-            );
+            assert!(!out.stdout.is_empty(), "{stem} {flags:?}: produced no output");
         }
         // Prometheus exposition carries the family headers.
-        let out = run_parse(&[&descr, data, "--metrics=prom"]);
+        let out = pads_at_root(&["parse", &descr, data, "--metrics=prom"]);
         let text = String::from_utf8_lossy(&out.stdout).to_string();
         assert!(text.contains("# TYPE pads_records_total counter"), "{stem}: {text}");
         assert!(text.contains("pads_type_hits_total"), "{stem}");

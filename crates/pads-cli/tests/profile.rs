@@ -4,28 +4,22 @@
 //! schema's root-to-leaf paths so `inferno`/`flamegraph.pl` can consume
 //! them directly.
 
-use std::path::Path;
-use std::process::Command;
+mod common;
 
-/// Exit status for "the data had errors but the run completed".
-const EXIT_DATA_ERRORS: i32 = 2;
+use std::process::Output;
 
-fn repo_root() -> &'static Path {
-    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
-}
+use common::{pads_at_root, EXIT_DATA_ERRORS};
 
-fn run_profile(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_pads"))
-        .current_dir(repo_root())
-        .arg("profile")
-        .args(args)
-        .output()
-        .expect("pads binary runs")
+/// The CLF description and its torture corpus, from the repository root.
+const CLF: [&str; 2] = ["descriptions/clf.pads", "tests/data/torture_clf.log"];
+
+fn run_profile(args: &[&str]) -> Output {
+    pads_at_root(&[&["profile"], args].concat())
 }
 
 #[test]
 fn profile_table_is_deterministic_across_runs() {
-    let args = ["descriptions/clf.pads", "tests/data/torture_clf.log"];
+    let args = CLF;
     let first = run_profile(&args);
     assert_eq!(
         first.status.code(),
@@ -49,7 +43,7 @@ fn profile_table_is_deterministic_across_runs() {
 
 #[test]
 fn profile_folded_is_deterministic_and_stack_shaped() {
-    let args = ["descriptions/clf.pads", "tests/data/torture_clf.log", "--folded"];
+    let args = [CLF[0], CLF[1], "--folded"];
     let first = run_profile(&args);
     assert_eq!(first.status.code(), Some(EXIT_DATA_ERRORS));
     let folded = String::from_utf8(first.stdout).expect("utf-8 folded");
@@ -73,11 +67,7 @@ fn profile_folded_is_deterministic_and_stack_shaped() {
 
 #[test]
 fn parse_profile_flag_reports_table_on_stderr() {
-    let out = Command::new(env!("CARGO_BIN_EXE_pads"))
-        .current_dir(repo_root())
-        .args(["parse", "descriptions/clf.pads", "tests/data/torture_clf.log", "--profile"])
-        .output()
-        .expect("pads binary runs");
+    let out = pads_at_root(&["parse", CLF[0], CLF[1], "--profile"]);
     assert_eq!(out.status.code(), Some(EXIT_DATA_ERRORS));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("node"), "profile table on stderr:\n{err}");
@@ -90,12 +80,9 @@ fn parse_profile_flag_reports_table_on_stderr() {
 #[test]
 fn parse_profile_with_jobs_warns_and_prints_the_sequential_table() {
     let parse = |jobs: &str| {
-        Command::new(env!("CARGO_BIN_EXE_pads"))
-            .current_dir(repo_root())
-            .args(["parse", "descriptions/clf.pads", "tests/data/torture_clf.log"])
-            .args(["--profile", "--format", "none", "--max-inflight-records", "4", "--jobs", jobs])
-            .output()
-            .expect("pads binary runs")
+        let flags =
+            ["--profile", "--format", "none", "--max-inflight-records", "4", "--jobs", jobs];
+        pads_at_root(&[&["parse", CLF[0], CLF[1]][..], &flags].concat())
     };
     let (one, four) = (parse("1"), parse("4"));
     assert_eq!(four.status.code(), Some(EXIT_DATA_ERRORS));
