@@ -35,6 +35,18 @@ impl<'s> Gen<'s> {
     /// in the same order), so the core bumps flat slabs without a name
     /// lookup.
     fn emit_read_wrapper(&self, id: TypeId, mask_used: bool, out: &mut String) {
+        self.emit_read_entry(id, mask_used, "read", "read_impl", out);
+    }
+
+    /// [`Self::emit_read_wrapper`] for an entry called `entry` around `body`.
+    fn emit_read_entry(
+        &self,
+        id: TypeId,
+        mask_used: bool,
+        entry: &str,
+        body: &str,
+        out: &mut String,
+    ) {
         let def = self.schema.def(id);
         let name = camel(&def.name);
         let lt = self.lt_args(id);
@@ -44,15 +56,15 @@ impl<'s> Gen<'s> {
             def.params.iter().map(|p| format!(", p_{}", field_name(&p.name))).collect();
         let _ = writeln!(
             out,
-            "    pub fn read{gen_lt}(cur: &mut Cursor<{cur_lt}>, {mask_param}: &Mask{}) -> ({name}{lt}, ParseDesc) {{",
+            "    pub fn {entry}{gen_lt}(cur: &mut Cursor<{cur_lt}>, {mask_param}: &Mask{}) -> ({name}{lt}, ParseDesc) {{",
             self.params_sig(id)
         );
         let _ = writeln!(out, "        if !cur.observing() {{");
-        let _ = writeln!(out, "            return Self::read_impl(cur, {mask_param}{args});");
+        let _ = writeln!(out, "            return Self::{body}(cur, {mask_param}{args});");
         let _ = writeln!(out, "        }}");
         let _ = writeln!(out, "        let obs_off = cur.offset();");
         let _ = writeln!(out, "        cur.observe_enter_id({id}u32);");
-        let _ = writeln!(out, "        let (v, pd) = Self::read_impl(cur, {mask_param}{args});");
+        let _ = writeln!(out, "        let (v, pd) = Self::{body}(cur, {mask_param}{args});");
         let _ = writeln!(out, "        cur.observe_exit_id({id}u32, obs_off, &pd);");
         let _ = writeln!(out, "        (v, pd)");
         let _ = writeln!(out, "    }}");
@@ -491,7 +503,8 @@ impl<'s> Gen<'s> {
         // An optional field is clean by construction: either the inner parse
         // succeeds, or the cursor is rolled back and the field is `None`.
         // Its descriptor carries no errors in either arm, so no fpd is built
-        // and nothing is absorbed into the struct descriptor.
+        // and nothing is absorbed into the struct descriptor; a typedef is
+        // read by `read_opt`, which nests no descriptor for a failed read.
         let _ = writeln!(out, "                let cp = cur.checkpoint();");
         match inner {
             TyUse::Base { name, args } => {
@@ -503,10 +516,13 @@ impl<'s> Gen<'s> {
             }
             TyUse::Named { id, args } => {
                 let args_code = self.call_args(args, ctx)?;
-                let ty_name = camel(&self.schema.def(*id).name);
+                let def = self.schema.def(*id);
+                let ty_name = camel(&def.name);
+                let read =
+                    if matches!(def.kind, TypeKind::Typedef { .. }) { "read_opt" } else { "read" };
                 let _ = writeln!(
                     out,
-                    "                let (v, ipd) = {ty_name}::read(cur, &m{args_code});\n                if ipd.is_ok() {{\n                    f_{fname} = Some(v);\n                }} else {{\n                    cur.restore(cp);\n                    f_{fname} = None;\n                }}"
+                    "                let (v, ipd) = {ty_name}::{read}(cur, &m{args_code});\n                if ipd.is_ok() {{\n                    f_{fname} = Some(v);\n                }} else {{\n                    cur.restore(cp);\n                    f_{fname} = None;\n                }}"
                 );
             }
             TyUse::Opt(_) => {
@@ -1019,6 +1035,21 @@ impl<'s> Gen<'s> {
 
     // ---- typedef -------------------------------------------------------------------
 
+    /// Whether some struct field reads type `id` under a `Popt`.
+    fn read_under_popt(&self, id: TypeId) -> bool {
+        let popt = |m: &MemberIr| match m {
+            MemberIr::Field(f) => match &f.ty {
+                TyUse::Opt(inner) => matches!(**inner, TyUse::Named { id: o, .. } if o == id),
+                _ => false,
+            },
+            MemberIr::Lit(_) => false,
+        };
+        self.schema.types.iter().any(|def| match &def.kind {
+            TypeKind::Struct { members } => members.iter().any(popt),
+            _ => false,
+        })
+    }
+
     fn gen_typedef_read(
         &self,
         id: TypeId,
@@ -1031,12 +1062,31 @@ impl<'s> Gen<'s> {
         let name = camel(&def.name);
         let ctx = self.param_ctx(id);
         let _ = writeln!(out, "    /// Parses the underlying type, then checks the constraint.");
-        self.emit_read_wrapper(id, true, out);
         let lt = self.lt_args(id);
         let (gen_lt, cur_lt) = self.read_lt(id);
+        // A `Popt` keeps only a clean read's value, so the typedef it reads
+        // gets a second entry that nests no descriptor for it to drop: a
+        // failed read then allocates nothing.
+        let popt = self.read_under_popt(id);
+        let (generics, nest) = if popt {
+            self.emit_read_entry(id, true, "read", "read_impl::<true>", out);
+            let _ = writeln!(out, "    /// `read` for a `Popt`, which keeps only a clean read's value: the");
+            let _ = writeln!(out, "    /// same value and events, the underlying descriptor not nested.");
+            self.emit_read_entry(id, true, "read_opt", "read_impl::<false>", out);
+            let lifetimes = gen_lt.trim_start_matches('<').trim_end_matches('>');
+            let generics = if lifetimes.is_empty() {
+                "<const NEST: bool>".to_owned()
+            } else {
+                format!("<{lifetimes}, const NEST: bool>")
+            };
+            (generics, "if NEST { pd.kind = PdKind::typedef(bpd); }")
+        } else {
+            self.emit_read_wrapper(id, true, out);
+            (gen_lt.to_owned(), "pd.kind = PdKind::typedef(bpd);")
+        };
         let _ = writeln!(
             out,
-            "    fn read_impl{gen_lt}(cur: &mut Cursor<{cur_lt}>, mask: &Mask{}) -> ({name}{lt}, ParseDesc) {{",
+            "    fn read_impl{generics}(cur: &mut Cursor<{cur_lt}>, mask: &Mask{}) -> ({name}{lt}, ParseDesc) {{",
             self.params_sig(id)
         );
         let _ = writeln!(out, "        let start = cur.position();");
@@ -1052,30 +1102,30 @@ impl<'s> Gen<'s> {
                 Ok(String::new())
             }
         };
-        match base {
-            TyUse::Base { name: bn, args } => {
-                let call = self.base_read_code(bn, args, &ctx)?;
-                let check = pred_code(self, "v")?;
-                let _ = writeln!(
-                    out,
-                    "        match {call} {{\n            Ok(v) => {{\n                let mut pd = ParseDesc::ok();\n                {check}\n                pd.kind = PdKind::typedef(ParseDesc::ok());\n                ({name}(v), pd)\n            }}\n            Err(e) => {{\n                let mut pd = ParseDesc::error(e, Loc::new(start, cur.position()));\n                pd.kind = PdKind::typedef(ParseDesc::ok());\n                ({name}::default(), pd)\n            }}\n        }}"
-                );
-            }
-            TyUse::Named { id: bid, args } => {
-                let args_code = self.call_args(args, &ctx)?;
-                let ty_name = camel(&self.schema.def(*bid).name);
-                let check = pred_code(self, "v")?;
-                let _ = writeln!(
-                    out,
-                    "        let (v, bpd) = {ty_name}::read(cur, mask{args_code});\n        let mut pd = ParseDesc::ok();\n        pd.absorb(&bpd);\n        if pd.is_ok() {{ {check} }}\n        pd.kind = PdKind::typedef(bpd);\n        ({name}(v), pd)"
-                );
-            }
+        // The underlying read's descriptor nests under the typedef's, as the
+        // interpreter nests it, whether the underlying type is a base type
+        // or a named one.
+        let read = match base {
+            TyUse::Base { name: bn, args } => format!(
+                "match {} {{\n            Ok(v) => (v, ParseDesc::ok()),\n            Err(e) => (Default::default(), ParseDesc::error(e, Loc::new(start, cur.position()))),\n        }}",
+                self.base_read_code(bn, args, &ctx)?
+            ),
+            TyUse::Named { id: bid, args } => format!(
+                "{}::read(cur, mask{})",
+                camel(&self.schema.def(*bid).name),
+                self.call_args(args, &ctx)?
+            ),
             TyUse::Opt(_) => {
                 return Err(CodegenError::new(
                     "Popt typedef bases are not supported by codegen",
                 ))
             }
-        }
+        };
+        let check = pred_code(self, "v")?;
+        let _ = writeln!(
+            out,
+            "        let (v, bpd) = {read};\n        let mut pd = ParseDesc::ok();\n        pd.absorb(&bpd);\n        if pd.is_ok() {{ {check} }}\n        {nest}\n        ({name}(v), pd)"
+        );
         let _ = writeln!(out, "    }}\n");
         Ok(())
     }

@@ -46,6 +46,14 @@ pub enum PdKind {
     },
     /// Descriptor of the underlying type of a `Ptypedef`; `None` when the
     /// underlying parse was clean (same elision as `Union`).
+    ///
+    /// Every engine — interpreter, VM and generated code — nests the same
+    /// way, whether the underlying type is a base type or a named one: an
+    /// underlying error stays on the underlying descriptor, and the
+    /// typedef's own node absorbs it (its `nerr`, its state, and
+    /// `NestedError` at the underlying error's location). The typedef's
+    /// own code is set only when its constraint fails on a clean
+    /// underlying value (`ConstraintViolation`).
     Typedef {
         /// Underlying descriptor.
         inner: Option<Box<ParseDesc>>,

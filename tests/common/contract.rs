@@ -18,7 +18,8 @@
 //!   checkpoint, kept in memory or in an on-disk journal;
 //! - `batch`: the [`RecordBatch`] round trip;
 //! - `generated`, `reader`, `drive`: a generated module's whole-source
-//!   verdict, its record reader, and that reader under `par::drive`;
+//!   parse and its record reader — every descriptor and value — and that
+//!   reader under `par::drive`;
 //! - `cli`: the `pads` binary as a process — `parse` in each format,
 //!   `accum`, `fmt`, and `parse --journal` killed and resumed — its stdout,
 //!   stderr and exit status rendered from the fact base;
@@ -53,7 +54,6 @@ use std::process::Command;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::thread;
 
-use pads::source::PathError;
 use pads::OnExhausted::BestEffort;
 use pads::{
     BaseMask, Cursor, Engine, ErrorBudget, ErrorCode, Mask, PadsParser, ParseDesc, ParseOptions,
@@ -1066,14 +1066,17 @@ fn on_every_cpu<T: Send>(worker: impl Fn() -> T + Sync) -> Vec<T> {
     })
 }
 
-/// A generated module of a case's description: its record type's `read`
-/// and `write`, its whole-source parse, and its pre-interned core.
+/// A generated module of a case's description: its record type's `read`,
+/// `write` and in-memory `verify`, the value of a record and its
+/// whole-source parse as the interpreter builds them (through the module's
+/// `to_arena` lowering), and its pre-interned core.
 pub trait Generated {
     type Record<'d>: PartialEq + Debug + Send;
     fn read<'d>(cur: &mut Cursor<'d>, mask: &Mask) -> (Self::Record<'d>, ParseDesc);
     fn write(record: &Self::Record<'_>, out: &mut Vec<u8>) -> Result<(), ErrorCode>;
-    /// The records the source holds, and its descriptor.
-    fn parse_source(cur: &mut Cursor<'_>, mask: &Mask) -> (usize, ParseDesc);
+    fn verify(record: &Self::Record<'_>) -> bool;
+    fn value(record: &Self::Record<'_>) -> Value;
+    fn parse_source(cur: &mut Cursor<'_>, mask: &Mask) -> (Value, ParseDesc);
     fn metrics_core() -> MetricsCore;
 }
 
@@ -1128,28 +1131,22 @@ where
     (items, progress, budget)
 }
 
-/// What a generated descriptor shares with the interpreter's: the state,
-/// the error count, whether it is ok, and every located error.
-fn verdict(pd: &ParseDesc) -> (ParseState, u32, bool, Vec<PathError>) {
-    (pd.state, pd.nerr, pd.is_ok(), pd.errors())
-}
-
 /// `generated`: the module's whole-source parse gives the whole-tree
-/// verdict, located errors, record count and event stream. `reader`: its
-/// record reader, from where the truth's records start, yields the truth's
-/// descriptors, boundaries and budget and writes each clean record as the
-/// interpreter's writer does. `drive`: under `par::drive`, from the plan's
-/// boundaries, the reader yields what it yields sequentially.
-fn generated<'a, G: Generated>(case: &Case<'a>, truth: &Truth, plan: &Plan) {
+/// parse's descriptor, value and event stream. `reader`: its record reader,
+/// from where the truth's records start, yields the truth's descriptors,
+/// values, boundaries and budget, and each clean record verifies and writes
+/// as the interpreter's writer does. `drive`: under `par::drive`, from the
+/// plan's boundaries, the reader yields what it yields sequentially.
+pub fn generated<'a, G: Generated>(case: &Case<'a>, truth: &Truth, plan: &Plan) {
     let d = case.description;
     let (policy, mask) = (truth.policy, mask());
     if let Some(whole) = truth.whole.as_ref().filter(|_| plan.generated) {
         let at = truth.label("generated parse_source");
         let core = trace_tally::unbounded(G::metrics_core()).into_handle();
         let mut cur = Cursor::new(case.data).with_policy(policy).with_metrics(core.clone());
-        let (records, pd) = G::parse_source(&mut cur, &mask);
-        assert_eq!(verdict(&pd), verdict(&whole.pd), "{at}: verdict");
-        assert_eq!(records, whole.records, "{at}: record count");
+        let (value, pd) = G::parse_source(&mut cur, &mask);
+        assert_eq!(pd, whole.pd, "{at}: descriptor");
+        assert_eq!(value, whole.value, "{at}: value");
         let core = core.borrow();
         assert_eq!(
             Tally::of_counters(&core),
@@ -1172,11 +1169,13 @@ fn generated<'a, G: Generated>(case: &Case<'a>, truth: &Truth, plan: &Plan) {
         let i = sequential.len();
         assert!(i < truth.len(), "{at}: record count");
         let (value, want) = &truth.run.items[i];
-        assert_eq!(verdict(&pd), verdict(want), "{at}: descriptor [{i}]");
+        assert_eq!(pd, *want, "{at}: descriptor [{i}]");
+        assert_eq!(G::value(&record), *value, "{at}: value [{i}]");
         let progress = truth.run.progress[i];
         assert_eq!(reader.position().offset, progress.end.offset, "{at}: end of [{i}]");
         assert_eq!(reader.budget(), progress.budget, "{at}: budget after [{i}]");
         if want.is_ok() {
+            assert!(G::verify(&record), "{at}: [{i}] does not verify");
             let (mut generated, mut interpreted) = (Vec::new(), Vec::new());
             let generated = G::write(&record, &mut generated).map(|()| generated);
             let interpreted =

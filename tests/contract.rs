@@ -6,9 +6,13 @@
 #[path = "common/contract.rs"]
 mod contract;
 
-use contract::{bundled, Case, Description, Kill, Observe, Truth, CHUNKS_OF_TWO, SEQUENTIAL};
-use pads::{Engine, RecoveryPolicy};
-use pads_runtime::KillPlan;
+use contract::bundled::Clf;
+use contract::{
+    bundled, generated, Case, Description, Generated, Kill, Observe, Plan, Truth, CHUNKS_OF_TWO,
+    SEQUENTIAL,
+};
+use pads::{Cursor, Engine, ErrorCode, Mask, ParseDesc, PdKind, RecoveryPolicy, Value};
+use pads_runtime::{KillPlan, MetricsCore};
 
 /// The torture CLF case and its unlimited-policy truth, handed to `fault`.
 fn planted(fault: impl FnOnce(&Case<'_>, &Truth)) {
@@ -61,4 +65,67 @@ fn a_counter_snapshot_missing_a_node_fails_the_geometry_column() {
         got.counters.as_mut().expect("counted").types.pop_last();
         truth.geometry(Engine::Interp, (4, 1), &got);
     });
+}
+
+/// The generated CLF module, its reader rewriting what it returns as
+/// `FAULT` says: `OLD_TYPEDEF` puts the error of a failed `response` read
+/// back on the typedef's own node, its base descriptor dropped (the shape
+/// generated code once gave a typedef over a base type); `DAMAGED_LEAF`
+/// adds one to the `length` of a record with errors.
+struct Planted<const FAULT: u8>;
+const OLD_TYPEDEF: u8 = 0;
+const DAMAGED_LEAF: u8 = 1;
+
+impl<const FAULT: u8> Generated for Planted<FAULT> {
+    type Record<'d> = <Clf as Generated>::Record<'d>;
+
+    fn read<'d>(cur: &mut Cursor<'d>, mask: &Mask) -> (Self::Record<'d>, ParseDesc) {
+        let (mut record, mut pd) = Clf::read(cur, mask);
+        if FAULT == DAMAGED_LEAF && !pd.is_ok() {
+            record.length += 1;
+        }
+        if let (OLD_TYPEDEF, PdKind::Struct { fields }) = (FAULT, &mut pd.kind) {
+            for (_, response) in fields.iter_mut().filter(|(name, _)| *name == "response") {
+                if let PdKind::Typedef { inner: Some(base) } = &response.kind {
+                    response.err_code = base.err_code;
+                    response.kind = PdKind::typedef(ParseDesc::ok());
+                }
+            }
+        }
+        (record, pd)
+    }
+
+    fn write(record: &Self::Record<'_>, out: &mut Vec<u8>) -> Result<(), ErrorCode> {
+        Clf::write(record, out)
+    }
+
+    fn verify(record: &Self::Record<'_>) -> bool {
+        Clf::verify(record)
+    }
+
+    fn value(record: &Self::Record<'_>) -> Value {
+        Clf::value(record)
+    }
+
+    fn parse_source(cur: &mut Cursor<'_>, mask: &Mask) -> (Value, ParseDesc) {
+        Clf::parse_source(cur, mask)
+    }
+
+    fn metrics_core() -> MetricsCore {
+        Clf::metrics_core()
+    }
+}
+
+#[test]
+#[should_panic(expected = "generated reader: descriptor [")]
+fn a_typedef_descriptor_in_its_old_shape_fails_the_generated_reader_column() {
+    let plan = Plan { reader: true, ..Plan::default() };
+    planted(|case, truth| generated::<Planted<OLD_TYPEDEF>>(case, truth, &plan));
+}
+
+#[test]
+#[should_panic(expected = "generated reader: value [")]
+fn a_damaged_record_with_one_leaf_changed_fails_the_generated_reader_column() {
+    let plan = Plan { reader: true, ..Plan::default() };
+    planted(|case, truth| generated::<Planted<DAMAGED_LEAF>>(case, truth, &plan));
 }
