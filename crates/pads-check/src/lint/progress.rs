@@ -11,7 +11,7 @@
 use pads_syntax::ast::{BinOp, Expr};
 
 use crate::facts::{FactBase, Nullability};
-use crate::ir::{TypeId, TypeKind};
+use crate::ir::{TyUse, TypeId, TypeKind};
 use crate::lint::{const_fold, Const, Diagnostics};
 
 /// What the analysis can prove about an unsized array's read loop.
@@ -41,10 +41,14 @@ pub(crate) fn array_progress(facts: &FactBase<'_>, id: TypeId) -> Progress {
     match facts.of_use(elem).null {
         Nullability::NonEmpty => Progress::Proven,
         Nullability::MaybeEmpty | Nullability::Unknown => {
-            // A separator forces consumption *between* elements, and any
-            // termination condition can still stop the loop — but neither
-            // guarantees the first iteration moves, so the guard is live.
-            if sep.is_some() || term.is_some() || ended.is_some() {
+            // A separator forces consumption *between* elements, any
+            // termination condition can still stop the loop, and a record
+            // element ends at its record's boundary (past its newline or
+            // length header) — but none guarantees the first iteration
+            // moves (a zero-width discipline does not), so the guard is live.
+            let record =
+                matches!(elem, TyUse::Named { id, .. } if facts.schema().def(*id).is_record);
+            if sep.is_some() || term.is_some() || ended.is_some() || record {
                 Progress::Guarded
             } else {
                 Progress::Stuck
@@ -202,6 +206,17 @@ mod tests {
     fn separator_demotes_to_guarded() {
         let (p, diags) =
             progress_of("Parray t { Pstring(:',':)[] : Psep(',') && Pterm(Peor); };");
+        assert_eq!(p, Progress::Guarded);
+        assert_eq!(diags.iter().map(|d| d.code).collect::<Vec<_>>(), vec!["PL102"]);
+    }
+
+    #[test]
+    fn record_element_demotes_to_guarded() {
+        // An empty record still ends at its boundary: the nibbles of one
+        // record each, to the end of the source.
+        let (p, diags) = progress_of(
+            "Precord Parray r_t { Pbits(:4:)[] : Pterm(Peor); };\nPsource Parray t { r_t[]; };",
+        );
         assert_eq!(p, Progress::Guarded);
         assert_eq!(diags.iter().map(|d| d.code).collect::<Vec<_>>(), vec!["PL102"]);
     }

@@ -10,13 +10,13 @@
 mod contract;
 
 use contract::bundled::{self, Bundled};
-use contract::{cli, every_cli_policy, seeds, sweep, Case, Cli, Plan, Truth, TOOLS};
+use contract::{cli, every_cli_policy, seeds, sweep, Case, Cli, Plan, Tool, Truth, TOOLS};
 use pads::{
     Engine, PadsParser, ParseOptions, RecordDiscipline, RecoveryPolicy, SourceFold, SourceJob,
     SourceShape, SourceSummary,
 };
 use pads_gen::{ClfConfig, SiriusConfig};
-use pads_runtime::FaultPlan;
+use pads_runtime::{FaultPlan, KillPlan};
 
 const PADS: &str = env!("CARGO_BIN_EXE_pads");
 
@@ -70,6 +70,28 @@ fn every_tool_prints_the_truth_of_fault_seeds() {
     let rows = cli(&TOOLS, &[JOBS[0], JOBS[2]]);
     for bundled in bundled::all() {
         sweep(&bundled, seeds::CLI, |_, _| Plan::cli(PADS, rows.clone()));
+    }
+}
+
+/// Figure 1's sources — EBCDIC text, fixed-width binary, fixed-width and
+/// length-prefixed EBCDIC Cobol, bit fields, Regulus — clean and damaged,
+/// under every policy: every tool on one and on four workers, and `parse
+/// --journal` killed after a record and resumed. Not Netflow, whose packets
+/// are no `Precord` (`pads` infers no shape), nor the call detail read
+/// little-endian (`pads` reads binary big-endian only).
+#[test]
+fn figure1_sources_print_the_truth() {
+    let four = Some(contract::CHUNKS_OF_TWO);
+    let mut rows = cli(&TOOLS, &[Some((1, 8)), four]);
+    let kill = KillPlan { kill_after: 1, checkpoint_every: 1 };
+    rows.extend(cli(&[Tool::Journal(Some(kill))], &[four]));
+    let cases = contract::figure1::all().into_iter().filter(|source| source.record.is_none());
+    for source in cases.filter(|source| source.description().cli_flags().is_ok()) {
+        let description = source.description();
+        for (corpus, data) in &source.corpora {
+            let case = Case::new(format!("{} {corpus}", source.name), &description, data);
+            every_cli_policy(&case, PADS, &rows, |_| ());
+        }
     }
 }
 

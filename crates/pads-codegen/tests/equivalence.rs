@@ -12,14 +12,10 @@
 mod contract;
 
 use contract::bundled::{self, Bundled};
-use contract::{every_policy, policies, Case, Plan, Truth, ENGINES};
+use contract::{every_policy, mask, policies, Case, Plan, Truth, ENGINES};
 use pads::generated::mixed::{self as gen_mixed, Until0T};
 use pads::{descriptions, PadsParser, Prim, RecoveryPolicy, Value};
-use pads_runtime::{BaseMask, Cursor, Mask, ValueArena};
-
-fn mask() -> Mask {
-    Mask::all(BaseMask::CheckAndSet)
-}
+use pads_runtime::{Cursor, ValueArena};
 
 /// `data` as a case of `bundled` under every policy: both engines on one
 /// thread, and the generated module's whole-source parse and record reader,

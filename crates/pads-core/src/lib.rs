@@ -71,8 +71,8 @@ pub use pads_check::ir::{Schema, TypeId};
 pub use pads_check::{check, compile, CheckError, CompileError};
 pub use pads_runtime::{
     BaseMask, Charset, Cursor, Endian, ErrorBudget, ErrorCode, Loc, Mask, OnExhausted, ParseDesc,
-    ParseState, Parsed, PdKind, Pos, Prim, PrimKind, Progress, RecordDiscipline, RecoveryPolicy,
-    Registry, ResumePoint, DEFAULT_MAX_INFLIGHT,
+    ParseState, Parsed, PdChild, PdKind, Pos, Prim, PrimKind, Progress, RecordDiscipline,
+    RecoveryPolicy, Registry, ResumePoint, DEFAULT_MAX_INFLIGHT,
 };
 pub use pads_syntax::{parse as parse_description, Program, SyntaxError};
 
@@ -136,7 +136,8 @@ mod tests {
         assert_eq!(errors.len(), 1);
         assert_eq!(errors[0].0, "b");
         assert_eq!(errors[0].1, ErrorCode::ConstraintViolation);
-        assert_eq!(pd.field("b").unwrap().err_code, ErrorCode::ConstraintViolation);
+        let b = pd.child(PdChild::Field("b")).unwrap();
+        assert_eq!(b.err_code, ErrorCode::ConstraintViolation);
         assert_eq!(v.at_path("b").and_then(Value::as_u64), Some(3));
         assert!(!pd.has_syntax_error());
     }

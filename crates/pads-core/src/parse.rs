@@ -379,9 +379,11 @@ impl<'s> PadsParser<'s> {
             // cursor's tracking still points at the previous record here
             // (and a resumed cursor has no previous record at all).
             let start = Pos { byte: 0, ..cur.position() };
-            if cur.begin_record().is_ok() {
-                let _ = cur.end_record();
-            }
+            // A record whose framing fails (a fixed-width tail cut short, a
+            // length header that overruns) is the rest of the source: skipped
+            // and closed like any other, not left open for the next to nest in.
+            let _ = cur.begin_record();
+            let _ = cur.end_record();
             let mut pd =
                 ParseDesc::error(ErrorCode::BudgetExhausted, Loc::new(start, cur.position()));
             pd.state = ParseState::Panic;

@@ -636,9 +636,11 @@ impl<'a> Cursor<'a> {
             // cursor's tracking still points at the previous record here
             // (and a resumed cursor has no previous record at all).
             let start = Pos { byte: 0, ..self.position() };
-            if self.begin_record().is_ok() {
-                let _ = self.end_record();
-            }
+            // A record whose framing fails (a fixed-width tail cut short, a
+            // length header that overruns) is the rest of the source: skipped
+            // and closed like any other, not left open for the next to nest in.
+            let _ = self.begin_record();
+            let _ = self.end_record();
             let mut pd =
                 ParseDesc::error(ErrorCode::BudgetExhausted, Loc::new(start, self.position()));
             pd.state = ParseState::Panic;

@@ -85,7 +85,7 @@ pub use par::{
     plan_shards, Parsed, Progress, RecordReader, ResumePoint, Shard, ShardPlan,
     DEFAULT_MAX_INFLIGHT, MAX_JOBS,
 };
-pub use pd::{ParseDesc, PdKind, SparseElts};
+pub use pd::{ParseDesc, PdChild, PdKind, SparseElts};
 pub use prim::{Prim, PrimKind};
 pub use recovery::{ErrorBudget, OnExhausted, RecoveryPolicy};
 pub use scan::{count_byte, find_byte, find_literal, skip_class, ClassBitmap};

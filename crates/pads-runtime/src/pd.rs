@@ -392,15 +392,39 @@ impl ParseDesc {
         self.kind = PdKind::Base;
     }
 
-    /// Looks up the descriptor of a named struct field.
-    pub fn field(&self, name: &str) -> Option<&ParseDesc> {
-        match &self.kind {
-            PdKind::Struct { fields } => {
+    /// The descriptor of a child of this node, seen through any
+    /// `Ptypedef` around it: a typedef's value is its underlying type's, so
+    /// a field, branch, element or present option of that value finds its
+    /// descriptor under the typedef's. `None` where the child's descriptor
+    /// was elided as clean (or the node has no such child).
+    pub fn child(&self, child: PdChild<'_>) -> Option<&ParseDesc> {
+        match (&self.kind, child) {
+            (PdKind::Typedef { inner }, PdChild::Underlying) => inner.as_deref(),
+            (PdKind::Typedef { inner }, child) => inner.as_deref()?.child(child),
+            (PdKind::Struct { fields }, PdChild::Field(name)) => {
                 fields.iter().find(|(n, _)| n == name).map(|(_, pd)| pd)
             }
+            (PdKind::Union { pd, .. }, PdChild::Branch) => pd.as_deref(),
+            (PdKind::Array { elts, .. }, PdChild::Elt(i)) => elts.get(i),
+            (PdKind::Opt { inner }, PdChild::Present) => inner.as_deref(),
             _ => None,
         }
     }
+}
+
+/// Which child [`ParseDesc::child`] looks up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PdChild<'n> {
+    /// A struct's named field.
+    Field(&'n str),
+    /// The union branch taken.
+    Branch,
+    /// An array's element.
+    Elt(usize),
+    /// A present option's value.
+    Present,
+    /// A typedef's underlying type (of a typedef itself, not seen through).
+    Underlying,
 }
 
 impl std::fmt::Display for ParseDesc {

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use pads::{PdKind, Prim, Progress, RecordSink, Schema, Value};
+use pads::{PdChild, Prim, Progress, RecordSink, Schema, Value};
 use pads_check::ir::{MemberIr, TypeId, TypeKind, TyUse};
 use pads_runtime::{ErrorCode, ParseDesc};
 
@@ -471,14 +471,6 @@ fn base_label(name: &str) -> String {
     name.strip_prefix('P').unwrap_or(name).to_string()
 }
 
-fn child_pd<'p>(pd: Option<&'p ParseDesc>, name: &str) -> Option<&'p ParseDesc> {
-    pd.and_then(|pd| match &pd.kind {
-        PdKind::Struct { fields } => fields.iter().find(|(n, _)| n == name).map(|(_, p)| p),
-        PdKind::Typedef { inner } => child_pd(inner.as_deref(), name),
-        _ => None,
-    })
-}
-
 fn add_node(node: &mut Node, value: &Value, pd: Option<&ParseDesc>) {
     let bad = pd.is_some_and(|p| !p.is_ok());
     match (node, value) {
@@ -499,7 +491,7 @@ fn add_node(node: &mut Node, value: &Value, pd: Option<&ParseDesc>) {
         (Node::Struct { fields }, Value::Struct { fields: vfields }) => {
             for (name, child) in fields {
                 if let Some((_, v)) = vfields.iter().find(|(n, _)| n == name) {
-                    add_node(child, v, child_pd(pd, name));
+                    add_node(child, v, pd.and_then(|p| p.child(PdChild::Field(name))));
                 }
             }
         }
@@ -514,11 +506,7 @@ fn add_node(node: &mut Node, value: &Value, pd: Option<&ParseDesc>) {
             let matched = pd.is_none_or(|p| p.err_code != ErrorCode::UnionNoBranch);
             let child = branches.iter_mut().find(|(n, _)| n == branch).filter(|_| matched);
             if let Some((_, child)) = child {
-                let bpd = pd.and_then(|p| match &p.kind {
-                    PdKind::Union { pd, .. } => pd.as_deref(),
-                    _ => None,
-                });
-                add_node(child, value, bpd);
+                add_node(child, value, pd.and_then(|p| p.child(PdChild::Branch)));
             }
         }
         (Node::Array { length, elem }, Value::Array(elts)) => {
@@ -528,11 +516,7 @@ fn add_node(node: &mut Node, value: &Value, pd: Option<&ParseDesc>) {
                 length.add_good(elts.len().to_string(), Some(elts.len() as f64));
             }
             for (i, v) in elts.iter().enumerate() {
-                let epd = pd.and_then(|p| match &p.kind {
-                    PdKind::Array { elts, .. } => elts.get(i),
-                    _ => None,
-                });
-                add_node(elem, v, epd);
+                add_node(elem, v, pd.and_then(|p| p.child(PdChild::Elt(i))));
             }
         }
         (Node::Opt { presence, inner }, Value::Opt(opt)) => {
@@ -545,14 +529,15 @@ fn add_node(node: &mut Node, value: &Value, pd: Option<&ParseDesc>) {
                 );
             }
             if let Some(v) = opt {
-                let ipd = pd.and_then(|p| match &p.kind {
-                    PdKind::Opt { inner: Some(i) } => Some(i.as_ref()),
-                    _ => None,
-                });
-                add_node(inner, v, ipd);
+                add_node(inner, v, pd.and_then(|p| p.child(PdChild::Present)));
             }
         }
-        (Node::Typedef(inner), v) => add_node(inner, v, pd),
+        // The underlying type's own descriptor where it has one (a union's
+        // `UnionNoBranch` is there); where it parsed clean, the typedef's,
+        // whose constraint may still have failed.
+        (Node::Typedef(inner), v) => {
+            add_node(inner, v, pd.and_then(|p| p.child(PdChild::Underlying)).or(pd))
+        }
         _ => {}
     }
 }

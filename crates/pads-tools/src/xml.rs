@@ -16,7 +16,7 @@ use std::io::{self, Write as _};
 
 use pads::{ParseDesc, Prim, Progress, RecordSink, Schema, SourceEnd, SourceFold, SourceSummary, Value};
 use pads_check::ir::{MemberIr, TypeKind, TyUse};
-use pads_runtime::{render, MetricsHandle, PdKind};
+use pads_runtime::{render, MetricsHandle, PdChild, PdKind};
 
 /// Appends `text` escaped for XML content, a C0 control XML 1.0 forbids
 /// written as U+FFFD: as is when it holds no special byte, which is the
@@ -101,16 +101,13 @@ pub fn write_xml(out: &mut Vec<u8>, value: &Value, pd: Option<&ParseDesc>, tag: 
         }
         Value::Opt(None) => mark(indent, b"<", tag, b"/>\n", out),
         Value::Opt(Some(inner)) => {
-            let ipd = pd.and_then(|p| match &p.kind {
-                PdKind::Opt { inner: Some(i) } => Some(i.as_ref()),
-                _ => None,
-            });
-            write_xml(out, inner, ipd, tag, indent);
+            write_xml(out, inner, pd.and_then(|p| p.child(PdChild::Present)), tag, indent);
         }
         Value::Struct { fields } => {
             open(tag, indent, out);
             for (name, v) in fields {
-                write_xml(out, v, pd.and_then(|p| p.field(name)), name, indent + 2);
+                let fpd = pd.and_then(|p| p.child(PdChild::Field(name)));
+                write_xml(out, v, fpd, name, indent + 2);
             }
             if let Some(d) = bad_pd {
                 write_pd(d, indent + 2, out);
@@ -119,11 +116,7 @@ pub fn write_xml(out: &mut Vec<u8>, value: &Value, pd: Option<&ParseDesc>, tag: 
         }
         Value::Union { branch, value, .. } => {
             open(tag, indent, out);
-            let bpd = pd.and_then(|p| match &p.kind {
-                PdKind::Union { pd, .. } => pd.as_deref(),
-                _ => None,
-            });
-            write_xml(out, value, bpd, branch, indent + 2);
+            write_xml(out, value, pd.and_then(|p| p.child(PdChild::Branch)), branch, indent + 2);
             if let Some(d) = bad_pd {
                 write_pd(d, indent + 2, out);
             }
@@ -132,11 +125,7 @@ pub fn write_xml(out: &mut Vec<u8>, value: &Value, pd: Option<&ParseDesc>, tag: 
         Value::Array(elts) => {
             open(tag, indent, out);
             for (i, v) in elts.iter().enumerate() {
-                let epd = pd.and_then(|p| match &p.kind {
-                    PdKind::Array { elts, .. } => elts.get(i),
-                    _ => None,
-                });
-                write_xml(out, v, epd, "elt", indent + 2);
+                write_xml(out, v, pd.and_then(|p| p.child(PdChild::Elt(i))), "elt", indent + 2);
             }
             array_tail(elts.len(), bad_pd, indent + 2, out);
             close(tag, indent, out);

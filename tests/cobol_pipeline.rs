@@ -1,123 +1,45 @@
 //! The Altair pipeline end to end (§5.2): Cobol copybook → PADS
-//! description → parse EBCDIC records → accumulator profile.
+//! description → parse EBCDIC records → accumulator profile. Each test is
+//! a matrix cell (`common/contract.rs`) plus the values only it asserts.
 
-use pads::{BaseMask, Charset, Mask, PadsParser, ParseOptions, RecordDiscipline, Registry, Value};
+#[path = "common/contract.rs"]
+mod contract;
+
+use contract::figure1;
+use pads::Value;
 use pads_tools::Accumulator;
-
-const COPYBOOK: &str = "
-   01 BILL-REC.
-      05 ACCT-ID     PIC 9(6).
-      05 REGION      PIC X(3).
-      05 AMOUNT      PIC S9(5) COMP-3.
-      05 CYCLE-DAY   PIC 9(2).
-";
-
-/// One fixed-width EBCDIC record matching the copybook: 6 zoned digits,
-/// 3 chars, 3 packed bytes, 2 zoned digits = 14 bytes.
-fn record(acct: u32, region: &str, amount: i32, day: u8) -> Vec<u8> {
-    let mut out = Vec::new();
-    for d in format!("{acct:06}").bytes() {
-        out.push(0xF0 | (d - b'0'));
-    }
-    for b in region.bytes() {
-        out.push(Charset::Ebcdic.encode(b));
-    }
-    // Packed S9(5): 3 bytes, sign nibble last.
-    let digits = format!("{:05}", amount.unsigned_abs());
-    let d: Vec<u8> = digits.bytes().map(|b| b - b'0').collect();
-    out.push(d[0] << 4 | d[1]);
-    out.push(d[2] << 4 | d[3]);
-    out.push(d[4] << 4 | if amount < 0 { 0x0D } else { 0x0C });
-    for d in format!("{day:02}").bytes() {
-        out.push(0xF0 | (d - b'0'));
-    }
-    out
-}
 
 #[test]
 fn copybook_feed_parses_and_profiles() {
-    let description = pads_cobol::translate(COPYBOOK).expect("copybook translates");
-    let registry = Registry::standard();
-    let schema = pads::compile(&description, &registry).expect("translation compiles");
-
-    let mut data = Vec::new();
-    data.extend(record(101, "NE1", 5000, 7));
-    data.extend(record(102, "SW2", -250, 7));
-    data.extend(record(103, "NE1", 125, 14));
-
-    let parser = PadsParser::new(&schema, &registry).with_options(ParseOptions {
-        charset: Charset::Ebcdic,
-        discipline: RecordDiscipline::FixedWidth(14),
-        ..Default::default()
-    });
-    let mask = Mask::all(BaseMask::CheckAndSet);
-    let (v, pd) = parser.parse_source(&data, &mask);
-    assert!(pd.is_ok(), "{:?}", pd.errors());
-    assert_eq!(v.len(), Some(3));
-    assert_eq!(v.at_path("[0].acct_id").and_then(Value::as_i64), Some(101));
-    assert_eq!(v.at_path("[0].region").and_then(Value::as_str), Some("NE1"));
-    assert_eq!(v.at_path("[1].amount").and_then(Value::as_i64), Some(-250));
-    assert_eq!(v.at_path("[2].cycle_day").and_then(Value::as_i64), Some(14));
-
+    let feed = figure1::altair_fixed();
+    let truth = &feed.cells()[0];
+    assert!(truth.clean(3));
+    assert_eq!(truth.int(0, "acct_id"), Some(101));
+    assert_eq!(truth.at(0, "region").and_then(Value::as_str), Some("NE1"));
+    assert_eq!([truth.int(1, "amount"), truth.int(2, "cycle_day")], [Some(-250), Some(14)]);
     // Accumulator profile over the feed — what Altair automates for ~4000
     // files per day.
-    let mut acc = Accumulator::new(&schema, "bill_rec_t");
-    for (rec, rpd) in parser.records(&data, "bill_rec_t", &mask) {
-        acc.add(&rec, &rpd);
-    }
-    assert_eq!(acc.records, 3);
-    assert_eq!(acc.bad_records, 0);
-    let region = acc.stats_at("region").unwrap();
-    assert_eq!(region.top(1), vec![("NE1", 2)]);
+    let mut acc = Accumulator::new(&feed.schema, "bill_rec_t");
+    truth.run.items.iter().for_each(|(rec, pd)| acc.add(rec, pd));
+    assert_eq!((acc.records, acc.bad_records), (3, 0));
+    assert_eq!(acc.stats_at("region").unwrap().top(1), vec![("NE1", 2)]);
     let amount = acc.stats_at("amount").unwrap();
-    assert_eq!(amount.num.min, -250.0);
-    assert_eq!(amount.num.max, 5000.0);
+    assert_eq!((amount.num.min, amount.num.max), (-250.0, 5000.0));
 }
 
 #[test]
 fn corrupted_cobol_record_is_flagged_not_fatal() {
-    let description = pads_cobol::translate(COPYBOOK).unwrap();
-    let registry = Registry::standard();
-    let schema = pads::compile(&description, &registry).unwrap();
-    let mut data = Vec::new();
-    data.extend(record(101, "NE1", 1, 1));
-    let mut bad = record(102, "SW2", 2, 2);
-    bad[0] = 0xC1; // zone nibble wrong: not a zoned digit
-    data.extend(bad);
-    data.extend(record(103, "NE1", 3, 3));
-    let parser = PadsParser::new(&schema, &registry).with_options(ParseOptions {
-        charset: Charset::Ebcdic,
-        discipline: RecordDiscipline::FixedWidth(14),
-        ..Default::default()
-    });
-    let (v, pd) = parser.parse_source(&data, &Mask::all(BaseMask::CheckAndSet));
-    assert_eq!(v.len(), Some(3), "panic recovery keeps all records");
-    let errors = pd.errors();
-    assert!(errors.iter().all(|(p, _, _)| p.starts_with("[1]")), "{errors:?}");
-    assert_eq!(v.at_path("[2].acct_id").and_then(Value::as_i64), Some(103));
+    let truth = &figure1::altair_fixed().cells()[1];
+    // Panic recovery keeps every record; only the second is bad.
+    let bad: Vec<bool> = truth.run.items.iter().map(|(_, pd)| !pd.is_ok()).collect();
+    assert_eq!(bad, [false, true, false]);
+    assert_eq!(truth.int(2, "acct_id"), Some(103));
 }
 
 #[test]
 fn length_prefixed_cobol_discipline_works_too() {
     // Cobol wire formats often carry a 2-byte length header (§3, end).
-    let description = pads_cobol::translate(COPYBOOK).unwrap();
-    let registry = Registry::standard();
-    let schema = pads::compile(&description, &registry).unwrap();
-    let mut data = Vec::new();
-    for r in [record(7, "ABC", 9, 1), record(8, "XYZ", -9, 2)] {
-        data.extend_from_slice(&(r.len() as u16).to_be_bytes());
-        data.extend(r);
-    }
-    let parser = PadsParser::new(&schema, &registry).with_options(ParseOptions {
-        charset: Charset::Ebcdic,
-        discipline: RecordDiscipline::LengthPrefixed {
-            header_bytes: 2,
-            endian: pads::Endian::Big,
-        },
-        ..Default::default()
-    });
-    let (v, pd) = parser.parse_source(&data, &Mask::all(BaseMask::CheckAndSet));
-    assert!(pd.is_ok(), "{:?}", pd.errors());
-    assert_eq!(v.len(), Some(2));
-    assert_eq!(v.at_path("[1].amount").and_then(Value::as_i64), Some(-9));
+    let truth = &figure1::altair_lenpfx().cells()[0];
+    assert!(truth.clean(2));
+    assert_eq!(truth.int(1, "amount"), Some(-9));
 }

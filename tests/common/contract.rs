@@ -31,11 +31,15 @@
 //! some cases — a torture corpus under every policy ([`torture`]) or a
 //! block of fault seeds ([`sweep`]). A new description or corpus is a new
 //! [`Case`]; a new check is a new column. Failure messages read
-//! `<case> <policy> <column>: <fact>`.
+//! `<case> <policy> <column>: <fact>`. The descriptions are the bundled three
+//! (ASCII, newline-framed) and [`figure1`]'s: `ambient` in ASCII and EBCDIC, `regulus`,
+//! `nibbles`, `half_byte`, `half_byte_eor` newline-framed; `call_detail` (big- and little-endian),
+//! `tagged_count`, `iphdr`, `half_byte_wide` fixed-width; `netflow` unframed; Altair's copybook
+//! in EBCDIC, fixed-width and length-prefixed.
 #![allow(dead_code)]
 
 #[path = "collect.rs"]
-mod collect;
+pub mod collect;
 #[path = "tables.rs"]
 mod tables;
 #[path = "trace_tally.rs"]
@@ -43,6 +47,8 @@ mod trace_tally;
 
 #[path = "bundled.rs"]
 pub mod bundled;
+#[path = "figure1.rs"]
+pub mod figure1;
 
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -56,9 +62,10 @@ use std::thread;
 
 use pads::OnExhausted::BestEffort;
 use pads::{
-    BaseMask, Cursor, Engine, ErrorBudget, ErrorCode, Mask, PadsParser, ParseDesc, ParseOptions,
-    ParseState, PdKind, Progress, RecordBatch, RecordSink, RecoveryPolicy, Registry, ResumePoint,
-    Schema, SourceEnd, SourceFold, SourceJob, SourceShape, SourceSummary, Value, Writer,
+    BaseMask, Charset, Cursor, Endian, Engine, ErrorBudget, ErrorCode, Mask, PadsParser, ParseDesc,
+    ParseOptions, ParseState, PdKind, Progress, RecordBatch, RecordDiscipline, RecordSink,
+    RecoveryPolicy, Registry, ResumePoint, Schema, SourceEnd, SourceFold, SourceJob, SourceShape,
+    SourceSummary, Value, Writer,
 };
 use pads_check::facts::{FactBase, WidthInterval};
 use pads_runtime::genrt::CursorRecords;
@@ -81,13 +88,16 @@ pub const SEQUENTIAL: (usize, usize) = GEOMETRIES[0];
 
 /// A description as the matrix runs it: its shape, whether that shape is
 /// the one [`SourceShape::infer`] gives (then the whole-tree columns apply),
-/// the width each type may consume, the generated module's column, and the
-/// `.pads` text the `cli` column hands the binary.
+/// the charset, record discipline and byte order every column reads it
+/// with, the width each type may consume, the generated module's column,
+/// and the `.pads` text the `cli` column hands the binary.
 pub struct Description<'a> {
     pub schema: &'a Schema,
     pub registry: &'a Registry,
     pub shape: SourceShape<'a>,
     inferred: bool,
+    /// Its `charset`, `discipline` and `endian`; each column sets the rest.
+    options: ParseOptions,
     text: Option<&'a str>,
     widths: HashMap<String, (WidthInterval, bool)>,
     generated: Option<fn(&Case<'_>, &Truth, &Plan)>,
@@ -118,6 +128,7 @@ impl<'a> Description<'a> {
             registry,
             shape: SourceShape::records(record),
             inferred: false,
+            options: ParseOptions::default(),
             text: None,
             widths,
             generated: None,
@@ -129,9 +140,40 @@ impl<'a> Description<'a> {
         Description { text: Some(text), ..self }
     }
 
+    /// The description read with `options`' charset, discipline and endian.
+    pub fn with_options(self, options: ParseOptions) -> Description<'a> {
+        Description { options, ..self }
+    }
+
     pub fn parser(&self, policy: RecoveryPolicy, engine: Engine) -> PadsParser<'a> {
-        let options = ParseOptions { policy, engine, ..Default::default() };
+        let options = ParseOptions { policy, engine, ..self.options };
         PadsParser::new(self.schema, self.registry).with_options(options)
+    }
+
+    /// The bytes a record's span holds besides its content.
+    fn framing(&self) -> u64 {
+        match self.options.discipline {
+            RecordDiscipline::Newline => 1,
+            RecordDiscipline::LengthPrefixed { header_bytes, .. } => header_bytes as u64,
+            RecordDiscipline::FixedWidth(_) | RecordDiscipline::None => 0,
+        }
+    }
+
+    /// The `pads` flags that read the source as every column does, or why none do.
+    pub fn cli_flags(&self) -> Result<Vec<String>, &'static str> {
+        let ParseOptions { charset, discipline, endian, .. } = self.options;
+        let ebcdic = (charset == Charset::Ebcdic).then(|| "--ebcdic".to_owned());
+        let framing = match discipline {
+            _ if endian == Endian::Little => return Err("pads reads binary big-endian only"),
+            RecordDiscipline::Newline => None,
+            RecordDiscipline::FixedWidth(n) => Some(flag("--fixed", n)),
+            RecordDiscipline::LengthPrefixed { header_bytes, endian: Endian::Big } => {
+                Some(flag("--lenpfx", header_bytes))
+            }
+            RecordDiscipline::LengthPrefixed { .. } => return Err("--lenpfx is big-endian only"),
+            RecordDiscipline::None => return Err("pads has no unframed discipline"),
+        };
+        Ok(ebcdic.into_iter().chain(framing.into_iter().flatten()).collect())
     }
 }
 
@@ -524,6 +566,20 @@ impl Truth {
         self.run.items.len()
     }
 
+    /// Record `i`'s value at `path`.
+    pub fn at(&self, i: usize, path: &str) -> Option<&Value> {
+        self.run.items[i].0.at_path(path)
+    }
+
+    pub fn int(&self, i: usize, path: &str) -> Option<i64> {
+        self.at(i, path).and_then(Value::as_i64)
+    }
+
+    /// Whether the run holds `n` records, all clean.
+    pub fn clean(&self, n: usize) -> bool {
+        self.len() == n && self.run.items.iter().all(|(_, pd)| pd.is_ok())
+    }
+
     /// The core that traced every event: the whole-tree parse's, or the
     /// run's where the shape is not inferred.
     pub fn traced(&self) -> &MetricsCore {
@@ -789,8 +845,8 @@ impl Truth {
             let (w, is_record) =
                 widths.get(name).unwrap_or_else(|| panic!("{at}: unknown `{name}`"));
             assert!(consumed >= w.min, "{at}: `{name}` consumed {consumed}, below {}", w.min);
-            // A record's span holds its newline, which its content width does not.
-            let max = w.max.map(|max| max + u64::from(*is_record));
+            // A record's span holds its framing, which its content width does not.
+            let max = w.max.map(|max| max + u64::from(*is_record) * case.description.framing());
             assert!(
                 max.is_none_or(|max| consumed <= max),
                 "{at}: `{name}` consumed {consumed}, above {max:?}"
@@ -893,6 +949,27 @@ pub fn every_boundary(truth: &Truth) -> impl Iterator<Item = (usize, (usize, usi
 }
 
 impl Plan {
+    /// Every column but the generated ones and `cli`, on both engines: one
+    /// thread, records, every geometry counted, resumed at every boundary,
+    /// killed halfway and resumed on four workers from memory or a journal,
+    /// and the batch.
+    pub fn every_column(truth: &Truth) -> Plan {
+        let plan = KillPlan { kill_after: truth.len().div_ceil(2), checkpoint_every: 1 };
+        let (jobs, counted) = ((SEQUENTIAL, CHUNKS_OF_TWO), true);
+        let kill = |(engine, journal)| Kill { jobs, counted, journal, ..Kill::at(plan, engine) };
+        let resumes = every_boundary(truth).flat_map(|(k, g)| ENGINES.map(|e| (k, e, g)));
+        Plan {
+            sequential: ENGINES.to_vec(),
+            records: ENGINES.to_vec(),
+            geometries: ENGINES.into_iter().flat_map(every_geometry).collect(),
+            counted: true,
+            resumes: resumes.collect(),
+            kills: ENGINES.into_iter().flat_map(|e| [(e, false), (e, true)]).map(kill).collect(),
+            batch: true,
+            ..Plan::default()
+        }
+    }
+
     /// The `cli` rows `rows`, through the binary at `pads`.
     pub fn cli(pads: &'static str, rows: Vec<Cli>) -> Plan {
         Plan { pads, cli: rows, ..Plan::default() }
@@ -932,12 +1009,12 @@ impl Plan {
 }
 
 /// A cell over `case`: under every policy, its truth checked against the
-/// rows `plan` picks for it.
-pub fn every_policy(case: &Case<'_>, plan: impl Fn(&Truth) -> Plan) {
-    for policy in policies() {
-        let truth = Truth::of(case, policy);
-        truth.check(case, &plan(&truth));
-    }
+/// rows `plan` picks for it. Returns the truths, the unlimited policy's
+/// first.
+pub fn every_policy(case: &Case<'_>, plan: impl Fn(&Truth) -> Plan) -> Vec<Truth> {
+    let truths: Vec<_> = policies().into_iter().map(|policy| Truth::of(case, policy)).collect();
+    truths.iter().for_each(|truth| truth.check(case, &plan(truth)));
+    truths
 }
 
 /// A `cli` cell over `case`: `rows` through the binary at `pads` under
@@ -1094,7 +1171,7 @@ pub type Drained<T> = (Vec<(T, ParseDesc)>, Vec<Progress>, ErrorBudget);
 
 /// Records of `data` from `start` under `par::drive` in a `(jobs,
 /// max_inflight)` geometry, each reader opened by `open`; with each
-/// record's progress and the final budget. Every corpus here is
+/// record's progress and the final budget. Every generated module reads
 /// newline-framed ASCII.
 pub fn drive<'d, R>(
     data: &'d [u8],
@@ -1323,10 +1400,11 @@ impl Truth {
     /// --journal` as [`Column::killed`] says.
     pub fn cli(&self, case: &Case<'_>, pads: &str, rows: &[Cli]) {
         let text = case.description.text.expect("the cli column writes the description's text");
+        let flags = case.description.cli_flags().unwrap_or_else(|why| panic!("{}: {why}", self.at));
         let (dir, files) = written([("d.pads", text.as_bytes()), ("data", case.data)]);
         let whole = self.whole.as_ref().expect("pads streams the case");
         let summary = SourceSummary::of(&whole.pd);
-        let column = Column { truth: self, case, pads, dir, files, summary };
+        let column = Column { truth: self, case, pads, flags, dir, files, summary };
         let next = AtomicUsize::new(0);
         on_every_cpu(|| {
             while let Some(row) = rows.get(next.fetch_add(1, Ordering::Relaxed)) {
@@ -1337,12 +1415,13 @@ impl Truth {
     }
 }
 
-/// The `cli` column over one truth: the case's files, in a directory of
-/// the column's own, and the whole-tree parse's summary.
+/// The `cli` column over one truth: the flags that read the case, its
+/// files, in a directory of the column's own, and the whole-tree summary.
 struct Column<'c> {
     truth: &'c Truth,
     case: &'c Case<'c>,
     pads: &'c str,
+    flags: Vec<String>,
     dir: PathBuf,
     files: [String; 2],
     summary: SourceSummary,
@@ -1351,7 +1430,7 @@ struct Column<'c> {
 impl Column<'_> {
     fn row(&self, row: &Cli) {
         let (truth, d, source) = (self.truth, self.case.description, &self.files[1]);
-        let args = row.args(truth.policy);
+        let args = [row.args(truth.policy), self.flags.clone()].concat();
         let at = truth.label(&format!("cli `{}`", args.join(" ")));
         let bad = |n: u64| (n > 0).then(|| format!("{n} bad record(s) in {source}"));
         let (stdout, line) = match row.tool {

@@ -126,13 +126,3 @@ impl Tally {
         t
     }
 }
-
-/// The cross-check: `core`'s counter slabs hold exactly what its own trace
-/// tree accounts for.
-pub fn assert_counters_match_trace(label: &str, core: &MetricsCore) {
-    assert_eq!(
-        Tally::of_counters(core),
-        Tally::of_trace(core),
-        "{label}: counters (left) diverge from the trace tree (right)"
-    );
-}

@@ -8,11 +8,23 @@ mod contract;
 
 use contract::bundled::Clf;
 use contract::{
-    bundled, generated, Case, Description, Generated, Kill, Observe, Plan, Truth, CHUNKS_OF_TWO,
-    SEQUENTIAL,
+    bundled, figure1, generated, Case, Description, Generated, Kill, Observe, Plan, Truth,
+    CHUNKS_OF_TWO, SEQUENTIAL,
 };
 use pads::{Cursor, Engine, ErrorCode, Mask, ParseDesc, PdKind, RecoveryPolicy, Value};
 use pads_runtime::{KillPlan, MetricsCore};
+
+/// Every file of `tests/descriptions/` is a description some case loads.
+#[test]
+fn every_test_description_is_loaded_by_a_case() {
+    let loaded: Vec<_> = figure1::all().into_iter().map(|s| s.name + " ").collect();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/descriptions");
+    for path in std::fs::read_dir(dir).expect("the directory").map(|entry| entry.unwrap().path()) {
+        let (stem, pads) = (path.file_stem().unwrap().to_string_lossy(), path.extension());
+        let loaded = loaded.iter().any(|name| name.starts_with(&format!("{stem} ")));
+        assert!(loaded && pads.is_some_and(|e| e == "pads"), "no case loads {}", path.display());
+    }
+}
 
 /// The torture CLF case and its unlimited-policy truth, handed to `fault`.
 fn planted(fault: impl FnOnce(&Case<'_>, &Truth)) {

@@ -1,145 +1,63 @@
 //! Ambient-coding coverage: the same description parsing ASCII, EBCDIC,
 //! and binary data (§3's coding-ambiguous base types), plus binary
-//! call-detail-style fixed-width records (Figure 1).
+//! call-detail-style fixed-width records (Figure 1). Each test is a matrix
+//! cell (`common/contract.rs`) plus the values only it asserts.
 
-use pads::{
-    BaseMask, Charset, Endian, Engine, Mask, PadsParser, ParseOptions, RecordDiscipline, Registry, Value,
-    Writer,
-};
+#[path = "common/contract.rs"]
+mod contract;
+
+use contract::{figure1, ENGINES};
+use pads::{Value, Writer};
+
+/// `source`'s clean corpus, written back from the whole-tree value.
+fn written(source: &figure1::Source, truth: &contract::Truth) -> Vec<u8> {
+    let writer = Writer::new(&source.schema, &source.registry).with_options(source.options);
+    writer.write_source(&truth.whole.as_ref().expect("streams").value).expect("writes")
+}
 
 #[test]
 fn same_description_reads_ascii_and_ebcdic() {
-    // `Puint32`/`Pstring` use the *ambient* coding.
-    let registry = Registry::standard();
-    let schema = pads::compile(
-        "Precord Pstruct r_t { Puint32 n; ','; Pstring(:',':) tag; }; Psource Parray rs_t { r_t[]; };",
-        &registry,
-    )
-    .unwrap();
-    let ascii = b"42,west\n7,east\n".to_vec();
-    let ebcdic: Vec<u8> = ascii.iter().map(|&b| Charset::Ebcdic.encode(b)).collect();
-
-    let p_ascii = PadsParser::new(&schema, &registry);
-    let (va, pda) = p_ascii.parse_source(&ascii, &Mask::all(BaseMask::CheckAndSet));
-    assert!(pda.is_ok());
-
-    let p_ebcdic = PadsParser::new(&schema, &registry).with_options(ParseOptions {
-        charset: Charset::Ebcdic,
-        ..Default::default()
-    });
-    let (ve, pde) = p_ebcdic.parse_source(&ebcdic, &Mask::all(BaseMask::CheckAndSet));
-    assert!(pde.is_ok(), "{:?}", pde.errors());
-
-    // Identical logical values from both codings.
-    assert_eq!(va, ve);
-    assert_eq!(va.at_path("[0].tag").and_then(Value::as_str), Some("west"));
-
+    // `Puint32`/`Pstring` use the *ambient* coding: the same truths from
+    // both codings, locations included.
+    let ebcdic = figure1::ambient_ebcdic();
+    let truths = ebcdic.cells();
+    for (ascii, ebcdic) in figure1::ambient().cells().iter().zip(&truths) {
+        assert_eq!(ascii.run, ebcdic.run, "{}", ebcdic.at);
+    }
+    assert_eq!(truths[0].at(0, "tag").and_then(Value::as_str), Some("west"));
     // And writing back in EBCDIC reproduces the EBCDIC bytes.
-    let w = Writer::new(&schema, &registry).with_options(ParseOptions {
-        charset: Charset::Ebcdic,
-        ..Default::default()
-    });
-    assert_eq!(w.write_source(&ve).unwrap(), ebcdic);
+    assert_eq!(written(&ebcdic, &truths[0]), ebcdic.corpora[0].1);
 }
 
 #[test]
 fn binary_call_detail_fixed_width_records() {
     // Figure 1: call detail is fixed-width binary records (~7 GB/day). A
     // minimal analogue: caller (4B), callee (4B), duration (2B), flags (1B).
-    let registry = Registry::standard();
-    let schema = pads::compile(
-        r#"
-        Precord Pstruct call_t {
-            Pb_uint32 caller;
-            Pb_uint32 callee;
-            Pb_uint16 duration;
-            Pb_uint8 flags : flags <= 3;
-        };
-        Psource Parray calls_t { call_t[]; };
-        "#,
-        &registry,
-    )
-    .unwrap();
-    let mut data = Vec::new();
-    for (a, b, d, f) in [(0x01020304u32, 0x0A0B0C0Du32, 65u16, 1u8), (7, 8, 9, 3)] {
-        data.extend_from_slice(&a.to_be_bytes());
-        data.extend_from_slice(&b.to_be_bytes());
-        data.extend_from_slice(&d.to_be_bytes());
-        data.push(f);
-    }
-    let parser = PadsParser::new(&schema, &registry).with_options(ParseOptions {
-        discipline: RecordDiscipline::FixedWidth(11),
-        endian: Endian::Big,
-        ..Default::default()
-    });
-    let (v, pd) = parser.parse_source(&data, &Mask::all(BaseMask::CheckAndSet));
-    assert!(pd.is_ok(), "{:?}", pd.errors());
-    assert_eq!(v.len(), Some(2));
-    assert_eq!(v.at_path("[0].caller").and_then(Value::as_u64), Some(0x01020304));
-    assert_eq!(v.at_path("[1].duration").and_then(Value::as_u64), Some(9));
-
+    let calls = figure1::call_detail();
+    let truth = &calls.cells()[0];
+    assert!(truth.clean(2));
+    assert_eq!(truth.int(0, "caller"), Some(0x01020304));
+    assert_eq!(truth.int(1, "duration"), Some(9));
     // Little-endian ambient order decodes differently, same description.
-    let parser_le = PadsParser::new(&schema, &registry).with_options(ParseOptions {
-        discipline: RecordDiscipline::FixedWidth(11),
-        endian: Endian::Little,
-        ..Default::default()
-    });
-    let (vle, _) = parser_le.parse_source(&data, &Mask::all(BaseMask::CheckAndSet));
-    assert_eq!(vle.at_path("[0].caller").and_then(Value::as_u64), Some(0x04030201));
-
-    // Round trip.
-    let w = Writer::new(&schema, &registry).with_options(ParseOptions {
-        discipline: RecordDiscipline::FixedWidth(11),
-        endian: Endian::Big,
-        ..Default::default()
-    });
-    assert_eq!(w.write_source(&v).unwrap(), data);
+    assert_eq!(figure1::call_detail_le().cells()[0].int(0, "caller"), Some(0x04030201));
+    assert_eq!(written(&calls, truth), calls.corpora[0].1);
 }
 
 #[test]
 fn flags_constraint_fires_on_binary_data() {
-    let registry = Registry::standard();
-    let schema = pads::compile(
-        r#"
-        Precord Pstruct call_t { Pb_uint8 flags : flags <= 3; };
-        Psource Parray calls_t { call_t[]; };
-        "#,
-        &registry,
-    )
-    .unwrap();
-    let parser = PadsParser::new(&schema, &registry).with_options(ParseOptions {
-        discipline: RecordDiscipline::FixedWidth(1),
-        ..Default::default()
-    });
-    let (_, pd) = parser.parse_source(&[1u8, 9, 2], &Mask::all(BaseMask::CheckAndSet));
-    let errors = pd.errors();
-    assert_eq!(errors.len(), 1);
-    assert!(errors[0].0.starts_with("[1]"));
-    assert!(errors[0].1.is_semantic());
+    let errors = figure1::call_detail().cells()[1].run.items[2].1.errors();
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    assert!(errors[0].0 == "flags" && errors[0].1.is_semantic(), "{errors:?}");
 }
 
 #[test]
 fn mixed_text_and_binary_in_one_record() {
     // Figure 1 mentions mixed formats; a tag string followed by a binary
     // counter in the same record.
-    let registry = Registry::standard();
-    let schema = pads::compile(
-        r#"
-        Precord Pstruct mix_t { Pstring_FW(:3:) tag; Pb_uint16 count; };
-        Psource Parray mixes_t { mix_t[]; };
-        "#,
-        &registry,
-    )
-    .unwrap();
-    let data = [b'a', b'b', b'c', 0x01, 0x00];
-    let parser = PadsParser::new(&schema, &registry).with_options(ParseOptions {
-        discipline: RecordDiscipline::FixedWidth(5),
-        ..Default::default()
-    });
-    let (v, pd) = parser.parse_source(&data, &Mask::all(BaseMask::CheckAndSet));
-    assert!(pd.is_ok());
-    assert_eq!(v.at_path("[0].tag").and_then(Value::as_str), Some("abc"));
-    assert_eq!(v.at_path("[0].count").and_then(Value::as_u64), Some(256));
+    let truth = &figure1::tagged_count().cells()[0];
+    assert!(truth.clean(2));
+    assert_eq!(truth.at(0, "tag").and_then(Value::as_str), Some("abc"));
+    assert_eq!(truth.int(0, "count"), Some(256));
 }
 
 #[test]
@@ -147,39 +65,17 @@ fn bit_fields_parse_packet_headers() {
     // §9 future work, delivered: an IPv4-style header start — version (4
     // bits), IHL (4 bits), DSCP (6 bits), ECN (2 bits), total length
     // (16 bits) — parsed straight from the description.
-    let registry = Registry::standard();
-    let schema = pads::compile(
-        r#"
-        Precord Pstruct iphdr_t {
-            Pbits(:4:) version : version == 4;
-            Pbits(:4:) ihl : ihl >= 5;
-            Pbits(:6:) dscp;
-            Pbits(:2:) ecn;
-            Pbits(:16:) total_len;
-        };
-        Psource Parray hdrs_t { iphdr_t[]; };
-        "#,
-        &registry,
-    )
-    .unwrap();
+    let [clean, damaged] = &figure1::iphdr().cells()[..] else { panic!("two corpora") };
+    assert!(clean.clean(2));
     // 0x45 = version 4, IHL 5; 0x00 = dscp 0, ecn 0; 0x05DC = 1500.
-    let data = [0x45u8, 0x00, 0x05, 0xDC, 0x46, 0x08, 0x00, 0x28];
-    let parser = PadsParser::new(&schema, &registry).with_options(ParseOptions {
-        discipline: RecordDiscipline::FixedWidth(4),
-        ..Default::default()
-    });
-    let (v, pd) = parser.parse_source(&data, &Mask::all(BaseMask::CheckAndSet));
-    assert!(pd.is_ok(), "{:?}", pd.errors());
-    assert_eq!(v.len(), Some(2));
-    assert_eq!(v.at_path("[0].version").and_then(Value::as_u64), Some(4));
-    assert_eq!(v.at_path("[0].ihl").and_then(Value::as_u64), Some(5));
-    assert_eq!(v.at_path("[0].total_len").and_then(Value::as_u64), Some(1500));
-    assert_eq!(v.at_path("[1].dscp").and_then(Value::as_u64), Some(0b000010));
-    assert_eq!(v.at_path("[1].total_len").and_then(Value::as_u64), Some(40));
+    let fields = ["version", "ihl", "total_len"].map(|path| clean.int(0, path));
+    assert_eq!(fields, [Some(4), Some(5), Some(1500)]);
+    assert_eq!([clean.int(1, "dscp"), clean.int(1, "total_len")], [Some(2), Some(40)]);
     // Constraints on bit fields work like any other.
-    let bad = [0x65u8, 0x00, 0x00, 0x14]; // version 6
-    let (_, pd) = parser.parse_source(&bad, &Mask::all(BaseMask::CheckAndSet));
-    assert!(pd.errors().iter().any(|(p, c, _)| p.contains("version") && c.is_semantic()));
+    for (i, field) in [(2, "version"), (3, "ihl")] {
+        let errors = damaged.run.items[i].1.errors();
+        assert!(errors.iter().any(|(p, c, _)| p == field && c.is_semantic()), "{errors:?}");
+    }
 }
 
 #[test]
@@ -187,28 +83,11 @@ fn unsized_array_of_sub_byte_bit_fields_reads_every_field() {
     // Two 4-bit fields per one-byte record: the array must stop at the
     // record end, not one field early because the half-read byte looked
     // consumed.
-    let registry = Registry::standard();
-    let schema = pads::compile(
-        "Precord Parray r_t { Pbits(:4:)[] : Pterm(Peor); };\n\
-         Psource Parray t { r_t[] : Pterm(Peof); };",
-        &registry,
-    )
-    .unwrap();
-    for engine in [Engine::Interp, Engine::Vm] {
-        let parser = PadsParser::new(&schema, &registry)
-            .with_options(ParseOptions { engine, ..Default::default() });
-        let (v, pd) = parser.parse_source(b"\xab\n\xcd\n", &Mask::all(BaseMask::CheckAndSet));
-        assert!(pd.is_ok(), "{engine:?}: {:?}", pd.errors());
-        let Value::Array(records) = &v else { panic!("{engine:?}: {v:?}") };
-        let nibbles: Vec<Vec<u64>> = records
-            .iter()
-            .map(|r| match r {
-                Value::Array(fields) => fields.iter().filter_map(Value::as_u64).collect(),
-                other => panic!("{engine:?}: {other:?}"),
-            })
-            .collect();
-        assert_eq!(nibbles, vec![vec![0xa, 0xb], vec![0xc, 0xd]], "{engine:?}");
-    }
+    let truth = &figure1::nibbles().cells()[0];
+    assert!(truth.clean(2));
+    let nibbles = [(0, 0), (0, 1), (1, 0), (1, 1)].map(|(i, k)| truth.int(i, &format!("[{k}]")));
+    assert_eq!(nibbles, [0xa, 0xb, 0xc, 0xd].map(Some));
+    assert!(truth.run.items.iter().all(|(r, _)| r.len() == Some(2)));
 }
 
 #[test]
@@ -216,32 +95,17 @@ fn bit_fields_that_end_mid_byte_pad_to_the_byte() {
     // Unread bits of the last partly read byte are padding, as in C bit
     // fields: neither the record close nor the source close sees them as
     // leftover data, and a `Peor` literal matches in front of them.
-    let registry = Registry::standard();
-    let cases: [(&str, &[u8], RecordDiscipline); 4] = [
-        (
-            "Precord Pstruct r_t { Pbits(:4:) a; };\nPsource Parray t { r_t[]; };",
-            b"\xab\n\xcd\n",
-            RecordDiscipline::Newline,
-        ),
-        (
-            "Precord Pstruct r_t { Pbits(:4:) a; Pbits(:8:) b; };\nPsource Parray t { r_t[]; };",
-            b"\xab\xcd\xef\x01",
-            RecordDiscipline::FixedWidth(2),
-        ),
-        (
-            "Precord Pstruct r_t { Pbits(:4:) a; Peor; };\nPsource Parray t { r_t[]; };",
-            b"\xab\n",
-            RecordDiscipline::Newline,
-        ),
-        ("Psource Pstruct t { Pbits(:4:) hi; };", b"\xab", RecordDiscipline::Newline),
-    ];
-    for (src, data, discipline) in cases {
-        let schema = pads::compile(src, &registry).unwrap();
-        for engine in [Engine::Interp, Engine::Vm] {
-            let parser = PadsParser::new(&schema, &registry)
-                .with_options(ParseOptions { engine, discipline, ..Default::default() });
-            let (_, pd) = parser.parse_source(data, &Mask::all(BaseMask::CheckAndSet));
-            assert!(pd.is_ok(), "{engine:?} over {src}: {:?}", pd.errors());
-        }
+    for source in figure1::half_bytes() {
+        let truth = &source.cells()[0];
+        let whole = truth.whole.as_ref().expect("the source streams");
+        assert!(whole.pd.is_ok(), "{}: {:?}", truth.at, whole.pd.errors());
+    }
+    // A source that is no record array has no whole-tree column.
+    let registry = pads::Registry::standard();
+    let schema = pads::compile("Psource Pstruct t { Pbits(:4:) hi; };", &registry).unwrap();
+    let description = contract::Description::records(&schema, &registry, "t");
+    for parser in ENGINES.map(|engine| description.parser(Default::default(), engine)) {
+        let (_, pd) = parser.parse_source(b"\xab", &contract::mask());
+        assert!(pd.is_ok(), "{:?}: {:?}", parser.options().engine, pd.errors());
     }
 }

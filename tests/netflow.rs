@@ -1,132 +1,55 @@
 //! Figure 1's last row: netflow — "data-dependent number of fixed-width
 //! binary records" arriving at gigabit rates, with missed packets as the
 //! common error. A NetFlow-v5-shaped description: a binary header carrying
-//! the flow count, then exactly that many fixed-width flow records.
+//! the flow count, then exactly that many fixed-width flow records. Each
+//! test is a matrix cell (`common/contract.rs`) plus what only it asserts.
 
-use pads::{
-    compile, BaseMask, Mask, PadsParser, ParseOptions, RecordDiscipline, Registry, Value,
-    Writer,
-};
+#[path = "common/contract.rs"]
+mod contract;
 
-const NETFLOW: &str = r#"
-    /* One export packet: header with count, then `count` flow records. */
-    Pstruct flow_t {
-        Pb_uint32 src_addr;
-        Pb_uint32 dst_addr;
-        Pb_uint16 src_port;
-        Pb_uint16 dst_port;
-        Pb_uint32 packets : packets > 0;
-        Pb_uint32 octets  : octets >= packets;
-        Pb_uint8  proto;
-        Pb_uint8  tcp_flags;
-    };
-    Parray flows_t (:Puint32 n:) { flow_t[n]; };
-    Pstruct packet_t {
-        Pb_uint16 version : version == 5;
-        Pb_uint16 count : count <= 30;
-        Pb_uint32 sys_uptime;
-        Pb_uint32 unix_secs;
-        flows_t(:count:) flows;
-    };
-    Psource Parray export_t { packet_t[]; };
-"#;
-
-fn flow(src: u32, dst: u32, packets: u32, octets: u32) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&src.to_be_bytes());
-    out.extend_from_slice(&dst.to_be_bytes());
-    out.extend_from_slice(&4242u16.to_be_bytes());
-    out.extend_from_slice(&80u16.to_be_bytes());
-    out.extend_from_slice(&packets.to_be_bytes());
-    out.extend_from_slice(&octets.to_be_bytes());
-    out.push(6); // TCP
-    out.push(0x18);
-    out
-}
-
-fn packet(flows: &[Vec<u8>]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&5u16.to_be_bytes());
-    out.extend_from_slice(&(flows.len() as u16).to_be_bytes());
-    out.extend_from_slice(&123_456u32.to_be_bytes());
-    out.extend_from_slice(&1_005_022_800u32.to_be_bytes());
-    for f in flows {
-        out.extend_from_slice(f);
-    }
-    out
-}
+use contract::figure1;
+use pads::{BaseMask, Engine, ErrorCode, Mask, RecoveryPolicy, Value, Writer};
 
 #[test]
 fn data_dependent_flow_counts_parse() {
-    let registry = Registry::standard();
-    let schema = compile(NETFLOW, &registry).unwrap();
-    let mut data = packet(&[flow(0x0A000001, 0x0A000002, 3, 1800)]);
-    data.extend(packet(&[
-        flow(0x0A000003, 0x0A000004, 1, 40),
-        flow(0x0A000005, 0x0A000006, 9, 9000),
-    ]));
-    let parser = PadsParser::new(&schema, &registry).with_options(ParseOptions {
-        discipline: RecordDiscipline::None,
-        ..Default::default()
-    });
-    let (v, pd) = parser.parse_source(&data, &Mask::all(BaseMask::CheckAndSet));
-    assert!(pd.is_ok(), "{:?}", pd.errors());
-    assert_eq!(v.len(), Some(2));
-    assert_eq!(v.at_path("[0].count").and_then(Value::as_u64), Some(1));
-    assert_eq!(v.at_path("[0].flows").unwrap().len(), Some(1));
-    assert_eq!(v.at_path("[1].flows").unwrap().len(), Some(2));
-    assert_eq!(
-        v.at_path("[1].flows.[1].octets").and_then(Value::as_u64),
-        Some(9000)
-    );
+    let export = figure1::netflow();
+    let truth = &export.cells()[0];
+    assert!(truth.clean(2));
+    let flows = [0, 1].map(|i| truth.at(i, "flows").and_then(Value::len));
+    assert_eq!((truth.int(0, "count"), flows), (Some(1), [Some(1), Some(2)]));
+    assert_eq!(truth.int(1, "flows.[1].octets"), Some(9000));
     // Write-back reproduces the binary stream.
-    let writer = Writer::new(&schema, &registry).with_options(ParseOptions {
-        discipline: RecordDiscipline::None,
-        ..Default::default()
-    });
-    assert_eq!(writer.write_source(&v).unwrap(), data);
+    let writer = Writer::new(&export.schema, &export.registry).with_options(export.options);
+    let mut out = Vec::new();
+    truth.run.items.iter().for_each(|(p, _)| writer.write_named(&mut out, "packet_t", p).unwrap());
+    assert_eq!(out, export.corpora[0].1);
 }
 
 #[test]
 fn truncated_packet_is_the_missed_packets_error() {
     // Figure 1 lists "missed packets" as netflow's common error: a packet
     // whose header promises more flows than arrive.
-    let registry = Registry::standard();
-    let schema = compile(NETFLOW, &registry).unwrap();
-    let full = packet(&[flow(1, 2, 1, 40), flow(3, 4, 1, 40)]);
-    let truncated = &full[..full.len() - 10];
-    let parser = PadsParser::new(&schema, &registry).with_options(ParseOptions {
-        discipline: RecordDiscipline::None,
-        ..Default::default()
-    });
-    let (v, pd) = parser.parse_source(truncated, &Mask::all(BaseMask::CheckAndSet));
-    assert!(!pd.is_ok());
+    let truth = &figure1::netflow().cells()[1];
     // The first flow parsed cleanly; the second is a flagged placeholder
     // (PADS keeps the declared shape and marks the error in the pd).
-    let flows = v.at_path("[0].flows").unwrap();
-    assert_eq!(flows.len(), Some(2));
-    assert_eq!(flows.at_path("[0].packets").and_then(Value::as_u64), Some(1));
-    let codes: Vec<_> = pd.errors().iter().map(|(_, c, _)| *c).collect();
-    assert!(codes.contains(&pads::ErrorCode::UnexpectedEof), "{codes:?}");
+    assert_eq!(truth.at(3, "flows").and_then(Value::len), Some(2));
+    assert_eq!(truth.int(3, "flows.[0].packets"), Some(1));
+    let codes: Vec<_> = truth.run.items[3].1.errors().into_iter().map(|(_, c, _)| c).collect();
+    assert!(codes.contains(&ErrorCode::UnexpectedEof), "{codes:?}");
 }
 
 #[test]
 fn semantic_checks_reach_into_binary_flows() {
-    let registry = Registry::standard();
-    let schema = compile(NETFLOW, &registry).unwrap();
     // octets < packets violates the per-flow constraint.
-    let data = packet(&[flow(1, 2, 100, 40)]);
-    let parser = PadsParser::new(&schema, &registry).with_options(ParseOptions {
-        discipline: RecordDiscipline::None,
-        ..Default::default()
-    });
-    let (_, pd) = parser.parse_source(&data, &Mask::all(BaseMask::CheckAndSet));
-    let errors = pd.errors();
+    let export = figure1::netflow();
+    let errors = export.cells()[1].run.items[2].1.errors();
     assert_eq!(errors.len(), 1, "{errors:?}");
-    assert!(errors[0].0.contains("octets"));
-    assert!(errors[0].1.is_semantic());
+    assert!(errors[0].0.contains("octets") && errors[0].1.is_semantic(), "{errors:?}");
     // ... and masks can turn them off for line-rate processing (§1's
     // gigabit-per-second motivation).
-    let (_, pd) = parser.parse_source(&data, &Mask::all(BaseMask::Set));
-    assert!(pd.is_ok());
+    let parser = export.description().parser(RecoveryPolicy::unlimited(), Engine::Interp);
+    let set = Mask::all(BaseMask::Set);
+    let records = parser.records(&export.corpora[1].1, "packet_t", &set);
+    let ok: Vec<bool> = records.map(|(_, pd)| pd.is_ok()).collect();
+    assert_eq!(ok, [true, true, true, false]);
 }

@@ -1,74 +1,40 @@
 //! Figure 1's Regulus row: IP-backbone monitoring data whose headline
 //! problem is *multiple missing-value representations* — §5.2 reports the
 //! project using accumulator programs to find them all ("typical examples
-//! include 0, a blank, NONE, and Nothing").
+//! include 0, a blank, NONE, and Nothing"). Each test is a matrix cell
+//! (`common/contract.rs`) plus the values only it asserts.
 
-use pads::{compile, BaseMask, Mask, PadsParser, Registry, Value};
+#[path = "common/contract.rs"]
+mod contract;
+
+use contract::figure1;
+use pads::{Engine, Prim, RecoveryPolicy, Value};
 use pads_tools::Accumulator;
-
-/// A Regulus-style measurement record: a router id, a link utilisation
-/// that may be missing in four different ways, and a packet count.
-const REGULUS: &str = r#"
-    Punion util_t {
-        Pstring_ME(:"NONE":) none;
-        Pstring_ME(:"Nothing":) nothing;
-        Pchar blank : blank == ' ';
-        Pfloat64 value;
-    };
-    Precord Pstruct meas_t {
-        Pstring(:',':) router;
-        ','; util_t util;
-        ','; Puint32 packets;
-    };
-    Psource Parray meass_t { meas_t[]; };
-"#;
-
-const DATA: &[u8] = b"edge1,0.73,1500\n\
-edge2,NONE,200\n\
-core1,0,0\n\
-edge3,Nothing,75\n\
-core2, ,90\n\
-edge1,0.41,1250\n";
 
 #[test]
 fn all_four_missing_value_representations_parse() {
-    let registry = Registry::standard();
-    let schema = compile(REGULUS, &registry).unwrap();
-    let parser = PadsParser::new(&schema, &registry);
-    let (v, pd) = parser.parse_source(DATA, &Mask::all(BaseMask::CheckAndSet));
-    assert!(pd.is_ok(), "{:?}", pd.errors());
-    assert_eq!(v.len(), Some(6));
-    let branch = |i: usize| match v.index(i).and_then(|r| r.field("util")) {
-        Some(Value::Union { branch, .. }) => branch.clone(),
+    let truth = &figure1::regulus().cells()[0];
+    assert!(truth.clean(6));
+    let branch = |i: usize| match truth.at(i, "util") {
+        Some(Value::Union { branch, .. }) => branch.as_str(),
         other => panic!("expected union, got {other:?}"),
     };
-    assert_eq!(branch(0), "value");
-    assert_eq!(branch(1), "none");
     // `0` parses as the float 0.0 — the numeric missing-value encoding the
     // Sirius example also used; distinguishing it is the analyst's job.
-    assert_eq!(branch(2), "value");
-    assert_eq!(branch(3), "nothing");
-    assert_eq!(branch(4), "blank");
+    let branches: Vec<_> = (0..5).map(branch).collect();
+    assert_eq!(branches, ["value", "none", "value", "nothing", "blank"]);
 }
 
 #[test]
 fn accumulator_reveals_the_representations() {
     // The §5.2 workflow: run the accumulator, read the union-tag
     // distribution, discover how many ways "no data" is spelled.
-    let registry = Registry::standard();
-    let schema = compile(REGULUS, &registry).unwrap();
-    let parser = PadsParser::new(&schema, &registry);
-    let mask = Mask::all(BaseMask::CheckAndSet);
-    let mut acc = Accumulator::new(&schema, "meas_t");
-    for (v, pd) in parser.records(DATA, "meas_t", &mask) {
-        acc.add(&v, &pd);
-    }
+    let feed = figure1::regulus();
+    let mut acc = Accumulator::new(&feed.schema, "meas_t");
+    feed.cells()[0].run.items.iter().for_each(|(v, pd)| acc.add(v, pd));
     let report = acc.report("<top>");
     // The union tag section lists every representation that occurred.
-    let tag_section = report
-        .split("<top>.util.<tag>")
-        .nth(1)
-        .expect("tag section present");
+    let tag_section = report.split("<top>.util.<tag>").nth(1).expect("tag section present");
     let tag_section = &tag_section[..tag_section.find("<top>.").unwrap_or(tag_section.len())];
     for repr in ["none", "nothing", "blank", "value"] {
         assert!(tag_section.contains(repr), "missing {repr} in:\n{tag_section}");
@@ -82,37 +48,24 @@ fn accumulator_reveals_the_representations() {
 fn normalising_pass_unifies_them() {
     // The Figure 7 pattern applied to Regulus: rewrite every missing-value
     // spelling to the canonical NONE branch, verify, re-emit.
-    let registry = Registry::standard();
-    let schema = compile(REGULUS, &registry).unwrap();
-    let parser = PadsParser::new(&schema, &registry);
-    let writer = pads::Writer::new(&schema, &registry);
-    let mask = Mask::all(BaseMask::CheckAndSet);
+    let feed = figure1::regulus();
+    let writer = pads::Writer::new(&feed.schema, &feed.registry);
     let mut out = Vec::new();
-    for (mut rec, pd) in parser.records(DATA, "meas_t", &mask) {
-        assert!(pd.is_ok());
+    for (mut rec, _) in feed.cells().swap_remove(0).run.items {
         let util = rec.field_mut("util").expect("util");
-        let missing = matches!(
-            util,
-            Value::Union { branch, .. } if branch == "nothing" || branch == "blank"
-        ) || matches!(
-            util,
-            Value::Union { branch, value, .. }
-                if branch == "value" && value.as_prim() == Some(&pads::Prim::Float(0.0))
-        );
-        if missing {
-            *util = Value::Union {
-                branch: "none".into(),
-                index: 0,
-                value: Box::new(Value::Prim(pads::Prim::String("NONE".into()))),
-            };
+        let Value::Union { branch, value, .. } = util else { panic!("{util:?}") };
+        let zero = branch == "value" && value.as_prim() == Some(&Prim::Float(0.0));
+        if zero || branch == "nothing" || branch == "blank" {
+            let value = Box::new(Value::Prim(Prim::String("NONE".into())));
+            *util = Value::Union { branch: "none".into(), index: 0, value };
         }
         writer.write_named(&mut out, "meas_t", &rec).unwrap();
     }
     let text = String::from_utf8(out).unwrap();
-    assert!(!text.contains("Nothing"));
-    assert!(!text.contains(", ,"));
+    assert!(!text.contains("Nothing") && !text.contains(", ,"), "{text}");
     assert_eq!(text.matches("NONE").count(), 4, "{text}");
     // The normalised output still parses cleanly.
-    let (_, pd) = parser.parse_source(text.as_bytes(), &mask);
+    let parser = feed.description().parser(RecoveryPolicy::unlimited(), Engine::Interp);
+    let (_, pd) = parser.parse_source(text.as_bytes(), &contract::mask());
     assert!(pd.is_ok());
 }

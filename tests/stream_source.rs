@@ -17,20 +17,17 @@
 
 use std::io::{self, Read};
 
-#[path = "common/collect.rs"]
-mod collect;
 #[path = "common/contract.rs"]
 mod contract;
-#[path = "common/tables.rs"]
-mod tables;
 
-use collect::{metered, Collect};
-use contract::{bundled, every_geometry, every_policy, torture, Plan, ENGINES};
-use tables::policies;
+use contract::collect::{metered, Collect};
+use contract::{
+    bundled, every_geometry, every_policy, figure1, mask, policies, torture, Plan, ENGINES,
+};
 use pads::{
-    compile, descriptions, BaseMask, Charset, Endian, Engine, Mask, PadsParser, ParseDesc,
-    ParseOptions, PdKind, Progress, RecordDiscipline, RecordSink, Registry, Schema, SourceEnd,
-    SourceFold, SourceJob, SourceShape, Value,
+    descriptions, Charset, Endian, Engine, PadsParser, ParseDesc, ParseOptions, PdChild, PdKind,
+    Progress, RecordDiscipline, RecordSink, RecoveryPolicy, Registry, SourceEnd, SourceFold,
+    SourceJob, SourceShape, Value,
 };
 use pads_runtime::fault::{FaultReader, Xorshift};
 use pads_tools::{accumulator_program, value_to_xml, XmlSourceSink};
@@ -39,11 +36,6 @@ use proptest::sample;
 
 const CLF: &[u8] = include_bytes!("data/torture_clf.log");
 const SIRIUS: &[u8] = include_bytes!("data/torture_sirius.txt");
-const MIXED: &[u8] = include_bytes!("data/torture_mixed.txt");
-
-fn mask() -> Mask {
-    Mask::all(BaseMask::CheckAndSet)
-}
 
 /// A Sirius file of `records` clean records with record `k` (0-based,
 /// after the header) cut short, which is a syntax error inside it.
@@ -80,7 +72,7 @@ impl RecordSink for Descriptors {
 
 /// The element descriptors of the whole-tree parse's `es` array, dense.
 fn tree_descriptors(pd: &ParseDesc, len: usize) -> Vec<ParseDesc> {
-    let Some(PdKind::Array { elts, .. }) = pd.field("es").map(|es| &es.kind) else {
+    let Some(PdKind::Array { elts, .. }) = pd.child(PdChild::Field("es")).map(|es| &es.kind) else {
         return vec![ParseDesc::CLEAN; len];
     };
     (0..len).map(|i| elts.get(i).cloned().unwrap_or(ParseDesc::CLEAN)).collect()
@@ -255,21 +247,14 @@ fn run(
     (sink.header, sink.items, sink.progress, end, counters)
 }
 
+/// Every framing a Figure 1 source is read with, and ones none is: records
+/// all empty (the first stalls the run), an ASCII byte as a length (records
+/// of 32 to 126 bytes), two of them little-endian (the rest is one record).
 fn framings() -> Vec<RecordDiscipline> {
-    use RecordDiscipline::{FixedWidth, LengthPrefixed, Newline};
-    vec![
-        Newline,
-        Newline,
-        FixedWidth(7),
-        FixedWidth(64),
-        // Every record is empty: the first one stalls the run.
-        FixedWidth(0),
-        LengthPrefixed { header_bytes: 0, endian: Endian::Big },
-        // An ASCII byte as a length: records of 32 to 126 bytes.
-        LengthPrefixed { header_bytes: 1, endian: Endian::Big },
-        // Two of them: a length no source has, so the rest is one record.
-        LengthPrefixed { header_bytes: 2, endian: Endian::Little },
-    ]
+    let odd = [(0, Endian::Big), (1, Endian::Big), (2, Endian::Little)]
+        .map(|(header_bytes, endian)| RecordDiscipline::LengthPrefixed { header_bytes, endian });
+    let figure1 = figure1::all().into_iter().map(|source| source.options.discipline);
+    figure1.chain([RecordDiscipline::FixedWidth(0)]).chain(odd).collect()
 }
 
 proptest! {
@@ -294,19 +279,14 @@ proptest! {
         ends_with_newline in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let registry = Registry::standard();
-        let sources: [(&str, Schema, &[u8]); 3] = [
-            ("clf", descriptions::clf(), CLF),
-            ("sirius", descriptions::sirius(), SIRIUS),
-            ("mixed", descriptions::mixed(), MIXED),
-        ];
-        for (name, schema, data) in &sources {
+        for bundled in bundled::all() {
+            let (name, data) = (bundled.name, bundled.torture);
             let data = &data[..data.len() - usize::from(!ends_with_newline)];
-            let shape = SourceShape::infer(schema).expect("bundled sources stream");
-            let options = ParseOptions { discipline, policy, engine, ..Default::default() };
-            let parser = || PadsParser::new(schema, &registry).with_options(options);
+            let options = ParseOptions { discipline, ..Default::default() };
+            let description = bundled.description().with_options(options);
+            let parser = || description.parser(policy, engine);
             let mask = mask();
-            let whole = SourceJob::new(shape, &mask);
+            let whole = SourceJob::new(description.shape, &mask);
             let want = run(parser(), |parser, sink| parser.stream_source(data, &whole, sink));
             let windowed = SourceJob { jobs, max_inflight: 4, ..whole };
             let reader = ShortReads { data, rng: Xorshift::new(seed) };
@@ -322,94 +302,65 @@ proptest! {
     }
 }
 
-/// The records of a headerless `record` source as the driver delivers them
-/// from short reads through `window`-byte windows, which must be what the
-/// slice iterator yields — values and descriptors, locations included.
-fn assert_streams_as_the_slice_parses(
-    label: &str,
-    parser: &PadsParser<'_>,
-    record: &str,
+/// The records of `data` as `source`'s description reads them with
+/// `discipline` in `charset`: what the driver delivers from short reads
+/// through windows of each size in `windows`, which must be what the slice
+/// iterator yields — values and descriptors, locations included.
+fn streamed(
+    source: &figure1::Source,
+    (charset, discipline): (Charset, RecordDiscipline),
     data: &[u8],
-    window: usize,
+    windows: [usize; 3],
 ) -> Vec<(Value, ParseDesc)> {
-    let mask = mask();
-    let mut sink = Collect::default();
-    let job = SourceJob::new(SourceShape::records(record), &mask);
-    let reader = ShortReads { data, rng: Xorshift::new(window as u64) };
-    let end = parser.stream_windowed(reader, window, &job, &mut sink).expect("reads succeed");
+    let options = ParseOptions { charset, discipline, ..source.options };
+    let description = source.description().with_options(options);
+    let parser = description.parser(RecoveryPolicy::unlimited(), Engine::Interp);
+    let (mask, record) = (mask(), description.shape.record);
     let sliced: Vec<_> = parser.records(data, record, &mask).collect();
-    assert_eq!(sink.items, sliced, "{label} window={window}");
-    assert!(end.at_eof || end.stalled, "{label} window={window}: {end:?}");
-    sink.items
+    for window in windows {
+        let mut sink = Collect::default();
+        let job = SourceJob::new(SourceShape::records(record), &mask);
+        let reader = ShortReads { data, rng: Xorshift::new(window as u64) };
+        let end = parser.stream_windowed(reader, window, &job, &mut sink).expect("reads succeed");
+        let at = format!("{} {discipline:?} window={window}", source.name);
+        assert_eq!(sink.items, sliced, "{at}");
+        assert!(end.at_eof || end.stalled, "{at}: {end:?}");
+    }
+    sliced
 }
 
-fn with_discipline<'s>(
-    schema: &'s Schema,
-    registry: &'s Registry,
-    discipline: RecordDiscipline,
-) -> PadsParser<'s> {
-    PadsParser::new(schema, registry)
-        .with_options(ParseOptions { discipline, ..Default::default() })
+fn ok(items: &[(Value, ParseDesc)]) -> Vec<bool> {
+    items.iter().map(|(_, pd)| pd.is_ok()).collect()
 }
+
+fn uints(items: &[(Value, ParseDesc)], path: &str) -> Vec<Option<u64>> {
+    items.iter().map(|(v, _)| v.at_path(path).and_then(Value::as_u64)).collect()
+}
+
+const ASCII: Charset = Charset::Ascii;
 
 #[test]
 fn newline_streaming_matches_slice_parsing() {
-    let registry = Registry::standard();
-    let schema = compile(
-        "Precord Pstruct r_t { Puint32 n; ','; Pstring(:',':) tag; }; Psource Parray rs_t { r_t[]; };",
-        &registry,
-    )
-    .unwrap();
-    let parser = PadsParser::new(&schema, &registry);
-    for window in [1, 5, 1 << 20] {
-        let items = assert_streams_as_the_slice_parses(
-            "newline",
-            &parser,
-            "r_t",
-            b"1,ab\n2,cd\nbroken\n4,ef\n",
-            window,
-        );
-        let ok: Vec<bool> = items.iter().map(|(_, pd)| pd.is_ok()).collect();
-        assert_eq!(ok, [true, true, false, true]);
-    }
+    let (data, newline) = (b"1,ab\n2,cd\nbroken\n4,ef\n", (ASCII, RecordDiscipline::Newline));
+    let items = streamed(&figure1::ambient(), newline, data, [1, 5, 1 << 20]);
+    assert_eq!(ok(&items), [true, true, false, true]);
 }
 
 #[test]
 fn fixed_width_streaming() {
-    let registry = Registry::standard();
-    let schema = compile(
-        "Precord Pstruct c_t { Pb_uint16 a; Pb_uint8 b; }; Psource Parray cs_t { c_t[]; };",
-        &registry,
-    )
-    .unwrap();
-    let parser = with_discipline(&schema, &registry, RecordDiscipline::FixedWidth(3));
-    for window in [1, 4, 1 << 20] {
-        let items = assert_streams_as_the_slice_parses(
-            "fixed width",
-            &parser,
-            "c_t",
-            &[0u8, 7, 1, 0, 9, 2],
-            window,
-        );
-        let a: Vec<_> = items.iter().map(|(v, _)| v.at_path("a").and_then(Value::as_u64)).collect();
-        assert_eq!(a, [Some(7), Some(9)]);
-    }
+    let calls = figure1::call_detail();
+    let fixed = (ASCII, RecordDiscipline::FixedWidth(11));
+    let items = streamed(&calls, fixed, &calls.corpora[0].1, [1, 12, 1 << 20]);
+    assert_eq!(uints(&items, "caller"), [Some(0x01020304), Some(7)]);
 }
 
 #[test]
 fn truncated_fixed_width_tail_is_flagged() {
-    let registry = Registry::standard();
-    let schema =
-        compile("Precord Pstruct c_t { Pb_uint16 a; }; Psource Parray cs_t { c_t[]; };", &registry)
-            .unwrap();
-    let parser = with_discipline(&schema, &registry, RecordDiscipline::FixedWidth(2));
-    for window in [1, 2, 1 << 20] {
-        // One full record and one truncated byte.
-        let items =
-            assert_streams_as_the_slice_parses("short tail", &parser, "c_t", &[0u8, 7, 9], window);
-        let ok: Vec<bool> = items.iter().map(|(_, pd)| pd.is_ok()).collect();
-        assert_eq!(ok, [true, false]);
-    }
+    // One full record and one truncated byte.
+    let data = [figure1::call(1, 2, 3, 0), vec![9]].concat();
+    let fixed = (ASCII, RecordDiscipline::FixedWidth(11));
+    let items = streamed(&figure1::call_detail(), fixed, &data, [1, 2, 1 << 20]);
+    assert_eq!(ok(&items), [true, false]);
 }
 
 /// Every length-prefixed framing the driver meets parses as the slice path
@@ -418,56 +369,39 @@ fn truncated_fixed_width_tail_is_flagged() {
 /// header announces.
 #[test]
 fn length_prefixed_streaming() {
-    let registry = Registry::standard();
-    let schema = compile(
-        "Precord Pstruct m_t { Pstring_FW(:3:) s; }; Psource Parray ms_t { m_t[]; };",
-        &registry,
-    )
-    .unwrap();
-    let wide = [&[0u8; 9][..], &[3], b"abc", &[0; 9], &[3], b"xyz"].concat();
+    let wide = [&[0u8; 9][..], &[5], b"abc\0\x01", &[0; 9], &[5], b"xyz\0\x02"].concat();
+    let saturates = b"\x01\0\0\0\0\0\0\0\0\x05abc\0\x01";
     let cases: [(&str, usize, Endian, &[u8], usize); 7] = [
-        ("two records", 2, Endian::Big, &[0, 3, b'a', b'b', b'c', 0, 3, b'x', b'y', b'z'], 2),
-        ("little-endian", 2, Endian::Little, &[3, 0, b'a', b'b', b'c'], 1),
-        // 2^56 bytes announced, three present.
-        ("lying prefix", 8, Endian::Big, &[1, 0, 0, 0, 0, 0, 0, 0, b'a', b'b', b'c'], 0),
+        ("two records", 2, Endian::Big, b"\0\x05abc\0\x01\0\x05xyz\0\x02", 2),
+        ("little-endian", 2, Endian::Little, b"\x05\0abc\0\x01", 1),
+        // 2^56 bytes announced, five present.
+        ("lying prefix", 8, Endian::Big, b"\x01\0\0\0\0\0\0\0abc\0\x01", 0),
         ("header wider than a usize", 10, Endian::Big, &wide, 2),
-        ("wide header that saturates", 10, Endian::Big, b"\x01\0\0\0\0\0\0\0\0\x03abc", 0),
+        ("wide header that saturates", 10, Endian::Big, saturates, 0),
         ("header cut short", 4, Endian::Big, &[0, 0], 0),
-        ("body cut short", 2, Endian::Big, &[0, 3, b'a'], 0),
+        ("body cut short", 2, Endian::Big, &[0, 5, b'a'], 0),
     ];
     for (label, header_bytes, endian, data, clean) in cases {
-        let discipline = RecordDiscipline::LengthPrefixed { header_bytes, endian };
-        let parser = with_discipline(&schema, &registry, discipline);
-        for window in [1, 6, 1 << 20] {
-            let items = assert_streams_as_the_slice_parses(label, &parser, "m_t", data, window);
-            let ok = items.iter().filter(|(_, pd)| !pd.err_code.is_error()).count();
-            assert_eq!(ok, clean, "{label}: clean records");
-        }
+        let lenpfx = (ASCII, RecordDiscipline::LengthPrefixed { header_bytes, endian });
+        let items = streamed(&figure1::tagged_count(), lenpfx, data, [1, 6, 1 << 20]);
+        let ok = items.iter().filter(|(_, pd)| !pd.err_code.is_error()).count();
+        assert_eq!(ok, clean, "{label}: clean records");
     }
 }
 
 /// The window is cut at the newline of the parser's charset, so EBCDIC
-/// sources stream under every framing.
+/// sources stream under every framing: fixed-width, and newline-terminated
+/// (EBCDIC LF is 0x25).
 #[test]
 fn streaming_works_under_ebcdic() {
-    let registry = Registry::standard();
-    let schema =
-        compile("Precord Pstruct r_t { Puint32 n; }; Psource Parray rs_t { r_t[]; };", &registry)
-            .unwrap();
-    // "12" and "34", fixed-width and then newline-terminated (EBCDIC LF is 0x25).
     let framed: [(RecordDiscipline, &[u8]); 2] = [
-        (RecordDiscipline::FixedWidth(2), &[0xF1, 0xF2, 0xF3, 0xF4]),
-        (RecordDiscipline::Newline, &[0xF1, 0xF2, 0x25, 0xF3, 0xF4, 0x25]),
+        (RecordDiscipline::FixedWidth(5), b"12,ab34,cd"),
+        (RecordDiscipline::Newline, b"12,ab\n34,cd\n"),
     ];
-    for (discipline, data) in framed {
-        let options = ParseOptions { charset: Charset::Ebcdic, discipline, ..Default::default() };
-        let parser = PadsParser::new(&schema, &registry).with_options(options);
-        for window in [1, 3, 1 << 20] {
-            let items = assert_streams_as_the_slice_parses("ebcdic", &parser, "r_t", data, window);
-            let n: Vec<_> =
-                items.iter().map(|(v, _)| v.at_path("n").and_then(Value::as_u64)).collect();
-            assert_eq!(n, [Some(12), Some(34)], "{discipline:?}");
-        }
+    for (discipline, text) in framed {
+        let (data, framing) = (figure1::ebcdic(text), (Charset::Ebcdic, discipline));
+        let items = streamed(&figure1::ambient_ebcdic(), framing, &data, [1, 3, 1 << 20]);
+        assert_eq!(uints(&items, "n"), [Some(12), Some(34)], "{discipline:?}");
     }
 }
 

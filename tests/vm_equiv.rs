@@ -11,10 +11,10 @@ use std::sync::Arc;
 
 use contract::bundled::{self, Bundled};
 use contract::{
-    every_boundary, every_geometry, mask, seeds, sweep, torture, Kill, Plan, CHUNKS_OF_TWO,
-    SEQUENTIAL,
+    every_boundary, every_geometry, figure1, mask, seeds, sweep, torture, Kill, Plan,
+    CHUNKS_OF_TWO, SEQUENTIAL,
 };
-use pads::{compile, Charset, Engine, PadsParser, ParseOptions, Registry, Value};
+use pads::{Charset, Engine, PadsParser, ParseOptions, Value};
 use pads_runtime::KillPlan;
 
 fn vm_tiers(bundled: Bundled) {
@@ -97,36 +97,23 @@ fn vm_journal_kill_resume_matches_uninterrupted_interpreter() {
 /// kept a program per charset rather than fall back to the interpreter.
 #[test]
 fn vm_runs_under_either_charset_and_agrees_with_the_interpreter() {
-    let registry = Registry::standard();
-    let schema = compile(
-        "Precord Pstruct charset_witness_t { Puint32 n; '|'; Pstring(:'|':) tag; '|'; };",
-        &registry,
-    )
-    .expect("compiles");
-    let ebcdic = Charset::Ebcdic;
-    let line: Vec<u8> = b"17|west|".iter().map(|&b| ebcdic.encode(b)).collect();
-    let interp = PadsParser::new(&schema, &registry);
-    let options = ParseOptions { engine: Engine::Vm, ..Default::default() };
-    let vm = PadsParser::new(&schema, &registry).with_options(options);
+    let ambient = figure1::ambient();
+    let (schema, registry) = (&ambient.schema, &ambient.registry);
+    let interp = PadsParser::new(schema, registry);
+    let vm = PadsParser::new(schema, registry)
+        .with_options(ParseOptions { engine: Engine::Vm, ..Default::default() });
     let uint = Arc::clone(registry.get("Puint32").expect("standard registry"));
     let holders = Arc::strong_count(&uint);
-
     // Both parsers were built for ASCII; hand them cursors of either kind.
-    for (charset, data) in [(Charset::Ascii, &b"17|west|"[..]), (ebcdic, &line[..])] {
+    let ebcdic = figure1::ebcdic(b"17,west");
+    for (charset, data) in [(Charset::Ascii, &b"17,west"[..]), (Charset::Ebcdic, &ebcdic)] {
         let parse = |parser: &PadsParser<'_>| {
-            let mut cur = parser.open(data).with_charset(charset);
-            parser.parse_named(&mut cur, "charset_witness_t", &[], &mask())
+            parser.parse_named(&mut parser.open(data).with_charset(charset), "r_t", &[], &mask())
         };
-        let (iv, ipd) = parse(&interp);
-        let (vv, vpd) = parse(&vm);
-        assert!(ipd.is_ok(), "{charset:?}: {ipd}");
-        assert_eq!(iv.at_path("n").and_then(Value::as_u64), Some(17), "{charset:?}");
-        assert_eq!(vv, iv, "{charset:?}: VM value diverges");
-        assert_eq!(vpd, ipd, "{charset:?}: VM descriptor diverges");
+        let (value, pd) = parse(&interp);
+        assert!(pd.is_ok() && value.at_path("n").and_then(Value::as_u64) == Some(17), "{pd}");
+        assert_eq!(parse(&vm), (value, pd), "{charset:?}: the VM diverges");
     }
-    assert_eq!(
-        Arc::strong_count(&uint),
-        holders + 2,
-        "the VM parser holds the ASCII and the EBCDIC program it ran"
-    );
+    let programs = Arc::strong_count(&uint) - holders;
+    assert_eq!(programs, 2, "the VM parser holds the ASCII and the EBCDIC program it ran");
 }

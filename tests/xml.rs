@@ -93,3 +93,46 @@ fn clf_xsd_uses_choice_for_unions_and_enumeration_for_enums() {
     assert!(xsd.contains("<xs:enumeration value=\"UNLINK\"/>"));
     assert!(xsd.contains("<xs:simpleType name=\"response_t\">"));
 }
+
+/// A typedef's value is its underlying type's, so wrapping an aggregate in a
+/// `Ptypedef` changes neither the accumulator's report nor the XML below the
+/// wrapped node (whose `<pd>` is the typedef's): not `request_t` over the CLF
+/// torture corpus, nor a union matching no branch and a struct with a bad field.
+#[test]
+fn a_typedef_around_an_aggregate_changes_no_output() {
+    let registry = Registry::standard();
+    let outputs = |text: &str, data: &[u8], record| {
+        let schema = pads::compile(text, &registry).expect("compiles");
+        let parser = PadsParser::new(&schema, &registry);
+        let mask = Mask::all(BaseMask::CheckAndSet);
+        let mut acc = pads_tools::Accumulator::new(&schema, record);
+        parser.records(data, record, &mask).for_each(|(v, pd)| acc.add(&v, &pd));
+        let (v, pd) = parser.parse_source(data, &mask);
+        (acc.report("<top>"), value_to_xml(&v, Some(&pd), &schema.source_def().name, 0))
+    };
+    let same = |wrapped: &str, plain: &str, data: &[u8], record| {
+        let (got, want) = (outputs(wrapped, data, record), outputs(plain, data, record));
+        assert_eq!(got.0, want.0, "accum");
+        assert_eq!(got.1.lines().count(), want.1.lines().count(), "{}", got.1);
+        for (got, want) in got.1.lines().zip(want.1.lines()).filter(|(got, want)| got != want) {
+            assert_eq!(got.trim(), "<errCode>NestedError</errCode>", "in place of {want}");
+        }
+        got
+    };
+    let clf = descriptions::CLF.replace("\"] \"; request_t", "\"] \"; wrapped_t");
+    let typedef = "Ptypedef request_t wrapped_t; Precord Pstruct entry_t";
+    let clf = clf.replace("Precord Pstruct entry_t", typedef);
+    same(&clf, descriptions::CLF, include_bytes!("data/torture_clf.log"), "entry_t");
+    let pair = |u: &str, w: &str| {
+        format!(
+            "Punion num_t {{ Puint32 n; Pstring_ME(:\"NONE\":) none; }}; Ptypedef num_t wu_t;
+            Pstruct pair_t {{ Puint32 a; ','; Puint32 b; }}; Ptypedef pair_t wp_t;
+            Precord Pstruct r_t {{ {u} u; ' '; {w} w; }}; Psource Parray rs_t {{ r_t[]; }};"
+        )
+    };
+    let data = b"7 1,2\n? 3,4\nNONE 5,x\n? 7,8\n";
+    let (report, _) = same(&pair("wu_t", "wp_t"), &pair("num_t", "pair_t"), data, "r_t");
+    // Two unions matched no branch; their default `n` is no data.
+    let n = report.split("<top>.u.n ").nth(1).and_then(|n| n.lines().nth(2));
+    assert_eq!(n, Some("good: 1 bad: 0 pcnt-bad: 0.000"), "{report}");
+}
