@@ -73,7 +73,7 @@ mod tests {
             .expect("Sirius generates");
         assert!(sirius.contains("pub struct OrderHeaderT"));
         assert!(sirius.contains("pub struct EventSeq"));
-        assert!(sirius.contains("ForallViolation"));
+        assert!(sirius.contains("forall: true"), "eventSeq's Pforall is a Pforall");
     }
 
     #[test]

@@ -12,14 +12,13 @@ impl<'s> Gen<'s> {
             .collect()
     }
 
-    /// `("", "'d")` when the representation borrows the buffer (the `'d`
-    /// is bound by the surrounding `impl<'d>`), else `("", "'_")`: fn
-    /// generics and cursor lifetime for read methods.
-    fn read_lt(&self, id: TypeId) -> (&'static str, &'static str) {
+    /// The cursor lifetime of read methods: `'d` when the representation
+    /// borrows the buffer (bound by the surrounding `impl<'d>`), else `'_`.
+    fn cur_lt(&self, id: TypeId) -> &'static str {
         if self.lt[id] {
-            ("", "'d")
+            "'d"
         } else {
-            ("", "'_")
+            "'_"
         }
     }
 
@@ -50,13 +49,13 @@ impl<'s> Gen<'s> {
         let def = self.schema.def(id);
         let name = camel(&def.name);
         let lt = self.lt_args(id);
-        let (gen_lt, cur_lt) = self.read_lt(id);
+        let cur_lt = self.cur_lt(id);
         let mask_param = if mask_used { "mask" } else { "_mask" };
         let args: String =
             def.params.iter().map(|p| format!(", p_{}", field_name(&p.name))).collect();
         let _ = writeln!(
             out,
-            "    pub fn {entry}{gen_lt}(cur: &mut Cursor<{cur_lt}>, {mask_param}: &Mask{}) -> ({name}{lt}, ParseDesc) {{",
+            "    pub fn {entry}(cur: &mut Cursor<{cur_lt}>, {mask_param}: &Mask{}) -> ({name}{lt}, ParseDesc) {{",
             self.params_sig(id)
         );
         let _ = writeln!(out, "        if !cur.observing() {{");
@@ -277,31 +276,41 @@ impl<'s> Gen<'s> {
         Ok(parts.join(", "))
     }
 
-    // ---- literal helpers ----------------------------------------------------
-
-    fn lit_match_code(&self, lit: &Literal) -> GenResult<String> {
-        Ok(match lit {
-            Literal::Char(c) => format!("pc_match_char(cur, {c}u8)"),
-            Literal::Str(s) => format!("pc_match_str(cur, {})", bytes_lit(s)),
-            Literal::Regex(pat) => format!("pc_match_regex(cur, {pat:?})"),
-            Literal::Eor => "cur.at_eor()".to_owned(),
-            Literal::Eof => "cur.at_eof()".to_owned(),
-        })
+    /// Code reading `ty` as a `(value, ParseDesc)` pair under the mask `m`;
+    /// `what` names the construct in the refusal of a `Popt`.
+    fn tyuse_read_code(&self, ty: &TyUse, m: &str, ctx: &Ctx, what: &str) -> GenResult<String> {
+        match ty {
+            TyUse::Base { name, args } => {
+                Ok(format!("rd_pd(cur, |cur| {})", self.base_read_code(name, args, ctx)?))
+            }
+            TyUse::Named { id, args } => Ok(format!(
+                "{}::read(cur, {m}{})",
+                camel(&self.schema.def(*id).name),
+                self.call_args(args, ctx)?
+            )),
+            TyUse::Opt(_) => {
+                Err(CodegenError::new(format!("Popt {what} are not supported by codegen")))
+            }
+        }
     }
 
-    fn lit_peek_code(&self, lit: &Literal) -> GenResult<String> {
-        Ok(match lit {
-            Literal::Char(c) => format!("(cur.peek() == Some(cur.charset().encode({c}u8)))"),
-            Literal::Str(s) => format!(
-                "{{ let cp = cur.checkpoint(); let ok = pc_match_str(cur, {}); cur.restore(cp); ok }}",
-                bytes_lit(s)
-            ),
-            Literal::Regex(pat) => format!(
-                "{{ let cp = cur.checkpoint(); let ok = pc_match_regex(cur, {pat:?}); cur.restore(cp); ok }}"
-            ),
-            Literal::Eor => "cur.at_eor()".to_owned(),
-            Literal::Eof => "cur.at_eof()".to_owned(),
-        })
+    /// The signature line of a type's `read_impl` with `generics`.
+    fn emit_read_impl(&self, id: TypeId, generics: &str, out: &mut String) {
+        let _ = writeln!(
+            out,
+            "    fn read_impl{generics}(cur: &mut Cursor<{}>, mask: &Mask{}) -> ({}{}, ParseDesc) {{",
+            self.cur_lt(id),
+            self.params_sig(id),
+            camel(&self.schema.def(id).name),
+            self.lt_args(id)
+        );
+    }
+
+    /// `const NAMES`, the branch names a union rule reads.
+    fn emit_branch_names(&self, branches: &[BranchIr], out: &mut String) {
+        let names: Vec<String> =
+            branches.iter().map(|b| format!("Name::from_static({:?})", b.field.name)).collect();
+        let _ = writeln!(out, "        const NAMES: &[Name] = &[{}];", names.join(", "));
     }
 
     // ---- struct ----------------------------------------------------------------
@@ -320,13 +329,7 @@ impl<'s> Gen<'s> {
             def.name
         );
         self.emit_read_wrapper(id, true, out);
-        let lt = self.lt_args(id);
-        let (gen_lt, cur_lt) = self.read_lt(id);
-        let _ = writeln!(
-            out,
-            "    fn read_impl{gen_lt}(cur: &mut Cursor<{cur_lt}>, mask: &Mask{}) -> ({name}{lt}, ParseDesc) {{",
-            self.params_sig(id)
-        );
+        self.emit_read_impl(id, "", out);
         let _ = writeln!(out, "        let mut pd = ParseDesc::ok();");
         let _ = writeln!(out, "        let mut pds: Vec<(Name, ParseDesc)> = Vec::new();");
         // Pre-declare fields.
@@ -355,14 +358,10 @@ impl<'s> Gen<'s> {
         for m in members {
             match m {
                 MemberIr::Lit(lit) => {
-                    let code = self.lit_match_code(lit)?;
-                    let err = match lit {
-                        Literal::Regex(_) => "RegexMismatch",
-                        _ => "LitMismatch",
-                    };
                     let _ = writeln!(
                         out,
-                        "            if !({code}) {{\n                pd.add_error(ErrorCode::{err}, Loc::at(cur.position()));\n                pd.state = ParseState::Partial;\n                break 'body;\n            }}"
+                        "            if let Err(e) = cur.match_lit(&{}) {{\n                pd.add_error(e, Loc::at(cur.position()));\n                pd.state = ParseState::Partial;\n                break 'body;\n            }}",
+                        lit_code(lit)
                     );
                 }
                 MemberIr::Field(f) => {
@@ -550,76 +549,27 @@ impl<'s> Gen<'s> {
             def.name
         );
         self.emit_read_wrapper(id, true, out);
-        let lt = self.lt_args(id);
-        let (gen_lt, cur_lt) = self.read_lt(id);
-        let _ = writeln!(
-            out,
-            "    fn read_impl{gen_lt}(cur: &mut Cursor<{cur_lt}>, mask: &Mask{}) -> ({name}{lt}, ParseDesc) {{",
-            self.params_sig(id)
-        );
-        let _ = writeln!(out, "        let start = cur.position();");
+        self.emit_read_impl(id, "", out);
+        self.emit_branch_names(branches, out);
+        let _ = writeln!(out, "        read_union(cur, mask, NAMES, |cur, i, m| match i {{");
         let ctx = self.param_ctx(id);
-        for b in branches {
+        for (i, b) in branches.iter().enumerate() {
             let bname = field_name(&b.field.name);
-            let variant = camel(&b.field.name);
-            let repr = self.tyuse_repr(&b.field.ty);
-            let _ = writeln!(out, "        {{");
-            let _ = writeln!(out, "            let cp = cur.checkpoint();");
-            let _ = writeln!(out, "            let m = mask.child({:?});", b.field.name);
+            let read = self.tyuse_read_code(&b.field.ty, "m", &ctx, "union branches")?;
             let mut bctx = ctx.clone();
-            match &b.field.ty {
-                TyUse::Base { name: bn, args } => {
-                    let call = self.base_read_code(bn, args, &ctx)?;
-                    let _ = writeln!(out, "            if let Ok(v) = {call} {{");
-                    let _ = writeln!(out, "                let f_{bname} = v;");
-                    bctx.bind(&b.field.name, Operand::Place(format!("f_{bname}"), repr));
-                    let cond = match &b.field.constraint {
-                        Some(c) => self.compile_bool(c, &bctx)?,
-                        None => "true".to_owned(),
-                    };
-                    let _ = writeln!(
-                        out,
-                        "                if {cond} {{\n                    let mut pd = ParseDesc::ok();\n                    pd.kind = PdKind::union_ok(Name::from_static({:?}));\n                    return ({name}::{variant}(f_{bname}), pd);\n                }}",
-                        b.field.name
-                    );
-                    let _ = writeln!(out, "            }}");
-                    let _ = writeln!(out, "            cur.restore(cp);");
-                }
-                TyUse::Named { id: bid, args } => {
-                    let args_code = self.call_args(args, &ctx)?;
-                    let ty_name = camel(&self.schema.def(*bid).name);
-                    let _ = writeln!(
-                        out,
-                        "            let (v, bpd) = {ty_name}::read(cur, &m{args_code});"
-                    );
-                    let _ = writeln!(out, "            if bpd.is_ok() {{");
-                    let _ = writeln!(out, "                let f_{bname} = v;");
-                    bctx.bind(&b.field.name, Operand::Place(format!("f_{bname}"), repr));
-                    let cond = match &b.field.constraint {
-                        Some(c) => self.compile_bool(c, &bctx)?,
-                        None => "true".to_owned(),
-                    };
-                    let _ = writeln!(
-                        out,
-                        "                if {cond} {{\n                    let mut pd = ParseDesc::ok();\n                    pd.kind = PdKind::union(Name::from_static({:?}), bpd);\n                    return ({name}::{variant}(f_{bname}), pd);\n                }}",
-                        b.field.name
-                    );
-                    let _ = writeln!(out, "            }}");
-                    let _ = writeln!(out, "            cur.restore(cp);");
-                }
-                TyUse::Opt(_) => {
-                    return Err(CodegenError::new(
-                        "Popt union branches are not supported by codegen",
-                    ))
-                }
-            }
-            let _ = writeln!(out, "        }}");
+            let repr = self.tyuse_repr(&b.field.ty);
+            bctx.bind(&b.field.name, Operand::Place(format!("f_{bname}"), repr));
+            let cond = match &b.field.constraint {
+                Some(c) => format!(" && ({})", self.compile_bool(c, &bctx)?),
+                None => String::new(),
+            };
+            let _ = writeln!(
+                out,
+                "            {i} => {{\n                let (f_{bname}, bpd) = {read};\n                (bpd.is_ok(){cond}).then(|| ({name}::{}(f_{bname}), bpd))\n            }}",
+                camel(&b.field.name)
+            );
         }
-        let _ = writeln!(
-            out,
-            "        let mut pd = ParseDesc::error(ErrorCode::UnionNoBranch, Loc::at(start));\n        pd.state = ParseState::Partial;\n        pd.kind = PdKind::union_ok(Name::from_static({:?}));\n        ({name}::default(), pd)",
-            branches[0].field.name
-        );
+        let _ = writeln!(out, "            _ => None,\n        }}, Self::default)");
         let _ = writeln!(out, "    }}\n");
         Ok(())
     }
@@ -636,79 +586,45 @@ impl<'s> Gen<'s> {
         let ctx = self.param_ctx(id);
         let _ = writeln!(out, "    /// Parses one `{}` (Pswitch union).", def.name);
         self.emit_read_wrapper(id, true, out);
-        let lt = self.lt_args(id);
-        let (gen_lt, cur_lt) = self.read_lt(id);
-        let _ = writeln!(
-            out,
-            "    fn read_impl{gen_lt}(cur: &mut Cursor<{cur_lt}>, mask: &Mask{}) -> ({name}{lt}, ParseDesc) {{",
-            self.params_sig(id)
-        );
-        let _ = writeln!(out, "        let start = cur.position();");
+        self.emit_read_impl(id, "", out);
+        self.emit_branch_names(branches, out);
+        // The selector picks the first case equal to it, else the default.
         let _ = writeln!(out, "        let sel: i64 = {};", self.compile_num(sel, &ctx)?);
-        // Emit a branch body shared by case and default arms.
+        let mut chosen = String::from("        let chosen = ");
+        let mut default = "None".to_owned();
         let mut arms = String::new();
-        let mut default_arm: Option<String> = None;
-        for b in branches {
-            let mut body = String::new();
-            let bname = field_name(&b.field.name);
-            let variant = camel(&b.field.name);
-            let repr = self.tyuse_repr(&b.field.ty);
-            let _ = writeln!(body, "            let m = mask.child({:?});", b.field.name);
-            let mut bctx = ctx.clone();
-            match &b.field.ty {
-                TyUse::Base { name: bn, args } => {
-                    let call = self.base_read_code(bn, args, &ctx)?;
-                    let _ = writeln!(
-                        body,
-                        "            let (f_{bname}, mut bpd) = match {call} {{\n                Ok(v) => (v, ParseDesc::ok()),\n                Err(e) => (Default::default(), ParseDesc::error(e, Loc::new(start, cur.position()))),\n            }};"
-                    );
-                }
-                TyUse::Named { id: bid, args } => {
-                    let args_code = self.call_args(args, &ctx)?;
-                    let ty_name = camel(&self.schema.def(*bid).name);
-                    let _ = writeln!(
-                        body,
-                        "            let (f_{bname}, mut bpd) = {ty_name}::read(cur, &m{args_code});"
-                    );
-                }
-                TyUse::Opt(_) => {
-                    return Err(CodegenError::new(
-                        "Popt switch branches are not supported by codegen",
-                    ))
-                }
-            }
-            bctx.bind(&b.field.name, Operand::Place(format!("f_{bname}"), repr));
-            if let Some(c) = &b.field.constraint {
-                let cond = self.compile_bool(c, &bctx)?;
-                let _ = writeln!(
-                    body,
-                    "            if !({cond}) {{ bpd.add_error(ErrorCode::ConstraintViolation, Loc::new(start, cur.position())); }}"
-                );
-            }
-            let _ = writeln!(
-                body,
-                "            let mut pd = ParseDesc::ok();\n            pd.absorb(&bpd);\n            pd.kind = PdKind::union(Name::from_static({:?}), bpd);\n            return ({name}::{variant}(f_{bname}), pd);",
-                b.field.name
-            );
+        for (i, b) in branches.iter().enumerate() {
             match &b.case {
                 Some(CaseLabel::Expr(e)) => {
                     let case = self.compile_num(e, &ctx)?;
-                    let _ = writeln!(arms, "        if sel == ({case}) {{\n{body}        }}");
+                    let _ = write!(chosen, "if sel == ({case}) {{ Some({i}) }} else ");
                 }
-                Some(CaseLabel::Default) => default_arm = Some(body),
+                Some(CaseLabel::Default) => default = format!("Some({i})"),
                 None => {}
             }
-        }
-        out.push_str(&arms);
-        if let Some(body) = default_arm {
-            let _ = writeln!(out, "        {{\n{body}        }}");
-        } else {
+            let bname = field_name(&b.field.name);
+            let read = self.tyuse_read_code(&b.field.ty, "m", &ctx, "switch branches")?;
+            let mut bctx = ctx.clone();
+            let repr = self.tyuse_repr(&b.field.ty);
+            bctx.bind(&b.field.name, Operand::Place(format!("f_{bname}"), repr));
+            let cond = match &b.field.constraint {
+                Some(c) => self.compile_bool(c, &bctx)?,
+                None => "true".to_owned(),
+            };
             let _ = writeln!(
-                out,
-                "        let mut pd = ParseDesc::error(ErrorCode::SwitchNoMatch, Loc::at(start));\n        pd.state = ParseState::Partial;\n        pd.kind = PdKind::union_ok(Name::from_static({:?}));\n        ({name}::default(), pd)",
-                branches[0].field.name
+                arms,
+                "            {i} => {{\n                let (f_{bname}, bpd) = {read};\n                let holds = {cond};\n                ({name}::{}(f_{bname}), bpd, Ok(holds))\n            }}",
+                camel(&b.field.name)
             );
         }
+        let _ = writeln!(out, "{chosen}{{ {default} }};");
+        let call = "read_switched(cur, mask, NAMES, Ok(chosen), |cur, i, m| match i {";
+        let _ = writeln!(out, "        {call}");
+        out.push_str(&arms);
+        let _ = writeln!(
+            out,
+            "            _ => (Self::default(), ParseDesc::ok(), Ok(true)),\n        }}, Self::default)"
+        );
         let _ = writeln!(out, "    }}\n");
         Ok(())
     }
@@ -781,139 +697,46 @@ impl<'s> Gen<'s> {
 
     fn gen_array_read(&self, id: TypeId, out: &mut String) -> GenResult<()> {
         let def = self.schema.def(id);
-        let name = camel(&def.name);
         let TypeKind::Array { elem, sep, term, ended, size } = &def.kind else {
             unreachable!("gen_array_read on non-array")
         };
         let ctx = self.param_ctx(id);
-        let elem_repr = self.tyuse_repr(elem);
-        let elem_ty = self.rust_ty(&elem_repr);
-        let elem_recovers = matches!(elem, TyUse::Named { id, .. } if self.schema.def(*id).is_record);
+        let elts = Operand::Place("elts".to_owned(), Repr::Slice(Box::new(self.tyuse_repr(elem))));
+        let mut ectx = ctx.clone();
+        ectx.bind("elts", elts);
+        ectx.bind("length", Operand::Num("(elts.len() as i64)".to_owned()));
         let _ = writeln!(out, "    /// Parses the sequence with its separator/terminator conditions.");
         self.emit_read_wrapper(id, true, out);
-        let lt = self.lt_args(id);
-        let (gen_lt, cur_lt) = self.read_lt(id);
+        self.emit_read_impl(id, "", out);
+        let lit = |l: &Option<Literal>| {
+            l.as_ref().map_or("None".to_owned(), |l| format!("Some({})", lit_code(l)))
+        };
         let _ = writeln!(
             out,
-            "    fn read_impl{gen_lt}(cur: &mut Cursor<{cur_lt}>, mask: &Mask{}) -> ({name}{lt}, ParseDesc) {{",
-            self.params_sig(id)
+            "        const SHAPE: ArrayShape<'static> = ArrayShape {{ sep: {}, term: {}, elem_recovers: {}, forall: {} }};",
+            lit(sep),
+            lit(term),
+            matches!(elem, TyUse::Named { id, .. } if self.schema.def(*id).is_record),
+            matches!(def.where_clause, Some(Expr::Forall { .. }))
         );
-        let _ = writeln!(out, "        let mut elts: Vec<{elem_ty}> = Vec::new();");
-        let _ = writeln!(out, "        let mut elt_pds = SparseElts::new();");
-        let _ = writeln!(out, "        let mut pd = ParseDesc::ok();");
-        let _ = writeln!(out, "        let mut neerr: u32 = 0;");
-        let _ = writeln!(out, "        let mut first_error: Option<usize> = None;");
-        let _ = writeln!(out, "        let elem_mask = mask.child(\"elt\");");
-        if let Some(sz) = size {
-            let _ = writeln!(out, "        let want: usize = ({}) as usize;", self.compile_num(sz, &ctx)?);
-        }
-        let _ = writeln!(out, "        loop {{");
-        if size.is_some() {
-            let _ = writeln!(out, "            if elts.len() >= want {{ break; }}");
-        } else {
-            // The record or source end holds off while a byte is partly
-            // read: its unread bits may hold further sub-byte elements.
-            if let Some(t) = term {
-                let (peek, consume) = match t {
-                    Literal::Eor | Literal::Eof => {
-                        (format!("!cur.mid_byte() && {}", self.lit_peek_code(t)?), String::new())
-                    }
-                    lit => (self.lit_peek_code(lit)?, format!("let _ = {};", self.lit_match_code(lit)?)),
-                };
-                let _ = writeln!(out, "            if {peek} {{ {consume} break; }}");
-            } else {
-                let _ = writeln!(
-                    out,
-                    "            if !cur.mid_byte() && (if cur.in_record() {{ cur.at_eor() }} else {{ cur.at_eof() }}) {{ break; }}"
-                );
-            }
-        }
-        if let Some(s) = sep {
-            let m = self.lit_match_code(s)?;
-            let _ = writeln!(
-                out,
-                "            if !elts.is_empty() {{\n                let cp = cur.checkpoint();\n                if !({m}) {{\n                    cur.restore(cp);\n                    pd.add_error(ErrorCode::ArraySepMismatch, Loc::at(cur.position()));\n                    pd.state = ParseState::Partial;\n                    break;\n                }}\n            }}"
-            );
-        }
-        let _ = writeln!(out, "            let before = cur.bit_offset();");
-        match elem {
-            TyUse::Base { name: bn, args } => {
-                let call = self.base_read_code(bn, args, &ctx)?;
-                let _ = writeln!(
-                    out,
-                    "            let (v, epd) = {{\n                let start = cur.position();\n                match {call} {{\n                    Ok(v) => (v, ParseDesc::ok()),\n                    Err(e) => (Default::default(), ParseDesc::error(e, Loc::new(start, cur.position()))),\n                }}\n            }};"
-                );
-            }
-            TyUse::Named { id: eid, args } => {
-                let args_code = self.call_args(args, &ctx)?;
-                let ty_name = camel(&self.schema.def(*eid).name);
-                let _ = writeln!(
-                    out,
-                    "            let (v, epd) = {ty_name}::read(cur, &elem_mask{args_code});"
-                );
-            }
-            TyUse::Opt(_) => {
-                return Err(CodegenError::new(
-                    "Popt array elements are not supported by codegen",
-                ))
-            }
-        }
+        let size = match size {
+            Some(sz) => format!("Some(usize::try_from({}).ok())", self.compile_num(sz, &ctx)?),
+            None => "None".to_owned(),
+        };
+        let read = self.tyuse_read_code(elem, "m", &ctx, "array elements")?;
+        let ended = match ended {
+            Some(e) => self.compile_bool(e, &ectx)?,
+            None => "false".to_owned(),
+        };
+        let holds = match &def.where_clause {
+            Some(w) => self.compile_bool(w, &ectx)?,
+            None => "true".to_owned(),
+        };
         let _ = writeln!(
             out,
-            "            let bad = !epd.is_ok();\n            let syn = epd.has_syntax_error();\n            if bad {{\n                neerr += 1;\n                if first_error.is_none() {{ first_error = Some(elts.len()); }}\n            }}\n            pd.absorb(&epd);\n            elts.push(v);\n            elt_pds.push(epd);"
+            "        let (elts, pd) = read_array(cur, mask, &SHAPE, {size}, |cur, m| {read}, |elts| {ended}, |elts| Ok({holds}));"
         );
-        let _ = writeln!(
-            out,
-            "            if syn && !{elem_recovers} {{ pd.state = ParseState::Partial; break; }}"
-        );
-        if size.is_none() {
-            let _ = writeln!(
-                out,
-                "            if cur.bit_offset() == before {{ pd.add_error(ErrorCode::ArrayTermMismatch, Loc::at(cur.position())); break; }}"
-            );
-        }
-        if let Some(e) = ended {
-            let mut ectx = ctx.clone();
-            ectx.bind("elts", Operand::Place("elts".to_owned(), Repr::Slice(Box::new(elem_repr.clone()))));
-            ectx.bind("length", Operand::Num("(elts.len() as i64)".to_owned()));
-            let cond = self.compile_bool(e, &ectx)?;
-            let consume = match term {
-                Some(Literal::Eor) | Some(Literal::Eof) | None => String::new(),
-                Some(lit) => format!(
-                    "if {} {{ let _ = {}; }}",
-                    self.lit_peek_code(lit)?,
-                    self.lit_match_code(lit)?
-                ),
-            };
-            let _ = writeln!(out, "            if {cond} {{ {consume} break; }}");
-        }
-        let _ = writeln!(out, "        }}");
-        if size.is_some() {
-            let _ = writeln!(
-                out,
-                "        if elts.len() != want {{ pd.add_error(ErrorCode::ArraySizeMismatch, Loc::at(cur.position())); }}"
-            );
-        }
-        if let Some(w) = &def.where_clause {
-            let mut wctx = ctx.clone();
-            wctx.bind("elts", Operand::Place("elts".to_owned(), Repr::Slice(Box::new(elem_repr.clone()))));
-            wctx.bind("length", Operand::Num("(elts.len() as i64)".to_owned()));
-            let cond = self.compile_bool(w, &wctx)?;
-            let code = if matches!(w, Expr::Forall { .. }) {
-                "ForallViolation"
-            } else {
-                "WhereViolation"
-            };
-            let _ = writeln!(
-                out,
-                "        if mask.compound().checks() && pd.state == ParseState::Ok && !({cond}) {{\n            pd.add_error(ErrorCode::{code}, Loc::at(cur.position()));\n        }}"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "        pd.kind = PdKind::Array {{ elts: elt_pds.finish(), neerr, first_error }};"
-        );
-        let _ = writeln!(out, "        ({name}(elts), pd)");
+        let _ = writeln!(out, "        ({}(elts), pd)", camel(&def.name));
         let _ = writeln!(out, "    }}\n");
         Ok(())
     }
@@ -990,23 +813,13 @@ impl<'s> Gen<'s> {
             out,
             "    fn read_impl(cur: &mut Cursor<'_>, _mask: &Mask) -> ({name}, ParseDesc) {{"
         );
-        // Longest-first so GETX beats GET; stable on ties.
-        let mut order: Vec<usize> = (0..variants.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(variants[i].len()));
-        for i in order {
-            let v = &variants[i];
-            let _ = writeln!(
-                out,
-                "        if pc_match_str(cur, {}) {{ return ({name}::{}, ParseDesc::ok()); }}",
-                bytes_lit(v),
-                camel(v)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "        let pd = ParseDesc::error(ErrorCode::EnumNoMatch, Loc::at(cur.position()));"
-        );
-        let _ = writeln!(out, "        ({name}::default(), pd)");
+        let texts: Vec<String> =
+            variants.iter().map(|v| format!("Name::from_static({v:?})")).collect();
+        let all: Vec<String> = variants.iter().map(|v| format!("{name}::{}", camel(v))).collect();
+        let _ = writeln!(out, "        const VARIANTS: &[Name] = &[{}];", texts.join(", "));
+        let _ = writeln!(out, "        const ALL: &[{name}] = &[{}];", all.join(", "));
+        let _ = writeln!(out, "        let (i, pd) = read_enum(cur, VARIANTS);");
+        let _ = writeln!(out, "        (ALL.get(i).copied().unwrap_or_default(), pd)");
         let _ = writeln!(out, "    }}\n");
         Ok(())
     }
@@ -1059,73 +872,36 @@ impl<'s> Gen<'s> {
         out: &mut String,
     ) -> GenResult<()> {
         let def = self.schema.def(id);
-        let name = camel(&def.name);
         let ctx = self.param_ctx(id);
         let _ = writeln!(out, "    /// Parses the underlying type, then checks the constraint.");
-        let lt = self.lt_args(id);
-        let (gen_lt, cur_lt) = self.read_lt(id);
         // A `Popt` keeps only a clean read's value, so the typedef it reads
         // gets a second entry that nests no descriptor for it to drop: a
         // failed read then allocates nothing.
-        let popt = self.read_under_popt(id);
-        let (generics, nest) = if popt {
+        let (generics, nest) = if self.read_under_popt(id) {
             self.emit_read_entry(id, true, "read", "read_impl::<true>", out);
             let _ = writeln!(out, "    /// `read` for a `Popt`, which keeps only a clean read's value: the");
             let _ = writeln!(out, "    /// same value and events, the underlying descriptor not nested.");
             self.emit_read_entry(id, true, "read_opt", "read_impl::<false>", out);
-            let lifetimes = gen_lt.trim_start_matches('<').trim_end_matches('>');
-            let generics = if lifetimes.is_empty() {
-                "<const NEST: bool>".to_owned()
-            } else {
-                format!("<{lifetimes}, const NEST: bool>")
-            };
-            (generics, "if NEST { pd.kind = PdKind::typedef(bpd); }")
+            ("<const NEST: bool>", "NEST")
         } else {
             self.emit_read_wrapper(id, true, out);
-            (gen_lt.to_owned(), "pd.kind = PdKind::typedef(bpd);")
+            ("", "true")
         };
-        let _ = writeln!(
-            out,
-            "    fn read_impl{generics}(cur: &mut Cursor<{cur_lt}>, mask: &Mask{}) -> ({name}{lt}, ParseDesc) {{",
-            self.params_sig(id)
-        );
-        let _ = writeln!(out, "        let start = cur.position();");
-        let pred_code = |g: &Self, vcode: &str| -> GenResult<String> {
-            if let (Some(v), Some(p)) = (var, pred) {
+        self.emit_read_impl(id, generics, out);
+        let holds = match (var, pred) {
+            (Some(v), Some(p)) => {
                 let mut pctx = ctx.clone();
-                pctx.bind(v, Operand::Place(vcode.to_owned(), g.tyuse_repr(base)));
-                let cond = g.compile_bool(p, &pctx)?;
-                Ok(format!(
-                    "if mask.base().checks() && !({cond}) {{ pd.add_error(ErrorCode::ConstraintViolation, Loc::new(start, cur.position())); }}"
-                ))
-            } else {
-                Ok(String::new())
+                pctx.bind(v, Operand::Place("(*v)".to_owned(), self.tyuse_repr(base)));
+                self.compile_bool(p, &pctx)?
             }
+            _ => "true".to_owned(),
         };
-        // The underlying read's descriptor nests under the typedef's, as the
-        // interpreter nests it, whether the underlying type is a base type
-        // or a named one.
-        let read = match base {
-            TyUse::Base { name: bn, args } => format!(
-                "match {} {{\n            Ok(v) => (v, ParseDesc::ok()),\n            Err(e) => (Default::default(), ParseDesc::error(e, Loc::new(start, cur.position()))),\n        }}",
-                self.base_read_code(bn, args, &ctx)?
-            ),
-            TyUse::Named { id: bid, args } => format!(
-                "{}::read(cur, mask{})",
-                camel(&self.schema.def(*bid).name),
-                self.call_args(args, &ctx)?
-            ),
-            TyUse::Opt(_) => {
-                return Err(CodegenError::new(
-                    "Popt typedef bases are not supported by codegen",
-                ))
-            }
-        };
-        let check = pred_code(self, "v")?;
+        let read = self.tyuse_read_code(base, "mask", &ctx, "typedef bases")?;
         let _ = writeln!(
             out,
-            "        let (v, bpd) = {read};\n        let mut pd = ParseDesc::ok();\n        pd.absorb(&bpd);\n        if pd.is_ok() {{ {check} }}\n        {nest}\n        ({name}(v), pd)"
+            "        let (v, pd) = read_typedef(cur, mask, {nest}, |cur| {read}, |v| Ok({holds}));"
         );
+        let _ = writeln!(out, "        ({}(v), pd)", camel(&def.name));
         let _ = writeln!(out, "    }}\n");
         Ok(())
     }
@@ -1619,6 +1395,17 @@ impl<'s> Gen<'s> {
         let _ = writeln!(out, "    (v, pd)");
         let _ = writeln!(out, "}}");
         Ok(())
+    }
+}
+
+/// A literal as the runtime's `Lit`.
+fn lit_code(lit: &Literal) -> String {
+    match lit {
+        Literal::Char(c) => format!("Lit::Char({c}u8)"),
+        Literal::Str(s) => format!("Lit::Str({})", bytes_lit(s)),
+        Literal::Regex(pat) => format!("Lit::Regex({pat:?})"),
+        Literal::Eor => "Lit::Eor".to_owned(),
+        Literal::Eof => "Lit::Eof".to_owned(),
     }
 }
 

@@ -54,9 +54,8 @@ pub enum Engine {
     /// `ParseOptions`; the `pads` CLI defaults to [`Engine::Vm`] instead.
     #[default]
     Interp,
-    /// Compile the schema to a [`crate::vm::VmProgram`] on first use — one
-    /// program per charset a cursor arrives with, kept by the parser — and
-    /// run the bytecode tier.
+    /// Compile the schema to a [`crate::vm::VmProgram`] on first use, kept
+    /// by the parser, and run the bytecode tier.
     Vm,
 }
 
@@ -92,9 +91,9 @@ pub struct PadsParser<'s> {
     /// a pointer copy, never a per-record `String` allocation or interner
     /// lookup — the same dense-id interning the metrics `ObsSchema` uses.
     names: Vec<TypeNames>,
-    /// Lazily compiled VM programs, one per cursor charset (only populated
-    /// when [`ParseOptions::engine`] is [`Engine::Vm`]).
-    vm: [std::cell::OnceCell<crate::vm::VmProgram>; 2],
+    /// The lazily compiled VM program (only populated when
+    /// [`ParseOptions::engine`] is [`Engine::Vm`]).
+    vm: std::cell::OnceCell<crate::vm::VmProgram>,
 }
 
 /// Interned names for one type definition (see [`PadsParser::names`]);
@@ -339,15 +338,8 @@ impl<'s> PadsParser<'s> {
         mask: &Mask,
     ) -> (Value, ParseDesc) {
         if self.options.engine == Engine::Vm {
-            // Programs are encoded for a charset, and a caller-built cursor
-            // may carry another one than the options name: run the program
-            // compiled for the cursor's.
             let charset = cur.charset();
-            let slot = match charset {
-                Charset::Ascii => &self.vm[0],
-                Charset::Ebcdic => &self.vm[1],
-            };
-            let prog = slot.get_or_init(|| crate::vm::compile(self.schema, self.registry, charset));
+            let prog = self.vm.get_or_init(|| crate::vm::compile(self.schema, self.registry, charset));
             return crate::vm::exec(self.schema, prog, cur, id, args, mask);
         }
         if !cur.observing() {

@@ -12,12 +12,20 @@
 //!
 //! This module is the middle tier: a single-pass compiler from the checked
 //! [`Schema`] to a flat [`VmProgram`] (one `CDef` per `TypeId`, with
-//! pre-resolved `Arc<dyn BaseType>` handles, pre-encoded literal bytes,
+//! pre-resolved `Arc<dyn BaseType>` handles, interned literal text,
 //! pre-evaluated constant arguments, interned [`Name`]s and
-//! precomputed default values) plus an executor that mirrors the
-//! interpreter *function for function* — same record framing, recovery
-//! policies, error budgets, observation events and descriptor shapes, proven
-//! byte-identical by the contract matrix (`tests/contract.rs`).
+//! precomputed default values) plus an executor with the interpreter's
+//! record framing, recovery policies, error budgets, observation events and
+//! descriptor shapes, proven byte-identical by the contract matrix
+//! (`tests/contract.rs`).
+//!
+//! The executor holds no rule of its own but the struct read and the
+//! evaluation of a switch selector. Every other kind runs the rule
+//! [`pads_runtime::rules`] holds once for both compiled tiers (the array
+//! loop, union trial, the switched-union read, typedefs, enum longest
+//! match, literals), called with closures over the `CDef`s; record
+//! framing is `Cursor::open_record`/`close_record`. The interpreter keeps
+//! its own copy of each, the oracle both tiers are compared against.
 //!
 //! Beyond that pre-resolution the compiler keeps only the specialisations
 //! a benchmark workload pays for (`docs/VM.md` has the table):
@@ -31,18 +39,20 @@
 //! Everything else runs as the interpreter runs it, the zero-width array
 //! guard included.
 //!
-//! A parser compiles its program on first use, once per charset a cursor
-//! arrives with, and keeps it; a shard worker builds its own parser, so it
-//! compiles its own. See `docs/VM.md`.
+//! A parser compiles its program on first use and keeps it; a shard worker
+//! builds its own parser, so it compiles its own. See `docs/VM.md`.
 
 use std::sync::Arc;
 
 use pads_check::ir::{Schema, TypeId, TypeKind, TyUse};
+use pads_runtime::pd::PdKind;
+use pads_runtime::rules::{
+    read_array, read_enum, read_switched, read_typedef, read_union, ArrayShape, Lit,
+};
 use pads_runtime::{
     BaseType, Charset, Cursor, ErrorCode, Loc, Mask, Name, ParseDesc, ParseState, Prim,
-    RecordOpen, Registry, SparseElts,
+    RecordOpen, Registry,
 };
-use pads_runtime::pd::PdKind;
 use pads_syntax::ast::{BinOp, CaseLabel, Expr, Literal, Stmt, UnOp};
 
 use crate::eval::{self, Env, Ev};
@@ -93,12 +103,13 @@ enum CKind {
         n_fields: usize,
     },
     Union {
+        names: Box<[Name]>,
         branches: Box<[CBranch]>,
         switch: Option<Expr>,
     },
     Array(Box<CArray>),
     Enum {
-        variants: Box<[CVariant]>,
+        variants: Box<[Name]>,
     },
     Typedef {
         base: CTy,
@@ -160,13 +171,9 @@ enum PExpr {
 
 struct CArray {
     elem: CTy,
-    sep: Option<CLit>,
-    term: Option<CLit>,
+    shape: ArrayShape<'static>,
     ended: Option<Expr>,
     size: Option<CSize>,
-    /// Record elements resynchronise at the record boundary themselves, so
-    /// the array survives syntax errors inside them.
-    elem_recovers: bool,
 }
 
 enum CSize {
@@ -178,14 +185,7 @@ enum CSize {
     Dyn(Expr),
 }
 
-struct CVariant {
-    /// Variant text pre-encoded for the program charset.
-    bytes: Box<[u8]>,
-    name: Name,
-}
-
 struct CBranch {
-    name: Name,
     case: Option<CCase>,
     ty: CTy,
     constraint: Option<CPred>,
@@ -199,7 +199,7 @@ enum CCase {
 }
 
 enum CMember {
-    Lit(CLit),
+    Lit(Lit<'static>),
     Field(CField),
 }
 
@@ -207,16 +207,6 @@ struct CField {
     name: Name,
     ty: CTy,
     constraint: Option<CPred>,
-}
-
-enum CLit {
-    /// A `Char` or `Str` literal pre-encoded for the program charset.
-    Bytes(Box<[u8]>),
-    /// Regex pattern, compiled through the executing cursor's own cache
-    /// (compiled regexes are `Rc`-shared per parser, not per program).
-    Regex(String),
-    Eor,
-    Eof,
 }
 
 enum CTy {
@@ -249,16 +239,19 @@ enum CArgs {
 
 // ---- compiler -------------------------------------------------------------
 
-/// Compiles `schema` for `charset`, resolving base types against
-/// `registry`. Compilation never fails: a checked schema cannot produce a
-/// malformed program, and defensive cases (unknown base type) compile to
-/// ops that report the same `InternalError` the interpreter would.
-pub fn compile(schema: &Schema, registry: &Registry, charset: Charset) -> VmProgram {
+/// Compiles `schema`, resolving base types against `registry`. Compilation
+/// never fails: a checked schema cannot produce a malformed program, and
+/// defensive cases (unknown base type) compile to ops that report the same
+/// `InternalError` the interpreter would.
+///
+/// The program is the same for every charset, since literals and enum
+/// variants match in the cursor's own: the charset argument is not read.
+pub fn compile(schema: &Schema, registry: &Registry, _charset: Charset) -> VmProgram {
     let defs = schema
         .types
         .iter()
         .enumerate()
-        .map(|(id, def)| compile_def(schema, registry, charset, id, def))
+        .map(|(id, def)| compile_def(schema, registry, id, def))
         .collect();
     VmProgram { defs }
 }
@@ -266,7 +259,6 @@ pub fn compile(schema: &Schema, registry: &Registry, charset: Charset) -> VmProg
 fn compile_def(
     schema: &Schema,
     registry: &Registry,
-    charset: Charset,
     id: TypeId,
     def: &pads_check::ir::TypeDef,
 ) -> CDef {
@@ -274,17 +266,17 @@ fn compile_def(
     let pnames: Vec<Name> = def.params.iter().map(|p| Name::intern(&p.name)).collect();
     let kind = match &def.kind {
         TypeKind::Struct { members } => {
-            let compiled = compile_members(schema, registry, charset, members, &pnames);
+            let compiled = compile_members(schema, registry, members, &pnames);
             let n_fields =
                 members.iter().filter(|m| matches!(m, MemberIr::Field(_))).count();
             CKind::Struct { members: compiled, n_fields }
         }
         TypeKind::Union { switch, branches } => CKind::Union {
             switch: switch.clone(),
+            names: branches.iter().map(|b| Name::intern(&b.field.name)).collect(),
             branches: branches
                 .iter()
                 .map(|b| CBranch {
-                    name: Name::intern(&b.field.name),
                     case: b.case.as_ref().map(compile_case),
                     ty: compile_tyuse(registry, &b.field.ty),
                     constraint: b
@@ -305,24 +297,22 @@ fn compile_def(
                 },
                 None => CSize::Dyn(e.clone()),
             });
+            let shape = ArrayShape {
+                sep: sep.as_ref().map(compile_lit),
+                term: term.as_ref().map(compile_lit),
+                elem_recovers,
+                forall: matches!(def.where_clause, Some(Expr::Forall { .. })),
+            };
             CKind::Array(Box::new(CArray {
                 elem: compile_tyuse(registry, elem),
-                sep: sep.as_ref().map(|l| compile_lit(charset, l)),
-                term: term.as_ref().map(|l| compile_lit(charset, l)),
+                shape,
                 ended: ended.clone(),
                 size: size_c,
-                elem_recovers,
             }))
         }
-        TypeKind::Enum { variants } => CKind::Enum {
-            variants: variants
-                .iter()
-                .map(|v| CVariant {
-                    bytes: v.bytes().map(|b| charset.encode(b)).collect(),
-                    name: Name::intern(v),
-                })
-                .collect(),
-        },
+        TypeKind::Enum { variants } => {
+            CKind::Enum { variants: variants.iter().map(|v| Name::intern(v)).collect() }
+        }
         TypeKind::Typedef { base, var, pred } => CKind::Typedef {
             base: compile_tyuse(registry, base),
             var: var.as_ref().map(|v| Name::intern(v)),
@@ -593,7 +583,6 @@ fn compile_case(c: &CaseLabel) -> CCase {
 fn compile_members(
     schema: &Schema,
     registry: &Registry,
-    charset: Charset,
     members: &[pads_check::ir::MemberIr],
     params: &[Name],
 ) -> Box<[CMember]> {
@@ -605,7 +594,7 @@ fn compile_members(
     let mut siblings: Vec<Name> = Vec::new();
     for m in members {
         match m {
-            MemberIr::Lit(lit) => out.push(CMember::Lit(compile_lit(charset, lit))),
+            MemberIr::Lit(lit) => out.push(CMember::Lit(compile_lit(lit))),
             MemberIr::Field(f) => {
                 out.push(CMember::Field(CField {
                     name: Name::intern(&f.name),
@@ -622,13 +611,15 @@ fn compile_members(
     out.into_boxed_slice()
 }
 
-fn compile_lit(charset: Charset, lit: &Literal) -> CLit {
+/// A literal for the runtime's matchers. Its text is interned, as names
+/// are, so the program holds it without an owner of its own.
+fn compile_lit(lit: &Literal) -> Lit<'static> {
     match lit {
-        Literal::Char(c) => CLit::Bytes(Box::new([charset.encode(*c)])),
-        Literal::Str(s) => CLit::Bytes(s.bytes().map(|b| charset.encode(b)).collect()),
-        Literal::Regex(pat) => CLit::Regex(pat.clone()),
-        Literal::Eor => CLit::Eor,
-        Literal::Eof => CLit::Eof,
+        Literal::Char(c) => Lit::Char(*c),
+        Literal::Str(s) => Lit::Str(Name::intern(s).as_str().as_bytes()),
+        Literal::Regex(pat) => Lit::Regex(Name::intern(pat).as_str()),
+        Literal::Eor => Lit::Eor,
+        Literal::Eof => Lit::Eof,
     }
 }
 
@@ -725,20 +716,6 @@ fn default_tyuse(schema: &Schema, registry: &Registry, ty: &TyUse, depth: u32) -
 }
 
 // ---- compiled-predicate evaluation ----------------------------------------
-
-/// The effective mask for a named child: a borrow of `mask` itself when
-/// it carries no per-child overrides ([`Mask::child`] would return an
-/// identical node for every name), otherwise the materialised child.
-/// Uniform masks — `Mask::all(..)`, the overwhelmingly common case — thus
-/// descend through arbitrarily deep types without constructing a single
-/// mask node per field per record.
-fn mask_child<'m>(mask: &'m Mask, name: &str) -> std::borrow::Cow<'m, Mask> {
-    if mask.is_leaf() {
-        std::borrow::Cow::Borrowed(mask)
-    } else {
-        std::borrow::Cow::Owned(mask.child(name))
-    }
-}
 
 /// Evaluates a compiled predicate against the bound value and the
 /// struct's parsed fields (empty outside struct-field constraints).
@@ -926,15 +903,40 @@ impl<'p> Exec<'p> {
             CKind::Struct { members, n_fields } => {
                 self.exec_struct(cur, def, members, *n_fields, params, mask)
             }
-            CKind::Union { branches, switch } => match switch {
-                Some(sel) => self.exec_switched(cur, sel, branches, params, mask),
-                None => self.exec_union(cur, branches, params, mask),
-            },
-            CKind::Array(arr) => self.exec_array(cur, def, arr, params, mask),
-            CKind::Enum { variants } => self.exec_enum(cur, variants),
-            CKind::Typedef { base, var, pred } => {
-                self.exec_typedef(cur, base, var, pred, params, mask)
+            CKind::Union { names, branches, switch: Some(sel) } => {
+                self.exec_switched(cur, def, sel, names, branches, params, mask)
             }
+            CKind::Union { names, branches, switch: None } => read_union(
+                cur,
+                mask,
+                names,
+                |cur, index, m| {
+                    let (b, branch) = (branches.get(index)?, *names.get(index)?);
+                    let (value, bpd) = self.exec_ty(cur, &b.ty, params, &[], m);
+                    let holds = |c| self.holds(c, branch, &value, params) == Ok(true);
+                    if !bpd.is_ok() || !b.constraint.as_ref().is_none_or(holds) {
+                        return None;
+                    }
+                    Some((Value::Union { branch, index, value: Box::new(value) }, bpd))
+                },
+                || def.default.clone(),
+            ),
+            CKind::Array(arr) => self.exec_array(cur, def, arr, params, mask),
+            CKind::Enum { variants } => {
+                let (index, pd) = read_enum(cur, variants);
+                let variant = variants.get(index).copied().unwrap_or_default();
+                (Value::Enum { variant, index }, pd)
+            }
+            CKind::Typedef { base, var, pred } => read_typedef(
+                cur,
+                mask,
+                true,
+                |cur| self.exec_ty(cur, base, params, &[], mask),
+                |value| match (var, pred) {
+                    (Some(v), Some(p)) => self.holds(p, *v, value, params),
+                    _ => Ok(true),
+                },
+            ),
         }
     }
 
@@ -955,15 +957,15 @@ impl<'p> Exec<'p> {
         while i < members.len() {
             match &members[i] {
                 CMember::Lit(lit) => {
-                    if let Err((code, loc)) = self.match_clit(cur, lit) {
-                        pd.add_error(code, loc);
+                    if let Err(code) = cur.match_lit(lit) {
+                        pd.add_error(code, Loc::at(cur.position()));
                         pd.state = ParseState::Partial;
                         aborted = true;
                         break;
                     }
                 }
                 CMember::Field(f) => {
-                    let child_mask = mask_child(mask, &f.name);
+                    let child_mask = mask.child_cow(&f.name);
                     let start = cur.position();
                     let (value, mut child_pd) =
                         self.exec_ty(cur, &f.ty, params, &fields, &child_mask);
@@ -984,17 +986,8 @@ impl<'p> Exec<'p> {
                                     eval::eval_bool(c, &mut env)
                                 }
                             };
-                            match verdict {
-                                Ok(true) => {}
-                                Ok(false) => {
-                                    let loc = Loc::new(start, cur.position());
-                                    child_pd.add_error(ErrorCode::ConstraintViolation, loc);
-                                }
-                                Err(code) => {
-                                    let loc = Loc::new(start, cur.position());
-                                    child_pd.add_error(code, loc);
-                                }
-                            }
+                            let loc = Loc::new(start, cur.position());
+                            child_pd.add_verdict(verdict, ErrorCode::ConstraintViolation, loc);
                         }
                     }
                     pd.absorb(&child_pd);
@@ -1021,14 +1014,8 @@ impl<'p> Exec<'p> {
             // Struct clauses always compile to `Generic` (the sorted
             // lowering is array-only).
             if let Some(CWhere::Generic(w)) = &def.where_clause {
-                let mut env = self.env(params, &fields);
-                match eval::eval_bool(w, &mut env) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        pd.add_error(ErrorCode::WhereViolation, Loc::at(cur.position()))
-                    }
-                    Err(code) => pd.add_error(code, Loc::at(cur.position())),
-                }
+                let verdict = eval::eval_bool(w, &mut self.env(params, &fields));
+                pd.add_verdict(verdict, ErrorCode::WhereViolation, Loc::at(cur.position()));
             }
         }
         pd.kind = PdKind::Struct { fields: pds };
@@ -1126,154 +1113,62 @@ impl<'p> Exec<'p> {
         }
     }
 
-    fn exec_union(
-        &self,
-        cur: &mut Cursor<'_>,
-        branches: &'p [CBranch],
-        params: &[(Name, Value)],
-        mask: &Mask,
-    ) -> (Value, ParseDesc) {
-        let start = cur.position();
-        for (index, b) in branches.iter().enumerate() {
-            let cp = cur.checkpoint();
-            let branch_mask = mask_child(mask, &b.name);
-            let (value, bpd) = self.exec_ty(cur, &b.ty, params, &[], &branch_mask);
-            if bpd.is_ok() {
-                if let Some(c) = &b.constraint {
-                    let verdict = match c {
-                        CPred::Fast(p) => pexpr_bool(p, &value, &[]),
-                        CPred::Generic(c) => {
-                            let bound = [(b.name, value.clone())];
-                            let mut env = self.env(params, &bound);
-                            eval::eval_bool(c, &mut env)
-                        }
-                    };
-                    match verdict {
-                        Ok(true) => {}
-                        Ok(false) | Err(_) => {
-                            cur.restore(cp);
-                            continue;
-                        }
-                    }
-                }
-                let mut pd = ParseDesc::ok();
-                pd.kind = PdKind::union(b.name, bpd);
-                return (
-                    Value::Union { branch: b.name, index, value: Box::new(value) },
-                    pd,
-                );
-            }
-            cur.restore(cp);
-        }
-        let mut pd = ParseDesc::error(ErrorCode::UnionNoBranch, Loc::at(start));
-        pd.state = ParseState::Partial;
-        let Some(first) = branches.first() else {
-            // A checked schema never produces an empty union.
-            pd.err_code = ErrorCode::InternalError;
-            return (Value::Prim(Prim::Unit), pd);
-        };
-        pd.kind = PdKind::union_ok(first.name);
-        (
-            Value::Union {
-                branch: first.name,
-                index: 0,
-                value: Box::new(self.default_cty(&first.ty)),
-            },
-            pd,
-        )
-    }
-
+    #[allow(clippy::too_many_arguments)]
     fn exec_switched(
         &self,
         cur: &mut Cursor<'_>,
+        def: &'p CDef,
         sel: &'p Expr,
+        names: &'p [Name],
         branches: &'p [CBranch],
         params: &[(Name, Value)],
         mask: &Mask,
     ) -> (Value, ParseDesc) {
-        let start = cur.position();
-        let Some(front) = branches.first() else {
-            // A checked schema never produces an empty union.
-            let mut pd = ParseDesc::error(ErrorCode::InternalError, Loc::at(start));
-            pd.state = ParseState::Partial;
-            return (Value::Prim(Prim::Unit), pd);
-        };
-        let sel_val = {
-            let mut env = self.env(params, &[]);
-            eval::eval(sel, &mut env).map(|e| e.into_value())
-        };
-        let sel_val = match sel_val {
-            Ok(v) => v,
-            Err(code) => {
-                let mut pd = ParseDesc::error(code, Loc::at(start));
-                pd.state = ParseState::Partial;
-                pd.kind = PdKind::union_ok(front.name);
-                return (
-                    Value::Union {
-                        branch: front.name,
-                        index: 0,
-                        value: Box::new(self.default_cty(&front.ty)),
-                    },
-                    pd,
-                );
-            }
-        };
-        let mut chosen = None;
+        let sel = eval::eval(sel, &mut self.env(params, &[])).map(Ev::into_value);
+        let chosen = sel.map(|sel| self.select(&sel, branches, params));
+        read_switched(
+            cur,
+            mask,
+            names,
+            chosen,
+            |cur, index, m| match (branches.get(index), names.get(index)) {
+                (Some(b), Some(&branch)) => {
+                    let (value, bpd) = self.exec_ty(cur, &b.ty, params, &[], m);
+                    let holds = |c| self.holds(c, branch, &value, params);
+                    let verdict = b.constraint.as_ref().map_or(Ok(true), holds);
+                    (Value::Union { branch, index, value: Box::new(value) }, bpd, verdict)
+                }
+                _ => (def.default.clone(), ParseDesc::ok(), Ok(true)),
+            },
+            || def.default.clone(),
+        )
+    }
+
+    /// The branch a switch selector's value picks: the first case equal to
+    /// it, else the default case.
+    fn select(
+        &self,
+        sel: &Value,
+        branches: &'p [CBranch],
+        params: &[(Name, Value)],
+    ) -> Option<usize> {
         let mut default = None;
         for (index, b) in branches.iter().enumerate() {
-            match &b.case {
-                Some(CCase::Const(case_val)) if case_eq(&sel_val, case_val) => {
-                    chosen = Some((index, b));
-                    break;
+            let picked = match &b.case {
+                Some(CCase::Const(case)) => case_eq(sel, case),
+                Some(CCase::Dyn(e)) => eval::eval(e, &mut self.env(params, &[]))
+                    .is_ok_and(|case| case_eq(sel, case.value())),
+                Some(CCase::Default) => {
+                    default = Some(index);
+                    false
                 }
-                Some(CCase::Const(_)) => {}
-                Some(CCase::Dyn(e)) => {
-                    let mut env = self.env(params, &[]);
-                    if let Ok(case_val) = eval::eval(e, &mut env) {
-                        if case_eq(&sel_val, case_val.value()) {
-                            chosen = Some((index, b));
-                            break;
-                        }
-                    }
-                }
-                Some(CCase::Default) => default = Some((index, b)),
-                None => {}
-            }
-        }
-        let Some((index, b)) = chosen.or(default) else {
-            let mut pd = ParseDesc::error(ErrorCode::SwitchNoMatch, Loc::at(start));
-            pd.state = ParseState::Partial;
-            pd.kind = PdKind::union_ok(front.name);
-            return (
-                Value::Union {
-                    branch: front.name,
-                    index: 0,
-                    value: Box::new(self.default_cty(&front.ty)),
-                },
-                pd,
-            );
-        };
-        let child_mask = mask_child(mask, &b.name);
-        let (value, bpd) = self.exec_ty(cur, &b.ty, params, &[], &child_mask);
-        let mut pd = ParseDesc::ok();
-        pd.absorb(&bpd);
-        if let Some(c) = &b.constraint {
-            let verdict = match c {
-                CPred::Fast(p) => pexpr_bool(p, &value, &[]),
-                CPred::Generic(c) => {
-                    let bound = [(b.name, value.clone())];
-                    let mut env = self.env(params, &bound);
-                    eval::eval_bool(c, &mut env)
-                }
+                None => false,
             };
-            match verdict {
-                Ok(true) => {}
-                Ok(false) => pd.add_error(ErrorCode::ConstraintViolation, Loc::at(cur.position())),
-                Err(code) => pd.add_error(code, Loc::at(cur.position())),
+            if picked {
+                return Some(index);
             }
         }
-        pd.kind = PdKind::union(b.name, bpd);
-        (Value::Union { branch: b.name, index, value: Box::new(value) }, pd)
+        default
     }
 
     fn exec_array(
@@ -1284,268 +1179,61 @@ impl<'p> Exec<'p> {
         params: &[(Name, Value)],
         mask: &Mask,
     ) -> (Value, ParseDesc) {
-        let mut elts: Vec<Value> = Vec::new();
-        let mut elt_pds = SparseElts::new();
-        let mut pd = ParseDesc::ok();
-        let mut neerr: u32 = 0;
-        let mut first_error: Option<usize> = None;
-        let elem_mask = mask_child(mask, pads_runtime::mask::ELT);
-
-        let want_size = match &arr.size {
-            Some(CSize::Const(n)) => Some(*n),
-            Some(CSize::ConstBad) => {
-                pd.add_error(ErrorCode::EvalError, Loc::at(cur.position()));
-                Some(0)
+        let size = arr.size.as_ref().map(|size| match size {
+            CSize::Const(n) => Some(*n),
+            CSize::ConstBad => None,
+            CSize::Dyn(e) => {
+                let n = eval::eval_prim(e, &mut self.env(params, &[])).ok();
+                n.and_then(|p| p.as_u64()).map(|n| n as usize)
             }
-            Some(CSize::Dyn(e)) => {
-                let mut env = self.env(params, &[]);
-                match eval::eval_prim(e, &mut env).map(|p| p.as_u64()) {
-                    Ok(Some(n)) => Some(n as usize),
-                    _ => {
-                        pd.add_error(ErrorCode::EvalError, Loc::at(cur.position()));
-                        Some(0)
-                    }
-                }
-            }
-            None => None,
-        };
-
-        loop {
-            if let Some(n) = want_size {
-                if elts.len() >= n {
-                    break;
-                }
-            }
-            if want_size.is_none() && self.term_matches(cur, &arr.term) {
-                self.consume_term(cur, &arr.term);
-                break;
-            }
-            if want_size.is_none() && arr.term.is_none() && at_natural_end(cur) {
-                break;
-            }
-            if !elts.is_empty() {
-                if let Some(s) = &arr.sep {
-                    let cp = cur.checkpoint();
-                    if let Err((_, loc)) = self.match_clit(cur, s) {
-                        cur.restore(cp);
-                        pd.add_error(ErrorCode::ArraySepMismatch, loc);
-                        pd.state = ParseState::Partial;
-                        break;
-                    }
-                }
-            }
-            let before = cur.bit_offset();
-            let (value, elt_pd) = self.exec_ty(cur, &arr.elem, params, &[], &elem_mask);
-            let bad = !elt_pd.is_ok();
-            let syntax_fail = elt_pd.has_syntax_error();
-            if bad {
-                neerr += 1;
-                if first_error.is_none() {
-                    first_error = Some(elts.len());
-                }
-            }
-            pd.absorb(&elt_pd);
-            elts.push(value);
-            elt_pds.push(elt_pd);
-            if syntax_fail && !arr.elem_recovers {
-                pd.state = ParseState::Partial;
-                break;
-            }
-            if cur.bit_offset() == before && want_size.is_none() {
-                pd.add_error(ErrorCode::ArrayTermMismatch, Loc::at(cur.position()));
-                break;
-            }
-            if let Some(e) = &arr.ended {
-                let done;
-                {
-                    let arr_v = Value::Array(std::mem::take(&mut elts));
-                    let len = Value::Prim(Prim::Uint(arr_v.len().unwrap_or(0) as u64));
-                    let bound =
-                        [(Name::from_static("elts"), arr_v), (Name::from_static("length"), len)];
-                    let mut env = self.env(params, &bound);
-                    done = eval::eval_bool(e, &mut env).unwrap_or(false);
-                    drop(env);
-                    if let Some((_, Value::Array(back))) = bound.into_iter().next() {
-                        elts = back;
-                    }
-                }
-                if done {
-                    if self.term_matches(cur, &arr.term) {
-                        self.consume_term(cur, &arr.term);
-                    }
-                    break;
-                }
-            }
-        }
-
-        if let Some(n) = want_size {
-            if elts.len() != n {
-                pd.add_error(ErrorCode::ArraySizeMismatch, Loc::at(cur.position()));
-            }
-        }
-
-        if mask.compound().checks() && pd.state == ParseState::Ok {
-            match &def.where_clause {
-                Some(CWhere::Sorted { field, op }) => match eval_sorted(field, *op, &elts) {
-                    Ok(true) => {}
-                    // The sorted lowering only matches `Pforall` clauses.
-                    Ok(false) => {
-                        pd.add_error(ErrorCode::ForallViolation, Loc::at(cur.position()))
-                    }
-                    Err(code) => pd.add_error(code, Loc::at(cur.position())),
-                },
-                Some(CWhere::Generic(w)) => {
-                    let arr_v = Value::Array(std::mem::take(&mut elts));
-                    let len = Value::Prim(Prim::Uint(arr_v.len().unwrap_or(0) as u64));
-                    let bound =
-                        [(Name::from_static("elts"), arr_v), (Name::from_static("length"), len)];
-                    let mut env = self.env(params, &bound);
-                    match eval::eval_bool(w, &mut env) {
-                        Ok(true) => {}
-                        Ok(false) => {
-                            let code = if matches!(w, Expr::Forall { .. }) {
-                                ErrorCode::ForallViolation
-                            } else {
-                                ErrorCode::WhereViolation
-                            };
-                            pd.add_error(code, Loc::at(cur.position()));
-                        }
-                        Err(code) => pd.add_error(code, Loc::at(cur.position())),
-                    }
-                    drop(env);
-                    if let Some((_, Value::Array(back))) = bound.into_iter().next() {
-                        elts = back;
-                    }
-                }
-                None => {}
-            }
-        }
-
-        pd.kind = PdKind::Array { elts: elt_pds.finish(), neerr, first_error };
+        });
+        let (elts, pd) = read_array(
+            cur,
+            mask,
+            &arr.shape,
+            size,
+            |cur, m| self.exec_ty(cur, &arr.elem, params, &[], m),
+            |elts| arr.ended.as_ref().is_some_and(|e| self.eval_elts(e, elts, params) == Ok(true)),
+            |elts| match &def.where_clause {
+                Some(CWhere::Sorted { field, op }) => eval_sorted(field, *op, elts),
+                Some(CWhere::Generic(w)) => self.eval_elts(w, elts, params),
+                None => Ok(true),
+            },
+        );
         (Value::Array(elts), pd)
     }
 
-    /// Whether the array terminator matches at the cursor (lookahead only;
-    /// the record or source end holds off while a byte is partly read).
-    fn term_matches(&self, cur: &mut Cursor<'_>, term: &Option<CLit>) -> bool {
-        match term {
-            None => false,
-            Some(CLit::Eor) => !cur.mid_byte() && cur.at_eor(),
-            Some(CLit::Eof) => !cur.mid_byte() && cur.at_eof(),
-            Some(CLit::Bytes(b)) => cur.rest().starts_with(b),
-            Some(lit @ CLit::Regex(_)) => {
-                let cp = cur.checkpoint();
-                let ok = self.match_clit(cur, lit).is_ok();
-                cur.restore(cp);
-                ok
-            }
-        }
-    }
-
-    fn consume_term(&self, cur: &mut Cursor<'_>, term: &Option<CLit>) {
-        match term {
-            Some(CLit::Eor) | Some(CLit::Eof) | None => {}
-            Some(lit) => {
-                let _ = self.match_clit(cur, lit);
-            }
-        }
-    }
-
-    fn exec_enum(&self, cur: &mut Cursor<'_>, variants: &'p [CVariant]) -> (Value, ParseDesc) {
-        let start = cur.position();
-        // Longest-match over the pre-encoded variants (strictly greater,
-        // so the first of equal-length candidates wins — interpreter
-        // order).
-        let mut best: Option<(usize, usize)> = None; // (len, index)
-        let rest = cur.rest();
-        for (i, v) in variants.iter().enumerate() {
-            if rest.starts_with(&v.bytes) && best.is_none_or(|(len, _)| v.bytes.len() > len) {
-                best = Some((v.bytes.len(), i));
-            }
-        }
-        match best {
-            Some((len, index)) => {
-                cur.advance(len);
-                let variant =
-                    variants.get(index).map(|v| v.name).unwrap_or_default();
-                (Value::Enum { variant, index }, ParseDesc::ok())
-            }
-            None => {
-                let pd = ParseDesc::error(ErrorCode::EnumNoMatch, Loc::at(start));
-                let variant = variants.first().map(|v| v.name).unwrap_or_default();
-                (Value::Enum { variant, index: 0 }, pd)
-            }
-        }
-    }
-
-    fn exec_typedef(
+    /// Evaluates `e` with `elts` and `length` bound to the elements read so
+    /// far, which it hands back.
+    fn eval_elts(
         &self,
-        cur: &mut Cursor<'_>,
-        base: &'p CTy,
-        var: &'p Option<Name>,
-        pred: &'p Option<CPred>,
+        e: &Expr,
+        elts: &mut Vec<Value>,
         params: &[(Name, Value)],
-        mask: &Mask,
-    ) -> (Value, ParseDesc) {
-        let start = cur.position();
-        let (value, bpd) = self.exec_ty(cur, base, params, &[], mask);
-        let mut pd = ParseDesc::ok();
-        pd.absorb(&bpd);
-        if mask.base().checks() && pd.is_ok() {
-            if let (Some(v), Some(p)) = (var, pred) {
-                let verdict = match p {
-                    CPred::Fast(p) => pexpr_bool(p, &value, &[]),
-                    CPred::Generic(p) => {
-                        let bound = [(*v, value.clone())];
-                        let mut env = self.env(params, &bound);
-                        eval::eval_bool(p, &mut env)
-                    }
-                };
-                match verdict {
-                    Ok(true) => {}
-                    Ok(false) => pd.add_error(
-                        ErrorCode::ConstraintViolation,
-                        Loc::new(start, cur.position()),
-                    ),
-                    Err(code) => pd.add_error(code, Loc::new(start, cur.position())),
-                }
-            }
+    ) -> Result<bool, ErrorCode> {
+        let arr = Value::Array(std::mem::take(elts));
+        let len = Value::Prim(Prim::Uint(arr.len().unwrap_or(0) as u64));
+        let bound = [(Name::from_static("elts"), arr), (Name::from_static("length"), len)];
+        let verdict = eval::eval_bool(e, &mut self.env(params, &bound));
+        if let [(_, Value::Array(back)), _] = bound {
+            *elts = back;
         }
-        pd.kind = PdKind::typedef(bpd);
-        (value, pd)
+        verdict
     }
 
-    fn match_clit(&self, cur: &mut Cursor<'_>, lit: &CLit) -> Result<(), (ErrorCode, Loc)> {
-        let start = cur.position();
-        match lit {
-            CLit::Bytes(b) => {
-                if cur.match_bytes(b) {
-                    Ok(())
-                } else {
-                    Err((ErrorCode::LitMismatch, Loc::at(start)))
-                }
-            }
-            CLit::Regex(pat) => {
-                let re = cur.regex(pat).map_err(|c| (c, Loc::at(start)))?;
-                if cur.match_regex(&re).is_some() {
-                    Ok(())
-                } else {
-                    Err((ErrorCode::RegexMismatch, Loc::at(start)))
-                }
-            }
-            CLit::Eor => {
-                if cur.at_eor() {
-                    Ok(())
-                } else {
-                    Err((ErrorCode::LitMismatch, Loc::at(start)))
-                }
-            }
-            CLit::Eof => {
-                if cur.at_eof() {
-                    Ok(())
-                } else {
-                    Err((ErrorCode::LitMismatch, Loc::at(start)))
-                }
+    /// A union branch's or typedef's constraint on `value`, bound to `var`.
+    fn holds(
+        &self,
+        pred: &CPred,
+        var: Name,
+        value: &Value,
+        params: &[(Name, Value)],
+    ) -> Result<bool, ErrorCode> {
+        match pred {
+            CPred::Fast(p) => pexpr_bool(p, value, &[]),
+            CPred::Generic(c) => {
+                let bound = [(var, value.clone())];
+                eval::eval_bool(c, &mut self.env(params, &bound))
             }
         }
     }
@@ -1571,18 +1259,6 @@ fn case_eq(sel: &Value, case: &Value) -> bool {
     match (sel.as_i64(), case.as_i64()) {
         (Some(a), Some(b)) => a == b,
         _ => sel == case,
-    }
-}
-
-/// Natural end for unbounded arrays: end of record when inside one, end of
-/// source otherwise, on a byte boundary.
-fn at_natural_end(cur: &Cursor<'_>) -> bool {
-    if cur.mid_byte() {
-        false
-    } else if cur.in_record() {
-        cur.at_eor()
-    } else {
-        cur.at_eof()
     }
 }
 

@@ -15,10 +15,7 @@ use crate::encoding::{Charset, Endian};
 use crate::error::ErrorCode;
 use crate::io::Cursor;
 use crate::prim::{Prim, PrimKind};
-use crate::scan::{skip_class, ClassBitmap};
-
-/// ASCII `0`..`9` (bits 48–57 of word 0).
-const DIGITS: ClassBitmap = ClassBitmap::from_bits([0x03FF_0000_0000_0000, 0, 0, 0]);
+use crate::scan;
 
 /// Which coding a textual integer type uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,38 +150,19 @@ impl TextInt {
 
 fn parse_variable(cur: &mut Cursor<'_>, cs: Charset, signed: bool) -> Result<i128, ErrorCode> {
     if cs == Charset::Ascii {
-        // Slice fast path: find the digit run in bulk, fold it, advance
-        // once. Consumption on error matches the byte loop (sign consumed
-        // before InvalidDigit, overflowing digit left unconsumed) so
-        // callers that don't restore see identical positions.
-        let rest = cur.rest();
-        let mut at = 0usize;
-        let mut neg = false;
-        if signed {
-            match rest.first() {
-                Some(b'-') => {
-                    neg = true;
-                    at = 1;
-                }
-                Some(b'+') => at = 1,
-                _ => {}
+        // Consumption on error matches the byte loop (sign consumed before
+        // InvalidDigit, overflowing digit left unconsumed) so callers that
+        // don't restore see identical positions.
+        return match scan::decimal(cur.rest(), signed) {
+            Ok((neg, mag, len)) => {
+                cur.advance(len);
+                Ok(if neg { -i128::from(mag) } else { i128::from(mag) })
             }
-        }
-        let n = skip_class(&rest[at..], &DIGITS);
-        if n == 0 {
-            cur.advance(at);
-            return Err(ErrorCode::InvalidDigit);
-        }
-        let mut val: i128 = 0;
-        for (k, &b) in rest[at..at + n].iter().enumerate() {
-            val = val * 10 + (b - b'0') as i128;
-            if val > u64::MAX as i128 + 1 {
-                cur.advance(at + k);
-                return Err(ErrorCode::RangeError);
+            Err((code, len)) => {
+                cur.advance(len);
+                Err(code)
             }
-        }
-        cur.advance(at + n);
-        return Ok(if neg { -val } else { val });
+        };
     }
     let mut neg = false;
     if signed {

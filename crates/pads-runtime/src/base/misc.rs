@@ -9,10 +9,7 @@ use crate::encoding::{Charset, Endian};
 use crate::error::ErrorCode;
 use crate::io::Cursor;
 use crate::prim::{Prim, PrimKind};
-use crate::scan::{find_literal, skip_class, ClassBitmap};
-
-/// ASCII `0`..`9` (bits 48–57 of word 0).
-const DIGITS: ClassBitmap = ClassBitmap::from_bits([0x03FF_0000_0000_0000, 0, 0, 0]);
+use crate::scan::{find_literal, skip_class, ClassBitmap, DIGITS};
 
 /// Hostname label bytes `[A-Za-z0-9.-]`: `-` (45), `.` (46), digits in
 /// word 0; upper- and lowercase letters in word 1.

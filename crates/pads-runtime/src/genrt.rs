@@ -6,13 +6,19 @@
 //! with `pub use pads_runtime::genrt::*;` and gets, from that one line:
 //! the runtime types its code names ([`Cursor`], [`ParseDesc`], [`Mask`],
 //! …), the borrowed string leaf [`PStr`], the constraint coercions
-//! ([`PcVal`], [`pc_eq`], [`pc_cmp`]), literal matchers (`pc_match_*`),
-//! base-type readers and writers (`rd_*` / `wr_*`) mirroring the
-//! interpreting parser's semantics over one shared base-type registry, and
-//! [`CursorRecords`], the [`RecordReader`] that puts a generated record
-//! `read` under the sharded driver [`par::drive`](crate::par::drive).
+//! ([`PcVal`], [`pc_eq`], [`pc_cmp`]), base-type readers and writers
+//! (`rd_*` / `wr_*`) mirroring the interpreting parser's semantics over one
+//! shared base-type registry, and [`CursorRecords`], the [`RecordReader`]
+//! that puts a generated record `read` under the sharded driver
+//! [`par::drive`](crate::par::drive).
+//!
+//! The rules a generated `read` follows are not here but in
+//! [`rules`](crate::rules), shared with the bytecode VM: the array loop,
+//! union branch trial, the switched-union read, the typedef rule, enum
+//! longest match and literal matching (`Lit`, [`Cursor::match_lit`]).
 //! Record open/skip/close policy is [`Cursor::open_record`] /
-//! [`Cursor::close_record`].
+//! [`Cursor::close_record`]. Generated code spells out only its struct
+//! reads and switch selection.
 //!
 //! The hot helpers are `#[inline]`: they are called once per field from
 //! another crate, and a generated `read`/`write` must not pay a call for
@@ -31,12 +37,15 @@ pub use crate::metrics::MetricsCore;
 pub use crate::name::Name;
 pub use crate::pd::{ParseDesc, PdKind, SparseElts};
 pub use crate::prim::Prim;
+pub use crate::rules::{
+    read_array, read_enum, read_switched, read_typedef, read_union, ArrayShape, Lit,
+};
 
 use crate::base::{PrimView, Registry};
 use crate::error::Pos;
 use crate::par::RecordReader;
 use crate::recovery::ErrorBudget;
-use crate::scan::{skip_class, ClassBitmap};
+use crate::scan;
 
 // ---- borrowed string leaves --------------------------------------------------
 
@@ -236,39 +245,6 @@ pub fn pc_cmp<A: PcVal + ?Sized, B: PcVal + ?Sized>(a: &A, b: &B) -> std::cmp::O
     }
 }
 
-// ---- literals --------------------------------------------------------------------
-
-/// Consumes the string literal `lit` (given in ASCII) in the ambient charset.
-#[inline]
-pub fn pc_match_str(cur: &mut Cursor<'_>, lit: &[u8]) -> bool {
-    if cur.charset() == Charset::Ascii {
-        cur.match_bytes(lit)
-    } else {
-        let enc: Vec<u8> = lit.iter().map(|&b| cur.charset().encode(b)).collect();
-        cur.match_bytes(&enc)
-    }
-}
-
-/// Consumes the character literal `c` (given in ASCII) in the ambient charset.
-#[inline]
-pub fn pc_match_char(cur: &mut Cursor<'_>, c: u8) -> bool {
-    let raw = cur.charset().encode(c);
-    if cur.peek() == Some(raw) {
-        cur.advance(1);
-        true
-    } else {
-        false
-    }
-}
-
-/// Consumes a match of the regular expression `pat` at the cursor.
-pub fn pc_match_regex(cur: &mut Cursor<'_>, pat: &str) -> bool {
-    match cur.regex(pat) {
-        Ok(re) => cur.match_regex(&re).is_some(),
-        Err(_) => false,
-    }
-}
-
 // ---- base-type readers ---------------------------------------------------------
 
 /// Dynamic fallback through the registry; restores the cursor on error.
@@ -278,20 +254,18 @@ pub fn rd_prim(cur: &mut Cursor<'_>, name: &str, args: &[Prim]) -> Result<Prim, 
     bt.parse(cur, args).inspect_err(|_| cur.restore(cp))
 }
 
-/// ASCII `0`..`9` as a scan-kernel class (bits 0x30..=0x39 of word 0).
-const PC_DIGITS: ClassBitmap = ClassBitmap::from_bits([0x03FF_0000_0000_0000, 0, 0, 0]);
-
-/// Accumulates an already-scanned ASCII digit run, rejecting overflow.
+/// A base-type read with its descriptor: the value, or on an error the
+/// default and an error spanning the attempt.
 #[inline]
-fn pc_fold_digits(digits: &[u8]) -> Result<u64, ErrorCode> {
-    let mut val: u64 = 0;
-    for &b in digits {
-        val = val
-            .checked_mul(10)
-            .and_then(|v| v.checked_add((b - b'0') as u64))
-            .ok_or(ErrorCode::RangeError)?;
+pub fn rd_pd<'d, T: Default>(
+    cur: &mut Cursor<'d>,
+    read: impl FnOnce(&mut Cursor<'d>) -> Result<T, ErrorCode>,
+) -> (T, ParseDesc) {
+    let start = cur.position();
+    match read(cur) {
+        Ok(v) => (v, ParseDesc::ok()),
+        Err(e) => (T::default(), ParseDesc::error(e, Loc::new(start, cur.position()))),
     }
-    Ok(val)
 }
 
 /// The registry name of the `bits`-wide member of an integer family.
@@ -305,25 +279,19 @@ fn sized(bits: u32, names: [&'static str; 4]) -> &'static str {
 }
 
 /// Inline decimal reader (`Puint*`; `forced` pins `Pa_`/`Pe_` variants to
-/// their charset). On ASCII the digit run is found in bulk by the SWAR
-/// class kernel and only the accumulate pass touches bytes individually;
-/// other charsets go through the registry.
+/// their charset): on ASCII the scan kernel's decimal, consuming nothing
+/// on error; other charsets go through the registry.
 #[inline]
 pub fn rd_uint(cur: &mut Cursor<'_>, bits: u32, forced: Option<Charset>) -> Result<u64, ErrorCode> {
     if forced.unwrap_or(cur.charset()) != Charset::Ascii {
         let name = sized(bits, ["Pe_uint8", "Pe_uint16", "Pe_uint32", "Pe_uint64"]);
         return rd_u64_dyn(cur, name, &[]);
     }
-    let rest = cur.rest();
-    let n = skip_class(rest, &PC_DIGITS);
-    if n == 0 {
-        return Err(ErrorCode::InvalidDigit);
-    }
-    let val = pc_fold_digits(&rest[..n])?;
+    let (_, val, len) = scan::decimal(cur.rest(), false).map_err(|(code, _)| code)?;
     if bits < 64 && val >= 1u64 << bits {
         return Err(ErrorCode::RangeError);
     }
-    cur.advance(n);
+    cur.advance(len);
     Ok(val)
 }
 
@@ -334,17 +302,7 @@ pub fn rd_int(cur: &mut Cursor<'_>, bits: u32, forced: Option<Charset>) -> Resul
         let name = sized(bits, ["Pe_int8", "Pe_int16", "Pe_int32", "Pe_int64"]);
         return rd_i64_dyn(cur, name, &[]);
     }
-    let rest = cur.rest();
-    let (neg, i) = match rest.first() {
-        Some(b'-') => (true, 1),
-        Some(b'+') => (false, 1),
-        _ => (false, 0),
-    };
-    let n = skip_class(&rest[i..], &PC_DIGITS);
-    if n == 0 {
-        return Err(ErrorCode::InvalidDigit);
-    }
-    let mag = pc_fold_digits(&rest[i..i + n])?;
+    let (neg, mag, len) = scan::decimal(cur.rest(), true).map_err(|(code, _)| code)?;
     // `0 - mag`, not `-(mag as i64)`: i64::MIN has no positive counterpart.
     let val = if neg { 0i64.checked_sub_unsigned(mag) } else { i64::try_from(mag).ok() }
         .ok_or(ErrorCode::RangeError)?;
@@ -354,7 +312,7 @@ pub fn rd_int(cur: &mut Cursor<'_>, bits: u32, forced: Option<Charset>) -> Resul
             return Err(ErrorCode::RangeError);
         }
     }
-    cur.advance(i + n);
+    cur.advance(len);
     Ok(val)
 }
 

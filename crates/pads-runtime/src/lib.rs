@@ -22,6 +22,8 @@
 //! * [`fault`] — deterministic fault injection for adversarial testing;
 //! * [`par`] — record-aligned shard planning and the one sharded record
 //!   driver every engine plugs into;
+//! * [`rules`] — the parsing rule of each type kind (arrays, unions,
+//!   typedefs, enums, literals), written once for the VM and generated code;
 //! * [`genrt`] — the library generated parsers link against (`PStr`,
 //!   `rd_*`/`wr_*` helpers, the generated-code prelude, and
 //!   [`genrt::CursorRecords`], the generated engine's record reader);
@@ -69,6 +71,7 @@ pub mod pd;
 pub mod prim;
 pub mod recovery;
 pub mod render;
+pub mod rules;
 pub mod scan;
 pub mod summary;
 

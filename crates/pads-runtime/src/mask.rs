@@ -8,6 +8,7 @@
 //! its own value and a second one for its compound-level (`Pwhere`)
 //! predicate, matching `compoundLevel` in the generated C (Figure 6).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Per-node mask flags (`Pbase_m` in the paper's C library).
@@ -124,6 +125,18 @@ impl Mask {
         match self.children.get(name) {
             Some(m) => m.clone(),
             None => Mask { base: self.base, compound: self.compound, children: BTreeMap::new() },
+        }
+    }
+
+    /// [`child`](Mask::child), borrowed where it would be this node again:
+    /// a mask with no per-child overrides lends itself. Uniform masks
+    /// (`Mask::all(..)`, the common case) thus descend through any depth
+    /// without building a mask node per field per record.
+    pub fn child_cow(&self, name: &str) -> Cow<'_, Mask> {
+        if self.is_leaf() {
+            Cow::Borrowed(self)
+        } else {
+            Cow::Owned(self.child(name))
         }
     }
 

@@ -214,6 +214,21 @@ impl ParseDesc {
         }
     }
 
+    /// Records a predicate's verdict: `false` as `violation`, an evaluation
+    /// error as its own code.
+    pub fn add_verdict(
+        &mut self,
+        verdict: Result<bool, ErrorCode>,
+        violation: ErrorCode,
+        loc: Loc,
+    ) {
+        match verdict {
+            Ok(true) => {}
+            Ok(false) => self.add_error(violation, loc),
+            Err(code) => self.add_error(code, loc),
+        }
+    }
+
     /// Records a source-level condition (budget exhaustion, trailing data)
     /// that must stay visible at the root of the descriptor tree: unlike
     /// [`add_error`](ParseDesc::add_error), the code also replaces the

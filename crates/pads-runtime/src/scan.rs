@@ -16,6 +16,8 @@
 //! Every kernel is paired with property tests asserting byte-for-byte
 //! equivalence with the naive loop it replaces.
 
+use crate::error::ErrorCode;
+
 const WORD: usize = core::mem::size_of::<usize>();
 const LO: usize = usize::from_ne_bytes([0x01; WORD]);
 const HI: usize = usize::from_ne_bytes([0x80; WORD]);
@@ -154,17 +156,6 @@ impl ClassBitmap {
         c
     }
 
-    /// The ASCII digit class `[0-9]`.
-    pub fn ascii_digits() -> ClassBitmap {
-        let mut c = ClassBitmap::new();
-        let mut b = b'0';
-        while b <= b'9' {
-            c.insert(b);
-            b += 1;
-        }
-        c
-    }
-
     /// Adds `b` to the class.
     #[inline]
     pub fn insert(&mut self, b: u8) {
@@ -213,6 +204,46 @@ pub fn skip_class(hay: &[u8], class: &ClassBitmap) -> usize {
     hay.len()
 }
 
+/// ASCII `0`..`9` (bits 48–57 of word 0).
+pub(crate) const DIGITS: ClassBitmap = ClassBitmap::from_bits([0x03FF_0000_0000_0000, 0, 0, 0]);
+
+/// The ASCII decimal kernel behind every text-integer reader: an optional
+/// sign (when `signed`), then a digit run found in bulk by [`skip_class`]
+/// and folded with overflow checks. Returns whether the sign was `-`, the
+/// magnitude and the length read. It reads a slice and moves no cursor, so
+/// each caller keeps its own consumption contract.
+///
+/// # Errors
+///
+/// `(InvalidDigit, n)` when no digit follows the `n`-byte sign;
+/// `(RangeError, n)` when the magnitude passes 2^64, `n` being the bytes
+/// before the digit that passed it (a prefix of exactly 2^64 counts as
+/// read, as an `i128` fold reads it).
+#[inline]
+pub(crate) fn decimal(text: &[u8], signed: bool) -> Result<(bool, u64, usize), (ErrorCode, usize)> {
+    let (neg, at) = match text.first() {
+        Some(b'-') if signed => (true, 1),
+        Some(b'+') if signed => (false, 1),
+        _ => (false, 0),
+    };
+    let n = skip_class(&text[at..], &DIGITS);
+    if n == 0 {
+        return Err((ErrorCode::InvalidDigit, at));
+    }
+    let mut mag: u64 = 0;
+    for (k, &b) in text[at..at + n].iter().enumerate() {
+        let d = b - b'0';
+        mag = match mag.checked_mul(10).and_then(|v| v.checked_add(u64::from(d))) {
+            Some(v) => v,
+            None => {
+                let exact = usize::from(mag == u64::MAX / 10 && d == 6);
+                return Err((ErrorCode::RangeError, at + k + exact));
+            }
+        };
+    }
+    Ok((neg, mag, at + n))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,11 +282,10 @@ mod tests {
 
     #[test]
     fn skip_class_basics() {
-        let digits = ClassBitmap::ascii_digits();
-        assert_eq!(skip_class(b"12345x", &digits), 5);
-        assert_eq!(skip_class(b"", &digits), 0);
-        assert_eq!(skip_class(b"x123", &digits), 0);
-        assert_eq!(skip_class(b"123456789012345678", &digits), 18);
+        assert_eq!(skip_class(b"12345x", &DIGITS), 5);
+        assert_eq!(skip_class(b"", &DIGITS), 0);
+        assert_eq!(skip_class(b"x123", &DIGITS), 0);
+        assert_eq!(skip_class(b"123456789012345678", &DIGITS), 18);
         let high = ClassBitmap::of(&[0xFF, 0xFE]);
         assert_eq!(skip_class(&[0xFF, 0xFE, 0xFF, 0x00], &high), 3);
     }

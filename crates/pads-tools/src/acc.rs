@@ -488,11 +488,13 @@ fn add_node(node: &mut Node, value: &Value, pd: Option<&ParseDesc>) {
                 acc.add_good(variant.as_str().to_owned(), None);
             }
         }
+        // Every engine builds a struct value with all declared fields in
+        // declaration order (default-filled after an abort), the order
+        // the node lists them in.
         (Node::Struct { fields }, Value::Struct { fields: vfields }) => {
-            for (name, child) in fields {
-                if let Some((_, v)) = vfields.iter().find(|(n, _)| n == name) {
-                    add_node(child, v, pd.and_then(|p| p.child(PdChild::Field(name))));
-                }
+            for ((name, child), (vname, v)) in fields.iter_mut().zip(vfields) {
+                debug_assert_eq!(name, vname.as_str());
+                add_node(child, v, pd.and_then(|p| p.child(PdChild::Field(name))));
             }
         }
         (Node::Union { tag, branches }, Value::Union { branch, value, .. }) => {

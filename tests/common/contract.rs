@@ -1278,10 +1278,7 @@ pub fn generated<'a, G: Generated>(case: &Case<'a>, truth: &Truth, plan: &Plan) 
 
 /// `orders_t`: a record array of pipe-separated orders whose total may not
 /// be below their id.
-pub const ORDERS: &str = "Precord Pstruct order_t {
-    Puint32 id; '|'; Pstring(:'|':) state; '|'; Puint32 total : total >= id;
-};
-Psource Parray orders_t { order_t[]; };";
+pub const ORDERS: &str = include_str!("../descriptions/orders.pads");
 
 /// A `pads` tool the `cli` column runs: `parse --format <format>`, `accum`
 /// with `--summaries` or not, `fmt` (which takes no `--jobs`), and `parse

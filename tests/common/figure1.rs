@@ -171,8 +171,8 @@ pub fn regulus() -> Source {
     Source::new(file!("regulus"), ParseOptions::default(), corpora)
 }
 
-const COPYBOOK: &str = "01 BILL-REC.\n  05 ACCT-ID PIC 9(6).\n  05 REGION PIC X(3).\n\
-    05 AMOUNT PIC S9(5) COMP-3.\n  05 CYCLE-DAY PIC 9(2).\n";
+/// Altair's billing record, the input of the two `altair` cases.
+const COPYBOOK: &str = include_str!("../descriptions/altair.cpy");
 
 /// A 14-byte EBCDIC record of the copybook: 6 zoned digits, 3 characters,
 /// 3 packed bytes (the sign nibble last), 2 zoned digits.

@@ -9,20 +9,27 @@ mod contract;
 use contract::bundled::Clf;
 use contract::{
     bundled, figure1, generated, Case, Description, Generated, Kill, Observe, Plan, Truth,
-    CHUNKS_OF_TWO, SEQUENTIAL,
+    CHUNKS_OF_TWO, ORDERS, SEQUENTIAL,
 };
 use pads::{Cursor, Engine, ErrorCode, Mask, ParseDesc, PdKind, RecoveryPolicy, Value};
 use pads_runtime::{KillPlan, MetricsCore};
 
-/// Every file of `tests/descriptions/` is a description some case loads.
+/// Every file of `tests/descriptions/` is the input of a case: a
+/// description a Figure 1 case or the `cli` suites' `orders_t` reads, or
+/// a copybook whose translation a case reads.
 #[test]
 fn every_test_description_is_loaded_by_a_case() {
-    let loaded: Vec<_> = figure1::all().into_iter().map(|s| s.name + " ").collect();
+    let mut loaded: Vec<_> = figure1::all().into_iter().map(|s| s.text).collect();
+    loaded.push(ORDERS.to_owned());
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/descriptions");
     for path in std::fs::read_dir(dir).expect("the directory").map(|entry| entry.unwrap().path()) {
-        let (stem, pads) = (path.file_stem().unwrap().to_string_lossy(), path.extension());
-        let loaded = loaded.iter().any(|name| name.starts_with(&format!("{stem} ")));
-        assert!(loaded && pads.is_some_and(|e| e == "pads"), "no case loads {}", path.display());
+        let text = std::fs::read_to_string(&path).expect("a text file");
+        let text = match path.extension().and_then(|e| e.to_str()) {
+            Some("pads") => text,
+            Some("cpy") => pads_cobol::translate(&text).expect("the copybook translates"),
+            _ => panic!("{} is neither a description nor a copybook", path.display()),
+        };
+        assert!(loaded.contains(&text), "no case loads {}", path.display());
     }
 }
 
