@@ -26,10 +26,11 @@
 //! `follow`, and one reverse sweep over the use sites computes `follow`.
 //! There is no fixpoint iteration.
 
+use pads_runtime::ops::Scalar;
 use pads_syntax::ast::{BinOp, CaseLabel, Expr, Literal};
 
 use crate::ir::{BranchIr, MemberIr, Schema, TypeDef, TypeId, TypeKind, TyUse};
-use crate::lint::{const_fold, Const};
+use crate::lint::const_fold;
 
 /// A set of byte values, one bit per value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -553,7 +554,7 @@ fn forward(types: &[TypeFacts<'_>], def: &TypeDef) -> Facts {
                 precise &= t.precise;
                 term_null = t.null;
             }
-            let count = size.as_ref().and_then(const_fold).and_then(Const::as_int);
+            let count = size.as_ref().and_then(const_fold).and_then(Scalar::as_i64);
             let null = match (term_null, count, ef.null) {
                 (Nullability::NonEmpty, _, _) => Nullability::NonEmpty,
                 (_, Some(n), Nullability::NonEmpty) if n > 0 => Nullability::NonEmpty,
@@ -666,7 +667,7 @@ fn regex(pattern: Option<&str>) -> Facts {
 /// names. Unknown (user-registered) names get [`Facts::UNKNOWN`].
 fn base(name: &str, args: &[Expr]) -> Facts {
     // The width argument of fixed-width forms, when it is a constant.
-    let width_arg = args.first().and_then(const_fold).and_then(Const::as_int);
+    let width_arg = args.first().and_then(const_fold).and_then(Scalar::as_i64);
     let fixed_width = width_arg.filter(|w| *w >= 0).map_or(WidthInterval::TOP, |w| WidthInterval::exact(w as u64));
     if let Some(f) = int(name, width_arg, fixed_width) {
         return f;
@@ -880,7 +881,7 @@ fn refine_walk(iv: &mut ValueInterval, var: Option<&str>, e: &Expr) {
             return;
         }
     };
-    let Some(k) = const_fold(k).and_then(Const::as_int).map(i128::from) else {
+    let Some(k) = const_fold(k).and_then(Scalar::as_i64).map(i128::from) else {
         iv.exact = false;
         return;
     };

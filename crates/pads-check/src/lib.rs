@@ -42,14 +42,38 @@ pub mod types;
 
 use std::collections::HashSet;
 
-use pads_runtime::Registry;
+use pads_runtime::ops::{self, Scalar};
+use pads_runtime::{ErrorCode, Registry};
 use pads_syntax::ast::{
-    CaseLabel, Decl, DeclKind, Expr, Literal, Member, Program, Stmt, TyExpr,
+    BinOp, CaseLabel, Decl, DeclKind, Expr, Literal, Member, Program, Stmt, TyExpr,
 };
 use pads_syntax::{Span, SyntaxError};
 
 use ir::{BranchIr, FieldIr, MemberIr, Schema, TypeDef, TypeKind, TyUse};
 use types::{ETy, Scope, Typer};
+
+/// Applies a binary operator through [`pads_runtime::ops`], for the
+/// evaluator and the lint's constant folding (generated code calls `ops` by
+/// name). `&&` and `||` short-circuit in their callers and are `EvalError`
+/// here, as is any operator's failure.
+#[inline]
+pub fn apply(op: BinOp, a: Scalar<'_>, b: Scalar<'_>) -> Result<Scalar<'static>, ErrorCode> {
+    let holds = |verdict: Result<bool, ErrorCode>| verdict.map(Scalar::Bool);
+    match op {
+        BinOp::Eq => holds(ops::eq(a, b)),
+        BinOp::Ne => holds(ops::ne(a, b)),
+        BinOp::Lt => holds(ops::lt(a, b)),
+        BinOp::Le => holds(ops::le(a, b)),
+        BinOp::Gt => holds(ops::gt(a, b)),
+        BinOp::Ge => holds(ops::ge(a, b)),
+        BinOp::Add => ops::add(a, b),
+        BinOp::Sub => ops::sub(a, b),
+        BinOp::Mul => ops::mul(a, b),
+        BinOp::Div => ops::div(a, b),
+        BinOp::Rem => ops::rem(a, b),
+        BinOp::And | BinOp::Or => Err(ErrorCode::EvalError),
+    }
+}
 
 /// A single semantic error with its source span.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -3,12 +3,13 @@
 //! unions with duplicate case values or no `Pdefault`, and `Popt`
 //! wrappers whose inner type always succeeds.
 
+use pads_runtime::ops::Scalar;
 use pads_syntax::ast::CaseLabel;
 use pads_syntax::Span;
 
 use crate::facts::{FactBase, Facts, Nullability};
 use crate::ir::{BranchIr, MemberIr, TypeKind, TyUse};
-use crate::lint::{const_fold, Const, Diagnostics};
+use crate::lint::{const_fold, Diagnostics};
 
 /// The ambiguity lints: `PL001` (shadowed arm), `PL002` (duplicate case),
 /// `PL003` (missing default), `PL004` (`Popt` that is always present).
@@ -110,7 +111,7 @@ fn lint_switched_union(
         match &b.case {
             Some(CaseLabel::Default) => has_default = true,
             Some(CaseLabel::Expr(e)) => {
-                let Some(v) = const_fold(e).and_then(Const::as_int) else { continue };
+                let Some(v) = const_fold(e).and_then(Scalar::as_i64) else { continue };
                 match seen.iter().find(|(x, _)| *x == v) {
                     Some((_, prev)) => diags.push(
                         "PL002",

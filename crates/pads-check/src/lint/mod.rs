@@ -48,6 +48,7 @@ pub mod reach;
 pub mod render;
 pub mod width;
 
+use pads_runtime::ops::{self, Scalar};
 use pads_syntax::ast::{BinOp, Expr, UnOp};
 use pads_syntax::Span;
 
@@ -204,88 +205,34 @@ pub fn lint_schema(schema: &Schema) -> Diagnostics {
     diags
 }
 
-/// A constant an expression folds to.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Const {
-    /// Integer (also chars and folded comparisons of numbers).
-    Int(i64),
-    /// Boolean.
-    Bool(bool),
-}
-
-impl Const {
-    pub(crate) fn as_int(self) -> Option<i64> {
-        match self {
-            Const::Int(v) => Some(v),
-            Const::Bool(_) => None,
-        }
-    }
-
-    pub(crate) fn as_bool(self) -> Option<bool> {
-        match self {
-            Const::Bool(v) => Some(v),
-            Const::Int(_) => None,
-        }
-    }
-}
-
-/// Best-effort constant folding over the constraint language: literals and
-/// arithmetic/logic over them. Anything touching parsed data, parameters,
-/// floats, or strings folds to `None`.
-pub(crate) fn const_fold(e: &Expr) -> Option<Const> {
-    match e {
-        Expr::Int(v) => Some(Const::Int(*v)),
-        Expr::Char(c) => Some(Const::Int(*c as i64)),
-        Expr::Bool(b) => Some(Const::Bool(*b)),
-        Expr::Unary(UnOp::Not, a) => Some(Const::Bool(!const_fold(a)?.as_bool()?)),
-        Expr::Unary(UnOp::Neg, a) => Some(Const::Int(const_fold(a)?.as_int()?.checked_neg()?)),
-        Expr::Binary(op, a, b) => {
-            // Short-circuit forms first: `false && x` folds without `x`.
-            if let BinOp::And | BinOp::Or = op {
-                let la = const_fold(a).and_then(Const::as_bool);
-                let lb = const_fold(b).and_then(Const::as_bool);
-                return match (op, la, lb) {
-                    (BinOp::And, Some(false), _) | (BinOp::And, _, Some(false)) => {
-                        Some(Const::Bool(false))
-                    }
-                    (BinOp::Or, Some(true), _) | (BinOp::Or, _, Some(true)) => {
-                        Some(Const::Bool(true))
-                    }
-                    (_, Some(x), Some(y)) => Some(Const::Bool(match op {
-                        BinOp::And => x && y,
-                        _ => x || y,
-                    })),
-                    _ => None,
-                };
+/// Best-effort constant folding with the runtime's operators
+/// ([`crate::apply`]): literals and operators over them, so a constraint
+/// folds to the verdict every tier reaches. Anything touching parsed data
+/// or parameters, or failing to evaluate, folds to `None`; `&&` and `||`
+/// fold when either side decides them.
+pub(crate) fn const_fold(e: &Expr) -> Option<Scalar<'_>> {
+    let truth = |e| const_fold(e).and_then(|c| ops::truth(c).ok());
+    Some(match e {
+        Expr::Int(v) => Scalar::Int(*v),
+        Expr::Char(c) => Scalar::Char(*c),
+        Expr::Bool(b) => Scalar::Bool(*b),
+        Expr::Float(f) => Scalar::Float(*f),
+        Expr::Str(s) => Scalar::Str(s),
+        Expr::Unary(UnOp::Not, a) => Scalar::Bool(!truth(a)?),
+        Expr::Unary(UnOp::Neg, a) => ops::neg(const_fold(a)?).ok()?,
+        Expr::Binary(op @ (BinOp::And | BinOp::Or), a, b) => {
+            // `false && x` and `true || x` fold without `x`, from either side.
+            let decisive = *op == BinOp::Or;
+            match (truth(a), truth(b)) {
+                (Some(x), _) | (_, Some(x)) if x == decisive => Scalar::Bool(decisive),
+                (Some(_), Some(_)) => Scalar::Bool(!decisive),
+                _ => return None,
             }
-            let ca = const_fold(a)?;
-            let cb = const_fold(b)?;
-            if let (BinOp::Eq | BinOp::Ne, Some(x), Some(y)) = (*op, ca.as_bool(), cb.as_bool()) {
-                return Some(Const::Bool(if *op == BinOp::Eq { x == y } else { x != y }));
-            }
-            let x = ca.as_int()?;
-            let y = cb.as_int()?;
-            Some(match op {
-                BinOp::Add => Const::Int(x.checked_add(y)?),
-                BinOp::Sub => Const::Int(x.checked_sub(y)?),
-                BinOp::Mul => Const::Int(x.checked_mul(y)?),
-                BinOp::Div => Const::Int(x.checked_div(y)?),
-                BinOp::Rem => Const::Int(x.checked_rem(y)?),
-                BinOp::Eq => Const::Bool(x == y),
-                BinOp::Ne => Const::Bool(x != y),
-                BinOp::Lt => Const::Bool(x < y),
-                BinOp::Le => Const::Bool(x <= y),
-                BinOp::Gt => Const::Bool(x > y),
-                BinOp::Ge => Const::Bool(x >= y),
-                BinOp::And | BinOp::Or => return None, // handled above
-            })
         }
-        Expr::Ternary(c, t, f) => {
-            let cond = const_fold(c)?.as_bool()?;
-            const_fold(if cond { t } else { f })
-        }
-        _ => None,
-    }
+        Expr::Binary(op, a, b) => crate::apply(*op, const_fold(a)?, const_fold(b)?).ok()?,
+        Expr::Ternary(c, t, f) => const_fold(if truth(c)? { t } else { f })?,
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -293,17 +240,17 @@ mod tests {
     use super::*;
     use pads_syntax::parse_expr;
 
-    fn fold_src(src: &str) -> Option<Const> {
-        const_fold(&parse_expr(src).expect("parses"))
+    fn fold_src(src: &str) -> Option<Scalar<'static>> {
+        const_fold(Box::leak(Box::new(parse_expr(src).expect("parses"))))
     }
 
     #[test]
     fn folds_arithmetic_and_logic() {
-        assert_eq!(fold_src("1 + 2 * 3"), Some(Const::Int(7)));
-        assert_eq!(fold_src("1 < 2 && 3 != 3"), Some(Const::Bool(false)));
-        assert_eq!(fold_src("false && nosuch"), Some(Const::Bool(false)));
-        assert_eq!(fold_src("true || nosuch"), Some(Const::Bool(true)));
-        assert_eq!(fold_src("'a' == 97"), Some(Const::Bool(true)));
+        assert_eq!(fold_src("1 + 2 * 3"), Some(Scalar::Int(7)));
+        assert_eq!(fold_src("1 < 2 && 3 != 3"), Some(Scalar::Bool(false)));
+        assert_eq!(fold_src("false && nosuch"), Some(Scalar::Bool(false)));
+        assert_eq!(fold_src("true || nosuch"), Some(Scalar::Bool(true)));
+        assert_eq!(fold_src("'a' == 97"), Some(Scalar::Bool(true)));
         assert_eq!(fold_src("1 ? 2 : x"), None); // non-bool condition
         assert_eq!(fold_src("x + 1"), None);
     }

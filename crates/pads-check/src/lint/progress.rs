@@ -8,11 +8,12 @@
 //! Every engine keeps the guard whatever it finds: the analysis informs the
 //! author, it does not specialise a parser.
 
+use pads_runtime::ops::Scalar;
 use pads_syntax::ast::{BinOp, Expr};
 
 use crate::facts::{FactBase, Nullability};
 use crate::ir::{TyUse, TypeId, TypeKind};
-use crate::lint::{const_fold, Const, Diagnostics};
+use crate::lint::{const_fold, Diagnostics};
 
 /// What the analysis can prove about an unsized array's read loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,8 +145,8 @@ fn check_vacuous_ranges(e: &Expr, span: pads_syntax::Span, owner: &str, diags: &
     match e {
         Expr::Forall { lo, hi, body, .. } => {
             if let (Some(l), Some(h)) = (
-                const_fold(lo).and_then(Const::as_int),
-                const_fold(hi).and_then(Const::as_int),
+                const_fold(lo).and_then(Scalar::as_i64),
+                const_fold(hi).and_then(Scalar::as_i64),
             ) {
                 if l > h {
                     diags.push(

@@ -7,11 +7,12 @@
 
 use std::collections::HashSet;
 
+use pads_runtime::ops;
 use pads_syntax::ast::Expr;
 
 use crate::facts::FactBase;
 use crate::ir::{MemberIr, Schema, TypeId, TypeKind};
-use crate::lint::{const_fold, Const, Diagnostics};
+use crate::lint::{const_fold, Diagnostics};
 
 /// The reachability lints.
 pub(crate) fn lint_reachability(facts: &FactBase<'_>, diags: &mut Diagnostics) {
@@ -95,7 +96,7 @@ fn lint_unused_params(facts: &FactBase<'_>, diags: &mut Diagnostics) {
 /// `PL204`/`PL205`: constraints that constant-fold.
 fn lint_trivial_constraints(schema: &Schema, diags: &mut Diagnostics) {
     let check = |e: &Expr, span: pads_syntax::Span, what: &str, diags: &mut Diagnostics| {
-        match const_fold(e).and_then(Const::as_bool) {
+        match const_fold(e).and_then(|c| ops::truth(c).ok()) {
             Some(true) => diags.push(
                 "PL204",
                 span,

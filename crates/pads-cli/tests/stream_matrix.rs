@@ -74,8 +74,8 @@ fn every_tool_prints_the_truth_of_fault_seeds() {
 }
 
 /// Figure 1's sources — EBCDIC text, fixed-width binary, fixed-width and
-/// length-prefixed EBCDIC Cobol, bit fields, Regulus — clean and damaged,
-/// under every policy: every tool on one and on four workers, and `parse
+/// length-prefixed EBCDIC Cobol, bit fields, Regulus — and the operators'
+/// edge cases of `operators.pads`, clean and damaged, under every policy: every tool on one and on four workers, and `parse
 /// --journal` killed after a record and resumed. Not Netflow, whose packets
 /// are no `Precord` (`pads` infers no shape), nor the call detail read
 /// little-endian (`pads` reads binary big-endian only).

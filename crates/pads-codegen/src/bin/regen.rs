@@ -1,48 +1,29 @@
-//! Regenerates the committed `pads::generated` modules for the bundled
-//! CLF and Sirius descriptions. Run after changing the code generator:
+//! Regenerates the committed `pads::generated` modules
+//! ([`pads_codegen::COMMITTED`]). Run after changing the code generator:
 //!
 //! ```text
 //! cargo run -p pads-codegen --bin regen
 //! ```
 //!
-//! The descriptions are compiled here from `descriptions/*.pads` directly
+//! The descriptions are compiled here from their `.pads` files directly
 //! (not through the `pads` crate), so regeneration works even while the
 //! committed generated modules do not compile.
 
 use std::path::Path;
 
 fn main() {
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let descriptions = manifest.join("../../descriptions");
-    let out = manifest.join("../pads-core/src/generated");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let out = root.join("crates/pads-core/src/generated");
     let registry = pads_runtime::Registry::standard();
-    let generate = |file: &str, header: &str| -> String {
-        let src = std::fs::read_to_string(descriptions.join(file))
-            .unwrap_or_else(|e| panic!("read {file}: {e}"));
+    for (module, description) in pads_codegen::COMMITTED {
+        let src = std::fs::read_to_string(root.join(description))
+            .unwrap_or_else(|e| panic!("read {description}: {e}"));
         let schema = pads_check::compile(&src, &registry)
-            .unwrap_or_else(|e| panic!("{file} compiles: {e:?}"));
-        pads_codegen::generate_rust(&schema, header)
-            .unwrap_or_else(|e| panic!("{file} generates: {e}"))
-    };
-    let clf = generate(
-        "clf.pads",
-        "Generated parser for the CLF web-server-log description (Figure 4).",
-    );
-    let sirius = generate(
-        "sirius.pads",
-        "Generated parser for the Sirius provisioning description (Figure 5).",
-    );
-    let mixed = generate(
-        "mixed.pads",
-        "Generated parser for the kitchen-sink `mixed` description.",
-    );
-    std::fs::write(out.join("clf.rs"), &clf).expect("write clf.rs");
-    std::fs::write(out.join("sirius.rs"), &sirius).expect("write sirius.rs");
-    std::fs::write(out.join("mixed.rs"), &mixed).expect("write mixed.rs");
-    println!(
-        "wrote {} bytes (clf.rs), {} bytes (sirius.rs), {} bytes (mixed.rs)",
-        clf.len(),
-        sirius.len(),
-        mixed.len()
-    );
+            .unwrap_or_else(|e| panic!("{description} compiles: {e:?}"));
+        let header = pads_codegen::committed_header(description);
+        let code = pads_codegen::generate_rust(&schema, &header)
+            .unwrap_or_else(|e| panic!("{description} generates: {e}"));
+        std::fs::write(out.join(module), &code).unwrap_or_else(|e| panic!("write {module}: {e}"));
+        println!("wrote {} bytes ({module})", code.len());
+    }
 }

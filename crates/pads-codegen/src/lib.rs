@@ -22,6 +22,22 @@ mod rust_gen;
 
 pub use rust_gen::{generate_rust, CodegenError};
 
+/// The generated modules committed under `crates/pads-core/src/generated/`,
+/// each with the description it is generated from (relative to the
+/// workspace root), which its header names. The `regen` binary writes them;
+/// a golden test holds them to the generator.
+pub const COMMITTED: [(&str, &str); 4] = [
+    ("clf.rs", "descriptions/clf.pads"),
+    ("sirius.rs", "descriptions/sirius.pads"),
+    ("mixed.rs", "descriptions/mixed.pads"),
+    ("operators.rs", "tests/descriptions/operators.pads"),
+];
+
+/// The header of a committed module generated from `description`.
+pub fn committed_header(description: &str) -> String {
+    format!("Generated parser for `{description}`.")
+}
+
 /// Source-expansion measurement (the §4 leverage metric).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Expansion {

@@ -138,19 +138,9 @@ fn collect_arena_names(schema: &Schema) -> Vec<String> {
 /// transitively contain a string leaf (string leaves borrow the buffer,
 /// so every type containing one is lifetime-parameterised).
 fn compute_lifetimes(schema: &Schema) -> Vec<bool> {
-    fn str_base(name: &str) -> bool {
-        let stripped = name
-            .strip_prefix("Pa_")
-            .or_else(|| name.strip_prefix("Pe_"))
-            .or_else(|| name.strip_prefix("Pb_"))
-            .or_else(|| name.strip_prefix("P"))
-            .unwrap_or(name);
-        let core = stripped.trim_end_matches("_FW");
-        core.starts_with("string") || core == "hostname" || core == "zip"
-    }
     fn tyuse_borrows(ty: &TyUse, lt: &[bool]) -> bool {
         match ty {
-            TyUse::Base { name, .. } => str_base(name),
+            TyUse::Base { name, .. } => base_repr(name) == Repr::Str,
             TyUse::Named { id, .. } => lt[*id],
             TyUse::Opt(inner) => tyuse_borrows(inner, lt),
         }
@@ -225,43 +215,44 @@ fn bits_of(name: &str) -> u32 {
         .unwrap_or(64)
 }
 
-impl<'s> Gen<'s> {
-    fn base_repr(&self, name: &str) -> Repr {
-        let stripped = name
-            .strip_prefix("Pa_")
-            .or_else(|| name.strip_prefix("Pe_"))
-            .or_else(|| name.strip_prefix("Pb_"))
-            .or_else(|| name.strip_prefix("P"))
-            .unwrap_or(name);
-        let core = stripped.trim_end_matches("_FW");
-        if core.starts_with("uint") {
-            Repr::UInt(bits_of(core))
-        } else if core.starts_with("int") {
-            Repr::Int(bits_of(core))
-        } else if core.starts_with("string") || core == "hostname" || core == "zip" {
-            Repr::Str
-        } else if core == "char" {
-            Repr::Char
-        } else if core == "date" {
-            Repr::Date
-        } else if core == "ip" {
-            Repr::Ip
-        } else if core.starts_with("float") {
-            Repr::Float
-        } else if core == "void" {
-            Repr::Unit
-        } else if name == "Pebc_zoned" || name == "Ppacked" {
-            Repr::Int(64)
-        } else if name == "Pbits" {
-            Repr::UInt(64)
-        } else {
-            Repr::Prim
-        }
+/// The representation of base type `name`.
+fn base_repr(name: &str) -> Repr {
+    let stripped = name
+        .strip_prefix("Pa_")
+        .or_else(|| name.strip_prefix("Pe_"))
+        .or_else(|| name.strip_prefix("Pb_"))
+        .or_else(|| name.strip_prefix("P"))
+        .unwrap_or(name);
+    let core = stripped.trim_end_matches("_FW");
+    if core.starts_with("uint") {
+        Repr::UInt(bits_of(core))
+    } else if core.starts_with("int") {
+        Repr::Int(bits_of(core))
+    } else if core.starts_with("string") || core == "hostname" || core == "zip" {
+        Repr::Str
+    } else if core == "char" {
+        Repr::Char
+    } else if core == "date" {
+        Repr::Date
+    } else if core == "ip" {
+        Repr::Ip
+    } else if core.starts_with("float") {
+        Repr::Float
+    } else if core == "void" {
+        Repr::Unit
+    } else if name == "Pebc_zoned" || name == "Ppacked" {
+        Repr::Int(64)
+    } else if name == "Pbits" {
+        Repr::UInt(64)
+    } else {
+        Repr::Prim
     }
+}
 
+impl<'s> Gen<'s> {
     fn tyuse_repr(&self, ty: &TyUse) -> Repr {
         match ty {
-            TyUse::Base { name, .. } => self.base_repr(name),
+            TyUse::Base { name, .. } => base_repr(name),
             TyUse::Named { id, .. } => Repr::Named(*id),
             TyUse::Opt(inner) => Repr::Opt(Box::new(self.tyuse_repr(inner))),
         }
@@ -334,69 +325,83 @@ impl<'s> Gen<'s> {
     }
 
     // ---- expression compilation -----------------------------------------
+    //
+    // An expression prints as calls into `pads_runtime::ops` over the
+    // `Scalar` views of its operands: a condition as a `bool`, any other
+    // value as a `Scalar`. The calls are qualified (`ops::eq`), so a `Pfun`
+    // named like an operator does not capture them. Either may propagate an
+    // evaluation error with `?`, so it is printed inside a function or
+    // closure that returns `Result<_, ErrorCode>`: a `Pfun`, a rule's
+    // predicate closure, or `eval(|| Ok(..))`.
+
+    /// The `Scalar` view of `place`, a value of `repr`.
+    fn view(&self, place: &str, repr: &Repr) -> GenResult<String> {
+        Ok(match repr {
+            Repr::Char => format!("Scalar::Char({place})"),
+            Repr::Opt(inner) => format!(
+                "{place}.as_ref().map_or(Scalar::Absent, |pc_v| {})",
+                self.view("(*pc_v)", inner)?
+            ),
+            Repr::Named(id) => match &self.schema.def(*id).kind {
+                TypeKind::Enum { .. } => format!("Scalar::Enum({place} as u64)"),
+                TypeKind::Typedef { base, .. } => {
+                    self.view(&format!("{place}.0"), &self.tyuse_repr(base))?
+                }
+                _ => {
+                    let name = &self.schema.def(*id).name;
+                    return Err(CodegenError::new(format!("`{name}` is not a scalar operand")));
+                }
+            },
+            Repr::Slice(_) => return Err(CodegenError::new("an array is not a scalar operand")),
+            _ => format!("{place}.view()"),
+        })
+    }
+
+    /// A `Pfun` parameter type: the aggregate passed by reference, or
+    /// `None` for a value passed as a `Scalar`.
+    fn param_type(&self, ty: &str) -> Option<TypeId> {
+        let id = self.schema.type_id(ty)?;
+        let by_ref = matches!(
+            self.schema.def(id).kind,
+            TypeKind::Struct { .. } | TypeKind::Union { .. } | TypeKind::Array { .. }
+        );
+        by_ref.then_some(id)
+    }
 
     fn gen_func(&self, f: &FuncDecl, out: &mut String) -> GenResult<()> {
         let mut ctx = Ctx::new();
-        let mut args = Vec::new();
+        let mut params = Vec::new();
         for p in &f.params {
             let pname = field_name(&p.name);
-            match p.ty.as_str() {
-                "int" | "uint" | "char" => {
-                    ctx.bind(&p.name, Operand::Num(pname.clone()));
-                    args.push(format!("{pname}: i64"));
+            match self.param_type(&p.ty) {
+                None => {
+                    ctx.bind(&p.name, Operand::Scalar(pname.clone()));
+                    params.push(format!("{pname}: Scalar<'a>"));
                 }
-                "bool" => {
-                    ctx.bind(&p.name, Operand::Num(format!("({pname} as i64)")));
-                    args.push(format!("{pname}: bool"));
-                }
-                "float" => {
-                    ctx.bind(&p.name, Operand::Num(format!("({pname} as i64)")));
-                    args.push(format!("{pname}: f64"));
-                }
-                "string" => {
-                    ctx.bind(&p.name, Operand::Place(pname.clone(), Repr::Str));
-                    args.push(format!("{pname}: &str"));
-                }
-                tyname => {
-                    let id = self.schema.type_id(tyname).ok_or_else(|| {
-                        CodegenError::new(format!("unknown function parameter type `{tyname}`"))
-                    })?;
-                    let def = self.schema.def(id);
-                    if matches!(def.kind, TypeKind::Enum { .. }) {
-                        ctx.bind(&p.name, Operand::Place(pname.clone(), Repr::Named(id)));
-                        args.push(format!("{pname}: {}", camel(&def.name)));
-                    } else {
-                        ctx.bind(
-                            &p.name,
-                            Operand::Place(format!("(*{pname})"), Repr::Named(id)),
-                        );
-                        args.push(format!("{pname}: &{}", camel(&def.name)));
-                    }
+                Some(id) => {
+                    ctx.bind(&p.name, Operand::Place(format!("(*{pname})"), Repr::Named(id)));
+                    params.push(format!("{pname}: &'a {}", camel(&self.schema.def(id).name)));
                 }
             }
         }
         let ret = match f.ret.as_str() {
             "bool" => "bool",
-            "int" | "uint" | "char" => "i64",
-            "float" => "f64",
+            "int" | "uint" | "char" | "float" => "Scalar<'a>",
             other => {
                 return Err(CodegenError::new(format!(
                     "unsupported function return type `{other}`"
                 )))
             }
         };
-        let _ = writeln!(out, "pub fn {}({}) -> {} {{", field_name(&f.name), args.join(", "), ret);
-        let body = self.gen_stmts(&f.body, &ctx, f.ret == "bool")?;
-        out.push_str(&body);
-        // The checker proved all paths return; the fallback value keeps the
-        // compiler satisfied without planting a reachable panic.
-        let fallback = match ret {
-            "bool" => "false",
-            "f64" => "0.0",
-            _ => "0",
-        };
-        let _ = writeln!(out, "    {fallback}");
-        out.push_str("}\n\n");
+        let name = field_name(&f.name);
+        let _ = writeln!(
+            out,
+            "pub fn {name}<'a>({}) -> Result<{ret}, ErrorCode> {{",
+            params.join(", ")
+        );
+        out.push_str(&self.gen_stmts(&f.body, &ctx, f.ret == "bool")?);
+        // A body that ends without returning fails, as in the interpreter.
+        out.push_str("    Err(ErrorCode::EvalError)\n}\n\n");
         Ok(())
     }
 
@@ -408,9 +413,9 @@ impl<'s> Gen<'s> {
                     let code = if ret_bool {
                         self.compile_bool(e, ctx)?
                     } else {
-                        self.compile_num(e, ctx)?
+                        self.compile_scalar(e, ctx)?
                     };
-                    let _ = writeln!(out, "    return {code};");
+                    let _ = writeln!(out, "    return Ok({code});");
                 }
                 Stmt::If { cond, then_body, else_body } => {
                     let c = self.compile_bool(cond, ctx)?;
@@ -429,194 +434,138 @@ impl<'s> Gen<'s> {
         Ok(out)
     }
 
+    /// A condition, as a `bool`.
     fn compile_bool(&self, e: &Expr, ctx: &Ctx) -> GenResult<String> {
-        match e {
-            Expr::Bool(b) => Ok(b.to_string()),
-            Expr::Unary(UnOp::Not, a) => Ok(format!("!({})", self.compile_bool(a, ctx)?)),
-            Expr::Binary(BinOp::And, a, b) => Ok(format!(
-                "({} && {})",
-                self.compile_bool(a, ctx)?,
-                self.compile_bool(b, ctx)?
-            )),
-            Expr::Binary(BinOp::Or, a, b) => Ok(format!(
-                "({} || {})",
-                self.compile_bool(a, ctx)?,
-                self.compile_bool(b, ctx)?
-            )),
-            Expr::Binary(op @ (BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge), a, b) => {
-                self.compile_cmp(*op, a, b, ctx)
+        let pair = |a, b| -> GenResult<(String, String)> {
+            Ok((self.compile_scalar(a, ctx)?, self.compile_scalar(b, ctx)?))
+        };
+        Ok(match e {
+            Expr::Bool(b) => b.to_string(),
+            Expr::Unary(UnOp::Not, a) => format!("(!{})", self.compile_bool(a, ctx)?),
+            Expr::Binary(BinOp::And, a, b) => {
+                format!("({} && {})", self.compile_bool(a, ctx)?, self.compile_bool(b, ctx)?)
             }
-            Expr::Call(name, _) if self.schema.funcs.get(name).is_some_and(|f| f.ret == "bool") => {
-                self.compile_call(e, ctx)
+            Expr::Binary(BinOp::Or, a, b) => {
+                format!("({} || {})", self.compile_bool(a, ctx)?, self.compile_bool(b, ctx)?)
             }
+            Expr::Binary(
+                op @ (BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge),
+                a,
+                b,
+            ) => {
+                let (a, b) = pair(a, b)?;
+                format!("ops::{}({a}, {b})?", op_fn(*op))
+            }
+            Expr::Call(name, _) if self.returns_bool(name) => self.compile_call(e, ctx)?,
             Expr::Forall { var, lo, hi, body } => {
-                let lo = self.compile_num(lo, ctx)?;
-                let hi = self.compile_num(hi, ctx)?;
+                let (lo, hi) = pair(lo, hi)?;
+                let i = field_name(var);
                 let mut inner = ctx.clone();
-                inner.bind(var, Operand::Num(field_name(var)));
-                let body = self.compile_bool(body, &inner)?;
-                Ok(format!(
-                    "(({lo})..=({hi})).all(|{}| {body})",
-                    field_name(var)
-                ))
+                inner.bind(var, Operand::Place(i.clone(), Repr::Int(64)));
+                format!("ops::forall({lo}, {hi}, |{i}| Ok({}))?", self.compile_bool(body, &inner)?)
             }
-            Expr::Ternary(c, t, f) => Ok(format!(
+            Expr::Ternary(c, t, f) => format!(
                 "(if {} {{ {} }} else {{ {} }})",
                 self.compile_bool(c, ctx)?,
                 self.compile_bool(t, ctx)?,
                 self.compile_bool(f, ctx)?
-            )),
-            Expr::Ident(_) | Expr::Field(..) | Expr::Index(..) => {
-                // A bare place in boolean position: compare to zero like C.
-                Ok(format!("({} != 0)", self.compile_num(e, ctx)?))
-            }
-            other => Err(CodegenError::new(format!(
-                "expression is not compilable as a boolean: {other:?}"
-            ))),
+            ),
+            _ => format!("ops::truth({})?", self.compile_scalar(e, ctx)?),
+        })
+    }
+
+    /// A value, as a `Scalar`.
+    fn compile_scalar(&self, e: &Expr, ctx: &Ctx) -> GenResult<String> {
+        match self.compile_operand(e, ctx)? {
+            Operand::Place(code, repr) => self.view(&code, &repr),
+            Operand::Scalar(code) => Ok(code),
         }
     }
 
-    fn compile_cmp(&self, op: BinOp, a: &Expr, b: &Expr, ctx: &Ctx) -> GenResult<String> {
-        let lhs = self.compile_operand(a, ctx)?;
-        let rhs = self.compile_operand(b, ctx)?;
-        // String-typed places (or literals) use the polymorphic helpers;
-        // everything else compares as i64.
-        let stringy = |o: &Operand| {
-            matches!(o, Operand::Place(_, Repr::Str) | Operand::StrLit(_))
-        };
-        if stringy(&lhs) || stringy(&rhs) {
-            let l = lhs.as_ref_code();
-            let r = rhs.as_ref_code();
-            return Ok(match op {
-                BinOp::Eq => format!("pc_eq({l}, {r})"),
-                BinOp::Ne => format!("!pc_eq({l}, {r})"),
-                BinOp::Lt => format!("(pc_cmp({l}, {r}) == std::cmp::Ordering::Less)"),
-                BinOp::Le => format!("(pc_cmp({l}, {r}) != std::cmp::Ordering::Greater)"),
-                BinOp::Gt => format!("(pc_cmp({l}, {r}) == std::cmp::Ordering::Greater)"),
-                BinOp::Ge => format!("(pc_cmp({l}, {r}) != std::cmp::Ordering::Less)"),
-                _ => unreachable!("comparison operator"),
-            });
+    /// A type argument, as an `i64`.
+    fn compile_int(&self, e: &Expr, ctx: &Ctx) -> GenResult<String> {
+        match e {
+            Expr::Int(v) => Ok(format!("{v}i64")),
+            Expr::Char(c) => Ok(format!("{c}i64")),
+            _ => Ok(format!("{}.int()?", self.compile_scalar(e, ctx)?)),
         }
-        let l = lhs.as_num_code();
-        let r = rhs.as_num_code();
-        let sym = match op {
-            BinOp::Eq => "==",
-            BinOp::Ne => "!=",
-            BinOp::Lt => "<",
-            BinOp::Le => "<=",
-            BinOp::Gt => ">",
-            BinOp::Ge => ">=",
-            _ => unreachable!("comparison operator"),
-        };
-        Ok(format!("(({l}) {sym} ({r}))"))
     }
 
-    fn compile_num(&self, e: &Expr, ctx: &Ctx) -> GenResult<String> {
-        Ok(self.compile_operand(e, ctx)?.as_num_code())
+    fn returns_bool(&self, func: &str) -> bool {
+        self.schema.funcs.get(func).is_some_and(|f| f.ret == "bool")
     }
 
     fn compile_operand(&self, e: &Expr, ctx: &Ctx) -> GenResult<Operand> {
+        let scalar = |code: String| Ok(Operand::Scalar(code));
         match e {
-            Expr::Int(v) => Ok(Operand::Num(format!("{v}i64"))),
-            Expr::Char(c) => Ok(Operand::Num(format!("{}i64", *c as i64))),
-            Expr::Float(v) => Ok(Operand::Num(format!("({v}f64 as i64)"))),
-            Expr::Bool(b) => Ok(Operand::Num(format!("({b} as i64)"))),
-            Expr::Str(s) => Ok(Operand::StrLit(format!("{s:?}"))),
+            Expr::Int(v) => scalar(format!("Scalar::Int({v})")),
+            Expr::Float(v) => scalar(format!("Scalar::Float({v:?})")),
+            Expr::Char(c) => scalar(format!("Scalar::Char({c})")),
+            Expr::Str(s) => scalar(format!("Scalar::Str({s:?})")),
+            Expr::Bool(b) => scalar(format!("Scalar::Bool({b})")),
             Expr::Ident(name) => {
                 if let Some(op) = ctx.lookup(name) {
                     return Ok(op.clone());
                 }
                 if let Some((_, idx)) = self.schema.enum_variants.get(name) {
-                    return Ok(Operand::Num(format!("{idx}i64")));
+                    return scalar(format!("Scalar::Uint({idx})"));
                 }
                 Err(CodegenError::new(format!("unbound name `{name}` in constraint")))
             }
             Expr::Field(base, fname) => {
-                let b = self.compile_operand(base, ctx)?;
-                match b {
-                    Operand::Place(code, Repr::Named(id)) => {
-                        let repr = self.field_repr(id, fname)?;
-                        Ok(Operand::Place(format!("{code}.{}", field_name(fname)), repr))
+                let (code, id) = match self.compile_operand(base, ctx)? {
+                    Operand::Place(code, Repr::Named(id)) => (code, id),
+                    // A field of an absent `Popt` fails.
+                    Operand::Place(code, Repr::Opt(inner)) => match *inner {
+                        Repr::Named(id) => (format!("ops::present(&{code})?"), id),
+                        _ => return Err(CodegenError::new("field access on optional non-struct")),
+                    },
+                    other => {
+                        return Err(CodegenError::new(format!(
+                            "field access `{fname}` on non-struct operand {other:?}"
+                        )))
                     }
-                    Operand::Place(code, Repr::Opt(inner)) => {
-                        // Project through a present option; absent values
-                        // read as defaults, matching PcVal on Option.
-                        if let Repr::Named(id) = *inner {
-                            let repr = self.field_repr(id, fname)?;
-                            Ok(Operand::Place(
-                                format!(
-                                    "{code}.as_ref().map(|v| v.{}.clone()).unwrap_or_default()",
-                                    field_name(fname)
-                                ),
-                                repr,
-                            ))
-                        } else {
-                            Err(CodegenError::new("field access on optional non-struct"))
-                        }
-                    }
-                    other => Err(CodegenError::new(format!(
-                        "field access `{fname}` on non-struct operand {other:?}"
-                    ))),
-                }
+                };
+                let repr = self.field_repr(id, fname)?;
+                Ok(Operand::Place(format!("{code}.{}", field_name(fname)), repr))
             }
             Expr::Index(base, idx) => {
-                let b = self.compile_operand(base, ctx)?;
-                let i = self.compile_num(idx, ctx)?;
-                match b {
-                    Operand::Place(code, Repr::Slice(elem)) => Ok(Operand::Place(
-                        format!("{code}[({i}) as usize]"),
-                        *elem,
-                    )),
+                let i = self.compile_scalar(idx, ctx)?;
+                let (code, elem) = match self.compile_operand(base, ctx)? {
+                    Operand::Place(code, Repr::Slice(elem)) => (code, *elem),
                     Operand::Place(code, Repr::Named(id)) => {
-                        let elem = self.elem_repr(id)?;
-                        Ok(Operand::Place(format!("{code}.0[({i}) as usize]"), elem))
+                        (format!("{code}.0"), self.elem_repr(id)?)
                     }
-                    other => Err(CodegenError::new(format!(
-                        "indexing non-array operand {other:?}"
-                    ))),
-                }
-            }
-            Expr::Call(..) => {
-                let code = self.compile_call(e, ctx)?;
-                Ok(Operand::Num(format!("({code} as i64)")))
-            }
-            Expr::Unary(UnOp::Neg, a) => {
-                Ok(Operand::Num(format!("(-({}))", self.compile_num(a, ctx)?)))
-            }
-            Expr::Unary(UnOp::Not, _) => {
-                Ok(Operand::Num(format!("(({}) as i64)", self.compile_bool(e, ctx)?)))
-            }
-            Expr::Binary(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul), a, b) => {
-                let sym = match op {
-                    BinOp::Add => "wrapping_add",
-                    BinOp::Sub => "wrapping_sub",
-                    _ => "wrapping_mul",
+                    other => {
+                        return Err(CodegenError::new(format!(
+                            "indexing non-array operand {other:?}"
+                        )))
+                    }
                 };
-                Ok(Operand::Num(format!(
-                    "(({}).{sym}({}))",
-                    self.compile_num(a, ctx)?,
-                    self.compile_num(b, ctx)?
-                )))
+                Ok(Operand::Place(format!("(*ops::index(&{code}, {i})?)"), elem))
             }
-            Expr::Binary(BinOp::Div, a, b) => Ok(Operand::Num(format!(
-                "(({}).checked_div({}).unwrap_or(0))",
-                self.compile_num(a, ctx)?,
-                self.compile_num(b, ctx)?
-            ))),
-            Expr::Binary(BinOp::Rem, a, b) => Ok(Operand::Num(format!(
-                "(({}).checked_rem({}).unwrap_or(0))",
-                self.compile_num(a, ctx)?,
-                self.compile_num(b, ctx)?
-            ))),
-            Expr::Binary(..) | Expr::Forall { .. } => {
-                Ok(Operand::Num(format!("(({}) as i64)", self.compile_bool(e, ctx)?)))
+            Expr::Call(name, _) => {
+                let call = self.compile_call(e, ctx)?;
+                scalar(if self.returns_bool(name) { format!("Scalar::Bool({call})") } else { call })
             }
-            Expr::Ternary(c, t, f) => Ok(Operand::Num(format!(
+            Expr::Unary(UnOp::Neg, a) => scalar(format!("ops::neg({})?", self.compile_scalar(a, ctx)?)),
+            Expr::Binary(
+                op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem),
+                a,
+                b,
+            ) => {
+                let (a, b) = (self.compile_scalar(a, ctx)?, self.compile_scalar(b, ctx)?);
+                scalar(format!("ops::{}({a}, {b})?", op_fn(*op)))
+            }
+            Expr::Ternary(c, t, f) => scalar(format!(
                 "(if {} {{ {} }} else {{ {} }})",
                 self.compile_bool(c, ctx)?,
-                self.compile_num(t, ctx)?,
-                self.compile_num(f, ctx)?
-            ))),
+                self.compile_scalar(t, ctx)?,
+                self.compile_scalar(f, ctx)?
+            )),
+            Expr::Unary(UnOp::Not, _) | Expr::Binary(..) | Expr::Forall { .. } => {
+                scalar(format!("Scalar::Bool({})", self.compile_bool(e, ctx)?))
+            }
         }
     }
 
@@ -631,69 +580,58 @@ impl<'s> Gen<'s> {
             .ok_or_else(|| CodegenError::new(format!("call to unknown function `{name}`")))?;
         let mut compiled = Vec::new();
         for (p, a) in f.params.iter().zip(args) {
-            match p.ty.as_str() {
-                "int" | "uint" | "char" => compiled.push(self.compile_num(a, ctx)?),
-                "bool" => compiled.push(self.compile_bool(a, ctx)?),
-                "float" => compiled.push(format!("(({}) as f64)", self.compile_num(a, ctx)?)),
-                "string" => {
-                    let op = self.compile_operand(a, ctx)?;
-                    compiled.push(op.as_ref_code());
-                }
-                tyname => {
-                    let op = self.compile_operand(a, ctx)?;
-                    match op {
-                        Operand::Place(code, Repr::Named(id))
-                            if self.schema.def(id).name == *tyname =>
-                        {
-                            if matches!(self.schema.def(id).kind, TypeKind::Enum { .. }) {
-                                compiled.push(code);
-                            } else {
-                                compiled.push(format!("&({code})"));
-                            }
-                        }
-                        other => {
-                            return Err(CodegenError::new(format!(
-                                "argument for `{tyname}` parameter is not a matching place: {other:?}"
-                            )))
-                        }
+            compiled.push(match self.param_type(&p.ty) {
+                None => self.compile_scalar(a, ctx)?,
+                Some(id) => match self.compile_operand(a, ctx)? {
+                    Operand::Place(code, Repr::Named(arg)) if arg == id => format!("&({code})"),
+                    other => {
+                        return Err(CodegenError::new(format!(
+                            "argument for `{}` parameter is not a matching place: {other:?}",
+                            p.ty
+                        )))
                     }
-                }
-            }
+                },
+            });
         }
-        Ok(format!("{}({})", field_name(name), compiled.join(", ")))
+        Ok(format!("{}({})?", field_name(name), compiled.join(", ")))
     }
 
     // The remaining generation methods live in `rust_gen_types.rs` via the
     // inherent-impl continuation below.
 }
 
+/// The `pads_runtime::ops` function of a comparison or arithmetic operator.
+fn op_fn(op: BinOp) -> &'static str {
+    match op {
+        BinOp::Eq => "eq",
+        BinOp::Ne => "ne",
+        BinOp::Lt => "lt",
+        BinOp::Le => "le",
+        BinOp::Gt => "gt",
+        BinOp::Ge => "ge",
+        BinOp::Add => "add",
+        BinOp::Sub => "sub",
+        BinOp::Mul => "mul",
+        BinOp::Div => "div",
+        BinOp::Rem => "rem",
+        BinOp::And | BinOp::Or => "",
+    }
+}
+
+/// Whether printed code propagates an evaluation error (has a `?`; one
+/// inside a string literal only costs a needless `eval` around it), so
+/// needs a `Result` context.
+fn fallible(code: &str) -> bool {
+    code.contains('?')
+}
+
 /// A compiled operand.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Operand {
-    /// An `i64`-typed Rust expression.
-    Num(String),
     /// A place expression with its representation.
     Place(String, Repr),
-    /// A string literal (already a `&'static str`).
-    StrLit(String),
-}
-
-impl Operand {
-    fn as_num_code(&self) -> String {
-        match self {
-            Operand::Num(c) => c.clone(),
-            Operand::Place(c, _) => format!("({c}).pc_num()"),
-            Operand::StrLit(_) => "0i64".to_owned(),
-        }
-    }
-
-    fn as_ref_code(&self) -> String {
-        match self {
-            Operand::Num(c) => format!("&({c})"),
-            Operand::Place(c, _) => format!("&({c})"),
-            Operand::StrLit(c) => c.clone(),
-        }
-    }
+    /// An expression of type `Scalar`.
+    Scalar(String),
 }
 
 /// Compilation scope: names → operands.

@@ -72,19 +72,57 @@ impl<'s> Gen<'s> {
     fn param_ctx(&self, id: TypeId) -> Ctx {
         let mut ctx = Ctx::new();
         for p in &self.schema.def(id).params {
-            ctx.bind(&p.name, Operand::Num(format!("p_{}", field_name(&p.name))));
+            ctx.bind(&p.name, Operand::Place(format!("p_{}", field_name(&p.name)), Repr::Int(64)));
         }
         ctx
     }
 
-    /// Compiled argument list (`, (expr1), (expr2)`) for calling a
-    /// parameterised type's read/verify.
+    /// The parameters and a struct's fields as `self.` places: the scope of
+    /// its `write` and `verify`.
+    fn self_ctx(&self, id: TypeId, members: &[MemberIr]) -> Ctx {
+        let mut ctx = self.param_ctx(id);
+        for m in members {
+            if let MemberIr::Field(f) = m {
+                let place = format!("self.{}", field_name(&f.name));
+                ctx.bind(&f.name, Operand::Place(place, self.tyuse_repr(&f.ty)));
+            }
+        }
+        ctx
+    }
+
+    /// Compiled argument list (`, expr1, expr2`) for calling a
+    /// parameterised type's read/write/verify.
     fn call_args(&self, args: &[Expr], ctx: &Ctx) -> GenResult<String> {
         let mut out = String::new();
         for a in args {
-            let _ = write!(out, ", ({})", self.compile_num(a, ctx)?);
+            let _ = write!(out, ", {}", self.compile_int(a, ctx)?);
         }
         Ok(out)
+    }
+
+    /// Code reading named type `id` with `args` under the mask `m`; arguments
+    /// that may fail to evaluate go through `rd_args`, which records the
+    /// failure as the interpreter does.
+    fn named_read_code(
+        &self,
+        id: TypeId,
+        args: &[Expr],
+        m: &str,
+        read: &str,
+        ctx: &Ctx,
+    ) -> GenResult<String> {
+        let ty = camel(&self.schema.def(id).name);
+        let call_args = self.call_args(args, ctx)?;
+        if !fallible(&call_args) {
+            return Ok(format!("{ty}::{read}(cur, {m}{call_args})"));
+        }
+        let names: Vec<String> = (0..args.len()).map(|i| format!("pc_a{i}")).collect();
+        Ok(format!(
+            "rd_args(cur, eval(|| Ok([{}])), |cur, [{}]| {ty}::{read}(cur, {m}, {}))",
+            call_args.trim_start_matches(", "),
+            names.join(", "),
+            names.join(", ")
+        ))
     }
 
     fn gen_type(&self, id: TypeId, out: &mut String) -> GenResult<()> {
@@ -169,9 +207,6 @@ impl<'s> Gen<'s> {
                     let _ = writeln!(out, "    {} = {i},", camel(v));
                 }
                 out.push_str("}\n\n");
-                let _ = writeln!(out, "impl PcVal for {name} {{");
-                let _ = writeln!(out, "    fn pc_num(&self) -> i64 {{ *self as i64 }}");
-                out.push_str("}\n\n");
                 let _ = writeln!(out, "impl {name} {{");
                 self.gen_enum_read(id, variants, &name, out)?;
                 self.gen_enum_write(variants, &name, out)?;
@@ -185,13 +220,6 @@ impl<'s> Gen<'s> {
                 let _ = writeln!(out, "/// Representation of `{}` (Ptypedef).", def.name);
                 let _ = writeln!(out, "#[derive(Debug, Clone, PartialEq, Default)]");
                 let _ = writeln!(out, "pub struct {name}{lt}(pub {});\n", self.rust_ty(&repr));
-                let _ = writeln!(out, "impl{lt} PcVal for {name}{lt} {{");
-                let _ = writeln!(out, "    fn pc_num(&self) -> i64 {{ (self.0).pc_num() }}");
-                let _ = writeln!(
-                    out,
-                    "    fn pc_str(&self) -> Option<&str> {{ (self.0).pc_str() }}"
-                );
-                out.push_str("}\n\n");
                 let _ = writeln!(out, "impl{lt} {name}{lt} {{");
                 self.gen_typedef_read(id, base, var, pred, out)?;
                 self.gen_typedef_write(id, base, out)?;
@@ -214,14 +242,14 @@ impl<'s> Gen<'s> {
         } else {
             "None"
         };
-        let repr = self.base_repr(name);
+        let repr = base_repr(name);
         let cast = |code: String, repr: &Repr| match repr {
             Repr::UInt(b) if *b < 64 => format!("{code}.map(|v| v as u{b})"),
             Repr::Int(b) if *b < 64 => format!("{code}.map(|v| v as i{b})"),
             _ => code,
         };
-        let arg_prims = self.arg_prims(name, args, ctx)?;
-        Ok(match name {
+        let arg_prims = self.arg_prims(args, ctx)?;
+        let code = match name {
             // Binary and fixed-width integers go through the registry under
             // the type's own (static) name.
             _ if name.starts_with("Pb_") || (name.contains("int") && name.ends_with("_FW")) => {
@@ -236,22 +264,15 @@ impl<'s> Gen<'s> {
                 let bits = bits_of(name);
                 cast(format!("rd_int(cur, {bits}, {forced})"), &Repr::Int(bits))
             }
-            "Pstring" => {
-                let term = self.compile_num(&args[0], ctx)?;
-                format!("rd_string_term(cur, ({term}) as u8)")
-            }
+            "Pstring" => match args {
+                [Expr::Char(term)] => format!("rd_string_term(cur, {term}u8)"),
+                _ => format!("rd_string(cur, \"{name}\", &[{arg_prims}])"),
+            },
             "Pstring_FW" | "Pstring_ME" | "Pstring_SE" | "Pzip" | "Phostname" => {
                 format!("rd_string(cur, \"{name}\", &[{arg_prims}])")
             }
             "Pchar" | "Pa_char" | "Pe_char" => format!("rd_char(cur, {forced})"),
-            "Pdate" => {
-                if args.is_empty() {
-                    "rd_date(cur, None)".to_owned()
-                } else {
-                    let term = self.compile_num(&args[0], ctx)?;
-                    format!("rd_date(cur, Some(({term}) as u8))")
-                }
-            }
+            "Pdate" => format!("rd_date(cur, &[{arg_prims}])"),
             "Pip" => "rd_ip(cur)".to_owned(),
             "Pfloat32" | "Pfloat64" => format!("rd_float(cur, \"{name}\")"),
             "Pvoid" => "Ok::<(), ErrorCode>(())".to_owned(),
@@ -260,17 +281,21 @@ impl<'s> Gen<'s> {
             }
             "Pbits" => format!("rd_u64_dyn(cur, \"Pbits\", &[{arg_prims}])"),
             other => format!("rd_prim(cur, \"{other}\", &[{arg_prims}])"),
-        })
+        };
+        // Arguments that may fail to evaluate fail the read.
+        Ok(if fallible(&arg_prims) { format!("eval(|| {code})") } else { code })
     }
 
-    /// Compiles type arguments into `Prim` constructor expressions.
-    fn arg_prims(&self, _base: &str, args: &[Expr], ctx: &Ctx) -> GenResult<String> {
+    /// Compiles base-type arguments into the `Prim`s the interpreter
+    /// passes.
+    fn arg_prims(&self, args: &[Expr], ctx: &Ctx) -> GenResult<String> {
         let mut parts = Vec::new();
         for a in args {
             parts.push(match a {
+                Expr::Int(v) => format!("Prim::Int({v})"),
                 Expr::Char(c) => format!("Prim::Char({c}u8)"),
                 Expr::Str(s) => format!("Prim::String({s:?}.to_owned())"),
-                _ => format!("Prim::Uint(({}) as u64)", self.compile_num(a, ctx)?),
+                _ => format!("{}.to_prim()?", self.compile_scalar(a, ctx)?),
             });
         }
         Ok(parts.join(", "))
@@ -283,11 +308,7 @@ impl<'s> Gen<'s> {
             TyUse::Base { name, args } => {
                 Ok(format!("rd_pd(cur, |cur| {})", self.base_read_code(name, args, ctx)?))
             }
-            TyUse::Named { id, args } => Ok(format!(
-                "{}::read(cur, {m}{})",
-                camel(&self.schema.def(*id).name),
-                self.call_args(args, ctx)?
-            )),
+            TyUse::Named { id, args } => self.named_read_code(*id, args, m, "read", ctx),
             TyUse::Opt(_) => {
                 Err(CodegenError::new(format!("Popt {what} are not supported by codegen")))
             }
@@ -374,7 +395,7 @@ impl<'s> Gen<'s> {
             let cond = self.compile_bool(w, &ctx)?;
             let _ = writeln!(
                 out,
-                "            if mask.compound().checks() && !({cond}) {{\n                pd.add_error(ErrorCode::WhereViolation, Loc::at(cur.position()));\n            }}"
+                "            if mask.compound().checks() {{\n                pd.add_verdict(eval(|| Ok({cond})), ErrorCode::WhereViolation, Loc::at(cur.position()));\n            }}"
             );
         }
         let _ = writeln!(out, "        }}");
@@ -416,74 +437,79 @@ impl<'s> Gen<'s> {
         if needs_start {
             let _ = writeln!(out, "                let start = cur.position();");
         }
+        let key = format!("Name::from_static({:?})", f.name);
+        // Binds the field once its read is printed, then compiles its
+        // constraint in that scope.
+        let bind = |ctx: &mut Ctx| {
+            ctx.bind(&f.name, Operand::Place(format!("f_{fname}"), repr.clone()));
+            f.constraint.as_ref().map(|c| self.compile_bool(c, ctx)).transpose()
+        };
+        let add_verdict = |cond: &str| {
+            format!("fpd.add_verdict(eval(|| Ok({cond})), ErrorCode::ConstraintViolation, {AT});")
+        };
+        let keep = format!(
+            "                pd.absorb(&fpd);\n                if !fpd.is_ok() {{ pds.push(({key}, fpd)); }}"
+        );
         match &f.ty {
             TyUse::Base { name, args } => {
+                // The clean path writes the value and, under a constraint
+                // that holds, nothing else. A failed read keeps the
+                // default and aborts the struct unless its error is
+                // semantic (a type argument that fails to evaluate); the
+                // constraint still judges the default, as in the
+                // interpreter.
                 let call = self.base_read_code(name, args, ctx)?;
-                let _ = writeln!(out, "                match {call} {{");
-                let _ = writeln!(out, "                    Ok(v) => {{");
-                let _ = writeln!(out, "                        f_{fname} = v;");
-                ctx.bind(&f.name, Operand::Place(format!("f_{fname}"), repr.clone()));
-                if let Some(c) = &f.constraint {
-                    // The descriptor is only materialised when the
-                    // constraint actually fails — the clean path writes the
-                    // value and nothing else.
-                    let cond = self.compile_bool(c, ctx)?;
-                    let _ = writeln!(
-                        out,
-                        "                        if m.base().checks() && !({cond}) {{\n                            let mut fpd = ParseDesc::ok();\n                            fpd.add_error(ErrorCode::ConstraintViolation, Loc::new(start, cur.position()));\n                            pd.absorb(&fpd);\n                            pds.push((Name::from_static({:?}), fpd));\n                        }}",
-                        f.name
-                    );
-                }
-                let _ = writeln!(out, "                    }}");
-                let _ = writeln!(out, "                    Err(e) => {{");
+                let (clean, failed) = match bind(ctx)? {
+                    Some(cond) => (
+                        guarded(24, "m.base().checks()", &format!(
+                            "field_verdict(&mut pd, &mut pds, {key}, eval(|| Ok({cond})), {AT});"
+                        )),
+                        guarded(24, "!syn && m.base().checks()", &add_verdict(&cond)),
+                    ),
+                    None => Default::default(),
+                };
                 let _ = writeln!(
                     out,
-                    "                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));"
+                    "                match {call} {{
+                    Ok(v) => {{
+                        f_{fname} = v;
+{clean}                    }}
+                    Err(e) => {{
+                        let mut fpd = ParseDesc::error(e, {AT});
+                        let syn = fpd.has_syntax_error();
+{failed}                        pd.absorb(&fpd);
+                        pds.push(({key}, fpd));
+                        if syn {{ pd.state = ParseState::Partial; break 'body; }}
+                    }}
+                }}"
                 );
-                let _ = writeln!(out, "                        pd.absorb(&fpd);");
-                let _ = writeln!(out, "                        pds.push((Name::from_static({:?}), fpd));", f.name);
-                let _ = writeln!(out, "                        pd.state = ParseState::Partial;");
-                let _ = writeln!(out, "                        break 'body;");
-                let _ = writeln!(out, "                    }}");
-                let _ = writeln!(out, "                }}");
             }
             TyUse::Named { id, args } => {
-                let args_code = self.call_args(args, ctx)?;
-                let ty_name = camel(&self.schema.def(*id).name);
+                let read = self.named_read_code(*id, args, "&m", "read", ctx)?;
+                let checked = bind(ctx)?.map_or(String::new(), |cond| {
+                    guarded(16, "!syn && m.base().checks()", &add_verdict(&cond))
+                });
                 let _ = writeln!(
                     out,
-                    "                let (v, mut fpd) = {ty_name}::read(cur, &m{args_code});"
-                );
-                let _ = writeln!(out, "                f_{fname} = v;");
-                let _ = writeln!(out, "                let syn = fpd.has_syntax_error();");
-                ctx.bind(&f.name, Operand::Place(format!("f_{fname}"), repr.clone()));
-                if let Some(c) = &f.constraint {
-                    let cond = self.compile_bool(c, ctx)?;
-                    let _ = writeln!(
-                        out,
-                        "                if !syn && m.base().checks() && !({cond}) {{\n                    fpd.add_error(ErrorCode::ConstraintViolation, Loc::new(start, cur.position()));\n                }}"
-                    );
-                }
-                let _ = writeln!(out, "                pd.absorb(&fpd);");
-                let _ = writeln!(
-                    out,
-                    "                if !fpd.is_ok() {{ pds.push((Name::from_static({:?}), fpd)); }}",
-                    f.name
-                );
-                let _ = writeln!(
-                    out,
-                    "                if syn {{ pd.state = ParseState::Partial; break 'body; }}"
+                    "                let (v, mut fpd) = {read};
+                f_{fname} = v;
+                let syn = fpd.has_syntax_error();
+{checked}{keep}
+                if syn {{ pd.state = ParseState::Partial; break 'body; }}"
                 );
             }
             TyUse::Opt(inner) => {
-                self.gen_opt_read(&fname, &f.name, inner, ctx, out)?;
-                ctx.bind(&f.name, Operand::Place(format!("f_{fname}"), repr.clone()));
-                if let Some(c) = &f.constraint {
-                    let cond = self.compile_bool(c, ctx)?;
-                    let _ = writeln!(
-                        out,
-                        "                if m.base().checks() && !({cond}) {{\n                    pd.add_error(ErrorCode::ConstraintViolation, Loc::new(start, cur.position()));\n                }}"
-                    );
+                // A constraint's verdict lands on the optional's own
+                // descriptor, which then holds what the read held.
+                let constrained = f.constraint.is_some();
+                if constrained {
+                    out.push_str("                let mut fpd = ParseDesc::ok();\n");
+                    out.push_str("                fpd.kind = PdKind::Opt { inner: None };\n");
+                }
+                self.gen_opt_read(&fname, &f.name, inner, constrained, ctx, out)?;
+                if let Some(cond) = bind(ctx)? {
+                    let checked = guarded(16, "m.base().checks()", &add_verdict(&cond));
+                    let _ = writeln!(out, "{checked}{keep}");
                 }
             }
         }
@@ -496,6 +522,7 @@ impl<'s> Gen<'s> {
         fname: &str,
         orig_name: &str,
         inner: &TyUse,
+        keep: bool,
         ctx: &Ctx,
         out: &mut String,
     ) -> GenResult<()> {
@@ -514,14 +541,14 @@ impl<'s> Gen<'s> {
                 );
             }
             TyUse::Named { id, args } => {
-                let args_code = self.call_args(args, ctx)?;
                 let def = self.schema.def(*id);
-                let ty_name = camel(&def.name);
                 let read =
                     if matches!(def.kind, TypeKind::Typedef { .. }) { "read_opt" } else { "read" };
+                let read = self.named_read_code(*id, args, "&m", read, ctx)?;
+                let kept = if keep { " fpd.kind = PdKind::opt(ipd);" } else { "" };
                 let _ = writeln!(
                     out,
-                    "                let (v, ipd) = {ty_name}::{read}(cur, &m{args_code});\n                if ipd.is_ok() {{\n                    f_{fname} = Some(v);\n                }} else {{\n                    cur.restore(cp);\n                    f_{fname} = None;\n                }}"
+                    "                let (v, ipd) = {read};\n                if ipd.is_ok() {{\n                    f_{fname} = Some(v);{kept}\n                }} else {{\n                    cur.restore(cp);\n                    f_{fname} = None;\n                }}"
                 );
             }
             TyUse::Opt(_) => {
@@ -560,7 +587,7 @@ impl<'s> Gen<'s> {
             let repr = self.tyuse_repr(&b.field.ty);
             bctx.bind(&b.field.name, Operand::Place(format!("f_{bname}"), repr));
             let cond = match &b.field.constraint {
-                Some(c) => format!(" && ({})", self.compile_bool(c, &bctx)?),
+                Some(c) => format!(" && eval(|| Ok({})) == Ok(true)", self.compile_bool(c, &bctx)?),
                 None => String::new(),
             };
             let _ = writeln!(
@@ -588,16 +615,23 @@ impl<'s> Gen<'s> {
         self.emit_read_wrapper(id, true, out);
         self.emit_read_impl(id, "", out);
         self.emit_branch_names(branches, out);
-        // The selector picks the first case equal to it, else the default.
-        let _ = writeln!(out, "        let sel: i64 = {};", self.compile_num(sel, &ctx)?);
-        let mut chosen = String::from("        let chosen = ");
+        // The selector picks the first case equal to it, else the default;
+        // one that fails to evaluate picks none, and is recorded.
+        let sel = self.compile_scalar(sel, &ctx)?;
+        let _ = writeln!(out, "        let sel = eval(|| Ok({sel}));");
+        let mut chosen = String::from("        let chosen = sel.map(|sel| ");
         let mut default = "None".to_owned();
         let mut arms = String::new();
         for (i, b) in branches.iter().enumerate() {
             match &b.case {
                 Some(CaseLabel::Expr(e)) => {
-                    let case = self.compile_num(e, &ctx)?;
-                    let _ = write!(chosen, "if sel == ({case}) {{ Some({i}) }} else ");
+                    let case = self.compile_scalar(e, &ctx)?;
+                    let picks = if fallible(&case) {
+                        format!("eval(|| Ok({case})).is_ok_and(|case| ops::case_eq(sel, case))")
+                    } else {
+                        format!("ops::case_eq(sel, {case})")
+                    };
+                    let _ = write!(chosen, "if {picks} {{ Some({i}) }} else ");
                 }
                 Some(CaseLabel::Default) => default = format!("Some({i})"),
                 None => {}
@@ -607,19 +641,18 @@ impl<'s> Gen<'s> {
             let mut bctx = ctx.clone();
             let repr = self.tyuse_repr(&b.field.ty);
             bctx.bind(&b.field.name, Operand::Place(format!("f_{bname}"), repr));
-            let cond = match &b.field.constraint {
-                Some(c) => self.compile_bool(c, &bctx)?,
-                None => "true".to_owned(),
+            let holds = match &b.field.constraint {
+                Some(c) => format!("eval(|| Ok({}))", self.compile_bool(c, &bctx)?),
+                None => "Ok(true)".to_owned(),
             };
             let _ = writeln!(
                 arms,
-                "            {i} => {{\n                let (f_{bname}, bpd) = {read};\n                let holds = {cond};\n                ({name}::{}(f_{bname}), bpd, Ok(holds))\n            }}",
+                "            {i} => {{\n                let (f_{bname}, bpd) = {read};\n                let holds = {holds};\n                ({name}::{}(f_{bname}), bpd, holds)\n            }}",
                 camel(&b.field.name)
             );
         }
-        let _ = writeln!(out, "{chosen}{{ {default} }};");
-        let call = "read_switched(cur, mask, NAMES, Ok(chosen), |cur, i, m| match i {";
-        let _ = writeln!(out, "        {call}");
+        let _ = writeln!(out, "{chosen}{{ {default} }});");
+        out.push_str("        read_switched(cur, mask, NAMES, chosen, |cur, i, m| match i {\n");
         out.push_str(&arms);
         let _ = writeln!(
             out,
@@ -680,11 +713,11 @@ impl<'s> Gen<'s> {
             let mut bctx = ctx.clone();
             bctx.bind(&b.field.name, Operand::Place("(*v)".to_owned(), repr));
             let mut cond = match &b.field.constraint {
-                Some(c) => self.compile_bool(c, &bctx)?,
+                Some(c) => holds(&self.compile_bool(c, &bctx)?),
                 None => "true".to_owned(),
             };
             if let Some(nested) = self.nested_verify_code(&b.field.ty, "v", &ctx)? {
-                cond = format!("({cond}) && ({nested})");
+                cond = format!("{cond} && {}", holds(&nested));
             }
             let _ = writeln!(out, "            {}::{variant}(v) => {cond},", camel(&def.name));
         }
@@ -704,7 +737,7 @@ impl<'s> Gen<'s> {
         let elts = Operand::Place("elts".to_owned(), Repr::Slice(Box::new(self.tyuse_repr(elem))));
         let mut ectx = ctx.clone();
         ectx.bind("elts", elts);
-        ectx.bind("length", Operand::Num("(elts.len() as i64)".to_owned()));
+        ectx.bind("length", Operand::Scalar("Scalar::Uint(elts.len() as u64)".to_owned()));
         let _ = writeln!(out, "    /// Parses the sequence with its separator/terminator conditions.");
         self.emit_read_wrapper(id, true, out);
         self.emit_read_impl(id, "", out);
@@ -720,7 +753,10 @@ impl<'s> Gen<'s> {
             matches!(def.where_clause, Some(Expr::Forall { .. }))
         );
         let size = match size {
-            Some(sz) => format!("Some(usize::try_from({}).ok())", self.compile_num(sz, &ctx)?),
+            Some(sz) => format!(
+                "Some(eval(|| Ok({})).ok().and_then(|n| usize::try_from(n.as_u64()?).ok()))",
+                self.compile_scalar(sz, &ctx)?
+            ),
             None => "None".to_owned(),
         };
         let read = self.tyuse_read_code(elem, "m", &ctx, "array elements")?;
@@ -734,7 +770,7 @@ impl<'s> Gen<'s> {
         };
         let _ = writeln!(
             out,
-            "        let (elts, pd) = read_array(cur, mask, &SHAPE, {size}, |cur, m| {read}, |elts| {ended}, |elts| Ok({holds}));"
+            "        let (elts, pd) = read_array(cur, mask, &SHAPE, {size}, |cur, m| {read}, |elts| Ok({ended}), |elts| Ok({holds}));"
         );
         let _ = writeln!(out, "        ({}(elts), pd)", camel(&def.name));
         let _ = writeln!(out, "    }}\n");
@@ -781,7 +817,7 @@ impl<'s> Gen<'s> {
         let _ = writeln!(out, "    pub fn verify(&self{}) -> bool {{", self.params_sig(id));
         let _ = writeln!(out, "        let mut ok = true;");
         if let Some(nested) = self.nested_verify_code(elem, "e", &ctx)? {
-            let _ = writeln!(out, "        ok &= self.0.iter().all(|e| {nested});");
+            let _ = writeln!(out, "        ok &= self.0.iter().all(|e| {});", holds(&nested));
         }
         if let Some(w) = &def.where_clause {
             let mut wctx = ctx.clone();
@@ -789,9 +825,9 @@ impl<'s> Gen<'s> {
                 "elts",
                 Operand::Place("self.0".to_owned(), Repr::Slice(Box::new(elem_repr))),
             );
-            wctx.bind("length", Operand::Num("(self.0.len() as i64)".to_owned()));
+            wctx.bind("length", Operand::Scalar("Scalar::Uint(self.0.len() as u64)".to_owned()));
             let cond = self.compile_bool(w, &wctx)?;
-            let _ = writeln!(out, "        ok &= ({cond});");
+            let _ = writeln!(out, "        ok &= {};", holds(&cond));
         }
         let _ = writeln!(out, "        ok");
         let _ = writeln!(out, "    }}\n");
@@ -934,10 +970,10 @@ impl<'s> Gen<'s> {
         if let (Some(v), Some(p)) = (var, pred) {
             let mut pctx = ctx.clone();
             pctx.bind(v, Operand::Place("self.0".to_owned(), self.tyuse_repr(base)));
-            cond = self.compile_bool(p, &pctx)?;
+            cond = holds(&self.compile_bool(p, &pctx)?);
         }
         if let Some(nested) = self.nested_verify_code(base, "(&self.0)", &ctx)? {
-            cond = format!("({cond}) && ({nested})");
+            cond = format!("{cond} && {}", holds(&nested));
         }
         let _ = writeln!(out, "    /// Re-checks the typedef constraint in memory.");
         let _ = writeln!(out, "    pub fn verify(&self{}) -> bool {{", self.params_sig(id));
@@ -1153,7 +1189,7 @@ impl<'s> Gen<'s> {
                 ))
             }
             TyUse::Base { name, args } => {
-                let repr = self.base_repr(name);
+                let repr = base_repr(name);
                 // Hot-path writers for ambient text families: no Prim
                 // boxing, no registry lookup.
                 match (name.as_str(), &repr) {
@@ -1191,7 +1227,7 @@ impl<'s> Gen<'s> {
                     Repr::Prim => format!("{place}.clone()"),
                     _ => return Err(CodegenError::new("unexpected base representation")),
                 };
-                let arg_prims = self.arg_prims(name, args, ctx)?;
+                let arg_prims = self.arg_prims(args, ctx)?;
                 Ok(format!(
                     "wr_prim(out, \"{name}\", &{prim}, &[{arg_prims}], charset, endian)?;"
                 ))
@@ -1210,17 +1246,12 @@ impl<'s> Gen<'s> {
         match ty {
             TyUse::Base { .. } => Ok(None),
             TyUse::Named { id: _, args } => {
-                let mut call_args = String::new();
-                for a in args {
-                    // Verification has no parse-time scope; only constant
-                    // and parameter arguments are supported.
-                    let _ = write!(call_args, ", ({})", self.compile_num(a, ctx)?);
-                }
+                let call_args = self.call_args(args, ctx)?;
                 Ok(Some(format!("{place}.verify({})", call_args.trim_start_matches(", "))))
             }
-            TyUse::Opt(inner) => Ok(self
-                .nested_verify_code(inner, "pc_inner", ctx)?
-                .map(|code| format!("{place}.as_ref().map_or(true, |pc_inner| {code})"))),
+            TyUse::Opt(inner) => Ok(self.nested_verify_code(inner, "pc_inner", ctx)?.map(|code| {
+                format!("(match &({place}) {{ Some(pc_inner) => {code}, None => true }})")
+            })),
         }
     }
 
@@ -1231,16 +1262,7 @@ impl<'s> Gen<'s> {
         out: &mut String,
     ) -> GenResult<()> {
         let def = self.schema.def(id);
-        let mut ctx = self.param_ctx(id);
-        // `self.` bindings for argument expressions referencing fields.
-        for m in members {
-            if let MemberIr::Field(f) = m {
-                ctx.bind(
-                    &f.name,
-                    Operand::Place(format!("self.{}", field_name(&f.name)), self.tyuse_repr(&f.ty)),
-                );
-            }
-        }
+        let ctx = self.self_ctx(id, members);
         let _ = writeln!(
             out,
             "    /// Writes the value in its original on-disk form{}.",
@@ -1281,33 +1303,23 @@ impl<'s> Gen<'s> {
         out: &mut String,
     ) -> GenResult<()> {
         let def = self.schema.def(id);
-        let mut ctx = self.param_ctx(id);
-        for m in members {
-            if let MemberIr::Field(f) = m {
-                ctx.bind(
-                    &f.name,
-                    Operand::Place(format!("self.{}", field_name(&f.name)), self.tyuse_repr(&f.ty)),
-                );
-            }
-        }
+        let ctx = self.self_ctx(id, members);
         let _ = writeln!(out, "    /// Re-checks all semantic constraints in memory.");
         let _ = writeln!(out, "    pub fn verify(&self{}) -> bool {{", self.params_sig(id));
         let _ = writeln!(out, "        let mut ok = true;");
         for m in members {
             if let MemberIr::Field(f) = m {
                 if let Some(c) = &f.constraint {
-                    let cond = self.compile_bool(c, &ctx)?;
-                    let _ = writeln!(out, "        ok &= ({cond});");
+                    let _ = writeln!(out, "        ok &= {};", holds(&self.compile_bool(c, &ctx)?));
                 }
                 let place = format!("(&self.{})", field_name(&f.name));
                 if let Some(nested) = self.nested_verify_code(&f.ty, &place, &ctx)? {
-                    let _ = writeln!(out, "        ok &= ({nested});");
+                    let _ = writeln!(out, "        ok &= {};", holds(&nested));
                 }
             }
         }
         if let Some(w) = &def.where_clause {
-            let cond = self.compile_bool(w, &ctx)?;
-            let _ = writeln!(out, "        ok &= ({cond});");
+            let _ = writeln!(out, "        ok &= {};", holds(&self.compile_bool(w, &ctx)?));
         }
         let _ = writeln!(out, "        ok");
         let _ = writeln!(out, "    }}\n");
@@ -1395,6 +1407,26 @@ impl<'s> Gen<'s> {
         let _ = writeln!(out, "    (v, pd)");
         let _ = writeln!(out, "}}");
         Ok(())
+    }
+}
+
+/// The span a struct field's errors and verdicts are recorded at.
+const AT: &str = "Loc::new(start, cur.position())";
+
+/// `stmt` under `if guard`, indented by `pad`, as whole lines.
+fn guarded(pad: usize, guard: &str, stmt: &str) -> String {
+    let pad = " ".repeat(pad);
+    format!("{pad}if {guard} {{\n{pad}    {stmt}\n{pad}}}\n")
+}
+
+/// A condition printed where no `Result` is returned: whether it holds,
+/// an evaluation error counting as a violation (as the `Verifier` counts
+/// it).
+fn holds(cond: &str) -> String {
+    if fallible(cond) {
+        format!("(eval(|| Ok({cond})) == Ok(true))")
+    } else {
+        format!("({cond})")
     }
 }
 

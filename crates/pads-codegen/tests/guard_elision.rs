@@ -3,7 +3,8 @@
 //! consuming input stops with `ArrayTermMismatch`. A generated module has
 //! no array loop of its own; each array reads through the runtime's
 //! `read_array`, the loop the VM runs too, and passes no size when the
-//! array is unsized, which is what arms the guard.
+//! array is unsized, which is what arms the guard. Nor has one an operator
+//! of its own: constraints call `pads_runtime::ops`, `e[i]` included.
 
 use pads_runtime::rules::{read_array, ArrayShape, Lit};
 use pads_runtime::{BaseMask, Cursor, ErrorCode, Mask, ParseDesc, RecordDiscipline, Registry};
@@ -44,7 +45,7 @@ fn unprovable_element_keeps_guard() {
         ArrayShape { sep: Some(Lit::Char(b',')), term: None, elem_recovers: false, forall: false };
     let mask = Mask::all(BaseMask::CheckAndSet);
     let empty = |_: &mut Cursor<'_>, _: &Mask| ((), ParseDesc::ok());
-    let (elts, pd) = read_array(&mut cur, &mask, &shape, None, empty, |_| false, |_| Ok(true));
+    let (elts, pd) = read_array(&mut cur, &mask, &shape, None, empty, |_| Ok(false), |_| Ok(true));
     assert_eq!((elts.len(), pd.err_code), (1, ErrorCode::ArrayTermMismatch));
 }
 
@@ -56,5 +57,16 @@ fn every_unsized_loop_of_the_bundled_modules_keeps_guard() {
         assert_eq!(module.matches("read_array(").count(), arrays, "{name}: an array of its own");
         assert!(!module.contains("loop {"), "{name}: a loop of its own");
         assert!(module.contains(UNSIZED), "{name} has an unsized array");
+    }
+}
+
+#[test]
+fn no_committed_module_coerces_operands_or_indexes_an_array_itself() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../pads-core/src/generated");
+    for (module, _) in pads_codegen::COMMITTED {
+        let text = std::fs::read_to_string(format!("{dir}/{module}")).expect("committed");
+        for private in [".pc_num()", "as usize]"] {
+            assert!(!text.contains(private), "{module} has `{private}`");
+        }
     }
 }

@@ -3,9 +3,13 @@
 //! Constraints run during parsing (when the mask requests checking), during
 //! verification of in-memory values, and inside the data generator. The
 //! evaluator is defined over [`Value`]s; scalar results are `Value::Prim`s.
+//! The operators themselves are [`pads_runtime::ops`], which generated code
+//! calls too: this module binds names, projects fields, calls functions
+//! and hands the operands over as [`Scalar`]s.
 
 use pads_check::ir::Schema;
-use pads_runtime::{ErrorCode, Prim};
+use pads_runtime::ops::{self, Scalar};
+use pads_runtime::{ErrorCode, Name, Prim};
 use pads_syntax::ast::{BinOp, Expr, Stmt, UnOp};
 
 use crate::value::Value;
@@ -42,11 +46,26 @@ impl<'a> Ev<'a> {
         }
     }
 
-    fn as_bool(&self) -> Result<bool, ErrorCode> {
-        match self.value() {
-            Value::Prim(Prim::Bool(b)) => Ok(*b),
-            _ => Err(ErrorCode::EvalError),
-        }
+    pub(crate) fn as_bool(&self) -> Result<bool, ErrorCode> {
+        ops::truth(self.scalar()?)
+    }
+
+    /// The operand an operator reads; `EvalError` for an aggregate.
+    fn scalar(&self) -> Result<Scalar<'_>, ErrorCode> {
+        self.value().scalar().ok_or(ErrorCode::EvalError)
+    }
+}
+
+/// A literal's value; `None` for any other expression (which needs an
+/// environment).
+pub(crate) fn literal(e: &Expr) -> Option<Prim> {
+    match e {
+        Expr::Int(v) => Some(Prim::Int(*v)),
+        Expr::Char(c) => Some(Prim::Char(*c)),
+        Expr::Str(s) => Some(Prim::String(s.clone())),
+        Expr::Bool(b) => Some(Prim::Bool(*b)),
+        Expr::Float(v) => Some(Prim::Float(*v)),
+        _ => None,
     }
 }
 
@@ -64,6 +83,20 @@ impl<'a> Env<'a> {
     /// An empty environment over `schema`.
     pub fn new(schema: &'a Schema) -> Env<'a> {
         Env { schema, vars: Vec::new() }
+    }
+
+    /// An environment over `schema` binding a type's `params`, then the
+    /// `fields` in scope.
+    pub fn bound(
+        schema: &'a Schema,
+        params: &'a [(Name, Value)],
+        fields: &'a [(Name, Value)],
+    ) -> Env<'a> {
+        let mut env = Env::new(schema);
+        for (n, v) in params.iter().chain(fields) {
+            env.push(n, Ev::Ref(v));
+        }
+        env
     }
 
     /// Pushes a binding; returns a token for [`truncate`](Env::truncate).
@@ -111,20 +144,14 @@ pub fn eval_bool<'a>(expr: &'a Expr, env: &mut Env<'a>) -> Result<bool, ErrorCod
 
 /// Evaluates an expression expected to produce a primitive (type args).
 pub fn eval_prim<'a>(expr: &'a Expr, env: &mut Env<'a>) -> Result<Prim, ErrorCode> {
-    match eval(expr, env)?.into_value() {
-        Value::Prim(p) => Ok(p),
-        Value::Enum { index, .. } => Ok(Prim::Uint(index as u64)),
-        _ => Err(ErrorCode::EvalError),
-    }
+    eval(expr, env)?.scalar()?.to_prim()
 }
 
 fn eval_at<'a>(expr: &'a Expr, env: &mut Env<'a>, depth: u32) -> Result<Ev<'a>, ErrorCode> {
     match expr {
-        Expr::Int(v) => Ok(Ev::prim(Prim::Int(*v))),
-        Expr::Float(v) => Ok(Ev::prim(Prim::Float(*v))),
-        Expr::Char(c) => Ok(Ev::prim(Prim::Char(*c))),
-        Expr::Str(s) => Ok(Ev::prim(Prim::String(s.clone()))),
-        Expr::Bool(b) => Ok(Ev::prim(Prim::Bool(*b))),
+        Expr::Int(_) | Expr::Float(_) | Expr::Char(_) | Expr::Str(_) | Expr::Bool(_) => {
+            literal(expr).map(Ev::prim).ok_or(ErrorCode::EvalError)
+        }
         Expr::Ident(name) => {
             if let Some(v) = env.lookup(name) {
                 return Ok(v.clone());
@@ -139,14 +166,12 @@ fn eval_at<'a>(expr: &'a Expr, env: &mut Env<'a>, depth: u32) -> Result<Ev<'a>, 
             project_field(base, name)
         }
         Expr::Index(base, idx) => {
-            let i = to_i64(&eval_at(idx, env, depth)?)?;
-            let base = eval_at(base, env, depth)?;
-            let i = usize::try_from(i).map_err(|_| ErrorCode::EvalError)?;
-            match base {
-                Ev::Ref(v) => v.index(i).map(Ev::Ref).ok_or(ErrorCode::EvalError),
-                Ev::Owned(v) => {
-                    v.index(i).cloned().map(Ev::Owned).ok_or(ErrorCode::EvalError)
-                }
+            let i = eval_at(idx, env, depth)?;
+            let i = i.scalar()?;
+            match eval_at(base, env, depth)? {
+                Ev::Ref(Value::Array(elts)) => ops::index(elts, i).map(Ev::Ref),
+                Ev::Owned(Value::Array(elts)) => ops::index(&elts, i).cloned().map(Ev::Owned),
+                _ => Err(ErrorCode::EvalError),
             }
         }
         Expr::Call(name, args) => {
@@ -177,31 +202,15 @@ fn eval_at<'a>(expr: &'a Expr, env: &mut Env<'a>, depth: u32) -> Result<Ev<'a>, 
         }
         Expr::Unary(UnOp::Neg, a) => {
             let v = eval_at(a, env, depth)?;
-            match v.value() {
-                Value::Prim(Prim::Int(i)) => Ok(Ev::prim(Prim::Int(-i))),
-                Value::Prim(Prim::Uint(u)) => {
-                    let i = i64::try_from(*u).map_err(|_| ErrorCode::EvalError)?;
-                    Ok(Ev::prim(Prim::Int(-i)))
-                }
-                Value::Prim(Prim::Float(f)) => Ok(Ev::prim(Prim::Float(-f))),
-                _ => Err(ErrorCode::EvalError),
-            }
+            ops::neg(v.scalar()?)?.to_prim().map(Ev::prim)
         }
-        Expr::Binary(BinOp::And, a, b) => {
-            // Short-circuit.
-            if !eval_at(a, env, depth)?.as_bool()? {
-                return Ok(Ev::prim(Prim::Bool(false)));
-            }
-            let v = eval_at(b, env, depth)?.as_bool()?;
-            Ok(Ev::prim(Prim::Bool(v)))
-        }
-        Expr::Binary(BinOp::Or, a, b) => {
-            if eval_at(a, env, depth)?.as_bool()? {
-                return Ok(Ev::prim(Prim::Bool(true)));
-            }
-            let v = eval_at(b, env, depth)?.as_bool()?;
-            Ok(Ev::prim(Prim::Bool(v)))
-        }
+        // Short-circuit: `false && x` and `true || x` never evaluate `x`.
+        Expr::Binary(BinOp::And, a, b) => Ok(Ev::prim(Prim::Bool(
+            eval_at(a, env, depth)?.as_bool()? && eval_at(b, env, depth)?.as_bool()?,
+        ))),
+        Expr::Binary(BinOp::Or, a, b) => Ok(Ev::prim(Prim::Bool(
+            eval_at(a, env, depth)?.as_bool()? || eval_at(b, env, depth)?.as_bool()?,
+        ))),
         Expr::Binary(op, a, b) => {
             let lhs = eval_at(a, env, depth)?;
             let rhs = eval_at(b, env, depth)?;
@@ -215,20 +224,15 @@ fn eval_at<'a>(expr: &'a Expr, env: &mut Env<'a>, depth: u32) -> Result<Ev<'a>, 
             }
         }
         Expr::Forall { var, lo, hi, body } => {
-            let lo = to_i64(&eval_at(lo, env, depth)?)?;
-            let hi = to_i64(&eval_at(hi, env, depth)?)?;
+            let (lo, hi) = (eval_at(lo, env, depth)?, eval_at(hi, env, depth)?);
             let mark = env.len();
-            for i in lo..=hi {
+            let holds = ops::forall(lo.scalar()?, hi.scalar()?, |i| {
                 env.truncate(mark);
                 env.push(var, Ev::prim(Prim::Int(i)));
-                let ok = eval_at(body, env, depth)?.as_bool()?;
-                if !ok {
-                    env.truncate(mark);
-                    return Ok(Ev::prim(Prim::Bool(false)));
-                }
-            }
+                eval_at(body, env, depth)?.as_bool()
+            });
             env.truncate(mark);
-            Ok(Ev::prim(Prim::Bool(true)))
+            holds.map(|b| Ev::prim(Prim::Bool(b)))
         }
     }
 }
@@ -273,94 +277,25 @@ pub(crate) fn project_field<'a>(base: Ev<'a>, name: &str) -> Result<Ev<'a>, Erro
     }
 }
 
-fn to_i64(v: &Ev<'_>) -> Result<i64, ErrorCode> {
-    v.value().as_i64().ok_or(ErrorCode::EvalError)
-}
-
-fn to_f64(v: &Ev<'_>) -> Option<f64> {
-    match v.value() {
-        Value::Prim(p) => p.as_f64(),
-        Value::Enum { index, .. } => Some(*index as f64),
-        _ => None,
-    }
-}
-
 /// Applies a non-logical binary operator — the semantics of
-/// `Expr::Binary` for everything but `&&`/`||`. Shared with the VM's
-/// compiled predicates so both engines agree.
+/// `Expr::Binary` for everything but `&&`/`||` — through
+/// [`pads_check::apply`]. Aggregates only compare, structurally. Shared
+/// with the VM's compiled predicates so both engines agree.
 pub(crate) fn binary<'a>(op: BinOp, lhs: &Ev<'_>, rhs: &Ev<'_>) -> Result<Ev<'a>, ErrorCode> {
-    // Equality first: it also covers strings and enum/number mixes.
-    match op {
-        BinOp::Eq | BinOp::Ne => {
-            let eq = loose_eq(lhs.value(), rhs.value())?;
-            return Ok(Ev::prim(Prim::Bool(if op == BinOp::Eq { eq } else { !eq })));
-        }
-        _ => {}
-    }
-    // String comparison.
-    if let (Value::Prim(Prim::String(a)), Value::Prim(Prim::String(b))) =
-        (lhs.value(), rhs.value())
-    {
-        let ord = a.cmp(b);
-        return cmp_result(op, ord).map(Ev::prim);
-    }
-    // Integer arithmetic when both sides fit i64; otherwise float.
-    match (lhs.value().as_i64(), rhs.value().as_i64()) {
-        (Some(a), Some(b)) => {
-            let p = match op {
-                BinOp::Add => Prim::Int(a.wrapping_add(b)),
-                BinOp::Sub => Prim::Int(a.wrapping_sub(b)),
-                BinOp::Mul => Prim::Int(a.wrapping_mul(b)),
-                BinOp::Div => Prim::Int(a.checked_div(b).ok_or(ErrorCode::EvalError)?),
-                BinOp::Rem => Prim::Int(a.checked_rem(b).ok_or(ErrorCode::EvalError)?),
-                cmp => return cmp_result(cmp, a.cmp(&b)).map(Ev::prim),
-            };
-            Ok(Ev::prim(p))
-        }
-        _ => {
-            let a = to_f64(lhs).ok_or(ErrorCode::EvalError)?;
-            let b = to_f64(rhs).ok_or(ErrorCode::EvalError)?;
-            let p = match op {
-                BinOp::Add => Prim::Float(a + b),
-                BinOp::Sub => Prim::Float(a - b),
-                BinOp::Mul => Prim::Float(a * b),
-                BinOp::Div => Prim::Float(a / b),
-                BinOp::Rem => Prim::Float(a % b),
-                cmp => {
-                    let ord = a.partial_cmp(&b).ok_or(ErrorCode::EvalError)?;
-                    return cmp_result(cmp, ord).map(Ev::prim);
-                }
-            };
-            Ok(Ev::prim(p))
-        }
+    match (lhs.value().scalar(), rhs.value().scalar()) {
+        (Some(a), Some(b)) => pads_check::apply(op, a, b)?.to_prim().map(Ev::prim),
+        _ if op == BinOp::Eq => Ok(Ev::prim(Prim::Bool(lhs.value() == rhs.value()))),
+        _ if op == BinOp::Ne => Ok(Ev::prim(Prim::Bool(lhs.value() != rhs.value()))),
+        _ => Err(ErrorCode::EvalError),
     }
 }
 
-fn cmp_result(op: BinOp, ord: std::cmp::Ordering) -> Result<Prim, ErrorCode> {
-    use std::cmp::Ordering;
-    let b = match op {
-        BinOp::Lt => ord == Ordering::Less,
-        BinOp::Le => ord != Ordering::Greater,
-        BinOp::Gt => ord == Ordering::Greater,
-        BinOp::Ge => ord != Ordering::Less,
-        _ => return Err(ErrorCode::EvalError),
-    };
-    Ok(Prim::Bool(b))
-}
-
-fn loose_eq(a: &Value, b: &Value) -> Result<bool, ErrorCode> {
-    match (a, b) {
-        (Value::Prim(x), Value::Prim(y)) => Ok(x.loose_eq(y)),
-        (Value::Enum { index, .. }, other) | (other, Value::Enum { index, .. }) => {
-            match other.as_u64() {
-                Some(v) => Ok(v == *index as u64),
-                None => Err(ErrorCode::EvalError),
-            }
-        }
-        (Value::Opt(None), Value::Opt(None)) => Ok(true),
-        (Value::Opt(Some(x)), y) => loose_eq(x, y),
-        (x, Value::Opt(Some(y))) => loose_eq(x, y),
-        _ => Ok(a == b),
+/// Whether switch selector `sel` picks `case` ([`ops::case_eq`]);
+/// aggregates compare structurally.
+pub(crate) fn case_eq(sel: &Value, case: &Value) -> bool {
+    match (sel.scalar(), case.scalar()) {
+        (Some(a), Some(b)) => ops::case_eq(a, b),
+        _ => sel == case,
     }
 }
 

@@ -1,19 +1,19 @@
-//! Generated parser for the CLF web-server-log description (Figure 4).
+//! Generated parser for `descriptions/clf.pads`.
 //!
 //! @generated by pads-codegen — do not edit by hand.
 #![allow(unused_mut, unused_variables, unused_parens, unused_assignments, unreachable_code, non_snake_case, non_camel_case_types, clippy::all)]
 
 pub use pads_runtime::genrt::*;
 
-pub fn chkVersion(v: &VersionT, m: MethodT) -> bool {
-    if (((((*v).major).pc_num()) == (1i64)) && ((((*v).minor).pc_num()) == (1i64))) {
-    return true;
+pub fn chkVersion<'a>(v: &'a VersionT, m: Scalar<'a>) -> Result<bool, ErrorCode> {
+    if (ops::eq((*v).major.view(), Scalar::Int(1))? && ops::eq((*v).minor.view(), Scalar::Int(1))?) {
+    return Ok(true);
     }
-    if ((((m).pc_num()) == (5i64)) || (((m).pc_num()) == (6i64))) {
-    return false;
+    if (ops::eq(m, Scalar::Uint(5))? || ops::eq(m, Scalar::Uint(6))?) {
+    return Ok(false);
     }
-    return true;
-    false
+    return Ok(true);
+    Err(ErrorCode::EvalError)
 }
 
 /// Representation of `client_t` (Punion).
@@ -110,10 +110,10 @@ impl<'d> AuthIdT<'d> {
         read_union(cur, mask, NAMES, |cur, i, m| match i {
             0 => {
                 let (f_unauthorized, bpd) = rd_pd(cur, |cur| rd_char(cur, None));
-                (bpd.is_ok() && ((((f_unauthorized).pc_num()) == (45i64)))).then(|| (AuthIdT::Unauthorized(f_unauthorized), bpd))
+                (bpd.is_ok() && eval(|| Ok(ops::eq(Scalar::Char(f_unauthorized), Scalar::Char(45))?)) == Ok(true)).then(|| (AuthIdT::Unauthorized(f_unauthorized), bpd))
             }
             1 => {
-                let (f_id, bpd) = rd_pd(cur, |cur| rd_string_term(cur, (32i64) as u8));
+                let (f_id, bpd) = rd_pd(cur, |cur| rd_string_term(cur, 32u8));
                 (bpd.is_ok()).then(|| (AuthIdT::Id(f_id), bpd))
             }
             _ => None,
@@ -132,7 +132,7 @@ impl<'d> AuthIdT<'d> {
     /// Re-checks branch constraints in memory.
     pub fn verify(&self) -> bool {
         match self {
-            AuthIdT::Unauthorized(v) => ((((*v)).pc_num()) == (45i64)),
+            AuthIdT::Unauthorized(v) => (eval(|| Ok(ops::eq(Scalar::Char((*v)), Scalar::Char(45))?)) == Ok(true)),
             AuthIdT::Id(v) => true,
         }
     }
@@ -186,11 +186,11 @@ impl VersionT {
                         f_major = v;
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("major"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -207,11 +207,11 @@ impl VersionT {
                         f_minor = v;
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("minor"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -256,10 +256,6 @@ pub enum MethodT {
     DELETE = 4,
     LINK = 5,
     UNLINK = 6,
-}
-
-impl PcVal for MethodT {
-    fn pc_num(&self) -> i64 { *self as i64 }
 }
 
 impl MethodT {
@@ -363,16 +359,16 @@ impl<'d> RequestT<'d> {
             {
                 let m = mask.child("req_uri");
                 let start = cur.position();
-                match rd_string_term(cur, (32i64) as u8) {
+                match rd_string_term(cur, 32u8) {
                     Ok(v) => {
                         f_req_uri = v;
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("req_uri"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -387,8 +383,8 @@ impl<'d> RequestT<'d> {
                 let (v, mut fpd) = VersionT::read(cur, &m);
                 f_version = v;
                 let syn = fpd.has_syntax_error();
-                if !syn && m.base().checks() && !(chkVersion(&(f_version), f_meth)) {
-                    fpd.add_error(ErrorCode::ConstraintViolation, Loc::new(start, cur.position()));
+                if !syn && m.base().checks() {
+                    fpd.add_verdict(eval(|| Ok(chkVersion(&(f_version), Scalar::Enum(f_meth as u64))?)), ErrorCode::ConstraintViolation, Loc::new(start, cur.position()));
                 }
                 pd.absorb(&fpd);
                 if !fpd.is_ok() { pds.push((Name::from_static("version"), fpd)); }
@@ -420,7 +416,7 @@ impl<'d> RequestT<'d> {
     pub fn verify(&self) -> bool {
         let mut ok = true;
         ok &= ((&self.meth).verify());
-        ok &= (chkVersion(&(self.version), self.meth));
+        ok &= (eval(|| Ok(chkVersion(&(self.version), Scalar::Enum(self.meth as u64))?)) == Ok(true));
         ok &= ((&self.version).verify());
         ok
     }
@@ -440,11 +436,6 @@ impl<'d> RequestT<'d> {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResponseT(pub u16);
 
-impl PcVal for ResponseT {
-    fn pc_num(&self) -> i64 { (self.0).pc_num() }
-    fn pc_str(&self) -> Option<&str> { (self.0).pc_str() }
-}
-
 impl ResponseT {
     /// Parses the underlying type, then checks the constraint.
     pub fn read(cur: &mut Cursor<'_>, mask: &Mask) -> (ResponseT, ParseDesc) {
@@ -458,19 +449,19 @@ impl ResponseT {
         (v, pd)
     }
     fn read_impl(cur: &mut Cursor<'_>, mask: &Mask) -> (ResponseT, ParseDesc) {
-        let (v, pd) = read_typedef(cur, mask, true, |cur| rd_pd(cur, |cur| rd_u64_dyn(cur, "Puint16_FW", &[Prim::Uint((3i64) as u64)]).map(|v| v as u16)), |v| Ok((((100i64) <= (((*v)).pc_num())) && ((((*v)).pc_num()) < (600i64)))));
+        let (v, pd) = read_typedef(cur, mask, true, |cur| rd_pd(cur, |cur| rd_u64_dyn(cur, "Puint16_FW", &[Prim::Int(3)]).map(|v| v as u16)), |v| Ok((ops::le(Scalar::Int(100), (*v).view())? && ops::lt((*v).view(), Scalar::Int(600))?)));
         (ResponseT(v), pd)
     }
 
     /// Writes the underlying value in original form.
     pub fn write(&self, out: &mut Vec<u8>, charset: Charset, endian: Endian) -> Result<(), ErrorCode> {
-        wr_prim(out, "Puint16_FW", &Prim::Uint((*(&self.0)) as u64), &[Prim::Uint((3i64) as u64)], charset, endian)?;
+        wr_prim(out, "Puint16_FW", &Prim::Uint((*(&self.0)) as u64), &[Prim::Int(3)], charset, endian)?;
         Ok(())
     }
 
     /// Re-checks the typedef constraint in memory.
     pub fn verify(&self) -> bool {
-        (((100i64) <= ((self.0).pc_num())) && (((self.0).pc_num()) < (600i64)))
+        (eval(|| Ok((ops::le(Scalar::Int(100), self.0.view())? && ops::lt(self.0.view(), Scalar::Int(600))?))) == Ok(true))
     }
 
     /// Lowers the parsed value into `a` without allocating (borrowed
@@ -570,16 +561,16 @@ impl<'d> EntryT<'d> {
             {
                 let m = mask.child("date");
                 let start = cur.position();
-                match rd_date(cur, Some((93i64) as u8)) {
+                match rd_date(cur, &[Prim::Char(93u8)]) {
                     Ok(v) => {
                         f_date = v;
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("date"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -624,11 +615,11 @@ impl<'d> EntryT<'d> {
                         f_length = v;
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("length"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -701,7 +692,7 @@ impl<'d> CltT<'d> {
     }
     fn read_impl(cur: &mut Cursor<'d>, mask: &Mask) -> (CltT<'d>, ParseDesc) {
         const SHAPE: ArrayShape<'static> = ArrayShape { sep: None, term: None, elem_recovers: true, forall: false };
-        let (elts, pd) = read_array(cur, mask, &SHAPE, None, |cur, m| EntryT::read(cur, m), |elts| false, |elts| Ok(true));
+        let (elts, pd) = read_array(cur, mask, &SHAPE, None, |cur, m| EntryT::read(cur, m), |elts| Ok(false), |elts| Ok(true));
         (CltT(elts), pd)
     }
 
@@ -716,7 +707,7 @@ impl<'d> CltT<'d> {
     /// Re-checks sequence constraints in memory.
     pub fn verify(&self) -> bool {
         let mut ok = true;
-        ok &= self.0.iter().all(|e| e.verify());
+        ok &= self.0.iter().all(|e| (e.verify()));
         ok
     }
 

@@ -1,4 +1,4 @@
-//! Generated parser for the kitchen-sink `mixed` description.
+//! Generated parser for `descriptions/mixed.pads`.
 //!
 //! @generated by pads-codegen — do not edit by hand.
 #![allow(unused_mut, unused_variables, unused_parens, unused_assignments, unreachable_code, non_snake_case, non_camel_case_types, clippy::all)]
@@ -12,10 +12,6 @@ pub enum SevT {
     LOW = 0,
     MED = 1,
     HIGH = 2,
-}
-
-impl PcVal for SevT {
-    fn pc_num(&self) -> i64 { *self as i64 }
 }
 
 impl SevT {
@@ -90,16 +86,16 @@ impl<'d> PairT<'d> {
             {
                 let m = mask.child("key");
                 let start = cur.position();
-                match rd_string(cur, "Pstring_FW", &[Prim::Uint((p_w) as u64)]) {
+                match eval(|| rd_string(cur, "Pstring_FW", &[p_w.view().to_prim()?])) {
                     Ok(v) => {
                         f_key = v;
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("key"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -116,11 +112,11 @@ impl<'d> PairT<'d> {
                         f_val = v;
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("val"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -131,7 +127,7 @@ impl<'d> PairT<'d> {
 
     /// Writes the value in its original on-disk form.
     pub fn write(&self, out: &mut Vec<u8>, charset: Charset, endian: Endian, p_w: i64) -> Result<(), ErrorCode> {
-        wr_prim(out, "Pstring_FW", &Prim::String((&self.key).as_str().to_owned()), &[Prim::Uint((p_w) as u64)], charset, endian)?;
+        wr_prim(out, "Pstring_FW", &Prim::String((&self.key).as_str().to_owned()), &[p_w.view().to_prim()?], charset, endian)?;
         out.push(charset.encode(61u8));
         wr_prim(out, "Pfloat64", &Prim::Float(*(&self.val)), &[], charset, endian)?;
         Ok(())
@@ -179,23 +175,23 @@ impl<'d> BodyT<'d> {
     }
     fn read_impl(cur: &mut Cursor<'d>, mask: &Mask, p_kind: i64) -> (BodyT<'d>, ParseDesc) {
         const NAMES: &[Name] = &[Name::from_static("num"), Name::from_static("text"), Name::from_static("skip")];
-        let sel: i64 = p_kind;
-        let chosen = if sel == (0i64) { Some(0) } else if sel == (1i64) { Some(1) } else { Some(2) };
-        read_switched(cur, mask, NAMES, Ok(chosen), |cur, i, m| match i {
+        let sel = eval(|| Ok(p_kind.view()));
+        let chosen = sel.map(|sel| if ops::case_eq(sel, Scalar::Int(0)) { Some(0) } else if ops::case_eq(sel, Scalar::Int(1)) { Some(1) } else { Some(2) });
+        read_switched(cur, mask, NAMES, chosen, |cur, i, m| match i {
             0 => {
                 let (f_num, bpd) = rd_pd(cur, |cur| rd_uint(cur, 32, None).map(|v| v as u32));
-                let holds = true;
-                (BodyT::Num(f_num), bpd, Ok(holds))
+                let holds = Ok(true);
+                (BodyT::Num(f_num), bpd, holds)
             }
             1 => {
-                let (f_text, bpd) = rd_pd(cur, |cur| rd_string_term(cur, (124i64) as u8));
-                let holds = true;
-                (BodyT::Text(f_text), bpd, Ok(holds))
+                let (f_text, bpd) = rd_pd(cur, |cur| rd_string_term(cur, 124u8));
+                let holds = Ok(true);
+                (BodyT::Text(f_text), bpd, holds)
             }
             2 => {
                 let (f_skip, bpd) = rd_pd(cur, |cur| Ok::<(), ErrorCode>(()));
-                let holds = true;
-                (BodyT::Skip(f_skip), bpd, Ok(holds))
+                let holds = Ok(true);
+                (BodyT::Skip(f_skip), bpd, holds)
             }
             _ => (Self::default(), ParseDesc::ok(), Ok(true)),
         }, Self::default)
@@ -250,7 +246,7 @@ impl ValsT {
     }
     fn read_impl(cur: &mut Cursor<'_>, mask: &Mask, p_n: i64) -> (ValsT, ParseDesc) {
         const SHAPE: ArrayShape<'static> = ArrayShape { sep: Some(Lit::Char(44u8)), term: None, elem_recovers: false, forall: false };
-        let (elts, pd) = read_array(cur, mask, &SHAPE, Some(usize::try_from(p_n).ok()), |cur, m| rd_pd(cur, |cur| rd_uint(cur, 32, None).map(|v| v as u32)), |elts| false, |elts| Ok(true));
+        let (elts, pd) = read_array(cur, mask, &SHAPE, Some(eval(|| Ok(p_n.view())).ok().and_then(|n| usize::try_from(n.as_u64()?).ok())), |cur, m| rd_pd(cur, |cur| rd_uint(cur, 32, None).map(|v| v as u32)), |elts| Ok(false), |elts| Ok(true));
         (ValsT(elts), pd)
     }
 
@@ -300,7 +296,7 @@ impl Until0T {
     }
     fn read_impl(cur: &mut Cursor<'_>, mask: &Mask) -> (Until0T, ParseDesc) {
         const SHAPE: ArrayShape<'static> = ArrayShape { sep: Some(Lit::Char(44u8)), term: None, elem_recovers: false, forall: false };
-        let (elts, pd) = read_array(cur, mask, &SHAPE, None, |cur, m| rd_pd(cur, |cur| rd_uint(cur, 32, None).map(|v| v as u32)), |elts| (((elts[((((elts.len() as i64)).wrapping_sub(1i64))) as usize]).pc_num()) == (0i64)), |elts| Ok(true));
+        let (elts, pd) = read_array(cur, mask, &SHAPE, None, |cur, m| rd_pd(cur, |cur| rd_uint(cur, 32, None).map(|v| v as u32)), |elts| Ok(ops::eq((*ops::index(&elts, ops::sub(Scalar::Uint(elts.len() as u64), Scalar::Int(1))?)?).view(), Scalar::Int(0))?), |elts| Ok(true));
         (Until0T(elts), pd)
     }
 
@@ -336,11 +332,6 @@ impl Until0T {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CodeT(pub u16);
 
-impl PcVal for CodeT {
-    fn pc_num(&self) -> i64 { (self.0).pc_num() }
-    fn pc_str(&self) -> Option<&str> { (self.0).pc_str() }
-}
-
 impl CodeT {
     /// Parses the underlying type, then checks the constraint.
     pub fn read(cur: &mut Cursor<'_>, mask: &Mask) -> (CodeT, ParseDesc) {
@@ -354,19 +345,19 @@ impl CodeT {
         (v, pd)
     }
     fn read_impl(cur: &mut Cursor<'_>, mask: &Mask) -> (CodeT, ParseDesc) {
-        let (v, pd) = read_typedef(cur, mask, true, |cur| rd_pd(cur, |cur| rd_u64_dyn(cur, "Puint16_FW", &[Prim::Uint((4i64) as u64)]).map(|v| v as u16)), |v| Ok((((1000i64) <= (((*v)).pc_num())) && ((((*v)).pc_num()) <= (9999i64)))));
+        let (v, pd) = read_typedef(cur, mask, true, |cur| rd_pd(cur, |cur| rd_u64_dyn(cur, "Puint16_FW", &[Prim::Int(4)]).map(|v| v as u16)), |v| Ok((ops::le(Scalar::Int(1000), (*v).view())? && ops::le((*v).view(), Scalar::Int(9999))?)));
         (CodeT(v), pd)
     }
 
     /// Writes the underlying value in original form.
     pub fn write(&self, out: &mut Vec<u8>, charset: Charset, endian: Endian) -> Result<(), ErrorCode> {
-        wr_prim(out, "Puint16_FW", &Prim::Uint((*(&self.0)) as u64), &[Prim::Uint((4i64) as u64)], charset, endian)?;
+        wr_prim(out, "Puint16_FW", &Prim::Uint((*(&self.0)) as u64), &[Prim::Int(4)], charset, endian)?;
         Ok(())
     }
 
     /// Re-checks the typedef constraint in memory.
     pub fn verify(&self) -> bool {
-        (((1000i64) <= ((self.0).pc_num())) && (((self.0).pc_num()) <= (9999i64)))
+        (eval(|| Ok((ops::le(Scalar::Int(1000), self.0.view())? && ops::le(self.0.view(), Scalar::Int(9999))?))) == Ok(true))
     }
 
     /// Lowers the parsed value into `a` without allocating (borrowed
@@ -457,19 +448,19 @@ impl<'d> RecT<'d> {
                 match rd_uint(cur, 8, None).map(|v| v as u8) {
                     Ok(v) => {
                         f_kind = v;
-                        if m.base().checks() && !((((f_kind).pc_num()) <= (2i64))) {
-                            let mut fpd = ParseDesc::ok();
-                            fpd.add_error(ErrorCode::ConstraintViolation, Loc::new(start, cur.position()));
-                            pd.absorb(&fpd);
-                            pds.push((Name::from_static("kind"), fpd));
+                        if m.base().checks() {
+                            field_verdict(&mut pd, &mut pds, Name::from_static("kind"), eval(|| Ok(ops::le(f_kind.view(), Scalar::Int(2))?)), Loc::new(start, cur.position()));
                         }
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
+                        if !syn && m.base().checks() {
+                            fpd.add_verdict(eval(|| Ok(ops::le(f_kind.view(), Scalar::Int(2))?)), ErrorCode::ConstraintViolation, Loc::new(start, cur.position()));
+                        }
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("kind"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -480,7 +471,7 @@ impl<'d> RecT<'d> {
             }
             {
                 let m = mask.child("body");
-                let (v, mut fpd) = BodyT::read(cur, &m, ((f_kind).pc_num()));
+                let (v, mut fpd) = rd_args(cur, eval(|| Ok([f_kind.view().int()?])), |cur, [pc_a0]| BodyT::read(cur, &m, pc_a0));
                 f_body = v;
                 let syn = fpd.has_syntax_error();
                 pd.absorb(&fpd);
@@ -495,7 +486,7 @@ impl<'d> RecT<'d> {
             {
                 let m = mask.child("extra");
                 let cp = cur.checkpoint();
-                let (v, ipd) = PairT::read(cur, &m, (3i64));
+                let (v, ipd) = PairT::read(cur, &m, 3i64);
                 if ipd.is_ok() {
                     f_extra = Some(v);
                 } else {
@@ -511,22 +502,22 @@ impl<'d> RecT<'d> {
             {
                 let m = mask.child("tag8");
                 let start = cur.position();
-                match rd_u64_dyn(cur, "Pbits", &[Prim::Uint((8i64) as u64)]) {
+                match rd_u64_dyn(cur, "Pbits", &[Prim::Int(8)]) {
                     Ok(v) => {
                         f_tag8 = v;
-                        if m.base().checks() && !((((32i64) <= ((f_tag8).pc_num())) && (((f_tag8).pc_num()) <= (126i64)))) {
-                            let mut fpd = ParseDesc::ok();
-                            fpd.add_error(ErrorCode::ConstraintViolation, Loc::new(start, cur.position()));
-                            pd.absorb(&fpd);
-                            pds.push((Name::from_static("tag8"), fpd));
+                        if m.base().checks() {
+                            field_verdict(&mut pd, &mut pds, Name::from_static("tag8"), eval(|| Ok((ops::le(Scalar::Int(32), f_tag8.view())? && ops::le(f_tag8.view(), Scalar::Int(126))?))), Loc::new(start, cur.position()));
                         }
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
+                        if !syn && m.base().checks() {
+                            fpd.add_verdict(eval(|| Ok((ops::le(Scalar::Int(32), f_tag8.view())? && ops::le(f_tag8.view(), Scalar::Int(126))?))), ErrorCode::ConstraintViolation, Loc::new(start, cur.position()));
+                        }
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("tag8"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -543,11 +534,11 @@ impl<'d> RecT<'d> {
                         f_nvals = v;
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("nvals"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -558,15 +549,15 @@ impl<'d> RecT<'d> {
             }
             {
                 let m = mask.child("vals");
-                let (v, mut fpd) = ValsT::read(cur, &m, ((f_nvals).pc_num()));
+                let (v, mut fpd) = rd_args(cur, eval(|| Ok([f_nvals.view().int()?])), |cur, [pc_a0]| ValsT::read(cur, &m, pc_a0));
                 f_vals = v;
                 let syn = fpd.has_syntax_error();
                 pd.absorb(&fpd);
                 if !fpd.is_ok() { pds.push((Name::from_static("vals"), fpd)); }
                 if syn { pd.state = ParseState::Partial; break 'body; }
             }
-            if mask.compound().checks() && !((((f_nvals).pc_num()) <= (9i64))) {
-                pd.add_error(ErrorCode::WhereViolation, Loc::at(cur.position()));
+            if mask.compound().checks() {
+                pd.add_verdict(eval(|| Ok(ops::le(f_nvals.view(), Scalar::Int(9))?)), ErrorCode::WhereViolation, Loc::at(cur.position()));
             }
         }
         pd.kind = PdKind::Struct { fields: pds };
@@ -582,15 +573,15 @@ impl<'d> RecT<'d> {
         out.push(charset.encode(124u8));
         wr_u64(out, (*(&self.kind)) as u64, charset);
         out.push(charset.encode(124u8));
-        (&self.body).write(out, charset, endian, ((self.kind).pc_num()))?;
+        (&self.body).write(out, charset, endian, self.kind.view().int()?)?;
         out.push(charset.encode(124u8));
-        if let Some(pc_inner) = &((&self.extra)) { pc_inner.write(out, charset, endian, (3i64))?; }
+        if let Some(pc_inner) = &((&self.extra)) { pc_inner.write(out, charset, endian, 3i64)?; }
         out.push(charset.encode(124u8));
-        wr_prim(out, "Pbits", &Prim::Uint((*(&self.tag8)) as u64), &[Prim::Uint((8i64) as u64)], charset, endian)?;
+        wr_prim(out, "Pbits", &Prim::Uint((*(&self.tag8)) as u64), &[Prim::Int(8)], charset, endian)?;
         out.push(charset.encode(124u8));
         wr_u64(out, (*(&self.nvals)) as u64, charset);
         out.push(charset.encode(124u8));
-        (&self.vals).write(out, charset, endian, ((self.nvals).pc_num()))?;
+        (&self.vals).write(out, charset, endian, self.nvals.view().int()?)?;
         out.push(charset.encode(b'\n'));
         Ok(())
     }
@@ -600,12 +591,12 @@ impl<'d> RecT<'d> {
         let mut ok = true;
         ok &= ((&self.code).verify());
         ok &= ((&self.sev).verify());
-        ok &= ((((self.kind).pc_num()) <= (2i64)));
-        ok &= ((&self.body).verify(((self.kind).pc_num())));
-        ok &= ((&self.extra).as_ref().map_or(true, |pc_inner| pc_inner.verify((3i64))));
-        ok &= ((((32i64) <= ((self.tag8).pc_num())) && (((self.tag8).pc_num()) <= (126i64))));
-        ok &= ((&self.vals).verify(((self.nvals).pc_num())));
-        ok &= ((((self.nvals).pc_num()) <= (9i64)));
+        ok &= (eval(|| Ok(ops::le(self.kind.view(), Scalar::Int(2))?)) == Ok(true));
+        ok &= (eval(|| Ok((&self.body).verify(self.kind.view().int()?))) == Ok(true));
+        ok &= ((match &((&self.extra)) { Some(pc_inner) => pc_inner.verify(3i64), None => true }));
+        ok &= (eval(|| Ok((ops::le(Scalar::Int(32), self.tag8.view())? && ops::le(self.tag8.view(), Scalar::Int(126))?))) == Ok(true));
+        ok &= (eval(|| Ok((&self.vals).verify(self.nvals.view().int()?))) == Ok(true));
+        ok &= (eval(|| Ok(ops::le(self.nvals.view(), Scalar::Int(9))?)) == Ok(true));
         ok
     }
 
@@ -643,7 +634,7 @@ impl<'d> RecsT<'d> {
     }
     fn read_impl(cur: &mut Cursor<'d>, mask: &Mask) -> (RecsT<'d>, ParseDesc) {
         const SHAPE: ArrayShape<'static> = ArrayShape { sep: None, term: None, elem_recovers: true, forall: false };
-        let (elts, pd) = read_array(cur, mask, &SHAPE, None, |cur, m| RecT::read(cur, m), |elts| false, |elts| Ok(true));
+        let (elts, pd) = read_array(cur, mask, &SHAPE, None, |cur, m| RecT::read(cur, m), |elts| Ok(false), |elts| Ok(true));
         (RecsT(elts), pd)
     }
 
@@ -658,7 +649,7 @@ impl<'d> RecsT<'d> {
     /// Re-checks sequence constraints in memory.
     pub fn verify(&self) -> bool {
         let mut ok = true;
-        ok &= self.0.iter().all(|e| e.verify());
+        ok &= self.0.iter().all(|e| (e.verify()));
         ok
     }
 

@@ -1,4 +1,6 @@
-//! Parsers generated by `pads-codegen` for the bundled descriptions.
+//! Parsers generated by `pads-codegen` for the bundled descriptions and
+//! for `tests/descriptions/operators.pads`, the expression language at
+//! its edges, a case of the contract matrix.
 //!
 //! These modules are the Rust analogue of the `.h`/`.c` pairs the original
 //! PADS compiler emitted (§4 of the paper): native representation types
@@ -12,4 +14,5 @@
 
 pub mod clf;
 pub mod mixed;
+pub mod operators;
 pub mod sirius;

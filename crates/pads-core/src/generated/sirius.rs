@@ -1,4 +1,4 @@
-//! Generated parser for the Sirius provisioning description (Figure 5).
+//! Generated parser for `descriptions/sirius.pads`.
 //!
 //! @generated by pads-codegen — do not edit by hand.
 #![allow(unused_mut, unused_variables, unused_parens, unused_assignments, unreachable_code, non_snake_case, non_camel_case_types, clippy::all)]
@@ -50,11 +50,11 @@ impl SummaryHeaderT {
                         f_tstamp = v;
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("tstamp"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -123,11 +123,11 @@ impl NoRampT {
                         f_id = v;
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("id"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -209,7 +209,7 @@ impl DibRampT {
     pub fn verify(&self) -> bool {
         match self {
             DibRampT::Ramp(v) => true,
-            DibRampT::GenRamp(v) => (true) && (v.verify()),
+            DibRampT::GenRamp(v) => true && (v.verify()),
         }
     }
 
@@ -227,11 +227,6 @@ impl DibRampT {
 /// Representation of `pn_t` (Ptypedef).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PnT(pub u64);
-
-impl PcVal for PnT {
-    fn pc_num(&self) -> i64 { (self.0).pc_num() }
-    fn pc_str(&self) -> Option<&str> { (self.0).pc_str() }
-}
 
 impl PnT {
     /// Parses the underlying type, then checks the constraint.
@@ -336,11 +331,11 @@ impl<'d> OrderHeaderT<'d> {
                         f_order_num = v;
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("order_num"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -357,11 +352,11 @@ impl<'d> OrderHeaderT<'d> {
                         f_att_order_num = v;
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("att_order_num"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -378,11 +373,11 @@ impl<'d> OrderHeaderT<'d> {
                         f_ord_version = v;
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("ord_version"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -485,16 +480,16 @@ impl<'d> OrderHeaderT<'d> {
             {
                 let m = mask.child("order_type");
                 let start = cur.position();
-                match rd_string_term(cur, (124i64) as u8) {
+                match rd_string_term(cur, 124u8) {
                     Ok(v) => {
                         f_order_type = v;
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("order_type"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -511,11 +506,11 @@ impl<'d> OrderHeaderT<'d> {
                         f_order_details = v;
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("order_details"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -527,16 +522,16 @@ impl<'d> OrderHeaderT<'d> {
             {
                 let m = mask.child("unused");
                 let start = cur.position();
-                match rd_string_term(cur, (124i64) as u8) {
+                match rd_string_term(cur, 124u8) {
                     Ok(v) => {
                         f_unused = v;
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("unused"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -548,16 +543,16 @@ impl<'d> OrderHeaderT<'d> {
             {
                 let m = mask.child("stream");
                 let start = cur.position();
-                match rd_string_term(cur, (124i64) as u8) {
+                match rd_string_term(cur, 124u8) {
                     Ok(v) => {
                         f_stream = v;
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("stream"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -605,10 +600,10 @@ impl<'d> OrderHeaderT<'d> {
     /// Re-checks all semantic constraints in memory.
     pub fn verify(&self) -> bool {
         let mut ok = true;
-        ok &= ((&self.service_tn).as_ref().map_or(true, |pc_inner| pc_inner.verify()));
-        ok &= ((&self.billing_tn).as_ref().map_or(true, |pc_inner| pc_inner.verify()));
-        ok &= ((&self.nlp_service_tn).as_ref().map_or(true, |pc_inner| pc_inner.verify()));
-        ok &= ((&self.nlp_billing_tn).as_ref().map_or(true, |pc_inner| pc_inner.verify()));
+        ok &= ((match &((&self.service_tn)) { Some(pc_inner) => pc_inner.verify(), None => true }));
+        ok &= ((match &((&self.billing_tn)) { Some(pc_inner) => pc_inner.verify(), None => true }));
+        ok &= ((match &((&self.nlp_service_tn)) { Some(pc_inner) => pc_inner.verify(), None => true }));
+        ok &= ((match &((&self.nlp_billing_tn)) { Some(pc_inner) => pc_inner.verify(), None => true }));
         ok &= ((&self.ramp).verify());
         ok
     }
@@ -662,16 +657,16 @@ impl<'d> EventT<'d> {
             {
                 let m = mask.child("state");
                 let start = cur.position();
-                match rd_string_term(cur, (124i64) as u8) {
+                match rd_string_term(cur, 124u8) {
                     Ok(v) => {
                         f_state = v;
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("state"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -688,11 +683,11 @@ impl<'d> EventT<'d> {
                         f_tstamp = v;
                     }
                     Err(e) => {
-                        let fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let mut fpd = ParseDesc::error(e, Loc::new(start, cur.position()));
+                        let syn = fpd.has_syntax_error();
                         pd.absorb(&fpd);
                         pds.push((Name::from_static("tstamp"), fpd));
-                        pd.state = ParseState::Partial;
-                        break 'body;
+                        if syn { pd.state = ParseState::Partial; break 'body; }
                     }
                 }
             }
@@ -743,7 +738,7 @@ impl<'d> EventSeq<'d> {
     }
     fn read_impl(cur: &mut Cursor<'d>, mask: &Mask) -> (EventSeq<'d>, ParseDesc) {
         const SHAPE: ArrayShape<'static> = ArrayShape { sep: Some(Lit::Char(124u8)), term: Some(Lit::Eor), elem_recovers: false, forall: true };
-        let (elts, pd) = read_array(cur, mask, &SHAPE, None, |cur, m| EventT::read(cur, m), |elts| false, |elts| Ok(((0i64)..=((((elts.len() as i64)).wrapping_sub(2i64)))).all(|i| (((elts[(i) as usize].tstamp).pc_num()) <= ((elts[(((i).wrapping_add(1i64))) as usize].tstamp).pc_num())))));
+        let (elts, pd) = read_array(cur, mask, &SHAPE, None, |cur, m| EventT::read(cur, m), |elts| Ok(false), |elts| Ok(ops::forall(Scalar::Int(0), ops::sub(Scalar::Uint(elts.len() as u64), Scalar::Int(2))?, |i| Ok(ops::le((*ops::index(&elts, i.view())?).tstamp.view(), (*ops::index(&elts, ops::add(i.view(), Scalar::Int(1))?)?).tstamp.view())?))?));
         (EventSeq(elts), pd)
     }
 
@@ -759,8 +754,8 @@ impl<'d> EventSeq<'d> {
     /// Re-checks sequence constraints in memory.
     pub fn verify(&self) -> bool {
         let mut ok = true;
-        ok &= self.0.iter().all(|e| e.verify());
-        ok &= (((0i64)..=((((self.0.len() as i64)).wrapping_sub(2i64)))).all(|i| (((self.0[(i) as usize].tstamp).pc_num()) <= ((self.0[(((i).wrapping_add(1i64))) as usize].tstamp).pc_num()))));
+        ok &= self.0.iter().all(|e| (e.verify()));
+        ok &= (eval(|| Ok(ops::forall(Scalar::Int(0), ops::sub(Scalar::Uint(self.0.len() as u64), Scalar::Int(2))?, |i| Ok(ops::le((*ops::index(&self.0, i.view())?).tstamp.view(), (*ops::index(&self.0, ops::add(i.view(), Scalar::Int(1))?)?).tstamp.view())?))?)) == Ok(true));
         ok
     }
 
@@ -879,7 +874,7 @@ impl<'d> EntriesT<'d> {
     }
     fn read_impl(cur: &mut Cursor<'d>, mask: &Mask) -> (EntriesT<'d>, ParseDesc) {
         const SHAPE: ArrayShape<'static> = ArrayShape { sep: None, term: None, elem_recovers: true, forall: false };
-        let (elts, pd) = read_array(cur, mask, &SHAPE, None, |cur, m| EntryT::read(cur, m), |elts| false, |elts| Ok(true));
+        let (elts, pd) = read_array(cur, mask, &SHAPE, None, |cur, m| EntryT::read(cur, m), |elts| Ok(false), |elts| Ok(true));
         (EntriesT(elts), pd)
     }
 
@@ -894,7 +889,7 @@ impl<'d> EntriesT<'d> {
     /// Re-checks sequence constraints in memory.
     pub fn verify(&self) -> bool {
         let mut ok = true;
-        ok &= self.0.iter().all(|e| e.verify());
+        ok &= self.0.iter().all(|e| (e.verify()));
         ok
     }
 

@@ -23,7 +23,7 @@ use pads_runtime::{
 };
 use pads_syntax::ast::{CaseLabel, Expr, Literal};
 
-use crate::eval::{self, Env, Ev};
+use crate::eval::{self, Env};
 use crate::value::Value;
 
 /// Cursor configuration for a parse.
@@ -481,14 +481,7 @@ impl<'s> PadsParser<'s> {
     where
         's: 'e,
     {
-        let mut env = Env::new(self.schema);
-        for (n, v) in params {
-            env.push(n, Ev::Ref(v));
-        }
-        for (n, v) in fields {
-            env.push(n, Ev::Ref(v));
-        }
-        env
+        Env::bound(self.schema, params, fields)
     }
 
     fn eval_args(
@@ -499,7 +492,7 @@ impl<'s> PadsParser<'s> {
     ) -> Result<Vec<Prim>, ErrorCode> {
         // Fast path: literal arguments (`Pstring(:'|':)`, `Puint16_FW(:3:)`)
         // need no environment — the overwhelmingly common case.
-        if let Some(prims) = args.iter().map(const_prim).collect::<Option<Vec<_>>>() {
+        if let Some(prims) = args.iter().map(eval::literal).collect::<Option<Vec<_>>>() {
             return Ok(prims);
         }
         let mut env = self.env(params, fields);
@@ -546,17 +539,9 @@ impl<'s> PadsParser<'s> {
                     if !syntax_fail && child_mask.base().checks() {
                         if let Some(c) = &f.constraint {
                             let mut env = self.env(params, &fields);
-                            match eval::eval_bool(c, &mut env) {
-                                Ok(true) => {}
-                                Ok(false) => {
-                                    let loc = Loc::new(start, cur.position());
-                                    child_pd.add_error(ErrorCode::ConstraintViolation, loc);
-                                }
-                                Err(code) => {
-                                    let loc = Loc::new(start, cur.position());
-                                    child_pd.add_error(code, loc);
-                                }
-                            }
+                            let verdict = eval::eval_bool(c, &mut env);
+                            let loc = Loc::new(start, cur.position());
+                            child_pd.add_verdict(verdict, ErrorCode::ConstraintViolation, loc);
                         }
                     }
                     pd.absorb(&child_pd);
@@ -588,13 +573,8 @@ impl<'s> PadsParser<'s> {
         if !aborted && mask.compound().checks() {
             if let Some(w) = &def.where_clause {
                 let mut env = self.env(params, &fields);
-                match eval::eval_bool(w, &mut env) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        pd.add_error(ErrorCode::WhereViolation, Loc::at(cur.position()))
-                    }
-                    Err(code) => pd.add_error(code, Loc::at(cur.position())),
-                }
+                let verdict = eval::eval_bool(w, &mut env);
+                pd.add_verdict(verdict, ErrorCode::WhereViolation, Loc::at(cur.position()));
             }
         }
         pd.kind = PdKind::Struct { fields: pds };
@@ -719,12 +699,9 @@ impl<'s> PadsParser<'s> {
                 if let Some(c) = &b.field.constraint {
                     let bound = [(names[index], value.clone())];
                     let mut env = self.env(params, &bound);
-                    match eval::eval_bool(c, &mut env) {
-                        Ok(true) => {}
-                        Ok(false) | Err(_) => {
-                            cur.restore(cp);
-                            continue;
-                        }
+                    if eval::eval_bool(c, &mut env) != Ok(true) {
+                        cur.restore(cp);
+                        continue;
                     }
                 }
                 let mut pd = ParseDesc::ok();
@@ -772,25 +749,18 @@ impl<'s> PadsParser<'s> {
             pd.state = ParseState::Partial;
             return (Value::Prim(Prim::Unit), pd);
         };
-        let sel_val = {
-            let mut env = self.env(params, &[]);
-            eval::eval(sel, &mut env).map(|e| e.into_value())
+        // A selector that fails to evaluate, or picks no case, reads no
+        // branch: the union holds the first branch's default.
+        let unread = |code| {
+            let mut pd = ParseDesc::error(code, Loc::at(start));
+            pd.state = ParseState::Partial;
+            pd.kind = PdKind::union_ok(names[0]);
+            let value = Box::new(self.default_tyuse(&front.field.ty));
+            (Value::Union { branch: names[0], index: 0, value }, pd)
         };
-        let sel_val = match sel_val {
-            Ok(v) => v,
-            Err(code) => {
-                let mut pd = ParseDesc::error(code, Loc::at(start));
-                pd.state = ParseState::Partial;
-                pd.kind = PdKind::union_ok(names[0]);
-                return (
-                    Value::Union {
-                        branch: names[0],
-                        index: 0,
-                        value: Box::new(self.default_tyuse(&front.field.ty)),
-                    },
-                    pd,
-                );
-            }
+        let sel_val = match eval::eval(sel, &mut self.env(params, &[])) {
+            Ok(v) => v.into_value(),
+            Err(code) => return unread(code),
         };
         let mut chosen = None;
         let mut default = None;
@@ -798,15 +768,10 @@ impl<'s> PadsParser<'s> {
             match &b.case {
                 Some(CaseLabel::Expr(e)) => {
                     let mut env = self.env(params, &[]);
-                    if let Ok(case_val) = eval::eval(e, &mut env) {
-                        let eq = match (sel_val.as_i64(), case_val.value().as_i64()) {
-                            (Some(a), Some(b)) => a == b,
-                            _ => &sel_val == case_val.value(),
-                        };
-                        if eq {
-                            chosen = Some((index, b));
-                            break;
-                        }
+                    let case = eval::eval(e, &mut env);
+                    if case.is_ok_and(|case| eval::case_eq(&sel_val, case.value())) {
+                        chosen = Some((index, b));
+                        break;
                     }
                 }
                 Some(CaseLabel::Default) => default = Some((index, b)),
@@ -814,17 +779,7 @@ impl<'s> PadsParser<'s> {
             }
         }
         let Some((index, b)) = chosen.or(default) else {
-            let mut pd = ParseDesc::error(ErrorCode::SwitchNoMatch, Loc::at(start));
-            pd.state = ParseState::Partial;
-            pd.kind = PdKind::union_ok(names[0]);
-            return (
-                Value::Union {
-                    branch: names[0],
-                    index: 0,
-                    value: Box::new(self.default_tyuse(&front.field.ty)),
-                },
-                pd,
-            );
+            return unread(ErrorCode::SwitchNoMatch);
         };
         let child_mask = mask.child(&b.field.name);
         let (value, bpd) = self.parse_field_ty(cur, &b.field.ty, params, &[], &child_mask);
@@ -834,11 +789,8 @@ impl<'s> PadsParser<'s> {
         if let Some(c) = &b.field.constraint {
             let bound = [(names[index], value.clone())];
             let mut env = self.env(params, &bound);
-            match eval::eval_bool(c, &mut env) {
-                Ok(true) => {}
-                Ok(false) => pd.add_error(ErrorCode::ConstraintViolation, Loc::at(cur.position())),
-                Err(code) => pd.add_error(code, Loc::at(cur.position())),
-            }
+            let verdict = eval::eval_bool(c, &mut env);
+            pd.add_verdict(verdict, ErrorCode::ConstraintViolation, Loc::at(cur.position()));
         }
         pd.kind = PdKind::union(names[index], bpd);
         (Value::Union { branch: names[index], index, value: Box::new(value) }, pd)
@@ -975,18 +927,12 @@ impl<'s> PadsParser<'s> {
                 let bound =
                     [(Name::from_static("elts"), arr), (Name::from_static("length"), len)];
                 let mut env = self.env(params, &bound);
-                match eval::eval_bool(w, &mut env) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        let code = if matches!(w, Expr::Forall { .. }) {
-                            ErrorCode::ForallViolation
-                        } else {
-                            ErrorCode::WhereViolation
-                        };
-                        pd.add_error(code, Loc::at(cur.position()));
-                    }
-                    Err(code) => pd.add_error(code, Loc::at(cur.position())),
-                }
+                let violation = if matches!(w, Expr::Forall { .. }) {
+                    ErrorCode::ForallViolation
+                } else {
+                    ErrorCode::WhereViolation
+                };
+                pd.add_verdict(eval::eval_bool(w, &mut env), violation, Loc::at(cur.position()));
                 if let Some((_, Value::Array(back))) = bound.into_iter().next() {
                     elts = back;
                 }
@@ -1047,9 +993,8 @@ impl<'s> PadsParser<'s> {
         // when both are declared.
         let mut best: Option<(usize, usize)> = None; // (len, index)
         for (i, v) in variants.iter().enumerate() {
-            let raw: Vec<u8> = v.bytes().map(|b| charset.encode(b)).collect();
-            if cur.rest().starts_with(&raw) && best.is_none_or(|(len, _)| raw.len() > len) {
-                best = Some((raw.len(), i));
+            if best.is_none_or(|(len, _)| v.len() > len) && encoded_at(cur.rest(), v, charset) {
+                best = Some((v.len(), i));
             }
         }
         let names = &self.names[id].items;
@@ -1083,13 +1028,9 @@ impl<'s> PadsParser<'s> {
             if let (Some(v), Some(p)) = (var, pred) {
                 let bound = [(v, value.clone())];
                 let mut env = self.env(params, &bound);
-                match eval::eval_bool(p, &mut env) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        pd.add_error(ErrorCode::ConstraintViolation, Loc::new(start, cur.position()))
-                    }
-                    Err(code) => pd.add_error(code, Loc::new(start, cur.position())),
-                }
+                let verdict = eval::eval_bool(p, &mut env);
+                let loc = Loc::new(start, cur.position());
+                pd.add_verdict(verdict, ErrorCode::ConstraintViolation, loc);
             }
         }
         pd.kind = PdKind::typedef(bpd);
@@ -1103,46 +1044,27 @@ impl<'s> PadsParser<'s> {
     ) -> Result<(), (ErrorCode, Loc)> {
         let start = cur.position();
         let charset = cur.charset();
-        match lit {
-            Literal::Char(c) => {
-                let raw = charset.encode(*c);
-                if cur.peek() == Some(raw) {
-                    cur.advance(1);
-                    Ok(())
-                } else {
-                    Err((ErrorCode::LitMismatch, Loc::at(start)))
-                }
-            }
+        // A character or string is compared in place in the charset, and
+        // consumed when it matches.
+        let matched = match lit {
+            Literal::Char(c) => cur.peek() == Some(charset.encode(*c)) && cur.advance(1) == 1,
             Literal::Str(s) => {
-                let raw: Vec<u8> = s.bytes().map(|b| charset.encode(b)).collect();
-                if cur.match_bytes(&raw) {
-                    Ok(())
-                } else {
-                    Err((ErrorCode::LitMismatch, Loc::at(start)))
-                }
+                encoded_at(cur.rest(), s, charset) && cur.advance(s.len()) == s.len()
             }
             Literal::Regex(pat) => {
                 let re = cur.regex(pat).map_err(|c| (c, Loc::at(start)))?;
-                if cur.match_regex(&re).is_some() {
-                    Ok(())
-                } else {
-                    Err((ErrorCode::RegexMismatch, Loc::at(start)))
+                if cur.match_regex(&re).is_none() {
+                    return Err((ErrorCode::RegexMismatch, Loc::at(start)));
                 }
+                true
             }
-            Literal::Eor => {
-                if cur.at_eor() {
-                    Ok(())
-                } else {
-                    Err((ErrorCode::LitMismatch, Loc::at(start)))
-                }
-            }
-            Literal::Eof => {
-                if cur.at_eof() {
-                    Ok(())
-                } else {
-                    Err((ErrorCode::LitMismatch, Loc::at(start)))
-                }
-            }
+            Literal::Eor => cur.at_eor(),
+            Literal::Eof => cur.at_eof(),
+        };
+        if matched {
+            Ok(())
+        } else {
+            Err((ErrorCode::LitMismatch, Loc::at(start)))
         }
     }
 
@@ -1193,16 +1115,10 @@ impl<'s> PadsParser<'s> {
     }
 }
 
-/// Evaluates literal expressions without an environment.
-fn const_prim(e: &Expr) -> Option<Prim> {
-    match e {
-        Expr::Int(v) => Some(Prim::Int(*v)),
-        Expr::Char(c) => Some(Prim::Char(*c)),
-        Expr::Str(s) => Some(Prim::String(s.clone())),
-        Expr::Bool(b) => Some(Prim::Bool(*b)),
-        Expr::Float(v) => Some(Prim::Float(*v)),
-        _ => None,
-    }
+/// Whether the ASCII `text`, each byte encoded in `charset`, comes first
+/// in `rest`: the interpreter's own comparison, byte by byte in place.
+fn encoded_at(rest: &[u8], text: &str, charset: Charset) -> bool {
+    rest.len() >= text.len() && text.bytes().zip(rest).all(|(t, &r)| charset.encode(t) == r)
 }
 
 /// The parser a [`Records`] iterator runs: the caller's, or its own.

@@ -5,6 +5,7 @@
 //! element vectors, `Penum`s to variant indices, `Popt`s to options, and
 //! base types to [`Prim`]s.
 
+use pads_runtime::ops::Scalar;
 use pads_runtime::{Name, Prim};
 
 /// A parsed value.
@@ -99,24 +100,27 @@ impl Value {
         self.len().map(|n| n == 0)
     }
 
-    /// Unsigned-integer view through prim/enum/present-option layers.
-    pub fn as_u64(&self) -> Option<u64> {
+    /// The value as an operator sees it ([`pads_runtime::ops`]): a
+    /// primitive, an enum's index, an optional's content or its absence;
+    /// `None` for an aggregate.
+    pub fn scalar(&self) -> Option<Scalar<'_>> {
         match self {
-            Value::Prim(p) => p.as_u64(),
-            Value::Enum { index, .. } => Some(*index as u64),
-            Value::Opt(Some(inner)) => inner.as_u64(),
+            Value::Prim(p) => Some(Scalar::from(p)),
+            Value::Enum { index, .. } => Some(Scalar::Enum(*index as u64)),
+            Value::Opt(None) => Some(Scalar::Absent),
+            Value::Opt(Some(inner)) => inner.scalar(),
             _ => None,
         }
     }
 
+    /// Unsigned-integer view through prim/enum/present-option layers.
+    pub fn as_u64(&self) -> Option<u64> {
+        self.scalar()?.as_u64()
+    }
+
     /// Signed-integer view through prim/enum/present-option layers.
     pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Prim(p) => p.as_i64(),
-            Value::Enum { index, .. } => Some(*index as i64),
-            Value::Opt(Some(inner)) => inner.as_i64(),
-            _ => None,
-        }
+        self.scalar()?.as_i64()
     }
 
     /// String view (strings and present options of strings).

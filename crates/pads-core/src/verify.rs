@@ -11,7 +11,7 @@ use pads_check::ir::{MemberIr, Schema, TypeId, TypeKind, TyUse};
 use pads_runtime::{ErrorCode, Name, Prim};
 use pads_syntax::ast::Expr;
 
-use crate::eval::{self, Env, Ev};
+use crate::eval::{self, Env};
 use crate::parse::{intern_names, TypeNames};
 use crate::value::Value;
 
@@ -175,14 +175,7 @@ impl<'s> Verifier<'s> {
         params: &'e [(Name, Value)],
         fields: &'e [(Name, Value)],
     ) -> Env<'e> {
-        let mut env = Env::new(self.schema);
-        for (n, v) in params {
-            env.push(n, Ev::Ref(v));
-        }
-        for (n, v) in fields {
-            env.push(n, Ev::Ref(v));
-        }
-        env
+        Env::bound(self.schema, params, fields)
     }
 
     fn check(
@@ -206,10 +199,9 @@ impl<'s> Verifier<'s> {
         out: &mut Vec<Violation>,
     ) {
         let mut env = self.env(params, fields);
-        match eval::eval_bool(expr, &mut env) {
-            Ok(true) => {}
-            Ok(false) => out.push(Violation { path: path.to_owned(), code }),
-            Err(e) => out.push(Violation { path: path.to_owned(), code: e }),
+        let verdict = eval::eval_bool(expr, &mut env);
+        if verdict != Ok(true) {
+            out.push(Violation { path: path.to_owned(), code: verdict.err().unwrap_or(code) });
         }
     }
 }

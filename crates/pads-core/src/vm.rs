@@ -231,7 +231,7 @@ enum CTy {
 enum CArgs {
     None,
     /// All-constant argument list, evaluated once at compile time (the
-    /// interpreter's `const_prim` fast path re-allocates this `Vec` —
+    /// interpreter's literal-argument fast path re-allocates this `Vec` —
     /// including cloning string arguments — on every record).
     Const(Box<[Prim]>),
     Dyn(Box<[Expr]>),
@@ -290,7 +290,7 @@ fn compile_def(
         TypeKind::Array { elem, sep, term, ended, size } => {
             let elem_recovers =
                 matches!(elem, TyUse::Named { id, .. } if schema.def(*id).is_record);
-            let size_c = size.as_ref().map(|e| match const_prim(e) {
+            let size_c = size.as_ref().map(|e| match eval::literal(e) {
                 Some(p) => match p.as_u64() {
                     Some(n) => CSize::Const(n as usize),
                     None => CSize::ConstBad,
@@ -376,11 +376,9 @@ fn compile_pred(schema: &Schema, e: &Expr, var: &str, siblings: &[Name], params:
 
 fn compile_pexpr(schema: &Schema, scope: &PScope<'_>, e: &Expr, depth: u32) -> Option<PExpr> {
     Some(match e {
-        Expr::Int(v) => PExpr::Const(Value::Prim(Prim::Int(*v))),
-        Expr::Float(v) => PExpr::Const(Value::Prim(Prim::Float(*v))),
-        Expr::Char(c) => PExpr::Const(Value::Prim(Prim::Char(*c))),
-        Expr::Str(s) => PExpr::Const(Value::Prim(Prim::String(s.clone()))),
-        Expr::Bool(b) => PExpr::Const(Value::Prim(Prim::Bool(*b))),
+        Expr::Int(_) | Expr::Float(_) | Expr::Char(_) | Expr::Str(_) | Expr::Bool(_) => {
+            PExpr::Const(Value::Prim(eval::literal(e)?))
+        }
         Expr::Ident(n) => match scope {
             PScope::Caller { var, siblings, params } => {
                 if n == var {
@@ -573,7 +571,7 @@ fn elts_field_at<'e>(e: &'e Expr) -> Option<(&'e str, IndexShape<'e>)> {
 fn compile_case(c: &CaseLabel) -> CCase {
     match c {
         CaseLabel::Default => CCase::Default,
-        CaseLabel::Expr(e) => match const_prim(e) {
+        CaseLabel::Expr(e) => match eval::literal(e) {
             Some(p) => CCase::Const(Value::Prim(p)),
             None => CCase::Dyn(e.clone()),
         },
@@ -642,22 +640,9 @@ fn compile_args(args: &[Expr]) -> CArgs {
     if args.is_empty() {
         return CArgs::None;
     }
-    match args.iter().map(const_prim).collect::<Option<Vec<_>>>() {
+    match args.iter().map(eval::literal).collect::<Option<Vec<_>>>() {
         Some(prims) => CArgs::Const(prims.into_boxed_slice()),
         None => CArgs::Dyn(args.to_vec().into_boxed_slice()),
-    }
-}
-
-/// Evaluates literal expressions without an environment (the compile-time
-/// twin of the interpreter's per-record fast path).
-fn const_prim(e: &Expr) -> Option<Prim> {
-    match e {
-        Expr::Int(v) => Some(Prim::Int(*v)),
-        Expr::Char(c) => Some(Prim::Char(*c)),
-        Expr::Str(s) => Some(Prim::String(s.clone())),
-        Expr::Bool(b) => Some(Prim::Bool(*b)),
-        Expr::Float(v) => Some(Prim::Float(*v)),
-        _ => None,
     }
 }
 
@@ -740,19 +725,13 @@ fn eval_pexpr<'a>(
             let rhs = eval_pexpr(b, var, fields)?;
             eval::binary(*op, &lhs, &rhs)
         }
-        PExpr::And(a, b) => {
-            // Short-circuit, like the interpreter.
-            if !pexpr_bool(a, var, fields)? {
-                return Ok(Ev::prim(Prim::Bool(false)));
-            }
-            Ok(Ev::prim(Prim::Bool(pexpr_bool(b, var, fields)?)))
-        }
-        PExpr::Or(a, b) => {
-            if pexpr_bool(a, var, fields)? {
-                return Ok(Ev::prim(Prim::Bool(true)));
-            }
-            Ok(Ev::prim(Prim::Bool(pexpr_bool(b, var, fields)?)))
-        }
+        // Short-circuit, like the interpreter.
+        PExpr::And(a, b) => Ok(Ev::prim(Prim::Bool(
+            pexpr_bool(a, var, fields)? && pexpr_bool(b, var, fields)?,
+        ))),
+        PExpr::Or(a, b) => Ok(Ev::prim(Prim::Bool(
+            pexpr_bool(a, var, fields)? || pexpr_bool(b, var, fields)?,
+        ))),
         PExpr::Not(a) => Ok(Ev::prim(Prim::Bool(!pexpr_bool(a, var, fields)?))),
         PExpr::If(c, t, e) => {
             if pexpr_bool(c, var, fields)? {
@@ -765,10 +744,7 @@ fn eval_pexpr<'a>(
 }
 
 fn pexpr_bool(p: &PExpr, var: &Value, fields: &[(Name, Value)]) -> Result<bool, ErrorCode> {
-    match eval_pexpr(p, var, fields)?.value() {
-        Value::Prim(Prim::Bool(b)) => Ok(*b),
-        _ => Err(ErrorCode::EvalError),
-    }
+    eval_pexpr(p, var, fields)?.as_bool()
 }
 
 /// The sorted sweep: `elts[i].field OP elts[i+1].field` over every
@@ -778,10 +754,8 @@ fn eval_sorted(field: &str, op: BinOp, elts: &[Value]) -> Result<bool, ErrorCode
     for pair in elts.windows(2) {
         let a = eval::project_field(Ev::Ref(&pair[0]), field)?;
         let b = eval::project_field(Ev::Ref(&pair[1]), field)?;
-        match eval::binary(op, &a, &b)?.value() {
-            Value::Prim(Prim::Bool(true)) => {}
-            Value::Prim(Prim::Bool(false)) => return Ok(false),
-            _ => return Err(ErrorCode::EvalError),
+        if !eval::binary(op, &a, &b)?.as_bool()? {
+            return Ok(false);
         }
     }
     Ok(true)
@@ -815,14 +789,7 @@ impl<'p> Exec<'p> {
     where
         'p: 'e,
     {
-        let mut env = Env::new(self.schema);
-        for (n, v) in params {
-            env.push(n, Ev::Ref(v));
-        }
-        for (n, v) in fields {
-            env.push(n, Ev::Ref(v));
-        }
-        env
+        Env::bound(self.schema, params, fields)
     }
 
     fn exec_def(
@@ -1155,9 +1122,9 @@ impl<'p> Exec<'p> {
         let mut default = None;
         for (index, b) in branches.iter().enumerate() {
             let picked = match &b.case {
-                Some(CCase::Const(case)) => case_eq(sel, case),
+                Some(CCase::Const(case)) => eval::case_eq(sel, case),
                 Some(CCase::Dyn(e)) => eval::eval(e, &mut self.env(params, &[]))
-                    .is_ok_and(|case| case_eq(sel, case.value())),
+                    .is_ok_and(|case| eval::case_eq(sel, case.value())),
                 Some(CCase::Default) => {
                     default = Some(index);
                     false
@@ -1193,7 +1160,7 @@ impl<'p> Exec<'p> {
             &arr.shape,
             size,
             |cur, m| self.exec_ty(cur, &arr.elem, params, &[], m),
-            |elts| arr.ended.as_ref().is_some_and(|e| self.eval_elts(e, elts, params) == Ok(true)),
+            |elts| arr.ended.as_ref().map_or(Ok(false), |e| self.eval_elts(e, elts, params)),
             |elts| match &def.where_clause {
                 Some(CWhere::Sorted { field, op }) => eval_sorted(field, *op, elts),
                 Some(CWhere::Generic(w)) => self.eval_elts(w, elts, params),
@@ -1250,15 +1217,6 @@ impl<'p> Exec<'p> {
                 .map(|d| d.default.clone())
                 .unwrap_or(Value::Prim(Prim::Unit)),
         }
-    }
-}
-
-/// Case-label comparison: numeric labels compare as integers across
-/// signedness, anything else structurally (interpreter semantics).
-fn case_eq(sel: &Value, case: &Value) -> bool {
-    match (sel.as_i64(), case.as_i64()) {
-        (Some(a), Some(b)) => a == b,
-        _ => sel == case,
     }
 }
 

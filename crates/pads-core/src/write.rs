@@ -13,7 +13,7 @@ use pads_check::ir::{MemberIr, Schema, TypeId, TypeKind, TyUse};
 use pads_runtime::{Charset, Endian, ErrorCode, Name, Prim, RecordDiscipline, Registry};
 use pads_syntax::ast::{Expr, Literal};
 
-use crate::eval::{self, Env, Ev};
+use crate::eval::{self, Env};
 use crate::parse::{intern_names, ParseOptions, TypeNames};
 use crate::value::Value;
 
@@ -208,15 +208,7 @@ impl<'s> Writer<'s> {
         params: &[(Name, Value)],
         fields: &[(Name, Value)],
     ) -> Result<Vec<Prim>, ErrorCode> {
-        let mut env = Env::new(self.schema);
-        for (n, v) in params {
-            env.push(n, Ev::Ref(v));
-        }
-        for (n, v) in fields {
-            env.push(n, Ev::Ref(v));
-        }
-        // Safety of lifetimes: args live in the schema; bindings live on the
-        // caller's stack; both outlive this call.
+        let mut env = Env::bound(self.schema, params, fields);
         args.iter().map(|a| eval::eval_prim(a, &mut env)).collect()
     }
 

@@ -5,8 +5,7 @@
 //! generated-code-facing half. A module emitted by `pads-codegen` opens
 //! with `pub use pads_runtime::genrt::*;` and gets, from that one line:
 //! the runtime types its code names ([`Cursor`], [`ParseDesc`], [`Mask`],
-//! …), the borrowed string leaf [`PStr`], the constraint coercions
-//! ([`PcVal`], [`pc_eq`], [`pc_cmp`]), base-type readers and writers
+//! …), the borrowed string leaf [`PStr`], base-type readers and writers
 //! (`rd_*` / `wr_*`) mirroring the interpreting parser's semantics over one
 //! shared base-type registry, and [`CursorRecords`], the [`RecordReader`]
 //! that puts a generated record `read` under the sharded driver
@@ -17,8 +16,14 @@
 //! union branch trial, the switched-union read, the typedef rule, enum
 //! longest match and literal matching (`Lit`, [`Cursor::match_lit`]).
 //! Record open/skip/close policy is [`Cursor::open_record`] /
-//! [`Cursor::close_record`]. Generated code spells out only its struct
-//! reads and switch selection.
+//! [`Cursor::close_record`]. Nor are the operators of its constraints:
+//! those are [`ops`](crate::ops), re-exported here, which the interpreter
+//! and the VM evaluate with too. What this module adds for them is
+//! [`PcVal`], the [`Scalar`] view of a representation, and [`eval`], the
+//! `Result` context a predicate is printed in; a predicate's
+//! `EvalError` reaches the descriptor through the rule that asked for it
+//! or [`field_verdict`]. Generated code spells out only its struct reads,
+//! switch selection and how each expression is lowered.
 //!
 //! The hot helpers are `#[inline]`: they are called once per field from
 //! another crate, and a generated `read`/`write` must not pay a call for
@@ -35,6 +40,7 @@ pub use crate::io::{Cursor, RecordOpen};
 pub use crate::mask::Mask;
 pub use crate::metrics::MetricsCore;
 pub use crate::name::Name;
+pub use crate::ops::{self, Scalar};
 pub use crate::pd::{ParseDesc, PdKind, SparseElts};
 pub use crate::prim::Prim;
 pub use crate::rules::{
@@ -155,93 +161,83 @@ fn registry() -> &'static Registry {
     R.get_or_init(Registry::standard)
 }
 
-// ---- value coercions for compiled constraints -------------------------------
+// ---- constraint operands -----------------------------------------------------
 
-/// How a representation reads inside a compiled constraint: as a number,
-/// or as a string when it has one.
+/// The [`Scalar`] view of a representation, the operand a compiled
+/// constraint hands to [`ops`](crate::ops). Unsigned integers of 32 bits or
+/// fewer view as `Int`; generated code views characters, enums, typedefs
+/// and optionals itself, from the schema.
 pub trait PcVal {
-    /// The numeric reading (0 for strings).
-    fn pc_num(&self) -> i64;
-    /// The string reading, for string-kinded values.
-    #[inline]
-    fn pc_str(&self) -> Option<&str> {
-        None
-    }
+    /// The view.
+    fn view(&self) -> Scalar<'_>;
 }
 
-macro_rules! pc_num_impl {
-    ($($t:ty),*) => {$(
+macro_rules! pc_val {
+    ($($t:ty => |$v:pat_param| $view:expr),* $(,)?) => {$(
         impl PcVal for $t {
             #[inline]
-            fn pc_num(&self) -> i64 { *self as i64 }
+            fn view(&self) -> Scalar<'_> {
+                let $v = self;
+                $view
+            }
         }
     )*};
 }
-pc_num_impl!(u8, u16, u32, u64, i8, i16, i32, i64, bool, f32, f64);
-
-macro_rules! pc_str_impl {
-    ($($t:ty),*) => {$(
-        impl PcVal for $t {
-            #[inline]
-            fn pc_num(&self) -> i64 { 0 }
-            #[inline]
-            fn pc_str(&self) -> Option<&str> { Some(self) }
-        }
-    )*};
-}
-pc_str_impl!(String, PStr<'_>, str);
-
-impl PcVal for PDate {
-    #[inline]
-    fn pc_num(&self) -> i64 {
-        self.epoch
-    }
+pc_val! {
+    u8 => |v| Scalar::Int(i64::from(*v)),
+    u16 => |v| Scalar::Int(i64::from(*v)),
+    u32 => |v| Scalar::Int(i64::from(*v)),
+    i8 => |v| Scalar::Int(i64::from(*v)),
+    i16 => |v| Scalar::Int(i64::from(*v)),
+    i32 => |v| Scalar::Int(i64::from(*v)),
+    i64 => |v| Scalar::Int(*v),
+    u64 => |v| Scalar::Uint(*v),
+    f64 => |v| Scalar::Float(*v),
+    PStr<'_> => |v| Scalar::Str(v),
+    PDate => |v| Scalar::Date(*v),
+    [u8; 4] => |v| Scalar::Ip(*v),
+    () => |_| Scalar::Unit,
+    Prim => |v| Scalar::from(v),
 }
 
-impl PcVal for [u8; 4] {
-    #[inline]
-    fn pc_num(&self) -> i64 {
-        u32::from_be_bytes(*self) as i64
-    }
-}
-
-impl PcVal for Prim {
-    fn pc_num(&self) -> i64 {
-        self.as_i64().unwrap_or(0)
-    }
-    fn pc_str(&self) -> Option<&str> {
-        self.as_str()
-    }
-}
-
-impl<T: PcVal> PcVal for Option<T> {
-    #[inline]
-    fn pc_num(&self) -> i64 {
-        self.as_ref().map(PcVal::pc_num).unwrap_or(0)
-    }
-    #[inline]
-    fn pc_str(&self) -> Option<&str> {
-        self.as_ref().and_then(PcVal::pc_str)
-    }
-}
-
-/// `==` of the constraint language: strings compare as strings, numbers
-/// as `i64`, and a string never equals a number.
+/// Runs a compiled expression, whose operators propagate their
+/// `EvalError` with `?`.
 #[inline]
-pub fn pc_eq<A: PcVal + ?Sized, B: PcVal + ?Sized>(a: &A, b: &B) -> bool {
-    match (a.pc_str(), b.pc_str()) {
-        (Some(x), Some(y)) => x == y,
-        (None, None) => a.pc_num() == b.pc_num(),
-        _ => false,
+pub fn eval<T>(expr: impl FnOnce() -> Result<T, ErrorCode>) -> Result<T, ErrorCode> {
+    expr()
+}
+
+/// Records a base field's constraint verdict on its struct's descriptor:
+/// nothing when it holds, else the field's descriptor with the violation
+/// or the evaluation error ([`ParseDesc::add_verdict`]).
+#[inline]
+pub fn field_verdict(
+    pd: &mut ParseDesc,
+    pds: &mut Vec<(Name, ParseDesc)>,
+    name: Name,
+    verdict: Result<bool, ErrorCode>,
+    loc: Loc,
+) {
+    if verdict != Ok(true) {
+        let mut fpd = ParseDesc::ok();
+        fpd.add_verdict(verdict, ErrorCode::ConstraintViolation, loc);
+        pd.absorb(&fpd);
+        pds.push((name, fpd));
     }
 }
 
-/// Ordering of the constraint language (see [`pc_eq`]).
+/// A read of a type with arguments: `read` with them, or, when they fail
+/// to evaluate, the default and the error at the cursor, as the
+/// interpreter records it.
 #[inline]
-pub fn pc_cmp<A: PcVal + ?Sized, B: PcVal + ?Sized>(a: &A, b: &B) -> std::cmp::Ordering {
-    match (a.pc_str(), b.pc_str()) {
-        (Some(x), Some(y)) => x.cmp(y),
-        _ => a.pc_num().cmp(&b.pc_num()),
+pub fn rd_args<'d, A, T: Default>(
+    cur: &mut Cursor<'d>,
+    args: Result<A, ErrorCode>,
+    read: impl FnOnce(&mut Cursor<'d>, A) -> (T, ParseDesc),
+) -> (T, ParseDesc) {
+    match args {
+        Ok(args) => read(cur, args),
+        Err(code) => (T::default(), ParseDesc::error(code, Loc::at(cur.position()))),
     }
 }
 
@@ -368,11 +364,8 @@ pub fn rd_string<'d>(
     parsed.inspect_err(|_| cur.restore(cp))
 }
 
-/// `Pdate`, optionally terminated.
-pub fn rd_date(cur: &mut Cursor<'_>, term: Option<u8>) -> Result<PDate, ErrorCode> {
-    // The terminator rides in a stack buffer: no per-call Vec.
-    let buf = [Prim::Char(term.unwrap_or(0))];
-    let args: &[Prim] = if term.is_some() { &buf } else { &[] };
+/// `Pdate`, with its arguments (a terminator, or none).
+pub fn rd_date(cur: &mut Cursor<'_>, args: &[Prim]) -> Result<PDate, ErrorCode> {
     match rd_prim(cur, "Pdate", args)? {
         Prim::Date(d) => Ok(d),
         _ => Err(ErrorCode::EvalError),

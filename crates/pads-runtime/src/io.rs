@@ -781,18 +781,6 @@ impl<'a> Cursor<'a> {
         scan::skip_class(self.rest(), class)
     }
 
-    /// Matches the raw byte sequence `raw` at the cursor, consuming it on
-    /// success.
-    pub fn match_bytes(&mut self, raw: &[u8]) -> bool {
-        if self.rest().starts_with(raw) {
-            self.align();
-            self.pos += raw.len();
-            true
-        } else {
-            false
-        }
-    }
-
     /// Returns the compiled regex for `pattern`, caching compilations in
     /// the shared [`RegexCache`] (per parser, surviving across cursors).
     ///
@@ -945,8 +933,8 @@ mod tests {
     fn match_bytes_and_regex() {
         let mut c = Cursor::new(b"HTTP/1.0 rest\n");
         c.begin_record().unwrap();
-        assert!(c.match_bytes(b"HTTP/"));
-        assert!(!c.match_bytes(b"2.0"));
+        assert_eq!(c.match_lit(&crate::rules::Lit::Str(b"HTTP/")), Ok(()));
+        assert!(c.match_lit(&crate::rules::Lit::Str(b"2.0")).is_err());
         let re = c.regex(r"\d+\.\d+").unwrap();
         assert_eq!(c.match_regex(&re), Some(&b"1.0"[..]));
         assert_eq!(c.position().byte, 8);

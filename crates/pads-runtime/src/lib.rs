@@ -22,6 +22,8 @@
 //! * [`fault`] — deterministic fault injection for adversarial testing;
 //! * [`par`] — record-aligned shard planning and the one sharded record
 //!   driver every engine plugs into;
+//! * [`ops`] — the operators of the expression language over a borrowed
+//!   [`ops::Scalar`], written once for every tier;
 //! * [`rules`] — the parsing rule of each type kind (arrays, unions,
 //!   typedefs, enums, literals), written once for the VM and generated code;
 //! * [`genrt`] — the library generated parsers link against (`PStr`,
@@ -66,6 +68,7 @@ pub mod io;
 pub mod mask;
 pub mod metrics;
 pub mod name;
+pub mod ops;
 pub mod par;
 pub mod pd;
 pub mod prim;

@@ -5,6 +5,7 @@
 //! arrays) live in the `pads` core crate and embed `Prim` at the leaves.
 
 use crate::date::PDate;
+use crate::ops::Scalar;
 
 /// The category of value a base type produces, used by the checker (for
 /// expression typing) and by accumulators (to pick a statistics kind).
@@ -74,45 +75,20 @@ impl Prim {
         }
     }
 
-    /// Numeric view as `i64` (integers, chars, bools, dates-as-epoch).
+    /// Numeric view as `i64` (integers, chars, bools, dates-as-epoch), the
+    /// reading [`ops`](crate::ops) computes with.
     pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Prim::Int(v) => Some(*v),
-            Prim::Uint(v) => i64::try_from(*v).ok(),
-            Prim::Char(c) => Some(*c as i64),
-            Prim::Bool(b) => Some(*b as i64),
-            Prim::Date(d) => Some(d.epoch),
-            _ => None,
-        }
+        Scalar::from(self).as_i64()
     }
 
     /// Numeric view as `u64`.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Prim::Uint(v) => Some(*v),
-            Prim::Int(v) => u64::try_from(*v).ok(),
-            Prim::Char(c) => Some(*c as u64),
-            Prim::Bool(b) => Some(*b as u64),
-            _ => None,
-        }
+        Scalar::from(self).as_u64()
     }
 
     /// Numeric view as `f64`.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Prim::Float(v) => Some(*v),
-            Prim::Int(v) => Some(*v as f64),
-            Prim::Uint(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
-    /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Prim::Bool(b) => Some(*b),
-            _ => None,
-        }
+        Scalar::from(self).as_f64()
     }
 
     /// String view.
@@ -120,21 +96,6 @@ impl Prim {
         match self {
             Prim::String(s) => Some(s),
             _ => None,
-        }
-    }
-
-    /// Whether two primitives compare equal under the description language's
-    /// loose numeric equality (`Int 3 == Uint 3`, `Char 'a' == Uint 97`).
-    pub fn loose_eq(&self, other: &Prim) -> bool {
-        if self == other {
-            return true;
-        }
-        match (self.as_i64(), other.as_i64()) {
-            (Some(a), Some(b)) => a == b,
-            _ => match (self.as_f64(), other.as_f64()) {
-                (Some(a), Some(b)) => a == b,
-                _ => false,
-            },
         }
     }
 }
@@ -206,16 +167,6 @@ impl From<PDate> for Prim {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn loose_equality_crosses_numeric_kinds() {
-        assert!(Prim::Int(3).loose_eq(&Prim::Uint(3)));
-        assert!(Prim::Char(b'a').loose_eq(&Prim::Uint(97)));
-        assert!(Prim::Float(2.5).loose_eq(&Prim::Float(2.5)));
-        assert!(Prim::Uint(3).loose_eq(&Prim::Float(3.0)));
-        assert!(!Prim::Int(3).loose_eq(&Prim::Uint(4)));
-        assert!(!Prim::String("3".into()).loose_eq(&Prim::Uint(3)));
-    }
 
     #[test]
     fn display_forms() {

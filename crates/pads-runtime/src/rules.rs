@@ -14,9 +14,9 @@
 //! One kind stays per tier: structs. A struct's fields are values the VM
 //! pushes into a vector that later constraints index, but typed locals in
 //! generated code that constraints name, so a shared loop would have to
-//! hand each member back to the tier. A switched union's selector stays
-//! per tier too, a `Value` in the VM and an `i64` in generated code: each
-//! tier picks the branch and [`read_switched`] reads it. The interpreter
+//! hand each member back to the tier. A switched union's selector is
+//! evaluated by each tier (over [`ops`](crate::ops), as every predicate
+//! is), which picks the branch; [`read_switched`] reads it. The interpreter
 //! (`pads::PadsParser`) keeps its own copy of every rule: it is the
 //! reference the contract matrix compares both compiled tiers against.
 
@@ -126,7 +126,8 @@ pub struct ArrayShape<'a> {
 /// element that does not recover stops the loop, as does an element of an
 /// unsized array that consumed nothing (`ArrayTermMismatch`: the loop would
 /// never end); after each element `ended` (`Pended`) may stop it, the
-/// terminator still consumed. Then the size is checked and, on a clean
+/// terminator still consumed (a predicate that fails to evaluate stops
+/// nothing). Then the size is checked and, on a clean
 /// read whose mask checks compound predicates, `holds` (`Pwhere`).
 ///
 /// `size` is `None` for an unsized array, `Some(None)` when the size
@@ -138,7 +139,7 @@ pub fn read_array<'d, T>(
     shape: &ArrayShape<'_>,
     size: Option<Option<usize>>,
     mut elem: impl FnMut(&mut Cursor<'d>, &Mask) -> (T, ParseDesc),
-    mut ended: impl FnMut(&mut Vec<T>) -> bool,
+    mut ended: impl FnMut(&mut Vec<T>) -> Result<bool, ErrorCode>,
     holds: impl FnOnce(&mut Vec<T>) -> Result<bool, ErrorCode>,
 ) -> (Vec<T>, ParseDesc) {
     let mut elts = Vec::new();
@@ -188,7 +189,7 @@ pub fn read_array<'d, T>(
             pd.add_error(ErrorCode::ArrayTermMismatch, Loc::at(cur.position()));
             break;
         }
-        if ended(&mut elts) {
+        if ended(&mut elts) == Ok(true) {
             if let Some(t) = &shape.term {
                 if cur.term_ahead(t) {
                     let _ = cur.match_lit(t);

@@ -4,7 +4,7 @@
 
 use std::sync::OnceLock;
 
-use pads::generated::{clf, mixed, sirius};
+use pads::generated::{clf, mixed, operators, sirius};
 use pads::{
     descriptions, Cursor, ErrorCode, Mask, ParseDesc, ParseOptions, RecoveryPolicy, Registry,
     Schema, Value,
@@ -88,6 +88,7 @@ macro_rules! generated {
 generated!(Clf, clf::EntryT);
 generated!(Sirius, sirius::EntryT);
 generated!(Mixed, mixed::RecT);
+generated!(Operators, operators::RecT);
 
 /// CLF of twelve records.
 pub fn clean_clf() -> Vec<u8> {

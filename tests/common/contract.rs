@@ -65,7 +65,7 @@ use pads::{
     BaseMask, Charset, Cursor, Endian, Engine, ErrorBudget, ErrorCode, Mask, PadsParser, ParseDesc,
     ParseOptions, ParseState, PdKind, Progress, RecordBatch, RecordDiscipline, RecordSink,
     RecoveryPolicy, Registry, ResumePoint, Schema, SourceEnd, SourceFold, SourceJob, SourceShape,
-    SourceSummary, Value, Writer,
+    SourceSummary, Value, Verifier, Writer,
 };
 use pads_check::facts::{FactBase, WidthInterval};
 use pads_runtime::genrt::CursorRecords;
@@ -1211,8 +1211,9 @@ where
 /// `generated`: the module's whole-source parse gives the whole-tree
 /// parse's descriptor, value and event stream. `reader`: its record reader,
 /// from where the truth's records start, yields the truth's descriptors,
-/// values, boundaries and budget, and each clean record verifies and writes
-/// as the interpreter's writer does. `drive`: under `par::drive`, from the
+/// values, boundaries and budget; each record, damaged or not, verifies as
+/// the [`Verifier`] finds the interpreter's value, and each clean record
+/// writes as the interpreter's writer does. `drive`: under `par::drive`, from the
 /// plan's boundaries, the reader yields what it yields sequentially.
 pub fn generated<'a, G: Generated>(case: &Case<'a>, truth: &Truth, plan: &Plan) {
     let d = case.description;
@@ -1242,6 +1243,7 @@ pub fn generated<'a, G: Generated>(case: &Case<'a>, truth: &Truth, plan: &Plan) 
     let mut reader = open(case.data, policy, truth.boundary(0));
     let mut sequential = Vec::new();
     let writer = Writer::new(d.schema, d.registry);
+    let verifier = Verifier::new(d.schema);
     while let Some((record, pd)) = reader.next_record() {
         let i = sequential.len();
         assert!(i < truth.len(), "{at}: record count");
@@ -1251,8 +1253,9 @@ pub fn generated<'a, G: Generated>(case: &Case<'a>, truth: &Truth, plan: &Plan) 
         let progress = truth.run.progress[i];
         assert_eq!(reader.position().offset, progress.end.offset, "{at}: end of [{i}]");
         assert_eq!(reader.budget(), progress.budget, "{at}: budget after [{i}]");
+        let verified = verifier.is_valid(d.shape.record, value);
+        assert_eq!(G::verify(&record), verified, "{at}: verify [{i}]");
         if want.is_ok() {
-            assert!(G::verify(&record), "{at}: [{i}] does not verify");
             let (mut generated, mut interpreted) = (Vec::new(), Vec::new());
             let generated = G::write(&record, &mut generated).map(|()| generated);
             let interpreted =

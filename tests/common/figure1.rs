@@ -4,7 +4,7 @@
 
 use pads::{Charset, Endian, ParseOptions, RecordDiscipline, Registry, Schema};
 
-use super::{every_policy, Case, Description, Plan, Truth};
+use super::{bundled, every_policy, generated, Case, Description, Plan, Truth};
 
 /// A file of `tests/descriptions/`: its stem and its text.
 macro_rules! file {
@@ -23,6 +23,8 @@ pub struct Source {
     /// The record type a source whose shape is not inferred is read as.
     pub record: Option<&'static str>,
     pub corpora: Vec<(&'static str, Vec<u8>)>,
+    /// The generated module's columns, for a source that has one.
+    pub generated: Option<fn(&Case<'_>, &Truth, &Plan)>,
 }
 
 type Corpora = Vec<(&'static str, Vec<u8>)>;
@@ -31,8 +33,8 @@ impl Source {
     fn new((name, text): (&str, &str), options: ParseOptions, corpora: Corpora) -> Source {
         let registry = Registry::standard();
         let schema = pads::compile(text, &registry).expect("the description compiles");
-        let (name, text, record) = (name.to_owned(), text.to_owned(), None);
-        Source { name, text, schema, registry, options, record, corpora }
+        let (name, text, record, generated) = (name.to_owned(), text.to_owned(), None, None);
+        Source { name, text, schema, registry, options, record, corpora, generated }
     }
 
     pub fn description(&self) -> Description<'_> {
@@ -41,18 +43,26 @@ impl Source {
             Some(record) => Description::records(schema, registry, record),
             None => Description::new(schema, registry),
         };
-        description.with_text(&self.text).with_options(self.options)
+        Description { generated: self.generated, ..description }
+            .with_text(&self.text)
+            .with_options(self.options)
     }
 
     /// Every corpus under every policy in each column its shape allows but
-    /// `cli` (a `pads-cli` suite's): each corpus's unlimited truth. Records
-    /// that are no `Precord` count positions from the start of the source,
-    /// which a resume point does not hold: such a source is not resumed.
+    /// `cli` (a `pads-cli` suite's), the generated module's whole-source
+    /// parse and reader included where there is one: each corpus's
+    /// unlimited truth. Records that are no `Precord` count positions from
+    /// the start of the source, which a resume point does not hold: such a
+    /// source is not resumed.
     pub fn cells(&self) -> Vec<Truth> {
         let description = self.description();
-        let plan = |truth: &Truth| match self.record {
-            Some(_) => Plan { resumes: Vec::new(), kills: Vec::new(), ..Plan::every_column(truth) },
-            None => Plan::every_column(truth),
+        let generated = self.generated.is_some();
+        let plan = |truth: &Truth| {
+            let plan = Plan { generated, reader: generated, ..Plan::every_column(truth) };
+            match self.record {
+                Some(_) => Plan { resumes: Vec::new(), kills: Vec::new(), ..plan },
+                None => plan,
+            }
         };
         let cell = |(corpus, data): &(&str, Vec<u8>)| {
             let case = Case::new(format!("{} {corpus}", self.name), &description, data);
@@ -214,9 +224,24 @@ pub fn altair_lenpfx() -> Source {
     altair("altair lenpfx", lenpfx, corpora(&clean, &damage))
 }
 
+/// One probe of each operator edge a record, every one holding; then each
+/// failing, by evaluation (a division by zero, an absent `Popt`, an index
+/// past the end, a selector and a type argument dividing by zero) or by
+/// verdict, an unknown probe and a line of garbage. With its generated
+/// module.
+pub fn operators() -> Source {
+    let clean = b"0:7,7\n1:9223372036854775808\n2:0.75\n3:5,6\n4:\n5:0.75\n6:2,7\n7:2,abcde,1\n";
+    let damage = b"0:7,0\n1:0\n2:0.25\n3:,6\n4:1,2,3\n4:3,1\n5:0.1\n6:0,7\n7:0,abc,1\n7:0,,0\n\
+        9:x\nzz\n";
+    let corpora = corpora(clean, damage);
+    let operators = Source::new(file!("operators"), ParseOptions::default(), corpora);
+    Source { generated: Some(generated::<bundled::Operators>), ..operators }
+}
+
 pub fn all() -> Vec<Source> {
     let [half, wide, eor] = half_bytes();
     let text = [ambient(), ambient_ebcdic(), tagged_count(), regulus(), nibbles(), half, wide, eor];
     let binary = [call_detail(), call_detail_le(), iphdr(), netflow()];
-    text.into_iter().chain(binary).chain([altair_fixed(), altair_lenpfx()]).collect()
+    let text = text.into_iter().chain([operators()]);
+    text.chain(binary).chain([altair_fixed(), altair_lenpfx()]).collect()
 }
